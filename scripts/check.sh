@@ -23,7 +23,9 @@
 #               sharded-engine tests with 2 and 4 shards and enough
 #               worker threads that races actually interleave. This is
 #               the bar for merging changes to the sharded engine
-#               (mailboxes, safe-clocks, the late-freeze protocol).
+#               (mailboxes, safe-clocks, the late-freeze protocol) and
+#               to the parallel sweep driver, whose tier-1 tests run
+#               concurrent experiments on real threads.
 #   --shards N: run every ctest invocation with NETCLONE_SHARDS=N, i.e.
 #               push the whole suite through the sharded engine.
 set -euo pipefail

@@ -39,6 +39,7 @@ sim::Scheduler& EngineContext::control() {
 }
 
 void EngineContext::run_until(SimTime deadline) {
+  const wire::ScopedPoolBinding bind(pool_);
   if (sharded_ != nullptr) {
     sharded_->run_until(deadline);
   } else {
@@ -62,9 +63,8 @@ std::vector<wire::FramePool::Stats> EngineContext::frame_pool_stats() const {
     for (std::size_t i = 0; i < sharded_->num_shards(); ++i) {
       out.push_back(sharded_->shard(i).pool().stats());
     }
-  } else {
-    out.push_back(wire::FramePool::instance().stats());
   }
+  out.push_back(pool_.stats());
   return out;
 }
 

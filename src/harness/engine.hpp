@@ -5,6 +5,10 @@
 // NETCLONE_SHARDS) asks for shards. EngineContext owns that choice plus
 // the cross-shard link wiring, so every harness honors the same
 // selection rules — and produces bit-identical digests for any choice.
+//
+// It also owns the experiment's frame pool. Nothing an experiment does
+// allocates from the process-wide FramePool::instance(), so experiments
+// on different threads never share a free list.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +49,17 @@ class EngineContext {
   /// sharded, the single queue otherwise.
   [[nodiscard]] sim::Scheduler& control();
 
+  /// Runs the engine with the experiment's pool bound to this thread.
   void run_until(SimTime deadline);
   [[nodiscard]] std::uint64_t executed_events() const;
   [[nodiscard]] std::uint64_t absorbed_events() const;
-  /// One balance sheet per shard pool, or the process-wide pool when
-  /// unsharded.
+  /// The experiment's own frame pool. Harnesses bind it (ScopedPoolBinding)
+  /// while they build; run_until binds it itself. Sharded runs allocate
+  /// from the shard pools instead, so there it serves only build time and
+  /// control-barrier events.
+  [[nodiscard]] wire::FramePool& pool() { return pool_; }
+  /// Balance sheets: the experiment's pool when unsharded; one per shard
+  /// pool followed by the experiment's pool when sharded.
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
 
   /// topology.connect() plus, when the endpoints' shards differ, the
@@ -61,6 +71,10 @@ class EngineContext {
                             phys::LinkParams params = {});
 
  private:
+  // Declared first so it is destroyed last: every frame the engine's
+  // events (and the harness's nodes, destroyed before this context) hold
+  // releases into it.
+  wire::FramePool pool_;
   // Exactly one engine is loaded.
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<sim::ShardedSimulator> sharded_;

@@ -105,6 +105,7 @@ phys::DuplexPorts Experiment::connect_nodes(phys::Node& a,
 
 void Experiment::build() {
   engine_ = std::make_unique<EngineContext>(config_.num_shards, config_.seed);
+  const wire::ScopedPoolBinding bind(engine_->pool());
   const std::size_t num_servers = config_.server_workers.size();
   validate_shard_assignment(config_.shard_assignment, engine_->num_shards(),
                             num_servers + config_.num_clients,

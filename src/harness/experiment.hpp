@@ -164,9 +164,9 @@ class Experiment {
   [[nodiscard]] std::uint64_t absorbed_events() const;
   /// Shards actually in use (0 = unsharded legacy engine).
   [[nodiscard]] std::size_t num_shards() const;
-  /// Frame-pool balance sheets: one entry per shard pool, or a single
-  /// entry for the process-wide pool when unsharded. The invariant
-  /// auditor checks live == acquired − released on each.
+  /// Frame-pool balance sheets of this experiment's own pools (see
+  /// EngineContext::frame_pool_stats). The invariant auditor checks
+  /// live == acquired − released on each.
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
   [[nodiscard]] pisa::SwitchDevice& tor() { return *switch_; }
   [[nodiscard]] const pisa::SwitchDevice& tor() const { return *switch_; }

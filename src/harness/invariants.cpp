@@ -111,15 +111,15 @@ void audit_filter(InvariantReport& report, const std::string& who,
 
 void audit_pools(InvariantReport& report,
                  const std::vector<wire::FramePool::Stats>& pools) {
-  // One balance sheet per shard pool (a single global one when
-  // unsharded). Cross-shard handoffs are byte copies, so every buffer
-  // releases into the pool that acquired it and each sheet must balance
-  // on its own.
+  // One balance sheet per pool the experiment owns (its own pool, plus
+  // one per shard when sharded). Cross-shard handoffs are byte copies, so
+  // every buffer releases into the pool that acquired it and each sheet
+  // must balance on its own.
   for (std::size_t i = 0; i < pools.size(); ++i) {
     const wire::FramePool::Stats& pool = pools[i];
     const std::string who =
         pools.size() == 1 ? std::string("frame pool")
-                          : "frame pool (shard " + std::to_string(i) + ")";
+                          : "frame pool " + std::to_string(i);
     check(report, pool.released > pool.acquired,
           who + ": released " + u64(pool.released) + " exceeds acquired " +
               u64(pool.acquired));

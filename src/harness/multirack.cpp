@@ -141,6 +141,7 @@ void MultiRackExperiment::build() {
                  "group id space exceeded: too many servers");
 
   engine_ = std::make_unique<EngineContext>(config_.num_shards, config_.seed);
+  const wire::ScopedPoolBinding bind(engine_->pool());
   validate_shard_assignment(config_.rack_shards, engine_->num_shards(),
                             config_.server_racks + 1, "racks");
   topology_ = std::make_unique<phys::Topology>(engine_->shard_scheduler(0));

@@ -1,12 +1,147 @@
 #include "harness/report.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <numeric>
+#include <system_error>
+#include <thread>
 
 #include "common/logging.hpp"
+#include "sim/sharded.hpp"
 
 namespace netclone::harness {
+
+namespace {
+
+/// CPUs this process may run on: its affinity mask, so `taskset` and
+/// container CPU sets are honored.
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+  return std::max(1U, std::thread::hardware_concurrency());
+}
+
+/// Sweep workers for `points` experiments on `shards` event-queue shards
+/// each (0 = unsharded): a sharded experiment brings its own shard
+/// threads, so the CPUs are split between points and shards.
+std::size_t sweep_workers(std::size_t points, std::size_t shards) {
+  const std::size_t per_point = std::max<std::size_t>(shards, 1);
+  return std::clamp<std::size_t>(usable_cpus() / per_point, 1,
+                                 std::max<std::size_t>(points, 1));
+}
+
+/// Per-link burst-coalescing telemetry: the fabric-wide absorption rate
+/// plus one row per link that delivered frames by riding an earlier
+/// frame's delivery event (NETCLONE_BURST). Prints nothing when no link
+/// coalesced, so oracle-mode output stays byte-identical.
+void print_link_coalescing(
+    const std::string& label,
+    const std::vector<std::pair<std::string, phys::LinkStats>>& links) {
+  std::uint64_t total_tx = 0;
+  std::uint64_t total_coalesced = 0;
+  for (const auto& [name, s] : links) {
+    total_tx += s.tx_frames;
+    total_coalesced += s.coalesced_frames;
+  }
+  if (total_coalesced == 0) {
+    return;  // oracle mode (or nothing absorbed): stay silent
+  }
+  std::printf("  coalescing [%s]: %llu of %llu frames (%.1f%%)\n",
+              label.c_str(),
+              static_cast<unsigned long long>(total_coalesced),
+              static_cast<unsigned long long>(total_tx),
+              100.0 * static_cast<double>(total_coalesced) /
+                  static_cast<double>(total_tx));
+  for (const auto& [name, s] : links) {
+    if (s.coalesced_frames == 0) {
+      continue;
+    }
+    std::printf("    %-12s %9llu of %9llu (%.1f%%)\n", name.c_str(),
+                static_cast<unsigned long long>(s.coalesced_frames),
+                static_cast<unsigned long long>(s.tx_frames),
+                100.0 * static_cast<double>(s.coalesced_frames) /
+                    static_cast<double>(s.tx_frames));
+  }
+}
+
+/// The one sweep driver, for Experiment and MultiRackExperiment. Workers
+/// claim points from an atomic counter and write only their own point's
+/// slot; output is printed after the join, in point order.
+template <typename Exp, typename Config>
+std::vector<SweepPoint> sweep(const Config& base, double capacity_rps,
+                              const std::vector<double>& loads) {
+  struct Slot {
+    SweepPoint point;
+    std::vector<std::pair<std::string, phys::LinkStats>> links;
+    std::exception_ptr error;
+  };
+  const std::size_t n = loads.size();
+  std::vector<Slot> slots(n);
+  // Heaviest load first: the longest points start earliest, so the last
+  // ones to finish are short.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return loads[a] > loads[b];
+                   });
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      const std::size_t k = order[i];
+      Slot& slot = slots[k];
+      try {
+        Config cfg = base;
+        cfg.offered_rps = capacity_rps * loads[k];
+        cfg.seed = base.seed + 1000 * (k + 1);
+        Exp experiment{std::move(cfg)};
+        slot.point = SweepPoint{loads[k], experiment.run()};
+        for (const auto& [name, link] : experiment.links()) {
+          slot.links.emplace_back(name, link->stats());
+        }
+      } catch (...) {
+        slot.error = std::current_exception();
+      }
+    }
+  };
+
+  const std::size_t workers = sweep_workers(
+      n, base.num_shards != 0 ? base.num_shards : sim::shards_from_env());
+  {
+    std::vector<std::jthread> helpers;
+    for (std::size_t w = 1; w < workers; ++w) {
+      try {
+        helpers.emplace_back(work);
+      } catch (const std::system_error&) {
+        break;  // no more threads to be had; the others cover the points
+      }
+    }
+    work();
+  }  // joins the helpers
+
+  std::vector<SweepPoint> points;
+  points.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (slots[k].error) {
+      std::rethrow_exception(slots[k].error);
+    }
+    char label[32];
+    std::snprintf(label, sizeof(label), "load %.2f", loads[k]);
+    print_link_coalescing(label, slots[k].links);
+    points.push_back(std::move(slots[k].point));
+  }
+  return points;
+}
+
+}  // namespace
 
 std::vector<double> default_load_points() {
   return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
@@ -15,20 +150,13 @@ std::vector<double> default_load_points() {
 std::vector<SweepPoint> run_sweep(const ClusterConfig& base,
                                   double capacity_rps,
                                   const std::vector<double>& load_fractions) {
-  std::vector<SweepPoint> points;
-  points.reserve(load_fractions.size());
-  std::uint64_t salt = 0;
-  for (const double fraction : load_fractions) {
-    ClusterConfig cfg = base;
-    cfg.offered_rps = capacity_rps * fraction;
-    cfg.seed = base.seed + 1000 * ++salt;
-    Experiment experiment{cfg};
-    points.push_back(SweepPoint{fraction, experiment.run()});
-    char label[32];
-    std::snprintf(label, sizeof(label), "load %.2f", fraction);
-    print_link_coalescing(label, experiment.links());
-  }
-  return points;
+  return sweep<Experiment>(base, capacity_rps, load_fractions);
+}
+
+std::vector<SweepPoint> run_sweep(const MultiRackConfig& base,
+                                  double capacity_rps,
+                                  const std::vector<double>& load_fractions) {
+  return sweep<MultiRackExperiment>(base, capacity_rps, load_fractions);
 }
 
 void print_series(const std::string& title,
@@ -50,37 +178,6 @@ void print_series(const std::string& title,
         scheme_name(r.scheme), p.load_fraction, r.achieved_rps / 1e3,
         r.p50.us(), r.p99.us(), r.p999.us(), r.mean_us, cloned_pct,
         static_cast<unsigned long long>(r.filtered_responses));
-  }
-}
-
-void print_link_coalescing(
-    const std::string& label,
-    const std::vector<std::pair<std::string, phys::Link*>>& links) {
-  std::uint64_t total_tx = 0;
-  std::uint64_t total_coalesced = 0;
-  for (const auto& [name, link] : links) {
-    total_tx += link->stats().tx_frames;
-    total_coalesced += link->stats().coalesced_frames;
-  }
-  if (total_coalesced == 0) {
-    return;  // oracle mode (or nothing absorbed): stay silent
-  }
-  std::printf("  coalescing [%s]: %llu of %llu frames (%.1f%%)\n",
-              label.c_str(),
-              static_cast<unsigned long long>(total_coalesced),
-              static_cast<unsigned long long>(total_tx),
-              100.0 * static_cast<double>(total_coalesced) /
-                  static_cast<double>(total_tx));
-  for (const auto& [name, link] : links) {
-    const phys::LinkStats& s = link->stats();
-    if (s.coalesced_frames == 0) {
-      continue;
-    }
-    std::printf("    %-12s %9llu of %9llu (%.1f%%)\n", name.c_str(),
-                static_cast<unsigned long long>(s.coalesced_frames),
-                static_cast<unsigned long long>(s.tx_frames),
-                100.0 * static_cast<double>(s.coalesced_frames) /
-                    static_cast<double>(s.tx_frames));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/multirack.hpp"
 
 namespace netclone::harness {
 
@@ -17,25 +18,32 @@ struct SweepPoint {
 [[nodiscard]] std::vector<double> default_load_points();
 
 /// Runs `base` at each load fraction of `capacity_rps` and returns the
-/// points. Each point gets a derived seed so runs are independent but the
-/// whole sweep is reproducible.
+/// points in load-fraction order. Point k runs with seed
+/// base.seed + 1000 * (k + 1), so runs are independent but the whole sweep
+/// is reproducible.
+///
+/// The points are independent experiments, so they run concurrently: one
+/// worker per CPU in the process's affinity mask (divided by the shard
+/// count of a sharded config), at most one per point, heaviest load
+/// first. Results and printed output (each point's burst-coalescing
+/// telemetry, NETCLONE_BURST) are identical to running the points one
+/// after another; `taskset -c 0` gives that serial run. If any point
+/// throws, the exception of the lowest-indexed failing point is rethrown
+/// here once every worker has finished. (A sharded engine's own worker
+/// threads do not forward exceptions: an event throwing there still ends
+/// the process.)
 [[nodiscard]] std::vector<SweepPoint> run_sweep(
     const ClusterConfig& base, double capacity_rps,
+    const std::vector<double>& load_fractions);
+/// The same sweep over fat-tree pods.
+[[nodiscard]] std::vector<SweepPoint> run_sweep(
+    const MultiRackConfig& base, double capacity_rps,
     const std::vector<double>& load_fractions);
 
 /// Prints the header + one row per point in the format every bench emits:
 ///   scheme, offered load fraction, achieved KRPS, p50/p99/p99.9 (us), ...
 void print_series(const std::string& title,
                   const std::vector<SweepPoint>& points);
-
-/// Per-link burst-coalescing telemetry: the fabric-wide absorption rate
-/// plus one row per link that delivered frames by riding an earlier
-/// frame's delivery event (NETCLONE_BURST). Prints nothing when no link
-/// coalesced, so oracle-mode output stays byte-identical. Works for any
-/// harness exposing named links (Experiment and MultiRackExperiment).
-void print_link_coalescing(
-    const std::string& label,
-    const std::vector<std::pair<std::string, phys::Link*>>& links);
 
 /// Accumulates named pass/fail conditions ("C-Clone saturates at about
 /// half of baseline throughput") and prints a SHAPE-CHECK verdict block;

@@ -420,20 +420,9 @@ std::vector<SweepPoint> Scenario::run() const {
     points = run_sweep(cfg, capacity_rps(), loads);
     workload_label = cfg.factory->label();
   } else {
-    const MultiRackConfig base = build_multirack_config();
-    workload_label = base.factory->label();
-    const double cap = capacity_rps();
-    std::uint64_t salt = 0;
-    for (const double fraction : loads) {
-      MultiRackConfig cfg = base;
-      cfg.offered_rps = cap * fraction;
-      cfg.seed = base.seed + 1000 * ++salt;
-      MultiRackExperiment experiment{cfg};
-      points.push_back(SweepPoint{fraction, experiment.run()});
-      char label[32];
-      std::snprintf(label, sizeof(label), "load %.2f", fraction);
-      print_link_coalescing(label, experiment.links());
-    }
+    const MultiRackConfig cfg = build_multirack_config();
+    points = run_sweep(cfg, capacity_rps(), loads);
+    workload_label = cfg.factory->label();
   }
   print_series(title + " — " + std::string{scheme_name(scheme)} + " — " +
                    workload_label,

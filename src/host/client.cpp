@@ -282,8 +282,8 @@ void Client::arm_retransmit_timer(std::uint32_t client_seq) {
   armed->second.retransmit_event = sim_.schedule_after(
       retransmit_delay(armed->second.retries), [this, client_seq] {
         auto it = outstanding_.find(client_seq);
-        if (it == outstanding_.end() || it->second.completed) {
-          return;
+        if (it == outstanding_.end()) {
+          return;  // completed meanwhile
         }
         Pending& pending = it->second;
         pending.retransmit_event = sim::EventId{};
@@ -399,14 +399,14 @@ void Client::on_response_processed(wire::Packet pkt) {
   const wire::NetCloneHeader& nc = pkt.nc();
   auto it = outstanding_.find(nc.client_seq);
   if (it == outstanding_.end()) {
-    ++stats_.unmatched_responses;
+    if (was_completed(nc.client_seq)) {
+      ++stats_.redundant_responses;
+    } else {
+      ++stats_.unmatched_responses;
+    }
     return;
   }
   Pending& pending = it->second;
-  if (pending.completed) {
-    ++stats_.redundant_responses;
-    return;
-  }
   // Multi-packet responses complete when every fragment ordinal has been
   // seen once; a repeated ordinal is a redundant duplicate (a clone's
   // response that slipped past the filter).
@@ -431,13 +431,10 @@ void Client::on_response_processed(wire::Packet pkt) {
       static_cast<int>(nc.frag_count)) {
     return;  // waiting for the remaining fragments
   }
-  pending.completed = true;
-  pending.tx_frames.clear();  // release the cached retransmit buffers
-  pending.payload_tail = wire::SharedPayload{};
+  mark_completed(nc.client_seq);
   // The retransmit timeout is dead weight now — O(1)-cancel it so the
   // engine truly removes the event instead of firing a no-op later.
   sim_.cancel(pending.retransmit_event);
-  pending.retransmit_event = sim::EventId{};
   ++stats_.completed;
   if (params_.mode == SendMode::kCClone && params_.cclone_cancel) {
     send_cancel(pending, nc.client_seq, pkt.ip.src);
@@ -452,24 +449,36 @@ void Client::on_response_processed(wire::Packet pkt) {
         SimTime::nanoseconds(pending.server_wait_ns));
     stats_.server_service.record(
         SimTime::nanoseconds(pending.server_service_ns));
-    pending.measured = true;
   }
   if (now >= params_.warmup_until && now <= params_.stop_at) {
     ++stats_.completed_in_window;
   }
-  // Keep the entry so a late duplicate is classified as redundant; entries
-  // for never-duplicated requests are reclaimed wholesale with the client.
+  // The completion bit now classifies any late duplicate, so the entry
+  // (and the retransmit buffers it caches) can go. Erased by key: the
+  // closed-loop issue above may have rehashed the table.
+  outstanding_.erase(nc.client_seq);
+}
+
+void Client::mark_completed(std::uint32_t client_seq) {
+  const std::size_t word = client_seq / 64;
+  if (word >= completed_bits_.size()) {
+    completed_bits_.resize(word + 1, 0);
+  }
+  completed_bits_[word] |= std::uint64_t{1} << (client_seq % 64);
+}
+
+bool Client::was_completed(std::uint32_t client_seq) const {
+  const std::size_t word = client_seq / 64;
+  return word < completed_bits_.size() &&
+         (completed_bits_[word] >> (client_seq % 64) & 1U) != 0;
 }
 
 Client::Audit Client::audit() const {
   Audit a;
-  for (const auto& [seq, pending] : outstanding_) {
-    if (pending.completed) {
-      ++a.completed_entries;
-    } else {
-      ++a.incomplete_entries;
-    }
+  for (const std::uint64_t word : completed_bits_) {
+    a.completed_entries += static_cast<std::uint64_t>(std::popcount(word));
   }
+  a.incomplete_entries = outstanding_.size();
   return a;
 }
 

@@ -170,14 +170,17 @@ class Client : public phys::Node {
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
+  /// Requests issued and not yet completed: an entry is erased the moment
+  /// its request completes, so the table stays as small as the window of
+  /// requests in flight.
   [[nodiscard]] std::size_t outstanding() const {
     return outstanding_.size();
   }
 
-  /// Accounting scan over the request table for the invariant auditor:
-  /// every issued request is either completed exactly once or still
-  /// recorded as incomplete (entries are never erased, so the table is
-  /// the ground truth the stats counters are checked against).
+  /// Accounting for the invariant auditor: every issued request is either
+  /// completed (one bit in the completion bitmap) or still in the request
+  /// table. Both are counted from the client's own records, independently
+  /// of the stats counters they are checked against.
   struct Audit {
     std::uint64_t completed_entries = 0;
     std::uint64_t incomplete_entries = 0;
@@ -211,8 +214,6 @@ class Client : public phys::Node {
  private:
   struct Pending {
     SimTime sent_at;
-    bool completed = false;
-    bool measured = false;
     std::uint64_t frag_mask = 0;  // response fragments received so far
     std::uint32_t retries = 0;
     wire::RpcRequest request{};   // kept for retransmission
@@ -264,6 +265,8 @@ class Client : public phys::Node {
   /// from the dedicated retry stream.
   [[nodiscard]] SimTime retransmit_delay(std::uint32_t retries);
   void on_response_processed(wire::Packet pkt);
+  void mark_completed(std::uint32_t client_seq);
+  [[nodiscard]] bool was_completed(std::uint32_t client_seq) const;
 
   sim::Scheduler& sim_;
   ClientParams params_;
@@ -283,7 +286,12 @@ class Client : public phys::Node {
   SimTime rx_busy_until_ = SimTime::zero();
   SimTime burst_on_until_ = SimTime::zero();  // end of the current ON window
   std::uint32_t next_seq_ = 1;
+  /// Requests in flight, keyed by CLIENT_SEQ; erased on completion.
   std::unordered_map<std::uint32_t, Pending> outstanding_;
+  /// One bit per CLIENT_SEQ, set when that request completed: a response
+  /// for a seq missing from outstanding_ is a late duplicate (bit set) or
+  /// one that matches nothing this client issued (bit clear).
+  std::vector<std::uint64_t> completed_bits_;
   ClientStats stats_;
 };
 

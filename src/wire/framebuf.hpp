@@ -92,9 +92,9 @@ class FramePool {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// The pool the data path allocates from: the thread-bound pool when a
-  /// shard has installed one (sharded runs), else the process-wide
-  /// singleton (the legacy single-threaded engine).
+  /// The pool the data path allocates from: the thread-bound pool when
+  /// one is installed (an experiment's own pool, or a shard's), else the
+  /// process-wide singleton (code running outside any experiment).
   [[nodiscard]] static FramePool& instance();
 
   /// Binds `pool` as this thread's allocation pool (nullptr unbinds) and
@@ -116,9 +116,10 @@ class FramePool {
 };
 
 /// Scoped FramePool::bind_to_thread: installs `pool` for the lifetime of
-/// the binding and restores the previous one on exit. Shards wrap every
-/// execution slice in one so node code allocating through
-/// FramePool::instance() transparently hits the shard's pool.
+/// the binding and restores the previous one on exit. Experiments wrap
+/// their build and every engine run in one, and shards every execution
+/// slice, so node code allocating through FramePool::instance()
+/// transparently hits the experiment's (or the shard's) pool.
 class ScopedPoolBinding {
  public:
   explicit ScopedPoolBinding(FramePool& pool)

@@ -1,8 +1,8 @@
 // Shared machinery for the chaos-sweep tests: a small NetClone cluster
 // with TCP-mode retransmission armed, a randomized-but-deterministic
 // fault-plan generator, and the per-combo contract (auditor clean, two
-// same-seed runs produce identical digests, the frame pool leaks
-// nothing across the experiments' lifetime).
+// same-seed runs produce identical digests, each experiment's frame
+// pools balance and the process-wide pool is never touched).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -162,12 +162,40 @@ inline harness::FaultPlan random_fault_plan(Rng& rng,
   return plan;
 }
 
+/// Every pool an experiment owns balances, and its traffic really went
+/// through them — a balance sheet nobody wrote to would prove nothing.
+inline void expect_own_pools_balance(
+    const std::vector<wire::FramePool::Stats>& pools,
+    const std::string& who) {
+  std::uint64_t acquired = 0;
+  for (std::size_t i = 0; i < pools.size(); ++i) {
+    EXPECT_LE(pools[i].released, pools[i].acquired) << who << " pool " << i;
+    EXPECT_EQ(pools[i].live, pools[i].acquired - pools[i].released)
+        << who << " pool " << i;
+    acquired += pools[i].acquired;
+  }
+  EXPECT_GT(acquired, 0U) << who << ": no frame came from its own pools";
+}
+
+/// Experiments allocate only from pools they own, so the process-wide
+/// pool's books must not move across their lifetime. (A frame leaked at
+/// teardown is caught by the sanitizer lanes: LeakSanitizer reports the
+/// unreleased buffer, and a release after its pool died is a
+/// use-after-free.)
+inline void expect_process_pool_untouched(
+    const wire::FramePool::Stats& before, const std::string& who) {
+  const wire::FramePool::Stats& now = wire::FramePool::instance().stats();
+  EXPECT_EQ(now.acquired, before.acquired) << who;
+  EXPECT_EQ(now.released, before.released) << who;
+  EXPECT_EQ(now.live, before.live) << who;
+}
+
 /// One sweep combo: run the plan, audit, re-run with the same seed and
-/// compare digests, and verify the pooled-frame balance across both
-/// experiments' lifetimes.
+/// compare digests, and verify each experiment's own pool balance sheets.
 inline void run_chaos_combo(std::uint64_t combo) {
-  const std::uint64_t pool_live_before =
-      wire::FramePool::instance().stats().live;
+  const wire::FramePool::Stats process_pool_before =
+      wire::FramePool::instance().stats();
+  const std::string who = "combo " + std::to_string(combo);
 
   harness::ClusterConfig cfg = chaos_cluster(/*seed=*/1000 + combo);
   Rng plan_rng{0xC0FFEE ^ combo};
@@ -184,17 +212,16 @@ inline void run_chaos_combo(std::uint64_t combo) {
         << "combo " << combo << ":\n"
         << report.to_string();
     digest1 = harness::chaos_digest(exp);
+    expect_own_pools_balance(exp.frame_pool_stats(), who);
   }
   {
     harness::Experiment exp{cfg};
     (void)exp.run();
     digest2 = harness::chaos_digest(exp);
+    expect_own_pools_balance(exp.frame_pool_stats(), who);
   }
-  EXPECT_EQ(digest1, digest2) << "combo " << combo
-                              << ": same-seed runs diverged";
-
-  EXPECT_EQ(wire::FramePool::instance().stats().live, pool_live_before)
-      << "combo " << combo << ": pooled frames leaked";
+  EXPECT_EQ(digest1, digest2) << who << ": same-seed runs diverged";
+  expect_process_pool_untouched(process_pool_before, who);
 }
 
 }  // namespace netclone::testing

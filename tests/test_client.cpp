@@ -130,6 +130,68 @@ TEST(Client, UnmatchedResponsesAreCounted) {
   EXPECT_EQ(rig.client->stats().completed, 0U);
 }
 
+TEST(Client, CompletedEntriesAreErasedButLateDuplicatesStayRedundant) {
+  ClientParams p = base_params(SendMode::kViaSwitch, 100000.0);
+  p.stop_at = SimTime::microseconds(100);  // a handful of requests
+  Rig rig{p};
+  rig.client->start();
+  rig.sim.run();
+  const auto pkts = rig.wire_end->packets();
+  ASSERT_GE(pkts.size(), 2U);
+  const std::uint64_t sent = rig.client->stats().requests_sent;
+  EXPECT_EQ(rig.client->outstanding(), sent);
+
+  // The original's response completes the request and frees its entry.
+  wire::Packet resp =
+      netclone::testing::make_response(ServerId{1}, 0, pkts[0]);
+  rig.wire_end->transmit(0, resp.serialize());
+  rig.sim.run();
+  EXPECT_EQ(rig.client->stats().completed, 1U);
+  EXPECT_EQ(rig.client->outstanding(), sent - 1);
+
+  // The clone's response, arriving long after, is still a redundant
+  // duplicate, not a stranger.
+  resp.nc().clo = wire::CloneStatus::kClonedCopy;
+  resp.nc().sid = 2;
+  rig.wire_end->transmit(0, resp.serialize());
+  // A seq this client never issued (0 is never used; 999999 is far past
+  // the last one) matches nothing.
+  for (const std::uint32_t seq : {0U, 999999U}) {
+    rig.wire_end->transmit(
+        0, netclone::testing::make_response(
+               ServerId{0}, 0, netclone::testing::make_request(0, seq, 0, 0))
+               .serialize());
+  }
+  rig.sim.run();
+  const auto& stats = rig.client->stats();
+  EXPECT_EQ(stats.completed, 1U);
+  EXPECT_EQ(stats.redundant_responses, 1U);
+  EXPECT_EQ(stats.unmatched_responses, 2U);
+  EXPECT_EQ(rig.client->outstanding(), sent - 1);
+}
+
+TEST(Client, AuditCountsCompletedBitsAndTheOutstandingTable) {
+  Rig rig{base_params(SendMode::kViaSwitch, 200000.0)};
+  rig.client->start();
+  rig.sim.run();
+  // Answer every other request; the rest stay incomplete after the drain.
+  const auto pkts = rig.wire_end->packets();
+  for (std::size_t i = 0; i < pkts.size(); i += 2) {
+    rig.wire_end->transmit(
+        0, netclone::testing::make_response(ServerId{0}, 0, pkts[i])
+               .serialize());
+  }
+  rig.sim.run();
+  const auto& stats = rig.client->stats();
+  const Client::Audit audit = rig.client->audit();
+  EXPECT_EQ(stats.completed, (pkts.size() + 1) / 2);
+  EXPECT_EQ(audit.completed_entries, stats.completed);
+  EXPECT_EQ(audit.incomplete_entries, rig.client->outstanding());
+  EXPECT_EQ(rig.client->outstanding(), stats.requests_sent - stats.completed);
+  EXPECT_EQ(audit.completed_entries + audit.incomplete_entries,
+            stats.requests_sent);
+}
+
 TEST(Client, WarmupSamplesExcludedFromHistogram) {
   ClientParams p = base_params(SendMode::kViaSwitch, 100000.0);
   p.warmup_until = SimTime::milliseconds(1);

@@ -179,27 +179,25 @@ TEST(ShardedEngine, RandomShardAssignmentsMatchSingleQueueReference) {
   }
 }
 
-// The pool books must balance per shard and the process-wide pool must
-// not leak across sharded experiments' lifetimes.
+// The pool books must balance per shard (plus the experiment's own pool,
+// listed last), and a sharded experiment must never allocate from the
+// process-wide pool.
 TEST(ShardedEngine, FramePoolsBalancePerShard) {
-  const std::uint64_t live_before = wire::FramePool::instance().stats().live;
+  const wire::FramePool::Stats process_pool_before =
+      wire::FramePool::instance().stats();
   {
     harness::ClusterConfig cfg = fig7_style_cluster();
     cfg.num_shards = 4;
     harness::Experiment exp{cfg};
     (void)exp.run();
     const auto pools = exp.frame_pool_stats();
-    ASSERT_EQ(pools.size(), 4u);
-    for (std::size_t i = 0; i < pools.size(); ++i) {
-      EXPECT_LE(pools[i].released, pools[i].acquired) << "shard " << i;
-      EXPECT_EQ(pools[i].live, pools[i].acquired - pools[i].released)
-          << "shard " << i;
-    }
+    ASSERT_EQ(pools.size(), 5u);
+    netclone::testing::expect_own_pools_balance(pools, "4 shards");
     // Hosts live on shards 1..3, so traffic pools are actually used.
     EXPECT_GT(pools[1].acquired + pools[2].acquired + pools[3].acquired, 0u);
   }
-  EXPECT_EQ(wire::FramePool::instance().stats().live, live_before)
-      << "sharded experiment leaked process-wide pooled frames";
+  netclone::testing::expect_process_pool_untouched(process_pool_before,
+                                                   "4 shards");
 }
 
 // Same-seed sharded runs must agree with each other too (worker-thread

@@ -1,0 +1,183 @@
+// The parallel sweep driver and the per-experiment frame pools it relies
+// on. run_sweep runs its points on real worker threads, so the TSan lane
+// checks these for races: it must equal the serial loop it replaced,
+// field by field, and surface a failing point's exception on the caller.
+#include "harness/report.hpp"
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "chaos_util.hpp"
+#include "harness/experiment.hpp"
+#include "harness/multirack.hpp"
+#include "host/service.hpp"
+#include "host/workload.hpp"
+#include "sim/sharded.hpp"
+#include "wire/framebuf.hpp"
+
+namespace netclone::harness {
+namespace {
+
+constexpr double kMeanServiceUs = 25.0 * 1.14;  // Exp(25) x jitter inflation
+
+ClusterConfig small_rack() {
+  ClusterConfig cfg;
+  cfg.scheme = Scheme::kNetClone;
+  cfg.server_workers = {4, 4, 4};
+  cfg.num_clients = 2;
+  cfg.factory = std::make_shared<host::ExponentialWorkload>(25.0);
+  cfg.service =
+      std::make_shared<host::SyntheticService>(host::JitterModel{0.01, 15});
+  cfg.warmup = SimTime::microseconds(500.0);
+  cfg.measure = SimTime::milliseconds(2);
+  cfg.drain = SimTime::milliseconds(1);
+  cfg.seed = 11;
+  cfg.offered_rps =
+      0.5 * cluster_capacity_rps(cfg.server_workers, kMeanServiceUs);
+  return cfg;
+}
+
+MultiRackConfig small_pod() {
+  MultiRackConfig cfg;
+  cfg.server_racks = 2;
+  cfg.servers_per_rack = 2;
+  cfg.workers = 4;
+  cfg.num_clients = 1;
+  cfg.factory = std::make_shared<host::ExponentialWorkload>(25.0);
+  cfg.service =
+      std::make_shared<host::SyntheticService>(host::JitterModel{0.01, 15});
+  cfg.warmup = SimTime::microseconds(500.0);
+  cfg.measure = SimTime::milliseconds(2);
+  cfg.drain = SimTime::milliseconds(1);
+  cfg.seed = 13;
+  cfg.offered_rps = 0.5 * cluster_capacity_rps({4, 4, 4, 4}, kMeanServiceUs);
+  return cfg;
+}
+
+void expect_same_result(const ExperimentResult& a, const ExperimentResult& b,
+                        std::size_t k) {
+#define NETCLONE_EXPECT_FIELD(f) \
+  EXPECT_EQ(a.f, b.f) << "point " << k << ": " #f
+  NETCLONE_EXPECT_FIELD(scheme);
+  NETCLONE_EXPECT_FIELD(offered_rps);
+  NETCLONE_EXPECT_FIELD(achieved_rps);
+  NETCLONE_EXPECT_FIELD(mean_us);
+  NETCLONE_EXPECT_FIELD(p50);
+  NETCLONE_EXPECT_FIELD(p99);
+  NETCLONE_EXPECT_FIELD(p999);
+  NETCLONE_EXPECT_FIELD(server_wait_p99);
+  NETCLONE_EXPECT_FIELD(server_service_p99);
+  NETCLONE_EXPECT_FIELD(requests_sent);
+  NETCLONE_EXPECT_FIELD(completed);
+  NETCLONE_EXPECT_FIELD(redundant_responses);
+  NETCLONE_EXPECT_FIELD(cloned_requests);
+  NETCLONE_EXPECT_FIELD(filtered_responses);
+  NETCLONE_EXPECT_FIELD(dropped_stale_clones);
+  NETCLONE_EXPECT_FIELD(empty_queue_fraction);
+  NETCLONE_EXPECT_FIELD(switch_stats.rx_frames);
+  NETCLONE_EXPECT_FIELD(switch_stats.tx_frames);
+  NETCLONE_EXPECT_FIELD(switch_stats.dropped_by_program);
+  NETCLONE_EXPECT_FIELD(switch_stats.recirculated);
+  NETCLONE_EXPECT_FIELD(switch_stats.multicast_copies);
+  NETCLONE_EXPECT_FIELD(switch_stats.parse_errors);
+  NETCLONE_EXPECT_FIELD(switch_stats.dropped_while_failed);
+  NETCLONE_EXPECT_FIELD(switch_stats.egress_scheduled);
+  NETCLONE_EXPECT_FIELD(switch_stats.flushed_in_pipeline);
+  NETCLONE_EXPECT_FIELD(switch_stats.soft_state_wipes);
+#undef NETCLONE_EXPECT_FIELD
+}
+
+TEST(Sweep, MatchesASerialLoopOverTheDefaultLoads) {
+  const ClusterConfig base = small_rack();
+  const double capacity =
+      cluster_capacity_rps(base.server_workers, kMeanServiceUs);
+  const std::vector<double> loads = default_load_points();
+
+  const std::vector<SweepPoint> swept = run_sweep(base, capacity, loads);
+
+  ASSERT_EQ(swept.size(), loads.size());
+  for (std::size_t k = 0; k < loads.size(); ++k) {
+    ClusterConfig cfg = base;
+    cfg.offered_rps = capacity * loads[k];
+    cfg.seed = base.seed + 1000 * (k + 1);
+    const ExperimentResult serial = Experiment{cfg}.run();
+    EXPECT_EQ(swept[k].load_fraction, loads[k]);
+    expect_same_result(swept[k].result, serial, k);
+  }
+}
+
+TEST(Sweep, MultiRackSweepMatchesASerialLoop) {
+  const MultiRackConfig base = small_pod();
+  const double capacity = cluster_capacity_rps({4, 4, 4, 4}, kMeanServiceUs);
+  const std::vector<double> loads = {0.2, 0.6, 0.4};
+
+  const std::vector<SweepPoint> swept = run_sweep(base, capacity, loads);
+
+  ASSERT_EQ(swept.size(), loads.size());
+  for (std::size_t k = 0; k < loads.size(); ++k) {
+    MultiRackConfig cfg = base;
+    cfg.offered_rps = capacity * loads[k];
+    cfg.seed = base.seed + 1000 * (k + 1);
+    expect_same_result(swept[k].result, MultiRackExperiment{cfg}.run(), k);
+  }
+}
+
+/// Throws on the first request it is asked to make.
+class ThrowingFactory final : public host::RequestFactory {
+ public:
+  wire::RpcRequest make(Rng& /*rng*/) override {
+    throw std::runtime_error("factory failure");
+  }
+  double mean_intrinsic_us() const override { return 25.0; }
+  std::string label() const override { return "throwing"; }
+};
+
+// A positive load fails mid-run (the factory throws inside an event); a
+// zero load fails at build time (the client rejects a zero rate). Which
+// exception surfaces must not depend on which worker got there first:
+// always the lowest-indexed failing point's.
+TEST(Sweep, RethrowsTheLowestFailingPointAfterTheJoin) {
+  ClusterConfig base = small_rack();
+  base.factory = std::make_shared<ThrowingFactory>();
+  if (sim::shards_from_env() != 0) {
+    // The sharded engine runs events on its own worker threads, which do
+    // not forward exceptions; one shard runs them on the caller's thread.
+    base.num_shards = 1;
+  }
+  const double capacity =
+      cluster_capacity_rps(base.server_workers, kMeanServiceUs);
+
+  EXPECT_THROW((void)run_sweep(base, capacity, {0.5, 0.0, 0.3}),
+               std::runtime_error);
+  EXPECT_THROW((void)run_sweep(base, capacity, {0.0, 0.5, 0.3}),
+               CheckFailure);
+}
+
+TEST(Sweep, EmptySweepReturnsNoPoints) {
+  EXPECT_TRUE(run_sweep(small_rack(), 1e6, {}).empty());
+}
+
+// Experiments own their frame pools: building, running and destroying
+// them never touches the process-wide pool, and each one's own books
+// balance.
+TEST(ExperimentPools, ExperimentsNeverTouchTheProcessPool) {
+  const wire::FramePool::Stats before = wire::FramePool::instance().stats();
+  {
+    Experiment exp{small_rack()};
+    (void)exp.run();
+    testing::expect_own_pools_balance(exp.frame_pool_stats(), "rack");
+  }
+  {
+    MultiRackExperiment exp{small_pod()};
+    (void)exp.run();
+    testing::expect_own_pools_balance(exp.frame_pool_stats(), "pod");
+  }
+  testing::expect_process_pool_untouched(before, "rack + pod");
+}
+
+}  // namespace
+}  // namespace netclone::harness
