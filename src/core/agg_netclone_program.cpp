@@ -420,7 +420,9 @@ std::uint64_t AggNetCloneProgram::filter_occupancy() const {
   std::uint64_t occupied = 0;
   for (const auto& table : filter_tables_) {
     for (std::size_t slot = 0; slot < config_.filter_slots; ++slot) {
-      occupied += table->peek(slot) != 0 ? 1 : 0;
+      if (table->peek(slot) != 0) {
+        ++occupied;
+      }
     }
   }
   return occupied;

@@ -287,7 +287,30 @@ phys::Link* Experiment::link(const std::string& name) const {
   return nullptr;
 }
 
+namespace {
+
+/// agg_fail/agg_rejoin/rack_down/rack_up act on a fat-tree's aggregation
+/// tier and racks; a single-rack Experiment has neither.
+void reject_fat_tree_action(FaultAction action) {
+  switch (action) {
+    case FaultAction::kAggFail:
+    case FaultAction::kAggRejoin:
+    case FaultAction::kRackDown:
+    case FaultAction::kRackUp:
+      throw CheckFailure(std::string("fault action '") +
+                         fault_action_name(action) +
+                         "' needs a fat-tree MultiRackExperiment");
+    default:
+      break;
+  }
+}
+
+}  // namespace
+
 void Experiment::install_fault_plan(const FaultPlan& plan) {
+  for (const FaultEvent& event : plan.events) {
+    reject_fat_tree_action(event.action);
+  }
   for (const FaultEvent& event : plan.events) {
     scheduler().schedule_at(event.at, [this, event] { apply_fault(event); });
   }
@@ -365,6 +388,12 @@ void Experiment::apply_fault(const FaultEvent& event) {
                      "filter_stale requires a NetClone scheme");
       netclone_program_->inject_stale_filter_entry(
           event.table, static_cast<std::uint32_t>(event.value));
+      break;
+    case FaultAction::kAggFail:
+    case FaultAction::kAggRejoin:
+    case FaultAction::kRackDown:
+    case FaultAction::kRackUp:
+      reject_fat_tree_action(event.action);
       break;
   }
 }

@@ -135,7 +135,9 @@ class Experiment {
 
   /// Schedules every entry of `plan` through the Scheduler. The plan
   /// from ClusterConfig is installed automatically at build time; this
-  /// lets tests/benches add more afterwards.
+  /// lets tests/benches add more afterwards. Throws CheckFailure, before
+  /// scheduling anything, when the plan holds a fat-tree action
+  /// (agg_fail/agg_rejoin/rack_down/rack_up).
   void install_fault_plan(const FaultPlan& plan);
 
   /// Applies one fault right now. Throws via NETCLONE_CHECK on unknown

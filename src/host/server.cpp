@@ -211,7 +211,7 @@ void Server::try_start_worker() {
         static_cast<double>(exec.ns()) * slowdown_));
   }
   sim_.schedule_after(exec + params_.response_tx_cost,
-                      [this, epoch = epoch_, queue_wait, exec,
+                      [this, epoch = epoch_, queue_wait, exec, rpc,
                        req = std::move(req)]() mutable {
                         if (epoch != epoch_) {
                           // The worker's result died with the crash;
@@ -219,7 +219,7 @@ void Server::try_start_worker() {
                           ++stats_.abandoned_in_flight;
                           return;
                         }
-                        on_complete(std::move(req), queue_wait, exec);
+                        on_complete(std::move(req), rpc, queue_wait, exec);
                       });
 }
 
@@ -268,16 +268,9 @@ void Server::set_slowdown(double factor) {
   slowdown_ = factor;
 }
 
-void Server::on_complete(PendingRequest req, SimTime queue_wait,
-                         SimTime service) {
+void Server::on_complete(PendingRequest req, const wire::RpcRequest& rpc,
+                         SimTime queue_wait, SimTime service) {
   ++stats_.completed;
-
-  wire::RpcRequest rpc{};
-  try {
-    rpc = wire::RpcRequest::from_frame(req.payload);
-  } catch (const wire::CodecError&) {
-    // unreachable: parsed successfully before execution
-  }
 
   wire::Packet resp;
   resp.eth.src = my_mac_;

@@ -168,7 +168,9 @@ class Server : public phys::Node {
   bool reassemble(PendingRequest& req);
   void sweep_stale_partials();
   void try_start_worker();
-  void on_complete(PendingRequest req, SimTime queue_wait, SimTime service);
+  /// `rpc` is the body parsed once in try_start_worker().
+  void on_complete(PendingRequest req, const wire::RpcRequest& rpc,
+                   SimTime queue_wait, SimTime service);
 
   sim::Scheduler& sim_;
   ServerParams params_;

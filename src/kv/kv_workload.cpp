@@ -1,6 +1,8 @@
 #include "kv/kv_workload.hpp"
 
 #include <cstdio>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/check.hpp"
@@ -47,24 +49,43 @@ SimTime KvService::execution_time(const wire::RpcRequest& req, Rng& rng) {
   return jitter_.apply(SimTime::microseconds(base_us), rng);
 }
 
+namespace {
+
+/// Formats object `index`'s key into `buf`; nullopt when no 16-byte key
+/// names that index (write_key would reject it), so nothing is stored.
+std::optional<std::string_view> key_of(std::uint64_t index,
+                                       char (&buf)[kMaxKeyBytes]) {
+  if (index > kMaxKeyIndex) {
+    return std::nullopt;
+  }
+  write_key(index, buf);
+  return std::string_view{buf, kMaxKeyBytes};
+}
+
+}  // namespace
+
 wire::RpcResponse KvService::execute(const wire::RpcRequest& req) {
   wire::RpcResponse resp;
+  char buf[kMaxKeyBytes];
   switch (req.op) {
     case wire::RpcOp::kGet: {
-      const auto value = store_->get(key_for_index(req.key));
+      const auto key = key_of(req.key, buf);
+      const auto value = key ? store_->get(*key) : std::nullopt;
       if (!value) {
         resp.status = wire::RpcStatus::kNotFound;
         break;
       }
-      resp.value.reserve(value->size());
-      for (const char c : *value) {
-        resp.value.push_back(static_cast<std::byte>(c));
-      }
+      const auto* bytes = reinterpret_cast<const std::byte*>(value->data());
+      resp.value.assign(bytes, bytes + value->size());
       break;
     }
     case wire::RpcOp::kScan: {
-      const std::uint64_t digest =
-          store_->scan_digest(key_for_index(req.key), req.scan_count);
+      const auto key = key_of(req.key, buf);
+      if (!key) {
+        resp.status = wire::RpcStatus::kNotFound;
+        break;
+      }
+      const std::uint64_t digest = store_->scan_digest(*key, req.scan_count);
       resp.value.resize(8);
       for (std::size_t i = 0; i < 8; ++i) {
         resp.value[i] =
@@ -73,8 +94,9 @@ wire::RpcResponse KvService::execute(const wire::RpcRequest& req) {
       break;
     }
     case wire::RpcOp::kSet:
-      // Writes reach servers unreplicated (NetClone does not clone writes,
-      // §5.5); the shared-store model applies them directly.
+      // SETs are costed by execution_time() and travel as WREQ, which the
+      // switch never clones (§5.5); the shared store is read-only here, so
+      // a SET only acknowledges.
       resp.status = wire::RpcStatus::kOk;
       break;
     case wire::RpcOp::kSynthetic:

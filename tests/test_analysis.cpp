@@ -102,9 +102,9 @@ TEST_P(MmcValidation, SimulatorMatchesErlangC) {
 
 INSTANTIATE_TEST_SUITE_P(Loads, MmcValidation,
                          ::testing::Values(0.3, 0.5, 0.7, 0.85),
-                         [](const ::testing::TestParamInfo<double>& info) {
+                         [](const ::testing::TestParamInfo<double>& p) {
                            return "rho" + std::to_string(static_cast<int>(
-                                              info.param * 100));
+                                              p.param * 100));
                          });
 
 }  // namespace

@@ -436,6 +436,34 @@ TEST(ExperimentFaults, ApplyLinkAndServerAndSwitchFaults) {
       CheckFailure);
 }
 
+TEST(ExperimentFaults, FatTreeActionsRejectedOnSingleRack) {
+  // A single-rack plan holding a fat-tree action used to parse, schedule
+  // and then silently do nothing.
+  for (const char* entry :
+       {"at=1ms agg_fail agg0", "at=1ms agg_rejoin agg0",
+        "at=1ms rack_down rack0", "at=1ms rack_up rack0"}) {
+    const FaultEvent event = parse_fault_entry(entry);
+    harness::ClusterConfig cfg = netclone::testing::chaos_cluster(3);
+    cfg.faults.events.push_back(parse_fault_entry("at=1ms link_down sw0-s1"));
+    cfg.faults.events.push_back(event);
+    try {
+      harness::Experiment exp{cfg};
+      ADD_FAILURE() << entry << " was accepted";
+    } catch (const CheckFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(harness::fault_action_name(event.action)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("MultiRackExperiment"), std::string::npos) << what;
+    }
+    harness::Experiment exp{netclone::testing::chaos_cluster(3)};
+    EXPECT_THROW(exp.apply_fault(event), CheckFailure) << entry;
+    harness::FaultPlan plan;
+    plan.events.push_back(event);
+    EXPECT_THROW(exp.install_fault_plan(plan), CheckFailure) << entry;
+  }
+}
+
 TEST(ExperimentFaults, FilterStaleCausesFilteredResponseAbsorbedByRetry) {
   // Plant stale fingerprints for upcoming request ids: the first response
   // hashing there is wrongly filtered, and TCP-mode retransmission must

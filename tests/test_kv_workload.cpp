@@ -94,6 +94,19 @@ TEST(KvService, MissingKeyIsNotFound) {
   EXPECT_EQ(service.execute(req).status, wire::RpcStatus::kNotFound);
 }
 
+TEST(KvService, IndexWithoutKeyIsNotFound) {
+  KvService service{small_store(), redis_profile(),
+                    host::JitterModel{0.0, 15.0}};
+  wire::RpcRequest req;
+  req.key = kMaxKeyIndex + 1;
+  for (const wire::RpcOp op : {wire::RpcOp::kGet, wire::RpcOp::kScan}) {
+    req.op = op;
+    const wire::RpcResponse resp = service.execute(req);
+    EXPECT_EQ(resp.status, wire::RpcStatus::kNotFound);
+    EXPECT_TRUE(resp.value.empty());
+  }
+}
+
 TEST(KvService, ScanReturnsEightByteDigest) {
   KvService service{small_store(), redis_profile(),
                     host::JitterModel{0.0, 15.0}};

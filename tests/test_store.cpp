@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace netclone::kv {
 namespace {
@@ -108,6 +114,134 @@ TEST(KvStore, PopulateMatchesPaperScale) {
 
 TEST(KvStore, ZeroCapacityRejected) {
   EXPECT_THROW(KvStore{0}, CheckFailure);
+}
+
+// -- populate fast path ------------------------------------------------------
+
+/// The reference populate: one set() per object.
+void populate_by_set(KvStore& store, std::uint64_t begin, std::uint64_t end) {
+  for (std::uint64_t i = begin; i < end; ++i) {
+    ASSERT_TRUE(store.set(key_for_index(i), value_for_index(i))) << i;
+  }
+}
+
+/// Same objects in the same slots: equal sizes, equal values, and equal
+/// SCAN digests (which fold values in table order) from every 101st key.
+void expect_same_layout(const KvStore& fast, const KvStore& ref,
+                        std::uint64_t objects) {
+  ASSERT_EQ(fast.size(), ref.size());
+  for (std::uint64_t i = 0; i < objects; ++i) {
+    const std::string key = key_for_index(i);
+    ASSERT_EQ(fast.get(key), ref.get(key)) << i;
+  }
+  for (std::uint64_t i = 0; i < objects; i += 101) {
+    const std::string key = key_for_index(i);
+    ASSERT_EQ(fast.scan_digest(key, 1), ref.scan_digest(key, 1)) << i;
+    ASSERT_EQ(fast.scan_digest(key, 100), ref.scan_digest(key, 100)) << i;
+  }
+}
+
+TEST(KvPopulate, LayoutMatchesSetLoop) {
+  KvStore fast{100000};
+  KvStore ref{100000};
+  populate(fast, 100000);
+  populate_by_set(ref, 0, 100000);
+  expect_same_layout(fast, ref, 100000);
+}
+
+TEST(KvPopulate, LayoutMatchesSetLoopOnFilledStore) {
+  // Both stores already hold objects 0..59999, one overwritten value, one
+  // short value past the populated range and one foreign key; populating
+  // 0..99999 must overwrite and insert exactly as set() would.
+  KvStore fast{100000};
+  KvStore ref{100000};
+  populate(fast, 60000);
+  populate_by_set(ref, 0, 60000);
+  for (KvStore* store : {&fast, &ref}) {
+    ASSERT_TRUE(store->set(key_for_index(5), "overwritten"));
+    ASSERT_TRUE(store->set(key_for_index(70000), "short"));
+    ASSERT_TRUE(store->set("foreign", "value"));
+  }
+  populate(fast, 100000);
+  populate_by_set(ref, 0, 100000);
+  expect_same_layout(fast, ref, 100000);
+  EXPECT_EQ(fast.get("foreign"), ref.get("foreign"));
+  EXPECT_EQ(*fast.get(key_for_index(5)), value_for_index(5));
+  EXPECT_EQ(*fast.get(key_for_index(70000)), value_for_index(70000));
+}
+
+TEST(KvPopulate, TooSmallStoreThrowsAfterFillingIt) {
+  KvStore store{100};  // capacity 256: at most 128 objects
+  for (const char* key : {"x", "y", "z"}) {
+    ASSERT_TRUE(store.set(key, "v"));
+  }
+  EXPECT_THROW(populate(store, 126), CheckFailure);
+  // Every object inserted before the throw carries its full value.
+  EXPECT_EQ(store.size(), 128U);
+  for (std::uint64_t i = 0; i < 125; ++i) {
+    EXPECT_EQ(store.get(key_for_index(i)), value_for_index(i)) << i;
+  }
+  KvStore exact{100};
+  EXPECT_NO_THROW(populate(exact, 128));
+}
+
+TEST(KeyValueHelpers, MatchSnprintfAndMixFormulas) {
+  for (const std::uint64_t index :
+       {0ULL, 9ULL, 10ULL, 999999ULL, 123456789ULL, 999999999999999ULL}) {
+    char formatted[32];
+    std::snprintf(formatted, sizeof(formatted), "k%015llu",
+                  static_cast<unsigned long long>(index));
+    std::string value;
+    std::uint64_t state = mix64(index + 1);
+    while (value.size() < kMaxValueBytes) {
+      state = mix64(state);
+      value.push_back(static_cast<char>('a' + state % 26));
+    }
+
+    char key_buf[kMaxKeyBytes];
+    char value_buf[kMaxValueBytes];
+    write_key(index, key_buf);
+    write_value(index, value_buf);
+    EXPECT_EQ(std::string(key_buf, kMaxKeyBytes),
+              std::string(formatted, kMaxKeyBytes))
+        << index;
+    EXPECT_EQ(std::string(value_buf, kMaxValueBytes), value) << index;
+    EXPECT_EQ(key_for_index(index), std::string(formatted, kMaxKeyBytes));
+    EXPECT_EQ(value_for_index(index), value);
+  }
+}
+
+TEST(KeyValueHelpers, KeyIndexBoundary) {
+  // One index past kMaxKeyIndex needs 17 characters: cut to 16 bytes it
+  // would collide with its neighbours, so it is rejected.
+  EXPECT_EQ(key_for_index(kMaxKeyIndex), "k999999999999999");
+  char key[kMaxKeyBytes];
+  EXPECT_THROW(write_key(kMaxKeyIndex + 1, key), CheckFailure);
+  EXPECT_THROW((void)key_for_index(kMaxKeyIndex + 2), CheckFailure);
+}
+
+TEST(KvStore, ScanDigestSeesEveryByteOfEveryValue) {
+  KvStore store{32};
+  populate(store, 12);
+  ASSERT_TRUE(store.set("tail", "thirteen-byte"));  // 8-byte word + tail
+  std::vector<std::pair<std::string, std::string>> objects;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    objects.emplace_back(key_for_index(i), value_for_index(i));
+  }
+  objects.emplace_back("tail", "thirteen-byte");
+  const std::uint64_t clean = store.scan_digest(key_for_index(0), 100);
+
+  for (const auto& [key, value] : objects) {
+    for (std::size_t pos = 0; pos < value.size(); ++pos) {
+      std::string changed = value;
+      changed[pos] = static_cast<char>(changed[pos] ^ 0x20);
+      ASSERT_TRUE(store.set(key, changed));
+      EXPECT_NE(store.scan_digest(key_for_index(0), 100), clean)
+          << key << " byte " << pos;
+      ASSERT_TRUE(store.set(key, value));
+    }
+  }
+  EXPECT_EQ(store.scan_digest(key_for_index(0), 100), clean);
 }
 
 }  // namespace
