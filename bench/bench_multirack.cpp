@@ -1,17 +1,14 @@
-// Fat-tree pod scaling: a 3-server-rack NetClone pod with a replicated
-// (NetClone-aware, chain-replicated) aggregation tier, wall-clocked on 1
-// event-queue shard vs 4 (one per rack: client rack + 3 server racks).
-// The simulated run must be bit-identical in every configuration — the
-// unsharded legacy engine runs first as the oracle and the invariant
-// auditor (including the replica-convergence check) must pass — and only
-// the wall clock may differ.
+// Fat-tree pod point: a 3-server-rack NetClone pod with a replicated
+// (NetClone-aware, chain-replicated) aggregation tier, wall-clocked best
+// of 3. The three runs must be bit-identical, and the invariant auditor
+// (including the replica-convergence check) must pass on each. A
+// chain fail-over timeline on the same pod follows: the tail replica is
+// killed and rejoined mid-run, and the bench reports how fast throughput
+// recovers.
 //
-// Pinning and measurement protocol match bench_parallel_engine: the
-// process is pinned to the first min(4, hw) logical CPUs before any run,
-// every timed section is best-of-3, and hw_threads lands in the JSON so
-// the gate can skip the scaling ratio on starved runners.
-//
-// Results land in BENCH_multirack.json.
+// Results land in BENCH_multirack.json: the pod's simulated results and
+// the fail-over digest are exact (machine-independent), the wall clock is
+// informational.
 //
 // Usage: bench_multirack [output.json]
 #include <chrono>
@@ -19,10 +16,6 @@
 #include <fstream>
 #include <string>
 #include <thread>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "bench_common.hpp"
 #include "common/check.hpp"
@@ -36,30 +29,6 @@ using namespace netclone;
 
 namespace {
 
-std::size_t pin_process_to_first_cores(std::size_t count) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
-    return 0;
-  }
-  if (count > hw) {
-    count = hw;
-  }
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  for (std::size_t cpu = 0; cpu < count; ++cpu) {
-    CPU_SET(cpu, &mask);
-  }
-  if (sched_setaffinity(0, sizeof(mask), &mask) != 0) {
-    return 0;
-  }
-  return count;
-#else
-  (void)count;
-  return 0;
-#endif
-}
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -69,7 +38,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// The measured pod: 3 racks x 3 servers behind 2 chain-replicated aggs,
 /// Exp(25) high-variability service at 80% load, 4 clients so the
 /// source-hashed ECMP spray exercises both replicas.
-harness::MultiRackConfig pod_config(std::size_t num_shards) {
+harness::MultiRackConfig pod_config() {
   harness::MultiRackConfig cfg;
   cfg.server_racks = 3;
   cfg.servers_per_rack = 3;
@@ -88,7 +57,6 @@ harness::MultiRackConfig pod_config(std::size_t num_shards) {
       std::vector<std::uint32_t>(9, cfg.workers),
       25.0 * bench::high_variability().mean_inflation());
   cfg.offered_rps = 0.8 * capacity;
-  cfg.num_shards = num_shards;
   return cfg;
 }
 
@@ -101,8 +69,8 @@ struct RunResult {
   std::uint64_t cloned = 0;
 };
 
-RunResult run_point(std::size_t num_shards) {
-  harness::MultiRackExperiment experiment{pod_config(num_shards)};
+RunResult run_point() {
+  harness::MultiRackExperiment experiment{pod_config()};
   const auto start = std::chrono::steady_clock::now();
   const harness::ExperimentResult result = experiment.run();
   RunResult out;
@@ -110,9 +78,7 @@ RunResult run_point(std::size_t num_shards) {
 
   const harness::InvariantReport report =
       harness::audit_invariants(experiment);
-  NETCLONE_CHECK(report.ok(), "invariant violations at " +
-                                  std::to_string(num_shards) +
-                                  " shards:\n" + report.to_string());
+  NETCLONE_CHECK(report.ok(), "invariant violations:\n" + report.to_string());
   out.completed = result.completed;
   out.p99_ns = result.p99.ns();
   out.executed = experiment.executed_events();
@@ -121,10 +87,10 @@ RunResult run_point(std::size_t num_shards) {
   return out;
 }
 
-RunResult best_of_3(std::size_t num_shards) {
-  RunResult best = run_point(num_shards);
+RunResult best_of_3() {
+  RunResult best = run_point();
   for (int i = 0; i < 2; ++i) {
-    const RunResult run = run_point(num_shards);
+    const RunResult run = run_point();
     NETCLONE_CHECK(run.digest == best.digest,
                    "same-config repeat runs diverged");
     if (run.wall_s < best.wall_s) {
@@ -143,8 +109,8 @@ constexpr std::size_t kRejoinBin = 28;  // agg_rejoin at 14 ms
 /// The measured pod with the tail replica (agg1) killed mid-run and
 /// readmitted 4 ms later. Retransmission is armed so the losses a crash
 /// inflicts (sprayed requests, in-flight responses) are absorbed.
-harness::MultiRackConfig failover_config(std::size_t num_shards) {
-  harness::MultiRackConfig cfg = pod_config(num_shards);
+harness::MultiRackConfig failover_config() {
+  harness::MultiRackConfig cfg = pod_config();
   cfg.client_template.retransmit_timeout = SimTime::microseconds(400.0);
   cfg.client_template.max_retransmits = 6;
   cfg.faults = harness::parse_fault_plan(
@@ -157,21 +123,19 @@ harness::MultiRackConfig failover_config(std::size_t num_shards) {
 struct FailoverResult {
   std::vector<std::uint64_t> bins;
   std::uint64_t digest = 0;
-  std::uint64_t executed = 0;
   double recovery_us = -1.0;
 };
 
-FailoverResult run_failover(std::size_t num_shards) {
-  harness::MultiRackExperiment experiment{failover_config(num_shards)};
+FailoverResult run_failover() {
+  harness::MultiRackExperiment experiment{failover_config()};
   FailoverResult out;
   out.bins = experiment.run_timeline(
       SimTime::milliseconds(32), SimTime::microseconds(kFailoverBinUs));
 
   const harness::InvariantReport report =
       harness::audit_invariants(experiment);
-  NETCLONE_CHECK(report.ok(), "fail-over run violated invariants at " +
-                                  std::to_string(num_shards) +
-                                  " shards:\n" + report.to_string());
+  NETCLONE_CHECK(report.ok(),
+                 "fail-over run violated invariants:\n" + report.to_string());
   const harness::ChainController* ctrl = experiment.chain_controller();
   NETCLONE_CHECK(ctrl != nullptr && ctrl->quiescent() &&
                      ctrl->admitted_members().size() == 2,
@@ -195,7 +159,6 @@ FailoverResult run_failover(std::size_t num_shards) {
   NETCLONE_CHECK(out.recovery_us >= 0.0,
                  "throughput never regained 90% after the fail-over");
   out.digest = harness::chaos_digest(experiment);
-  out.executed = experiment.executed_events();
   return out;
 }
 
@@ -205,74 +168,44 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_multirack.json";
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
-  const std::size_t pinned = pin_process_to_first_cores(4);
   std::printf("multirack bench: 3 racks x 3 servers, replicated agg tier, "
-              "%u hw threads, pinned to %zu cores, best of 3\n\n",
-              hw_threads, pinned);
+              "%u hw threads, best of 3\n\n",
+              hw_threads);
 
-  const RunResult oracle = run_point(/*num_shards=*/0);
-  const RunResult shard1 = best_of_3(/*num_shards=*/1);
-  const RunResult shard4 = best_of_3(/*num_shards=*/4);
-  NETCLONE_CHECK(shard1.digest == oracle.digest &&
-                     shard1.executed == oracle.executed,
-                 "1-shard run diverged from the unsharded oracle");
-  NETCLONE_CHECK(shard4.digest == oracle.digest &&
-                     shard4.executed == oracle.executed,
-                 "4-shard run diverged from the unsharded oracle");
-  NETCLONE_CHECK(shard4.cloned > 0,
-                 "replicated aggregation tier cloned nothing");
+  const RunResult pod = best_of_3();
+  NETCLONE_CHECK(pod.cloned > 0, "replicated aggregation tier cloned nothing");
 
   // Fail-over recovery: the timeline is simulated, so the digest and the
-  // recovery time are machine-independent; the 4-shard run must agree
-  // with the unsharded oracle bit for bit even through the crash.
-  const FailoverResult failover_oracle = run_failover(/*num_shards=*/0);
-  const FailoverResult failover = run_failover(/*num_shards=*/4);
-  NETCLONE_CHECK(failover.digest == failover_oracle.digest &&
-                     failover.executed == failover_oracle.executed,
-                 "sharded fail-over run diverged from the oracle");
-  std::printf("\nfail-over (agg1 down at bin %zu, back at bin %zu, "
+  // recovery time are machine-independent.
+  const FailoverResult failover = run_failover();
+  std::printf("fail-over (agg1 down at bin %zu, back at bin %zu, "
               "%.0f us bins):\n",
               kFailBin, kRejoinBin, kFailoverBinUs);
   std::printf("  recovered to 90%% of pre-crash throughput in %.0f us\n",
               failover.recovery_us);
 
-  const double scaling = shard1.wall_s / shard4.wall_s;
   std::printf("pod point (%llu completed, p99 %lld ns, %llu events, "
               "%llu cloned):\n",
-              static_cast<unsigned long long>(shard4.completed),
-              static_cast<long long>(shard4.p99_ns),
-              static_cast<unsigned long long>(shard4.executed),
-              static_cast<unsigned long long>(shard4.cloned));
-  std::printf("  unsharded : %8.3f s wall\n", oracle.wall_s);
-  std::printf("  1 shard   : %8.3f s wall\n", shard1.wall_s);
-  std::printf("  4 shards  : %8.3f s wall   (%.2fx over 1 shard)\n",
-              shard4.wall_s, scaling);
-  if (hw_threads < 4) {
-    std::printf("  note: only %u hw threads — 4-shard run was (partly) "
-                "serialized, scaling not meaningful\n",
-                hw_threads);
-  }
+              static_cast<unsigned long long>(pod.completed),
+              static_cast<long long>(pod.p99_ns),
+              static_cast<unsigned long long>(pod.executed),
+              static_cast<unsigned long long>(pod.cloned));
+  std::printf("  %8.3f s wall\n", pod.wall_s);
 
   std::ofstream out{out_path};
   out << "{\n"
       << "  \"bench\": \"multirack\",\n"
       << "  \"unit\": \"seconds\",\n"
       << "  \"hw_threads\": " << hw_threads << ",\n"
-      << "  \"pinned_cores\": " << pinned << ",\n"
-      << "  \"multirack_completed\": " << shard4.completed << ",\n"
-      << "  \"multirack_p99_ns\": " << shard4.p99_ns << ",\n"
-      << "  \"multirack_executed_events\": " << shard4.executed << ",\n"
-      << "  \"multirack_digest\": " << shard4.digest << ",\n"
-      << "  \"multirack_cloned_requests\": " << shard4.cloned << ",\n"
+      << "  \"multirack_completed\": " << pod.completed << ",\n"
+      << "  \"multirack_p99_ns\": " << pod.p99_ns << ",\n"
+      << "  \"multirack_executed_events\": " << pod.executed << ",\n"
+      << "  \"multirack_digest\": " << pod.digest << ",\n"
+      << "  \"multirack_cloned_requests\": " << pod.cloned << ",\n"
       << "  \"multirack_failover_digest\": " << failover.digest << ",\n"
       << "  \"multirack_failover_recovery_us\": " << failover.recovery_us
       << ",\n"
-      << "  \"multirack_wall_seconds_shard4\": " << shard4.wall_s << ",\n"
-      << "  \"multirack_wall_seconds_shard4_legacy\": " << shard1.wall_s
-      << ",\n"
-      << "  \"multirack_wall_seconds_unsharded\": " << oracle.wall_s
-      << ",\n"
-      << "  \"multirack_scaling_shard4_over_shard1\": " << scaling << "\n"
+      << "  \"multirack_wall_seconds\": " << pod.wall_s << "\n"
       << "}\n";
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;

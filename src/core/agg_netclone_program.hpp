@@ -77,9 +77,9 @@ struct AggChainSyncRecord {
   std::vector<std::vector<std::uint32_t>> filters;
 };
 
-/// Shard-0-confined store of sync records, shared by the controller and
-/// every replica program. Lookup is linear: a run carries a handful of
-/// records, never thousands.
+/// Store of sync records, shared by the controller and every replica
+/// program. Lookup is linear: a run carries a handful of records, never
+/// thousands.
 class AggChainSyncHub {
  public:
   AggChainSyncRecord& create(std::uint32_t sync_id) {

@@ -169,8 +169,7 @@ void ChainController::inject_marker(std::size_t filler,
   // The marker is an ordinary tier-stamped frame delivered at the
   // filler's ingress; it rides the same FIFO pipeline and chain links as
   // the response stream, which is exactly what makes its position a
-  // consistent cut. Runs inside a shard-0 event so the frame comes from
-  // (and returns to) shard 0's pool.
+  // consistent cut.
   wire::NetCloneHeader nc;
   nc.type = wire::MsgType::kChainSync;
   nc.req_id = sync_id;

@@ -28,9 +28,8 @@
 //     again.
 //
 // Determinism: every mutation runs from events the fault installer
-// scheduled at install time (control barriers plus shard-0 marker
-// injections), and sync-record ids are assigned in event order — the
-// legacy and sharded engines replay the identical sequence. Plans must
+// scheduled at install time, and sync-record ids are assigned in event
+// order, so a same-seed run replays the identical sequence. Plans must
 // space chain events at least `chain_sync_delay` apart (the installer's
 // contract); the controller CHECKs instead of silently mis-splicing
 // when a plan violates that.
@@ -69,18 +68,18 @@ class ChainController {
 
   // -- fault hooks (called from installer-scheduled events) ---------------
 
-  /// Control barrier: crash + splice + spray/route updates.
+  /// Event at the fail instant: crash + splice + spray/route updates.
   void fail_replica(std::size_t replica);
-  /// Shard-0 event at fail + chain_sync_delay: inject the reconcile
+  /// Event at fail + chain_sync_delay: inject the reconcile
   /// marker at the recorded predecessor (no-op when superseded).
   void reconcile_after_fail(std::size_t replica);
-  /// Control barrier: recover the switch and append it to the chain as a
-  /// pending admit.
+  /// Event at the rejoin instant: recover the switch and append it to
+  /// the chain as a pending admit.
   void rejoin_replica(std::size_t replica);
-  /// Shard-0 event at the same instant (after the barrier): inject the
-  /// admit marker at the old tail.
+  /// Event at the same instant, scheduled after rejoin_replica: inject
+  /// the admit marker at the old tail.
   void inject_admit_marker(std::size_t replica);
-  /// Control barrier at rejoin + chain_readmit_delay: put the replica
+  /// Event at rejoin + chain_readmit_delay: put the replica
   /// back into the ECMP spray set (no-op when superseded).
   void readmit_spray(std::size_t replica);
 

@@ -62,7 +62,7 @@ Experiment::Experiment(ClusterConfig config)
 
 Experiment::~Experiment() = default;
 
-sim::Scheduler& Experiment::scheduler() { return engine_->control(); }
+sim::Scheduler& Experiment::scheduler() { return engine_->scheduler(); }
 
 std::uint64_t Experiment::executed_events() const {
   return engine_->executed_events();
@@ -72,51 +72,19 @@ std::uint64_t Experiment::absorbed_events() const {
   return engine_->absorbed_events();
 }
 
-std::size_t Experiment::num_shards() const { return engine_->num_shards(); }
-
 std::vector<wire::FramePool::Stats> Experiment::frame_pool_stats() const {
   return engine_->frame_pool_stats();
 }
 
-sim::Scheduler& Experiment::shard_scheduler(std::size_t shard) {
-  return engine_->shard_scheduler(shard);
-}
-
-std::size_t Experiment::host_shard(std::size_t host_index) const {
-  if (!engine_->sharded()) {
-    return 0;
-  }
-  const std::size_t n = engine_->num_shards();
-  if (!config_.shard_assignment.empty()) {
-    return config_.shard_assignment[host_index];
-  }
-  // The switch (shard 0) is every host's peer; spreading hosts over the
-  // remaining shards keeps the hot switch queue on a core of its own.
-  return n == 1 ? 0 : 1 + host_index % (n - 1);
-}
-
-phys::DuplexPorts Experiment::connect_nodes(phys::Node& a,
-                                            std::size_t shard_a,
-                                            phys::Node& b,
-                                            std::size_t shard_b,
-                                            phys::LinkParams params) {
-  return engine_->connect(*topology_, a, shard_a, b, shard_b, params);
-}
-
 void Experiment::build() {
-  engine_ = std::make_unique<EngineContext>(config_.num_shards, config_.seed);
+  engine_ = std::make_unique<EngineContext>();
   const wire::ScopedPoolBinding bind(engine_->pool());
   const std::size_t num_servers = config_.server_workers.size();
-  validate_shard_assignment(config_.shard_assignment, engine_->num_shards(),
-                            num_servers + config_.num_clients,
-                            "cluster hosts");
-  topology_ = std::make_unique<phys::Topology>(shard_scheduler(0));
+  sim::Scheduler& sim = engine_->scheduler();
+  topology_ = std::make_unique<phys::Topology>(sim);
 
-  // The switch always lives on shard 0, with the control plane and the
-  // coordinator: every host link touches it, so its queue is the hub the
-  // lookahead windows fan out from.
-  switch_ = &topology_->add_node<pisa::SwitchDevice>(
-      shard_scheduler(0), "tor", config_.switch_params);
+  switch_ = &topology_->add_node<pisa::SwitchDevice>(sim, "tor",
+                                                     config_.switch_params);
 
   // The loopback port used for clone recirculation must exist before the
   // PRE multicast groups referencing it.
@@ -168,10 +136,9 @@ void Experiment::build() {
     host::ServerParams sp = config_.server_template;
     sp.sid = sid;
     sp.workers = config_.server_workers[i];
-    const std::size_t shard = host_shard(i);
     auto& server = topology_->add_node<host::Server>(
-        shard_scheduler(shard), sp, config_.service, root_rng_.fork());
-    const auto ports = connect_nodes(server, shard, *switch_, 0);
+        sim, sp, config_.service, root_rng_.fork());
+    const auto ports = topology_->connect(server, *switch_);
     record_link(node_name('s', i), "sw0", ports);
     const wire::Ipv4Address ip = host::server_ip(sid);
     server_ips.push_back(ip);
@@ -212,8 +179,8 @@ void Experiment::build() {
     lp.per_packet_cost = config_.laedge_packet_cost;
     lp.workers = laedge_workers;
     coordinator_ = &topology_->add_node<baselines::LaedgeCoordinator>(
-        shard_scheduler(0), lp, root_rng_.fork());
-    const auto ports = connect_nodes(*coordinator_, 0, *switch_, 0);
+        sim, lp, root_rng_.fork());
+    const auto ports = topology_->connect(*coordinator_, *switch_);
     record_link("co0", "sw0", ports);
     l3_program_->add_route(host::coordinator_ip(), ports.port_on_b);
   }
@@ -247,10 +214,9 @@ void Experiment::build() {
         cp.target = host::service_vip();
         break;
     }
-    const std::size_t shard = host_shard(num_servers + c);
     auto& client = topology_->add_node<host::Client>(
-        shard_scheduler(shard), cp, config_.factory, root_rng_.fork());
-    const auto ports = connect_nodes(client, shard, *switch_, 0);
+        sim, cp, config_.factory, root_rng_.fork());
+    const auto ports = topology_->connect(client, *switch_);
     record_link(node_name('c', c), "sw0", ports);
     const wire::Ipv4Address ip = host::client_ip(cp.client_id);
     if (uses_netclone) {

@@ -67,18 +67,6 @@ struct ClusterConfig {
   /// Timed faults installed at build time and fired through the
   /// Scheduler (deterministic relative to every other event).
   FaultPlan faults{};
-
-  /// Event-queue shards. 0 = resolve from NETCLONE_SHARDS, falling back
-  /// to the single-queue legacy engine when the variable is unset too.
-  /// Any value >= 1 uses sim::ShardedSimulator (1 = sharded machinery on
-  /// one queue — the merge-overhead baseline). Digests are bit-identical
-  /// for every choice.
-  std::size_t num_shards = 0;
-  /// Optional per-host shard override, indexed servers-then-clients in
-  /// build order (s0..sN, then c0..cM; the switch and the LÆDGE
-  /// coordinator are always shard 0). Empty = round-robin hosts across
-  /// shards 1..N-1 (all on shard 0 when N == 1).
-  std::vector<std::uint32_t> shard_assignment;
 };
 
 struct ExperimentResult {
@@ -155,20 +143,15 @@ class Experiment {
   }
 
   /// Scheduling surface of the engine, for tests/benches that inject
-  /// events (failures, reconfigurations) into a run. In a sharded run
-  /// this is the control scheduler: events fire at a global barrier,
-  /// ordered before same-instant shard events — the same place the
-  /// legacy engine's install-time tiny seqs put them.
+  /// events (failures, reconfigurations) into a run.
   [[nodiscard]] sim::Scheduler& scheduler();
   /// Engine telemetry: events executed so far (determinism fingerprint)
   /// and the share of those folded into neighbours by burst coalescing.
   [[nodiscard]] std::uint64_t executed_events() const;
   [[nodiscard]] std::uint64_t absorbed_events() const;
-  /// Shards actually in use (0 = unsharded legacy engine).
-  [[nodiscard]] std::size_t num_shards() const;
-  /// Frame-pool balance sheets of this experiment's own pools (see
+  /// Frame-pool balance sheet of this experiment's own pool (see
   /// EngineContext::frame_pool_stats). The invariant auditor checks
-  /// live == acquired − released on each.
+  /// live == acquired − released.
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
   [[nodiscard]] pisa::SwitchDevice& tor() { return *switch_; }
   [[nodiscard]] const pisa::SwitchDevice& tor() const { return *switch_; }
@@ -186,17 +169,6 @@ class Experiment {
  private:
   void build();
   [[nodiscard]] ExperimentResult collect() const;
-  /// Scheduler a node on `shard` runs on (the single engine when
-  /// unsharded).
-  [[nodiscard]] sim::Scheduler& shard_scheduler(std::size_t shard);
-  /// Shard of the host with build-order index `host_index`
-  /// (servers-then-clients).
-  [[nodiscard]] std::size_t host_shard(std::size_t host_index) const;
-  /// topology_->connect() plus, when the endpoints' shards differ, the
-  /// cross-shard mailbox wiring for both directions.
-  phys::DuplexPorts connect_nodes(phys::Node& a, std::size_t shard_a,
-                                  phys::Node& b, std::size_t shard_b,
-                                  phys::LinkParams params = {});
   void record_link(const std::string& a, const std::string& b,
                    const phys::DuplexPorts& ports);
   /// Per-link impairment RNG seed, derived from the config seed and the

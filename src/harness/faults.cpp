@@ -1,8 +1,13 @@
 #include "harness/faults.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <system_error>
 
 namespace netclone::harness {
 
@@ -52,19 +57,25 @@ SimTime parse_time(const std::string& line, const std::string& text) {
     fail(line, "negative time '" + text + "'");
   }
   const std::string suffix = text.substr(unit);
+  double ns_per_unit = 0.0;
   if (suffix == "s") {
-    return SimTime::seconds(value);
+    ns_per_unit = 1e9;
+  } else if (suffix == "ms") {
+    ns_per_unit = 1e6;
+  } else if (suffix == "us") {
+    ns_per_unit = 1e3;
+  } else if (suffix == "ns") {
+    ns_per_unit = 1.0;
+  } else {
+    fail(line, "unknown time unit '" + suffix + "' (use ns/us/ms/s)");
   }
-  if (suffix == "ms") {
-    return SimTime::milliseconds(value);
+  // The same product SimTime::seconds() & co. truncate; anything from 2^63
+  // up (or infinite) has no int64 nanosecond count.
+  const double ns = value * ns_per_unit;
+  if (!(ns < 0x1p63)) {
+    fail(line, "time '" + text + "' is beyond the simulated clock's range");
   }
-  if (suffix == "us") {
-    return SimTime::microseconds(value);
-  }
-  if (suffix == "ns") {
-    return SimTime::nanoseconds(static_cast<std::int64_t>(value));
-  }
-  fail(line, "unknown time unit '" + suffix + "' (use ns/us/ms/s)");
+  return SimTime{static_cast<std::int64_t>(ns)};
 }
 
 double parse_number(const std::string& line, const std::string& text) {
@@ -72,6 +83,17 @@ double parse_number(const std::string& line, const std::string& text) {
   const double value = std::strtod(text.c_str(), &end);
   if (end == nullptr || *end != '\0') {
     fail(line, "bad numeric operand '" + text + "'");
+  }
+  return value;
+}
+
+/// A non-negative integer operand in plain decimal digits.
+std::uint64_t parse_integer(const std::string& line, const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    fail(line, "bad integer operand '" + text + "'");
   }
   return value;
 }
@@ -176,20 +198,24 @@ FaultEvent parse_fault_entry(const std::string& line) {
   }
 
   if (spec->action == FaultAction::kFilterStale) {
-    const double table = parse_number(line, tokens[3]);
-    const double req_id = parse_number(line, tokens[4]);
-    if (table < 0.0 || req_id < 1.0) {
-      fail(line, "filter_stale needs table >= 0 and req_id >= 1");
+    const std::uint64_t table = parse_integer(line, tokens[3]);
+    const std::uint64_t req_id = parse_integer(line, tokens[4]);
+    if (req_id < 1 || req_id > std::numeric_limits<std::uint32_t>::max()) {
+      fail(line, "filter_stale needs req_id in [1, 2^32 - 1]");
     }
     ev.table = static_cast<std::size_t>(table);
-    ev.value = req_id;
-  } else if (spec->extra_operands == 1) {
+    ev.value = static_cast<double>(req_id);
+  } else if (spec->action == FaultAction::kServerSlowdown) {
     ev.value = parse_number(line, tokens[3]);
-    if (ev.value < 0.0) {
-      fail(line, "operand must be non-negative");
+    if (!std::isfinite(ev.value) || ev.value <= 0.0) {
+      fail(line, "slowdown factor must be finite and positive");
     }
-    if (spec->action == FaultAction::kServerSlowdown && ev.value <= 0.0) {
-      fail(line, "slowdown factor must be positive");
+  } else if (spec->extra_operands == 1) {
+    // The four impairment rates are probabilities; the negated test also
+    // rejects NaN.
+    ev.value = parse_number(line, tokens[3]);
+    if (!(ev.value >= 0.0 && ev.value <= 1.0)) {
+      fail(line, "rate must be in [0, 1]");
     }
   }
   return ev;

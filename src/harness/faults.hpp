@@ -11,6 +11,15 @@
 //     at=5s    switch_wipe    sw0
 //     at=6s    filter_stale   sw0     0 12345
 //
+// Operand ranges, checked at parse time:
+//   * at=<time>: finite, >= 0, and below 2^63 ns once scaled by its unit
+//     (ns, us, ms, s);
+//   * drop_rate / corrupt_rate / reorder_rate / duplicate_rate: a finite
+//     probability in [0, 1];
+//   * server_slowdown: a finite factor > 0;
+//   * filter_stale <table> <req_id>: plain decimal integers, with
+//     1 <= req_id <= 2^32 - 1 (the header's REQ_ID width).
+//
 // Targets use the harness's node names: clients `c<N>`, servers `s<N>`,
 // the ToR switch `sw0`, the LÆDGE coordinator `co0`. A link target is
 // `<src>-<dst>` for the directed src→dst link. Experiment resolves the
@@ -31,7 +40,7 @@
 //     at=5ms  agg_rejoin  agg1          # recover + snapshot + re-admit
 //
 // agg_fail/agg_rejoin are schedule-managed: installing the plan expands
-// each into the crash/recover barrier plus the delayed reconcile-marker
+// each into the crash/recover event plus the delayed reconcile-marker
 // and spray-readmission events.
 #pragma once
 
@@ -44,7 +53,7 @@
 namespace netclone::harness {
 
 /// Thrown on malformed fault entries (unknown action, bad time suffix,
-/// missing or extra operands).
+/// missing or extra operands, operands out of range).
 class FaultPlanError : public std::runtime_error {
  public:
   explicit FaultPlanError(const std::string& what)

@@ -111,10 +111,9 @@ void audit_filter(InvariantReport& report, const std::string& who,
 
 void audit_pools(InvariantReport& report,
                  const std::vector<wire::FramePool::Stats>& pools) {
-  // One balance sheet per pool the experiment owns (its own pool, plus
-  // one per shard when sharded). Cross-shard handoffs are byte copies, so
-  // every buffer releases into the pool that acquired it and each sheet
-  // must balance on its own.
+  // One balance sheet per pool the experiment owns. Every buffer releases
+  // into the pool that acquired it, so each sheet must balance on its
+  // own.
   for (std::size_t i = 0; i < pools.size(); ++i) {
     const wire::FramePool::Stats& pool = pools[i];
     const std::string who =

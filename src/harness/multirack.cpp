@@ -48,7 +48,7 @@ MultiRackExperiment::MultiRackExperiment(MultiRackConfig config)
 MultiRackExperiment::~MultiRackExperiment() = default;
 
 sim::Scheduler& MultiRackExperiment::scheduler() {
-  return engine_->control();
+  return engine_->scheduler();
 }
 
 std::uint64_t MultiRackExperiment::executed_events() const {
@@ -57,10 +57,6 @@ std::uint64_t MultiRackExperiment::executed_events() const {
 
 std::uint64_t MultiRackExperiment::absorbed_events() const {
   return engine_->absorbed_events();
-}
-
-std::size_t MultiRackExperiment::num_shards() const {
-  return engine_->num_shards();
 }
 
 std::vector<wire::FramePool::Stats> MultiRackExperiment::frame_pool_stats()
@@ -97,33 +93,20 @@ phys::Link* MultiRackExperiment::link(const std::string& name) const {
   return nullptr;
 }
 
-std::size_t MultiRackExperiment::rack_shard(std::size_t rack) const {
-  if (!engine_->sharded()) {
-    return 0;
-  }
-  if (!config_.rack_shards.empty()) {
-    return config_.rack_shards[rack];
-  }
-  return rack % engine_->num_shards();
-}
-
 phys::DuplexPorts MultiRackExperiment::connect_nodes(phys::Node& a,
-                                                     std::size_t shard_a,
                                                      phys::Node& b,
-                                                     std::size_t shard_b,
                                                      phys::LinkParams params) {
-  // Deterministic per-link delay skew (cable-length variation). The pod
-  // is otherwise perfectly symmetric: equivalent racks replay identical
-  // event-time chains and deliver frames to the aggregation tier at the
-  // same instant with indistinguishable scheduling provenance, which the
-  // sharded engine's bounded-depth merge cannot always order the way the
-  // single-queue engine's global sequence does. A few ns of build-order
-  // skew breaks the symmetry identically for every engine and shard
-  // count (link build order does not depend on sharding).
+  // Deterministic per-link delay skew: cable-length variation of up to
+  // 96 ns, fixed by the link's build order. Without it the pod is
+  // perfectly symmetric, and equivalent racks deliver frames to the
+  // aggregation tier at the same instant, leaving their order to
+  // scheduling tie-breaks alone. The skew is part of the pod model: every
+  // pinned multi-rack result (pod_replicated, the multirack digests)
+  // depends on it.
   const std::size_t duplex_index = topology_->links().size() / 2;
   params.delay +=
       SimTime::nanoseconds(static_cast<std::int64_t>((7 * duplex_index) % 97));
-  return engine_->connect(*topology_, a, shard_a, b, shard_b, params);
+  return topology_->connect(a, b, params);
 }
 
 void MultiRackExperiment::record_link(const std::string& a,
@@ -140,11 +123,10 @@ void MultiRackExperiment::build() {
   NETCLONE_CHECK(num_servers * (num_servers - 1) <= 65535,
                  "group id space exceeded: too many servers");
 
-  engine_ = std::make_unique<EngineContext>(config_.num_shards, config_.seed);
+  engine_ = std::make_unique<EngineContext>();
   const wire::ScopedPoolBinding bind(engine_->pool());
-  validate_shard_assignment(config_.rack_shards, engine_->num_shards(),
-                            config_.server_racks + 1, "racks");
-  topology_ = std::make_unique<phys::Topology>(engine_->shard_scheduler(0));
+  sim::Scheduler& sim = engine_->scheduler();
+  topology_ = std::make_unique<phys::Topology>(sim);
 
   // Tables must hold the whole pod regardless of the caller's defaults.
   core::NetCloneConfig nc = config_.netclone;
@@ -153,11 +135,11 @@ void MultiRackExperiment::build() {
 
   const bool replicated = config_.agg_mode == AggMode::kReplicated;
 
-  // -- aggregation tier (always shard 0: every trunk touches it) ---------
+  // -- aggregation tier ---------------------------------------------------
   std::vector<std::size_t> agg_recircs;
   for (std::size_t a = 0; a < config_.num_aggs; ++a) {
-    auto& agg = topology_->add_node<pisa::SwitchDevice>(
-        engine_->shard_scheduler(0), indexed_name("agg", a));
+    auto& agg =
+        topology_->add_node<pisa::SwitchDevice>(sim, indexed_name("agg", a));
     if (replicated) {
       // The chain replicas clone, so they need the loopback port the
       // multicast groups reference.
@@ -170,9 +152,7 @@ void MultiRackExperiment::build() {
   }
 
   // -- client ToR ---------------------------------------------------------
-  const std::size_t client_rack_shard = rack_shard(0);
-  client_tor_ = &topology_->add_node<pisa::SwitchDevice>(
-      engine_->shard_scheduler(client_rack_shard), "tor1");
+  client_tor_ = &topology_->add_node<pisa::SwitchDevice>(sim, "tor1");
   switches_.emplace_back("tor1", client_tor_);
   std::size_t client_recirc = 0;
   if (!replicated) {
@@ -195,8 +175,7 @@ void MultiRackExperiment::build() {
   std::vector<phys::DuplexPorts> client_trunks;
   for (std::size_t a = 0; a < config_.num_aggs; ++a) {
     const phys::DuplexPorts trunk =
-        connect_nodes(*client_tor_, client_rack_shard, *aggs_[a], 0,
-                      config_.trunk_link);
+        connect_nodes(*client_tor_, *aggs_[a], config_.trunk_link);
     record_link("tor1", indexed_name("agg", a), trunk);
     client_trunks.push_back(trunk);
   }
@@ -224,7 +203,7 @@ void MultiRackExperiment::build() {
     for (std::size_t i = 0; i < config_.num_aggs; ++i) {
       for (std::size_t j = i + 1; j < config_.num_aggs; ++j) {
         const phys::DuplexPorts hop =
-            connect_nodes(*aggs_[i], 0, *aggs_[j], 0, config_.trunk_link);
+            connect_nodes(*aggs_[i], *aggs_[j], config_.trunk_link);
         record_link(indexed_name("agg", i), indexed_name("agg", j), hop);
         chain_ports_[i][j] = hop.port_on_a;
         chain_ports_[j][i] = hop.port_on_b;
@@ -269,10 +248,8 @@ void MultiRackExperiment::build() {
   std::vector<std::vector<phys::DuplexPorts>> rack_trunks;
   std::uint8_t sid = 0;
   for (std::size_t rack = 0; rack < config_.server_racks; ++rack) {
-    const std::size_t shard = rack_shard(rack + 1);
     const std::string tor_name = indexed_name("tor", rack + 2);
-    auto& tor = topology_->add_node<pisa::SwitchDevice>(
-        engine_->shard_scheduler(shard), tor_name);
+    auto& tor = topology_->add_node<pisa::SwitchDevice>(sim, tor_name);
     const std::size_t tor_recirc = tor.add_internal_port();
     tor.set_loopback_port(tor_recirc);
     core::NetCloneConfig rack_cfg = nc;
@@ -287,7 +264,7 @@ void MultiRackExperiment::build() {
     std::vector<phys::DuplexPorts> trunks;
     for (std::size_t a = 0; a < config_.num_aggs; ++a) {
       const phys::DuplexPorts trunk =
-          connect_nodes(tor, shard, *aggs_[a], 0, config_.trunk_link);
+          connect_nodes(tor, *aggs_[a], config_.trunk_link);
       record_link(tor_name, indexed_name("agg", a), trunk);
       trunks.push_back(trunk);
     }
@@ -303,10 +280,9 @@ void MultiRackExperiment::build() {
       sp.sid = ServerId{sid};
       sp.workers = config_.workers;
       auto& server = topology_->add_node<host::Server>(
-          engine_->shard_scheduler(shard), sp, config_.service,
-          root_rng_.fork());
+          sim, sp, config_.service, root_rng_.fork());
       const phys::DuplexPorts ports =
-          connect_nodes(server, shard, tor, shard, config_.host_link);
+          connect_nodes(server, tor, config_.host_link);
       record_link(indexed_name("s", sid), tor_name, ports);
       servers_.push_back(&server);
       const wire::Ipv4Address ip = host::server_ip(ServerId{sid});
@@ -365,11 +341,9 @@ void MultiRackExperiment::build() {
     cp.warmup_until = config_.warmup;
     cp.stop_at = stop_at;
     auto& client = topology_->add_node<host::Client>(
-        engine_->shard_scheduler(client_rack_shard), cp, config_.factory,
-        root_rng_.fork());
+        sim, cp, config_.factory, root_rng_.fork());
     const phys::DuplexPorts ports =
-        connect_nodes(client, client_rack_shard, *client_tor_,
-                      client_rack_shard, config_.host_link);
+        connect_nodes(client, *client_tor_, config_.host_link);
     record_link(indexed_name("c", c), "tor1", ports);
     const wire::Ipv4Address ip = host::client_ip(cp.client_id);
     client_ips_.push_back(ip);
@@ -445,12 +419,11 @@ void MultiRackExperiment::install_fault_plan(const FaultPlan& plan) {
         const std::size_t a = indexed_target(event.target, "agg");
         NETCLONE_CHECK(a < config_.num_aggs,
                        "agg_fail target out of range: " + event.target);
-        // Barrier: crash + splice + spray/route updates. Shard-0 event a
-        // little later: the reconcile marker (it allocates a frame, so
-        // it must run with shard 0's pool bound, not at a barrier).
+        // Crash + splice + spray/route updates now; the reconcile marker
+        // a little later.
         scheduler().schedule_at(
             event.at, [this, a] { chain_controller_->fail_replica(a); });
-        engine_->shard_scheduler(0).schedule_at(
+        scheduler().schedule_at(
             event.at + config_.chain_sync_delay,
             [this, a] { chain_controller_->reconcile_after_fail(a); });
         break;
@@ -461,13 +434,12 @@ void MultiRackExperiment::install_fault_plan(const FaultPlan& plan) {
         const std::size_t a = indexed_target(event.target, "agg");
         NETCLONE_CHECK(a < config_.num_aggs,
                        "agg_rejoin target out of range: " + event.target);
-        // Same-instant pair: the barrier (recover + bookkeeping) fires
-        // before the shard-0 marker injection in both engines — that is
-        // the barrier scheduler's ordering contract, and in the legacy
-        // engine it follows from install order.
+        // Same-instant pair: recover + bookkeeping fires before the
+        // admit marker injection because it is scheduled first (equal
+        // times break ties by scheduling order). Keep this call order.
         scheduler().schedule_at(
             event.at, [this, a] { chain_controller_->rejoin_replica(a); });
-        engine_->shard_scheduler(0).schedule_at(event.at, [this, a] {
+        scheduler().schedule_at(event.at, [this, a] {
           chain_controller_->inject_admit_marker(a);
         });
         scheduler().schedule_at(

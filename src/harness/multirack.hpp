@@ -21,11 +21,6 @@
 //
 // Oversubscription is expressed through the link parameters: `host_link`
 // for edge links, `trunk_link` for ToR↔agg uplinks and the chain.
-//
-// Sharded execution: each rack (ToR + its hosts) is one event-queue
-// shard by default; the aggregation tier lives on shard 0. Digests are
-// bit-identical for every shard count — the same contract Experiment
-// honors, via the same EngineContext.
 #pragma once
 
 #include <memory>
@@ -89,13 +84,6 @@ struct MultiRackConfig {
   /// agg_rejoin: delay before the rejoined replica re-enters the client
   /// ToR's ECMP spray set (the admit marker must have landed by then).
   SimTime chain_readmit_delay = SimTime::microseconds(50);
-  /// Event-queue shards, resolved exactly like ClusterConfig::num_shards
-  /// (0 = NETCLONE_SHARDS, unset -> legacy engine).
-  std::size_t num_shards = 0;
-  /// Optional shard per rack: entry 0 is the client rack, entries 1..N
-  /// the server racks (a rack's ToR and hosts share its shard; the
-  /// aggregation tier is always shard 0). Empty = rack r -> r % shards.
-  std::vector<std::uint32_t> rack_shards;
 };
 
 /// One built-and-runnable fat-tree pod; see Experiment for the lifecycle.
@@ -165,17 +153,14 @@ class MultiRackExperiment {
   [[nodiscard]] sim::Scheduler& scheduler();
   [[nodiscard]] std::uint64_t executed_events() const;
   [[nodiscard]] std::uint64_t absorbed_events() const;
-  [[nodiscard]] std::size_t num_shards() const;
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
 
  private:
   void build();
   void install_fault_plan(const FaultPlan& plan);
   [[nodiscard]] std::uint64_t impairment_seed(const std::string& name) const;
-  /// Shard of rack `rack` (0 = client rack, 1..N = server racks).
-  [[nodiscard]] std::size_t rack_shard(std::size_t rack) const;
-  phys::DuplexPorts connect_nodes(phys::Node& a, std::size_t shard_a,
-                                  phys::Node& b, std::size_t shard_b,
+  /// topology_->connect() with the pod's per-link delay skew.
+  phys::DuplexPorts connect_nodes(phys::Node& a, phys::Node& b,
                                   phys::LinkParams params);
   void record_link(const std::string& a, const std::string& b,
                    const phys::DuplexPorts& ports);

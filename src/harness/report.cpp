@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "common/logging.hpp"
-#include "sim/sharded.hpp"
 
 namespace netclone::harness {
 
@@ -29,13 +28,10 @@ std::size_t usable_cpus() {
   return std::max(1U, std::thread::hardware_concurrency());
 }
 
-/// Sweep workers for `points` experiments on `shards` event-queue shards
-/// each (0 = unsharded): a sharded experiment brings its own shard
-/// threads, so the CPUs are split between points and shards.
-std::size_t sweep_workers(std::size_t points, std::size_t shards) {
-  const std::size_t per_point = std::max<std::size_t>(shards, 1);
-  return std::clamp<std::size_t>(usable_cpus() / per_point, 1,
-                                 std::max<std::size_t>(points, 1));
+/// Sweep workers for `points` experiments: one per usable CPU, at most
+/// one per point.
+std::size_t sweep_workers(std::size_t points) {
+  return std::min(usable_cpus(), std::max<std::size_t>(points, 1));
 }
 
 /// Per-link burst-coalescing telemetry: the fabric-wide absorption rate
@@ -113,8 +109,7 @@ std::vector<SweepPoint> sweep(const Config& base, double capacity_rps,
     }
   };
 
-  const std::size_t workers = sweep_workers(
-      n, base.num_shards != 0 ? base.num_shards : sim::shards_from_env());
+  const std::size_t workers = sweep_workers(n);
   {
     std::vector<std::jthread> helpers;
     for (std::size_t w = 1; w < workers; ++w) {

@@ -23,15 +23,12 @@ struct SweepPoint {
 /// is reproducible.
 ///
 /// The points are independent experiments, so they run concurrently: one
-/// worker per CPU in the process's affinity mask (divided by the shard
-/// count of a sharded config), at most one per point, heaviest load
-/// first. Results and printed output (each point's burst-coalescing
-/// telemetry, NETCLONE_BURST) are identical to running the points one
-/// after another; `taskset -c 0` gives that serial run. If any point
-/// throws, the exception of the lowest-indexed failing point is rethrown
-/// here once every worker has finished. (A sharded engine's own worker
-/// threads do not forward exceptions: an event throwing there still ends
-/// the process.)
+/// worker per CPU in the process's affinity mask, at most one per point,
+/// heaviest load first. Results and printed output (each point's
+/// burst-coalescing telemetry, NETCLONE_BURST) are identical to running
+/// the points one after another; `taskset -c 0` gives that serial run.
+/// If any point throws, the exception of the lowest-indexed failing point
+/// is rethrown here once every worker has finished.
 [[nodiscard]] std::vector<SweepPoint> run_sweep(
     const ClusterConfig& base, double capacity_rps,
     const std::vector<double>& load_fractions);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <system_error>
 
 #include "core/groups.hpp"
 #include "harness/traffic_shapes.hpp"
@@ -45,12 +47,20 @@ double parse_double(const std::string& value, const std::string& key) {
   }
 }
 
+/// Plain decimal digits only, so every value up to 2^64 - 1 round-trips
+/// exactly and nothing out of range is cast.
 std::uint64_t parse_u64(const std::string& value, const std::string& key) {
-  const double v = parse_double(value, key);
-  if (v < 0.0 || v != std::floor(v)) {
-    throw ScenarioError{"'" + key + "' must be a non-negative integer"};
+  std::uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    throw ScenarioError{"'" + key + "' is out of range: " + value};
   }
-  return static_cast<std::uint64_t>(v);
+  if (ec != std::errc{} || ptr != end) {
+    throw ScenarioError{"'" + key + "' must be a non-negative integer: " +
+                        value};
+  }
+  return v;
 }
 
 std::vector<double> parse_load_list(const std::string& value) {
@@ -193,8 +203,11 @@ Scenario parse_scenario(const std::string& text) {
       } else if (key == "servers") {
         scenario.servers = parse_u64(value, key);
       } else if (key == "workers") {
-        scenario.workers =
-            static_cast<std::uint32_t>(parse_u64(value, key));
+        const std::uint64_t workers = parse_u64(value, key);
+        if (workers > std::numeric_limits<std::uint32_t>::max()) {
+          throw ScenarioError{"'workers' is out of range: " + value};
+        }
+        scenario.workers = static_cast<std::uint32_t>(workers);
       } else if (key == "clients") {
         scenario.clients = parse_u64(value, key);
       } else if (key == "workload") {
@@ -237,8 +250,6 @@ Scenario parse_scenario(const std::string& text) {
         scenario.aggs = parse_u64(value, key);
       } else if (key == "agg_mode") {
         scenario.agg_mode = lower(value);
-      } else if (key == "shards") {
-        scenario.shards = parse_u64(value, key);
       } else if (key == "shape") {
         scenario.shape = lower(value);
       } else if (key == "flash_at_ms") {
@@ -396,7 +407,6 @@ MultiRackConfig Scenario::build_multirack_config() const {
   cfg.measure = SimTime::milliseconds(measure_ms);
   cfg.seed = seed;
   cfg.faults = faults;
-  cfg.num_shards = static_cast<std::size_t>(shards);
   make_workload(*this, cfg.factory, cfg.service);
   apply_traffic_shape(*this, cfg.client_template);
   return cfg;
@@ -465,7 +475,6 @@ title      = scenario
 # aggs             = 2      # parallel aggregation switches
 # agg_mode         = oblivious  # oblivious | replicated (chain-replicated
 #                               # NetClone-aware aggregation tier)
-# shards           = 0      # event-queue shards (0 = NETCLONE_SHARDS)
 # Production traffic shapes (compile into client rate profiles/weights).
 # shape            = steady # steady | flash | diurnal
 # flash_at_ms      = 10

@@ -17,13 +17,14 @@
 //     csv        = sweep.csv       # optional CSV export
 //
 // Setting `racks >= 1` switches the run onto the multi-rack fat-tree
-// harness (MultiRackExperiment): `servers_per_rack`, `aggs`, `agg_mode`,
-// and `shards` shape the pod. The traffic-shape generator keys (`shape`,
+// harness (MultiRackExperiment): `servers_per_rack`, `aggs`, and
+// `agg_mode` shape the pod. The traffic-shape generator keys (`shape`,
 // `skew`, `hotspot_rack`, ...) compile production traffic patterns into
 // plain client parameters and work with every scheme and harness.
 //
-// parse_scenario() validates keys and values; Scenario::run() executes the
-// sweep and prints the standard series table.
+// Integer keys take plain decimal digits (no sign, fraction, or
+// exponent). parse_scenario() validates keys and values; Scenario::run()
+// executes the sweep and prints the standard series table.
 #pragma once
 
 #include <map>
@@ -80,7 +81,6 @@ struct Scenario {
   std::size_t servers_per_rack = 3;
   std::size_t aggs = 1;           // parallel aggregation switches
   std::string agg_mode = "oblivious";  // oblivious | replicated
-  std::uint64_t shards = 0;       // 0 = NETCLONE_SHARDS / legacy
 
   // -- production traffic shapes ------------------------------------------
   std::string shape = "steady";   // steady | flash | diurnal

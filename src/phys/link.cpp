@@ -43,12 +43,6 @@ void Link::connect_to(Node* dst, std::size_t dst_port) {
   dst_port_ = dst_port;
 }
 
-void Link::set_remote_sink(sim::RemoteSink* sink) {
-  NETCLONE_CHECK(pending_.empty() && stats_.tx_frames == 0,
-                 "remote sink must be installed before traffic");
-  remote_ = sink;
-}
-
 SimTime Link::serialization_time(std::size_t bytes) const {
   const double seconds =
       static_cast<double>(bytes) * 8.0 / params_.rate_bps;
@@ -92,34 +86,21 @@ void Link::transmit_impaired(wire::FrameHandle frame) {
     ++stats_.duplicated_frames;
     enqueue(std::move(dup_copy));
   }
-  // The depth gate must short-circuit before the bernoulli draw exactly
-  // as it does intra-shard, or the impairment RNG stream desynchronizes
-  // between shard assignments; the remote sink's in_flight() answers by
-  // the same (time, provenance) order the cross-shard merge uses.
-  const std::size_t depth =
-      remote_ != nullptr ? remote_->in_flight() : pending_.size();
-  if (st.cfg.reorder_rate > 0.0 && depth >= 2 &&
+  if (st.cfg.reorder_rate > 0.0 && pending_.size() >= 2 &&
       st.rng.bernoulli(st.cfg.reorder_rate)) {
     // Reorder by swapping the *frames* of the last two FIFO entries.
     // Delivery times, tie-break seqs, and occupancy accounting stay with
     // their slots, so the swap is invisible to the event machinery — the
     // receiver just sees the two frames in the opposite order.
-    if (remote_ != nullptr) {
-      const bool swapped = remote_->swap_last_two();
-      NETCLONE_CHECK(swapped, "remote reorder lost its swap targets");
-    } else {
-      std::swap(pending_[pending_.size() - 1].frame,
-                pending_[pending_.size() - 2].frame);
-    }
+    std::swap(pending_[pending_.size() - 1].frame,
+              pending_[pending_.size() - 2].frame);
     ++stats_.reordered_frames;
   }
 }
 
 void Link::enqueue(wire::FrameHandle frame) {
   const SimTime now = sim_.now();
-  const std::size_t occupied =
-      remote_ != nullptr ? remote_->queued() : queued_;
-  if (busy_until_ > now && occupied >= params_.queue_capacity) {
+  if (busy_until_ > now && queued_ >= params_.queue_capacity) {
     ++stats_.dropped_frames;
     return;
   }
@@ -131,16 +112,6 @@ void Link::enqueue(wire::FrameHandle frame) {
   stats_.tx_bytes += frame.size();
 
   const SimTime deliver_at = busy_until_ + params_.delay;
-  if (remote_ != nullptr) {
-    // Cross-shard handoff: the sink reserves this frame's seq on the
-    // sender shard (keeping the reservation stream identical to the
-    // intra-shard push below) and byte-copies the frame into the
-    // mailbox. No local event is armed — the receiving shard's merge
-    // materializes the delivery.
-    remote_->enqueue(deliver_at, frame, counted_queued,
-                     impair_ != nullptr && impair_->cfg.reorder_rate > 0.0);
-    return;
-  }
   if (counted_queued) {
     ++queued_;
   }
@@ -237,12 +208,6 @@ void Link::configure_impairments(const LinkImpairments& cfg,
     impair_ = std::make_unique<ImpairmentState>(
         ImpairmentState{cfg, Rng{seed}});
   }
-  if (remote_ != nullptr && cfg.reorder_rate > 0.0) {
-    // Reorder installed mid-run: frames already in the mailbox become
-    // swap candidates, so the receiver must start clock-synchronizing on
-    // them (late-freeze) too. Runs at a control barrier.
-    remote_->make_all_mutable();
-  }
 }
 
 void Link::set_up(bool up) {
@@ -254,15 +219,11 @@ void Link::set_up(bool up) {
     // Everything in flight is lost with the cable; clearing the FIFO here
     // (instead of letting per-frame events fire into a revived link) is
     // what keeps the new-epoch drop-tail occupancy exact.
-    if (remote_ != nullptr) {
-      stats_.flushed_frames += remote_->flush();
-    } else {
-      stats_.flushed_frames += pending_.size();
-      sim_.cancel(delivery_event_);
-      delivery_event_ = sim::EventId{};
-      pending_.clear();
-      queued_ = 0;
-    }
+    stats_.flushed_frames += pending_.size();
+    sim_.cancel(delivery_event_);
+    delivery_event_ = sim::EventId{};
+    pending_.clear();
+    queued_ = 0;
     busy_until_ = sim_.now();
   }
 }

@@ -30,7 +30,6 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "sim/remote_sink.hpp"
 #include "sim/scheduler.hpp"
 #include "wire/framebuf.hpp"
 
@@ -92,15 +91,6 @@ class Link {
   /// frames arrive.
   void connect_to(Node* dst, std::size_t dst_port);
 
-  /// Routes this link's in-flight FIFO through a cross-shard sink
-  /// (sharded runs where dst lives on another shard): frames hand off as
-  /// byte copies at transmit and the occupancy queries delegate to the
-  /// sink. Must be set before any frame is transmitted. The drop-tail
-  /// decision, busy-window tracking, and impairment draws stay here, on
-  /// the sender, so the RNG and seq streams are identical to the
-  /// intra-shard wiring.
-  void set_remote_sink(sim::RemoteSink* sink);
-
   /// Enqueues a frame for transmission; may drop if the queue is full.
   /// The handle is moved into the in-flight FIFO — no byte copies; a
   /// multicast emit passes one shared handle per link.
@@ -125,13 +115,9 @@ class Link {
 
   /// In-flight + queued frames awaiting delivery (at most one scheduler
   /// event is pending for all of them).
-  [[nodiscard]] std::size_t in_flight() const {
-    return remote_ != nullptr ? remote_->in_flight() : pending_.size();
-  }
+  [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
   /// Frames currently holding a drop-tail occupancy slot.
-  [[nodiscard]] std::size_t queued() const {
-    return remote_ != nullptr ? remote_->queued() : queued_;
-  }
+  [[nodiscard]] std::size_t queued() const { return queued_; }
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] const LinkParams& params() const { return params_; }
@@ -168,7 +154,6 @@ class Link {
 
   sim::Scheduler& sim_;
   LinkParams params_;
-  sim::RemoteSink* remote_ = nullptr;
   Node* dst_ = nullptr;
   std::size_t dst_port_ = 0;
   SimTime busy_until_ = SimTime::zero();

@@ -3,14 +3,8 @@
 namespace netclone::phys {
 
 DuplexPorts Topology::connect(Node& a, Node& b, LinkParams params) {
-  return connect(sim_, sim_, a, b, params);
-}
-
-DuplexPorts Topology::connect(sim::Scheduler& sched_a_to_b,
-                              sim::Scheduler& sched_b_to_a, Node& a,
-                              Node& b, LinkParams params) {
-  auto a_to_b = std::make_unique<Link>(sched_a_to_b, params);
-  auto b_to_a = std::make_unique<Link>(sched_b_to_a, params);
+  auto a_to_b = std::make_unique<Link>(sim_, params);
+  auto b_to_a = std::make_unique<Link>(sim_, params);
 
   DuplexPorts ports;
   ports.port_on_a = a.attach_egress(a_to_b.get());

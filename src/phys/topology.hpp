@@ -36,14 +36,6 @@ class Topology {
   /// Creates a full-duplex connection between two nodes.
   DuplexPorts connect(Node& a, Node& b, LinkParams params = {});
 
-  /// connect(), but each direction's Link schedules on the given
-  /// scheduler — the sender's shard in a sharded run, where a link's
-  /// events (delivery FIFO, busy window) must live on the queue of the
-  /// node that transmits into it.
-  DuplexPorts connect(sim::Scheduler& sched_a_to_b,
-                      sim::Scheduler& sched_b_to_a, Node& a, Node& b,
-                      LinkParams params = {});
-
   [[nodiscard]] sim::Scheduler& scheduler() { return sim_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Link>>& links() const {
     return links_;

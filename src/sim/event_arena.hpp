@@ -127,21 +127,6 @@ class EventArena {
     return true;
   }
 
-  /// peek(), but also exposing the head's tie-break sequence number and
-  /// slot index. The sharded engine merges each shard's arena head
-  /// against cross-shard deliveries by (time, scheduling provenance), and
-  /// the slot index is its handle into per-slot provenance side tables.
-  [[nodiscard]] bool peek_key(SimTime& when, std::uint64_t& seq,
-                              std::uint32_t& slot) {
-    if (!prepare()) {
-      return false;
-    }
-    when = drain_[drain_pos_].when;
-    seq = drain_[drain_pos_].key >> kSlotBits;
-    slot = slot_of(drain_[drain_pos_].key);
-    return true;
-  }
-
   /// Removes the earliest pending event into `when`/`callback`. Returns
   /// false when no event is pending.
   bool pop(SimTime& when, EventCallback& callback) {

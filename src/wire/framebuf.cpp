@@ -11,9 +11,8 @@ namespace {
 
 bool g_fastpath_enabled = true;
 
-/// Pool the current thread allocates from when one is bound (a shard's
-/// pool while that shard executes); nullptr falls back to the process-wide
-/// singleton.
+/// Pool the current thread allocates from when one is bound (the running
+/// experiment's pool); nullptr falls back to the process-wide singleton.
 thread_local FramePool* g_bound_pool = nullptr;
 
 }  // namespace
@@ -23,8 +22,6 @@ FramePool* FramePool::bind_to_thread(FramePool* pool) {
   g_bound_pool = pool;
   return prev;
 }
-
-FramePool* FramePool::thread_bound() { return g_bound_pool; }
 
 bool packet_fastpath_enabled() { return g_fastpath_enabled; }
 void set_packet_fastpath_enabled(bool enabled) {

@@ -93,8 +93,8 @@ class FramePool {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// The pool the data path allocates from: the thread-bound pool when
-  /// one is installed (an experiment's own pool, or a shard's), else the
-  /// process-wide singleton (code running outside any experiment).
+  /// one is installed (an experiment's own pool), else the process-wide
+  /// singleton (code running outside any experiment).
   [[nodiscard]] static FramePool& instance();
 
   /// Binds `pool` as this thread's allocation pool (nullptr unbinds) and
@@ -103,7 +103,6 @@ class FramePool {
   /// handle that outlives a binding change stays balanced in its home
   /// pool's stats.
   static FramePool* bind_to_thread(FramePool* pool);
-  [[nodiscard]] static FramePool* thread_bound();
 
  private:
   static constexpr std::size_t kClassCount = 6;
@@ -117,9 +116,9 @@ class FramePool {
 
 /// Scoped FramePool::bind_to_thread: installs `pool` for the lifetime of
 /// the binding and restores the previous one on exit. Experiments wrap
-/// their build and every engine run in one, and shards every execution
-/// slice, so node code allocating through FramePool::instance()
-/// transparently hits the experiment's (or the shard's) pool.
+/// their build and every engine run in one, so node code allocating
+/// through FramePool::instance() transparently hits the experiment's
+/// pool.
 class ScopedPoolBinding {
  public:
   explicit ScopedPoolBinding(FramePool& pool)

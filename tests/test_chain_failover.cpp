@@ -1,11 +1,11 @@
 // Chain fail-over and rejoin on the replicated aggregation tier: killing
 // and re-admitting every chain position (head, middle, tail) must keep
-// the extended auditor clean, reproduce bit-identical chaos digests
-// across the legacy engine and 1/4-shard runs, move the verdict
-// authority when the tail dies, and resync a rejoined replica to the
-// exact soft-state image of the survivors. The randomized quick sweep at
-// the end is the tier-1 slice of the full multi-rack chaos lane
-// (test_multirack_chaos.cpp, slow label).
+// the extended auditor clean, reproduce bit-identical chaos digests on a
+// same-seed rerun, move the verdict authority when the tail dies, and
+// resync a rejoined replica to the exact soft-state image of the
+// survivors. The randomized quick sweep at the end is the tier-1 slice
+// of the full multi-rack chaos lane (test_multirack_chaos.cpp, slow
+// label).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,9 +22,6 @@
 
 namespace netclone::harness {
 namespace {
-
-// Legacy engine, sharded machinery on one queue, and a full split.
-constexpr std::size_t kShardCounts[] = {0, 1, 4};
 
 // Three replicas so head (agg0), middle (agg1), and tail (agg2) are
 // distinct chain positions; two server racks so candidate pairs span
@@ -67,26 +64,24 @@ struct RunOutcome {
   std::uint64_t completed = 0;
 };
 
-RunOutcome run_with_shards(MultiRackConfig cfg, std::size_t shards,
-                           std::size_t rejoined) {
-  cfg.num_shards = shards;
+RunOutcome run_and_check(const MultiRackConfig& cfg, std::size_t rejoined,
+                         const std::string& what) {
   MultiRackExperiment exp{cfg};
   const ExperimentResult result = exp.run();
 
   const InvariantReport report = audit_invariants(exp);
-  EXPECT_TRUE(report.ok()) << "shards=" << shards << ":\n"
-                           << report.to_string();
+  EXPECT_TRUE(report.ok()) << what << ":\n" << report.to_string();
 
   const ChainController* ctrl = exp.chain_controller();
   EXPECT_NE(ctrl, nullptr);
   std::vector<std::size_t> members;
   if (ctrl != nullptr) {
-    EXPECT_TRUE(ctrl->quiescent()) << "shards=" << shards;
+    EXPECT_TRUE(ctrl->quiescent()) << what;
     EXPECT_EQ(ctrl->fails_of(rejoined), 1u);
     members = ctrl->admitted_members();
   }
   EXPECT_EQ(members.size(), cfg.num_aggs)
-      << "shards=" << shards << ": the rejoined replica never re-admitted";
+      << what << ": the rejoined replica never re-admitted";
 
   // Resync correctness: the rejoined node carries the exact soft-state
   // image of every survivor, and its filter table holds no more live
@@ -96,11 +91,10 @@ RunOutcome run_with_shards(MultiRackConfig cfg, std::size_t shards,
   for (const std::size_t a : members) {
     EXPECT_EQ(exp.agg_netclone_program(a).soft_state_digest(),
               rejoined_program.soft_state_digest())
-        << "shards=" << shards << ": agg" << a
-        << " diverged from the rejoined replica";
+        << what << ": agg" << a << " diverged from the rejoined replica";
     EXPECT_EQ(exp.agg_netclone_program(a).filter_occupancy(),
               rejoined_program.filter_occupancy())
-        << "shards=" << shards;
+        << what;
   }
   EXPECT_GT(rejoined_program.stats().chain_sync_installs, 0u)
       << "rejoin never installed a snapshot";
@@ -112,49 +106,35 @@ RunOutcome run_with_shards(MultiRackConfig cfg, std::size_t shards,
   return out;
 }
 
-void expect_identical_across_shards(const MultiRackConfig& cfg,
-                                    std::size_t rejoined,
-                                    const char* what) {
-  const RunOutcome reference =
-      run_with_shards(cfg, kShardCounts[0], rejoined);
-  EXPECT_GT(reference.completed, 0u) << what << ": nothing completed";
-  for (std::size_t i = 1; i < std::size(kShardCounts); ++i) {
-    const std::size_t shards = kShardCounts[i];
-    const RunOutcome outcome = run_with_shards(cfg, shards, rejoined);
-    EXPECT_EQ(outcome.digest, reference.digest)
-        << what << ": digest diverged at " << shards << " shards";
-    EXPECT_EQ(outcome.executed, reference.executed)
-        << what << ": executed_events diverged at " << shards << " shards";
-    EXPECT_EQ(outcome.completed, reference.completed)
-        << what << ": completions diverged at " << shards << " shards";
+/// Kills and rejoins chain position `replica` on three seeds, each run
+/// twice with every check; the rerun must reproduce the first run.
+void expect_kill_and_rejoin_converges(std::size_t replica,
+                                      const std::string& position) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    MultiRackConfig cfg = pod_config(seed);
+    cfg.faults = kill_and_rejoin(replica);
+    const std::string what = position + " seed " + std::to_string(seed);
+    const RunOutcome first = run_and_check(cfg, replica, what);
+    EXPECT_GT(first.completed, 0u) << what << ": nothing completed";
+    const RunOutcome again = run_and_check(cfg, replica, what + " rerun");
+    EXPECT_EQ(again.digest, first.digest) << what << ": digest diverged";
+    EXPECT_EQ(again.executed, first.executed)
+        << what << ": executed_events diverged";
+    EXPECT_EQ(again.completed, first.completed)
+        << what << ": completions diverged";
   }
 }
 
-TEST(ChainFailover, HeadKillAndRejoinConvergesAcrossShards) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    MultiRackConfig cfg = pod_config(seed);
-    cfg.faults = kill_and_rejoin(0);
-    expect_identical_across_shards(
-        cfg, 0, ("head seed " + std::to_string(seed)).c_str());
-  }
+TEST(ChainFailover, HeadKillAndRejoinConverges) {
+  expect_kill_and_rejoin_converges(0, "head");
 }
 
-TEST(ChainFailover, MiddleKillAndRejoinConvergesAcrossShards) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    MultiRackConfig cfg = pod_config(seed);
-    cfg.faults = kill_and_rejoin(1);
-    expect_identical_across_shards(
-        cfg, 1, ("middle seed " + std::to_string(seed)).c_str());
-  }
+TEST(ChainFailover, MiddleKillAndRejoinConverges) {
+  expect_kill_and_rejoin_converges(1, "middle");
 }
 
-TEST(ChainFailover, TailKillAndRejoinConvergesAcrossShards) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    MultiRackConfig cfg = pod_config(seed);
-    cfg.faults = kill_and_rejoin(2);
-    expect_identical_across_shards(
-        cfg, 2, ("tail seed " + std::to_string(seed)).c_str());
-  }
+TEST(ChainFailover, TailKillAndRejoinConverges) {
+  expect_kill_and_rejoin_converges(2, "tail");
 }
 
 TEST(ChainFailover, TailDeathMovesVerdictAuthority) {
@@ -211,8 +191,7 @@ TEST(ChainFailover, SurvivorsStayConvergentWithoutRejoin) {
 TEST(ChainFailover, QuickChaosSweepIsAuditCleanAndReproducible) {
   // Randomized fail/rejoin schedules (positions and instants drawn from
   // a per-seed stream, spaced by the installer's contract) must stay
-  // audit-clean and digest-identical between the legacy engine and a
-  // 4-shard run.
+  // audit-clean and digest-identical on a same-seed rerun.
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     Rng rng{seed * 7919};
     MultiRackConfig cfg = pod_config(seed);
@@ -238,18 +217,15 @@ TEST(ChainFailover, QuickChaosSweepIsAuditCleanAndReproducible) {
       cfg.faults.events.push_back(second);
     }
 
-    const auto digest_at = [&](std::size_t shards) {
-      MultiRackConfig run_cfg = cfg;
-      run_cfg.num_shards = shards;
-      MultiRackExperiment exp{run_cfg};
+    const auto audited_digest = [&] {
+      MultiRackExperiment exp{cfg};
       (void)exp.run();
       const InvariantReport report = audit_invariants(exp);
       EXPECT_TRUE(report.ok())
-          << "seed " << seed << " shards " << shards << ":\n"
-          << report.to_string();
+          << "seed " << seed << ":\n" << report.to_string();
       return chaos_digest(exp);
     };
-    EXPECT_EQ(digest_at(0), digest_at(4)) << "seed " << seed;
+    EXPECT_EQ(audited_digest(), audited_digest()) << "seed " << seed;
   }
 }
 

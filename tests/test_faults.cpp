@@ -100,6 +100,62 @@ TEST(FaultPlanParse, Rejections) {
                FaultPlanError);
 }
 
+TEST(FaultPlanParse, OutOfRangeOperandsAreRejected) {
+  for (const char* entry : {
+           "at=1e30s link_down sw0-s3",  // ~1e39 ns: no int64 count
+           "at=9223372036854775808ns link_down sw0-s3",  // 2^63 ns
+           "at=1e400ms link_down sw0-s3",  // overflows to infinity
+           "at=2s drop_rate sw0-s3 1.5",
+           "at=2s corrupt_rate sw0-s3 inf",
+           "at=2s reorder_rate sw0-s3 nan",
+           "at=2s duplicate_rate sw0-s3 -0.5",
+           "at=2s server_slowdown s1 inf",
+           "at=2s server_slowdown s1 nan",
+           "at=2s filter_stale sw0 0 4294967296",  // 2^32
+           "at=2s filter_stale sw0 1.5 7",
+           "at=2s filter_stale sw0 0 7.5",
+           "at=2s filter_stale sw0 -1 7",
+           "at=2s filter_stale sw0 0 1e3",
+       }) {
+    EXPECT_THROW((void)parse_fault_entry(entry), FaultPlanError) << entry;
+  }
+}
+
+TEST(FaultPlanParse, OperandRangeBoundsAreAccepted) {
+  EXPECT_DOUBLE_EQ(parse_fault_entry("at=2s drop_rate sw0-s3 0").value, 0.0);
+  EXPECT_DOUBLE_EQ(parse_fault_entry("at=2s drop_rate sw0-s3 1").value, 1.0);
+  EXPECT_DOUBLE_EQ(
+      parse_fault_entry("at=2s server_slowdown s1 0.25").value, 0.25);
+  const FaultEvent stale =
+      parse_fault_entry("at=2s filter_stale sw0 3 4294967295");
+  EXPECT_EQ(stale.table, 3U);
+  EXPECT_DOUBLE_EQ(stale.value, 4294967295.0);
+  // The largest whole second below 2^63 ns.
+  EXPECT_EQ(parse_fault_entry("at=9223372036s link_down sw0-s3").at,
+            SimTime::seconds(9223372036.0));
+}
+
+TEST(FaultPlanParse, OutOfRangeOperandErrorsCarryLineNumber) {
+  for (const char* entry : {
+           "at=1e30s link_down sw0-s3",
+           "at=2s drop_rate sw0-s3 1.5",
+           "at=2s reorder_rate c0-sw0 nan",
+           "at=2s server_slowdown s1 inf",
+           "at=2s filter_stale sw0 0 4294967297",
+           "at=2s filter_stale sw0 1.5 7",
+       }) {
+    try {
+      (void)harness::parse_fault_plan(
+          std::string("at=1ms server_crash s0\n\n") + entry + "\n",
+          "plan.cfg");
+      ADD_FAILURE() << "expected FaultPlanError for " << entry;
+    } catch (const FaultPlanError& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("plan.cfg: line 3:"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(FaultPlanParse, ActionNamesRoundTrip) {
   for (const FaultAction action :
        {FaultAction::kLinkDown, FaultAction::kDropRate,

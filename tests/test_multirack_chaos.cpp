@@ -1,9 +1,8 @@
 // Multi-rack chaos sweep (slow lane): randomized cluster-wide fault
 // plans — chain fail/rejoin schedules layered with rack blinks and trunk
 // impairments — must keep the extended auditor clean on every combo and
-// reproduce bit-identical chaos digests between the legacy engine and a
-// fully sharded run. The tier-1 slice of this sweep lives in
-// test_chain_failover.cpp.
+// reproduce bit-identical chaos digests on a same-seed rerun. The tier-1
+// slice of this sweep lives in test_chain_failover.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -99,19 +98,14 @@ struct ComboOutcome {
   std::uint64_t executed = 0;
 };
 
-ComboOutcome run_combo(const MultiRackConfig& base, std::size_t shards,
-                       std::uint64_t combo) {
-  MultiRackConfig cfg = base;
-  cfg.num_shards = shards;
+ComboOutcome run_combo(const MultiRackConfig& cfg, std::uint64_t combo) {
   MultiRackExperiment exp{cfg};
   (void)exp.run();
   const InvariantReport report = audit_invariants(exp);
-  EXPECT_TRUE(report.ok()) << "combo " << combo << " shards " << shards
-                           << ":\n"
+  EXPECT_TRUE(report.ok()) << "combo " << combo << ":\n"
                            << report.to_string();
   for (const wire::FramePool::Stats& pool : exp.frame_pool_stats()) {
-    EXPECT_EQ(pool.live, pool.acquired - pool.released)
-        << "combo " << combo << " shards " << shards;
+    EXPECT_EQ(pool.live, pool.acquired - pool.released) << "combo " << combo;
   }
   ComboOutcome out;
   out.digest = chaos_digest(exp);
@@ -125,17 +119,13 @@ TEST(MultiRackChaos, RandomizedFailoverPlansAreAuditCleanAndReproducible) {
     MultiRackConfig cfg = chaos_pod(100 + combo);
     cfg.faults = random_pod_plan(rng);
 
-    const ComboOutcome legacy = run_combo(cfg, 0, combo);
-    const ComboOutcome sharded = run_combo(cfg, 4, combo);
-    EXPECT_EQ(sharded.digest, legacy.digest)
-        << "combo " << combo << ": digest diverged between engines";
-    EXPECT_EQ(sharded.executed, legacy.executed)
-        << "combo " << combo << ": executed_events diverged";
-
-    // Same seed, same plan, same engine: bit-identical rerun.
-    const ComboOutcome again = run_combo(cfg, 4, combo);
-    EXPECT_EQ(again.digest, sharded.digest)
+    // Same seed, same plan: bit-identical rerun.
+    const ComboOutcome first = run_combo(cfg, combo);
+    const ComboOutcome again = run_combo(cfg, combo);
+    EXPECT_EQ(again.digest, first.digest)
         << "combo " << combo << ": rerun diverged";
+    EXPECT_EQ(again.executed, first.executed)
+        << "combo " << combo << ": executed_events diverged";
     if (::testing::Test::HasFatalFailure()) {
       return;
     }

@@ -91,6 +91,38 @@ TEST(ScenarioDiagnostics, NumericErrorsCarryLineAndKey) {
   EXPECT_NE(later.find("flash_x"), std::string::npos) << later;
 }
 
+TEST(ScenarioParse, IntegerKeysRoundTripExactly) {
+  // 2^53 + 1 is the first integer a double cannot hold; 2^64 - 1 is the
+  // largest u64.
+  EXPECT_EQ(parse_scenario("seed = 9007199254740993\n").seed,
+            9007199254740993ULL);
+  EXPECT_EQ(parse_scenario("seed = 18446744073709551615\n").seed,
+            18446744073709551615ULL);
+  EXPECT_EQ(parse_scenario("workers = 4294967295\n").workers, 4294967295U);
+}
+
+TEST(ScenarioDiagnostics, OutOfRangeIntegersCarryLineAndKey) {
+  const std::string cases[][2] = {
+      {"seed", "18446744073709551616"},  // 2^64
+      {"seed", "inf"},
+      {"seed", "1e30"},
+      {"kv_objects", "-1"},
+      {"workers", "4294967296"},  // 2^32
+  };
+  for (const auto& [key, value] : cases) {
+    const std::string msg =
+        parse_error("servers = 4\n" + key + " = " + value + "\n");
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(key), std::string::npos) << msg;
+  }
+}
+
+TEST(ScenarioDiagnostics, ShardsIsAnUnknownKey) {
+  const std::string msg = parse_error("servers = 4\n\nshards = 3\n");
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("unknown key 'shards'"), std::string::npos) << msg;
+}
+
 TEST(ScenarioDiagnostics, StructuralErrorsCarryLine) {
   const std::string missing_eq = parse_error("servers\n");
   EXPECT_NE(missing_eq.find("line 1"), std::string::npos) << missing_eq;
@@ -131,7 +163,6 @@ TEST(ScenarioParse, FatTreeKeys) {
     servers_per_rack = 4
     aggs = 2
     agg_mode = replicated
-    shards = 3
     shape = diurnal
     skew = 1.1
     hotspot_rack = 2
@@ -141,7 +172,6 @@ TEST(ScenarioParse, FatTreeKeys) {
   EXPECT_EQ(s.servers_per_rack, 4u);
   EXPECT_EQ(s.aggs, 2u);
   EXPECT_EQ(s.agg_mode, "replicated");
-  EXPECT_EQ(s.shards, 3u);
   EXPECT_EQ(s.total_servers(), 12u);
   ASSERT_TRUE(s.hotspot_rack.has_value());
   EXPECT_EQ(*s.hotspot_rack, 2u);
@@ -208,7 +238,6 @@ TEST(ScenarioBuild, MultiRackConfigWiring) {
     agg_mode = replicated
     workers = 8
     clients = 3
-    shards = 2
     seed = 9
   )");
   const MultiRackConfig cfg = s.build_multirack_config();
@@ -218,7 +247,6 @@ TEST(ScenarioBuild, MultiRackConfigWiring) {
   EXPECT_EQ(cfg.agg_mode, AggMode::kReplicated);
   EXPECT_EQ(cfg.workers, 8u);
   EXPECT_EQ(cfg.num_clients, 3u);
-  EXPECT_EQ(cfg.num_shards, 2u);
   EXPECT_EQ(cfg.seed, 9u);
   ASSERT_NE(cfg.factory, nullptr);
   // Capacity counts all racks' hosts.

@@ -16,7 +16,6 @@
 #include "harness/multirack.hpp"
 #include "host/service.hpp"
 #include "host/workload.hpp"
-#include "sim/sharded.hpp"
 #include "wire/framebuf.hpp"
 
 namespace netclone::harness {
@@ -143,11 +142,6 @@ class ThrowingFactory final : public host::RequestFactory {
 TEST(Sweep, RethrowsTheLowestFailingPointAfterTheJoin) {
   ClusterConfig base = small_rack();
   base.factory = std::make_shared<ThrowingFactory>();
-  if (sim::shards_from_env() != 0) {
-    // The sharded engine runs events on its own worker threads, which do
-    // not forward exceptions; one shard runs them on the caller's thread.
-    base.num_shards = 1;
-  }
   const double capacity =
       cluster_capacity_rps(base.server_workers, kMeanServiceUs);
 
