@@ -2,9 +2,9 @@
 """Benchmark regression gate.
 
 Runs the repo's microbenchmarks (bench_sim_engine, bench_packet_path,
-bench_pisa_pipeline, bench_host_path, bench_fig16_failure,
-bench_multirack), compares the results against the committed
-BENCH_*.json baselines, and fails loudly on regression.
+bench_pisa_pipeline, bench_fig16_failure, bench_multirack), compares
+the results against the committed BENCH_*.json baselines, and fails
+loudly on regression.
 
 What is gated, and how:
 
@@ -38,8 +38,8 @@ import shutil
 import subprocess
 import sys
 
-BENCHES = ["sim_engine", "packet_path", "pisa_pipeline", "host_path",
-           "fig16", "multirack"]
+BENCHES = ["sim_engine", "packet_path", "pisa_pipeline", "fig16",
+           "multirack"]
 
 # Bench names whose binary is not simply bench_<name>.
 BINARIES = {"fig16": "bench_fig16_failure"}

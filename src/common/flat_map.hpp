@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/hash.hpp"
-#include "common/prefetch.hpp"
 
 namespace netclone {
 
@@ -69,16 +68,6 @@ class FlatMap64 {
 
   [[nodiscard]] Value* find(std::uint64_t key) {
     return const_cast<Value*>(std::as_const(*this).find(key));
-  }
-
-  /// Pulls `key`'s home slot toward L1 ahead of a find(). Batched lookups
-  /// issue the prefetches for a whole run of keys first, overlapping the
-  /// cache misses instead of paying them one probe at a time. Advisory
-  /// only.
-  void prefetch(std::uint64_t key) const {
-    if (!slots_.empty()) {
-      prefetch_read(&slots_[bucket(key)]);
-    }
   }
 
   /// Mapped value for `key`, default-constructing it on a miss — the

@@ -141,36 +141,6 @@ void NetCloneProgram::on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
   }
 }
 
-void NetCloneProgram::warm_burst(std::span<wire::Packet> pkts) {
-  // Pure cache hints mirroring the probe pattern of on_ingress; no
-  // pipeline state is read or written (filter_hash is a stateless CRC).
-  for (wire::Packet& pkt : pkts) {
-    if (!pkt.has_netclone()) {
-      fwd_table_.prefetch(route_key(pkt.ip.dst));
-      continue;
-    }
-    const wire::NetCloneHeader& nc = pkt.nc();
-    if ((nc.switch_id != 0 && nc.switch_id != config_.switch_id) ||
-        nc.is_cancel()) {
-      fwd_table_.prefetch(route_key(pkt.ip.dst));
-      continue;
-    }
-    if (nc.is_request()) {
-      grp_table_.prefetch(nc.grp);
-    } else {
-      state_table_.prefetch(nc.sid);
-      shadow_table_.prefetch(nc.sid);
-      if (!filter_tables_.empty()) {
-        const std::uint32_t slot =
-            filter_hash(nc.req_id, config_.filter_slots);
-        for (const auto& table : filter_tables_) {
-          table->prefetch(slot);
-        }
-      }
-    }
-  }
-}
-
 void NetCloneProgram::handle_request(wire::Packet& pkt,
                                      pisa::PacketMetadata& md,
                                      pisa::PipelinePass& pass) {

@@ -121,12 +121,6 @@ class NetCloneProgram final : public pisa::SwitchProgram {
   void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
-  /// Burst warm-up (see SwitchProgram): prefetches the home slots every
-  /// packet's ingress pass is about to probe — FwdT for plain routed
-  /// traffic, GrpT for requests, StateT plus the hash-indexed FilterT
-  /// cells for responses.
-  void warm_burst(std::span<wire::Packet> pkts) override;
-
   [[nodiscard]] const char* name() const override { return "NetClone"; }
 
   [[nodiscard]] const NetCloneProgramStats& stats() const { return stats_; }

@@ -19,8 +19,4 @@ std::uint64_t EngineContext::executed_events() const {
   return sim_->executed_events();
 }
 
-std::uint64_t EngineContext::absorbed_events() const {
-  return sim_->absorbed_events();
-}
-
 }  // namespace netclone::harness

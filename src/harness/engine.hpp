@@ -37,7 +37,6 @@ class EngineContext {
   /// Runs the engine with the experiment's pool bound to this thread.
   void run_until(SimTime deadline);
   [[nodiscard]] std::uint64_t executed_events() const;
-  [[nodiscard]] std::uint64_t absorbed_events() const;
   /// The experiment's own frame pool. Harnesses bind it
   /// (ScopedPoolBinding) while they build; run_until binds it itself.
   [[nodiscard]] wire::FramePool& pool() { return pool_; }

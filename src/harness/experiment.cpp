@@ -68,10 +68,6 @@ std::uint64_t Experiment::executed_events() const {
   return engine_->executed_events();
 }
 
-std::uint64_t Experiment::absorbed_events() const {
-  return engine_->absorbed_events();
-}
-
 std::vector<wire::FramePool::Stats> Experiment::frame_pool_stats() const {
   return engine_->frame_pool_stats();
 }

@@ -145,10 +145,8 @@ class Experiment {
   /// Scheduling surface of the engine, for tests/benches that inject
   /// events (failures, reconfigurations) into a run.
   [[nodiscard]] sim::Scheduler& scheduler();
-  /// Engine telemetry: events executed so far (determinism fingerprint)
-  /// and the share of those folded into neighbours by burst coalescing.
+  /// Engine telemetry: events executed so far (determinism fingerprint).
   [[nodiscard]] std::uint64_t executed_events() const;
-  [[nodiscard]] std::uint64_t absorbed_events() const;
   /// Frame-pool balance sheet of this experiment's own pool (see
   /// EngineContext::frame_pool_stats). The invariant auditor checks
   /// live == acquired − released.

@@ -55,10 +55,6 @@ std::uint64_t MultiRackExperiment::executed_events() const {
   return engine_->executed_events();
 }
 
-std::uint64_t MultiRackExperiment::absorbed_events() const {
-  return engine_->absorbed_events();
-}
-
 std::vector<wire::FramePool::Stats> MultiRackExperiment::frame_pool_stats()
     const {
   return engine_->frame_pool_stats();

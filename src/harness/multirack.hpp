@@ -152,7 +152,6 @@ class MultiRackExperiment {
 
   [[nodiscard]] sim::Scheduler& scheduler();
   [[nodiscard]] std::uint64_t executed_events() const;
-  [[nodiscard]] std::uint64_t absorbed_events() const;
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
 
  private:

@@ -34,49 +34,14 @@ std::size_t sweep_workers(std::size_t points) {
   return std::min(usable_cpus(), std::max<std::size_t>(points, 1));
 }
 
-/// Per-link burst-coalescing telemetry: the fabric-wide absorption rate
-/// plus one row per link that delivered frames by riding an earlier
-/// frame's delivery event (NETCLONE_BURST). Prints nothing when no link
-/// coalesced, so oracle-mode output stays byte-identical.
-void print_link_coalescing(
-    const std::string& label,
-    const std::vector<std::pair<std::string, phys::LinkStats>>& links) {
-  std::uint64_t total_tx = 0;
-  std::uint64_t total_coalesced = 0;
-  for (const auto& [name, s] : links) {
-    total_tx += s.tx_frames;
-    total_coalesced += s.coalesced_frames;
-  }
-  if (total_coalesced == 0) {
-    return;  // oracle mode (or nothing absorbed): stay silent
-  }
-  std::printf("  coalescing [%s]: %llu of %llu frames (%.1f%%)\n",
-              label.c_str(),
-              static_cast<unsigned long long>(total_coalesced),
-              static_cast<unsigned long long>(total_tx),
-              100.0 * static_cast<double>(total_coalesced) /
-                  static_cast<double>(total_tx));
-  for (const auto& [name, s] : links) {
-    if (s.coalesced_frames == 0) {
-      continue;
-    }
-    std::printf("    %-12s %9llu of %9llu (%.1f%%)\n", name.c_str(),
-                static_cast<unsigned long long>(s.coalesced_frames),
-                static_cast<unsigned long long>(s.tx_frames),
-                100.0 * static_cast<double>(s.coalesced_frames) /
-                    static_cast<double>(s.tx_frames));
-  }
-}
-
 /// The one sweep driver, for Experiment and MultiRackExperiment. Workers
 /// claim points from an atomic counter and write only their own point's
-/// slot; output is printed after the join, in point order.
+/// slot; results are collected after the join, in point order.
 template <typename Exp, typename Config>
 std::vector<SweepPoint> sweep(const Config& base, double capacity_rps,
                               const std::vector<double>& loads) {
   struct Slot {
     SweepPoint point;
-    std::vector<std::pair<std::string, phys::LinkStats>> links;
     std::exception_ptr error;
   };
   const std::size_t n = loads.size();
@@ -100,9 +65,6 @@ std::vector<SweepPoint> sweep(const Config& base, double capacity_rps,
         cfg.seed = base.seed + 1000 * (k + 1);
         Exp experiment{std::move(cfg)};
         slot.point = SweepPoint{loads[k], experiment.run()};
-        for (const auto& [name, link] : experiment.links()) {
-          slot.links.emplace_back(name, link->stats());
-        }
       } catch (...) {
         slot.error = std::current_exception();
       }
@@ -128,9 +90,6 @@ std::vector<SweepPoint> sweep(const Config& base, double capacity_rps,
     if (slots[k].error) {
       std::rethrow_exception(slots[k].error);
     }
-    char label[32];
-    std::snprintf(label, sizeof(label), "load %.2f", loads[k]);
-    print_link_coalescing(label, slots[k].links);
     points.push_back(std::move(slots[k].point));
   }
   return points;

@@ -24,9 +24,8 @@ struct SweepPoint {
 ///
 /// The points are independent experiments, so they run concurrently: one
 /// worker per CPU in the process's affinity mask, at most one per point,
-/// heaviest load first. Results and printed output (each point's
-/// burst-coalescing telemetry, NETCLONE_BURST) are identical to running
-/// the points one after another; `taskset -c 0` gives that serial run.
+/// heaviest load first. Results are identical to running the points one
+/// after another; `taskset -c 0` gives that serial run.
 /// If any point throws, the exception of the lowest-indexed failing point
 /// is rethrown here once every worker has finished.
 [[nodiscard]] std::vector<SweepPoint> run_sweep(

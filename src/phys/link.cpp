@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "phys/burst.hpp"
 #include "phys/node.hpp"
 
 namespace netclone::phys {
@@ -138,62 +137,12 @@ void Link::deliver_head() {
     NETCLONE_CHECK(queued_ > 0, "link drop-tail occupancy underflow");
     --queued_;
   }
-  if (!burst_enabled()) {
-    // Single-frame oracle path: rearm before delivering — handle_frame
-    // may reentrantly transmit on this link, and it must find the FIFO
-    // consistent with the armed event.
-    if (!pending_.empty()) {
-      arm_head();
-    }
-    dst_->handle_frame(dst_port_, std::move(entry.frame));
-    return;
-  }
-  // Burst drain: absorb successive FIFO entries whose reserved delivery
-  // events would fire next anyway — the scheduler's try_absorb_event
-  // both proves that (no pending event is ordered before the entry's
-  // reserved seq) and commits it (the clock advances to the entry's
-  // instant, the event counts as executed), so delivering the frame here
-  // is indistinguishable from its own event having fired. The horizon
-  // caps how far ahead we look: the receiver guarantees that processing
-  // a frame arriving at t schedules nothing before t + horizon, so
-  // events it will create during handle_burst (invisible to the probe)
-  // cannot be ordered before any absorbed entry. Reservations were
-  // consumed at transmit in both modes, so the seq stream — and thus
-  // every later tie-break — is identical to the oracle path.
-  const SimTime limit = entry.deliver_at + dst_->burst_horizon();
-  if (pending_.empty() || pending_.front().deliver_at > limit) {
-    // Nothing within the horizon to coalesce — the common case at
-    // steady load. Deliver exactly as the oracle path would, paying
-    // none of the burst-assembly machinery.
-    if (!pending_.empty()) {
-      arm_head();
-    }
-    dst_->handle_frame(dst_port_, std::move(entry.frame));
-    return;
-  }
-  FrameBurst burst;
-  burst.push_back(entry.deliver_at, std::move(entry.frame));
-  while (!pending_.empty() && pending_.front().deliver_at <= limit &&
-         sim_.try_absorb_event(pending_.front().deliver_at,
-                               pending_.front().seq)) {
-    InFlight next = std::move(pending_.front());
-    pending_.pop_front();
-    if (next.counted_queued) {
-      NETCLONE_CHECK(queued_ > 0, "link drop-tail occupancy underflow");
-      --queued_;
-    }
-    ++stats_.coalesced_frames;
-    burst.push_back(next.deliver_at, std::move(next.frame));
-  }
-  // Rearm before delivering (reentrant transmits, as above).
+  // Rearm before delivering: handle_frame may reentrantly transmit on
+  // this link, and it must find the FIFO consistent with the armed event.
   if (!pending_.empty()) {
     arm_head();
   }
-  if (burst.size() == 1) {
-    dst_->handle_frame(dst_port_, std::move(burst[0].frame));
-  } else {
-    dst_->handle_burst(dst_port_, std::move(burst));
-  }
+  dst_->handle_frame(dst_port_, std::move(entry.frame));
 }
 
 void Link::configure_impairments(const LinkImpairments& cfg,

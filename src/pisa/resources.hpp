@@ -22,7 +22,6 @@
 
 #include "common/flat_map.hpp"
 #include "common/hash.hpp"
-#include "common/prefetch.hpp"
 #include "common/rng.hpp"
 #include "pisa/pipeline.hpp"
 
@@ -66,13 +65,6 @@ class ExactMatchTable final : public StageResource {
     record_access(pass);
     return entries_.find(key);
   }
-
-  /// Cache-warming hint for batched probes: pulls `key`'s home slot
-  /// toward L1 ahead of find(). Not a data-plane table access — it models
-  /// the deterministic SRAM pipelining of the ASIC, not an extra lookup —
-  /// so it takes no pass and does not count against the single-access
-  /// budget.
-  void prefetch(std::uint64_t key) const { entries_.prefetch(key); }
 
   /// Single lookup per pass; returns nullopt on miss (value copy).
   [[nodiscard]] std::optional<Value> lookup(PipelinePass& pass,
@@ -132,15 +124,6 @@ class RegisterArray final : public StageResource {
       cell = value;
       return value;
     });
-  }
-
-  /// Cache-warming hint for batched passes (see ExactMatchTable): pulls
-  /// the cell toward L1 ahead of execute(). Takes no pass; out-of-range
-  /// indices are silently ignored (execute still bounds-checks).
-  void prefetch(std::size_t index) const {
-    if (index < cells_.size()) {
-      prefetch_read(&cells_[index]);
-    }
   }
 
   /// Control-plane / test peek: NOT a data-plane access.

@@ -1,9 +1,7 @@
 #include "pisa/switch_device.hpp"
 
-#include <span>
 #include <utility>
 
-#include "common/check.hpp"
 #include "common/logging.hpp"
 
 namespace netclone::pisa {
@@ -14,8 +12,6 @@ SwitchDevice::SwitchDevice(sim::Scheduler& scheduler, std::string name,
       sim_(scheduler),
       params_(params),
       pipeline_(params.stage_count) {}
-
-SwitchDevice::~SwitchDevice() { sim_.cancel(egress_event_); }
 
 void SwitchDevice::load_program(std::shared_ptr<SwitchProgram> program) {
   program_ = std::move(program);
@@ -68,45 +64,6 @@ void SwitchDevice::handle_frame(std::size_t port, wire::FrameHandle frame) {
   process(port, std::move(frame), /*recirculated=*/false);
 }
 
-void SwitchDevice::handle_burst(std::size_t port, phys::FrameBurst&& burst) {
-  // Stage 1: batch parse. failed_ cannot flip mid-burst — a pending fail
-  // event would have blocked the link's absorption — so the per-frame
-  // check only mirrors the oracle's bookkeeping.
-  burst_pkts_.clear();
-  burst_whens_.clear();
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    ++stats_.rx_frames;
-    if (failed_ || program_ == nullptr) {
-      ++stats_.dropped_while_failed;
-      continue;
-    }
-    wire::Packet pkt;
-    try {
-      pkt = wire::Packet::parse_backed(burst[i].frame);
-    } catch (const wire::CodecError&) {
-      ++stats_.parse_errors;
-      continue;
-    }
-    burst[i].frame.reset();
-    burst_pkts_.push_back(std::move(pkt));
-    burst_whens_.push_back(burst[i].when);
-  }
-  if (burst_pkts_.empty()) {
-    return;
-  }
-  // Stage 2: one prefetch sweep over the whole run, so stage 3's
-  // match-table probes and register accesses hit warm lines.
-  program_->warm_burst(std::span<wire::Packet>(burst_pkts_));
-  // Stage 3: per-frame pipeline passes, in arrival order, each stamped
-  // with its original delivery instant.
-  for (std::size_t i = 0; i < burst_pkts_.size(); ++i) {
-    process_parsed(std::move(burst_pkts_[i]), port, /*recirculated=*/false,
-                   burst_whens_[i]);
-  }
-  burst_pkts_.clear();
-  burst_whens_.clear();
-}
-
 void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
                            bool recirculated) {
   ++stats_.rx_frames;
@@ -124,11 +81,6 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
   }
   frame.reset();  // the packet's backing now holds the only live references
 
-  process_parsed(std::move(pkt), port, recirculated, sim_.now());
-}
-
-void SwitchDevice::process_parsed(wire::Packet pkt, std::size_t port,
-                                  bool recirculated, SimTime arrival) {
   PacketMetadata md;
   md.ingress_port = port;
   md.is_recirculated = recirculated;
@@ -146,11 +98,6 @@ void SwitchDevice::process_parsed(wire::Packet pkt, std::size_t port,
   // once; a multicast set then shares the resulting buffer across all
   // output ports by reference count. The common unicast case carries its
   // single port in the closure — no port-vector allocation per packet.
-  //
-  // Burst mode files the job in the egress FIFO instead (one armed event
-  // for any pipeline depth); the fire instant and tie-break seq are fixed
-  // here, so both paths run the deparser at identical points in the
-  // event order.
   if (md.multicast_group) {
     const std::vector<std::size_t>* ports =
         mcast_groups_.find(*md.multicast_group);
@@ -162,12 +109,6 @@ void SwitchDevice::process_parsed(wire::Packet pkt, std::size_t port,
       stats_.multicast_copies += ports->size() - 1;
     }
     ++stats_.egress_scheduled;
-    if (phys::burst_enabled()) {
-      push_egress(PendingEgress{arrival + params_.pipeline_latency,
-                                sim_.reserve_seq(), std::move(pkt), 0,
-                                *ports});
-      return;
-    }
     sim_.schedule_after(params_.pipeline_latency,
                         [this, out_ports = *ports,
                          pkt = std::move(pkt)]() mutable {
@@ -183,12 +124,6 @@ void SwitchDevice::process_parsed(wire::Packet pkt, std::size_t port,
                         });
   } else if (md.egress_port) {
     ++stats_.egress_scheduled;
-    if (phys::burst_enabled()) {
-      push_egress(PendingEgress{arrival + params_.pipeline_latency,
-                                sim_.reserve_seq(), std::move(pkt),
-                                *md.egress_port, {}});
-      return;
-    }
     sim_.schedule_after(params_.pipeline_latency,
                         [this, port = *md.egress_port,
                          pkt = std::move(pkt)]() mutable {
@@ -200,61 +135,6 @@ void SwitchDevice::process_parsed(wire::Packet pkt, std::size_t port,
                         });
   } else {
     ++stats_.dropped_by_program;  // program made no forwarding decision
-  }
-}
-
-void SwitchDevice::push_egress(PendingEgress record) {
-  // Fire times are monotone: every record fires arrival + latency after
-  // an arrival the clock has already reached, so the FIFO is sorted by
-  // (fire_at, seq) by construction.
-  NETCLONE_CHECK(egress_fifo_.empty() ||
-                     egress_fifo_.back().fire_at <= record.fire_at,
-                 "egress FIFO fire times must be monotone");
-  egress_fifo_.push_back(std::move(record));
-  if (egress_fifo_.size() == 1) {
-    arm_egress();
-  }
-}
-
-void SwitchDevice::arm_egress() {
-  const PendingEgress& head = egress_fifo_.front();
-  egress_event_ = sim_.schedule_at_seq(head.fire_at, head.seq,
-                                       [this] { drain_egress(); });
-}
-
-void SwitchDevice::drain_egress() {
-  egress_event_ = sim::EventId{};
-  for (;;) {
-    PendingEgress record = std::move(egress_fifo_.front());
-    egress_fifo_.pop_front();
-    // Firing transmits onto links and may schedule recirculations — all
-    // real events the next probe sees, so no horizon is needed here: a
-    // successor is absorbed only if nothing (including this record's own
-    // consequences) is ordered before its reserved event.
-    fire_egress(record);
-    if (egress_fifo_.empty()) {
-      return;
-    }
-    if (!sim_.try_absorb_event(egress_fifo_.front().fire_at,
-                               egress_fifo_.front().seq)) {
-      arm_egress();
-      return;
-    }
-  }
-}
-
-void SwitchDevice::fire_egress(PendingEgress& record) {
-  if (failed_) {
-    ++stats_.flushed_in_pipeline;
-    return;
-  }
-  if (record.mcast_ports.empty()) {
-    emit(record.unicast_port, record.pkt.serialize_pooled());
-    return;
-  }
-  const wire::FrameHandle bytes = record.pkt.serialize_pooled();
-  for (const std::size_t p : record.mcast_ports) {
-    emit(p, bytes);
   }
 }
 

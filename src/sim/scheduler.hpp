@@ -47,9 +47,12 @@ struct EventId {
 /// they fall back to a single heap cell.
 class EventCallback {
  public:
-  /// Inline capture budget. 64 bytes covers a `this` pointer + a
-  /// std::vector payload + a few scalars (the link-delivery lambda, the
-  /// largest common case) without bloating the event arena's slots.
+  /// Inline capture budget. 64 bytes covers a `this` pointer + a frame
+  /// handle + a few scalars (the switch's recirculation lambda, 40 B)
+  /// without bloating the event arena's slots; the link-delivery lambda
+  /// captures only `this`. The switch's per-pass egress closure does not
+  /// fit: `this` + port + a 176-B wire::Packet is 192 B (x86-64 GCC 12),
+  /// so it takes the heap fallback on every pass.
   static constexpr std::size_t kInlineCapacity = 64;
 
   EventCallback() = default;
@@ -183,25 +186,6 @@ class Scheduler {
   /// reserved number must be used at most once.
   virtual EventId schedule_at_seq(SimTime when, std::uint64_t seq,
                                   EventCallback action) = 0;
-
-  /// Burst-coalescing probe-and-commit. The caller holds a reservation
-  /// for an event at (when, seq) that it has not materialized (a link
-  /// delivery FIFO entry). If no pending event is ordered before
-  /// (when, seq) — i.e. that event would fire next — the clock advances
-  /// to `when`, the event counts as executed, and the caller runs its
-  /// work inline in the current callback: indistinguishable from the
-  /// event loop having fired it. Otherwise returns false and nothing
-  /// changes. `when` must not be in the past; implementations may answer
-  /// a conservative false.
-  [[nodiscard]] virtual bool try_absorb_event(SimTime when,
-                                              std::uint64_t seq) = 0;
-
-  /// Records `n` events' worth of work absorbed into the current callback
-  /// without a per-event probe (consecutive same-timestamp reservations
-  /// the caller drew itself — nothing can be ordered between them). Keeps
-  /// executed-event telemetry, and digests folded over it, identical
-  /// between burst and single-event execution.
-  virtual void note_absorbed_events(std::uint64_t n) = 0;
 
   /// Schedules `action` after `delay` (must be non-negative).
   EventId schedule_after(SimTime delay, EventCallback action) {

@@ -116,10 +116,6 @@ Packet Packet::parse(std::span<const std::byte> frame) {
 }
 
 Packet Packet::parse_backed(const FrameHandle& frame) {
-  if (!packet_fastpath_enabled()) {
-    const Frame linear = frame.to_frame();
-    return parse(linear);
-  }
   if (frame.split()) {
     // The header region was copy-on-write split off a shared tail; the
     // split boundary is the header/payload boundary by construction.
@@ -184,10 +180,6 @@ Frame Packet::serialize() const {
 }
 
 FrameHandle Packet::serialize_pooled() {
-  if (!packet_fastpath_enabled()) {
-    // Legacy baseline: full vector rebuild, then copy into a handle.
-    return FrameHandle{serialize()};
-  }
   if (backing_ &&
       payload.views_body_of(backing_) &&
       backed_header_len_ == header_size() &&
@@ -314,9 +306,6 @@ bool Packet::patch_backing() {
 FrameHandle Packet::serialize_sg(const SharedPayload& tail) const {
   NETCLONE_CHECK(payload.size() == tail.size(),
                  "packet payload does not match the scatter-gather tail");
-  if (!packet_fastpath_enabled()) {
-    return FrameHandle{serialize()};  // legacy baseline: full rebuild
-  }
   const std::size_t hdr = header_size();
   const std::size_t total = hdr + tail.size();
   FrameHandle head = FrameHandle::allocate(hdr);

@@ -88,8 +88,7 @@ class Packet {
   /// small header builds plus N refcount bumps on the tail. The packet's
   /// `payload` must hold the same bytes as `tail` (a view from
   /// tail.ref(), typically); the result is byte-identical to
-  /// serialize(). Falls back to the legacy rebuild when the fast path
-  /// is disabled.
+  /// serialize().
   [[nodiscard]] FrameHandle serialize_sg(const SharedPayload& tail) const;
 
   [[nodiscard]] bool has_netclone() const { return netclone.has_value(); }

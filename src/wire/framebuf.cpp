@@ -9,8 +9,6 @@ namespace netclone::wire {
 
 namespace {
 
-bool g_fastpath_enabled = true;
-
 /// Pool the current thread allocates from when one is bound (the running
 /// experiment's pool); nullptr falls back to the process-wide singleton.
 thread_local FramePool* g_bound_pool = nullptr;
@@ -21,11 +19,6 @@ FramePool* FramePool::bind_to_thread(FramePool* pool) {
   FramePool* prev = g_bound_pool;
   g_bound_pool = pool;
   return prev;
-}
-
-bool packet_fastpath_enabled() { return g_fastpath_enabled; }
-void set_packet_fastpath_enabled(bool enabled) {
-  g_fastpath_enabled = enabled;
 }
 
 // -- FramePool --------------------------------------------------------------

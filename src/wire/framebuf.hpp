@@ -359,11 +359,4 @@ class PayloadRef {
   bool is_view_ = false;
 };
 
-/// Global switch for the zero-copy packet path. When disabled, parsing
-/// from a FrameHandle falls back to the legacy copying parse and
-/// serialization always rebuilds the frame — the comparison baseline for
-/// bench_packet_path.
-[[nodiscard]] bool packet_fastpath_enabled();
-void set_packet_fastpath_enabled(bool enabled);
-
 }  // namespace netclone::wire

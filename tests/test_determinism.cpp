@@ -5,12 +5,17 @@
 // reuse, heap tombstones, cancellation) may leak into the observable
 // schedule. Running an identical fig7-style cluster twice must therefore
 // execute the exact same event sequence and measure the exact same
-// latency distribution.
+// latency distribution. The golden pins at the end compare runs with
+// recorded values instead, so they also catch a change that is
+// deterministic but computes something different.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "chaos_util.hpp"
 #include "harness/experiment.hpp"
+#include "harness/faults.hpp"
+#include "harness/invariants.hpp"
 #include "host/service.hpp"
 #include "host/workload.hpp"
 
@@ -76,6 +81,70 @@ TEST(Determinism, DifferentSeedsProduceDifferentSchedules) {
   // Not a hard guarantee of the engine, but with randomized workloads two
   // seeds agreeing event-for-event would mean seeding is broken.
   EXPECT_NE(a.executed_events, c.executed_events);
+}
+
+// -- golden pins -------------------------------------------------------------
+//
+// The tests above compare a run with itself; these compare it with a
+// recorded result. Each value was taken from a build that still carried a
+// second (event-coalescing) delivery path and was identical with that
+// path on and off, so they pin what the single data path computes across
+// commits: a change that moves one changes simulated behaviour, not just
+// speed.
+
+struct Pin {
+  std::uint64_t chaos_digest;
+  std::uint64_t completed;
+  std::int64_t p99_ns;
+  std::uint64_t executed_events;
+};
+
+void expect_pinned(const ClusterConfig& cfg, const Pin& pin) {
+  Experiment exp{cfg};
+  const ExperimentResult result = exp.run();
+  const InvariantReport report = audit_invariants(exp);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(chaos_digest(exp), pin.chaos_digest);
+  EXPECT_EQ(result.completed, pin.completed);
+  EXPECT_EQ(result.p99.ns(), pin.p99_ns);
+  EXPECT_EQ(exp.executed_events(), pin.executed_events);
+}
+
+TEST(Determinism, GoldenPinCleanChaosCluster) {
+  // Retransmission armed, so the shared payload tail path is on the wire.
+  expect_pinned(testing::chaos_cluster(/*seed=*/77),
+                Pin{16285795639020488588ULL, 279, 130560, 5817});
+}
+
+TEST(Determinism, GoldenPinRandomFaultPlan) {
+  // Combo 0 of the chaos sweep: crashes, reboots, outages, impairments.
+  ClusterConfig cfg = testing::chaos_cluster(/*seed=*/1000);
+  Rng plan_rng{0xC0FFEE};
+  cfg.faults = testing::random_fault_plan(
+      plan_rng, cfg.server_workers.size(), cfg.num_clients);
+  expect_pinned(cfg, Pin{9372497587463027074ULL, 296, 585728, 5826});
+}
+
+TEST(Determinism, GoldenPinImpairedLinks) {
+  // Drops shrink a link's delivery FIFO, duplicates share buffers and
+  // reorders swap frames between reserved slots.
+  ClusterConfig cfg = testing::chaos_cluster(/*seed=*/9);
+  const auto impair = [](const char* link, FaultAction action,
+                         double rate) {
+    FaultEvent ev;
+    ev.at = SimTime::microseconds(600.0);
+    ev.target = link;
+    ev.action = action;
+    ev.value = rate;
+    return ev;
+  };
+  cfg.faults.events = {
+      impair("c0-sw0", FaultAction::kDropRate, 0.02),
+      impair("sw0-s1", FaultAction::kReorderRate, 0.05),
+      impair("s2-sw0", FaultAction::kDuplicateRate, 0.03),
+      impair("sw0-c1", FaultAction::kCorruptRate, 0.02),
+  };
+  expect_pinned(cfg, Pin{12659393880771537727ULL, 269, 464896, 5309});
 }
 
 }  // namespace

@@ -22,18 +22,6 @@
 namespace netclone::wire {
 namespace {
 
-/// Restores the global fast-path toggle on scope exit.
-class FastpathGuard {
- public:
-  explicit FastpathGuard(bool enabled) : saved_(packet_fastpath_enabled()) {
-    set_packet_fastpath_enabled(enabled);
-  }
-  ~FastpathGuard() { set_packet_fastpath_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 Frame bytes_of(std::initializer_list<unsigned> values) {
   Frame out;
   out.reserve(values.size());
@@ -396,18 +384,6 @@ TEST(PacketFastpath, PayloadGrowthFallsBackToFullRebuild) {
   EXPECT_EQ(pkt.serialize_pooled().to_frame(), expected);
 }
 
-TEST(PacketFastpath, DisabledToggleReproducesLegacyBehavior) {
-  FastpathGuard guard{false};
-  Rng rng{0x0FF0};
-  Packet built = sample_packet(rng, 40);
-  const FrameHandle incoming = FrameHandle::copy_of(built.serialize());
-  Packet pkt = Packet::parse_backed(incoming);
-  EXPECT_FALSE(pkt.backed());          // legacy parse: no backing retained
-  EXPECT_FALSE(pkt.payload.is_view());  // payload copied, not viewed
-  pkt.ip.dst = Ipv4Address{rng.next_u32()};
-  EXPECT_EQ(pkt.serialize_pooled().to_frame(), pkt.serialize());
-}
-
 // -- RFC 1624 corner cases --------------------------------------------------
 
 // Searches mutations that drive the patched IPv4 checksum through the
@@ -586,17 +562,6 @@ TEST(PacketScatterGather, FragmentFanOutSharesOneTailBuffer) {
   EXPECT_EQ(f0.to_frame(), pkt.serialize());
   pkt.nc().frag_idx = 1;
   EXPECT_EQ(f1.to_frame(), pkt.serialize());
-}
-
-TEST(PacketScatterGather, DisabledToggleFallsBackToLegacy) {
-  FastpathGuard guard{false};
-  Rng rng{0x70FF};
-  const Frame payload = random_payload(rng, 40);
-  const SharedPayload tail = SharedPayload::of(payload);
-  Packet pkt = sg_packet(rng, tail);
-  const FrameHandle out = pkt.serialize_sg(tail);
-  EXPECT_FALSE(out.split());  // full rebuild, nothing shared
-  EXPECT_EQ(out.to_frame(), pkt.serialize());
 }
 
 TEST(PacketScatterGather, MismatchedTailSizeThrows) {

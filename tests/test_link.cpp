@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "phys/node.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -15,6 +17,22 @@ using netclone::testing::CaptureNode;
 wire::Frame frame_of_size(std::size_t n) {
   return wire::Frame(n, std::byte{0x42});
 }
+
+/// Records the simulated instant of every arrival.
+class ArrivalClock : public Node {
+ public:
+  explicit ArrivalClock(const sim::Simulator& sim)
+      : Node("clock"), sim_(sim) {}
+  void handle_frame(std::size_t /*port*/,
+                    wire::FrameHandle /*frame*/) override {
+    arrivals.push_back(sim_.now());
+  }
+
+  std::vector<SimTime> arrivals;
+
+ private:
+  const sim::Simulator& sim_;
+};
 
 TEST(Link, DeliversWithPropagationAndSerializationDelay) {
   sim::Simulator sim;
@@ -122,6 +140,25 @@ TEST(Link, BusyLinkHoldsOneDeliveryEvent) {
   sim.run();
   EXPECT_EQ(dst.received.size(), 5U);
   EXPECT_EQ(link.in_flight(), 0U);
+}
+
+TEST(Link, BackToBackFramesDeliverOneEventEach) {
+  sim::Simulator sim;
+  ArrivalClock dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;  // 125 bytes = 1 us serialization
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+
+  for (int i = 0; i < 3; ++i) {
+    link.transmit(frame_of_size(125));
+  }
+  sim.run();
+  // One delivery event per frame, each at its own serialization-spaced
+  // instant.
+  EXPECT_EQ(dst.arrivals, (std::vector<SimTime>{1_us, 2_us, 3_us}));
+  EXPECT_EQ(sim.executed_events(), 3U);
 }
 
 TEST(Link, DownClearsInFlightAndCancelsDelivery) {

@@ -1,6 +1,7 @@
 // Determinism and correctness of the fat-tree harness: for both
 // aggregation modes, a same-seed rerun must reproduce the run bit for
-// bit with a clean audit and balanced frame pool; in replicated mode a
+// bit with a clean audit and balanced frame pool (and the replicated
+// pod must match its recorded golden pin); in replicated mode a
 // clone must actually cross racks through the NetClone-aware
 // aggregation tier and every chain replica must converge to the
 // identical soft-state image (the auditor's replica-convergence
@@ -87,6 +88,19 @@ TEST(FatTree, ObliviousSameSeedRerunsAreIdentical) {
 TEST(FatTree, ReplicatedSameSeedRerunsAreIdentical) {
   expect_same_seed_rerun_identical(fattree_config(AggMode::kReplicated),
                                    "replicated");
+}
+
+TEST(FatTree, ReplicatedGoldenPin) {
+  // Recorded from a build that still carried a second (event-coalescing)
+  // delivery path, identical with it on and off: pins what the pod
+  // computes across commits, where the rerun test above only compares a
+  // run with itself.
+  const RunOutcome run =
+      audited_run(fattree_config(AggMode::kReplicated));
+  EXPECT_EQ(run.digest, 17968293185748439149ULL);
+  EXPECT_EQ(run.completed, 1426u);
+  EXPECT_EQ(run.p99_ns, 160768);
+  EXPECT_EQ(run.executed, 46080u);
 }
 
 TEST(FatTree, ReplicatedTierClonesAcrossRacks) {

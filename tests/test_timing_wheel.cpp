@@ -137,7 +137,7 @@ TEST(TimingWheel, ReservedSeqsMaterializedOutOfOrderFireInSeqOrder) {
 }
 
 TEST(TimingWheel, ReservationMaterializedMidDrainKeepsItsPlace) {
-  // The deferred-scheduler pattern (link FIFO, switch egress FIFO): a
+  // The deferred-scheduler pattern (the link delivery FIFO): a
   // callback materializes a reservation at the very tick being drained,
   // with a seq smaller than entries already waiting in the bucket.
   Simulator sim;
