@@ -48,6 +48,5 @@ int main() {
   check.expect(results[1].back().result.dropped_stale_clones >=
                    results[0].back().result.dropped_stale_clones,
                "worker-free drops at least as many stale clones at 0.9");
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

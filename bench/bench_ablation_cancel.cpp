@@ -63,6 +63,5 @@ int main() {
                    5.0 * with_cancel[0].result.p99.us(),
                "beyond the tipping point cancellation cannot save "
                "C-Clone's halved capacity");
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

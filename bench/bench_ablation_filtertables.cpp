@@ -52,6 +52,5 @@ int main() {
   check.expect(leak_rates[0] < 0.05,
                "even the worst case leaks <5% of cloned requests "
                "(overwrite keeps slots fresh)");
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

@@ -57,6 +57,5 @@ int main() {
                "C-Clone peak ~ half of NetClone (static 2x cloning)");
   check.expect(peak_netclone > 0.8 * capacity,
                "NetClone reaches the cluster capacity");
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

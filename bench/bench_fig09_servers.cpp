@@ -50,6 +50,5 @@ int main() {
                      " servers: throughput grows with cluster size");
     prev_netclone_peak = peak;
   }
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

@@ -81,6 +81,5 @@ int main() {
               ": integration <= plain NetClone at 0.9 load");
     }
   }
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

@@ -74,6 +74,5 @@ int main() {
                "(occasional inversions expected, cf. paper)");
   check.expect(netclone_p99.stddev() > 0.0,
                "(b) run-to-run variance exists at very high load");
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

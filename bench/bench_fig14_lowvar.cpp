@@ -73,6 +73,5 @@ int main() {
                      "x) below p=0.01 (" + std::to_string(gain_high) +
                      "x)");
   }
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

@@ -62,6 +62,5 @@ int main() {
   }
   check.expect(worse_than_baseline,
                "high load: no-filter NetClone falls below the baseline");
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(nofault.digest));
   (void)clean_bins;
 
-  check.report();
+  const bool shape_ok = check.report();
 
   std::ofstream out{out_path};
   out << "{\n"
@@ -170,5 +170,5 @@ int main(int argc, char** argv) {
       << "  \"fig16_nofault_digest\": " << nofault.digest << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return shape_ok ? 0 : 1;
 }

@@ -87,8 +87,7 @@ inline int run_kv_figure(const char* figure,
                      "(measured ratio " +
                      std::to_string(tput_ratio) + ")");
   }
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }
 
 }  // namespace netclone::bench

@@ -59,6 +59,5 @@ int main() {
               "p99 @0.4 = %.1f us, NetClone p99 @0.4 = %.1f us — "
               "state-signal lag under bursts, cf. paper §5.3 herding\n",
               baseline[3].result.p99.us(), netclone[3].result.p99.us());
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

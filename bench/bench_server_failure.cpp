@@ -64,6 +64,5 @@ int main() {
   check.expect(ps.missing_route_drops < 200,
                "stale-group-id drops are bounded to in-flight requests");
   check.expect(ps.cloned_requests > 0, "cloning active throughout");
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

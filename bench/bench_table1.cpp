@@ -92,6 +92,5 @@ int main() {
                "NetClone cloning decision adds sub-microsecond latency");
   check.expect(le_low.p50.us() > bl_low.p50.us() + 3.0,
                "LAEDGE coordinator adds microseconds per request");
-  check.report();
-  return 0;
+  return check.report() ? 0 : 1;
 }

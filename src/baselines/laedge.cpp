@@ -50,13 +50,15 @@ void LaedgeCoordinator::handle_frame(std::size_t /*port*/,
       return;
     }
   }
-  // Receive path: the packet waits for the coordinator CPU.
-  sim_.schedule_at(charge_cpu(), [this, pkt = std::move(pkt)]() mutable {
-    on_cpu(std::move(pkt));
-  });
+  // Receive path: the packet waits for the coordinator CPU. Its events
+  // fire in charge order, so each one takes the rx queue's front.
+  rx_queue_.push_back(std::move(pkt));
+  sim_.schedule_at(charge_cpu(), [this] { on_cpu(); });
 }
 
-void LaedgeCoordinator::on_cpu(wire::Packet pkt) {
+void LaedgeCoordinator::on_cpu() {
+  wire::Packet pkt = std::move(rx_queue_.front());
+  rx_queue_.pop_front();
   if (pkt.nc().is_request()) {
     admit_request(std::move(pkt));
   } else {
@@ -125,10 +127,7 @@ void LaedgeCoordinator::dispatch(const wire::Packet& pkt, std::size_t w) {
   // Transmit path: each copy occupies the CPU again before hitting the NIC.
   // Both clone copies of a request share the payload bytes of the original
   // frame; only the patched header region is private per copy.
-  sim_.schedule_at(charge_cpu(),
-                   [this, bytes = out.serialize_pooled()]() mutable {
-                     send(0, std::move(bytes));
-                   });
+  send_at(0, charge_cpu(), out.serialize_pooled());
 }
 
 void LaedgeCoordinator::on_response(wire::Packet&& pkt) {
@@ -158,10 +157,7 @@ void LaedgeCoordinator::on_response(wire::Packet&& pkt) {
       out.ip.dst = state.client_ip;
       out.udp.dst_port = state.client_port;
       out.udp.src_port = wire::kNetClonePort;
-      sim_.schedule_at(charge_cpu(),
-                       [this, bytes = out.serialize_pooled()]() mutable {
-                         send(0, std::move(bytes));
-                       });
+      send_at(0, charge_cpu(), out.serialize_pooled());
     } else {
       ++stats_.absorbed_duplicates;  // slower clone: CPU paid, then dropped
     }

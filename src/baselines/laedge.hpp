@@ -83,7 +83,8 @@ class LaedgeCoordinator : public phys::Node {
     return static_cast<std::uint64_t>(client_id) << 32 | client_seq;
   }
 
-  void on_cpu(wire::Packet pkt);
+  /// The CPU reaches the rx queue's front packet.
+  void on_cpu();
   void admit_request(wire::Packet&& pkt);
   void on_response(wire::Packet&& pkt);
   /// Dispatches one copy of `pkt` to worker `w`, charging CPU for the tx.
@@ -101,6 +102,8 @@ class LaedgeCoordinator : public phys::Node {
   wire::MacAddress my_mac_;
 
   SimTime cpu_busy_until_ = SimTime::zero();
+  /// Received packets waiting for the CPU, in arrival order.
+  std::deque<wire::Packet> rx_queue_;
   std::vector<std::uint32_t> outstanding_;  // per worker
   std::deque<wire::Packet> pending_;
   /// Outstanding requests keyed by (client_id, client_seq) — on the

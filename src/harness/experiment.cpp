@@ -273,8 +273,14 @@ void Experiment::install_fault_plan(const FaultPlan& plan) {
   for (const FaultEvent& event : plan.events) {
     reject_fat_tree_action(event.action);
   }
+  // The events live in fault_events_ and each timed event captures its
+  // index, which keeps the capture inside EventCallback's inline storage.
   for (const FaultEvent& event : plan.events) {
-    scheduler().schedule_at(event.at, [this, event] { apply_fault(event); });
+    const std::size_t index = fault_events_.size();
+    fault_events_.push_back(event);
+    scheduler().schedule_at(event.at, [this, index] {
+      apply_fault(fault_events_[index]);
+    });
   }
 }
 

@@ -184,6 +184,8 @@ class Experiment {
   std::vector<host::Client*> clients_;
   /// Directed links keyed by `<src>-<dst>` harness names.
   std::vector<std::pair<std::string, phys::Link*>> links_;
+  /// Every installed fault event; the scheduled events index into it.
+  std::vector<FaultEvent> fault_events_;
   baselines::LaedgeCoordinator* coordinator_ = nullptr;
   // Exactly one of these is loaded, depending on the scheme.
   std::shared_ptr<core::NetCloneProgram> netclone_program_;

@@ -87,9 +87,10 @@ void audit_switch(InvariantReport& report, const std::string& who,
             " != parse_errors + dropped_by_program + "
             "dropped_while_failed + egress_scheduled = " +
             u64(accounted));
-  // Emissions can only come from scheduled egress passes; <= because
-  // frames still traversing the pipeline have been scheduled but not yet
-  // emitted (and failed-mid-flight frames are flushed).
+  // Every copy of a pass that sent to egress ends in exactly one of
+  // tx_frames (handed to a link), recirculated, or flushed_in_pipeline
+  // (lost to a failure inside the pipeline); <= because a loopback copy
+  // still traversing the pipeline has been sent but not yet counted.
   check(report,
         sw.tx_frames + sw.recirculated + sw.flushed_in_pipeline >
             sw.egress_scheduled + sw.multicast_copies,

@@ -398,7 +398,7 @@ void MultiRackExperiment::build() {
           }
         });
   }
-  install_fault_plan(config_.faults);
+  install_fault_plan();
 }
 
 std::uint64_t MultiRackExperiment::impairment_seed(
@@ -406,8 +406,10 @@ std::uint64_t MultiRackExperiment::impairment_seed(
   return mix64(config_.seed ^ fnv1a(std::string_view{name}));
 }
 
-void MultiRackExperiment::install_fault_plan(const FaultPlan& plan) {
-  for (const FaultEvent& event : plan.events) {
+void MultiRackExperiment::install_fault_plan() {
+  const std::vector<FaultEvent>& events = config_.faults.events;
+  for (std::size_t index = 0; index < events.size(); ++index) {
+    const FaultEvent& event = events[index];
     switch (event.action) {
       case FaultAction::kAggFail: {
         NETCLONE_CHECK(chain_controller_ != nullptr,
@@ -444,8 +446,11 @@ void MultiRackExperiment::install_fault_plan(const FaultPlan& plan) {
         break;
       }
       default:
-        scheduler().schedule_at(event.at,
-                                [this, event] { apply_fault(event); });
+        // Captures the index into config_.faults, not the event (its
+        // target string would not fit EventCallback's inline storage).
+        scheduler().schedule_at(event.at, [this, index] {
+          apply_fault(config_.faults.events[index]);
+        });
         break;
     }
   }

@@ -156,7 +156,9 @@ class MultiRackExperiment {
 
  private:
   void build();
-  void install_fault_plan(const FaultPlan& plan);
+  /// Schedules config_.faults; its events stay there and the scheduled
+  /// events index into them.
+  void install_fault_plan();
   [[nodiscard]] std::uint64_t impairment_seed(const std::string& name) const;
   /// topology_->connect() with the pod's per-link delay skew.
   phys::DuplexPorts connect_nodes(phys::Node& a, phys::Node& b,

@@ -146,7 +146,7 @@ bool ShapeCheck::report() const {
     std::printf("  [%s] %s\n", e.ok ? "ok" : "MISS", e.label.c_str());
     all_ok = all_ok && e.ok;
   }
-  std::printf("SHAPE-CHECK verdict: %s\n", all_ok ? "PASS" : "PARTIAL");
+  std::printf("SHAPE-CHECK verdict: %s\n", all_ok ? "PASS" : "FAIL");
   return all_ok;
 }
 

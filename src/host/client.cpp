@@ -183,7 +183,7 @@ void Client::issue_request() {
   ++stats_.requests_sent;
 
   send_all_packets(pending, seq);
-  outstanding_.emplace(seq, pending);
+  outstanding_.insert_or_assign(seq, std::move(pending));
   arm_retransmit_timer(seq);
 }
 
@@ -275,17 +275,17 @@ void Client::arm_retransmit_timer(std::uint32_t client_seq) {
   if (params_.retransmit_timeout <= SimTime::zero()) {
     return;
   }
-  auto armed = outstanding_.find(client_seq);
-  if (armed == outstanding_.end()) {
+  Pending* armed = outstanding_.find(client_seq);
+  if (armed == nullptr) {
     return;
   }
-  armed->second.retransmit_event = sim_.schedule_after(
-      retransmit_delay(armed->second.retries), [this, client_seq] {
-        auto it = outstanding_.find(client_seq);
-        if (it == outstanding_.end()) {
+  armed->retransmit_event = sim_.schedule_after(
+      retransmit_delay(armed->retries), [this, client_seq] {
+        Pending* found = outstanding_.find(client_seq);
+        if (found == nullptr) {
           return;  // completed meanwhile
         }
-        Pending& pending = it->second;
+        Pending& pending = *found;
         pending.retransmit_event = sim::EventId{};
         if (pending.retries >= params_.max_retransmits) {
           return;  // give up; the request stays incomplete
@@ -343,15 +343,11 @@ wire::FrameHandle Client::emit_request(const wire::RpcRequest& req,
 void Client::emit_frame(wire::FrameHandle bytes) {
   // Sender thread: serial per-packet cost delays actual emission; the
   // request's latency clock started at the (open-loop) arrival instant.
-  // The handle is moved, not copied, into the send event — and being 24
-  // bytes it fits the scheduler's inline-callback storage.
+  // The frame goes to the link now, ready when the thread has paid for it.
   const SimTime start = std::max(sim_.now(), tx_busy_until_);
   tx_busy_until_ = start + params_.tx_cost;
   ++stats_.packets_sent;
-  sim_.schedule_at(tx_busy_until_,
-                   [this, bytes = std::move(bytes)]() mutable {
-                     send(0, std::move(bytes));
-                   });
+  send_at(0, tx_busy_until_, std::move(bytes));
 }
 
 void Client::send_cancel(const Pending& pending, std::uint32_t client_seq,
@@ -386,77 +382,90 @@ void Client::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
   if (!pkt.has_netclone() || !pkt.nc().is_response()) {
     return;
   }
+  // Keep only what the application reads; the frame goes back to the
+  // pool now rather than after the receiver thread's delay.
+  const wire::NetCloneHeader& nc = pkt.nc();
+  Response resp;
+  resp.client_seq = nc.client_seq;
+  resp.responder = pkt.ip.src;
+  resp.frag_idx = nc.frag_idx;
+  resp.frag_count = nc.frag_count;
+  if (!pkt.payload.empty()) {
+    // The payload-bearing fragment carries the server's decomposition.
+    try {
+      const wire::RpcResponse body =
+          wire::RpcResponse::peek(pkt.payload);
+      resp.server_wait_ns = body.queue_wait_ns;
+      resp.server_service_ns = body.service_ns;
+      resp.has_decomposition = true;
+    } catch (const wire::CodecError&) {
+      // tolerate foreign payloads; the decomposition is not updated
+    }
+  }
   // Receiver thread: every arriving response — wanted or redundant — costs
   // rx_cost of serial CPU before the application sees it.
   const SimTime done = std::max(sim_.now(), rx_busy_until_) + params_.rx_cost;
   rx_busy_until_ = done;
-  sim_.schedule_at(done, [this, pkt = std::move(pkt)]() mutable {
-    on_response_processed(std::move(pkt));
-  });
+  sim_.schedule_at(done, [this, resp] { on_response_processed(resp); });
 }
 
-void Client::on_response_processed(wire::Packet pkt) {
-  const wire::NetCloneHeader& nc = pkt.nc();
-  auto it = outstanding_.find(nc.client_seq);
-  if (it == outstanding_.end()) {
-    if (was_completed(nc.client_seq)) {
+void Client::on_response_processed(const Response& resp) {
+  Pending* found = outstanding_.find(resp.client_seq);
+  if (found == nullptr) {
+    if (was_completed(resp.client_seq)) {
       ++stats_.redundant_responses;
     } else {
       ++stats_.unmatched_responses;
     }
     return;
   }
-  Pending& pending = it->second;
+  Pending& pending = *found;
   // Multi-packet responses complete when every fragment ordinal has been
   // seen once; a repeated ordinal is a redundant duplicate (a clone's
   // response that slipped past the filter).
-  const std::uint64_t bit = std::uint64_t{1} << (nc.frag_idx & 63U);
+  const std::uint64_t bit = std::uint64_t{1} << (resp.frag_idx & 63U);
   if ((pending.frag_mask & bit) != 0) {
     ++stats_.redundant_responses;
     return;
   }
   pending.frag_mask |= bit;
-  if (!pkt.payload.empty()) {
-    // The payload-bearing fragment carries the server's decomposition.
-    try {
-      const wire::RpcResponse body =
-          wire::RpcResponse::from_frame(pkt.payload);
-      pending.server_wait_ns = body.queue_wait_ns;
-      pending.server_service_ns = body.service_ns;
-    } catch (const wire::CodecError&) {
-      // tolerate foreign payloads; decomposition stays zero
-    }
+  if (resp.has_decomposition) {
+    pending.server_wait_ns = resp.server_wait_ns;
+    pending.server_service_ns = resp.server_service_ns;
   }
   if (std::popcount(pending.frag_mask) <
-      static_cast<int>(nc.frag_count)) {
+      static_cast<int>(resp.frag_count)) {
     return;  // waiting for the remaining fragments
   }
-  mark_completed(nc.client_seq);
+  mark_completed(resp.client_seq);
   // The retransmit timeout is dead weight now — O(1)-cancel it so the
   // engine truly removes the event instead of firing a no-op later.
   sim_.cancel(pending.retransmit_event);
   ++stats_.completed;
   if (params_.mode == SendMode::kCClone && params_.cclone_cancel) {
-    send_cancel(pending, nc.client_seq, pkt.ip.src);
+    send_cancel(pending, resp.client_seq, resp.responder);
   }
+  // Read the entry before issuing: a closed-loop issue inserts into the
+  // table, and an insert may move every entry.
+  const SimTime sent_at = pending.sent_at;
+  const std::uint32_t server_wait_ns = pending.server_wait_ns;
+  const std::uint32_t server_service_ns = pending.server_service_ns;
   if (params_.loop == LoopMode::kClosedLoop) {
     issue_request();  // keep the window full
   }
   const SimTime now = sim_.now();
-  if (pending.sent_at >= params_.warmup_until) {
-    stats_.latency.record(now - pending.sent_at);
-    stats_.server_queue_wait.record(
-        SimTime::nanoseconds(pending.server_wait_ns));
-    stats_.server_service.record(
-        SimTime::nanoseconds(pending.server_service_ns));
+  if (sent_at >= params_.warmup_until) {
+    stats_.latency.record(now - sent_at);
+    stats_.server_queue_wait.record(SimTime::nanoseconds(server_wait_ns));
+    stats_.server_service.record(SimTime::nanoseconds(server_service_ns));
   }
   if (now >= params_.warmup_until && now <= params_.stop_at) {
     ++stats_.completed_in_window;
   }
   // The completion bit now classifies any late duplicate, so the entry
   // (and the retransmit buffers it caches) can go. Erased by key: the
-  // closed-loop issue above may have rehashed the table.
-  outstanding_.erase(nc.client_seq);
+  // closed-loop issue above may have moved it.
+  outstanding_.erase(resp.client_seq);
 }
 
 void Client::mark_completed(std::uint32_t client_seq) {

@@ -11,9 +11,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -241,6 +241,19 @@ class Client : public phys::Node {
     /// the event — and the closure it holds — is freed immediately.
     sim::EventId retransmit_event{};
   };
+  /// What the application reads from one response, taken at arrival so
+  /// the receiver-thread event carries a few scalars, not the packet.
+  struct Response {
+    std::uint32_t client_seq = 0;
+    wire::Ipv4Address responder{};
+    std::uint32_t server_wait_ns = 0;
+    std::uint32_t server_service_ns = 0;
+    std::uint8_t frag_idx = 0;
+    std::uint8_t frag_count = 0;
+    /// The payload parsed as an RPC response (it carried the server's
+    /// wait/service pair).
+    bool has_decomposition = false;
+  };
 
   void issue_request();
   void on_arrival();
@@ -264,7 +277,7 @@ class Client : public phys::Node {
   /// Backoff delay before retry number `retries` (0-based), jittered
   /// from the dedicated retry stream.
   [[nodiscard]] SimTime retransmit_delay(std::uint32_t retries);
-  void on_response_processed(wire::Packet pkt);
+  void on_response_processed(const Response& resp);
   void mark_completed(std::uint32_t client_seq);
   [[nodiscard]] bool was_completed(std::uint32_t client_seq) const;
 
@@ -286,8 +299,9 @@ class Client : public phys::Node {
   SimTime rx_busy_until_ = SimTime::zero();
   SimTime burst_on_until_ = SimTime::zero();  // end of the current ON window
   std::uint32_t next_seq_ = 1;
-  /// Requests in flight, keyed by CLIENT_SEQ; erased on completion.
-  std::unordered_map<std::uint32_t, Pending> outstanding_;
+  /// Requests in flight, keyed by CLIENT_SEQ; erased on completion. An
+  /// insert may move entries, so no Pending& survives issue_request().
+  FlatMap64<Pending> outstanding_;
   /// One bit per CLIENT_SEQ, set when that request completed: a response
   /// for a seq missing from outstanding_ is a late duplicate (bit set) or
   /// one that matches nothing this client issued (bit clear).

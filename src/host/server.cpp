@@ -51,23 +51,24 @@ void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
   // header, the return route, and the payload as a zero-copy view (the
   // view's keepalive pins the received frame; the headers' bytes are
   // done with).
-  PendingRequest req;
-  req.nc = pkt.nc();
-  req.from = ResponseRoute{pkt.eth.src, pkt.ip.src, pkt.udp.src_port};
-  req.payload = std::move(pkt.payload);
+  dispatch_queue_.push_back(PendingRequest{
+      pkt.nc(), ResponseRoute{pkt.eth.src, pkt.ip.src, pkt.udp.src_port},
+      std::move(pkt.payload)});
   // The dispatcher thread is a serial resource: packets are picked up one
-  // at a time, `dispatch_cost` apart when busy.
+  // at a time, `dispatch_cost` apart when busy. Its events fire in
+  // enqueue order, so each one takes the dispatch queue's front.
   const SimTime now = sim_.now();
   const SimTime start = std::max(now, dispatcher_busy_until_);
   dispatcher_busy_until_ = start + params_.dispatch_cost;
-  sim_.schedule_at(dispatcher_busy_until_,
-                   [this, epoch = epoch_, req = std::move(req)]() mutable {
-                     if (epoch != epoch_) {
-                       ++stats_.abandoned_in_flight;
-                       return;  // the dispatcher died with the crash
-                     }
-                     on_dispatch(std::move(req));
-                   });
+  sim_.schedule_at(dispatcher_busy_until_, [this, epoch = epoch_] {
+    if (epoch != epoch_) {
+      ++stats_.abandoned_in_flight;
+      return;  // the dispatcher died with the crash
+    }
+    PendingRequest req = std::move(dispatch_queue_.front());
+    dispatch_queue_.pop_front();
+    on_dispatch(std::move(req));
+  });
 }
 
 void Server::on_cancel(const wire::NetCloneHeader& nc) {
@@ -210,16 +211,27 @@ void Server::try_start_worker() {
     exec = SimTime::nanoseconds(static_cast<std::int64_t>(
         static_cast<double>(exec.ns()) * slowdown_));
   }
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_service_.size());
+    in_service_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  in_service_[slot] = InService{std::move(req), rpc, queue_wait, exec};
   sim_.schedule_after(exec + params_.response_tx_cost,
-                      [this, epoch = epoch_, queue_wait, exec, rpc,
-                       req = std::move(req)]() mutable {
+                      [this, epoch = epoch_, slot] {
                         if (epoch != epoch_) {
                           // The worker's result died with the crash;
-                          // busy_workers_ was reset there.
+                          // busy_workers_ and the slots were reset there.
                           ++stats_.abandoned_in_flight;
                           return;
                         }
-                        on_complete(std::move(req), rpc, queue_wait, exec);
+                        InService done = std::move(in_service_[slot]);
+                        free_slots_.push_back(slot);
+                        on_complete(std::move(done.req), done.rpc,
+                                    done.queue_wait, done.service);
                       });
 }
 
@@ -229,6 +241,9 @@ void Server::crash() {
   crashed_ = true;
   paused_ = false;
   queue_.clear();
+  dispatch_queue_.clear();
+  in_service_.clear();
+  free_slots_.clear();
   partials_.clear();
   paused_rx_.clear();
   busy_workers_ = 0;

@@ -160,6 +160,14 @@ class Server : public phys::Node {
     PendingRequest req;
     SimTime enqueued_at;
   };
+  /// A request a worker is executing, parked until its completion event
+  /// (which captures only the slot index).
+  struct InService {
+    PendingRequest req{};
+    wire::RpcRequest rpc{};
+    SimTime queue_wait{};
+    SimTime service{};
+  };
 
   void on_dispatch(PendingRequest req);
   void on_cancel(const wire::NetCloneHeader& nc);
@@ -180,7 +188,14 @@ class Server : public phys::Node {
   wire::MacAddress my_mac_;
 
   SimTime dispatcher_busy_until_ = SimTime::zero();
+  /// Requests received and waiting for the dispatcher thread, in arrival
+  /// order; each dispatch event pops the front.
+  std::deque<PendingRequest> dispatch_queue_;
   std::deque<QueueEntry> queue_;
+  /// Requests in execution, indexed by the slot their completion event
+  /// captured; free_slots_ lists the reusable ones.
+  std::vector<InService> in_service_;
+  std::vector<std::uint32_t> free_slots_;
   /// Reassembly table, slab-allocated: partials live inline in the flat
   /// map's contiguous slot array (no per-entry heap node), keyed by the
   /// client tuple. Presized at construction so the dispatch path never
@@ -192,7 +207,8 @@ class Server : public phys::Node {
   std::uint64_t dispatch_counter_ = 0;
   std::uint32_t busy_workers_ = 0;
   /// Bumped by crash(); scheduled dispatch/completion events carry the
-  /// epoch they were created in and no-op when it is stale.
+  /// epoch they were created in and no-op when it is stale, before they
+  /// touch dispatch_queue_ or in_service_ (crash() clears both).
   std::uint64_t epoch_ = 0;
   bool crashed_ = false;
   bool paused_ = false;

@@ -27,6 +27,8 @@ wire::FrameHandle corrupt_copy(const wire::FrameHandle& frame, Rng& rng) {
   return copy;
 }
 
+constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 61) - 1;
+
 }  // namespace
 
 Link::Link(sim::Scheduler& scheduler, LinkParams params)
@@ -49,18 +51,26 @@ SimTime Link::serialization_time(std::size_t bytes) const {
 }
 
 void Link::transmit(wire::FrameHandle frame) {
+  transmit_at(sim_.now(), std::move(frame));
+}
+
+void Link::transmit_at(SimTime ready, wire::FrameHandle frame) {
+  NETCLONE_CHECK(ready >= sim_.now(), "link hand-off ready in the past");
+  NETCLONE_CHECK(ready >= last_ready_,
+                 "link hand-off ready before the previous hand-off's");
+  last_ready_ = ready;
   if (!up_ || dst_ == nullptr) {
     ++stats_.dropped_frames;
     return;
   }
   if (impair_ != nullptr) [[unlikely]] {
-    transmit_impaired(std::move(frame));
+    transmit_impaired(ready, std::move(frame));
     return;
   }
-  enqueue(std::move(frame));
+  enqueue(ready, std::move(frame), /*duplicate=*/false);
 }
 
-void Link::transmit_impaired(wire::FrameHandle frame) {
+void Link::transmit_impaired(SimTime ready, wire::FrameHandle frame) {
   ImpairmentState& st = *impair_;
   // Draw order is fixed (drop, corrupt, duplicate, reorder) and each
   // draw happens only when its rate is non-zero, so a given config
@@ -80,47 +90,114 @@ void Link::transmit_impaired(wire::FrameHandle frame) {
   if (duplicate) {
     dup_copy = frame;  // refcount share; enqueue never mutates bytes
   }
-  enqueue(std::move(frame));
+  enqueue(ready, std::move(frame), /*duplicate=*/false);
   if (duplicate) {
     ++stats_.duplicated_frames;
-    enqueue(std::move(dup_copy));
+    enqueue(ready, std::move(dup_copy), /*duplicate=*/true);
   }
+  // Reorder only while the earlier frame is still in flight at `ready`
+  // (delivered by then, it could not be overtaken), so no frame is ever
+  // delivered before it is ready.
   if (st.cfg.reorder_rate > 0.0 && pending_.size() >= 2 &&
+      pending_[pending_.size() - 2].deliver_at > ready &&
       st.rng.bernoulli(st.cfg.reorder_rate)) {
     // Reorder by swapping the *frames* of the last two FIFO entries.
     // Delivery times, tie-break seqs, and occupancy accounting stay with
     // their slots, so the swap is invisible to the event machinery — the
     // receiver just sees the two frames in the opposite order.
-    std::swap(pending_[pending_.size() - 1].frame,
-              pending_[pending_.size() - 2].frame);
+    InFlight& last = pending_.back();
+    std::swap(last.frame, pending_[pending_.size() - 2].frame);
+    last.swapped ^= 1U;
     ++stats_.reordered_frames;
   }
 }
 
-void Link::enqueue(wire::FrameHandle frame) {
-  const SimTime now = sim_.now();
-  if (busy_until_ > now && queued_ >= params_.queue_capacity) {
+std::size_t Link::occupancy_at(SimTime ready) const {
+  std::size_t freed = 0;
+  // deliver_at never decreases along the FIFO.
+  for (const InFlight& entry : pending_) {
+    if (entry.deliver_at > ready) {
+      break;
+    }
+    if (entry.counted_queued != 0) {
+      ++freed;
+    }
+  }
+  return queued_ - freed;
+}
+
+std::size_t Link::queued() const {
+  std::size_t not_ready = 0;
+  // Ready times never decrease along the FIFO.
+  for (auto it = pending_.rbegin();
+       it != pending_.rend() && it->ready > sim_.now(); ++it) {
+    if (it->counted_queued != 0) {
+      ++not_ready;
+    }
+  }
+  return queued_ - not_ready;
+}
+
+void Link::enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate) {
+  // queued_ bounds the occupancy at `ready` from above; walk the FIFO for
+  // the exact figure only when that bound says the queue may be full.
+  if (busy_until_ > ready && queued_ >= params_.queue_capacity &&
+      occupancy_at(ready) >= params_.queue_capacity) {
     ++stats_.dropped_frames;
     return;
   }
-  const SimTime start = busy_until_ > now ? busy_until_ : now;
-  const SimTime tx = serialization_time(frame.size());
-  busy_until_ = start + tx;
-  const bool counted_queued = start > now;
+  const SimTime start = busy_until_ > ready ? busy_until_ : ready;
+  busy_until_ = start + serialization_time(frame.size());
+  const bool counted_queued = start > ready;
   ++stats_.tx_frames;
   stats_.tx_bytes += frame.size();
-
-  const SimTime deliver_at = busy_until_ + params_.delay;
   if (counted_queued) {
     ++queued_;
   }
-  pending_.push_back(InFlight{deliver_at, sim_.reserve_seq(),
-                              counted_queued, std::move(frame)});
+  pending_.push_back(InFlight{ready, busy_until_ + params_.delay,
+                              sim_.reserve_seq() & kSeqMask,
+                              counted_queued ? 1U : 0U, duplicate ? 1U : 0U,
+                              /*swapped=*/0U, std::move(frame)});
   if (pending_.size() == 1) {
     arm_head();
   }
   // A deeper FIFO already has the event armed for its head; this frame's
   // turn comes when delivery reaches it, under the seq reserved above.
+}
+
+std::size_t Link::retract_not_ready() {
+  std::size_t handoffs = 0;
+  // Ready times never decrease along the FIFO, so the frames to take back
+  // are its tail. Undo from the back: a reorder swap always involves the
+  // tail slot of its time, so reverse order restores every frame. The
+  // slot a swap reaches is still in the FIFO: a swap needs it in flight
+  // at the swapped frame's ready time, which has not passed.
+  while (!pending_.empty() && pending_.back().ready >= sim_.now()) {
+    InFlight& last = pending_.back();
+    if (last.swapped != 0) {
+      std::swap(last.frame, pending_[pending_.size() - 2].frame);
+    }
+    if (last.counted_queued != 0) {
+      --queued_;
+    }
+    --stats_.tx_frames;
+    stats_.tx_bytes -= last.frame.size();
+    if (last.duplicate == 0) {
+      ++handoffs;
+    }
+    pending_.pop_back();
+  }
+  // The transmitter is busy until the last kept frame has serialized.
+  // With none kept, every earlier frame has been delivered, so it is
+  // idle now.
+  if (pending_.empty()) {
+    sim_.cancel(delivery_event_);
+    delivery_event_ = sim::EventId{};
+    busy_until_ = std::min(busy_until_, sim_.now());
+  } else {
+    busy_until_ = pending_.back().deliver_at - params_.delay;
+  }
+  return handoffs;
 }
 
 void Link::arm_head() {
@@ -133,7 +210,7 @@ void Link::deliver_head() {
   delivery_event_ = sim::EventId{};
   InFlight entry = std::move(pending_.front());
   pending_.pop_front();
-  if (entry.counted_queued) {
+  if (entry.counted_queued != 0) {
     NETCLONE_CHECK(queued_ > 0, "link drop-tail occupancy underflow");
     --queued_;
   }

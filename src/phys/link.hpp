@@ -7,16 +7,24 @@
 //   * a bounded egress queue: frames arriving while `capacity` frames are
 //     already waiting are dropped (drop-tail), as on a real ToR port.
 //
-// Delivery is batched: in-flight frames wait in a per-link FIFO and a
-// single scheduler event is armed for the earliest delivery, so a busy
-// link holds one pending event no matter how deep its queue — transmit
-// is a deque push plus a tie-break sequence reservation. Each firing
-// delivers the head frame and rearms for the next under the sequence
-// number reserved at its transmit, so same-timestamp ordering across
-// links is bit-for-bit what eager per-frame scheduling would produce.
+// A sender hands a frame over together with the instant it is ready to
+// leave (transmit_at): a switch at the end of its pipeline pass, a host
+// when its sender thread has paid the per-packet cost. The FIFO starts the
+// frame at max(busy_until, ready) and decides drop-tail admission and
+// reordering against the queue as it will stand at `ready`, so the
+// sender needs no event of its own to wait out the delay — one scheduler
+// event per hop. The frame's tie-break sequence number is reserved at
+// hand-off.
+//
+// Delivery is batched: handed-over frames — in flight, queued, or not
+// ready yet — wait in one per-link FIFO and a single scheduler event is
+// armed for the earliest delivery, so a busy link holds one pending event
+// no matter how deep its queue. Each firing delivers the head frame and
+// rearms for the next under the sequence number reserved at its hand-off.
 // Taking the link down simply clears the FIFO, which is also what makes
 // a down/up cycle safe: no stale per-frame events survive to corrupt the
-// revived link's drop-tail occupancy.
+// revived link's drop-tail occupancy. A failing sender can take back the
+// frames it handed over that are not ready yet (retract_not_ready).
 #pragma once
 
 #include <cstdint>
@@ -80,10 +88,27 @@ class Link {
   /// frames arrive.
   void connect_to(Node* dst, std::size_t dst_port);
 
-  /// Enqueues a frame for transmission; may drop if the queue is full.
-  /// The handle is moved into the in-flight FIFO — no byte copies; a
-  /// multicast emit passes one shared handle per link.
+  /// Enqueues a frame that is ready now; may drop if the queue is full.
+  /// Same as transmit_at(now, frame).
   void transmit(wire::FrameHandle frame);
+
+  /// Hands over a frame that is ready to leave at `ready` (not in the
+  /// past, and not before the previous hand-off's ready time). The frame
+  /// starts at max(busy_until, ready); drop-tail admission counts the
+  /// occupancy at `ready`, where slots whose frames are delivered by
+  /// `ready` are free. The handle is moved into the FIFO — no byte
+  /// copies; a multicast emit passes one shared handle per link.
+  void transmit_at(SimTime ready, wire::FrameHandle frame);
+
+  /// Takes back every frame whose ready time is not before now — frames
+  /// still inside a failing sender — as if they had never been handed
+  /// over: busy_until, drop-tail occupancy, tx_frames and tx_bytes roll
+  /// back, and a reorder swap that moved one of them is undone. Copies
+  /// the link refused at hand-off stay counted where they were lost, and
+  /// impairment draws are not returned to the stream. Returns the number
+  /// of the sender's hand-offs removed (a duplicate the impairment model
+  /// added is not one).
+  std::size_t retract_not_ready();
 
   /// Administratively disables the link; queued and in-flight frames are
   /// lost (models pulling the cable / peer down).
@@ -102,25 +127,36 @@ class Link {
     return impair_ != nullptr ? &impair_->cfg : nullptr;
   }
 
-  /// In-flight + queued frames awaiting delivery (at most one scheduler
-  /// event is pending for all of them).
+  /// Handed-over frames awaiting delivery: not ready yet, queued, or in
+  /// flight (at most one scheduler event is pending for all of them).
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
-  /// Frames currently holding a drop-tail occupancy slot.
-  [[nodiscard]] std::size_t queued() const { return queued_; }
+  /// Frames currently holding a drop-tail occupancy slot. A frame that is
+  /// not ready yet holds none.
+  [[nodiscard]] std::size_t queued() const;
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] const LinkParams& params() const { return params_; }
 
  private:
+  /// Kept at 48 bytes on 64-bit targets (the flags share the sequence
+  /// number's word): the deque allocates one chunk per chunk's worth of
+  /// frames, so larger entries mean more allocations per frame.
   struct InFlight {
+    SimTime ready;
     SimTime deliver_at;
-    /// Tie-break sequence reserved at transmit time; arming the delivery
-    /// event under it keeps batching invisible to the determinism
-    /// contract.
-    std::uint64_t seq;
-    bool counted_queued;  // holds a drop-tail occupancy slot until delivery
+    /// Tie-break sequence reserved at hand-off; arming the delivery event
+    /// under it keeps batching invisible to the determinism contract.
+    std::uint64_t seq : 61;
+    /// Holds a drop-tail occupancy slot until delivery.
+    std::uint64_t counted_queued : 1;
+    /// A second copy added by the impairment model.
+    std::uint64_t duplicate : 1;
+    /// The reorder impairment swapped this slot's frame with the previous
+    /// slot's (toggled, so a swap repeated on the same pair cancels).
+    std::uint64_t swapped : 1;
     wire::FrameHandle frame;
   };
+  static_assert(sizeof(InFlight) <= 48, "link FIFO entry grew");
 
   /// Per-link impairment state, allocated only when a non-zero config is
   /// installed — a clean link carries a null pointer and the transmit
@@ -131,12 +167,16 @@ class Link {
   };
 
   [[nodiscard]] SimTime serialization_time(std::size_t bytes) const;
+  /// Drop-tail occupancy at `ready`: queued_ minus the occupancy slots of
+  /// frames delivered by then.
+  [[nodiscard]] std::size_t occupancy_at(SimTime ready) const;
   /// The clean enqueue path: drop-tail check, FIFO push, head arming.
-  void enqueue(wire::FrameHandle frame);
+  void enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate);
   /// Impairment gate in front of enqueue(): drop, corrupt (on a private
   /// copy), duplicate (second enqueue of a shared handle), reorder (swap
-  /// the frame bytes of the last two FIFO entries).
-  void transmit_impaired(wire::FrameHandle frame);
+  /// the frame bytes of the last two FIFO entries while the earlier one
+  /// is still in flight at `ready`).
+  void transmit_impaired(SimTime ready, wire::FrameHandle frame);
   /// Arms the delivery event for the FIFO head (which must exist).
   void arm_head();
   void deliver_head();
@@ -146,6 +186,10 @@ class Link {
   Node* dst_ = nullptr;
   std::size_t dst_port_ = 0;
   SimTime busy_until_ = SimTime::zero();
+  /// Ready time of the latest hand-off; hand-offs come in ready order.
+  SimTime last_ready_ = SimTime::zero();
+  /// Occupancy slots held by FIFO entries, frames not ready yet included
+  /// (queued() leaves those out).
   std::size_t queued_ = 0;
   bool up_ = true;
   std::deque<InFlight> pending_;

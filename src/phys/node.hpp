@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
 #include "wire/framebuf.hpp"
 
 namespace netclone::phys {
@@ -39,6 +40,17 @@ class Node {
   /// Transmits a frame out of `port`. Silently counts (and drops) frames
   /// sent on an unattached port — that models unplugged cables, not a bug.
   void send(std::size_t port, wire::FrameHandle frame);
+
+  /// Hands a frame to `port`'s link now, to leave at `ready` (see
+  /// Link::transmit_at): a sender that only waits out a fixed delay — a
+  /// pipeline pass, a sender thread's per-packet cost — needs no event of
+  /// its own. Per port, ready times must not decrease.
+  void send_at(std::size_t port, SimTime ready, wire::FrameHandle frame);
+
+  /// Takes back, from every egress link, the frames whose ready time has
+  /// not passed (Link::retract_not_ready); returns how many hand-offs
+  /// were removed.
+  std::size_t retract_not_ready();
 
   /// Transmits a run of frames out of `port` back-to-back: one egress
   /// lookup for the whole batch, and the link's batched FIFO arms at most

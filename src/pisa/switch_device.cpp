@@ -39,6 +39,14 @@ void SwitchDevice::fail() {
     return;
   }
   failed_ = true;
+  ++fail_epoch_;
+  // Copies still inside the pipeline never leave, even if the switch
+  // recovers before they would have: take back the ones already handed
+  // to an egress link (their ready time has not come). A loopback copy's
+  // egress event sees the epoch change.
+  const std::size_t lost = retract_not_ready();
+  stats_.tx_frames -= lost;
+  stats_.flushed_in_pipeline += lost;
   // A reboot wipes all stateful (register) memory: server states, the SEQ
   // counter, and filter-table fingerprints — the soft state of §3.6.
   pipeline_.reset_soft_state();
@@ -93,11 +101,13 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
     return;
   }
 
-  // Resolve the output port set and schedule the egress after the fixed
-  // pipeline traversal latency. The deparser (serialize) runs exactly
-  // once; a multicast set then shares the resulting buffer across all
-  // output ports by reference count. The common unicast case carries its
-  // single port in the closure — no port-vector allocation per packet.
+  // Resolve the output port set and run the deparser now; each copy is
+  // handed to its port ready one pipeline latency out, as a PSA deparser
+  // hands the packet to the buffering/queueing engine at the end of the
+  // pass. The deparser (serialize) runs exactly once; a multicast set
+  // shares the resulting buffer across all output ports by reference
+  // count.
+  const SimTime ready = sim_.now() + params_.pipeline_latency;
   if (md.multicast_group) {
     const std::vector<std::size_t>* ports =
         mcast_groups_.find(*md.multicast_group);
@@ -109,47 +119,40 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
       stats_.multicast_copies += ports->size() - 1;
     }
     ++stats_.egress_scheduled;
-    sim_.schedule_after(params_.pipeline_latency,
-                        [this, out_ports = *ports,
-                         pkt = std::move(pkt)]() mutable {
-                          if (failed_) {
-                            ++stats_.flushed_in_pipeline;
-                            return;
-                          }
-                          const wire::FrameHandle bytes =
-                              pkt.serialize_pooled();
-                          for (const std::size_t p : out_ports) {
-                            emit(p, bytes);
-                          }
-                        });
+    const wire::FrameHandle bytes = pkt.serialize_pooled();
+    for (const std::size_t p : *ports) {
+      emit(p, ready, bytes);
+    }
   } else if (md.egress_port) {
     ++stats_.egress_scheduled;
-    sim_.schedule_after(params_.pipeline_latency,
-                        [this, port = *md.egress_port,
-                         pkt = std::move(pkt)]() mutable {
-                          if (failed_) {
-                            ++stats_.flushed_in_pipeline;
-                            return;
-                          }
-                          emit(port, pkt.serialize_pooled());
-                        });
+    emit(*md.egress_port, ready, pkt.serialize_pooled());
   } else {
     ++stats_.dropped_by_program;  // program made no forwarding decision
   }
 }
 
-void SwitchDevice::emit(std::size_t port, wire::FrameHandle bytes) {
+void SwitchDevice::emit(std::size_t port, SimTime ready,
+                        wire::FrameHandle bytes) {
   if (is_loopback(port)) {
-    ++stats_.recirculated;
-    sim_.schedule_after(
-        params_.recirculation_latency,
-        [this, port, bytes = std::move(bytes)]() mutable {
-          process(port, std::move(bytes), /*recirculated=*/true);
-        });
+    // A loopback copy has no link to wait in: it keeps a timed egress
+    // event, then re-enters ingress after the recirculation latency.
+    sim_.schedule_at(ready, [this, port, epoch = fail_epoch_,
+                             bytes = std::move(bytes)]() mutable {
+      if (epoch != fail_epoch_) {
+        ++stats_.flushed_in_pipeline;  // the switch failed meanwhile
+        return;
+      }
+      ++stats_.recirculated;
+      sim_.schedule_after(
+          params_.recirculation_latency,
+          [this, port, bytes = std::move(bytes)]() mutable {
+            process(port, std::move(bytes), /*recirculated=*/true);
+          });
+    });
     return;
   }
   ++stats_.tx_frames;
-  send(port, std::move(bytes));
+  send_at(port, ready, std::move(bytes));
 }
 
 }  // namespace netclone::pisa

@@ -35,10 +35,12 @@ struct SwitchStats {
   /// dropped_while_failed, or egress_scheduled — the conservation
   /// equation the invariant auditor checks.
   std::uint64_t dropped_while_failed = 0;
-  /// Pipeline passes that scheduled an egress event.
+  /// Pipeline passes that sent their packet to egress (one or more
+  /// copies handed to ports at the end of the pass).
   std::uint64_t egress_scheduled = 0;
-  /// Egress events whose frame was discarded because the switch failed
-  /// while it was traversing the pipeline.
+  /// Copies lost because the switch failed while they were still inside
+  /// the pipeline (taken back from the egress link, or a loopback copy).
+  /// A lost copy counts here and not in tx_frames.
   std::uint64_t flushed_in_pipeline = 0;
   /// Mid-run register wipes injected via wipe_soft_state().
   std::uint64_t soft_state_wipes = 0;
@@ -86,13 +88,14 @@ class SwitchDevice : public phys::Node {
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
  private:
-  /// One pipeline pass: parse, run the program, and schedule the
-  /// deparser + egress one pipeline latency out.
+  /// One pipeline pass: parse, run the program and the deparser, and hand
+  /// each copy to its port ready one pipeline latency out.
   void process(std::size_t port, wire::FrameHandle frame, bool recirculated);
-  /// Hands one shared frame handle to an output port. Every port of a
-  /// multicast set receives a refcount bump of the same serialized bytes —
-  /// the deparser runs once per pipeline pass, not once per copy.
-  void emit(std::size_t port, wire::FrameHandle bytes);
+  /// Hands one shared frame handle to an output port, ready at `ready`.
+  /// Every port of a multicast set receives a refcount bump of the same
+  /// serialized bytes — the deparser runs once per pipeline pass, not
+  /// once per copy.
+  void emit(std::size_t port, SimTime ready, wire::FrameHandle bytes);
 
   [[nodiscard]] bool is_loopback(std::size_t port) const {
     return port < loopback_ports_.size() && loopback_ports_[port];
@@ -107,6 +110,9 @@ class SwitchDevice : public phys::Node {
   FlatMap64<std::vector<std::size_t>> mcast_groups_;
   std::size_t internal_ports_ = 0;
   bool failed_ = false;
+  /// Bumped by fail(); a loopback copy's egress event carries the epoch
+  /// of its pass and is lost when it no longer matches.
+  std::uint64_t fail_epoch_ = 0;
   SwitchStats stats_;
 };
 

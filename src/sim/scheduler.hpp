@@ -39,20 +39,20 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Move-only callable with small-buffer optimization, sized so the common
-/// event captures (a node pointer plus a frame or a couple of scalars) fit
-/// inline. The schedule/fire cycle then performs zero heap allocations —
+/// Move-only callable stored inline, sized so every event capture in the
+/// simulator fits: a component pointer plus a frame handle or a few
+/// scalars. The schedule/fire cycle therefore never touches the heap —
 /// std::function, by contrast, spills almost every capture in this
-/// codebase to the heap. Oversized or over-aligned captures still work;
-/// they fall back to a single heap cell.
+/// codebase. There is no heap fallback: a capture that is too large,
+/// over-aligned or throwing on move fails to compile, and the fix is to
+/// park the state in the component (a FIFO, a slot table) and capture an
+/// index or nothing.
 class EventCallback {
  public:
-  /// Inline capture budget. 64 bytes covers a `this` pointer + a frame
-  /// handle + a few scalars (the switch's recirculation lambda, 40 B)
-  /// without bloating the event arena's slots; the link-delivery lambda
-  /// captures only `this`. The switch's per-pass egress closure does not
-  /// fit: `this` + port + a 176-B wire::Packet is 192 B (x86-64 GCC 12),
-  /// so it takes the heap fallback on every pass.
+  /// Inline capture budget. 64 bytes covers `this` + a frame handle + a
+  /// few scalars (the switch's loopback egress closure, 48 B) without
+  /// bloating the event arena's slots; the link-delivery lambda captures
+  /// only `this`.
   static constexpr std::size_t kInlineCapacity = 64;
 
   EventCallback() = default;
@@ -64,15 +64,17 @@ class EventCallback {
   // as with std::function.
   EventCallback(F&& fn) {
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineCapacity &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &InlineOps<D>::table;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(fn));
-      ops_ = &HeapOps<D>::table;
-    }
+    static_assert(sizeof(D) <= kInlineCapacity,
+                  "event capture exceeds EventCallback::kInlineCapacity: "
+                  "park the state in the component and capture an index");
+    static_assert(alignof(D) <= alignof(std::max_align_t),
+                  "event capture is over-aligned for "
+                  "EventCallback::kInlineCapacity storage");
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "event capture must be nothrow-movable to live in "
+                  "EventCallback::kInlineCapacity storage");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+    ops_ = &InlineOps<D>::table;
   }
 
   EventCallback(EventCallback&& other) noexcept { steal(other); }
@@ -108,9 +110,8 @@ class EventCallback {
     /// Move-constructs into `dst` from `src` and destroys the source
     /// (relocation); both point at kInlineCapacity bytes of storage.
     /// nullptr means "memcpy the storage" — true for trivially relocatable
-    /// inline captures (the common pointer+scalars case) and for the heap
-    /// fallback, whose storage is just the owning pointer. Skipping the
-    /// indirect call matters: the engine relocates twice per event.
+    /// captures (the common pointer+scalars case). Skipping the indirect
+    /// call matters: the engine relocates twice per event.
     void (*relocate)(void* dst, void* src) noexcept;
     /// nullptr means trivially destructible — nothing to do.
     void (*destroy)(void* obj) noexcept;
@@ -132,13 +133,6 @@ class EventCallback {
     static constexpr Ops table{
         &invoke, kTrivialRelocate ? nullptr : &relocate,
         std::is_trivially_destructible_v<D> ? nullptr : &destroy};
-  };
-
-  template <typename D>
-  struct HeapOps {
-    static void invoke(void* obj) { (**static_cast<D**>(obj))(); }
-    static void destroy(void* obj) noexcept { delete *static_cast<D**>(obj); }
-    static constexpr Ops table{&invoke, nullptr, &destroy};
   };
 
   void steal(EventCallback& other) noexcept {
@@ -175,11 +169,14 @@ class Scheduler {
   /// Reserves the next tie-break sequence number without scheduling
   /// anything. A component that knows *now* that an event will exist but
   /// materializes it later (the link delivery FIFO arms one event for a
-  /// whole queue of frames) reserves at decision time and passes the
-  /// number to schedule_at_seq — same-timestamp ordering then matches
-  /// what eager per-item schedule_at calls would have produced, keeping
-  /// runs bit-for-bit reproducible. Each reservation consumes one number
-  /// whether or not it is ever materialized.
+  /// whole queue of frames, and reserves each frame's number when the
+  /// sender hands the frame over, possibly before the frame is ready to
+  /// leave) reserves at decision time and passes the number to
+  /// schedule_at_seq — same-timestamp ordering then matches what eager
+  /// per-item schedule_at calls made at the same decision points would
+  /// have produced, keeping runs bit-for-bit reproducible. Each
+  /// reservation consumes one number whether or not it is ever
+  /// materialized.
   [[nodiscard]] virtual std::uint64_t reserve_seq() = 0;
 
   /// schedule_at() with a previously reserved tie-break number. A

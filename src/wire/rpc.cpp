@@ -69,4 +69,14 @@ RpcResponse RpcResponse::from_frame(std::span<const std::byte> f) {
   return parse(r);
 }
 
+RpcResponse RpcResponse::peek(std::span<const std::byte> f) {
+  ByteReader r{f};
+  RpcResponse resp;
+  resp.status = static_cast<RpcStatus>(r.u8());
+  resp.queue_wait_ns = r.u32();
+  resp.service_ns = r.u32();
+  r.skip(r.u16());
+  return resp;
+}
+
 }  // namespace netclone::wire

@@ -60,6 +60,10 @@ struct RpcResponse {
   [[nodiscard]] static RpcResponse parse(ByteReader& r);
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static RpcResponse from_frame(std::span<const std::byte> f);
+  /// from_frame() without copying the value out: status and the latency
+  /// decomposition only, `value` left empty. Rejects the same malformed
+  /// bodies from_frame() does.
+  [[nodiscard]] static RpcResponse peek(std::span<const std::byte> f);
 };
 
 }  // namespace netclone::wire

@@ -155,5 +155,41 @@ TEST(ClosedLoop, StopsAtStopTime) {
   EXPECT_EQ(client->stats().completed, client->stats().requests_sent);
 }
 
+TEST(ClosedLoop, WindowPastTheFirstTableSlotsRecordsExactSamples) {
+  // A window of 23 fills the client's request table (FlatMap64: 8 slots
+  // at first, 32 after priming) to one below its growth threshold, so the
+  // first completion's re-issue grows the table and moves every entry.
+  // The completion must have read the entry before that; a stale read
+  // would record garbage (and is a use-after-free under ASan).
+  harness::ClusterConfig cfg;
+  cfg.scheme = harness::Scheme::kBaseline;
+  cfg.server_workers = {16, 16};
+  cfg.factory = std::make_shared<FixedWorkload>(25.0);
+  cfg.service = std::make_shared<SyntheticService>(JitterModel{0.0, 1.0});
+  cfg.num_clients = 1;
+  cfg.warmup = SimTime::zero();
+  cfg.measure = SimTime::milliseconds(2);
+  cfg.client_template.loop = LoopMode::kClosedLoop;
+  cfg.client_template.closed_loop_window = 23;
+  cfg.offered_rps = 1.0;  // ignored in closed loop
+
+  harness::Experiment experiment{cfg};
+  (void)experiment.run();
+  const Client* client = experiment.clients()[0];
+  const ClientStats& stats = client->stats();
+  EXPECT_GT(stats.completed, 1000U);
+  EXPECT_EQ(stats.completed, stats.requests_sent);
+  EXPECT_EQ(client->outstanding(), 0U);
+  EXPECT_EQ(stats.latency.count(), stats.completed);
+  // No jitter: every request executes for exactly 25 us.
+  EXPECT_EQ(stats.server_service.min(), SimTime::microseconds(25.0));
+  EXPECT_EQ(stats.server_service.max(), SimTime::microseconds(25.0));
+  // End to end: service plus path, plus at most one service time of
+  // queueing when the random choice puts more than 16 on one server.
+  EXPECT_GT(stats.latency.min(), SimTime::microseconds(25.0));
+  EXPECT_LT(stats.latency.max(), SimTime::microseconds(60.0));
+  EXPECT_LT(stats.server_queue_wait.max(), SimTime::microseconds(25.0));
+}
+
 }  // namespace
 }  // namespace netclone::host

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/check.hpp"
+#include "common/rng.hpp"
 #include "phys/node.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -254,6 +261,188 @@ TEST(Link, ZeroRateRejected) {
   EXPECT_THROW((void)Link(sim, params), CheckFailure);
 }
 
+// -- hand-off with a ready time ----------------------------------------------
+
+/// Records each arrival's instant and the frame's first byte (its tag).
+class TaggedArrivals : public Node {
+ public:
+  explicit TaggedArrivals(const sim::Simulator& sim)
+      : Node("tagged"), sim_(sim) {}
+  void handle_frame(std::size_t /*port*/, wire::FrameHandle frame) override {
+    seen.emplace_back(sim_.now(), std::to_integer<int>(frame.to_frame()[0]));
+  }
+
+  std::vector<std::pair<SimTime, int>> seen;
+
+ private:
+  const sim::Simulator& sim_;
+};
+
+wire::Frame tagged_frame(std::size_t n, int tag) {
+  return wire::Frame(n, static_cast<std::byte>(tag));
+}
+
+TEST(LinkHandOff, MatchesATransmitEventAtTheReadyTime) {
+  // Randomized hand-offs on three links: transmit_at(r, f) made at the
+  // decision instant must deliver every frame at the same instant and in
+  // the same per-link order as an event at r that calls transmit(f).
+  struct Op {
+    SimTime at;
+    std::size_t link;
+    SimTime ready;
+    std::size_t size;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng{seed};
+    std::vector<Op> ops;
+    SimTime at = SimTime::zero();
+    std::array<SimTime, 3> last_ready{};
+    for (int i = 0; i < 200; ++i) {
+      at = at + SimTime::nanoseconds(
+                    static_cast<std::int64_t>(rng.next_below(300)));
+      const auto l = static_cast<std::size_t>(rng.next_below(3));
+      const SimTime ready = std::max(
+          at + SimTime::nanoseconds(
+                   static_cast<std::int64_t>(rng.next_below(2000))),
+          last_ready[l]);
+      last_ready[l] = ready;
+      ops.push_back(Op{at, l, ready,
+                       64 + static_cast<std::size_t>(rng.next_below(1400))});
+    }
+
+    LinkParams params;
+    params.rate_bps = 10e9;             // 1400 B = 1.12 us: queues build
+    params.queue_capacity = 1U << 20;   // never fills
+    const auto run = [&](bool hand_off) {
+      sim::Simulator sim;
+      std::vector<std::unique_ptr<TaggedArrivals>> dsts;
+      std::vector<std::unique_ptr<Link>> links;
+      for (std::size_t l = 0; l < 3; ++l) {
+        dsts.push_back(std::make_unique<TaggedArrivals>(sim));
+        links.push_back(std::make_unique<Link>(sim, params));
+        links.back()->connect_to(dsts.back().get(), 0);
+      }
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        sim.schedule_at(ops[i].at, [&, i, hand_off] {
+          const Op& op = ops[i];
+          wire::Frame f = tagged_frame(op.size, static_cast<int>(i));
+          if (hand_off) {
+            links[op.link]->transmit_at(op.ready, std::move(f));
+          } else {
+            sim.schedule_at(op.ready, [&, i] {
+              links[ops[i].link]->transmit(
+                  tagged_frame(ops[i].size, static_cast<int>(i)));
+            });
+          }
+        });
+      }
+      sim.run();
+      std::vector<std::vector<std::pair<SimTime, int>>> seen;
+      for (const auto& dst : dsts) {
+        seen.push_back(dst->seen);
+      }
+      return seen;
+    };
+    const auto handed = run(true);
+    const auto timed = run(false);
+    std::size_t delivered = 0;
+    for (std::size_t l = 0; l < 3; ++l) {
+      EXPECT_EQ(handed[l], timed[l]) << "seed " << seed << " link " << l;
+      delivered += handed[l].size();
+    }
+    EXPECT_EQ(delivered, ops.size());
+  }
+}
+
+TEST(LinkHandOff, RejectsAReadyTimeInThePastOrOutOfOrder) {
+  sim::Simulator sim;
+  CaptureNode dst;
+  Link link{sim, LinkParams{}};
+  link.connect_to(&dst, 0);
+  sim.schedule_at(1_us, [&] {
+    EXPECT_THROW(link.transmit_at(500_ns, frame_of_size(100)), CheckFailure);
+    link.transmit_at(3_us, frame_of_size(100));
+    EXPECT_THROW(link.transmit_at(2_us, frame_of_size(100)), CheckFailure);
+    // transmit() is a hand-off ready now, which is before 3 us.
+    EXPECT_THROW(link.transmit(frame_of_size(100)), CheckFailure);
+    link.transmit_at(3_us, frame_of_size(100));  // equal is in order
+  });
+  sim.run();
+  EXPECT_EQ(dst.received.size(), 2U);
+}
+
+TEST(LinkHandOff, DropTailCountsTheOccupancyAtReady) {
+  sim::Simulator sim;
+  ArrivalClock dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;  // 125 bytes = 1 us
+  params.delay = SimTime::zero();
+  params.queue_capacity = 2;
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+
+  // One frame on the wire [0, 1 us), two waiting: the queue is full.
+  for (int i = 0; i < 3; ++i) {
+    link.transmit(frame_of_size(125));
+  }
+  // At 1.5 us the second frame still holds its slot: dropped.
+  link.transmit_at(1500_ns, frame_of_size(125));
+  EXPECT_EQ(link.stats().dropped_frames, 1U);
+  // By 2 us the second frame has been delivered and its slot is free.
+  link.transmit_at(2_us, frame_of_size(125));
+  EXPECT_EQ(link.stats().dropped_frames, 1U);
+  // A frame that is not ready yet holds no slot now.
+  EXPECT_EQ(link.queued(), 2U);
+  EXPECT_EQ(link.in_flight(), 4U);
+  sim.run();
+  EXPECT_EQ(dst.arrivals,
+            (std::vector<SimTime>{1_us, 2_us, 3_us, 4_us}));
+  EXPECT_EQ(link.queued(), 0U);
+}
+
+TEST(LinkHandOff, LinkDownBeforeReadyLosesTheFrame) {
+  sim::Simulator sim;
+  CaptureNode dst;
+  Link link{sim, LinkParams{}};
+  link.connect_to(&dst, 0);
+  link.transmit_at(10_us, frame_of_size(100));
+  sim.schedule_at(5_us, [&] { link.set_up(false); });
+  sim.schedule_at(6_us, [&] { link.set_up(true); });  // up again by ready
+  sim.run();
+  EXPECT_TRUE(dst.received.empty());
+  EXPECT_EQ(link.stats().flushed_frames, 1U);
+  EXPECT_EQ(link.stats().dropped_frames, 0U);
+}
+
+TEST(LinkHandOff, RetractRestoresTheLinkAsIfNeverHandedOver) {
+  sim::Simulator sim;
+  TaggedArrivals dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;  // 125 bytes = 1 us
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+
+  link.transmit(tagged_frame(125, 1));            // on the wire [0, 1 us)
+  link.transmit_at(500_ns, tagged_frame(125, 2));  // queued behind it
+  link.transmit_at(500_ns, tagged_frame(125, 3));
+  EXPECT_EQ(link.stats().tx_frames, 3U);
+  sim.schedule_at(200_ns, [&] {
+    // Frames 2 and 3 are still inside the sender: take them back.
+    EXPECT_EQ(link.retract_not_ready(), 2U);
+    EXPECT_EQ(link.in_flight(), 1U);
+    EXPECT_EQ(link.queued(), 0U);
+    // busy_until is back to the end of frame 1, so this one starts at
+    // 1 us, not behind the retracted pair.
+    link.transmit_at(600_ns, tagged_frame(125, 4));
+  });
+  sim.run();
+  EXPECT_EQ(dst.seen, (std::vector<std::pair<SimTime, int>>{{1_us, 1},
+                                                             {2_us, 4}}));
+  EXPECT_EQ(link.stats().tx_frames, 2U);
+  EXPECT_EQ(link.stats().tx_bytes, 250U);
+}
+
 // -- impairment model --------------------------------------------------------
 
 LinkImpairments only(double LinkImpairments::* field, double rate) {
@@ -468,6 +657,52 @@ TEST(LinkFaults, ComposeWithDownUpCycle) {
     EXPECT_EQ(link.stats().dropped_frames, before + 1);
   }
   EXPECT_EQ(wire::FramePool::instance().stats().live, live_before);
+}
+
+TEST(LinkFaults, ReorderOnlyOvertakesAFrameStillInFlightAtReady) {
+  sim::Simulator sim;
+  TaggedArrivals dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;  // 125 bytes = 1 us
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+  link.configure_impairments(only(&LinkImpairments::reorder_rate, 1.0), 7);
+
+  link.transmit(tagged_frame(125, 1));  // delivered at 1 us
+  // Frame 1 is delivered by this frame's ready time: nothing to overtake,
+  // and no draw.
+  link.transmit_at(1_us, tagged_frame(125, 2));
+  EXPECT_EQ(link.stats().reordered_frames, 0U);
+  // Frame 2 is still in flight at 1.5 us: frame 3 overtakes it, and is
+  // still delivered no earlier than it is ready.
+  link.transmit_at(1500_ns, tagged_frame(125, 3));
+  EXPECT_EQ(link.stats().reordered_frames, 1U);
+  sim.run();
+  EXPECT_EQ(dst.seen, (std::vector<std::pair<SimTime, int>>{
+                          {1_us, 1}, {2_us, 3}, {3_us, 2}}));
+}
+
+TEST(LinkFaults, RetractUndoesAReorderSwapWithAFrameOnTheWire) {
+  sim::Simulator sim;
+  TaggedArrivals dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;  // 125 bytes = 1 us
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+  link.configure_impairments(only(&LinkImpairments::reorder_rate, 1.0), 7);
+
+  link.transmit(tagged_frame(125, 1));
+  link.transmit_at(500_ns, tagged_frame(125, 2));  // swapped ahead of 1
+  EXPECT_EQ(link.stats().reordered_frames, 1U);
+  sim.schedule_at(100_ns, [&] {
+    // Frame 2 never left the sender, so frame 1 is the one delivered.
+    EXPECT_EQ(link.retract_not_ready(), 1U);
+  });
+  sim.run();
+  EXPECT_EQ(dst.seen,
+            (std::vector<std::pair<SimTime, int>>{{1_us, 1}}));
 }
 
 }  // namespace

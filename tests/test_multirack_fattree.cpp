@@ -91,16 +91,16 @@ TEST(FatTree, ReplicatedSameSeedRerunsAreIdentical) {
 }
 
 TEST(FatTree, ReplicatedGoldenPin) {
-  // Recorded from a build that still carried a second (event-coalescing)
-  // delivery path, identical with it on and off: pins what the pod
-  // computes across commits, where the rerun test above only compares a
-  // run with itself.
+  // Pins what the pod computes across commits, where the rerun test above
+  // only compares a run with itself. Re-recorded when links began taking
+  // frames with a ready time: executed events fell, and the digest moved
+  // only through its fold of that count.
   const RunOutcome run =
       audited_run(fattree_config(AggMode::kReplicated));
-  EXPECT_EQ(run.digest, 17968293185748439149ULL);
+  EXPECT_EQ(run.digest, 11912010506036592716ULL);
   EXPECT_EQ(run.completed, 1426u);
   EXPECT_EQ(run.p99_ns, 160768);
-  EXPECT_EQ(run.executed, 46080u);
+  EXPECT_EQ(run.executed, 29941u);
 }
 
 TEST(FatTree, ReplicatedTierClonesAcrossRacks) {

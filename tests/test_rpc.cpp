@@ -47,6 +47,12 @@ TEST(RpcResponse, RoundTripWithValue) {
   EXPECT_EQ(parsed.queue_wait_ns, 12345U);
   EXPECT_EQ(parsed.service_ns, 25000U);
   EXPECT_EQ(parsed.value, resp.value);
+  // peek reads the same fixed fields and skips the value.
+  const RpcResponse peeked = RpcResponse::peek(f);
+  EXPECT_EQ(peeked.status, RpcStatus::kOk);
+  EXPECT_EQ(peeked.queue_wait_ns, 12345U);
+  EXPECT_EQ(peeked.service_ns, 25000U);
+  EXPECT_TRUE(peeked.value.empty());
 }
 
 TEST(RpcResponse, EmptyValue) {
@@ -63,6 +69,7 @@ TEST(RpcResponse, LengthFieldGuardsParse) {
   Frame f = resp.to_frame();
   f.resize(f.size() - 5);  // truncate the value
   EXPECT_THROW((void)RpcResponse::from_frame(f), CodecError);
+  EXPECT_THROW((void)RpcResponse::peek(f), CodecError);
 }
 
 // All op codes survive a round trip.

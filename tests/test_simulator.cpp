@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -208,16 +207,6 @@ TEST(Simulator, CancelDestroysTheCallbackImmediately) {
   sim.cancel(id);
   // The capture is released at cancel time, not when the queue drains.
   EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(Simulator, OversizedCapturesFallBackToTheHeap) {
-  Simulator sim;
-  std::array<std::uint64_t, 32> big{};  // 256 bytes, past inline capacity
-  big.back() = 42;
-  std::uint64_t seen = 0;
-  sim.schedule_at(1_ns, [big, &seen] { seen = big.back(); });
-  sim.run();
-  EXPECT_EQ(seen, 42U);
 }
 
 TEST(Simulator, MoveOnlyCapturesAreSupported) {

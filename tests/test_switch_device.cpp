@@ -78,15 +78,30 @@ struct Rig {
   CaptureNode* b = nullptr;
   std::size_t port_a = 0;  // switch-side ports
   std::size_t port_b = 0;
+  phys::Link* to_a = nullptr;  // switch -> a
+  phys::Link* to_b = nullptr;  // switch -> b
 
-  Rig() {
+  explicit Rig(phys::LinkParams params = {}) {
     sw = &topo.add_node<SwitchDevice>(sim, "sw");
     a = &topo.add_node<CaptureNode>("a");
     b = &topo.add_node<CaptureNode>("b");
-    port_a = topo.connect(*a, *sw).port_on_b;
-    port_b = topo.connect(*b, *sw).port_on_b;
+    const phys::DuplexPorts pa = topo.connect(*a, *sw, params);
+    const phys::DuplexPorts pb = topo.connect(*b, *sw, params);
+    port_a = pa.port_on_b;
+    port_b = pb.port_on_b;
+    to_a = pa.b_to_a;
+    to_b = pb.b_to_a;
   }
 };
+
+/// The switch conservation checks of the invariant auditor
+/// (harness/invariants.cpp, audit_switch).
+void expect_conserved(const SwitchStats& s) {
+  EXPECT_EQ(s.rx_frames, s.parse_errors + s.dropped_by_program +
+                             s.dropped_while_failed + s.egress_scheduled);
+  EXPECT_LE(s.tx_frames + s.recirculated + s.flushed_in_pipeline,
+            s.egress_scheduled + s.multicast_copies);
+}
 
 TEST(SwitchDevice, ForwardsThroughProgramWithPipelineLatency) {
   Rig rig;
@@ -205,6 +220,95 @@ TEST(SwitchDevice, DoubleFailAndRecoverAreIdempotent) {
   rig.sw->recover();
   rig.sw->recover();
   EXPECT_FALSE(rig.sw->failed());
+}
+
+// -- failure while frames are inside the pipeline ---------------------------
+//
+// The switch hands each copy to its egress link at the end of the pass,
+// ready one pipeline latency (400 ns) out. A failure before then loses the
+// copy, even when the switch recovers before the copy would have left.
+
+TEST(SwitchDevice, FailureLosesCopiesInsideThePipelineEvenAfterRecovery) {
+  Rig rig;
+  rig.sw->load_program(
+      std::make_shared<EchoProgram>(rig.sw->pipeline(), rig.port_b));
+  rig.sw->handle_frame(rig.port_a, make_request(0, 1, 0, 0).serialize());
+  rig.sim.schedule_at(100_ns, [&] { rig.sw->fail(); });
+  rig.sim.schedule_at(200_ns, [&] { rig.sw->recover(); });
+  rig.sim.run();
+  EXPECT_TRUE(rig.b->received.empty());
+  EXPECT_EQ(rig.sw->stats().flushed_in_pipeline, 1U);
+  EXPECT_EQ(rig.sw->stats().tx_frames, 0U);
+  EXPECT_EQ(rig.to_b->stats().tx_frames, 0U);
+  EXPECT_EQ(rig.to_b->stats().tx_bytes, 0U);
+  expect_conserved(rig.sw->stats());
+}
+
+TEST(SwitchDevice, EachMulticastCopyLostInThePipelineCountsOnce) {
+  Rig rig;
+  rig.sw->load_program(std::make_shared<McastProgram>());
+  rig.sw->configure_multicast_group(1, {rig.port_a, rig.port_b});
+  rig.sw->handle_frame(rig.port_a, make_request(0, 7, 0, 0).serialize());
+  rig.sim.schedule_at(100_ns, [&] { rig.sw->fail(); });
+  rig.sim.run();
+  EXPECT_TRUE(rig.a->received.empty());
+  EXPECT_TRUE(rig.b->received.empty());
+  EXPECT_EQ(rig.sw->stats().multicast_copies, 1U);
+  EXPECT_EQ(rig.sw->stats().flushed_in_pipeline, 2U);
+  EXPECT_EQ(rig.sw->stats().tx_frames, 0U);
+  EXPECT_EQ(rig.to_a->stats().tx_frames, 0U);
+  EXPECT_EQ(rig.to_b->stats().tx_frames, 0U);
+  expect_conserved(rig.sw->stats());
+}
+
+TEST(SwitchDevice, FailureLosesALoopbackCopyInsideThePipeline) {
+  Rig rig;
+  const std::size_t loopback = rig.sw->add_internal_port();
+  rig.sw->set_loopback_port(loopback);
+  rig.sw->load_program(
+      std::make_shared<RecircProgram>(loopback, rig.port_b));
+  rig.sw->handle_frame(rig.port_a, make_request(0, 5, 0, 0).serialize());
+  rig.sim.schedule_at(100_ns, [&] { rig.sw->fail(); });
+  rig.sim.schedule_at(200_ns, [&] { rig.sw->recover(); });
+  rig.sim.run();
+  EXPECT_TRUE(rig.b->received.empty());
+  EXPECT_EQ(rig.sw->stats().recirculated, 0U);
+  EXPECT_EQ(rig.sw->stats().flushed_in_pipeline, 1U);
+  EXPECT_EQ(rig.sw->stats().rx_frames, 1U);
+  expect_conserved(rig.sw->stats());
+}
+
+TEST(SwitchDevice, PipelineFlushRestoresTheEgressLink) {
+  phys::LinkParams params;
+  params.rate_bps = 1e9;  // slow enough that two frames queue
+  params.delay = 850_ns;
+  Rig rig{params};
+  rig.sw->load_program(
+      std::make_shared<EchoProgram>(rig.sw->pipeline(), rig.port_b));
+  const wire::Frame frame = make_request(0, 1, 0, 0).serialize();
+  // Two copies handed to the b link at t = 0, both ready at 400 ns: the
+  // second would wait behind the first and hold a drop-tail slot.
+  rig.sw->handle_frame(rig.port_a, frame);
+  rig.sw->handle_frame(rig.port_a, frame);
+  EXPECT_EQ(rig.to_b->in_flight(), 2U);
+  rig.sim.schedule_at(100_ns, [&] {
+    rig.sw->fail();
+    EXPECT_EQ(rig.to_b->in_flight(), 0U);
+    EXPECT_EQ(rig.to_b->queued(), 0U);
+    rig.sw->recover();
+    // Handed over at 100 ns, ready at 500 ns: the link is idle again, so
+    // the frame starts at its ready time, not behind the lost pair.
+    rig.sw->handle_frame(rig.port_a, frame);
+  });
+  rig.sim.run();
+  ASSERT_EQ(rig.b->received.size(), 1U);
+  const SimTime serialization = SimTime::seconds(
+      static_cast<double>(frame.size()) * 8.0 / params.rate_bps);
+  EXPECT_EQ(rig.sim.now(), 500_ns + serialization + params.delay);
+  EXPECT_EQ(rig.sw->stats().flushed_in_pipeline, 2U);
+  EXPECT_EQ(rig.sw->stats().tx_frames, 1U);
+  EXPECT_EQ(rig.to_b->stats().tx_frames, 1U);
+  expect_conserved(rig.sw->stats());
 }
 
 }  // namespace
