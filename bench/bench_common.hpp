@@ -44,6 +44,22 @@ inline double synthetic_capacity(const harness::ClusterConfig& cfg,
                                        mean_us * jitter.mean_inflation());
 }
 
+/// The Fig. 7 point bench_packet_path and bench_pisa_pipeline time end
+/// to end: NetClone, Exp(25) with high variability, 80% load, and a fixed
+/// 2 + 20 + 10 ms window that NETCLONE_BENCH_SCALE does not scale, so the
+/// completions, p99 and event count the bench gate pins hold at any
+/// scale.
+inline harness::ClusterConfig fig7_point() {
+  harness::ClusterConfig cfg = synthetic_cluster(
+      std::make_shared<host::ExponentialWorkload>(25.0), high_variability());
+  cfg.scheme = harness::Scheme::kNetClone;
+  cfg.warmup = SimTime::milliseconds(2);
+  cfg.measure = SimTime::milliseconds(20);
+  cfg.drain = SimTime::milliseconds(10);
+  cfg.offered_rps = 0.8 * synthetic_capacity(cfg, 25.0, high_variability());
+  return cfg;
+}
+
 /// Longer measurement for long-RPC workloads so tails keep enough samples.
 inline void stretch_for_long_rpcs(harness::ClusterConfig& cfg,
                                   double factor) {

@@ -26,8 +26,6 @@
 #include "bench_common.hpp"
 #include "common/check.hpp"
 #include "harness/experiment.hpp"
-#include "host/service.hpp"
-#include "host/workload.hpp"
 #include "wire/frame.hpp"
 #include "wire/framebuf.hpp"
 
@@ -140,20 +138,10 @@ struct E2e {
   std::uint64_t executed = 0;
 };
 
-/// One Figure-7-style point: NetClone scheme, Exp(25) workload, 80% load,
-/// wall-clocked from configuration to result.
+/// bench::fig7_point, wall-clocked from configuration to result.
 E2e run_fig7_point() {
   const auto start = std::chrono::steady_clock::now();
-  harness::ClusterConfig cfg = bench::synthetic_cluster(
-      std::make_shared<host::ExponentialWorkload>(25.0),
-      bench::high_variability());
-  cfg.scheme = harness::Scheme::kNetClone;
-  cfg.warmup = SimTime::milliseconds(2);
-  cfg.measure = SimTime::milliseconds(20);
-  cfg.drain = SimTime::milliseconds(10);
-  cfg.offered_rps =
-      0.8 * bench::synthetic_capacity(cfg, 25.0, bench::high_variability());
-  harness::Experiment experiment{cfg};
+  harness::Experiment experiment{bench::fig7_point()};
   E2e out;
   out.result = experiment.run();
   out.executed = experiment.executed_events();

@@ -31,7 +31,6 @@
 #include "bench_common.hpp"
 #include "common/check.hpp"
 #include "harness/experiment.hpp"
-#include "host/workload.hpp"
 #include "pisa/pipeline.hpp"
 #include "pisa/resources.hpp"
 
@@ -267,16 +266,7 @@ double bench_legacy_lookup(std::size_t iters, bool hit) {
 // ---- end to end ----------------------------------------------------------
 
 harness::ExperimentResult run_fig7_point() {
-  harness::ClusterConfig cfg = bench::synthetic_cluster(
-      std::make_shared<host::ExponentialWorkload>(25.0),
-      bench::high_variability());
-  cfg.scheme = harness::Scheme::kNetClone;
-  cfg.warmup = SimTime::milliseconds(2);
-  cfg.measure = SimTime::milliseconds(20);
-  cfg.drain = SimTime::milliseconds(10);
-  cfg.offered_rps =
-      0.8 * bench::synthetic_capacity(cfg, 25.0, bench::high_variability());
-  harness::Experiment experiment{cfg};
+  harness::Experiment experiment{bench::fig7_point()};
   return experiment.run();
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Deterministic style gate for src/, tests/, and bench/.
+"""Deterministic style gate for src/, tests/, bench/, and examples/.
 
 Enforces the mechanical invariants of the repo's .clang-format profile
 (Google style, 79-column limit) that do not depend on having a specific
@@ -14,7 +14,7 @@ clang-format itself is advisory (run it locally if you have it); this
 check is what CI enforces, because byte-exact clang-format output is not
 stable across the versions developers and runners have installed.
 
-Usage: format_check.py [paths...]   (default: src tests bench)
+Usage: format_check.py [paths...]   (default: src tests bench examples)
 Exits non-zero listing every violation.
 """
 
@@ -49,7 +49,7 @@ def check_file(path):
 
 
 def main():
-    roots = sys.argv[1:] or ["src", "tests", "bench"]
+    roots = sys.argv[1:] or ["src", "tests", "bench", "examples"]
     files = []
     for root in roots:
         root_path = Path(root)

@@ -1,6 +1,7 @@
 // Experiment harness: builds a rack (clients + ToR switch + workers, plus
-// the LÆDGE coordinator when compared), drives an open-loop load, and
-// collects the metrics the paper's figures plot.
+// the LÆDGE coordinator when compared) on the shared Testbed lifecycle,
+// drives an open-loop load, and collects the metrics the paper's figures
+// plot.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +17,8 @@
 #include "baselines/racksched_program.hpp"
 #include "common/types.hpp"
 #include "core/netclone_program.hpp"
-#include "harness/engine.hpp"
 #include "harness/faults.hpp"
+#include "harness/testbed.hpp"
 #include "host/client.hpp"
 #include "host/server.hpp"
 #include "phys/topology.hpp"
@@ -25,19 +26,6 @@
 #include "sim/scheduler.hpp"
 
 namespace netclone::harness {
-
-/// The compared systems (§5.1.3 + §3.7).
-enum class Scheme {
-  kBaseline,           // random worker choice at the client, no cloning
-  kCClone,             // client-based static cloning
-  kLaedge,             // coordinator-based dynamic cloning
-  kNetClone,           // this paper
-  kNetCloneNoFilter,   // Fig. 15 ablation: cloning without response filtering
-  kRackSched,          // in-switch JSQ, no cloning
-  kNetCloneRackSched,  // §3.7 integration
-};
-
-[[nodiscard]] const char* scheme_name(Scheme scheme);
 
 struct ClusterConfig {
   Scheme scheme = Scheme::kNetClone;
@@ -69,46 +57,17 @@ struct ClusterConfig {
   FaultPlan faults{};
 };
 
-struct ExperimentResult {
-  Scheme scheme{};
-  double offered_rps = 0.0;
-  double achieved_rps = 0.0;
-  double mean_us = 0.0;
-  SimTime p50{};
-  SimTime p99{};
-  SimTime p999{};
-  /// Decomposition of the measured samples (server-reported): where the
-  /// tail comes from — queueing or execution.
-  SimTime server_wait_p99{};
-  SimTime server_service_p99{};
-  std::uint64_t requests_sent = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t redundant_responses = 0;
-  // Scheme internals (zero where not applicable):
-  std::uint64_t cloned_requests = 0;
-  std::uint64_t filtered_responses = 0;
-  std::uint64_t dropped_stale_clones = 0;
-  double empty_queue_fraction = 0.0;  // Fig. 13a signal
-  pisa::SwitchStats switch_stats{};
-};
-
-/// One built-and-runnable cluster. Construction wires the topology;
-/// run() executes warmup + measurement and returns the result. The object
-/// stays inspectable afterwards (tests look at program/server stats), and
-/// failure injection (Fig. 16) is exposed for timeline runs.
-class Experiment {
+/// One ToR rack (§5): the scheme's program on the switch, and the LÆDGE
+/// coordinator when compared. See Testbed for the lifecycle; failure
+/// injection (Fig. 16) is exposed for timeline runs.
+class Experiment : public Testbed {
  public:
   explicit Experiment(ClusterConfig config);
-  ~Experiment();
+  ~Experiment() override;
 
-  Experiment(const Experiment&) = delete;
-  Experiment& operator=(const Experiment&) = delete;
-
-  /// Runs the whole schedule and collects metrics.
-  [[nodiscard]] ExperimentResult run();
-
-  /// Timeline mode (Fig. 16): runs for `total` and returns completed
-  /// requests per `bin`, with optional switch failure injection.
+  using Testbed::run_timeline;
+  /// Timeline mode with switch failure injection: the ToR fails at
+  /// `fail_at` and recovers at `recover_at`, when given.
   [[nodiscard]] std::vector<std::uint64_t> run_timeline(
       SimTime total, SimTime bin, std::optional<SimTime> fail_at,
       std::optional<SimTime> recover_at);
@@ -121,71 +80,24 @@ class Experiment {
   /// brief reconfiguration loss a real deployment would also see.
   void remove_server(ServerId sid);
 
-  /// Schedules every entry of `plan` through the Scheduler. The plan
-  /// from ClusterConfig is installed automatically at build time; this
-  /// lets tests/benches add more afterwards. Throws CheckFailure, before
-  /// scheduling anything, when the plan holds a fat-tree action
-  /// (agg_fail/agg_rejoin/rack_down/rack_up).
-  void install_fault_plan(const FaultPlan& plan);
-
-  /// Applies one fault right now. Throws via NETCLONE_CHECK on unknown
-  /// targets or scheme mismatches (e.g. filter_stale without NetClone).
-  void apply_fault(const FaultEvent& event);
-
-  /// Directed link by name (`c0-sw0`, `sw0-s3`, `co0-sw0`); nullptr when
-  /// no such link exists.
-  [[nodiscard]] phys::Link* link(const std::string& name) const;
-
-  /// All directed links with their harness names, for the auditor.
-  [[nodiscard]] const std::vector<std::pair<std::string, phys::Link*>>&
-  links() const {
-    return links_;
-  }
-
-  /// Scheduling surface of the engine, for tests/benches that inject
-  /// events (failures, reconfigurations) into a run.
-  [[nodiscard]] sim::Scheduler& scheduler();
-  /// Engine telemetry: events executed so far (determinism fingerprint).
-  [[nodiscard]] std::uint64_t executed_events() const;
-  /// Frame-pool balance sheet of this experiment's own pool (see
-  /// EngineContext::frame_pool_stats). The invariant auditor checks
-  /// live == acquired − released.
-  [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
+  /// The ToR, registered as switch `sw0`.
   [[nodiscard]] pisa::SwitchDevice& tor() { return *switch_; }
   [[nodiscard]] const pisa::SwitchDevice& tor() const { return *switch_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
-  [[nodiscard]] const std::vector<host::Server*>& servers() const {
-    return servers_;
-  }
-  [[nodiscard]] const std::vector<host::Client*>& clients() const {
-    return clients_;
-  }
   [[nodiscard]] const core::NetCloneProgram* netclone_program() const {
     return netclone_program_.get();
   }
 
  private:
   void build();
-  [[nodiscard]] ExperimentResult collect() const;
-  void record_link(const std::string& a, const std::string& b,
-                   const phys::DuplexPorts& ports);
-  /// Per-link impairment RNG seed, derived from the config seed and the
-  /// link name without consuming root_rng_ draws.
-  [[nodiscard]] std::uint64_t impairment_seed(const std::string& name) const;
+  /// A single rack has no aggregation tier and no racks to isolate:
+  /// agg_fail, agg_rejoin, rack_down and rack_up throw CheckFailure.
+  void check_fault(const FaultEvent& event) const override;
+  void apply_fat_tree_fault(const FaultEvent& event) override;
+  void add_switch_counters(ExperimentResult& result) const override;
 
   ClusterConfig config_;
-  Rng root_rng_;
-  // The engine must outlive topology_ (links cancel events and nodes
-  // release pooled frames on destruction), so it is declared before it.
-  std::unique_ptr<EngineContext> engine_;
-  std::unique_ptr<phys::Topology> topology_;
   pisa::SwitchDevice* switch_ = nullptr;
-  std::vector<host::Server*> servers_;
-  std::vector<host::Client*> clients_;
-  /// Directed links keyed by `<src>-<dst>` harness names.
-  std::vector<std::pair<std::string, phys::Link*>> links_;
-  /// Every installed fault event; the scheduled events index into it.
-  std::vector<FaultEvent> fault_events_;
   baselines::LaedgeCoordinator* coordinator_ = nullptr;
   // Exactly one of these is loaded, depending on the scheme.
   std::shared_ptr<core::NetCloneProgram> netclone_program_;
@@ -194,11 +106,5 @@ class Experiment {
   std::shared_ptr<baselines::RackSchedProgram> racksched_program_;
   std::shared_ptr<baselines::NetCloneRackSchedProgram> integration_program_;
 };
-
-/// Total worker capacity of a cluster in requests per second, given the
-/// mean *effective* service time (intrinsic mean × jitter inflation).
-[[nodiscard]] double cluster_capacity_rps(
-    const std::vector<std::uint32_t>& server_workers,
-    double mean_service_us);
 
 }  // namespace netclone::harness

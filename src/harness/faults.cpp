@@ -128,23 +128,34 @@ constexpr ActionSpec kActions[] = {
     {"rack_up", FaultAction::kRackUp, 0},
 };
 
-/// `agg_fail agg1` / `rack_down rack0`: the target must be the expected
-/// prefix followed by a decimal index, so a typo fails at parse time
-/// with the key named, not at fire time deep in the harness.
+/// `server_crash s2` / `agg_fail agg1` / `rack_down rack0`: the target
+/// must be the expected prefix followed by a decimal index, so a typo
+/// fails at parse time with the key named, not at fire time deep in the
+/// harness.
 void check_indexed_target(const std::string& line, const char* action,
                           const std::string& target, const char* prefix) {
-  const std::string want(prefix);
-  bool ok = target.size() > want.size() && target.rfind(want, 0) == 0;
-  for (std::size_t i = want.size(); ok && i < target.size(); ++i) {
-    ok = std::isdigit(static_cast<unsigned char>(target[i])) != 0;
-  }
-  if (!ok) {
+  if (!target_index(target, prefix)) {
     fail(line, std::string("action '") + action + "' needs a '" + prefix +
                    "<N>' target, got '" + target + "'");
   }
 }
 
 }  // namespace
+
+std::optional<std::size_t> target_index(std::string_view target,
+                                        std::string_view prefix) {
+  if (!target.starts_with(prefix)) {
+    return std::nullopt;
+  }
+  const std::string_view digits = target.substr(prefix.size());
+  std::size_t index = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, index);
+  if (ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return index;
+}
 
 const char* fault_action_name(FaultAction action) {
   for (const ActionSpec& spec : kActions) {
@@ -188,13 +199,24 @@ FaultEvent parse_fault_entry(const std::string& line) {
                    " operand(s) after the target");
   }
 
-  if (spec->action == FaultAction::kAggFail ||
-      spec->action == FaultAction::kAggRejoin) {
-    check_indexed_target(line, spec->name, ev.target, "agg");
-  }
-  if (spec->action == FaultAction::kRackDown ||
-      spec->action == FaultAction::kRackUp) {
-    check_indexed_target(line, spec->name, ev.target, "rack");
+  switch (spec->action) {
+    case FaultAction::kServerCrash:
+    case FaultAction::kServerRestart:
+    case FaultAction::kServerPause:
+    case FaultAction::kServerResume:
+    case FaultAction::kServerSlowdown:
+      check_indexed_target(line, spec->name, ev.target, "s");
+      break;
+    case FaultAction::kAggFail:
+    case FaultAction::kAggRejoin:
+      check_indexed_target(line, spec->name, ev.target, "agg");
+      break;
+    case FaultAction::kRackDown:
+    case FaultAction::kRackUp:
+      check_indexed_target(line, spec->name, ev.target, "rack");
+      break;
+    default:
+      break;
   }
 
   if (spec->action == FaultAction::kFilterStale) {

@@ -18,18 +18,24 @@
 //     probability in [0, 1];
 //   * server_slowdown: a finite factor > 0;
 //   * filter_stale <table> <req_id>: plain decimal integers, with
-//     1 <= req_id <= 2^32 - 1 (the header's REQ_ID width).
+//     1 <= req_id <= 2^32 - 1 (the header's REQ_ID width);
+//   * the indexed targets of server_* (`s<N>`), agg_fail/agg_rejoin
+//     (`agg<N>`) and rack_down/rack_up (`rack<N>`): N is the whole rest
+//     of the target, in plain decimal digits.
 //
 // Targets use the harness's node names: clients `c<N>`, servers `s<N>`,
 // the ToR switch `sw0`, the LÆDGE coordinator `co0`. A link target is
-// `<src>-<dst>` for the directed src→dst link. Experiment resolves the
-// names and schedules every entry through the Scheduler, so fault
-// firing obeys the same deterministic event order as everything else.
+// `<src>-<dst>` for the directed src→dst link. Both harnesses resolve
+// names in one place (Testbed::apply_fault), exactly: a link or switch
+// must be registered under that name, and the N of `s<N>`, `agg<N>` and
+// `rack<N>` must be the whole rest of the target. Every entry is
+// scheduled through the Scheduler, so fault firing obeys the same
+// deterministic event order as everything else.
 //
-// Multi-rack plans address fat-tree entities through the same grammar
-// (MultiRackExperiment resolves them): switches `tor1` (client ToR),
-// `tor2`.. (server-rack ToRs), `agg0`.. (chain replicas); links by
-// endpoint pair (`tor1-agg0`, `agg0-agg1`, `tor2-s0`); whole racks via
+// Multi-rack plans address fat-tree entities through the same grammar:
+// switches `tor1` (client ToR), `tor2`.. (server-rack ToRs), `agg0`..
+// (chain replicas); links by endpoint pair (`tor1-agg0`, `agg0-agg1`,
+// `tor2-s0`); whole racks via
 //
 //     at=2ms  rack_down  rack0          # every trunk of server rack 0
 //     at=4ms  rack_up    rack0
@@ -44,8 +50,11 @@
 // and spray-readmission events.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -93,7 +102,8 @@ enum class FaultAction {
 struct FaultEvent {
   SimTime at{};
   FaultAction action{};
-  /// Link name (`c0-sw0`), server name (`s2`), or switch name (`sw0`).
+  /// Link name (`c0-sw0`), server name (`s2`), switch name (`sw0`), or
+  /// fat-tree unit (`agg1`, `rack0`).
   std::string target{};
   /// Rate (impairments), slowdown factor, or the request id to plant
   /// (filter_stale).
@@ -107,6 +117,12 @@ struct FaultPlan {
 
   [[nodiscard]] bool empty() const { return events.empty(); }
 };
+
+/// The N of an indexed target `<prefix><N>` (`s3`, `agg1`, `rack0`):
+/// nullopt unless the rest of `target` is one whole decimal number that
+/// fits std::size_t.
+[[nodiscard]] std::optional<std::size_t> target_index(
+    std::string_view target, std::string_view prefix);
 
 /// Parses one timed entry (`at=<time><unit> <action> <target> [args]`).
 /// Accepted time units: ns, us, ms, s.

@@ -19,7 +19,7 @@ void check(InvariantReport& report, bool bad, const std::string& what) {
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
-// ---- shared audit sections (Experiment and MultiRackExperiment) ----------
+// ---- shared audit sections (every Testbed) --------------------------------
 
 void audit_clients(InvariantReport& report,
                    const std::vector<host::Client*>& clients) {
@@ -129,6 +129,20 @@ void audit_pools(InvariantReport& report,
   }
 }
 
+/// The sections every testbed shares, over its registries: clients,
+/// servers, links, every switch, and the frame pool.
+InvariantReport audit_testbed(const Testbed& bed) {
+  InvariantReport report;
+  audit_clients(report, bed.clients());
+  audit_servers(report, bed.servers());
+  audit_links(report, bed.links());
+  for (const auto& [name, device] : bed.switches()) {
+    audit_switch(report, "switch " + name, device->stats());
+  }
+  audit_pools(report, bed.frame_pool_stats());
+  return report;
+}
+
 // ---- shared digest folds -------------------------------------------------
 
 struct Fold {
@@ -236,6 +250,20 @@ void fold_agg_netclone(Fold& fold, const core::AggNetCloneStats& ps) {
   fold(ps.chain_sync_fingerprints_adopted);
 }
 
+/// The folds every testbed shares, in digest order: the executed event
+/// count, then clients, servers, every switch and every link.
+Fold fold_testbed(const Testbed& bed) {
+  Fold fold;
+  fold(bed.executed_events());
+  fold_clients(fold, bed.clients());
+  fold_servers(fold, bed.servers());
+  for (const auto& [name, device] : bed.switches()) {
+    fold_switch(fold, device->stats());
+  }
+  fold_links(fold, bed.links());
+  return fold;
+}
+
 /// True when every link has delivered everything it accepted and no
 /// frame was lost, mangled, or reordered in transit — the precondition
 /// for the exact replica-convergence checks (a lossy or still-moving
@@ -270,29 +298,17 @@ std::string InvariantReport::to_string() const {
 }
 
 InvariantReport audit_invariants(const Experiment& exp) {
-  InvariantReport report;
-  audit_clients(report, exp.clients());
-  audit_servers(report, exp.servers());
-  audit_links(report, exp.links());
-  audit_switch(report, "switch", exp.tor().stats());
+  InvariantReport report = audit_testbed(exp);
   if (exp.netclone_program() != nullptr) {
     const core::NetCloneProgramStats& ps = exp.netclone_program()->stats();
     audit_filter(report, "program", ps.filtered_responses,
                  ps.fingerprints_stored, ps.injected_stale_entries);
   }
-  audit_pools(report, exp.frame_pool_stats());
   return report;
 }
 
 InvariantReport audit_invariants(const MultiRackExperiment& exp) {
-  InvariantReport report;
-  audit_clients(report, exp.clients());
-  audit_servers(report, exp.servers());
-  audit_links(report, exp.links());
-  for (const auto& [name, device] : exp.switches()) {
-    audit_switch(report, "switch " + name, device->stats());
-  }
-
+  InvariantReport report = audit_testbed(exp);
   const bool replicated = exp.config().agg_mode == AggMode::kReplicated;
   if (!replicated) {
     const core::NetCloneProgramStats& ps = exp.client_tor_program().stats();
@@ -337,11 +353,9 @@ InvariantReport audit_invariants(const MultiRackExperiment& exp) {
       if (sw.dropped_while_failed == 0 && sw.flushed_in_pipeline == 0) {
         continue;
       }
+      const std::optional<std::size_t> agg = target_index(name, "agg");
       const bool failed_agg =
-          ctrl != nullptr && name.compare(0, 3, "agg") == 0 &&
-          name.size() > 3 &&
-          ctrl->fails_of(static_cast<std::size_t>(
-              std::stoul(name.substr(3)))) > 0;
+          ctrl != nullptr && agg.has_value() && ctrl->fails_of(*agg) > 0;
       if (!failed_agg) {
         switches_clean = false;
         break;
@@ -420,18 +434,11 @@ InvariantReport audit_invariants(const MultiRackExperiment& exp) {
       }
     }
   }
-
-  audit_pools(report, exp.frame_pool_stats());
   return report;
 }
 
 std::uint64_t chaos_digest(const Experiment& exp) {
-  Fold fold;
-  fold(exp.executed_events());
-  fold_clients(fold, exp.clients());
-  fold_servers(fold, exp.servers());
-  fold_switch(fold, exp.tor().stats());
-  fold_links(fold, exp.links());
+  Fold fold = fold_testbed(exp);
   if (exp.netclone_program() != nullptr) {
     fold_netclone(fold, exp.netclone_program()->stats());
   }
@@ -439,14 +446,7 @@ std::uint64_t chaos_digest(const Experiment& exp) {
 }
 
 std::uint64_t chaos_digest(const MultiRackExperiment& exp) {
-  Fold fold;
-  fold(exp.executed_events());
-  fold_clients(fold, exp.clients());
-  fold_servers(fold, exp.servers());
-  for (const auto& [name, device] : exp.switches()) {
-    fold_switch(fold, device->stats());
-  }
-  fold_links(fold, exp.links());
+  Fold fold = fold_testbed(exp);
   if (exp.config().agg_mode == AggMode::kReplicated) {
     for (std::size_t a = 0; a < exp.num_aggs(); ++a) {
       fold_agg_netclone(fold, exp.agg_netclone_program(a).stats());

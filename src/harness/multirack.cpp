@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/hash.hpp"
 #include "core/groups.hpp"
 
 namespace netclone::harness {
@@ -15,26 +14,13 @@ namespace {
 /// and chain peers recognize relayed responses as their own to process.
 constexpr std::uint8_t kAggTierSwitchId = 200;
 
-std::string indexed_name(const char* prefix, std::size_t index) {
-  std::string name(prefix);
-  name += std::to_string(index);
-  return name;
-}
-
-/// `agg3` -> 3, `rack0` -> 0. Grammar validation happens at parse time;
-/// this only re-extracts the index at resolve time.
-std::size_t indexed_target(const std::string& target, const char* prefix) {
-  const std::size_t len = std::string(prefix).size();
-  NETCLONE_CHECK(target.size() > len && target.rfind(prefix, 0) == 0,
-                 "bad fault target '" + target + "' (expected " + prefix +
-                     "<N>)");
-  return static_cast<std::size_t>(std::stoul(target.substr(len)));
-}
-
 }  // namespace
 
 MultiRackExperiment::MultiRackExperiment(MultiRackConfig config)
-    : config_(std::move(config)), root_rng_(config_.seed) {
+    : Testbed(Schedule{Scheme::kNetClone, config.offered_rps, config.measure,
+                       config.warmup + config.measure + config.drain,
+                       config.seed}),
+      config_(std::move(config)) {
   NETCLONE_CHECK(config_.factory != nullptr, "config needs a factory");
   NETCLONE_CHECK(config_.service != nullptr, "config needs a service");
   NETCLONE_CHECK(config_.server_racks >= 1, "need at least one server rack");
@@ -46,19 +32,6 @@ MultiRackExperiment::MultiRackExperiment(MultiRackConfig config)
 }
 
 MultiRackExperiment::~MultiRackExperiment() = default;
-
-sim::Scheduler& MultiRackExperiment::scheduler() {
-  return engine_->scheduler();
-}
-
-std::uint64_t MultiRackExperiment::executed_events() const {
-  return engine_->executed_events();
-}
-
-std::vector<wire::FramePool::Stats> MultiRackExperiment::frame_pool_stats()
-    const {
-  return engine_->frame_pool_stats();
-}
 
 const core::NetCloneProgram& MultiRackExperiment::client_tor_program() const {
   NETCLONE_CHECK(client_tor_program_ != nullptr,
@@ -80,15 +53,6 @@ const core::AggNetCloneProgram& MultiRackExperiment::agg_netclone_program(
   return *agg_netclone_programs_[agg];
 }
 
-phys::Link* MultiRackExperiment::link(const std::string& name) const {
-  for (const auto& [key, link] : links_) {
-    if (key == name) {
-      return link;
-    }
-  }
-  return nullptr;
-}
-
 phys::DuplexPorts MultiRackExperiment::connect_nodes(phys::Node& a,
                                                      phys::Node& b,
                                                      phys::LinkParams params) {
@@ -99,17 +63,10 @@ phys::DuplexPorts MultiRackExperiment::connect_nodes(phys::Node& a,
   // scheduling tie-breaks alone. The skew is part of the pod model: every
   // pinned multi-rack result (pod_replicated, the multirack digests)
   // depends on it.
-  const std::size_t duplex_index = topology_->links().size() / 2;
+  const std::size_t duplex_index = topology().links().size() / 2;
   params.delay +=
       SimTime::nanoseconds(static_cast<std::int64_t>((7 * duplex_index) % 97));
-  return topology_->connect(a, b, params);
-}
-
-void MultiRackExperiment::record_link(const std::string& a,
-                                     const std::string& b,
-                                     const phys::DuplexPorts& ports) {
-  links_.emplace_back(a + "-" + b, ports.a_to_b);
-  links_.emplace_back(b + "-" + a, ports.b_to_a);
+  return topology().connect(a, b, params);
 }
 
 void MultiRackExperiment::build() {
@@ -119,10 +76,8 @@ void MultiRackExperiment::build() {
   NETCLONE_CHECK(num_servers * (num_servers - 1) <= 65535,
                  "group id space exceeded: too many servers");
 
-  engine_ = std::make_unique<EngineContext>();
-  const wire::ScopedPoolBinding bind(engine_->pool());
-  sim::Scheduler& sim = engine_->scheduler();
-  topology_ = std::make_unique<phys::Topology>(sim);
+  const wire::ScopedPoolBinding bind(pool());
+  sim::Scheduler& sim = scheduler();
 
   // Tables must hold the whole pod regardless of the caller's defaults.
   core::NetCloneConfig nc = config_.netclone;
@@ -135,7 +90,7 @@ void MultiRackExperiment::build() {
   std::vector<std::size_t> agg_recircs;
   for (std::size_t a = 0; a < config_.num_aggs; ++a) {
     auto& agg =
-        topology_->add_node<pisa::SwitchDevice>(sim, indexed_name("agg", a));
+        topology().add_node<pisa::SwitchDevice>(sim, indexed_name("agg", a));
     if (replicated) {
       // The chain replicas clone, so they need the loopback port the
       // multicast groups reference.
@@ -144,12 +99,11 @@ void MultiRackExperiment::build() {
       agg_recircs.push_back(recirc);
     }
     aggs_.push_back(&agg);
-    switches_.emplace_back(indexed_name("agg", a), &agg);
+    record_switch(indexed_name("agg", a), agg, nullptr);
   }
 
   // -- client ToR ---------------------------------------------------------
-  client_tor_ = &topology_->add_node<pisa::SwitchDevice>(sim, "tor1");
-  switches_.emplace_back("tor1", client_tor_);
+  client_tor_ = &topology().add_node<pisa::SwitchDevice>(sim, "tor1");
   std::size_t client_recirc = 0;
   if (!replicated) {
     client_recirc = client_tor_->add_internal_port();
@@ -166,6 +120,7 @@ void MultiRackExperiment::build() {
         /*route_capacity=*/1 + config_.num_clients + num_servers);
     client_tor_->load_program(client_router_program_);
   }
+  record_switch("tor1", *client_tor_, client_tor_program_.get());
 
   // Client ToR uplinks, one per agg.
   std::vector<phys::DuplexPorts> client_trunks;
@@ -245,7 +200,7 @@ void MultiRackExperiment::build() {
   std::uint8_t sid = 0;
   for (std::size_t rack = 0; rack < config_.server_racks; ++rack) {
     const std::string tor_name = indexed_name("tor", rack + 2);
-    auto& tor = topology_->add_node<pisa::SwitchDevice>(sim, tor_name);
+    auto& tor = topology().add_node<pisa::SwitchDevice>(sim, tor_name);
     const std::size_t tor_recirc = tor.add_internal_port();
     tor.set_loopback_port(tor_recirc);
     core::NetCloneConfig rack_cfg = nc;
@@ -253,9 +208,8 @@ void MultiRackExperiment::build() {
     auto program =
         std::make_shared<core::NetCloneProgram>(tor.pipeline(), rack_cfg);
     tor.load_program(program);
-    server_tors_.push_back(&tor);
     server_tor_programs_.push_back(program);
-    switches_.emplace_back(tor_name, &tor);
+    record_switch(tor_name, tor, program.get());
 
     std::vector<phys::DuplexPorts> trunks;
     for (std::size_t a = 0; a < config_.num_aggs; ++a) {
@@ -275,12 +229,12 @@ void MultiRackExperiment::build() {
       host::ServerParams sp = config_.server_template;
       sp.sid = ServerId{sid};
       sp.workers = config_.workers;
-      auto& server = topology_->add_node<host::Server>(
-          sim, sp, config_.service, root_rng_.fork());
+      auto& server = topology().add_node<host::Server>(
+          sim, sp, config_.service, root_rng().fork());
       const phys::DuplexPorts ports =
           connect_nodes(server, tor, config_.host_link);
       record_link(indexed_name("s", sid), tor_name, ports);
-      servers_.push_back(&server);
+      record_server(server);
       const wire::Ipv4Address ip = host::server_ip(ServerId{sid});
       // Rack ToR routes the server's address locally (foreign-stamped
       // packets take exactly this FwdT path).
@@ -336,14 +290,14 @@ void MultiRackExperiment::build() {
         static_cast<std::uint8_t>(config_.netclone.num_filter_tables);
     cp.warmup_until = config_.warmup;
     cp.stop_at = stop_at;
-    auto& client = topology_->add_node<host::Client>(
-        sim, cp, config_.factory, root_rng_.fork());
+    auto& client = topology().add_node<host::Client>(
+        sim, cp, config_.factory, root_rng().fork());
     const phys::DuplexPorts ports =
         connect_nodes(client, *client_tor_, config_.host_link);
     record_link(indexed_name("c", c), "tor1", ports);
     const wire::Ipv4Address ip = host::client_ip(cp.client_id);
     client_ips_.push_back(ip);
-    clients_.push_back(&client);
+    record_client(client);
 
     if (replicated) {
       client_router_program_->add_prefix(ip, 32, ports.port_on_b);
@@ -398,211 +352,70 @@ void MultiRackExperiment::build() {
           }
         });
   }
-  install_fault_plan();
+  install_fault_plan(config_.faults);
 }
 
-std::uint64_t MultiRackExperiment::impairment_seed(
-    const std::string& name) const {
-  return mix64(config_.seed ^ fnv1a(std::string_view{name}));
-}
-
-void MultiRackExperiment::install_fault_plan() {
-  const std::vector<FaultEvent>& events = config_.faults.events;
-  for (std::size_t index = 0; index < events.size(); ++index) {
-    const FaultEvent& event = events[index];
-    switch (event.action) {
-      case FaultAction::kAggFail: {
-        NETCLONE_CHECK(chain_controller_ != nullptr,
-                       "agg_fail needs the replicated aggregation tier");
-        const std::size_t a = indexed_target(event.target, "agg");
-        NETCLONE_CHECK(a < config_.num_aggs,
-                       "agg_fail target out of range: " + event.target);
-        // Crash + splice + spray/route updates now; the reconcile marker
-        // a little later.
-        scheduler().schedule_at(
-            event.at, [this, a] { chain_controller_->fail_replica(a); });
-        scheduler().schedule_at(
-            event.at + config_.chain_sync_delay,
-            [this, a] { chain_controller_->reconcile_after_fail(a); });
-        break;
-      }
-      case FaultAction::kAggRejoin: {
-        NETCLONE_CHECK(chain_controller_ != nullptr,
-                       "agg_rejoin needs the replicated aggregation tier");
-        const std::size_t a = indexed_target(event.target, "agg");
-        NETCLONE_CHECK(a < config_.num_aggs,
-                       "agg_rejoin target out of range: " + event.target);
-        // Same-instant pair: recover + bookkeeping fires before the
-        // admit marker injection because it is scheduled first (equal
-        // times break ties by scheduling order). Keep this call order.
-        scheduler().schedule_at(
-            event.at, [this, a] { chain_controller_->rejoin_replica(a); });
-        scheduler().schedule_at(event.at, [this, a] {
-          chain_controller_->inject_admit_marker(a);
-        });
-        scheduler().schedule_at(
-            event.at + config_.chain_readmit_delay,
-            [this, a] { chain_controller_->readmit_spray(a); });
-        break;
-      }
-      default:
-        // Captures the index into config_.faults, not the event (its
-        // target string would not fit EventCallback's inline storage).
-        scheduler().schedule_at(event.at, [this, index] {
-          apply_fault(config_.faults.events[index]);
-        });
-        break;
-    }
+void MultiRackExperiment::check_fault(const FaultEvent& event) const {
+  if (event.action == FaultAction::kAggFail ||
+      event.action == FaultAction::kAggRejoin) {
+    NETCLONE_CHECK(chain_controller_ != nullptr,
+                   std::string(fault_action_name(event.action)) +
+                       " needs the replicated aggregation tier");
+    (void)indexed_target(event, "agg", config_.num_aggs);
   }
 }
 
-void MultiRackExperiment::apply_fault(const FaultEvent& event) {
-  const auto parse_server = [this](const std::string& target) {
-    NETCLONE_CHECK(target.size() >= 2 && target[0] == 's',
-                   "bad server target: " + target);
-    const std::size_t index =
-        static_cast<std::size_t>(std::stoul(target.substr(1)));
-    NETCLONE_CHECK(index < servers_.size(),
-                   "server target out of range: " + target);
-    return servers_[index];
-  };
-  const auto target_link = [this](const std::string& target) {
-    phys::Link* l = link(target);
-    NETCLONE_CHECK(l != nullptr, "unknown link target: " + target);
-    return l;
-  };
-  const auto merge_rate = [&](auto member) {
-    phys::Link* l = target_link(event.target);
-    phys::LinkImpairments cfg = l->impairments() != nullptr
-                                    ? *l->impairments()
-                                    : phys::LinkImpairments{};
-    cfg.*member = event.value;
-    l->configure_impairments(cfg, impairment_seed(event.target));
-  };
-  const auto target_switch =
-      [this](const std::string& target) -> pisa::SwitchDevice* {
-    for (const auto& [name, device] : switches_) {
-      if (name == target) {
-        return device;
-      }
-    }
-    NETCLONE_CHECK(false, "unknown switch target: " + target);
-    return nullptr;
-  };
-  const auto set_rack_trunks = [&](bool up) {
-    const std::size_t rack = indexed_target(event.target, "rack");
-    NETCLONE_CHECK(rack < config_.server_racks,
-                   "rack target out of range: " + event.target);
-    const std::string tor = indexed_name("tor", rack + 2);
-    for (std::size_t a = 0; a < config_.num_aggs; ++a) {
-      const std::string agg = indexed_name("agg", a);
-      target_link(tor + "-" + agg)->set_up(up);
-      target_link(agg + "-" + tor)->set_up(up);
-    }
-  };
-
+bool MultiRackExperiment::schedule_expanded_fault(const FaultEvent& event) {
   switch (event.action) {
-    case FaultAction::kLinkDown:
-      target_link(event.target)->set_up(false);
-      break;
-    case FaultAction::kLinkUp:
-      target_link(event.target)->set_up(true);
-      break;
-    case FaultAction::kDropRate:
-      merge_rate(&phys::LinkImpairments::drop_rate);
-      break;
-    case FaultAction::kCorruptRate:
-      merge_rate(&phys::LinkImpairments::corrupt_rate);
-      break;
-    case FaultAction::kReorderRate:
-      merge_rate(&phys::LinkImpairments::reorder_rate);
-      break;
-    case FaultAction::kDuplicateRate:
-      merge_rate(&phys::LinkImpairments::duplicate_rate);
-      break;
-    case FaultAction::kServerCrash:
-      parse_server(event.target)->crash();
-      break;
-    case FaultAction::kServerRestart:
-      parse_server(event.target)->restart();
-      break;
-    case FaultAction::kServerPause:
-      parse_server(event.target)->pause();
-      break;
-    case FaultAction::kServerResume:
-      parse_server(event.target)->resume();
-      break;
-    case FaultAction::kServerSlowdown:
-      parse_server(event.target)->set_slowdown(event.value);
-      break;
-    case FaultAction::kSwitchFail:
-      target_switch(event.target)->fail();
-      break;
-    case FaultAction::kSwitchRecover:
-      target_switch(event.target)->recover();
-      break;
-    case FaultAction::kSwitchWipe:
-      target_switch(event.target)->wipe_soft_state();
-      break;
-    case FaultAction::kFilterStale: {
-      // Stale entries are planted in NetClone ToR programs: the client
-      // ToR in kOblivious mode ('tor1') or any server-rack ToR.
-      core::NetCloneProgram* program = nullptr;
-      if (event.target == "tor1") {
-        NETCLONE_CHECK(client_tor_program_ != nullptr,
-                       "filter_stale on tor1 needs kOblivious mode");
-        program = client_tor_program_.get();
-      } else {
-        const std::size_t tor = indexed_target(event.target, "tor");
-        NETCLONE_CHECK(tor >= 2 && tor - 2 < server_tor_programs_.size(),
-                       "unknown ToR target: " + event.target);
-        program = server_tor_programs_[tor - 2].get();
-      }
-      program->inject_stale_filter_entry(
-          event.table, static_cast<std::uint32_t>(event.value));
-      break;
+    case FaultAction::kAggFail: {
+      const std::size_t a = indexed_target(event, "agg", config_.num_aggs);
+      // Crash + splice + spray/route updates now; the reconcile marker
+      // a little later.
+      scheduler().schedule_at(
+          event.at, [this, a] { chain_controller_->fail_replica(a); });
+      scheduler().schedule_at(
+          event.at + config_.chain_sync_delay,
+          [this, a] { chain_controller_->reconcile_after_fail(a); });
+      return true;
     }
-    case FaultAction::kRackDown:
-      set_rack_trunks(false);
-      break;
-    case FaultAction::kRackUp:
-      set_rack_trunks(true);
-      break;
-    case FaultAction::kAggFail:
-    case FaultAction::kAggRejoin:
-      NETCLONE_CHECK(false,
-                     "agg_fail/agg_rejoin are schedule-managed — put them "
-                     "in MultiRackConfig::faults");
-      break;
+    case FaultAction::kAggRejoin: {
+      const std::size_t a = indexed_target(event, "agg", config_.num_aggs);
+      // Same-instant pair: recover + bookkeeping fires before the
+      // admit marker injection because it is scheduled first (equal
+      // times break ties by scheduling order). Keep this call order.
+      scheduler().schedule_at(
+          event.at, [this, a] { chain_controller_->rejoin_replica(a); });
+      scheduler().schedule_at(event.at, [this, a] {
+        chain_controller_->inject_admit_marker(a);
+      });
+      scheduler().schedule_at(
+          event.at + config_.chain_readmit_delay,
+          [this, a] { chain_controller_->readmit_spray(a); });
+      return true;
+    }
+    default:
+      return false;
   }
 }
 
-ExperimentResult MultiRackExperiment::run() {
-  for (host::Client* client : clients_) {
-    client->start();
+void MultiRackExperiment::apply_fat_tree_fault(const FaultEvent& event) {
+  NETCLONE_CHECK(event.action == FaultAction::kRackDown ||
+                     event.action == FaultAction::kRackUp,
+                 "agg_fail/agg_rejoin are schedule-managed — install "
+                 "them in a fault plan");
+  const bool up = event.action == FaultAction::kRackUp;
+  const std::size_t rack =
+      indexed_target(event, "rack", config_.server_racks);
+  const std::string tor = indexed_name("tor", rack + 2);
+  for (std::size_t a = 0; a < config_.num_aggs; ++a) {
+    const std::string agg = indexed_name("agg", a);
+    link(tor + "-" + agg)->set_up(up);
+    link(agg + "-" + tor)->set_up(up);
   }
-  engine_->run_until(config_.warmup + config_.measure + config_.drain);
+}
 
-  ExperimentResult result;
-  result.scheme = Scheme::kNetClone;
-  result.offered_rps = config_.offered_rps;
-  LatencyHistogram merged;
-  for (const host::Client* client : clients_) {
-    const host::ClientStats& cs = client->stats();
-    merged.merge(cs.latency);
-    result.requests_sent += cs.requests_sent;
-    result.completed += cs.completed_in_window;
-    result.redundant_responses += cs.redundant_responses;
-  }
-  result.achieved_rps =
-      static_cast<double>(result.completed) / config_.measure.sec();
-  result.mean_us = merged.mean_ns() / 1e3;
-  result.p50 = merged.p50();
-  result.p99 = merged.p99();
-  result.p999 = merged.p999();
-  for (const host::Server* server : servers_) {
-    result.dropped_stale_clones += server->stats().dropped_stale_clones;
-  }
+void MultiRackExperiment::add_switch_counters(
+    ExperimentResult& result) const {
   if (config_.agg_mode == AggMode::kReplicated) {
     // Each clone is decided at exactly one replica; verdicts are enacted
     // only at whichever replica holds the tail role — summing stays
@@ -617,27 +430,6 @@ ExperimentResult MultiRackExperiment::run() {
         client_tor_program_->stats().filtered_responses;
   }
   result.switch_stats = client_tor_->stats();
-  return result;
-}
-
-std::vector<std::uint64_t> MultiRackExperiment::run_timeline(SimTime total,
-                                                             SimTime bin) {
-  NETCLONE_CHECK(bin > SimTime::zero(), "bin must be positive");
-  for (host::Client* client : clients_) {
-    client->start();
-  }
-  std::vector<std::uint64_t> bins;
-  std::uint64_t last_total = 0;
-  for (SimTime t = bin; t <= total; t += bin) {
-    engine_->run_until(t);
-    std::uint64_t now_total = 0;
-    for (const host::Client* client : clients_) {
-      now_total += client->stats().completed;
-    }
-    bins.push_back(now_total - last_total);
-    last_total = now_total;
-  }
-  return bins;
 }
 
 }  // namespace netclone::harness

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,9 +33,8 @@
 #include "core/agg_netclone_program.hpp"
 #include "core/netclone_program.hpp"
 #include "harness/chain_controller.hpp"
-#include "harness/engine.hpp"
-#include "harness/experiment.hpp"
 #include "harness/faults.hpp"
+#include "harness/testbed.hpp"
 
 namespace netclone::harness {
 
@@ -86,26 +86,13 @@ struct MultiRackConfig {
   SimTime chain_readmit_delay = SimTime::microseconds(50);
 };
 
-/// One built-and-runnable fat-tree pod; see Experiment for the lifecycle.
-class MultiRackExperiment {
+/// One built-and-runnable fat-tree pod; see Testbed for the lifecycle.
+/// Switches are registered as `agg<N>`, `tor1` (the client ToR) and
+/// `tor<N>` for server rack N - 2.
+class MultiRackExperiment : public Testbed {
  public:
   explicit MultiRackExperiment(MultiRackConfig config);
-  ~MultiRackExperiment();
-
-  MultiRackExperiment(const MultiRackExperiment&) = delete;
-  MultiRackExperiment& operator=(const MultiRackExperiment&) = delete;
-
-  [[nodiscard]] ExperimentResult run();
-  /// Drives the run in `bin`-sized steps and returns completed requests
-  /// per bin — the bench_fig16-style recovery-time probe. The installed
-  /// fault plan fires on schedule during the walk.
-  [[nodiscard]] std::vector<std::uint64_t> run_timeline(SimTime total,
-                                                        SimTime bin);
-
-  /// Applies one fault immediately (tests / manual drivers). The managed
-  /// agg_fail/agg_rejoin actions must ride the installed plan instead —
-  /// they expand into multiple timed events.
-  void apply_fault(const FaultEvent& event);
+  ~MultiRackExperiment() override;
 
   // -- programs -----------------------------------------------------------
 
@@ -126,57 +113,28 @@ class MultiRackExperiment {
 
   [[nodiscard]] const MultiRackConfig& config() const { return config_; }
   [[nodiscard]] std::size_t num_aggs() const { return config_.num_aggs; }
-  [[nodiscard]] const std::vector<host::Server*>& servers() const {
-    return servers_;
-  }
-  [[nodiscard]] const std::vector<host::Client*>& clients() const {
-    return clients_;
-  }
-  /// All directed links with their harness names, for the auditor.
-  [[nodiscard]] const std::vector<std::pair<std::string, phys::Link*>>&
-  links() const {
-    return links_;
-  }
-  [[nodiscard]] phys::Link* link(const std::string& name) const;
-  /// Every switch in build order (aggs, client ToR, rack ToRs), named.
-  [[nodiscard]] const std::vector<std::pair<std::string, pisa::SwitchDevice*>>&
-  switches() const {
-    return switches_;
-  }
   /// Fail-over controller (kReplicated mode only; null otherwise).
   [[nodiscard]] const ChainController* chain_controller() const {
     return chain_controller_.get();
   }
 
-  // -- engine telemetry (same surface as Experiment) ----------------------
-
-  [[nodiscard]] sim::Scheduler& scheduler();
-  [[nodiscard]] std::uint64_t executed_events() const;
-  [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
-
  private:
   void build();
-  /// Schedules config_.faults; its events stay there and the scheduled
-  /// events index into them.
-  void install_fault_plan();
-  [[nodiscard]] std::uint64_t impairment_seed(const std::string& name) const;
-  /// topology_->connect() with the pod's per-link delay skew.
+  /// topology().connect() with the pod's per-link delay skew.
   phys::DuplexPorts connect_nodes(phys::Node& a, phys::Node& b,
                                   phys::LinkParams params);
-  void record_link(const std::string& a, const std::string& b,
-                   const phys::DuplexPorts& ports);
+  /// agg_fail/agg_rejoin need the replicated tier and an existing agg.
+  void check_fault(const FaultEvent& event) const override;
+  /// Expands agg_fail/agg_rejoin into the chain controller's timed steps.
+  bool schedule_expanded_fault(const FaultEvent& event) override;
+  /// rack_down/rack_up; agg_fail/agg_rejoin must ride the installed plan
+  /// instead, since they expand into several timed events.
+  void apply_fat_tree_fault(const FaultEvent& event) override;
+  void add_switch_counters(ExperimentResult& result) const override;
 
   MultiRackConfig config_;
-  Rng root_rng_;
-  // The engine must outlive topology_ (links cancel events and nodes
-  // release pooled frames on destruction), so it is declared before it.
-  std::unique_ptr<EngineContext> engine_;
-  std::unique_ptr<phys::Topology> topology_;
   pisa::SwitchDevice* client_tor_ = nullptr;
   std::vector<pisa::SwitchDevice*> aggs_;
-  std::vector<pisa::SwitchDevice*> server_tors_;
-  std::vector<std::pair<std::string, pisa::SwitchDevice*>> switches_;
-  std::vector<std::pair<std::string, phys::Link*>> links_;
   // kOblivious mode:
   std::shared_ptr<core::NetCloneProgram> client_tor_program_;
   std::vector<std::shared_ptr<baselines::AggRouterProgram>>
@@ -187,8 +145,6 @@ class MultiRackExperiment {
       agg_netclone_programs_;
   // Both modes:
   std::vector<std::shared_ptr<core::NetCloneProgram>> server_tor_programs_;
-  std::vector<host::Server*> servers_;
-  std::vector<host::Client*> clients_;
   // kReplicated fail-over plumbing: the chain-link port mesh
   // (chain_ports_[i][j] = agg i's port toward agg j), the client ToR's
   // uplink ports (ECMP spray members), each rack ToR's uplink port per

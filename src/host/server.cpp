@@ -331,20 +331,18 @@ void Server::on_complete(PendingRequest req, const wire::RpcRequest& rpc,
     send(0, resp.serialize_sg(tail));
   } else {
     // Fragment 0 carries the body; the rest are header-only markers the
-    // switch filters through its ordered tables. One burst, one armed
-    // delivery event on the egress link.
-    burst_.clear();
+    // switch filters through its ordered tables. Each leaves as soon as
+    // it is built; the egress link's FIFO arms one delivery event for the
+    // back-to-back run.
     resp.nc().frag_count = params_.response_fragments;
     resp.nc().frag_idx = 0;
-    burst_.push_back(resp.serialize_sg(tail));
+    send(0, resp.serialize_sg(tail));
     resp.payload.clear();
     const wire::SharedPayload empty{};
     for (std::uint8_t f = 1; f < params_.response_fragments; ++f) {
       resp.nc().frag_idx = f;
-      burst_.push_back(resp.serialize_sg(empty));
+      send(0, resp.serialize_sg(empty));
     }
-    send_burst(0, burst_);
-    burst_.clear();
   }
 
   --busy_workers_;

@@ -215,8 +215,6 @@ class Server : public phys::Node {
   double slowdown_ = 1.0;
   /// Frames received while paused, replayed in order on resume().
   std::vector<wire::FrameHandle> paused_rx_;
-  /// Scratch for fragmented responses, reused across completions.
-  std::vector<wire::FrameHandle> burst_;
   ServerStats stats_;
 };
 

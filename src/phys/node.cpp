@@ -36,15 +36,4 @@ std::size_t Node::retract_not_ready() {
   return removed;
 }
 
-void Node::send_burst(std::size_t port,
-                      std::span<wire::FrameHandle> frames) {
-  if (port >= egress_.size() || egress_[port] == nullptr) {
-    return;  // unplugged port: the whole burst is lost
-  }
-  Link* link = egress_[port];
-  for (wire::FrameHandle& frame : frames) {
-    link->transmit(std::move(frame));
-  }
-}
-
 }  // namespace netclone::phys

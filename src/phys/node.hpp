@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -51,12 +50,6 @@ class Node {
   /// not passed (Link::retract_not_ready); returns how many hand-offs
   /// were removed.
   std::size_t retract_not_ready();
-
-  /// Transmits a run of frames out of `port` back-to-back: one egress
-  /// lookup for the whole batch, and the link's batched FIFO arms at most
-  /// one delivery event for all of them. The handles are moved out of
-  /// `frames`. Fragmented responses use this.
-  void send_burst(std::size_t port, std::span<wire::FrameHandle> frames);
 
  private:
   std::string name_;

@@ -66,9 +66,10 @@ class Packet {
 
   /// Parses a pooled frame into a backed packet: the handle is retained,
   /// the payload is a zero-copy view, and serialize_pooled() can patch the
-  /// source bytes instead of rebuilding them. Falls back to the copying
-  /// parse when the fast path is disabled. (Named, not overloaded: a Frame
-  /// converts implicitly to both span and FrameHandle.)
+  /// source bytes instead of rebuilding them. The one fallback is a split
+  /// frame whose header boundary moved since the split: it is linearized
+  /// and parsed by copy. (Named, not overloaded: a Frame converts
+  /// implicitly to both span and FrameHandle.)
   [[nodiscard]] static Packet parse_backed(const FrameHandle& frame);
 
   /// Serializes to wire bytes, recomputing every length and checksum

@@ -1,7 +1,7 @@
 // Fault-injection subsystem: plan parsing, scenario wiring, checksum
 // verification on the receive path, retransmit backoff, fault application
-// through Experiment, and a quick chaos sweep (the >=100-combo sweep
-// lives in test_chaos_sweep.cpp, slow lane).
+// through Experiment and MultiRackExperiment, and a quick chaos sweep (the
+// >=100-combo sweep lives in test_chaos_sweep.cpp, slow lane).
 #include "harness/faults.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "common/check.hpp"
 #include "harness/experiment.hpp"
 #include "harness/invariants.hpp"
+#include "harness/multirack.hpp"
 #include "harness/scenario.hpp"
 #include "test_util.hpp"
 #include "wire/frame.hpp"
@@ -98,6 +99,13 @@ TEST(FaultPlanParse, Rejections) {
                FaultPlanError);
   EXPECT_THROW((void)parse_fault_entry("at=2s filter_stale sw0 0 0"),
                FaultPlanError);
+  // Server targets are `s<N>` with the whole rest a decimal index.
+  for (const char* entry :
+       {"at=2s server_crash s1x", "at=2s server_crash sx",
+        "at=2s server_restart s", "at=2s server_pause sw0",
+        "at=2s server_resume s-1", "at=2s server_slowdown c1 2"}) {
+    EXPECT_THROW((void)parse_fault_entry(entry), FaultPlanError) << entry;
+  }
 }
 
 TEST(FaultPlanParse, OutOfRangeOperandsAreRejected) {
@@ -490,6 +498,38 @@ TEST(ExperimentFaults, ApplyLinkAndServerAndSwitchFaults) {
   EXPECT_THROW(
       exp.apply_fault(parse_fault_entry("at=0s server_crash s9")),
       CheckFailure);
+
+  // Targets resolve exactly. Events built directly (as chaos plans are)
+  // skip the parser, so the dispatcher must reject these itself: the
+  // whole rest of `s<N>` is the index, and a switch is found by name.
+  for (const char* target :
+       {"s1x", "sx", "s", "s+1", "s99999999999999999999999", "sw0"}) {
+    FaultEvent crash;
+    crash.action = FaultAction::kServerCrash;
+    crash.target = target;
+    EXPECT_THROW(exp.apply_fault(crash), CheckFailure) << target;
+  }
+  EXPECT_FALSE(exp.servers()[1]->crashed());
+  EXPECT_THROW(exp.apply_fault(parse_fault_entry("at=0s switch_wipe bogus")),
+               CheckFailure);
+  EXPECT_THROW(
+      exp.apply_fault(parse_fault_entry("at=0s switch_fail nowhere")),
+      CheckFailure);
+  EXPECT_THROW(
+      exp.apply_fault(parse_fault_entry("at=0s filter_stale tor 0 778")),
+      CheckFailure);
+  EXPECT_EQ(exp.tor().stats().soft_state_wipes, 1U);
+  EXPECT_FALSE(exp.tor().failed());
+  EXPECT_EQ(exp.netclone_program()->stats().injected_stale_entries, 1U);
+}
+
+TEST(ExperimentFaults, FilterStaleNeedsANetCloneProgram) {
+  harness::ClusterConfig cfg = netclone::testing::chaos_cluster(4);
+  cfg.scheme = harness::Scheme::kBaseline;
+  harness::Experiment exp{cfg};
+  EXPECT_THROW(
+      exp.apply_fault(parse_fault_entry("at=0s filter_stale sw0 0 777")),
+      CheckFailure);
 }
 
 TEST(ExperimentFaults, FatTreeActionsRejectedOnSingleRack) {
@@ -571,6 +611,207 @@ TEST(ExperimentFaults, ServerCrashVoidsInFlightWork) {
   EXPECT_GT(ss.abandoned_in_flight, 0U);
   const harness::InvariantReport report = harness::audit_invariants(exp);
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// ---------------------------------------------------------------------------
+// Fault application through MultiRackExperiment: the same dispatcher, on
+// the pod's names (switches agg<N>, tor1, tor<N>; racks rack<N>)
+
+harness::MultiRackConfig pod_config(harness::AggMode mode) {
+  harness::MultiRackConfig cfg;
+  cfg.server_racks = 2;
+  cfg.servers_per_rack = 2;
+  cfg.num_aggs = 2;
+  cfg.agg_mode = mode;
+  cfg.workers = 4;
+  cfg.factory = std::make_shared<host::ExponentialWorkload>(25.0);
+  cfg.service =
+      std::make_shared<host::SyntheticService>(host::JitterModel{0.01, 15});
+  cfg.warmup = SimTime::milliseconds(1);
+  cfg.measure = SimTime::milliseconds(4);
+  cfg.drain = SimTime::milliseconds(3);
+  cfg.seed = 5;
+  cfg.offered_rps =
+      0.5 * harness::cluster_capacity_rps({4, 4, 4, 4}, 25.0 * 1.14);
+  return cfg;
+}
+
+const pisa::SwitchDevice& pod_switch(const harness::MultiRackExperiment& exp,
+                                     const std::string& name) {
+  for (const auto& [key, device] : exp.switches()) {
+    if (key == name) {
+      return *device;
+    }
+  }
+  throw CheckFailure("no switch " + name);
+}
+
+TEST(MultiRackFaults, LinkAndServerActionsByPodNames) {
+  harness::MultiRackExperiment exp{pod_config(harness::AggMode::kOblivious)};
+
+  exp.apply_fault(parse_fault_entry("at=0s link_down tor1-agg0"));
+  EXPECT_FALSE(exp.link("tor1-agg0")->is_up());
+  EXPECT_TRUE(exp.link("agg0-tor1")->is_up());
+  exp.apply_fault(parse_fault_entry("at=0s link_up tor1-agg0"));
+  EXPECT_TRUE(exp.link("tor1-agg0")->is_up());
+
+  exp.apply_fault(parse_fault_entry("at=0s drop_rate tor2-s0 0.25"));
+  exp.apply_fault(parse_fault_entry("at=0s reorder_rate tor2-s0 0.125"));
+  const phys::LinkImpairments* cfg = exp.link("tor2-s0")->impairments();
+  ASSERT_NE(cfg, nullptr);
+  EXPECT_DOUBLE_EQ(cfg->drop_rate, 0.25);
+  EXPECT_DOUBLE_EQ(cfg->reorder_rate, 0.125);
+
+  // Server ids are global across racks: s3 is rack 1's second server.
+  exp.apply_fault(parse_fault_entry("at=0s server_crash s3"));
+  EXPECT_TRUE(exp.servers()[3]->crashed());
+  exp.apply_fault(parse_fault_entry("at=0s server_restart s3"));
+  EXPECT_FALSE(exp.servers()[3]->crashed());
+  exp.apply_fault(parse_fault_entry("at=0s server_slowdown s2 2.5"));
+  EXPECT_DOUBLE_EQ(exp.servers()[2]->slowdown(), 2.5);
+
+  EXPECT_THROW(exp.apply_fault(parse_fault_entry("at=0s link_down sw0-s0")),
+               CheckFailure);
+  EXPECT_THROW(exp.apply_fault(parse_fault_entry("at=0s server_crash s4")),
+               CheckFailure);
+  FaultEvent bad_server;
+  bad_server.action = FaultAction::kServerPause;
+  bad_server.target = "s1x";
+  EXPECT_THROW(exp.apply_fault(bad_server), CheckFailure);
+  EXPECT_FALSE(exp.servers()[1]->paused());
+}
+
+TEST(MultiRackFaults, SwitchActionsOnTorsAndAggs) {
+  harness::MultiRackExperiment exp{pod_config(harness::AggMode::kOblivious)};
+
+  exp.apply_fault(parse_fault_entry("at=0s switch_fail tor1"));
+  EXPECT_TRUE(pod_switch(exp, "tor1").failed());
+  exp.apply_fault(parse_fault_entry("at=0s switch_recover tor1"));
+  EXPECT_FALSE(pod_switch(exp, "tor1").failed());
+  exp.apply_fault(parse_fault_entry("at=0s switch_wipe tor2"));
+  EXPECT_EQ(pod_switch(exp, "tor2").stats().soft_state_wipes, 1U);
+  EXPECT_EQ(pod_switch(exp, "tor3").stats().soft_state_wipes, 0U);
+  exp.apply_fault(parse_fault_entry("at=0s switch_fail agg0"));
+  EXPECT_TRUE(pod_switch(exp, "agg0").failed());
+  EXPECT_FALSE(pod_switch(exp, "agg1").failed());
+
+  for (const char* entry :
+       {"at=0s switch_fail tor9", "at=0s switch_wipe sw0",
+        "at=0s switch_recover agg"}) {
+    EXPECT_THROW(exp.apply_fault(parse_fault_entry(entry)), CheckFailure)
+        << entry;
+  }
+  EXPECT_FALSE(pod_switch(exp, "tor1").failed());
+}
+
+TEST(MultiRackFaults, FilterStalePlantsIntoNetCloneTors) {
+  harness::MultiRackExperiment oblivious{
+      pod_config(harness::AggMode::kOblivious)};
+  oblivious.apply_fault(parse_fault_entry("at=0s filter_stale tor1 0 777"));
+  EXPECT_EQ(oblivious.client_tor_program().stats().injected_stale_entries,
+            1U);
+  oblivious.apply_fault(parse_fault_entry("at=0s filter_stale tor2 1 778"));
+  EXPECT_EQ(oblivious.server_tor_program(0).stats().injected_stale_entries,
+            1U);
+  EXPECT_EQ(oblivious.server_tor_program(1).stats().injected_stale_entries,
+            0U);
+  // The aggs route, and tor9 does not exist.
+  EXPECT_THROW(
+      oblivious.apply_fault(parse_fault_entry("at=0s filter_stale agg0 0 9")),
+      CheckFailure);
+  EXPECT_THROW(
+      oblivious.apply_fault(parse_fault_entry("at=0s filter_stale tor9 0 9")),
+      CheckFailure);
+
+  // In replicated mode the client ToR is a plain router.
+  harness::MultiRackExperiment replicated{
+      pod_config(harness::AggMode::kReplicated)};
+  EXPECT_THROW(
+      replicated.apply_fault(parse_fault_entry("at=0s filter_stale tor1 0 9")),
+      CheckFailure);
+  replicated.apply_fault(parse_fault_entry("at=0s filter_stale tor3 0 779"));
+  EXPECT_EQ(replicated.server_tor_program(1).stats().injected_stale_entries,
+            1U);
+}
+
+TEST(MultiRackFaults, RackDownAndUpToggleEveryTrunkOfTheRack) {
+  harness::MultiRackExperiment exp{pod_config(harness::AggMode::kOblivious)};
+  const auto trunks_up = [&](const std::string& tor) {
+    bool up = true;
+    for (const char* agg : {"agg0", "agg1"}) {
+      up = up && exp.link(tor + "-" + agg)->is_up() &&
+           exp.link(agg + ("-" + tor))->is_up();
+    }
+    return up;
+  };
+  exp.apply_fault(parse_fault_entry("at=0s rack_down rack0"));
+  EXPECT_FALSE(exp.link("tor2-agg0")->is_up());
+  EXPECT_FALSE(exp.link("agg1-tor2")->is_up());
+  EXPECT_TRUE(trunks_up("tor3"));
+  exp.apply_fault(parse_fault_entry("at=0s rack_up rack0"));
+  EXPECT_TRUE(trunks_up("tor2"));
+
+  EXPECT_THROW(exp.apply_fault(parse_fault_entry("at=0s rack_down rack2")),
+               CheckFailure);
+  FaultEvent bad_rack;
+  bad_rack.action = FaultAction::kRackDown;
+  bad_rack.target = "rack0x";
+  EXPECT_THROW(exp.apply_fault(bad_rack), CheckFailure);
+  EXPECT_TRUE(trunks_up("tor2"));
+}
+
+TEST(MultiRackFaults, ChainActionsRideTheReplicatedPlanOnly) {
+  const FaultEvent fail = parse_fault_entry("at=1ms agg_fail agg0");
+  const FaultEvent rejoin = parse_fault_entry("at=2ms agg_rejoin agg0");
+  for (const harness::AggMode mode :
+       {harness::AggMode::kOblivious, harness::AggMode::kReplicated}) {
+    harness::MultiRackExperiment exp{pod_config(mode)};
+    // They expand into several timed steps, so they cannot fire now.
+    EXPECT_THROW(exp.apply_fault(fail), CheckFailure);
+    EXPECT_THROW(exp.apply_fault(rejoin), CheckFailure);
+  }
+
+  // An oblivious pod has no chain to fail over: its plan is rejected
+  // before anything is scheduled.
+  harness::MultiRackConfig cfg = pod_config(harness::AggMode::kOblivious);
+  cfg.faults.events.push_back(parse_fault_entry("at=1ms link_down tor1-agg0"));
+  cfg.faults.events.push_back(fail);
+  EXPECT_THROW(harness::MultiRackExperiment{cfg}, CheckFailure);
+  harness::MultiRackExperiment oblivious{
+      pod_config(harness::AggMode::kOblivious)};
+  harness::FaultPlan plan;
+  plan.events = {parse_fault_entry("at=1ms link_down tor1-agg0"), fail};
+  EXPECT_THROW(oblivious.install_fault_plan(plan), CheckFailure);
+  (void)oblivious.run();
+  EXPECT_TRUE(oblivious.link("tor1-agg0")->is_up());
+  EXPECT_EQ(oblivious.link("tor1-agg0")->stats().dropped_frames, 0U);
+
+  // A replicated pod takes them in its plan, for aggs it has.
+  harness::MultiRackExperiment replicated{
+      pod_config(harness::AggMode::kReplicated)};
+  plan.events = {parse_fault_entry("at=1ms agg_fail agg2")};
+  EXPECT_THROW(replicated.install_fault_plan(plan), CheckFailure);
+  plan.events = {fail, rejoin};
+  replicated.install_fault_plan(plan);
+  (void)replicated.run();
+  ASSERT_NE(replicated.chain_controller(), nullptr);
+  EXPECT_EQ(replicated.chain_controller()->fails_of(0), 1U);
+  EXPECT_EQ(replicated.chain_controller()->fails_of(1), 0U);
+  const harness::InvariantReport report =
+      harness::audit_invariants(replicated);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(MultiRackFaults, PodResultsReportTheServerSideSplit) {
+  harness::MultiRackExperiment exp{pod_config(harness::AggMode::kReplicated)};
+  const harness::ExperimentResult result = exp.run();
+  ASSERT_GT(result.completed, 0U);
+  EXPECT_GT(result.server_wait_p99.ns(), 0);
+  EXPECT_LE(result.server_wait_p99, result.p99);
+  EXPECT_GT(result.server_service_p99.ns(), 0);
+  EXPECT_LE(result.server_service_p99, result.p99);
+  EXPECT_GT(result.empty_queue_fraction, 0.0);
+  EXPECT_LT(result.empty_queue_fraction, 1.0);
 }
 
 // ---------------------------------------------------------------------------
