@@ -13,8 +13,9 @@ namespace {
 }  // namespace
 
 NetCloneProgram::NetCloneProgram(pisa::Pipeline& pipeline,
-                                 NetCloneConfig config)
+                                 NetCloneConfig config, AggChainRole role)
     : config_(config),
+      role_(role),
       seq_(pipeline, "SEQ", 0, 0U),
       grp_table_(pipeline, "GrpT", 1, config.max_groups, /*key_bytes=*/2,
                  /*value_bytes=*/2),
@@ -24,7 +25,8 @@ NetCloneProgram::NetCloneProgram(pisa::Pipeline& pipeline,
       shadow_table_(pipeline, "ShadowT", 4, config.max_servers),
       hash_unit_(pipeline, "FilterHash", 5),
       fwd_table_(pipeline, "FwdT", 6, /*capacity=*/1024, /*key_bytes=*/4,
-                 /*value_bytes=*/2) {
+                 /*value_bytes=*/2),
+      chain_next_(role.chain_next_port) {
   NETCLONE_CHECK(config_.num_filter_tables >= 1 &&
                      config_.num_filter_tables <= 8,
                  "filter table count out of range");
@@ -33,6 +35,16 @@ NetCloneProgram::NetCloneProgram(pisa::Pipeline& pipeline,
                      config_.id_mode == RequestIdMode::kClientTuple,
                  "multi-packet support needs client-tuple request ids: "
                  "fragments must share one REQ_ID (§3.7)");
+  NETCLONE_CHECK(role_.chain_length >= 1 &&
+                     role_.replica_index < role_.chain_length,
+                 "chain role out of range");
+  NETCLONE_CHECK(role_.is_tail() == !role_.chain_next_port.has_value(),
+                 "every non-tail replica needs chain_next_port (and the "
+                 "tail must not have one)");
+  NETCLONE_CHECK(role_.chain_length == 1 ||
+                     config_.id_mode == RequestIdMode::kClientTuple,
+                 "a replicated chain needs client-tuple request ids: "
+                 "replicated deciders cannot share a SEQ register");
   filter_tables_.reserve(config_.num_filter_tables);
   for (std::size_t i = 0; i < config_.num_filter_tables; ++i) {
     filter_tables_.push_back(
@@ -120,12 +132,16 @@ void NetCloneProgram::on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
     return;
   }
   wire::NetCloneHeader& nc = pkt.nc();
-  // Multi-rack scoping (§3.7): NetClone logic belongs to the client-side
-  // ToR only. A non-zero SWITCH_ID of another switch means the packet is
-  // just passing through — plain routing.
+  // Multi-rack scoping (§3.7): NetClone logic belongs to the switch that
+  // stamped the request. A non-zero SWITCH_ID of another switch means the
+  // packet is just passing through — plain routing.
   if (nc.switch_id != 0 && nc.switch_id != config_.switch_id) {
-    ++stats_.foreign_tor_packets;
+    ++stats_.foreign_packets;
     l3_forward(pkt, md, pass);
+    return;
+  }
+  if (nc.is_chain_sync()) {
+    handle_chain_sync(nc, md);
     return;
   }
   if (nc.is_cancel()) {
@@ -177,7 +193,7 @@ void NetCloneProgram::handle_request(wire::Packet& pkt,
     return;
   }
   if (nc.switch_id == 0) {
-    nc.switch_id = config_.switch_id;  // stamp the client-side ToR (§3.7)
+    nc.switch_id = config_.switch_id;  // stamp the deciding switch (§3.7)
   }
   assign_request_id(nc, pass);
 
@@ -227,7 +243,9 @@ void NetCloneProgram::handle_request(wire::Packet& pkt,
   pkt.ip.dst = entry1->ip;
 
   // Line 6: both candidates idle? StateT serves srv1, the shadow copy
-  // serves srv2 — one register array cannot be read twice in a pass.
+  // serves srv2 — one register array cannot be read twice in a pass. On
+  // a replica the read is relaxed: updates still in the chain cost at
+  // most a missed or wasted clone, never correctness.
   const std::uint16_t s1 = state_table_.read(pass, pair->srv1);
   const std::uint16_t s2 = shadow_table_.read(pass, pair->srv2);
 
@@ -316,17 +334,29 @@ void NetCloneProgram::handle_response(wire::Packet& pkt,
                                       pisa::PacketMetadata& md,
                                       pisa::PipelinePass& pass) {
   wire::NetCloneHeader& nc = pkt.nc();
+  if (!chain_member_) {
+    // Stale in-flight traffic around a crash/rejoin: a non-member must
+    // not touch replicated state or enact verdicts — the controller
+    // resyncs it before re-admission.
+    ++stats_.non_member_response_drops;
+    md.drop = true;
+    return;
+  }
   ++stats_.responses;
 
   // Lines 15-16: absorb the piggybacked state into both tables so they
-  // stay consistent.
+  // stay consistent. Every replica applies the identical write in chain
+  // order, so replicated StateT/ShadowT converge cell by cell.
   if (nc.sid < config_.max_servers) {
     state_table_.write(pass, nc.sid, nc.state);
     shadow_table_.write(pass, nc.sid, nc.state);
   }
 
   // Lines 17-25: fingerprint filtering, only for responses of cloned
-  // requests.
+  // requests. Every replica replays the same store-or-clear RMW; because
+  // responses enter at the head and the chain links preserve order, all
+  // replicas compute the same verdict for every response.
+  bool duplicate = false;
   if (nc.cloned() && config_.enable_filtering) {
     // §3.7 multi-packet: response fragments share REQ_ID, so each ordinal
     // is steered to its own "ordered" filter table (idx + frag_idx).
@@ -338,7 +368,7 @@ void NetCloneProgram::handle_response(wire::Packet& pkt,
         (nc.idx + ordinal) % config_.num_filter_tables;  // bad IDX tolerated
     const std::uint32_t slot = hash_unit_.hash32(
         pass, nc.req_id, static_cast<std::uint32_t>(config_.filter_slots));
-    const bool drop = filter_tables_[table]->execute(
+    duplicate = filter_tables_[table]->execute(
         pass, slot, [rid = nc.req_id](std::uint32_t& cell) {
           if (cell == rid) {
             cell = 0;   // slower duplicate: clear the slot for reuse
@@ -347,15 +377,118 @@ void NetCloneProgram::handle_response(wire::Packet& pkt,
           cell = rid;   // faster response (or collision): overwrite (§3.5)
           return false;
         });
-    if (drop) {
-      ++stats_.filtered_responses;
+    if (duplicate) {
+      ++stats_.filter_hits;
+    } else {
+      ++stats_.fingerprints_stored;
+    }
+  }
+
+  if (chain_next_) {
+    // Upstream replicas relay everything — the verdict is only enacted
+    // once, at the live tail, so exactly-once stays a single switch's
+    // call even while fail-over reshapes the chain.
+    ++stats_.chain_forwards;
+    md.egress_port = *chain_next_;
+    return;
+  }
+  if (duplicate) {
+    ++stats_.filtered_responses;
+    md.drop = true;
+    return;
+  }
+  l3_forward(pkt, md, pass);
+}
+
+void NetCloneProgram::handle_chain_sync(const wire::NetCloneHeader& nc,
+                                        pisa::PacketMetadata& md) {
+  AggChainSyncRecord* record =
+      sync_hub_ != nullptr ? sync_hub_->find(nc.req_id) : nullptr;
+  if (record == nullptr) {
+    // Only a controller mints markers, and only for a record it created
+    // in the tier's hub. Anything else is wire input this switch cannot
+    // act on.
+    ++stats_.unusable_sync_markers;
+    md.drop = true;
+    return;
+  }
+  ++stats_.chain_sync_markers;
+  if (!record->filled) {
+    // First replica on the marker's walk: the snapshot cut. Everything
+    // this replica applied before the marker is in the snapshot; every
+    // later update follows the marker down the same FIFO links — the
+    // sequenced delta stream downstream replicas replay after install.
+    fill_sync_record(*record);
+    if (record->filler_next_port) {
+      // Admit: the old tail adopts the rejoiner as its successor in the
+      // marker's own pipeline pass, so the marker is the FIRST frame on
+      // the new link and every forwarded response rides behind it.
+      chain_next_ = record->filler_next_port;
+    }
+    if (nc.req_id > last_sync_gen_) {
+      last_sync_gen_ = nc.req_id;  // own state IS this snapshot
+    }
+  } else if (nc.req_id <= last_sync_gen_) {
+    // Already absorbed a sync at least this fresh — installing would
+    // clobber newer state with an older cut.
+    ++stats_.chain_sync_stale;
+  } else {
+    install_sync_record(*record);
+    last_sync_gen_ = nc.req_id;
+    if (record->admit_target == role_.replica_index) {
+      // Rejoin complete: become the tail. The delta stream queued behind
+      // the marker replays, in chain order, everything the snapshot
+      // missed.
+      chain_member_ = true;
+      chain_next_ = std::nullopt;
+      ++stats_.chain_sync_consumed;
       md.drop = true;
       return;
     }
-    ++stats_.fingerprints_stored;
   }
+  if (chain_next_) {
+    md.egress_port = *chain_next_;
+    return;
+  }
+  ++stats_.chain_sync_consumed;
+  md.drop = true;
+}
 
-  l3_forward(pkt, md, pass);
+void NetCloneProgram::fill_sync_record(AggChainSyncRecord& record) {
+  ++stats_.chain_sync_snapshots_filled;
+  record.state.resize(config_.max_servers);
+  record.shadow.resize(config_.max_servers);
+  for (std::size_t i = 0; i < config_.max_servers; ++i) {
+    record.state[i] = state_table_.peek(i);
+    record.shadow[i] = shadow_table_.peek(i);
+  }
+  record.filters.resize(filter_tables_.size());
+  for (std::size_t t = 0; t < filter_tables_.size(); ++t) {
+    record.filters[t].resize(config_.filter_slots);
+    for (std::size_t slot = 0; slot < config_.filter_slots; ++slot) {
+      record.filters[t][slot] = filter_tables_[t]->peek(slot);
+    }
+  }
+  record.filled = true;
+}
+
+void NetCloneProgram::install_sync_record(const AggChainSyncRecord& record) {
+  ++stats_.chain_sync_installs;
+  NETCLONE_CHECK(record.state.size() == config_.max_servers &&
+                     record.filters.size() == filter_tables_.size(),
+                 "sync record shape does not match this replica's tables");
+  for (std::size_t i = 0; i < config_.max_servers; ++i) {
+    state_table_.poke_write(i, record.state[i]);
+    shadow_table_.poke_write(i, record.shadow[i]);
+  }
+  for (std::size_t t = 0; t < filter_tables_.size(); ++t) {
+    for (std::size_t slot = 0; slot < config_.filter_slots; ++slot) {
+      filter_tables_[t]->poke_write(slot, record.filters[t][slot]);
+      if (record.filters[t][slot] != 0) {
+        ++stats_.chain_sync_fingerprints_adopted;
+      }
+    }
+  }
 }
 
 void NetCloneProgram::l3_forward(const wire::Packet& pkt,
@@ -378,6 +511,38 @@ std::uint32_t NetCloneProgram::peek_filter_slot(std::size_t table,
 
 std::uint16_t NetCloneProgram::peek_state(ServerId sid) const {
   return state_table_.peek(value_of(sid));
+}
+
+std::uint64_t NetCloneProgram::soft_state_digest() const {
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  const auto fold = [&digest](std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      digest ^= (value >> shift) & 0xFFU;
+      digest *= 0x100000001B3ULL;
+    }
+  };
+  for (std::size_t i = 0; i < config_.max_servers; ++i) {
+    fold(state_table_.peek(i));
+    fold(shadow_table_.peek(i));
+  }
+  for (const auto& table : filter_tables_) {
+    for (std::size_t slot = 0; slot < config_.filter_slots; ++slot) {
+      fold(table->peek(slot));
+    }
+  }
+  return digest;
+}
+
+std::uint64_t NetCloneProgram::filter_occupancy() const {
+  std::uint64_t occupied = 0;
+  for (const auto& table : filter_tables_) {
+    for (std::size_t slot = 0; slot < config_.filter_slots; ++slot) {
+      if (table->peek(slot) != 0) {
+        ++occupied;
+      }
+    }
+  }
+  return occupied;
 }
 
 }  // namespace netclone::core

@@ -1,6 +1,6 @@
 // NetChain-style fail-over and rejoin for the replicated aggregation
 // tier (PAPERS.md: NetChain's failure handling, transplanted onto the
-// fat-tree pod's chain of AggNetClonePrograms).
+// fat-tree pod's chain of NetClonePrograms, one per agg).
 //
 // The data plane keeps running while the controller reshapes the chain:
 //
@@ -42,14 +42,14 @@
 #include <optional>
 #include <vector>
 
-#include "core/agg_netclone_program.hpp"
+#include "core/netclone_program.hpp"
 #include "pisa/switch_device.hpp"
 
 namespace netclone::harness {
 
 struct ChainReplica {
   pisa::SwitchDevice* device = nullptr;
-  core::AggNetCloneProgram* program = nullptr;
+  core::NetCloneProgram* program = nullptr;
 };
 
 class ChainController {

@@ -89,7 +89,10 @@ void Experiment::build() {
       switch_->load_program(l3_program_);
       break;
   }
-  record_switch("sw0", *switch_, netclone_program_.get());
+  record_switch("sw0", *switch_);
+  if (netclone_program_) {
+    record_netclone("sw0", *netclone_program_);
+  }
 
   // Workers.
   std::vector<wire::Ipv4Address> server_ips;

@@ -102,12 +102,22 @@ void audit_switch(InvariantReport& report, const std::string& who,
 }
 
 void audit_filter(InvariantReport& report, const std::string& who,
-                  std::uint64_t filtered, std::uint64_t stored,
-                  std::uint64_t injected) {
-  check(report, filtered > stored + injected,
-        who + ": filtered_responses " + u64(filtered) +
-            " exceeds fingerprints_stored " + u64(stored) +
-            " + injected_stale_entries " + u64(injected));
+                  const core::NetCloneProgramStats& ps) {
+  // A hit needs a fingerprint this switch stored itself, one a fault
+  // planted, or one a resync snapshot handed a replica. Every replica
+  // computes the verdict but only the chain's tail enacts it, so drops
+  // are bounded by hits (a chain of one, every ToR, enacts each hit).
+  check(report,
+        ps.filter_hits > ps.fingerprints_stored + ps.injected_stale_entries +
+                             ps.chain_sync_fingerprints_adopted,
+        who + ": filter_hits " + u64(ps.filter_hits) +
+            " exceeds fingerprints_stored " + u64(ps.fingerprints_stored) +
+            " + injected_stale_entries " + u64(ps.injected_stale_entries) +
+            " + chain_sync_fingerprints_adopted " +
+            u64(ps.chain_sync_fingerprints_adopted));
+  check(report, ps.filtered_responses > ps.filter_hits,
+        who + ": filtered_responses " + u64(ps.filtered_responses) +
+            " exceeds filter_hits " + u64(ps.filter_hits));
 }
 
 void audit_pools(InvariantReport& report,
@@ -130,7 +140,8 @@ void audit_pools(InvariantReport& report,
 }
 
 /// The sections every testbed shares, over its registries: clients,
-/// servers, links, every switch, and the frame pool.
+/// servers, links, every switch, every NetClone program's filter, and the
+/// frame pool.
 InvariantReport audit_testbed(const Testbed& bed) {
   InvariantReport report;
   audit_clients(report, bed.clients());
@@ -138,6 +149,9 @@ InvariantReport audit_testbed(const Testbed& bed) {
   audit_links(report, bed.links());
   for (const auto& [name, device] : bed.switches()) {
     audit_switch(report, "switch " + name, device->stats());
+  }
+  for (const auto& [name, program] : bed.netclone_programs()) {
+    audit_filter(report, "program on " + name, program->stats());
   }
   audit_pools(report, bed.frame_pool_stats());
   return report;
@@ -229,7 +243,7 @@ void fold_netclone(Fold& fold, const core::NetCloneProgramStats& ps) {
   fold(ps.injected_stale_entries);
 }
 
-void fold_agg_netclone(Fold& fold, const core::AggNetCloneStats& ps) {
+void fold_agg_netclone(Fold& fold, const core::NetCloneProgramStats& ps) {
   fold(ps.requests);
   fold(ps.cloned_requests);
   fold(ps.recirculated_clones);
@@ -298,39 +312,12 @@ std::string InvariantReport::to_string() const {
 }
 
 InvariantReport audit_invariants(const Experiment& exp) {
-  InvariantReport report = audit_testbed(exp);
-  if (exp.netclone_program() != nullptr) {
-    const core::NetCloneProgramStats& ps = exp.netclone_program()->stats();
-    audit_filter(report, "program", ps.filtered_responses,
-                 ps.fingerprints_stored, ps.injected_stale_entries);
-  }
-  return report;
+  return audit_testbed(exp);
 }
 
 InvariantReport audit_invariants(const MultiRackExperiment& exp) {
   InvariantReport report = audit_testbed(exp);
   const bool replicated = exp.config().agg_mode == AggMode::kReplicated;
-  if (!replicated) {
-    const core::NetCloneProgramStats& ps = exp.client_tor_program().stats();
-    audit_filter(report, "client tor", ps.filtered_responses,
-                 ps.fingerprints_stored, ps.injected_stale_entries);
-  } else {
-    for (std::size_t a = 0; a < exp.num_aggs(); ++a) {
-      const core::AggNetCloneStats& ps =
-          exp.agg_netclone_program(a).stats();
-      // Every replica computes verdicts; only the tail enacts them, so
-      // the replica-local bound is on hits, the tail bound on drops. A
-      // resynced replica may hit fingerprints it adopted from a snapshot
-      // rather than stored itself — the bound widens by exactly those.
-      audit_filter(report, "agg" + std::to_string(a), ps.filter_hits,
-                   ps.fingerprints_stored,
-                   ps.chain_sync_fingerprints_adopted);
-      check(report, ps.filtered_responses > ps.filter_hits,
-            "agg" + std::to_string(a) + ": filtered_responses " +
-                u64(ps.filtered_responses) + " exceeds filter_hits " +
-                u64(ps.filter_hits));
-    }
-  }
 
   // Replica convergence: once the fabric is quiet and lossless, the
   // chain must have driven every ADMITTED member to the same soft-state
@@ -380,7 +367,7 @@ InvariantReport audit_invariants(const MultiRackExperiment& exp) {
           ctrl == nullptr || ctrl->structural_changes() == 0;
       if (!members.empty()) {
         const std::size_t lead = members.front();
-        const core::AggNetCloneStats& head =
+        const core::NetCloneProgramStats& head =
             exp.agg_netclone_program(lead).stats();
         const std::uint64_t head_digest =
             exp.agg_netclone_program(lead).soft_state_digest();
@@ -388,7 +375,7 @@ InvariantReport audit_invariants(const MultiRackExperiment& exp) {
             exp.agg_netclone_program(lead).filter_occupancy();
         for (std::size_t i = 1; i < members.size(); ++i) {
           const std::size_t a = members[i];
-          const core::AggNetCloneStats& ps =
+          const core::NetCloneProgramStats& ps =
               exp.agg_netclone_program(a).stats();
           if (untouched) {
             check(report, ps.responses != head.responses,

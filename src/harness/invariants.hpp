@@ -13,8 +13,10 @@
 //     exactly one of {parse error, program drop, dropped-while-failed,
 //     scheduled egress}, and emissions never exceed scheduled egresses
 //     plus multicast copies;
-//   * filter accounting: responses filtered never exceed fingerprints
-//     stored plus injected stale entries;
+//   * filter accounting (every NetClone program: a ToR, or a replica of
+//     the aggregation tier): filter hits never exceed the fingerprints
+//     stored, injected as stale entries, or adopted from a resync, and
+//     responses filtered never exceed filter hits;
 //   * frame-pool balance: acquire/release/live counters stay consistent
 //     (the zero-leak check across an Experiment's lifetime lives in the
 //     tests, which compare pool `live` before construction and after

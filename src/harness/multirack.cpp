@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "core/groups.hpp"
 
 namespace netclone::harness {
 
@@ -46,7 +45,7 @@ const baselines::AggRouterProgram& MultiRackExperiment::agg_program(
   return *agg_router_programs_[agg];
 }
 
-const core::AggNetCloneProgram& MultiRackExperiment::agg_netclone_program(
+const core::NetCloneProgram& MultiRackExperiment::agg_netclone_program(
     std::size_t agg) const {
   NETCLONE_CHECK(agg < agg_netclone_programs_.size(),
                  "chain replicas exist in kReplicated mode only");
@@ -99,20 +98,23 @@ void MultiRackExperiment::build() {
       agg_recircs.push_back(recirc);
     }
     aggs_.push_back(&agg);
-    record_switch(indexed_name("agg", a), agg, nullptr);
+    record_switch(indexed_name("agg", a), agg);
   }
 
   // -- client ToR ---------------------------------------------------------
   client_tor_ = &topology().add_node<pisa::SwitchDevice>(sim, "tor1");
-  std::size_t client_recirc = 0;
+  record_switch("tor1", *client_tor_);
   if (!replicated) {
-    client_recirc = client_tor_->add_internal_port();
+    const std::size_t client_recirc = client_tor_->add_internal_port();
     client_tor_->set_loopback_port(client_recirc);
     core::NetCloneConfig client_cfg = nc;
     client_cfg.switch_id = 1;
     client_tor_program_ = std::make_shared<core::NetCloneProgram>(
         client_tor_->pipeline(), client_cfg);
     client_tor_->load_program(client_tor_program_);
+    record_netclone("tor1", *client_tor_program_);
+    controllers_.emplace_back(*client_tor_program_, *client_tor_,
+                              client_recirc);
   } else {
     client_router_program_ = std::make_shared<baselines::AggRouterProgram>(
         client_tor_->pipeline(),
@@ -120,7 +122,6 @@ void MultiRackExperiment::build() {
         /*route_capacity=*/1 + config_.num_clients + num_servers);
     client_tor_->load_program(client_router_program_);
   }
-  record_switch("tor1", *client_tor_, client_tor_program_.get());
 
   // Client ToR uplinks, one per agg.
   std::vector<phys::DuplexPorts> client_trunks;
@@ -162,11 +163,16 @@ void MultiRackExperiment::build() {
     }
   }
 
-  // Load the agg programs now that their chain ports are known; routes
-  // and mcast groups follow as endpoints are wired below.
+  // Load the agg programs now that their chain ports are known; each
+  // replica's controller wires servers and routes as endpoints are added
+  // below.
   if (replicated) {
     core::NetCloneConfig tier_cfg = nc;
     tier_cfg.switch_id = kAggTierSwitchId;
+    // Whichever replica ECMP picks must derive the same request id, and
+    // the tier clones single-packet requests only.
+    tier_cfg.id_mode = core::RequestIdMode::kClientTuple;
+    tier_cfg.enable_multipacket = false;
     sync_hub_ = std::make_shared<core::AggChainSyncHub>();
     for (std::size_t a = 0; a < config_.num_aggs; ++a) {
       core::AggChainRole role;
@@ -175,10 +181,12 @@ void MultiRackExperiment::build() {
       if (a + 1 < config_.num_aggs) {
         role.chain_next_port = chain_ports_[a][a + 1];
       }
-      auto program = std::make_shared<core::AggNetCloneProgram>(
+      auto program = std::make_shared<core::NetCloneProgram>(
           aggs_[a]->pipeline(), tier_cfg, role);
       program->set_sync_hub(sync_hub_);
       aggs_[a]->load_program(program);
+      record_netclone(indexed_name("agg", a), *program);
+      controllers_.emplace_back(*program, *aggs_[a], agg_recircs[a]);
       agg_netclone_programs_.push_back(std::move(program));
     }
   } else {
@@ -209,7 +217,8 @@ void MultiRackExperiment::build() {
         std::make_shared<core::NetCloneProgram>(tor.pipeline(), rack_cfg);
     tor.load_program(program);
     server_tor_programs_.push_back(program);
-    record_switch(tor_name, tor, program.get());
+    record_switch(tor_name, tor);
+    record_netclone(tor_name, *program);
 
     std::vector<phys::DuplexPorts> trunks;
     for (std::size_t a = 0; a < config_.num_aggs; ++a) {
@@ -240,14 +249,10 @@ void MultiRackExperiment::build() {
       // packets take exactly this FwdT path).
       program->add_route(ip, ports.port_on_b);
 
-      const auto mcast = static_cast<std::uint16_t>(sid + 1);
       if (replicated) {
         for (std::size_t a = 0; a < config_.num_aggs; ++a) {
-          // Clone at the agg: multicast {trunk toward the rack, loopback}.
-          aggs_[a]->configure_multicast_group(
-              mcast, {trunks[a].port_on_b, agg_recircs[a]});
-          agg_netclone_programs_[a]->add_server(ServerId{sid}, ip,
-                                                trunks[a].port_on_b, mcast);
+          // Clone at the agg, toward the trunk to the server's rack.
+          controllers_[a].add_server(ServerId{sid}, ip, trunks[a].port_on_b);
         }
         // Direct sends (cancels) ride plain routes through one agg.
         client_router_program_->add_prefix(
@@ -255,25 +260,14 @@ void MultiRackExperiment::build() {
       } else {
         // Clone at the client ToR, toward the trunk serving this sid.
         const std::size_t via = sid % config_.num_aggs;
-        client_tor_->configure_multicast_group(
-            mcast, {client_trunks[via].port_on_a, client_recirc});
-        client_tor_program_->add_server(ServerId{sid}, ip,
-                                        client_trunks[via].port_on_a, mcast);
+        controllers_[0].add_server(ServerId{sid}, ip,
+                                   client_trunks[via].port_on_a);
         for (std::size_t a = 0; a < config_.num_aggs; ++a) {
           agg_router_programs_[a]->add_prefix(ip, 32,
                                               trunks[a].port_on_b);
         }
       }
     }
-  }
-
-  const auto groups = core::build_group_pairs(num_servers);
-  if (replicated) {
-    for (auto& program : agg_netclone_programs_) {
-      program->install_groups(groups);
-    }
-  } else {
-    client_tor_program_->install_groups(groups);
   }
 
   // -- clients ------------------------------------------------------------
@@ -285,7 +279,7 @@ void MultiRackExperiment::build() {
     cp.target = host::service_vip();
     cp.rate_rps =
         config_.offered_rps / static_cast<double>(config_.num_clients);
-    cp.num_groups = static_cast<std::uint16_t>(groups.size());
+    cp.num_groups = controllers_.front().group_count();
     cp.num_filter_tables =
         static_cast<std::uint8_t>(config_.netclone.num_filter_tables);
     cp.warmup_until = config_.warmup;
@@ -305,8 +299,7 @@ void MultiRackExperiment::build() {
         // The tail forwards responses to the client through its own
         // downlink; upstream replicas never use the route but keep it so
         // foreign/cancel traffic cannot strand.
-        agg_netclone_programs_[a]->add_route(ip,
-                                             client_trunks[a].port_on_b);
+        controllers_[a].add_route(ip, client_trunks[a].port_on_b);
       }
       // Responses converge on the chain HEAD.
       for (std::size_t rack = 0; rack < config_.server_racks; ++rack) {
@@ -314,7 +307,7 @@ void MultiRackExperiment::build() {
             ip, rack_trunks[rack][0].port_on_a);
       }
     } else {
-      client_tor_program_->add_route(ip, ports.port_on_b);
+      controllers_[0].add_route(ip, ports.port_on_b);
       for (std::size_t rack = 0; rack < config_.server_racks; ++rack) {
         server_tor_programs_[rack]->add_route(
             ip, rack_trunks[rack][c % config_.num_aggs].port_on_a);

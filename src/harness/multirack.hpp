@@ -12,12 +12,15 @@
 //   * kOblivious — the paper's §3.7 layout generalized to many aggs:
 //     cloning/filtering run at the client-side ToR; the aggregation tier
 //     is plain LPM routing and passes NetClone packets through untouched.
-//   * kReplicated — the aggregation tier itself is NetClone-aware and the
-//     per-agg soft state (StateT/ShadowT/FilterT) is chain-replicated
-//     NetChain-style across the replicas (see agg_netclone_program.hpp):
-//     requests ECMP-spray over the aggs, responses flow head→tail over
-//     dedicated chain links, only the tail enacts filter verdicts. The
-//     client-side ToR degenerates to a plain router.
+//   * kReplicated — every agg runs NetCloneProgram as one replica of a
+//     chain, and the soft state (StateT/ShadowT/FilterT) is
+//     chain-replicated NetChain-style across the replicas (see
+//     netclone_program.hpp): requests ECMP-spray over the aggs, responses
+//     flow head→tail over dedicated chain links, only the tail enacts
+//     filter verdicts. The client-side ToR degenerates to a plain router.
+//
+// Every cloning switch — the client ToR, or each replica — is wired by
+// its own core::Controller, as the single rack's ToR is.
 //
 // Oversubscription is expressed through the link parameters: `host_link`
 // for edge links, `trunk_link` for ToR↔agg uplinks and the chain.
@@ -30,7 +33,7 @@
 #include <vector>
 
 #include "baselines/agg_router.hpp"
-#include "core/agg_netclone_program.hpp"
+#include "core/controller.hpp"
 #include "core/netclone_program.hpp"
 #include "harness/chain_controller.hpp"
 #include "harness/faults.hpp"
@@ -106,7 +109,7 @@ class MultiRackExperiment : public Testbed {
   [[nodiscard]] const baselines::AggRouterProgram& agg_program(
       std::size_t agg = 0) const;
   /// Chain replica `agg` (kReplicated mode only).
-  [[nodiscard]] const core::AggNetCloneProgram& agg_netclone_program(
+  [[nodiscard]] const core::NetCloneProgram& agg_netclone_program(
       std::size_t agg = 0) const;
 
   // -- structure ----------------------------------------------------------
@@ -141,10 +144,12 @@ class MultiRackExperiment : public Testbed {
       agg_router_programs_;
   // kReplicated mode:
   std::shared_ptr<baselines::AggRouterProgram> client_router_program_;
-  std::vector<std::shared_ptr<core::AggNetCloneProgram>>
-      agg_netclone_programs_;
+  std::vector<std::shared_ptr<core::NetCloneProgram>> agg_netclone_programs_;
   // Both modes:
   std::vector<std::shared_ptr<core::NetCloneProgram>> server_tor_programs_;
+  /// One control plane per cloning switch: the client ToR (kOblivious) or
+  /// each replica, indexed like aggs_ (kReplicated).
+  std::vector<core::Controller> controllers_;
   // kReplicated fail-over plumbing: the chain-link port mesh
   // (chain_ports_[i][j] = agg i's port toward agg j), the client ToR's
   // uplink ports (ECMP spray members), each rack ToR's uplink port per

@@ -63,15 +63,6 @@ void Testbed::record_link(const std::string& a, const std::string& b,
   links_.emplace_back(b + "-" + a, ports.b_to_a);
 }
 
-void Testbed::record_switch(const std::string& name,
-                            pisa::SwitchDevice& device,
-                            core::NetCloneProgram* netclone) {
-  switches_.emplace_back(name, &device);
-  if (netclone != nullptr) {
-    netclone_programs_.emplace_back(name, netclone);
-  }
-}
-
 phys::Link* Testbed::link(const std::string& name) const {
   for (const auto& [key, link] : links_) {
     if (key == name) {
@@ -212,6 +203,11 @@ void Testbed::apply_fault(const FaultEvent& event) {
       NETCLONE_CHECK(program != nullptr,
                      "filter_stale needs a NetClone program on switch " +
                          event.target);
+      NETCLONE_CHECK(!program->replicated(),
+                     "filter_stale cannot plant into replica " +
+                         event.target +
+                         ": a fingerprint in one replica alone breaks the "
+                         "chain's convergence, which the auditor enforces");
       program->inject_stale_filter_entry(
           event.table, static_cast<std::uint32_t>(event.value));
       break;

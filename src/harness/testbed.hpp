@@ -103,7 +103,7 @@ class Testbed {
   /// Applies one fault right now. Targets resolve exactly against the
   /// registries: links and switches by harness name, servers as `s<N>`.
   /// Throws CheckFailure on anything else, and on a filter_stale whose
-  /// switch runs no NetClone program.
+  /// switch runs no NetClone program or runs an aggregation replica.
   void apply_fault(const FaultEvent& event);
 
   /// Directed link by name (`c0-sw0`, `tor1-agg0`); nullptr when no such
@@ -118,6 +118,13 @@ class Testbed {
   [[nodiscard]] const std::vector<std::pair<std::string, pisa::SwitchDevice*>>&
   switches() const {
     return switches_;
+  }
+  /// Every NetClone program with its switch's harness name: the rack's
+  /// ToR, a pod's ToRs and its aggregation replicas.
+  [[nodiscard]] const std::vector<
+      std::pair<std::string, core::NetCloneProgram*>>&
+  netclone_programs() const {
+    return netclone_programs_;
   }
   [[nodiscard]] const std::vector<host::Server*>& servers() const {
     return servers_;
@@ -160,10 +167,16 @@ class Testbed {
   /// Registers both directions of a duplex link: `a-b` and `b-a`.
   void record_link(const std::string& a, const std::string& b,
                    const phys::DuplexPorts& ports);
-  /// Registers a switch under its harness name, with the NetClone program
-  /// filter_stale plants into (nullptr when it runs none).
-  void record_switch(const std::string& name, pisa::SwitchDevice& device,
-                     core::NetCloneProgram* netclone);
+  /// Registers a switch under its harness name.
+  void record_switch(const std::string& name, pisa::SwitchDevice& device) {
+    switches_.emplace_back(name, &device);
+  }
+  /// Registers the NetClone program switch `name` runs: filter_stale
+  /// plants into it and the auditor checks its filter.
+  void record_netclone(const std::string& name,
+                       core::NetCloneProgram& program) {
+    netclone_programs_.emplace_back(name, &program);
+  }
   void record_server(host::Server& server) { servers_.push_back(&server); }
   void record_client(host::Client& client) { clients_.push_back(&client); }
 
@@ -225,7 +238,6 @@ class Testbed {
   Rng root_rng_;
   std::vector<std::pair<std::string, phys::Link*>> links_;
   std::vector<std::pair<std::string, pisa::SwitchDevice*>> switches_;
-  /// Switch name -> the NetClone program filter_stale plants into.
   std::vector<std::pair<std::string, core::NetCloneProgram*>>
       netclone_programs_;
   std::vector<host::Server*> servers_;

@@ -75,6 +75,11 @@ class EventArena {
   /// reserve_seq(). Each reserved number must be used at most once.
   EventId insert_at_seq(SimTime when, std::uint64_t seq,
                         EventCallback&& callback) {
+    // The wheel origin never runs ahead of the engine's clock — pop_due
+    // stops at its deadline — and the engine never schedules into its
+    // past, so no event lands before the origin.
+    NETCLONE_CHECK(tick_of(when) >= cur_tick_,
+                   "event scheduled before the wheel origin");
     std::uint32_t index;
     if (free_head_ != kNilSlot) {
       index = free_head_;
@@ -88,13 +93,6 @@ class EventArena {
     slot.key = (seq << kSlotBits) | index;
     slot.live = true;
     slot.callback = std::move(callback);
-
-    if (tick_of(when) < cur_tick_) [[unlikely]] {
-      // Only reachable when an external peek() advanced the origin past
-      // `when` and the caller then scheduled into the gap (the engine
-      // itself never does: its clock trails the origin).
-      rewind_to(tick_of(when));
-    }
     push_entry(when, slot.key);
     ++live_;
     return EventId{index, slot.generation};
@@ -117,16 +115,6 @@ class EventArena {
     return true;
   }
 
-  /// Time of the earliest pending event, without removing it. Returns
-  /// false when no event is pending.
-  [[nodiscard]] bool peek(SimTime& when) {
-    if (!prepare()) {
-      return false;
-    }
-    when = drain_[drain_pos_].when;
-    return true;
-  }
-
   /// Removes the earliest pending event into `when`/`callback`. Returns
   /// false when no event is pending.
   bool pop(SimTime& when, EventCallback& callback) {
@@ -137,11 +125,11 @@ class EventArena {
     return true;
   }
 
-  /// pop(), but only if the earliest event fires at or before `deadline`.
-  /// One ordering inspection for the peek-then-pop pattern in run_until().
-  /// The refill is bounded by the deadline so the wheel origin never
-  /// advances past it — events scheduled after an early-exiting
-  /// run_until() land at ticks >= the origin.
+  /// pop(), but only if the earliest event fires at or before `deadline`:
+  /// one ordering inspection per event of run_until(). The refill is
+  /// bounded by the deadline so the wheel origin never advances past it —
+  /// events scheduled after an early-exiting run_until() land at ticks
+  /// >= the origin.
   bool pop_due(SimTime deadline, SimTime& when, EventCallback& callback) {
     if (!prepare(tick_of(deadline)) || drain_[drain_pos_].when > deadline) {
       return false;
@@ -473,44 +461,6 @@ class EventArena {
       if (!refill(bound)) {
         return false;
       }
-    }
-  }
-
-  /// Re-anchors the wheel at an earlier tick. Only reachable when an
-  /// external peek() advanced the origin past `tick` and the caller then
-  /// scheduled into the gap; the engine's own clock always trails the
-  /// origin. Every filed wheel entry plus the undrained suffix is
-  /// collected and re-filed relative to the new origin — O(pending), fine
-  /// for this off-hot-path pattern. Overflow-heap entries stay put: their
-  /// windows are later than the old origin's and thus later than `tick`.
-  void rewind_to(std::uint64_t tick) {
-    std::vector<HeapEntry> keep;
-    keep.reserve(live_);
-    for (std::size_t level = 0; level < kWheelLevels; ++level) {
-      std::size_t slot = 0;
-      while (slot < kWheelSlotCount &&
-             (slot = next_occupied(level, slot)) < kWheelSlotCount) {
-        for (const HeapEntry& entry : wheel_[level][slot]) {
-          if (is_live(entry)) {
-            keep.push_back(entry);
-          }
-        }
-        wheel_[level][slot].clear();
-        clear_bit(level, slot);
-        ++slot;
-      }
-    }
-    for (std::size_t i = drain_pos_; i < drain_.size(); ++i) {
-      if (is_live(drain_[i])) {
-        keep.push_back(drain_[i]);
-      }
-    }
-    drain_.clear();
-    drain_pos_ = 0;
-    draining_ = false;
-    cur_tick_ = tick;
-    for (const HeapEntry& entry : keep) {
-      push_entry(entry.when, entry.key);
     }
   }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "chaos_util.hpp"
@@ -732,6 +733,17 @@ TEST(MultiRackFaults, FilterStalePlantsIntoNetCloneTors) {
   replicated.apply_fault(parse_fault_entry("at=0s filter_stale tor3 0 779"));
   EXPECT_EQ(replicated.server_tor_program(1).stats().injected_stale_entries,
             1U);
+  // The replicas run NetClone too, but a fingerprint planted into one of
+  // them alone would break the chain's convergence.
+  try {
+    replicated.apply_fault(parse_fault_entry("at=0s filter_stale agg0 0 9"));
+    ADD_FAILURE() << "filter_stale planted into a chain replica";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("convergence"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(replicated.agg_netclone_program(0).stats().injected_stale_entries,
+            0U);
 }
 
 TEST(MultiRackFaults, RackDownAndUpToggleEveryTrunkOfTheRack) {

@@ -1,7 +1,11 @@
 // Robustness fuzzing: no input from the wire may crash the stack. Parsers
-// must either succeed or throw CodecError; the switch program must handle
-// any syntactically valid packet without violating pipeline constraints.
+// must either succeed or throw CodecError; the switch program — a ToR, or
+// an aggregation replica holding its tier's sync hub — must handle any
+// syntactically valid packet of every message type, forged chain-sync
+// markers included, without violating pipeline constraints.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "common/rng.hpp"
 #include "core/netclone_program.hpp"
@@ -14,6 +18,11 @@ namespace {
 
 using netclone::testing::make_request;
 using netclone::testing::run_ingress;
+
+/// Any message type the parser accepts: kRequest (1) through kChainSync (5).
+wire::MsgType any_msg_type(Rng& rng) {
+  return static_cast<wire::MsgType>(1 + rng.next_below(5));
+}
 
 TEST(FuzzParser, RandomBytesNeverCrash) {
   Rng rng{2024};
@@ -84,7 +93,7 @@ TEST(FuzzProgram, ArbitraryValidHeadersNeverViolatePipeline) {
         static_cast<std::uint16_t>(rng.next_below(40)),  // some bad groups
         static_cast<std::uint8_t>(rng.next_below(8)));
     wire::NetCloneHeader& nc = pkt.nc();
-    nc.type = static_cast<wire::MsgType>(1 + rng.next_below(3));
+    nc.type = any_msg_type(rng);
     nc.clo = static_cast<wire::CloneStatus>(rng.next_below(3));
     nc.sid = static_cast<std::uint8_t>(rng.next_below(256));
     nc.state = static_cast<std::uint16_t>(rng.next_below(65536));
@@ -104,6 +113,62 @@ TEST(FuzzProgram, ArbitraryValidHeadersNeverViolatePipeline) {
     EXPECT_TRUE(md.drop || md.egress_port.has_value() ||
                 md.multicast_group.has_value());
   }
+}
+
+TEST(FuzzProgram, ReplicaWithASyncHubIsAlsoRobust) {
+  // The middle replica of a three-switch chain. Its hub holds a few
+  // records, so forged markers name known and unknown ones alike.
+  pisa::Pipeline pipeline;
+  core::NetCloneConfig cfg;
+  cfg.filter_slots = 64;
+  cfg.id_mode = core::RequestIdMode::kClientTuple;
+  core::AggChainRole role;
+  role.replica_index = 1;
+  role.chain_length = 3;
+  role.chain_next_port = 30;
+  core::NetCloneProgram program{pipeline, cfg, role};
+  auto hub = std::make_shared<core::AggChainSyncHub>();
+  hub->create(1);
+  core::AggChainSyncRecord& admit = hub->create(2);
+  admit.filler_next_port = 30;
+  admit.admit_target = 2;
+  program.set_sync_hub(hub);
+  for (std::uint8_t i = 0; i < 4; ++i) {
+    program.add_server(ServerId{i}, host::server_ip(ServerId{i}), 10 + i,
+                       static_cast<std::uint16_t>(i + 1));
+  }
+  program.install_groups(core::build_group_pairs(4));
+  program.add_route(host::client_ip(0), 20);
+
+  Rng rng{321};
+  for (int i = 0; i < 50000; ++i) {
+    wire::Packet pkt = make_request(
+        static_cast<std::uint16_t>(rng.next_below(8)),
+        static_cast<std::uint32_t>(rng.next_u32()),
+        static_cast<std::uint16_t>(rng.next_below(40)),
+        static_cast<std::uint8_t>(rng.next_below(8)));
+    wire::NetCloneHeader& nc = pkt.nc();
+    nc.type = any_msg_type(rng);
+    nc.clo = static_cast<wire::CloneStatus>(rng.next_below(3));
+    nc.sid = static_cast<std::uint8_t>(rng.next_below(256));
+    nc.state = static_cast<std::uint16_t>(rng.next_below(65536));
+    nc.switch_id = rng.bernoulli(0.5) ? cfg.switch_id : 0;
+    nc.req_id = static_cast<std::uint32_t>(rng.next_below(4));
+    pkt.ip.dst = rng.bernoulli(0.5)
+                     ? host::client_ip(0)
+                     : wire::Ipv4Address{rng.next_u32()};
+    if (rng.next_below(1000) == 0) {
+      program.set_chain_member(!program.chain_member());
+    }
+    const bool recirculated =
+        nc.is_request() && !nc.is_write() &&
+        nc.clo == wire::CloneStatus::kClonedOriginal && rng.bernoulli(0.5);
+    const auto md = run_ingress(program, pipeline, pkt, 0, recirculated);
+    EXPECT_TRUE(md.drop || md.egress_port.has_value() ||
+                md.multicast_group.has_value());
+  }
+  EXPECT_GT(program.stats().unusable_sync_markers, 0U);
+  EXPECT_GT(program.stats().chain_sync_markers, 0U);
 }
 
 TEST(FuzzProgram, MultipacketVariantIsAlsoRobust) {
@@ -128,7 +193,7 @@ TEST(FuzzProgram, MultipacketVariantIsAlsoRobust) {
         static_cast<std::uint16_t>(rng.next_below(3)),
         static_cast<std::uint8_t>(rng.next_below(6)));
     wire::NetCloneHeader& nc = pkt.nc();
-    nc.type = static_cast<wire::MsgType>(1 + rng.next_below(3));
+    nc.type = any_msg_type(rng);
     nc.frag_count = static_cast<std::uint8_t>(1 + rng.next_below(4));
     nc.frag_idx = static_cast<std::uint8_t>(
         rng.next_below(nc.frag_count));

@@ -94,7 +94,7 @@ TEST(MultiRack, CloningHappensOnlyAtClientSideTor) {
   EXPECT_EQ(prog2->stats().cloned_requests, 0U);
   EXPECT_EQ(prog2->stats().responses, 0U);
   // tor2 classified the stamped traffic as foreign.
-  EXPECT_GT(prog2->stats().foreign_tor_packets, 0U);
+  EXPECT_GT(prog2->stats().foreign_packets, 0U);
   EXPECT_EQ(tor2.stats().recirculated, 0U);
 
   // Filtering kept duplicates away from the client.

@@ -1,7 +1,7 @@
 // Determinism and correctness of the fat-tree harness: for both
 // aggregation modes, a same-seed rerun must reproduce the run bit for
-// bit with a clean audit and balanced frame pool (and the replicated
-// pod must match its recorded golden pin); in replicated mode a
+// bit with a clean audit and balanced frame pool (and each pod must match
+// its recorded golden pin); in replicated mode a
 // clone must actually cross racks through the NetClone-aware
 // aggregation tier and every chain replica must converge to the
 // identical soft-state image (the auditor's replica-convergence
@@ -101,6 +101,16 @@ TEST(FatTree, ReplicatedGoldenPin) {
   EXPECT_EQ(run.completed, 1426u);
   EXPECT_EQ(run.p99_ns, 160768);
   EXPECT_EQ(run.executed, 29941u);
+}
+
+TEST(FatTree, ObliviousGoldenPin) {
+  // The oblivious pod's counterpart of the pin above: holds the client
+  // ToR's cloning, wired by its core::Controller, across commits.
+  const RunOutcome run = audited_run(fattree_config(AggMode::kOblivious));
+  EXPECT_EQ(run.digest, 13241905335124404977ULL);
+  EXPECT_EQ(run.completed, 1423u);
+  EXPECT_EQ(run.p99_ns, 154624);
+  EXPECT_EQ(run.executed, 29328u);
 }
 
 TEST(FatTree, ReplicatedTierClonesAcrossRacks) {

@@ -43,7 +43,7 @@ TEST(MultiRackHarness, CloningOnlyAtClientTor) {
     const auto& stats = experiment.server_tor_program(rack).stats();
     EXPECT_EQ(stats.cloned_requests, 0U) << rack;
     EXPECT_EQ(stats.requests, 0U) << rack;
-    EXPECT_GT(stats.foreign_tor_packets, 0U) << rack;
+    EXPECT_GT(stats.foreign_packets, 0U) << rack;
   }
 }
 

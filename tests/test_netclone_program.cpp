@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <vector>
+
 #include "host/addressing.hpp"
 #include "test_util.hpp"
 
@@ -16,6 +20,7 @@ constexpr std::size_t kPortSrv0 = 10;
 constexpr std::size_t kPortSrv1 = 11;
 constexpr std::size_t kPortSrv2 = 12;
 constexpr std::size_t kPortClient = 20;
+constexpr std::size_t kPortChainNext = 30;
 constexpr std::uint16_t kMcastSrv0 = 1;
 constexpr std::uint16_t kMcastSrv1 = 2;
 constexpr std::uint16_t kMcastSrv2 = 3;
@@ -327,7 +332,7 @@ TEST_F(NetCloneProgramTest, ForeignTorPacketsOnlyRouted) {
   const auto md = run_ingress(program_, pipeline_, pkt);
   EXPECT_EQ(md.egress_port, kPortClient);
   EXPECT_EQ(pkt.nc().req_id, 0U);  // untouched: no NetClone processing
-  EXPECT_EQ(program_.stats().foreign_tor_packets, 1U);
+  EXPECT_EQ(program_.stats().foreign_packets, 1U);
   EXPECT_EQ(program_.stats().requests, 0U);
 }
 
@@ -377,6 +382,232 @@ TEST_F(NetCloneProgramTest, ConfigValidation) {
   NetCloneConfig cfg;
   cfg.num_filter_tables = 0;
   EXPECT_THROW((void)NetCloneProgram(pipeline, cfg), CheckFailure);
+}
+
+TEST_F(NetCloneProgramTest, TorIsAChainOfOne) {
+  EXPECT_EQ(program_.role().chain_length, 1U);
+  EXPECT_TRUE(program_.role().is_tail());
+  EXPECT_TRUE(program_.chain_member());
+  EXPECT_FALSE(program_.chain_next().has_value());
+  EXPECT_TRUE(program_.is_chain_tail());
+  EXPECT_FALSE(program_.replicated());
+
+  // The tail enacts each hit on the spot: hits and drops count alike.
+  wire::Packet req = make_request(0, 1, 0, 0);
+  req.nc().clo = wire::CloneStatus::kClonedOriginal;
+  req.nc().req_id = 31;
+  wire::Packet fast = make_response(ServerId{0}, 0, req);
+  wire::Packet slow = make_response(ServerId{1}, 0, req);
+  EXPECT_FALSE(run_ingress(program_, pipeline_, fast).drop);
+  EXPECT_TRUE(run_ingress(program_, pipeline_, slow).drop);
+  EXPECT_EQ(program_.stats().filter_hits, 1U);
+  EXPECT_EQ(program_.stats().filtered_responses, 1U);
+  EXPECT_EQ(program_.stats().chain_forwards, 0U);
+}
+
+TEST_F(NetCloneProgramTest, ForgedChainSyncMarkerTouchesNoRegister) {
+  // A ToR holds no sync hub. A marker off the wire is dropped and
+  // counted, not taken for a response carrying state 7 for server 1.
+  wire::Packet marker = make_request(0, 1, 0, 0);
+  marker.nc().type = wire::MsgType::kChainSync;
+  marker.nc().sid = 1;
+  marker.nc().state = 7;
+  marker.ip.dst = host::client_ip(0);
+  const auto md = run_ingress(program_, pipeline_, marker);
+  EXPECT_TRUE(md.drop);
+  EXPECT_EQ(program_.peek_state(ServerId{1}), 0);
+  EXPECT_EQ(program_.stats().responses, 0U);
+  EXPECT_EQ(program_.stats().unusable_sync_markers, 1U);
+}
+
+TEST(NetCloneChainConfig, ReplicatedChainNeedsClientTupleIds) {
+  pisa::Pipeline pipeline;
+  AggChainRole role;
+  role.chain_length = 2;
+  role.chain_next_port = kPortChainNext;
+  EXPECT_THROW((void)NetCloneProgram(pipeline, NetCloneConfig{}, role),
+               CheckFailure);
+  NetCloneConfig cfg;
+  cfg.id_mode = RequestIdMode::kClientTuple;
+  EXPECT_NO_THROW((void)NetCloneProgram(pipeline, cfg, role));
+}
+
+/// Three replicas of one chain, each on its own pipeline, all sharing a
+/// sync hub. Tests hand a packet from replica to replica, as the chain
+/// links would.
+class NetCloneChainTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kReplicas = 3;
+
+  NetCloneChainTest() {
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+      AggChainRole role;
+      role.replica_index = i;
+      role.chain_length = kReplicas;
+      if (i + 1 < kReplicas) {
+        role.chain_next_port = kPortChainNext;
+      }
+      NetCloneConfig cfg;
+      cfg.filter_slots = 64;
+      cfg.id_mode = RequestIdMode::kClientTuple;
+      replicas_.push_back(
+          std::make_unique<NetCloneProgram>(pipelines_[i], cfg, role));
+      NetCloneProgram& replica = *replicas_.back();
+      replica.set_sync_hub(hub_);
+      replica.add_server(ServerId{0}, host::server_ip(ServerId{0}),
+                         kPortSrv0, kMcastSrv0);
+      replica.add_server(ServerId{1}, host::server_ip(ServerId{1}),
+                         kPortSrv1, kMcastSrv1);
+      replica.add_server(ServerId{2}, host::server_ip(ServerId{2}),
+                         kPortSrv2, kMcastSrv2);
+      replica.install_groups(build_group_pairs(3));
+      replica.add_route(host::client_ip(0), kPortClient);
+    }
+  }
+
+  NetCloneProgram& replica(std::size_t i) { return *replicas_[i]; }
+
+  /// Runs `pkt` through replica `i`.
+  pisa::PacketMetadata hop(std::size_t i, wire::Packet& pkt) {
+    return run_ingress(*replicas_[i], pipelines_[i], pkt);
+  }
+
+  /// A chain-sync marker naming hub record `sync_id`.
+  static wire::Packet marker(std::uint32_t sync_id) {
+    wire::Packet pkt = make_request(0, 1, 0, 0);
+    pkt.nc().type = wire::MsgType::kChainSync;
+    pkt.nc().req_id = sync_id;
+    return pkt;
+  }
+
+  /// The two responses of one cloned request, faster first.
+  static std::array<wire::Packet, 2> cloned_responses(std::uint32_t req_id) {
+    wire::Packet req = make_request(0, 1, 0, 0);
+    req.nc().clo = wire::CloneStatus::kClonedOriginal;
+    req.nc().req_id = req_id;
+    wire::Packet slower = make_response(ServerId{1}, 0, req);
+    slower.nc().clo = wire::CloneStatus::kClonedCopy;
+    return {make_response(ServerId{0}, 3, req), slower};
+  }
+
+  std::array<pisa::Pipeline, kReplicas> pipelines_;
+  std::shared_ptr<AggChainSyncHub> hub_ =
+      std::make_shared<AggChainSyncHub>();
+  std::vector<std::unique_ptr<NetCloneProgram>> replicas_;
+};
+
+TEST_F(NetCloneChainTest, HeadAndMiddleRelayBothResponsesTailFilters) {
+  auto [faster, slower] = cloned_responses(77);
+  for (std::size_t i = 0; i + 1 < kReplicas; ++i) {
+    const auto md = hop(i, faster);
+    EXPECT_FALSE(md.drop) << "replica " << i;
+    EXPECT_EQ(md.egress_port, kPortChainNext) << "replica " << i;
+  }
+  EXPECT_EQ(hop(2, faster).egress_port, kPortClient);
+
+  // Upstream replicas hit the fingerprint but relay the duplicate anyway;
+  // only the tail enacts the verdict.
+  for (std::size_t i = 0; i + 1 < kReplicas; ++i) {
+    const auto md = hop(i, slower);
+    EXPECT_FALSE(md.drop) << "replica " << i;
+    EXPECT_EQ(md.egress_port, kPortChainNext) << "replica " << i;
+    const NetCloneProgramStats& ps = replica(i).stats();
+    EXPECT_EQ(ps.filter_hits, 1U) << "replica " << i;
+    EXPECT_EQ(ps.fingerprints_stored, 1U) << "replica " << i;
+    EXPECT_EQ(ps.chain_forwards, 2U) << "replica " << i;
+    EXPECT_EQ(ps.filtered_responses, 0U) << "replica " << i;
+  }
+  EXPECT_TRUE(hop(2, slower).drop);
+  const NetCloneProgramStats& tail = replica(2).stats();
+  EXPECT_EQ(tail.filter_hits, 1U);
+  EXPECT_EQ(tail.filtered_responses, 1U);
+  EXPECT_EQ(tail.chain_forwards, 0U);
+
+  // Every replica applied the same stream: identical soft state.
+  EXPECT_EQ(replica(0).peek_state(ServerId{0}), 3);
+  for (std::size_t i = 1; i < kReplicas; ++i) {
+    EXPECT_EQ(replica(i).soft_state_digest(), replica(0).soft_state_digest())
+        << "replica " << i;
+  }
+}
+
+TEST_F(NetCloneChainTest, NonMemberDropsResponsesAndKeepsItsState) {
+  replica(1).set_chain_member(false);
+  EXPECT_FALSE(replica(1).is_chain_tail());
+  auto [faster, slower] = cloned_responses(5);
+  const auto md = hop(1, faster);
+  EXPECT_TRUE(md.drop);
+  EXPECT_EQ(replica(1).peek_state(ServerId{0}), 0);
+  EXPECT_EQ(replica(1).filter_occupancy(), 0U);
+  EXPECT_EQ(replica(1).stats().non_member_response_drops, 1U);
+  EXPECT_EQ(replica(1).stats().responses, 0U);
+}
+
+TEST_F(NetCloneChainTest, ReplayedMarkerIsStaleAndNotInstalled) {
+  hub_->create(1);
+  wire::Packet sync = marker(1);
+  EXPECT_EQ(hop(0, sync).egress_port, kPortChainNext);  // fills
+  EXPECT_EQ(hop(1, sync).egress_port, kPortChainNext);  // installs
+  EXPECT_TRUE(hop(2, sync).drop);                       // installs, consumes
+  EXPECT_EQ(replica(0).stats().chain_sync_snapshots_filled, 1U);
+  EXPECT_EQ(replica(1).stats().chain_sync_installs, 1U);
+  EXPECT_EQ(replica(2).stats().chain_sync_consumed, 1U);
+
+  // Newer state reaches the middle replica after the cut.
+  auto [faster, slower] = cloned_responses(9);
+  (void)hop(1, faster);
+  ASSERT_EQ(replica(1).peek_state(ServerId{0}), 3);
+
+  // A replay of the old marker must not roll that state back.
+  wire::Packet replay = marker(1);
+  EXPECT_EQ(hop(1, replay).egress_port, kPortChainNext);
+  EXPECT_EQ(replica(1).stats().chain_sync_stale, 1U);
+  EXPECT_EQ(replica(1).stats().chain_sync_installs, 1U);
+  EXPECT_EQ(replica(1).peek_state(ServerId{0}), 3);
+}
+
+TEST_F(NetCloneChainTest, AdmitMarkerMakesItsTargetTheTail) {
+  // The tail crashed and was spliced out; replica 1 took over the tail.
+  replica(2).set_chain_member(false);
+  replica(1).set_chain_next(std::nullopt);
+  ASSERT_TRUE(replica(1).is_chain_tail());
+  auto [faster, slower] = cloned_responses(12);
+  (void)hop(0, faster);
+  EXPECT_EQ(hop(1, faster).egress_port, kPortClient);
+
+  // Rejoin: the old tail fills the admit record and adopts the rejoiner
+  // as its successor; the rejoiner installs the snapshot and becomes the
+  // tail.
+  AggChainSyncRecord& admit = hub_->create(4);
+  admit.filler_next_port = kPortChainNext;
+  admit.admit_target = 2;
+  wire::Packet sync = marker(4);
+  EXPECT_EQ(hop(1, sync).egress_port, kPortChainNext);
+  EXPECT_TRUE(hop(2, sync).drop);
+
+  EXPECT_EQ(replica(1).chain_next(), kPortChainNext);
+  EXPECT_FALSE(replica(1).is_chain_tail());
+  EXPECT_TRUE(replica(2).chain_member());
+  EXPECT_TRUE(replica(2).is_chain_tail());
+  EXPECT_EQ(replica(2).stats().chain_sync_consumed, 1U);
+  EXPECT_EQ(replica(2).stats().chain_sync_fingerprints_adopted, 1U);
+  EXPECT_EQ(replica(2).soft_state_digest(), replica(1).soft_state_digest());
+
+  // The new tail enacts the verdict on the duplicate it never stored.
+  (void)hop(0, slower);
+  EXPECT_EQ(hop(1, slower).egress_port, kPortChainNext);
+  EXPECT_TRUE(hop(2, slower).drop);
+  EXPECT_EQ(replica(2).stats().filtered_responses, 1U);
+}
+
+TEST_F(NetCloneChainTest, MarkerNamingAnUnknownRecordIsDropped) {
+  hub_->create(1);
+  wire::Packet sync = marker(99);
+  const auto md = hop(1, sync);
+  EXPECT_TRUE(md.drop);
+  EXPECT_EQ(replica(1).stats().unusable_sync_markers, 1U);
+  EXPECT_EQ(replica(1).stats().chain_sync_markers, 0U);
+  EXPECT_FALSE(hub_->find(1)->filled);
 }
 
 }  // namespace

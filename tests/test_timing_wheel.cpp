@@ -156,30 +156,10 @@ TEST(TimingWheel, ReservationMaterializedMidDrainKeepsItsPlace) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(TimingWheel, PeekThenEarlierInsertRewindsTheOrigin) {
-  // External peek() may advance the wheel origin; inserting before it
-  // afterwards must rewind instead of corrupting the order. Exercised on
-  // the arena directly — the engine's clock never trails this way.
-  EventArena arena;
-  arena.insert(100_ns, [] {});
-  SimTime when;
-  ASSERT_TRUE(arena.peek(when));
-  EXPECT_EQ(when, 100_ns);
-  arena.insert(50_ns, [] {});
-  ASSERT_TRUE(arena.peek(when));
-  EXPECT_EQ(when, 50_ns);
-  EventCallback cb;
-  ASSERT_TRUE(arena.pop(when, cb));
-  EXPECT_EQ(when, 50_ns);
-  ASSERT_TRUE(arena.pop(when, cb));
-  EXPECT_EQ(when, 100_ns);
-  EXPECT_TRUE(arena.empty());
-}
-
 TEST(TimingWheel, PopDueNeverAdvancesTheOriginPastTheDeadline) {
   // A bounded pop that finds nothing due must leave the origin at or
   // before the deadline, so later inserts between the deadline and the
-  // pending event do not rewind.
+  // pending event land at or after the origin.
   EventArena arena;
   arena.insert(1_us, [] {});
   SimTime when;
