@@ -136,6 +136,7 @@ struct E2e {
   double wall_s = 0.0;
   harness::ExperimentResult result{};
   std::uint64_t executed = 0;
+  wire::FramePool::Stats pool{};  // the experiment's own frame pool
 };
 
 /// bench::fig7_point, wall-clocked from configuration to result.
@@ -146,6 +147,7 @@ E2e run_fig7_point() {
   out.result = experiment.run();
   out.executed = experiment.executed_events();
   out.wall_s = seconds_since(start);
+  out.pool = experiment.frame_pool_stats().front();
   return out;
 }
 
@@ -218,8 +220,9 @@ int main(int argc, char** argv) {
               to_string(fig7.result.p99).c_str(),
               static_cast<unsigned long long>(fig7.executed));
 
-  const auto& pool = wire::FramePool::instance().stats();
-  std::printf("pool: %llu acquires, %llu recycled (%.1f%%), %llu slabs\n",
+  const wire::FramePool::Stats& pool = fig7.pool;
+  std::printf("fig7 point frame pool: %llu acquires, %llu recycled "
+              "(%.1f%%), %llu slabs\n",
               static_cast<unsigned long long>(pool.acquired),
               static_cast<unsigned long long>(pool.recycled),
               pool.acquired > 0

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full verification: build + tests, then the same suite under ASan and
 # UBSan. This is the bar for merging changes to the wire/framebuf layer
-# (refcounts, copy-on-write, in-place patching) and the zero-copy host
+# (refcounts, whole-frame copy-on-write, in-place patching) and the host
 # data path (PayloadRef views pinning rx frames through the server
-# queue, scatter-gather responses) — a leak or UB there is invisible to
-# the functional tests. The sanitizer builds also compile
+# queue, frames built into pooled buffers) — a leak or UB there is
+# invisible to the functional tests. The sanitizer builds also compile
 # the per-pass pipeline legality checks in (NETCLONE_PIPELINE_CHECKS
 # AUTO), so the full run covers both check modes. The slow-labelled
 # 100-combo chaos sweep (fault injection + invariant auditor +

@@ -125,8 +125,8 @@ void LaedgeCoordinator::dispatch(const wire::Packet& pkt, std::size_t w) {
   }
 
   // Transmit path: each copy occupies the CPU again before hitting the NIC.
-  // Both clone copies of a request share the payload bytes of the original
-  // frame; only the patched header region is private per copy.
+  // The received packet still holds its frame, so each dispatched copy is
+  // patched into a private copy of that frame.
   send_at(0, charge_cpu(), out.serialize_pooled());
 }
 

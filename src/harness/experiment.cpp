@@ -35,6 +35,18 @@ Experiment::Experiment(ClusterConfig config)
   NETCLONE_CHECK(config_.server_workers.size() >= 2,
                  "need at least two servers");
   NETCLONE_CHECK(config_.num_clients >= 1, "need at least one client");
+  // Responses pass a filter under NetClone and the RackSched integration
+  // (the ToR's filter tables) and under LAEDGE (the coordinator relays
+  // one response per request); only NetClone has multi-packet tables.
+  if (config_.scheme == Scheme::kLaedge ||
+      ((config_.scheme == Scheme::kNetClone ||
+        config_.scheme == Scheme::kNetCloneRackSched) &&
+       config_.netclone.enable_filtering)) {
+    check_response_fragments(config_.server_template.response_fragments,
+                             config_.scheme == Scheme::kNetClone &&
+                                 config_.netclone.enable_multipacket,
+                             config_.netclone.num_filter_tables);
+  }
   build();
 }
 

@@ -27,6 +27,14 @@ MultiRackExperiment::MultiRackExperiment(MultiRackConfig config)
                  "NetClone needs at least two servers");
   NETCLONE_CHECK(config_.num_aggs >= 1, "need at least one agg switch");
   NETCLONE_CHECK(config_.num_clients >= 1, "need at least one client");
+  // The oblivious pod filters responses at the client ToR; the replicated
+  // pod's chain replicas filter without multi-packet tables.
+  if (config_.netclone.enable_filtering) {
+    check_response_fragments(config_.server_template.response_fragments,
+                             config_.agg_mode == AggMode::kOblivious &&
+                                 config_.netclone.enable_multipacket,
+                             config_.netclone.num_filter_tables);
+  }
   build();
 }
 

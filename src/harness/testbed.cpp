@@ -97,6 +97,25 @@ std::size_t Testbed::indexed_target(const FaultEvent& event,
   return *index;
 }
 
+void Testbed::check_response_fragments(std::uint8_t response_fragments,
+                                       bool multipacket_tables,
+                                       std::size_t num_filter_tables) {
+  if (response_fragments <= 1) {
+    return;
+  }
+  const std::string frags = std::to_string(response_fragments);
+  NETCLONE_CHECK(multipacket_tables,
+                 frags + " response fragments need multi-packet filter "
+                 "tables: without them the response filter drops every "
+                 "fragment after the first as a duplicate");
+  NETCLONE_CHECK(response_fragments <= num_filter_tables,
+                 frags + " response fragments need at least " + frags +
+                     " filter tables, not " +
+                     std::to_string(num_filter_tables) +
+                     ": a fragment sharing a table with an earlier one "
+                     "is dropped as a duplicate");
+}
+
 pisa::SwitchDevice& Testbed::target_switch(const std::string& name) const {
   for (const auto& [key, device] : switches_) {
     if (key == name) {

@@ -197,6 +197,17 @@ class Testbed {
   [[nodiscard]] static std::size_t indexed_target(const FaultEvent& event,
                                                   std::string_view prefix,
                                                   std::size_t count);
+  /// Rejects a response fragment count the response filter cannot carry.
+  /// A filtering switch sends fragment k of a response through filter
+  /// table (idx + k) % num_filter_tables, or through table idx alone
+  /// without multi-packet tables. A fragment that lands in the table of
+  /// an earlier fragment of its own response is taken for the slower
+  /// duplicate and dropped, and the request never completes. A LAEDGE
+  /// coordinator, which relays one response per request, is a filter
+  /// without multi-packet tables. Throws CheckFailure with the reason.
+  static void check_response_fragments(std::uint8_t response_fragments,
+                                       bool multipacket_tables,
+                                       std::size_t num_filter_tables);
 
   // -- what each topology decides ------------------------------------------
 

@@ -33,7 +33,10 @@ Client::Client(sim::Scheduler& scheduler, ClientParams params,
       arrival_timer_(scheduler, [this] { on_arrival(); }) {
   NETCLONE_CHECK(params_.rate_rps > 0.0, "client rate must be positive");
   NETCLONE_CHECK(params_.num_filter_tables > 0, "need >= 1 filter table");
-  NETCLONE_CHECK(params_.request_fragments >= 1, "need >= 1 fragment");
+  // The server tracks a request's fragments in a 64-bit mask.
+  NETCLONE_CHECK(params_.request_fragments >= 1 &&
+                     params_.request_fragments <= 64,
+                 "a request has 1 to 64 fragments");
   if (!params_.rate_profile.empty()) {
     NETCLONE_CHECK(params_.arrival == ArrivalProcess::kPoisson &&
                        params_.loop == LoopMode::kOpenLoop,
@@ -195,46 +198,26 @@ void Client::on_arrival() {
   schedule_next_arrival();
 }
 
-void Client::send_all_packets(Pending& pending, std::uint32_t client_seq) {
-  if (!pending.tx_frames.empty()) {
-    // Retransmission: resend the cached buffers byte-for-byte; the switch
-    // derives the same REQ_ID from the unchanged client tuple.
-    for (const wire::FrameHandle& f : pending.tx_frames) {
-      emit_frame(f);
-    }
-    return;
-  }
+void Client::send_all_packets(const Pending& pending,
+                              std::uint32_t client_seq) {
+  // Every attempt builds its frames from `pending`, so a TCP-mode
+  // retransmission sends the same bytes as the first attempt and the
+  // switch derives the same REQ_ID from the unchanged client tuple.
   const wire::RpcRequest& req = pending.request;
-  // Only cache when a retransmit timer can ever fire, so the per-request
-  // Pending map doesn't retain frame buffers it will never resend. The
-  // same gate covers the shared payload tail: serialized once here, then
-  // every fragment, C-Clone copy, and retransmission shares its bytes by
-  // refcount.
-  const bool cache = params_.retransmit_timeout > SimTime::zero();
-  if (cache && !pending.payload_tail.frame) {
-    pending.payload_tail = wire::SharedPayload::of(req.to_frame());
-  }
-  const wire::SharedPayload* tail = cache ? &pending.payload_tail : nullptr;
   switch (params_.mode) {
     case SendMode::kViaSwitch:
     case SendMode::kToCoordinator:
       for (std::uint8_t f = 0; f < params_.request_fragments; ++f) {
-        wire::FrameHandle sent = emit_request(req, params_.target,
-                                              pending.grp, pending.idx,
-                                              client_seq, f, tail);
-        if (cache) {
-          pending.tx_frames.push_back(std::move(sent));
-        }
+        emit_request(req, params_.target, pending.grp, pending.idx,
+                     client_seq, f);
       }
       break;
     case SendMode::kDirectRandom: {
-      // A fresh random worker every attempt — the frame is never cached
-      // (its destination changes), so the RNG draw sequence matches the
-      // uncached behavior exactly; only the payload tail is reused.
+      // A fresh random worker every attempt.
       const auto i = static_cast<std::size_t>(
           rng_.next_below(params_.server_ips.size()));
       emit_request(req, params_.server_ips[i], pending.grp, pending.idx,
-                   client_seq, 0, tail);
+                   client_seq, 0);
       break;
     }
     case SendMode::kCClone:
@@ -242,12 +225,7 @@ void Client::send_all_packets(Pending& pending, std::uint32_t client_seq) {
       // the client fields both responses itself (no in-network filtering
       // for C-Clone).
       for (const wire::Ipv4Address dst : pending.cclone_dsts) {
-        wire::FrameHandle sent = emit_request(req, dst, pending.grp,
-                                              pending.idx, client_seq, 0,
-                                              tail);
-        if (cache) {
-          pending.tx_frames.push_back(std::move(sent));
-        }
+        emit_request(req, dst, pending.grp, pending.idx, client_seq, 0);
       }
       break;
   }
@@ -300,12 +278,9 @@ void Client::arm_retransmit_timer(std::uint32_t client_seq) {
       });
 }
 
-wire::FrameHandle Client::emit_request(const wire::RpcRequest& req,
-                                       wire::Ipv4Address dst,
-                                       std::uint16_t grp, std::uint8_t idx,
-                                       std::uint32_t client_seq,
-                                       std::uint8_t frag_idx,
-                                       const wire::SharedPayload* tail) {
+void Client::emit_request(const wire::RpcRequest& req, wire::Ipv4Address dst,
+                          std::uint16_t grp, std::uint8_t idx,
+                          std::uint32_t client_seq, std::uint8_t frag_idx) {
   wire::NetCloneHeader nc;
   // Write operations travel as WREQ so the switch never clones them (§5.5).
   nc.type = req.op == wire::RpcOp::kSet ? wire::MsgType::kWriteRequest
@@ -325,19 +300,8 @@ wire::FrameHandle Client::emit_request(const wire::RpcRequest& req,
   wire::Packet pkt = wire::make_netclone_packet(
       my_mac_, wire::MacAddress::broadcast(), my_ip_, dst,
       /*src_port=*/static_cast<std::uint16_t>(40000 + params_.client_id),
-      nc, tail != nullptr ? wire::Frame{} : req.to_frame());
-
-  wire::FrameHandle bytes;
-  if (tail != nullptr) {
-    // Scatter-gather: a fresh header block composed with the shared body
-    // buffer — byte-identical to the contiguous build below.
-    pkt.payload = tail->ref();
-    bytes = pkt.serialize_sg(*tail);
-  } else {
-    bytes = pkt.serialize_pooled();
-  }
-  emit_frame(bytes);
-  return bytes;
+      nc, req.to_frame());
+  emit_frame(pkt.serialize_pooled());
 }
 
 void Client::emit_frame(wire::FrameHandle bytes) {
@@ -463,8 +427,8 @@ void Client::on_response_processed(const Response& resp) {
     ++stats_.completed_in_window;
   }
   // The completion bit now classifies any late duplicate, so the entry
-  // (and the retransmit buffers it caches) can go. Erased by key: the
-  // closed-loop issue above may have moved it.
+  // can go. Erased by key: issuing the next closed-loop request above may
+  // have moved it.
   outstanding_.erase(resp.client_seq);
 }
 

@@ -6,6 +6,11 @@
 // modeled as serial CPU resources, so redundant responses (unfiltered
 // duplicates) and duplicate sends (C-Clone) consume real client capacity —
 // the effect Figures 15 and 7 quantify.
+//
+// Each packet is built as one contiguous pooled frame by
+// Packet::serialize_pooled(). A TCP-mode retransmission builds its frames
+// again from the request table entry, so every attempt carries the same
+// bytes (kDirectRandom re-draws its worker each attempt).
 #pragma once
 
 #include <array>
@@ -110,8 +115,8 @@ struct ClientParams {
   /// Samples sent before this instant are excluded from the histogram.
   SimTime warmup_until = SimTime::zero();
   /// Multi-packet requests (§3.7): each request is sent as this many
-  /// fragments sharing one CLIENT_SEQ and group id. The switch needs
-  /// enable_multipacket + client-tuple request ids for > 1.
+  /// fragments (at most 64) sharing one CLIENT_SEQ and group id. The
+  /// switch needs enable_multipacket + client-tuple request ids for > 1.
   std::uint8_t request_fragments = 1;
   /// TCP-mode reliability (§3.7): when non-zero, an uncompleted request is
   /// re-sent after this timeout (same CLIENT_SEQ, so the switch derives
@@ -225,18 +230,6 @@ class Client : public phys::Node {
     std::uint32_t server_service_ns = 0;
     /// C-Clone: the two chosen workers, for targeted cancellation.
     std::array<wire::Ipv4Address, 2> cclone_dsts{};
-    /// Serialized request frames, cached so TCP-mode retransmissions resend
-    /// the same buffers instead of re-serializing (empty unless
-    /// retransmit_timeout is armed; never used for kDirectRandom, which
-    /// re-draws its destination every attempt). Released on completion.
-    std::vector<wire::FrameHandle> tx_frames{};
-    /// The request body, serialized once into a shared pooled buffer.
-    /// Every attempt — fragments, the C-Clone pair, and kDirectRandom
-    /// retransmissions (which re-draw their destination and so must
-    /// rebuild headers) — composes its header block with this tail by
-    /// refcount; the payload bytes are never serialized again. Built only
-    /// when a retransmit timer can fire; released on completion.
-    wire::SharedPayload payload_tail{};
     /// Pending retransmit timeout (TCP mode); cancelled on completion so
     /// the event — and the closure it holds — is freed immediately.
     sim::EventId retransmit_event{};
@@ -261,16 +254,11 @@ class Client : public phys::Node {
   [[nodiscard]] SimTime next_arrival_time();
   void send_cancel(const Pending& pending, std::uint32_t client_seq,
                    wire::Ipv4Address responder);
-  void send_all_packets(Pending& pending, std::uint32_t client_seq);
-  /// Builds, serializes and paces one request packet; returns the frame so
-  /// the caller can cache it for retransmission. With a non-null `tail`
-  /// the frame is composed scatter-gather: fresh headers over the shared
-  /// payload buffer (byte-identical to the contiguous build).
-  wire::FrameHandle emit_request(const wire::RpcRequest& req,
-                                 wire::Ipv4Address dst, std::uint16_t grp,
-                                 std::uint8_t idx, std::uint32_t client_seq,
-                                 std::uint8_t frag_idx,
-                                 const wire::SharedPayload* tail);
+  void send_all_packets(const Pending& pending, std::uint32_t client_seq);
+  /// Builds, serializes and paces one request packet.
+  void emit_request(const wire::RpcRequest& req, wire::Ipv4Address dst,
+                    std::uint16_t grp, std::uint8_t idx,
+                    std::uint32_t client_seq, std::uint8_t frag_idx);
   /// Paces one already-serialized frame through the sender thread.
   void emit_frame(wire::FrameHandle bytes);
   void arm_retransmit_timer(std::uint32_t client_seq);

@@ -16,6 +16,9 @@ Server::Server(sim::Scheduler& scheduler, ServerParams params,
       my_ip_(server_ip(params.sid)),
       my_mac_(wire::MacAddress::from_node(0x0100U + value_of(params.sid))) {
   NETCLONE_CHECK(params_.workers > 0, "server needs at least one worker");
+  // The client tracks a response's fragments in a 64-bit mask.
+  NETCLONE_CHECK(params_.response_fragments <= 64,
+                 "a response has at most 64 fragments");
   // Steady state holds at most a handful of concurrent partials (one per
   // in-flight multi-packet request); presizing keeps the dispatch path
   // rehash-free well past that.
@@ -314,35 +317,23 @@ void Server::on_complete(PendingRequest req, const wire::RpcRequest& rpc,
   // The request payload view is done with; drop its pin on the received
   // frame before the response outlives it.
   req.payload.clear();
-  // Serialize the body ONCE into a shared pooled tail; every fragment
-  // below composes its freshly built header block with this buffer by
-  // refcount — the body bytes are never copied again.
-  const wire::SharedPayload tail = wire::SharedPayload::of(body.to_frame());
-  resp.payload = tail.ref();
+  resp.payload = body.to_frame();
 
   ++stats_.responses_total;
   if (qlen == 0) {
     ++stats_.responses_with_empty_queue;
   }
 
-  if (params_.response_fragments <= 1) {
-    resp.nc().frag_idx = 0;
-    resp.nc().frag_count = 1;
-    send(0, resp.serialize_sg(tail));
-  } else {
-    // Fragment 0 carries the body; the rest are header-only markers the
-    // switch filters through its ordered tables. Each leaves as soon as
-    // it is built; the egress link's FIFO arms one delivery event for the
-    // back-to-back run.
-    resp.nc().frag_count = params_.response_fragments;
-    resp.nc().frag_idx = 0;
-    send(0, resp.serialize_sg(tail));
+  // Fragment 0 carries the body; the rest are header-only markers the
+  // switch filters through its ordered tables. Each leaves as soon as it
+  // is built; the egress link's FIFO arms one delivery event for the
+  // back-to-back run.
+  const auto frags = std::max<std::uint8_t>(params_.response_fragments, 1);
+  resp.nc().frag_count = frags;
+  for (std::uint8_t f = 0; f < frags; ++f) {
+    resp.nc().frag_idx = f;
+    send(0, resp.serialize_pooled());
     resp.payload.clear();
-    const wire::SharedPayload empty{};
-    for (std::uint8_t f = 1; f < params_.response_fragments; ++f) {
-      resp.nc().frag_idx = f;
-      send(0, resp.serialize_sg(empty));
-    }
   }
 
   --busy_workers_;

@@ -8,13 +8,11 @@
 //   * every response piggybacks the current queue length in STATE, which is
 //     how the switch learns server idleness.
 //
-// The data path is zero-copy end to end: a request's payload rides through
-// the FCFS queue and the reassembly table as a wire::PayloadRef view
-// pinning the received frame (never copied), and responses are built
-// scatter-gather — the body is serialized once into a shared pooled tail,
-// and each fragment is a freshly built header block composed with that
-// tail by refcount. Packet::serialize() remains the byte oracle both are
-// tested against.
+// A request's payload rides through the FCFS queue and the reassembly
+// table as a wire::PayloadRef view pinning the received frame (never
+// copied). Each response fragment is built as one contiguous pooled frame
+// by Packet::serialize_pooled(); Packet::serialize() remains the byte
+// oracle it is tested against.
 #pragma once
 
 #include <deque>
@@ -59,8 +57,9 @@ struct ServerParams {
   bool drop_busy_clones = true;
   CloneAdmission clone_admission = CloneAdmission::kQueueEmpty;
   /// Multi-packet responses (§3.7): each response is sent as this many
-  /// fragments; the switch filters them through ordered filter tables.
-  /// Keep <= the switch's filter-table count.
+  /// fragments (at most 64); the switch filters them through ordered
+  /// filter tables, so a filtering switch needs multi-packet support and
+  /// at least this many tables (the harnesses check).
   std::uint8_t response_fragments = 1;
   /// Partially reassembled multi-packet requests older than this are
   /// garbage-collected (a fragment was dropped, e.g. a stale clone copy).

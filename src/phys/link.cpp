@@ -10,15 +10,16 @@ namespace netclone::phys {
 
 namespace {
 
-/// Flips one random bit in a private copy of the frame. The flip is
-/// confined to byte offsets >= 14 (the start of the IPv4 header): the
-/// Ethernet region carries no checksum in this model, so a flip there
-/// would be undetectable by design — and a real FCS failure looks like a
-/// plain drop, which `drop_rate` already covers.
+/// Flips one random bit in a private copy of the frame, taken from the
+/// frame's own pool (the second handle makes the buffer shared, so
+/// writable() copies it). The flip is confined to byte offsets >= 14 (the
+/// start of the IPv4 header): the Ethernet region carries no checksum in
+/// this model, so a flip there would be undetectable by design — and a
+/// real FCS failure looks like a plain drop, which `drop_rate` already
+/// covers.
 wire::FrameHandle corrupt_copy(const wire::FrameHandle& frame, Rng& rng) {
-  wire::FrameHandle copy = wire::FrameHandle::allocate(frame.size());
-  std::byte* bytes = copy.writable_all();
-  frame.copy_to(bytes);
+  wire::FrameHandle copy = frame;
+  std::byte* bytes = copy.writable();
   const std::size_t lo = std::min<std::size_t>(14, copy.size() - 1);
   const std::size_t off =
       lo + static_cast<std::size_t>(rng.next_below(copy.size() - lo));

@@ -138,7 +138,7 @@ class Link {
   [[nodiscard]] const LinkParams& params() const { return params_; }
 
  private:
-  /// Kept at 48 bytes on 64-bit targets (the flags share the sequence
+  /// Kept at 32 bytes on 64-bit targets (the flags share the sequence
   /// number's word): the deque allocates one chunk per chunk's worth of
   /// frames, so larger entries mean more allocations per frame.
   struct InFlight {
@@ -156,7 +156,7 @@ class Link {
     std::uint64_t swapped : 1;
     wire::FrameHandle frame;
   };
-  static_assert(sizeof(InFlight) <= 48, "link FIFO entry grew");
+  static_assert(sizeof(InFlight) <= 32, "link FIFO entry grew");
 
   /// Per-link impairment state, allocated only when a non-zero config is
   /// installed — a clean link carries a null pointer and the transmit

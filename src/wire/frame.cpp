@@ -1,9 +1,5 @@
 #include "wire/frame.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cstring>
-
 #include "common/check.hpp"
 
 namespace netclone::wire {
@@ -95,18 +91,6 @@ Packet parse_headers(ByteReader& r) {
 
 }  // namespace
 
-SharedPayload SharedPayload::of(std::span<const std::byte> bytes) {
-  SharedPayload tail;
-  if (bytes.empty()) {
-    return tail;
-  }
-  tail.frame = FrameHandle::copy_of(bytes);
-  // internet_checksum returns the complemented fold; undo the complement
-  // to keep the raw folded sum fragments add their header deltas to.
-  tail.folded_sum = static_cast<std::uint16_t>(~internet_checksum(bytes));
-  return tail;
-}
-
 Packet Packet::parse(std::span<const std::byte> frame) {
   ByteReader r{frame};
   Packet pkt = parse_headers(r);
@@ -116,24 +100,7 @@ Packet Packet::parse(std::span<const std::byte> frame) {
 }
 
 Packet Packet::parse_backed(const FrameHandle& frame) {
-  if (frame.split()) {
-    // The header region was copy-on-write split off a shared tail; the
-    // split boundary is the header/payload boundary by construction.
-    const auto head = frame.head_bytes();
-    ByteReader r{head};
-    Packet pkt = parse_headers(r);
-    if (r.remaining() != 0) {
-      // Header boundary moved since the split was made — linearize.
-      const Frame linear = frame.to_frame();
-      return parse(linear);
-    }
-    pkt.payload = PayloadRef{frame, frame.tail_bytes()};
-    pkt.backing_ = frame;
-    pkt.backed_header_len_ = static_cast<std::uint16_t>(head.size());
-    return pkt;
-  }
-  const auto bytes = frame.bytes();
-  ByteReader r{bytes};
+  ByteReader r{frame.bytes()};
   Packet pkt = parse_headers(r);
   pkt.payload = PayloadRef{frame, r.rest()};
   pkt.backing_ = frame;
@@ -181,7 +148,7 @@ Frame Packet::serialize() const {
 
 FrameHandle Packet::serialize_pooled() {
   if (backing_ &&
-      payload.views_body_of(backing_) &&
+      payload.views_buffer_of(backing_) &&
       backed_header_len_ == header_size() &&
       backing_.size() == wire_size()) {
     if (patch_backing()) {
@@ -194,8 +161,7 @@ FrameHandle Packet::serialize_pooled() {
 bool Packet::patch_backing() {
   const std::size_t hdr_len = backed_header_len_;
   const std::size_t total = wire_size();
-  const std::byte* o = backing_.split() ? backing_.head_bytes().data()
-                                        : backing_.bytes().data();
+  const std::byte* o = backing_.bytes().data();
 
   // A zero UDP checksum means "not computed" (RFC 768); there is no valid
   // base to patch incrementally, so rebuild from scratch.
@@ -206,8 +172,8 @@ bool Packet::patch_backing() {
   }
 
   // Pass 1 — compare every header field against its wire bytes, without
-  // writing anything (a clean packet must forward its backing untouched and
-  // unsplit). Three delta accumulators: bytes covered by the IP header
+  // writing anything (a clean packet must forward its backing untouched,
+  // never copied). Three delta accumulators: bytes covered by the IP header
   // checksum only, by both (src/dst feed the UDP pseudo-header too), and by
   // the UDP checksum only. The checksum bytes themselves are skipped — new
   // checksums are derived from the deltas; the version/IHL byte is skipped
@@ -284,9 +250,9 @@ bool Packet::patch_backing() {
 
   // Pass 2 — re-serialize the header region straight into the backing with
   // the patched checksums planted. Copy-on-write: a backed packet
-  // legitimately holds two references to its body (backing_ + the payload
-  // view), so two refs still means exclusive.
-  std::byte* dst = backing_.writable_head(hdr_len, /*tolerated_body_refs=*/2);
+  // legitimately holds two references to its buffer (backing_ + the
+  // payload view), so two refs still means exclusive.
+  std::byte* dst = backing_.writable(/*tolerated_refs=*/2);
   ByteWriter w{std::span<std::byte>{dst, hdr_len}};
   eth.serialize(w);
   Ipv4Header ip_fixed = ip;
@@ -303,54 +269,10 @@ bool Packet::patch_backing() {
   return true;
 }
 
-FrameHandle Packet::serialize_sg(const SharedPayload& tail) const {
-  NETCLONE_CHECK(payload.size() == tail.size(),
-                 "packet payload does not match the scatter-gather tail");
-  const std::size_t hdr = header_size();
-  const std::size_t total = hdr + tail.size();
-  FrameHandle head = FrameHandle::allocate(hdr);
-  std::byte* dst = head.writable_all();
-  ByteWriter w{std::span<std::byte>{dst, hdr}};
-  eth.serialize(w);
-  Ipv4Header ip_fixed = ip;
-  ip_fixed.total_length =
-      static_cast<std::uint16_t>(total - EthernetHeader::kSize);
-  ip_fixed.serialize(w);
-  UdpHeader udp_fixed = udp;
-  udp_fixed.length = static_cast<std::uint16_t>(total - kUdpOff);
-  udp_fixed.checksum = 0;
-  udp_fixed.serialize(w);
-  if (netclone) {
-    netclone->serialize(w);
-  }
-  NETCLONE_CHECK(w.written() == hdr, "scatter-gather header size mismatch");
-  // UDP checksum = pseudo-header + header block + precomputed tail sum.
-  // The tail's sum was folded at even alignment; when the payload starts
-  // at an odd offset within the UDP segment every byte pair is swapped,
-  // and so is the sum (RFC 1071 §2(B)).
-  std::uint16_t tail_sum = tail.folded_sum;
-  if (((hdr - kUdpOff) & 1U) != 0) {
-    tail_sum = static_cast<std::uint16_t>(tail_sum << 8 | tail_sum >> 8);
-  }
-  const std::uint32_t pseudo =
-      (ip.src.value >> 16) + (ip.src.value & 0xFFFFU) +
-      (ip.dst.value >> 16) + (ip.dst.value & 0xFFFFU) +
-      static_cast<std::uint32_t>(IpProto::kUdp) +
-      static_cast<std::uint32_t>(total - kUdpOff);
-  std::uint16_t csum = internet_checksum(
-      std::span<const std::byte>{dst + kUdpOff, hdr - kUdpOff},
-      pseudo + tail_sum);
-  if (csum == 0) {
-    csum = 0xFFFF;  // RFC 768: computed zero is transmitted as all-ones
-  }
-  write_u16_at(dst, kUdpCsumOff, csum);
-  return FrameHandle::compose(std::move(head), tail.frame);
-}
-
 FrameHandle Packet::build_pooled() const {
   const std::size_t total = wire_size();
   FrameHandle h = FrameHandle::allocate(total);
-  std::byte* dst = h.writable_all();
+  std::byte* dst = h.writable();
   ByteWriter w{std::span<std::byte>{dst, total}};
   eth.serialize(w);
   Ipv4Header ip_fixed = ip;
@@ -373,23 +295,18 @@ FrameHandle Packet::build_pooled() const {
   return h;
 }
 
-namespace {
-
-/// Checksum verification over a frame presented as a head span plus an
-/// optional tail span (empty for contiguous frames). `head` must cover
-/// at least the Ethernet+IPv4+UDP headers.
-bool verify_spans(std::span<const std::byte> head,
-                  std::span<const std::byte> tail) {
-  const std::byte* o = head.data();
-  const std::size_t total = head.size() + tail.size();
+bool verify_frame_checksums(const FrameHandle& frame) {
+  const auto bytes = frame.bytes();
+  if (bytes.size() < kUdpOff + UdpHeader::kSize) {
+    return true;  // too short to carry the checksummed headers
+  }
+  const std::byte* o = bytes.data();
   if (load_u16(o, 12) != static_cast<std::uint16_t>(EtherType::kIpv4)) {
     return true;  // not IPv4: nothing here is checksummed
   }
   // The IPv4 header sums to zero (complemented) when intact — this also
   // covers flips in version/IHL, lengths, protocol, and addresses.
-  const std::uint32_t ip_sum = checksum_accumulate(
-      head.subspan(kIpOff, Ipv4Header::kSize), 0);
-  if (internet_checksum({}, ip_sum) != 0) {
+  if (internet_checksum(bytes.subspan(kIpOff, Ipv4Header::kSize)) != 0) {
     return false;
   }
   if (load_u8(o, kIpProtoOff) != static_cast<std::uint8_t>(IpProto::kUdp)) {
@@ -398,13 +315,12 @@ bool verify_spans(std::span<const std::byte> head,
   // Lengths must agree with the bytes on the wire before the UDP sum can
   // mean anything; a mismatch is an integrity failure in its own right.
   if (load_u16(o, kIpOff + 2) !=
-          static_cast<std::uint16_t>(total - kIpOff) ||
+          static_cast<std::uint16_t>(bytes.size() - kIpOff) ||
       load_u16(o, kUdpLenOff) !=
-          static_cast<std::uint16_t>(total - kUdpOff)) {
+          static_cast<std::uint16_t>(bytes.size() - kUdpOff)) {
     return false;
   }
-  const std::uint16_t wire_csum = load_u16(o, kUdpCsumOff);
-  if (wire_csum == 0) {
+  if (load_u16(o, kUdpCsumOff) == 0) {
     return true;  // RFC 768: zero means the sender skipped the checksum
   }
   const std::uint32_t pseudo =
@@ -412,44 +328,9 @@ bool verify_spans(std::span<const std::byte> head,
       load_u16(o, kIpSrcOff + 2) + load_u16(o, kIpSrcOff + 4) +
       load_u16(o, kIpSrcOff + 6) +
       static_cast<std::uint32_t>(IpProto::kUdp) +
-      static_cast<std::uint32_t>(total - kUdpOff);
-  std::uint32_t sum = checksum_accumulate(
-      head.subspan(kUdpOff, (head.size() - kUdpOff) & ~std::size_t{1}),
-      pseudo);
-  if (((head.size() - kUdpOff) & 1U) != 0) {
-    // The UDP segment's head part ends mid-word: its last byte is the
-    // high half of a word whose low half is the first tail byte (or the
-    // RFC 1071 zero pad when there is no tail).
-    std::uint32_t straddle =
-        static_cast<std::uint32_t>(head.back()) << 8;
-    if (!tail.empty()) {
-      straddle |= static_cast<std::uint32_t>(tail.front());
-      tail = tail.subspan(1);
-    }
-    sum += straddle;
-  }
-  // `tail` is now word-aligned relative to the UDP segment, so the plain
-  // accumulate (which zero-pads a trailing odd byte) finishes the sum.
-  return internet_checksum(tail, sum) == 0;
-}
-
-}  // namespace
-
-bool verify_frame_checksums(const FrameHandle& frame) {
-  constexpr std::size_t kMinHead = kUdpOff + UdpHeader::kSize;
-  if (!frame.split()) {
-    const auto bytes = frame.bytes();
-    return bytes.size() < kMinHead || verify_spans(bytes, {});
-  }
-  const auto head = frame.head_bytes();
-  if (head.size() >= kMinHead) {
-    return verify_spans(head, frame.tail_bytes());
-  }
-  // A split boundary inside the L2-L4 headers never arises from
-  // compose()/copy-on-write, but stay correct if it ever does.
-  const Frame linear = frame.to_frame();
-  return linear.size() < kMinHead ||
-         verify_spans(std::span<const std::byte>{linear}, {});
+      static_cast<std::uint32_t>(bytes.size() - kUdpOff);
+  // internet_checksum zero-pads an odd-length segment (RFC 1071).
+  return internet_checksum(bytes.subspan(kUdpOff), pseudo) == 0;
 }
 
 NetCloneHeader& Packet::nc() {

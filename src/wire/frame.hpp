@@ -9,12 +9,14 @@
 //   * serialize() — the legacy oracle: rebuilds the whole frame and
 //     recomputes every length and checksum from scratch. Observation
 //     boundaries (pcap, tests, parse-error injection) use this.
-//   * serialize_pooled() — the fast path: a Packet parsed from a
-//     FrameHandle stays "backed" by its source buffer; the deparser diffs
-//     the current header fields against the backing bytes and patches only
-//     the dirty ones in place, updating the IPv4 and UDP checksums
-//     incrementally per RFC 1624. The payload is never re-touched, and
-//     replication (multicast, recirculation) shares it by refcount.
+//   * serialize_pooled() — the one build path for the data plane. A
+//     Packet parsed from a FrameHandle stays "backed" by its source
+//     buffer; the deparser diffs the current header fields against the
+//     backing bytes and patches only the dirty ones in place, updating
+//     the IPv4 and UDP checksums incrementally per RFC 1624 (a shared
+//     frame is copied whole, from its own pool, before it is patched).
+//     Anything else — a packet a host builds, or a backed one whose
+//     layout changed — is built fresh into one contiguous pooled frame.
 // The two are byte-equivalent; tests/test_framebuf.cpp holds the property.
 #pragma once
 
@@ -28,28 +30,6 @@
 #include "wire/udp.hpp"
 
 namespace netclone::wire {
-
-/// A payload serialized once into its own pooled buffer, shared by
-/// refcount across every frame composed from it — the scatter-gather
-/// tail of a multi-fragment response. The one's-complement sum of the
-/// bytes is precomputed so each fragment's UDP checksum only has to
-/// cover its freshly built header block.
-struct SharedPayload {
-  FrameHandle frame{};
-  /// Folded RFC 1071 one's-complement sum of the bytes, as if the
-  /// payload started at an even offset. serialize_sg() byte-swaps it
-  /// when the payload lands at an odd offset in the UDP segment
-  /// (RFC 1071 §2(B): swapping every byte pair swaps the sum).
-  std::uint16_t folded_sum = 0;
-
-  [[nodiscard]] static SharedPayload of(std::span<const std::byte> bytes);
-
-  [[nodiscard]] std::size_t size() const { return frame.size(); }
-  /// The bytes as a zero-copy PayloadRef view pinning the buffer.
-  [[nodiscard]] PayloadRef ref() const {
-    return frame ? PayloadRef{frame, frame.bytes()} : PayloadRef{};
-  }
-};
 
 class Packet {
  public:
@@ -66,10 +46,8 @@ class Packet {
 
   /// Parses a pooled frame into a backed packet: the handle is retained,
   /// the payload is a zero-copy view, and serialize_pooled() can patch the
-  /// source bytes instead of rebuilding them. The one fallback is a split
-  /// frame whose header boundary moved since the split: it is linearized
-  /// and parsed by copy. (Named, not overloaded: a Frame converts
-  /// implicitly to both span and FrameHandle.)
+  /// source bytes instead of rebuilding them. (Named, not overloaded: a
+  /// Frame converts implicitly to both span and FrameHandle.)
   [[nodiscard]] static Packet parse_backed(const FrameHandle& frame);
 
   /// Serializes to wire bytes, recomputing every length and checksum
@@ -82,15 +60,6 @@ class Packet {
   /// The returned handle shares bytes with this packet's backing, so
   /// emitting to N ports is N refcount bumps, not N frames.
   [[nodiscard]] FrameHandle serialize_pooled();
-
-  /// Scatter-gather serialization: builds a fresh header block and
-  /// composes it with `tail`'s shared buffer — the payload bytes are
-  /// never copied, and emitting N fragments of one response costs N
-  /// small header builds plus N refcount bumps on the tail. The packet's
-  /// `payload` must hold the same bytes as `tail` (a view from
-  /// tail.ref(), typically); the result is byte-identical to
-  /// serialize().
-  [[nodiscard]] FrameHandle serialize_sg(const SharedPayload& tail) const;
 
   [[nodiscard]] bool has_netclone() const { return netclone.has_value(); }
 
@@ -122,7 +91,7 @@ class Packet {
 
 /// Receive-path integrity check: verifies the IPv4 header checksum and
 /// the UDP checksum (pseudo-header included) directly against the frame
-/// bytes, without linearizing split (scatter-gather) frames. Returns
+/// bytes, in one pass over the contiguous frame. Returns
 /// false when either checksum fails or the IP/UDP lengths disagree with
 /// the frame size — the caller should drop and count the frame. Frames
 /// that are not IPv4/UDP-shaped return true: they carry no checksum to

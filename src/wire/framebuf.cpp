@@ -95,90 +95,31 @@ FrameHandle FrameHandle::allocate(std::size_t size) {
 }
 
 FrameHandle FrameHandle::allocate(FramePool& pool, std::size_t size) {
-  return FrameHandle{nullptr, pool.acquire(size), 0};
+  return FrameHandle{pool.acquire(size)};
 }
 
 FrameHandle FrameHandle::copy_of(std::span<const std::byte> bytes) {
   FrameHandle h = allocate(bytes.size());
   if (!bytes.empty()) {
-    std::memcpy(h.writable_all(), bytes.data(), bytes.size());
+    std::memcpy(h.writable(), bytes.data(), bytes.size());
   }
   return h;
 }
 
-FrameHandle FrameHandle::compose(FrameHandle head, const FrameHandle& tail) {
-  NETCLONE_CHECK(head.body_ != nullptr && !head.split() &&
-                     head.body_->refs == 1,
-                 "scatter-gather head must be a unique, unsplit block");
-  NETCLONE_CHECK(head.size() <= kMaxHeaderRegion,
-                 "scatter-gather head exceeds the header region");
-  if (tail.body_ == nullptr || tail.size() == 0) {
-    return head;  // nothing to gather; the head alone stays contiguous
-  }
-  NETCLONE_CHECK(!tail.split(),
-                 "scatter-gather tail must be contiguous");
-  add_ref(tail.body_);
-  FrameHandle out{head.body_, tail.body_, tail.body_off_};
-  head.body_ = nullptr;  // the single head reference moved into `out`
-  return out;
-}
-
 Frame FrameHandle::to_frame() const {
-  Frame out(size());
-  if (!out.empty()) {
-    copy_to(out.data());
-  }
-  return out;
+  const auto b = buf_ != nullptr ? bytes() : std::span<const std::byte>{};
+  return Frame{b.begin(), b.end()};
 }
 
-void FrameHandle::copy_to(std::byte* dst) const {
-  if (body_ == nullptr) {
-    return;
+std::byte* FrameHandle::writable(std::uint32_t tolerated_refs) {
+  NETCLONE_CHECK(buf_ != nullptr, "empty frame handle");
+  if (buf_->refs > tolerated_refs) {
+    FrameBuf* fresh = buf_->pool->acquire(buf_->size);
+    std::memcpy(fresh->data(), buf_->data(), buf_->size);
+    reset();
+    buf_ = fresh;
   }
-  std::size_t off = 0;
-  if (split()) {
-    std::memcpy(dst, head_->data(), head_->size);
-    off = head_->size;
-  }
-  std::memcpy(dst + off, body_->data() + body_off_,
-              body_->size - body_off_);
-}
-
-std::byte* FrameHandle::writable_all() {
-  NETCLONE_CHECK(body_ != nullptr, "empty frame handle");
-  NETCLONE_CHECK(!split() && body_->refs == 1,
-                 "whole-frame writes need a unique, unsplit buffer");
-  return body_->data();
-}
-
-std::byte* FrameHandle::writable_head(std::size_t head_len,
-                                      std::uint32_t tolerated_body_refs) {
-  NETCLONE_CHECK(body_ != nullptr, "empty frame handle");
-  NETCLONE_CHECK(head_len <= kMaxHeaderRegion && head_len <= size(),
-                 "header region out of range");
-  if (split()) {
-    NETCLONE_CHECK(head_->size == head_len,
-                   "header region does not match the existing split");
-    if (head_->refs == 1) {
-      return head_->data();
-    }
-    // The head itself is shared (this handle was copied after a split):
-    // duplicate just the head block.
-    FrameBuf* fresh = body_->pool->acquire(head_len);
-    std::memcpy(fresh->data(), head_->data(), head_len);
-    release_ref(head_);
-    head_ = fresh;
-    return head_->data();
-  }
-  if (body_->refs <= tolerated_body_refs) {
-    return body_->data();  // sole logical owner: patch in place
-  }
-  // Copy-on-write split: private header region, shared payload tail.
-  FrameBuf* fresh = body_->pool->acquire(head_len);
-  std::memcpy(fresh->data(), body_->data(), head_len);
-  head_ = fresh;
-  body_off_ = static_cast<std::uint32_t>(head_len);
-  return head_->data();
+  return buf_->data();
 }
 
 }  // namespace netclone::wire

@@ -6,10 +6,10 @@
 //
 //   * FramePool — a free-list arena of fixed size-class buffers, so the
 //     per-hop cycle allocates from a recycled slab instead of malloc;
-//   * FrameHandle — an intrusively refcounted handle to a pooled buffer.
-//     Copies share bytes (multicast fan-out is a refcount bump); mutation
-//     goes through a copy-on-write head split that duplicates only the
-//     ≤64-byte header region and keeps sharing the payload tail;
+//   * FrameHandle — an intrusively refcounted handle to one contiguous
+//     pooled frame. Copies share bytes (multicast fan-out is a refcount
+//     bump); mutating a shared frame first copies the whole frame (at
+//     most 138 bytes for the RPCs modeled here) from its own pool;
 //   * PayloadRef — Packet's payload as either owned bytes (built packets)
 //     or a view pinning the backing buffer (parsed packets), so parsing a
 //     frame no longer copies the application payload.
@@ -131,50 +131,29 @@ class ScopedPoolBinding {
   FramePool* prev_;
 };
 
-/// Largest contiguous header region a frame can carry (Ethernet + IPv4 +
-/// UDP + NetClone = 63 bytes). Copy-on-write splits duplicate at most this
-/// much per copy; the payload tail is always shared.
-inline constexpr std::size_t kMaxHeaderRegion = 64;
-
-/// Refcounted view of a frame's bytes: either one contiguous pooled buffer,
-/// or — after a copy-on-write header split — a private head buffer plus a
-/// shared tail. Copying a handle never copies frame bytes.
+/// Refcounted handle to one contiguous pooled frame. Copying a handle
+/// never copies frame bytes; writing through writable() copies the whole
+/// frame first when other holders share it.
 class FrameHandle {
  public:
   FrameHandle() = default;
   // The special members are inline: handles ride through every event
   // lambda and per-hop cycle, so a refcount bump must not cost a call.
-  FrameHandle(const FrameHandle& other)
-      : head_(other.head_), body_(other.body_), body_off_(other.body_off_) {
-    add_ref(head_);
-    add_ref(body_);
-  }
+  FrameHandle(const FrameHandle& other) : buf_(other.buf_) { add_ref(buf_); }
   FrameHandle& operator=(const FrameHandle& other) {
     if (this != &other) {
-      add_ref(other.head_);
-      add_ref(other.body_);
+      add_ref(other.buf_);
       reset();
-      head_ = other.head_;
-      body_ = other.body_;
-      body_off_ = other.body_off_;
+      buf_ = other.buf_;
     }
     return *this;
   }
   FrameHandle(FrameHandle&& other) noexcept
-      : head_(other.head_), body_(other.body_), body_off_(other.body_off_) {
-    other.head_ = nullptr;
-    other.body_ = nullptr;
-    other.body_off_ = 0;
-  }
+      : buf_(std::exchange(other.buf_, nullptr)) {}
   FrameHandle& operator=(FrameHandle&& other) noexcept {
     if (this != &other) {
       reset();
-      head_ = other.head_;
-      body_ = other.body_;
-      body_off_ = other.body_off_;
-      other.head_ = nullptr;
-      other.body_ = nullptr;
-      other.body_off_ = 0;
+      buf_ = std::exchange(other.buf_, nullptr);
     }
     return *this;
   }
@@ -189,106 +168,67 @@ class FrameHandle {
   FrameHandle(Frame&& frame) : FrameHandle(copy_of(frame)) {}
 
   /// A unique handle to `size` uninitialized pooled bytes; fill through
-  /// writable_all() before sharing.
+  /// writable() before sharing.
   [[nodiscard]] static FrameHandle allocate(std::size_t size);
   [[nodiscard]] static FrameHandle allocate(FramePool& pool,
                                             std::size_t size);
   [[nodiscard]] static FrameHandle copy_of(std::span<const std::byte> bytes);
 
-  /// Composes a scatter-gather frame: `head` (a unique, unsplit header
-  /// block of at most kMaxHeaderRegion bytes) followed by `tail`, whose
-  /// buffer is shared by refcount — never copied. The result is a split
-  /// handle whose split boundary is the head/tail boundary, so a receiver
-  /// parsing it takes the split fast path. An empty tail returns `head`
-  /// unchanged (still contiguous). `tail` must itself be unsplit.
-  [[nodiscard]] static FrameHandle compose(FrameHandle head,
-                                           const FrameHandle& tail);
-
   [[nodiscard]] std::size_t size() const {
-    if (body_ == nullptr) {
-      return 0;
-    }
-    const std::size_t tail = body_->size - body_off_;
-    return split() ? head_->size + tail : tail;
+    return buf_ != nullptr ? buf_->size : 0;
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] explicit operator bool() const { return body_ != nullptr; }
+  [[nodiscard]] explicit operator bool() const { return buf_ != nullptr; }
 
-  /// True after a copy-on-write header split: the first head_bytes() of
-  /// the frame live in a private buffer, the rest in the shared tail.
-  [[nodiscard]] bool split() const { return head_ != nullptr; }
-  [[nodiscard]] std::span<const std::byte> head_bytes() const {
-    NETCLONE_CHECK(split(), "frame has no private head");
-    return {head_->data(), head_->size};
-  }
-  [[nodiscard]] std::span<const std::byte> tail_bytes() const {
-    NETCLONE_CHECK(body_ != nullptr, "empty frame handle");
-    return {body_->data() + body_off_, body_->size - body_off_};
-  }
-
-  /// The whole frame as one span; only valid when !split().
+  /// The whole frame as one span.
   [[nodiscard]] std::span<const std::byte> bytes() const {
-    NETCLONE_CHECK(body_ != nullptr, "empty frame handle");
-    NETCLONE_CHECK(!split(), "split frame is not contiguous");
-    return {body_->data(), body_->size};
+    NETCLONE_CHECK(buf_ != nullptr, "empty frame handle");
+    return {buf_->data(), buf_->size};
   }
 
-  /// Linearizing copy — the oracle boundary (pcap dumps, legacy parse).
+  /// Owned copy of the bytes — the oracle boundary (pcap dumps, legacy
+  /// parse).
   [[nodiscard]] Frame to_frame() const;
-  void copy_to(std::byte* dst) const;
 
-  /// Whole-buffer write access; requires a unique, unsplit handle (the
-  /// freshly-allocated case).
-  [[nodiscard]] std::byte* writable_all();
+  /// Write access to the whole frame with copy-on-write: when more than
+  /// `tolerated_refs` references share the buffer (a backed Packet
+  /// legitimately holds two — its backing handle and its payload view),
+  /// this handle first moves to a private copy of the frame taken from
+  /// the buffer's own pool, and the other holders keep the old bytes.
+  [[nodiscard]] std::byte* writable(std::uint32_t tolerated_refs = 1);
 
-  /// Write access to the first `head_len` bytes with copy-on-write: if the
-  /// underlying buffer is shared beyond `tolerated_body_refs` references
-  /// (a backed Packet legitimately holds two — its backing handle and its
-  /// payload view), only the header region is duplicated into a private
-  /// head buffer and the payload tail stays shared.
-  [[nodiscard]] std::byte* writable_head(std::size_t head_len,
-                                         std::uint32_t tolerated_body_refs =
-                                             1);
-
-  /// Reference count of the buffer holding the payload bytes.
+  /// Reference count of the buffer.
   [[nodiscard]] std::uint32_t use_count() const {
-    return body_ != nullptr ? body_->refs : 0;
+    return buf_ != nullptr ? buf_->refs : 0;
   }
-  [[nodiscard]] bool shares_body_with(const FrameHandle& other) const {
-    return body_ != nullptr && body_ == other.body_;
+  [[nodiscard]] bool shares_buffer_with(const FrameHandle& other) const {
+    return buf_ != nullptr && buf_ == other.buf_;
   }
 
   void reset() {
-    release_ref(head_);
-    release_ref(body_);
-    head_ = nullptr;
-    body_ = nullptr;
-    body_off_ = 0;
+    if (buf_ == nullptr) {
+      return;
+    }
+    NETCLONE_CHECK(buf_->refs > 0, "frame buffer over-released");
+    if (--buf_->refs == 0) {
+      buf_->pool->release(buf_);
+    }
+    buf_ = nullptr;
   }
 
  private:
-  FrameHandle(FrameBuf* head, FrameBuf* body, std::uint32_t body_off)
-      : head_(head), body_(body), body_off_(body_off) {}
+  explicit FrameHandle(FrameBuf* buf) : buf_(buf) {}
 
   static void add_ref(FrameBuf* buf) {
     if (buf != nullptr) {
       ++buf->refs;
     }
   }
-  static void release_ref(FrameBuf* buf) {
-    if (buf == nullptr) {
-      return;
-    }
-    NETCLONE_CHECK(buf->refs > 0, "frame buffer over-released");
-    if (--buf->refs == 0) {
-      buf->pool->release(buf);
-    }
-  }
 
-  FrameBuf* head_ = nullptr;  // engaged only when split
-  FrameBuf* body_ = nullptr;  // whole frame, or the shared tail when split
-  std::uint32_t body_off_ = 0;  // first body_ byte belonging to this frame
+  FrameBuf* buf_ = nullptr;
 };
+static_assert(sizeof(FrameHandle) == sizeof(FrameBuf*),
+              "a frame handle is one pointer");
 
 /// A packet payload: owned bytes for built packets, or a zero-copy view
 /// into the backing frame for parsed packets. The view mode pins the
@@ -330,8 +270,8 @@ class PayloadRef {
   [[nodiscard]] bool is_view() const { return is_view_; }
   /// True when this payload is the untouched parse-time view into the
   /// buffer `backing` also refers to — the fast-path precondition.
-  [[nodiscard]] bool views_body_of(const FrameHandle& backing) const {
-    return is_view_ && keepalive_.shares_body_with(backing);
+  [[nodiscard]] bool views_buffer_of(const FrameHandle& backing) const {
+    return is_view_ && keepalive_.shares_buffer_with(backing);
   }
 
   /// Owned copy of the payload bytes.

@@ -12,8 +12,9 @@ std::string Ipv4Address::to_string() const {
   return buf;
 }
 
-std::uint32_t checksum_accumulate(std::span<const std::byte> data,
-                                  std::uint32_t sum) {
+std::uint16_t internet_checksum(std::span<const std::byte> data,
+                                std::uint32_t initial_sum) {
+  std::uint32_t sum = initial_sum;
   std::size_t i = 0;
   for (; i + 1 < data.size(); i += 2) {
     sum += static_cast<std::uint32_t>(
@@ -24,12 +25,6 @@ std::uint32_t checksum_accumulate(std::span<const std::byte> data,
     sum += static_cast<std::uint32_t>(static_cast<std::uint16_t>(data[i])
                                       << 8);
   }
-  return sum;
-}
-
-std::uint16_t internet_checksum(std::span<const std::byte> data,
-                                std::uint32_t initial_sum) {
-  std::uint32_t sum = checksum_accumulate(data, initial_sum);
   while ((sum >> 16) != 0) {
     sum = (sum & 0xFFFFU) + (sum >> 16);
   }

@@ -95,13 +95,10 @@ struct Ipv4Header {
   [[nodiscard]] bool checksum_valid() const;
 };
 
-/// One's-complement sum fold used by IPv4/UDP checksums.
+/// One's-complement sum fold used by IPv4/UDP checksums: adds the 16-bit
+/// big-endian words of `data` (a trailing odd byte zero-padded) to
+/// `initial_sum`, folds, and complements.
 [[nodiscard]] std::uint16_t internet_checksum(
     std::span<const std::byte> data, std::uint32_t initial_sum = 0);
-
-/// Accumulates 16-bit big-endian words of `data` into a running sum (no
-/// final fold); combine with internet_checksum(..., sum) pseudo-header use.
-[[nodiscard]] std::uint32_t checksum_accumulate(
-    std::span<const std::byte> data, std::uint32_t sum);
 
 }  // namespace netclone::wire

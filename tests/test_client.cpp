@@ -254,26 +254,14 @@ TEST(Client, ClientIdStampedOnAllPackets) {
   }
 }
 
-// -- retransmission reuses the serialized payload ---------------------------
-
-/// Keeps the received FrameHandles alive (unlike CaptureNode, which
-/// linearizes), so tests can check buffer sharing across attempts.
-class HandleCapture : public phys::Node {
- public:
-  HandleCapture() : phys::Node("sink") {}
-  void handle_frame(std::size_t /*port*/, wire::FrameHandle frame) override {
-    handles.push_back(std::move(frame));
-  }
-  std::vector<wire::FrameHandle> handles;
-};
+// -- retransmission resends the same bytes ---------------------------------
 
 /// Received request frames grouped by CLIENT_SEQ, in arrival order.
-std::map<std::uint32_t, std::vector<const wire::FrameHandle*>> by_seq(
-    const std::vector<wire::FrameHandle>& handles) {
-  std::map<std::uint32_t, std::vector<const wire::FrameHandle*>> out;
-  for (const wire::FrameHandle& h : handles) {
-    const wire::Packet pkt = wire::Packet::parse_backed(h);
-    out[pkt.nc().client_seq].push_back(&h);
+std::map<std::uint32_t, std::vector<const wire::Frame*>> by_seq(
+    const std::vector<CaptureNode::Rx>& received) {
+  std::map<std::uint32_t, std::vector<const wire::Frame*>> out;
+  for (const CaptureNode::Rx& rx : received) {
+    out[wire::Packet::parse(rx.frame).nc().client_seq].push_back(&rx.frame);
   }
   return out;
 }
@@ -288,14 +276,14 @@ ClientParams retransmit_params(SendMode mode) {
 
 TEST(ClientRetransmit, ResendSharesThePayloadBufferByteForByte) {
   // With no responder every request retransmits until it gives up; each
-  // resend must reuse the cached frame — same body buffer, same bytes —
-  // never re-serializing the payload.
+  // resend is rebuilt from the request table and must carry the first
+  // attempt's bytes, which match the oracle serializer.
   ClientParams p = retransmit_params(SendMode::kViaSwitch);
   sim::Simulator sim;
   phys::Topology topo{sim};
   auto& client = topo.add_node<Client>(
       sim, p, std::make_shared<FixedWorkload>(25.0), Rng{7});
-  auto& sink = topo.add_node<HandleCapture>();
+  auto& sink = topo.add_node<CaptureNode>("sink");
   topo.connect(client, sink);
   client.start();
   sim.run();
@@ -303,48 +291,46 @@ TEST(ClientRetransmit, ResendSharesThePayloadBufferByteForByte) {
   ASSERT_GT(client.stats().requests_sent, 0U);
   EXPECT_EQ(client.stats().retransmissions,
             client.stats().requests_sent * p.max_retransmits);
-  const auto groups = by_seq(sink.handles);
+  const auto groups = by_seq(sink.received);
   EXPECT_EQ(groups.size(), client.stats().requests_sent);
   for (const auto& [seq, attempts] : groups) {
     ASSERT_EQ(attempts.size(), 1U + p.max_retransmits) << "seq " << seq;
+    const wire::Frame& first = *attempts[0];
+    EXPECT_EQ(wire::Packet::parse(first).serialize(), first) << "seq " << seq;
     for (std::size_t i = 1; i < attempts.size(); ++i) {
-      EXPECT_TRUE(attempts[i]->shares_body_with(*attempts[0]))
-          << "seq " << seq << " attempt " << i << " re-serialized the body";
-      EXPECT_EQ(attempts[i]->to_frame(), attempts[0]->to_frame())
+      EXPECT_EQ(*attempts[i], first)
           << "seq " << seq << " attempt " << i << " changed on the wire";
     }
   }
 }
 
 TEST(ClientRetransmit, DirectRandomRebuildsHeadersOverTheSharedPayload) {
-  // kDirectRandom re-draws its destination every attempt, so the header
-  // block is rebuilt — but the payload tail must still be the original
-  // buffer, shared by refcount, and each composed frame must match the
-  // contiguous serializer byte for byte.
+  // kDirectRandom re-draws its destination every attempt, so only the
+  // destination may change between attempts; every frame must match the
+  // oracle serializer byte for byte.
   ClientParams p = retransmit_params(SendMode::kDirectRandom);
   sim::Simulator sim;
   phys::Topology topo{sim};
   auto& client = topo.add_node<Client>(
       sim, p, std::make_shared<FixedWorkload>(25.0), Rng{7});
-  auto& sink = topo.add_node<HandleCapture>();
+  auto& sink = topo.add_node<CaptureNode>("sink");
   topo.connect(client, sink);
   client.start();
   sim.run();
 
   ASSERT_GT(client.stats().requests_sent, 0U);
-  const auto groups = by_seq(sink.handles);
+  const auto groups = by_seq(sink.received);
   for (const auto& [seq, attempts] : groups) {
     ASSERT_EQ(attempts.size(), 1U + p.max_retransmits) << "seq " << seq;
+    const wire::Packet first = wire::Packet::parse(*attempts[0]);
     for (std::size_t i = 0; i < attempts.size(); ++i) {
-      if (i > 0) {
-        EXPECT_TRUE(attempts[i]->shares_body_with(*attempts[0]))
-            << "seq " << seq << " attempt " << i
-            << " re-serialized the payload";
-      }
-      // Scatter-gather compose vs the contiguous oracle.
-      const wire::Frame bytes = attempts[i]->to_frame();
-      EXPECT_EQ(wire::Packet::parse(bytes).serialize(), bytes)
-          << "seq " << seq << " attempt " << i;
+      const wire::Frame& bytes = *attempts[i];
+      const wire::Packet pkt = wire::Packet::parse(bytes);
+      EXPECT_EQ(pkt.serialize(), bytes) << "seq " << seq << " attempt " << i;
+      // Same bytes as the first attempt once its destination is swapped in.
+      wire::Packet same = first;
+      same.ip.dst = pkt.ip.dst;
+      EXPECT_EQ(same.serialize(), bytes) << "seq " << seq << " attempt " << i;
     }
   }
 }
@@ -360,6 +346,12 @@ TEST(Client, RejectsBadConfigs) {
   p2.rate_rps = 0.0;
   EXPECT_THROW((void)
       Client(sim, p2, std::make_shared<FixedWorkload>(1.0), Rng{1}),
+      CheckFailure);
+  // The server reassembles a request's fragments in a 64-bit mask.
+  ClientParams p3 = base_params(SendMode::kViaSwitch);
+  p3.request_fragments = 65;
+  EXPECT_THROW((void)
+      Client(sim, p3, std::make_shared<FixedWorkload>(1.0), Rng{1}),
       CheckFailure);
 }
 

@@ -112,7 +112,7 @@ void expect_pinned(const ClusterConfig& cfg, const Pin& pin) {
 }
 
 TEST(Determinism, GoldenPinCleanChaosCluster) {
-  // Retransmission armed, so the shared payload tail path is on the wire.
+  // Retransmission armed: every request holds a TCP-mode timer.
   expect_pinned(testing::chaos_cluster(/*seed=*/77),
                 Pin{6854595986237259463ULL, 279, 130560, 4734});
 }

@@ -2,13 +2,14 @@
 //
 // Two properties anchor this file:
 //   1. lifecycle — pooled buffers are recycled after the last release,
-//      refcounts survive multicast fan-out and copy-on-write splits, and
+//      refcounts survive multicast fan-out and copy-on-write copies, and
 //      the pool never loses track of a live buffer;
 //   2. equivalence — serialize_pooled() (in-place patching with RFC 1624
-//      incremental checksums) produces bytes identical to the legacy
-//      serialize() oracle across randomized header mutations, clone
-//      fan-out, and recirculation chains, including the 0x0000/0xFFFF
-//      checksum corner cases.
+//      incremental checksums, or a fresh build for a packet a host
+//      makes) produces bytes identical to the legacy serialize() oracle
+//      across randomized header mutations, clone fan-out, recirculation
+//      chains and payload sizes, including the 0x0000/0xFFFF checksum
+//      corner cases.
 #include "wire/framebuf.hpp"
 
 #include <gtest/gtest.h>
@@ -137,11 +138,11 @@ TEST(FrameHandle, CopiesShareBytesAndDropToZeroTogether) {
   const Frame data = bytes_of({1, 2, 3, 4, 5});
   {
     FrameHandle h = FrameHandle::allocate(pool, data.size());
-    std::memcpy(h.writable_all(), data.data(), data.size());
+    std::memcpy(h.writable(), data.data(), data.size());
     EXPECT_EQ(h.use_count(), 1U);
     FrameHandle copy = h;
     EXPECT_EQ(h.use_count(), 2U);
-    EXPECT_TRUE(copy.shares_body_with(h));
+    EXPECT_TRUE(copy.shares_buffer_with(h));
     EXPECT_EQ(copy.to_frame(), data);
     FrameHandle moved = std::move(copy);
     EXPECT_EQ(h.use_count(), 2U);  // move transfers, never bumps
@@ -156,7 +157,7 @@ TEST(FrameHandle, MulticastStyleFanOutKeepsBufferAliveUntilLastCopy) {
   std::vector<FrameHandle> ports;
   {
     FrameHandle frame = FrameHandle::allocate(pool, 64);
-    std::memset(frame.writable_all(), 0xAB, 64);
+    std::memset(frame.writable(), 0xAB, 64);
     for (int i = 0; i < 8; ++i) {
       ports.push_back(frame);  // the PRE: one refcount bump per port
     }
@@ -171,69 +172,52 @@ TEST(FrameHandle, MulticastStyleFanOutKeepsBufferAliveUntilLastCopy) {
   EXPECT_EQ(pool.stats().live, 0U);
 }
 
-// -- copy-on-write splits ---------------------------------------------------
+// -- copy-on-write ----------------------------------------------------------
 
 TEST(FrameHandle, WritableHeadPatchesInPlaceWhenUnique) {
   FramePool pool;
   FrameHandle h = FrameHandle::allocate(pool, 32);
-  std::memset(h.writable_all(), 0, 32);
-  std::byte* head = h.writable_head(8);
-  head[0] = std::byte{0xFF};
-  EXPECT_FALSE(h.split());  // unique owner: no split happened
+  std::memset(h.writable(), 0, 32);
+  const std::byte* before = h.bytes().data();
+  h.writable()[0] = std::byte{0xFF};
+  EXPECT_EQ(h.bytes().data(), before);  // unique owner: no copy happened
   EXPECT_EQ(h.bytes()[0], std::byte{0xFF});
   EXPECT_EQ(pool.stats().live, 1U);
+  EXPECT_EQ(pool.stats().acquired, 1U);
 }
 
 TEST(FrameHandle, WritableHeadSplitsWhenSharedAndLeavesOtherCopyIntact) {
   FramePool pool;
   FrameHandle original = FrameHandle::allocate(pool, 32);
-  std::memset(original.writable_all(), 0x11, 32);
+  std::memset(original.writable(), 0x11, 32);
   FrameHandle clone = original;
 
-  std::byte* head = clone.writable_head(8);
-  head[0] = std::byte{0x99};
+  std::byte* bytes = clone.writable();
+  bytes[0] = std::byte{0x99};
 
-  EXPECT_TRUE(clone.split());
-  EXPECT_FALSE(original.split());
-  // The original still reads the untouched bytes...
-  EXPECT_EQ(original.bytes()[0], std::byte{0x11});
-  // ...while the clone sees its private head and the shared tail.
-  const Frame patched = clone.to_frame();
-  EXPECT_EQ(patched[0], std::byte{0x99});
-  EXPECT_EQ(patched[1], std::byte{0x11});
-  EXPECT_EQ(patched[8], std::byte{0x11});
-  EXPECT_EQ(patched.size(), 32U);
-  // Exactly one extra (head) buffer was allocated; the tail is shared.
+  // The clone moved to a private copy of the whole frame...
+  EXPECT_FALSE(clone.shares_buffer_with(original));
+  EXPECT_EQ(clone.use_count(), 1U);
+  EXPECT_EQ(original.use_count(), 1U);
+  // ...while the original still reads the untouched bytes.
+  EXPECT_EQ(original.to_frame(), Frame(32, std::byte{0x11}));
+  Frame expected(32, std::byte{0x11});
+  expected[0] = std::byte{0x99};
+  EXPECT_EQ(clone.to_frame(), expected);
+  // The copy came from the frame's own pool.
+  EXPECT_EQ(pool.stats().acquired, 2U);
   EXPECT_EQ(pool.stats().live, 2U);
 }
 
 TEST(FrameHandle, ToleratedBodyRefsAllowsInPlacePatching) {
   FramePool pool;
   FrameHandle a = FrameHandle::allocate(pool, 32);
-  std::memset(a.writable_all(), 0, 32);
+  std::memset(a.writable(), 0, 32);
   FrameHandle b = a;  // e.g. a backed Packet's payload view
-  std::byte* head = a.writable_head(8, /*tolerated_body_refs=*/2);
-  head[0] = std::byte{0x42};
-  EXPECT_FALSE(a.split());  // two refs tolerated: patched in place
+  a.writable(/*tolerated_refs=*/2)[0] = std::byte{0x42};
+  EXPECT_TRUE(a.shares_buffer_with(b));  // two refs tolerated: in place
   EXPECT_EQ(b.bytes()[0], std::byte{0x42});
-}
-
-TEST(FrameHandle, SplitHandleCopyDuplicatesOnlyTheHeadOnNextWrite) {
-  FramePool pool;
-  FrameHandle original = FrameHandle::allocate(pool, 32);
-  std::memset(original.writable_all(), 0x11, 32);
-  FrameHandle clone = original;
-  (void)clone.writable_head(8);  // forces the split
-  FrameHandle clone2 = clone;    // shares the split head AND the tail
-
-  std::byte* head = clone2.writable_head(8);
-  head[1] = std::byte{0x77};
-
-  const Frame a = clone.to_frame();
-  const Frame b = clone2.to_frame();
-  EXPECT_EQ(a[1], std::byte{0x11});
-  EXPECT_EQ(b[1], std::byte{0x77});
-  EXPECT_EQ(a[9], b[9]);  // tail still shared and equal
+  EXPECT_EQ(pool.stats().acquired, 1U);
 }
 
 TEST(PayloadRef, ViewPinsBackingAndComparesLikeOwnedBytes) {
@@ -242,7 +226,7 @@ TEST(PayloadRef, ViewPinsBackingAndComparesLikeOwnedBytes) {
   PayloadRef view;
   {
     FrameHandle h = FrameHandle::allocate(pool, data.size());
-    std::memcpy(h.writable_all(), data.data(), data.size());
+    std::memcpy(h.writable(), data.data(), data.size());
     view = PayloadRef{h, h.bytes()};
   }
   // The handle went out of scope but the view keeps the buffer alive.
@@ -309,8 +293,8 @@ TEST(PacketFastpath, CloneFanOutSharesPayloadAndStaysByteExact) {
     const FrameHandle incoming = FrameHandle::copy_of(wire);
 
     // Two clone copies parsed from the same frame, mutated differently —
-    // the LÆDGE/clone pattern. Both must match their own oracle, and both
-    // must share the incoming frame's payload bytes.
+    // the LÆDGE/clone pattern. Both must match their own oracle, and
+    // neither may write into the shared incoming frame.
     Packet a = Packet::parse_backed(incoming);
     Packet b = Packet::parse_backed(incoming);
     a.nc().clo = CloneStatus::kClonedOriginal;
@@ -328,11 +312,11 @@ TEST(PacketFastpath, CloneFanOutSharesPayloadAndStaysByteExact) {
     ASSERT_EQ(fast_b.to_frame(), expect_b);
     // The shared incoming frame must not have been scribbled on.
     ASSERT_EQ(incoming.to_frame(), wire);
-    // Copy-on-write: each clone carries a private head, shared tail.
-    EXPECT_TRUE(fast_a.split());
-    EXPECT_TRUE(fast_b.split());
-    EXPECT_TRUE(fast_a.shares_body_with(incoming));
-    EXPECT_TRUE(fast_b.shares_body_with(incoming));
+    // Copy-on-write: each clone was patched into a private whole-frame
+    // copy.
+    EXPECT_FALSE(fast_a.shares_buffer_with(incoming));
+    EXPECT_FALSE(fast_b.shares_buffer_with(incoming));
+    EXPECT_FALSE(fast_a.shares_buffer_with(fast_b));
   }
 }
 
@@ -369,8 +353,7 @@ TEST(PacketFastpath, UnchangedPacketForwardsTheExactSameBuffer) {
   Packet pkt = Packet::parse_backed(incoming);
   const FrameHandle out = pkt.serialize_pooled();
   // No mutation: the very same buffer flows through, no copy at all.
-  EXPECT_TRUE(out.shares_body_with(incoming));
-  EXPECT_FALSE(out.split());
+  EXPECT_TRUE(out.shares_buffer_with(incoming));
   EXPECT_EQ(out.to_frame(), incoming.to_frame());
 }
 
@@ -447,130 +430,45 @@ TEST(PacketFastpath, UdpChecksumZeroWrapMatchesOracle) {
   EXPECT_GT(wraps, 100) << "construction should hit the wrap most rounds";
 }
 
-// -- scatter-gather composition ---------------------------------------------
+// -- frames a host builds ---------------------------------------------------
+//
+// serialize_pooled() of an unbacked packet (the host build path) equals the
+// legacy serialize() byte oracle. The suite keeps the name it had when hosts
+// built frames by scatter-gather.
 
-TEST(FrameHandleCompose, JoinsHeadWithRefcountSharedTail) {
-  FramePool pool;
-  const Frame head_bytes = bytes_of({1, 2, 3, 4});
-  const Frame tail_bytes_v = bytes_of({9, 8, 7, 6, 5});
-  FrameHandle head = FrameHandle::allocate(pool, head_bytes.size());
-  std::copy(head_bytes.begin(), head_bytes.end(), head.writable_all());
-  FrameHandle tail = FrameHandle::allocate(pool, tail_bytes_v.size());
-  std::copy(tail_bytes_v.begin(), tail_bytes_v.end(), tail.writable_all());
-  const std::byte* tail_data = tail.bytes().data();
-
-  FrameHandle joined = FrameHandle::compose(std::move(head), tail);
-  EXPECT_TRUE(joined.split());
-  // The tail bytes are shared, not copied.
-  EXPECT_EQ(joined.tail_bytes().data(), tail_data);
-  Frame expected = head_bytes;
-  expected.insert(expected.end(), tail_bytes_v.begin(), tail_bytes_v.end());
-  EXPECT_EQ(joined.to_frame(), expected);
-
-  // Both buffers stay live until every reference drops.
-  EXPECT_EQ(pool.stats().live, 2U);
-  tail.reset();
-  EXPECT_EQ(pool.stats().live, 2U);  // joined still pins the tail
-  joined.reset();
-  EXPECT_EQ(pool.stats().live, 0U);
-}
-
-TEST(FrameHandleCompose, EmptyTailStaysContiguous) {
-  FramePool pool;
-  FrameHandle head = FrameHandle::allocate(pool, 3);
-  std::memset(head.writable_all(), 0x5A, 3);
-  const FrameHandle joined = FrameHandle::compose(std::move(head),
-                                                  FrameHandle{});
-  EXPECT_FALSE(joined.split());
-  EXPECT_EQ(joined.size(), 3U);
-}
-
-TEST(FrameHandleCompose, RejectsSharedOrSplitHead) {
-  FramePool pool;
-  FrameHandle tail = FrameHandle::allocate(pool, 4);
-  std::memset(tail.writable_all(), 1, 4);
-  FrameHandle head = FrameHandle::allocate(pool, 4);
-  std::memset(head.writable_all(), 2, 4);
-  const FrameHandle alias = head;  // head no longer unique
-  EXPECT_THROW((void)FrameHandle::compose(std::move(head), tail),
-               CheckFailure);
-  (void)alias;
-}
-
-Packet sg_packet(Rng& rng, const SharedPayload& tail) {
-  Packet pkt = sample_packet(rng, 0);
-  pkt.payload = tail.ref();
-  return pkt;
-}
-
-TEST(PacketScatterGather, ComposedSerializeMatchesOracle) {
-  Rng rng{0x56A7};
-  // Sizes straddle the odd payload offset inside the UDP segment (the
-  // NetClone header region is 63 bytes, so the tail sum is byte-swapped)
-  // and the empty-tail degenerate case.
+void expect_host_built_frames_match_oracle(Rng& rng, bool netclone) {
+  // Sizes cover the empty payload and odd segment lengths.
   for (const std::size_t size : {0U, 1U, 2U, 7U, 64U, 333U}) {
     for (int round = 0; round < 50; ++round) {
-      const Frame payload = random_payload(rng, size);
-      const SharedPayload tail = SharedPayload::of(payload);
-      Packet pkt = sg_packet(rng, tail);
+      Packet pkt = sample_packet(rng, size);
       mutate_like_switch(pkt, rng);
+      if (!netclone) {
+        pkt.netclone.reset();
+        pkt.udp.src_port = 40001;  // keep both ports off kNetClonePort
+        pkt.udp.dst_port = 40002;
+      }
+      ASSERT_FALSE(pkt.backed());
 
       const Frame expected = pkt.serialize();  // legacy byte oracle
-      const FrameHandle fast = pkt.serialize_sg(tail);
-      ASSERT_EQ(fast.to_frame(), expected)
+      ASSERT_EQ(pkt.serialize_pooled().to_frame(), expected)
           << "size " << size << " round " << round;
       EXPECT_TRUE(Packet::parse(expected).ip.checksum_valid());
     }
   }
 }
 
+TEST(PacketScatterGather, ComposedSerializeMatchesOracle) {
+  // With the NetClone header the payload starts at an odd offset in the
+  // UDP segment (8 + 21 bytes).
+  Rng rng{0x56A7};
+  expect_host_built_frames_match_oracle(rng, /*netclone=*/true);
+}
+
 TEST(PacketScatterGather, EvenPayloadOffsetMatchesOracle) {
-  // Without a NetClone header the payload starts 8 bytes into the UDP
-  // segment — the no-byte-swap branch of the tail checksum fold.
+  // Without the NetClone header the payload starts 8 bytes into the UDP
+  // segment.
   Rng rng{0x0FF5};
-  for (int round = 0; round < 100; ++round) {
-    Packet pkt = sample_packet(rng, 0);
-    pkt.netclone.reset();
-    pkt.udp.src_port = 40001;  // keep both ports off kNetClonePort
-    pkt.udp.dst_port = 40002;
-    const Frame payload = random_payload(rng, 1 + rng.next_below(128));
-    const SharedPayload tail = SharedPayload::of(payload);
-    pkt.payload = tail.ref();
-
-    const Frame expected = pkt.serialize();
-    ASSERT_EQ(pkt.serialize_sg(tail).to_frame(), expected)
-        << "round " << round;
-  }
-}
-
-TEST(PacketScatterGather, FragmentFanOutSharesOneTailBuffer) {
-  Rng rng{0x5639};
-  const Frame payload = random_payload(rng, 96);
-  const SharedPayload tail = SharedPayload::of(payload);
-  Packet pkt = sg_packet(rng, tail);
-  pkt.nc().frag_count = 3;
-
-  pkt.nc().frag_idx = 0;
-  const FrameHandle f0 = pkt.serialize_sg(tail);
-  pkt.nc().frag_idx = 1;
-  const FrameHandle f1 = pkt.serialize_sg(tail);
-  // Every fragment's tail aliases the one shared body buffer.
-  EXPECT_EQ(f0.tail_bytes().data(), tail.frame.bytes().data());
-  EXPECT_EQ(f1.tail_bytes().data(), tail.frame.bytes().data());
-  // And each still matches its own oracle despite the shared tail.
-  pkt.nc().frag_idx = 0;
-  EXPECT_EQ(f0.to_frame(), pkt.serialize());
-  pkt.nc().frag_idx = 1;
-  EXPECT_EQ(f1.to_frame(), pkt.serialize());
-}
-
-TEST(PacketScatterGather, MismatchedTailSizeThrows) {
-  Rng rng{0xBAD5};
-  const Frame payload = random_payload(rng, 16);
-  const SharedPayload tail = SharedPayload::of(payload);
-  Packet pkt = sg_packet(rng, tail);
-  pkt.payload = PayloadRef{};  // payload no longer matches the tail
-  EXPECT_THROW((void)pkt.serialize_sg(tail), CheckFailure);
+  expect_host_built_frames_match_oracle(rng, /*netclone=*/false);
 }
 
 }  // namespace

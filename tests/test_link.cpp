@@ -512,6 +512,33 @@ TEST(LinkFaults, CorruptionFlipsOneBitOnAPrivateCopy) {
                          shared.bytes().begin()));
 }
 
+TEST(LinkFaults, CorruptedCopyComesFromTheFramesOwnPool) {
+  // No pool is bound here, so an implicit allocation would land in the
+  // process pool.
+  wire::FramePool pool;
+  sim::Simulator sim;
+  CaptureNode dst;
+  Link link{sim, LinkParams{}};
+  link.connect_to(&dst, 0);
+  link.configure_impairments(only(&LinkImpairments::corrupt_rate, 1.0), 7);
+
+  const std::uint64_t process_before =
+      wire::FramePool::instance().stats().acquired;
+  constexpr std::uint64_t kFrames = 5;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    wire::FrameHandle frame = wire::FrameHandle::allocate(pool, 100);
+    std::fill_n(frame.writable(), 100, std::byte{0x42});
+    link.transmit(std::move(frame));
+  }
+  sim.run();
+
+  ASSERT_EQ(dst.received.size(), kFrames);
+  EXPECT_EQ(link.stats().corrupted_frames, kFrames);
+  EXPECT_EQ(pool.stats().acquired, 2 * kFrames);  // each frame + its copy
+  EXPECT_EQ(pool.stats().live, 0U);
+  EXPECT_EQ(wire::FramePool::instance().stats().acquired, process_before);
+}
+
 TEST(LinkFaults, DuplicationDeliversTwoCopies) {
   sim::Simulator sim;
   CaptureNode dst;

@@ -1,5 +1,7 @@
 // Multi-packet message support (§3.7): the cloned-request table, ordered
-// filter tables, fragment reassembly at the server, and an end-to-end run.
+// filter tables, fragment reassembly at the server, end-to-end runs, and
+// the harness check that rejects response fragment counts the filter
+// would drop.
 #include <gtest/gtest.h>
 
 #include "core/netclone_program.hpp"
@@ -208,6 +210,55 @@ TEST(MultiPacketEndToEnd, SingleFragmentConfigIsUnchanged) {
   EXPECT_GT(result.completed, 0U);
   EXPECT_EQ(experiment.netclone_program()->stats().continuation_fragments,
             0U);
+}
+
+// Each rejected configuration would drop a response's later fragment as
+// the slower duplicate (see Testbed::check_response_fragments).
+TEST(MultiPacketEndToEnd, RejectsResponseFragmentsTheFilterWouldDrop) {
+  ClusterConfig cfg = mp_cluster();
+  cfg.netclone.num_filter_tables = 2;
+  cfg.server_template.response_fragments = 3;
+  EXPECT_THROW(Experiment{cfg}, CheckFailure);
+
+  cfg = mp_cluster();  // 4 tables
+  cfg.server_template.response_fragments = 5;
+  EXPECT_THROW(Experiment{cfg}, CheckFailure);
+
+  cfg = mp_cluster();
+  cfg.netclone.enable_multipacket = false;
+  cfg.client_template.request_fragments = 1;
+  cfg.server_template.response_fragments = 2;
+  EXPECT_THROW(Experiment{cfg}, CheckFailure);
+
+  // The RackSched integration has no multi-packet tables, and a LAEDGE
+  // coordinator relays one response per request.
+  cfg.scheme = Scheme::kNetCloneRackSched;
+  EXPECT_THROW(Experiment{cfg}, CheckFailure);
+  cfg.scheme = Scheme::kLaedge;
+  EXPECT_THROW(Experiment{cfg}, CheckFailure);
+}
+
+TEST(MultiPacketEndToEnd, AcceptsUnfilteredAndSingleFragmentResponses) {
+  ClusterConfig cfg = mp_cluster();
+  cfg.netclone.enable_multipacket = false;
+  cfg.client_template.request_fragments = 1;
+  cfg.server_template.response_fragments = 2;
+  cfg.scheme = Scheme::kNetCloneNoFilter;
+  Experiment unfiltered{cfg};
+  const ExperimentResult result = unfiltered.run();
+  std::uint64_t completed = 0;
+  for (const host::Client* client : unfiltered.clients()) {
+    completed += client->stats().completed;
+  }
+  EXPECT_GT(result.requests_sent, 500U);
+  EXPECT_EQ(completed, result.requests_sent);
+
+  cfg.scheme = Scheme::kNetClone;
+  cfg.netclone.enable_filtering = false;
+  EXPECT_NO_THROW(Experiment{cfg});
+  cfg.netclone.enable_filtering = true;
+  cfg.server_template.response_fragments = 1;
+  EXPECT_NO_THROW(Experiment{cfg});
 }
 
 }  // namespace

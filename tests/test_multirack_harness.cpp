@@ -72,5 +72,24 @@ TEST(MultiRackHarness, RejectsDegenerateConfigs) {
   EXPECT_THROW(MultiRackExperiment{cfg}, CheckFailure);
 }
 
+TEST(MultiRackHarness, RejectsResponseFragmentsTheFilterWouldDrop) {
+  // The oblivious pod filters responses at the client ToR, here without
+  // multi-packet tables; the replicated pod's chain replicas never have
+  // them. Either would drop every fragment after the first.
+  MultiRackConfig cfg = small_config();
+  cfg.server_template.response_fragments = 2;
+  EXPECT_THROW(MultiRackExperiment{cfg}, CheckFailure);
+  cfg.agg_mode = AggMode::kReplicated;
+  cfg.num_aggs = 2;
+  cfg.netclone.id_mode = core::RequestIdMode::kClientTuple;
+  cfg.netclone.enable_multipacket = true;
+  EXPECT_THROW(MultiRackExperiment{cfg}, CheckFailure);
+
+  cfg.server_template.response_fragments = 1;
+  EXPECT_NO_THROW(MultiRackExperiment{cfg});
+  cfg.agg_mode = AggMode::kOblivious;
+  EXPECT_NO_THROW(MultiRackExperiment{cfg});
+}
+
 }  // namespace
 }  // namespace netclone::harness

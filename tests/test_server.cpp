@@ -234,5 +234,16 @@ TEST(Server, RejectsZeroWorkers) {
                CheckFailure);
 }
 
+TEST(Server, RejectsMoreThan64ResponseFragments) {
+  // The client tracks a response's fragments in a 64-bit mask.
+  sim::Simulator sim;
+  ServerParams p;
+  p.response_fragments = 65;
+  EXPECT_THROW((void)Server(sim, p, std::make_shared<SyntheticService>(
+                                  JitterModel{}),
+                      Rng{1}),
+               CheckFailure);
+}
+
 }  // namespace
 }  // namespace netclone::host

@@ -1,8 +1,8 @@
 // Server-side multi-packet handling (§3.7): fragment reassembly pins the
 // request to fragment 0 regardless of arrival order, duplicates are
 // counted instead of double-consumed, cancels purge partial reassemblies,
-// per-fragment clone drops strand partials, and fragmented scatter-gather
-// responses reassemble cleanly at a real client.
+// per-fragment clone drops strand partials, and fragmented responses
+// reassemble cleanly at a real client.
 #include <gtest/gtest.h>
 
 #include "host/client.hpp"
@@ -181,9 +181,9 @@ TEST(ServerFragments, CloneDropStrandsPartialUntilTtlSweep) {
 }
 
 // End to end: a server configured for 3-fragment responses answers a real
-// client, which must reassemble every response from its fragments. The
-// scatter-gather fragments share one body buffer on the wire, so this
-// also exercises the composed frames through links and parsing.
+// client, which must reassemble every response from its fragments: the
+// body-bearing fragment 0 and two header-only markers, each built as its
+// own frame, through links and parsing.
 TEST(ServerFragments, FragmentedResponsesReassembleAtClient) {
   sim::Simulator sim;
   phys::Topology topo{sim};
