@@ -16,12 +16,16 @@
 //     plus duplicates the switch filter absorbed.
 // A second, fault-free run produces the exact-digest keys the bench gate
 // checks bit-for-bit (fig16_nofault_completed / fig16_nofault_digest);
-// the faulted run's counters are reported for information.
+// the faulted run's counters are reported for information. The control
+// runs on its own thread while the faulted run proceeds: each experiment
+// binds its own frame pool, as run_sweep's load points do.
 //
 // Usage: bench_fig16_failure [output.json] (default: BENCH_fig16.json)
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "harness/invariants.hpp"
@@ -75,6 +79,23 @@ int main(int argc, char** argv) {
 
   harness::ClusterConfig cfg = fig16_cluster();
   const double capacity = cfg.offered_rps / 0.5;
+
+  // Fault-free control run: its counters are bit-exact across machines
+  // and anchor the bench gate's exact-digest mode.
+  harness::InvariantReport clean_report;
+  AuditCounters nofault;
+  std::exception_ptr control_error;
+  std::jthread control{[&] {
+    try {
+      harness::Experiment clean{fig16_cluster()};
+      (void)clean.run_timeline(SimTime::seconds(25), SimTime::seconds(1),
+                               std::nullopt, std::nullopt);
+      clean_report = harness::audit_invariants(clean);
+      nofault = collect_counters(clean);
+    } catch (...) {
+      control_error = std::current_exception();
+    }
+  }};
 
   harness::Experiment experiment{cfg};
   const auto bins = experiment.run_timeline(
@@ -131,20 +152,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(faulted.duplicated),
               static_cast<unsigned long long>(faulted.digest));
 
-  // Fault-free control run: its counters are bit-exact across machines
-  // and anchor the bench gate's exact-digest mode.
-  harness::Experiment clean{fig16_cluster()};
-  const auto clean_bins = clean.run_timeline(
-      SimTime::seconds(25), SimTime::seconds(1), std::nullopt,
-      std::nullopt);
-  const harness::InvariantReport clean_report =
-      harness::audit_invariants(clean);
+  control.join();
+  if (control_error) {
+    std::rethrow_exception(control_error);
+  }
   if (!clean_report.ok()) {
     std::printf("%s", clean_report.to_string().c_str());
   }
   check.expect(clean_report.ok(), "invariant auditor clean without "
                                   "faults");
-  const AuditCounters nofault = collect_counters(clean);
   // run_timeline stops dead at t=25s with no drain, so a handful of
   // requests are legitimately still in flight; anything beyond that
   // would be real loss.
@@ -153,7 +169,6 @@ int main(int argc, char** argv) {
   std::printf("no-fault control: %llu completed, digest %016llx\n",
               static_cast<unsigned long long>(nofault.completed),
               static_cast<unsigned long long>(nofault.digest));
-  (void)clean_bins;
 
   const bool shape_ok = check.report();
 

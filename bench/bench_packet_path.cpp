@@ -1,15 +1,17 @@
 // Packet-path throughput: the zero-copy frame layer vs the legacy
 // re-materializing path, plus the Figure-7 digest pins.
 //
-//   * per-hop: the switch-hop cycle (parse -> header mutate -> deparse) on
+//   * per-hop: the switch-hop cycle (parse -> header rewrite -> deparse) on
 //     one frame, in frames per second. "legacy" linearizes the frame into
 //     vectors at parse (Packet::parse over to_frame()) and rebuilds +
 //     copies it back into a handle at deparse (serialize()) — the data
-//     path without the zero-copy layer. The fast path views the pooled
-//     buffer and patches dirty header bytes in place (RFC 1624
-//     incremental checksums).
-//   * multicast: one parsed packet replicated to 8 ports. Legacy serializes
-//     per port; the fast path deparses once and bumps a refcount per port.
+//     path without the zero-copy layer. The fast path is the hop the
+//     switch runs: it opens a PacketView on the pooled buffer, writes the
+//     fields in place (RFC 1624 incremental checksums) and takes the
+//     frame.
+//   * multicast: one packet replicated to 8 ports. Legacy serializes per
+//     port; the fast path opens a view, takes the frame and bumps a
+//     refcount per port.
 //   * end-to-end: one Figure-7-style NetClone experiment, wall-clocked.
 //     Its completions, p99 and executed-event count are the fig7 digest
 //     keys the bench gate pins exactly.
@@ -60,19 +62,27 @@ void mutate_hop(wire::Packet& pkt, std::uint32_t i) {
   pkt.nc().req_id = i;
   pkt.nc().clo = (i & 1U) != 0 ? wire::CloneStatus::kClonedCopy
                                : wire::CloneStatus::kClonedOriginal;
-  pkt.nc().state = static_cast<std::uint16_t>(i & 0x3FU);
+  pkt.nc().sid = static_cast<std::uint8_t>(i & 0x3FU);
 }
 
-/// One switch-hop cycle over a FrameHandle, zero-copy: the backed parse
-/// views the pooled buffer and the deparse patches it in place.
+/// mutate_hop, written in place through a view.
+void mutate_hop(wire::PacketView& pkt, std::uint32_t i) {
+  pkt.set_ip_dst(wire::Ipv4Address{0x0A000000U + (i & 0xFFU)});
+  pkt.set_req_id(i);
+  pkt.set_clo((i & 1U) != 0 ? wire::CloneStatus::kClonedCopy
+                            : wire::CloneStatus::kClonedOriginal);
+  pkt.set_sid(static_cast<std::uint8_t>(i & 0x3FU));
+}
+
+/// One switch-hop cycle over a FrameHandle, zero-copy: a view over the
+/// pooled buffer, fields written in place.
 double bench_per_hop_fast(std::size_t iters, std::size_t payload_size) {
   wire::FrameHandle frame{sample_packet(payload_size).serialize()};
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    wire::Packet pkt = wire::Packet::parse_backed(frame);
-    frame.reset();
+    wire::PacketView pkt{std::move(frame)};
     mutate_hop(pkt, static_cast<std::uint32_t>(i));
-    frame = pkt.serialize_pooled();
+    frame = pkt.take_frame();
   }
   const double elapsed = seconds_since(start);
   NETCLONE_CHECK(!frame.empty(), "sink");
@@ -114,14 +124,14 @@ double bench_multicast_legacy(std::size_t iters, std::size_t payload_size) {
   return static_cast<double>(iters * kFanOut) / elapsed;
 }
 
-/// Zero-copy multicast: deparse once, then one refcount bump per port.
+/// Zero-copy multicast: one view, then one refcount bump per port.
 double bench_multicast_fast(std::size_t iters, std::size_t payload_size) {
   const wire::FrameHandle incoming{sample_packet(payload_size).serialize()};
   std::size_t sink = 0;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    wire::Packet pkt = wire::Packet::parse_backed(incoming);
-    const wire::FrameHandle bytes = pkt.serialize_pooled();
+    wire::PacketView pkt{incoming};
+    const wire::FrameHandle bytes = pkt.take_frame();
     for (std::size_t p = 0; p < kFanOut; ++p) {
       const wire::FrameHandle port_copy = bytes;
       sink += port_copy.size();
@@ -170,11 +180,10 @@ int main(int argc, char** argv) {
   {
     const wire::Frame frame = sample_packet(128).serialize();
     wire::Packet legacy = wire::Packet::parse(frame);
-    wire::Packet fast = wire::Packet::parse_backed(
-        wire::FrameHandle::copy_of(frame));
+    wire::PacketView fast{wire::FrameHandle::copy_of(frame)};
     mutate_hop(legacy, 7);
     mutate_hop(fast, 7);
-    NETCLONE_CHECK(fast.serialize_pooled().to_frame() == legacy.serialize(),
+    NETCLONE_CHECK(fast.frame().to_frame() == legacy.serialize(),
                    "fast path bytes diverge from the legacy oracle");
   }
 

@@ -40,10 +40,10 @@ void AggRouterProgram::add_ecmp_prefix(wire::Ipv4Address prefix,
   routes_.insert(prefix, len, NextHops{std::move(ports)});
 }
 
-void AggRouterProgram::on_ingress(wire::Packet& pkt,
+void AggRouterProgram::on_ingress(wire::PacketView& pkt,
                                   pisa::PacketMetadata& md,
                                   pisa::PipelinePass& pass) {
-  const NextHops* hops = routes_.find(pass, pkt.ip.dst);
+  const NextHops* hops = routes_.find(pass, pkt.ip_dst());
   if (hops == nullptr) {
     ++stats_.no_route_drops;
     md.drop = true;
@@ -54,9 +54,9 @@ void AggRouterProgram::on_ingress(wire::Packet& pkt,
   const std::size_t port =
       hops->ports.size() == 1
           ? hops->ports[0]
-          : hops->ports[crc32_u32(pkt.ip.src.value) % hops->ports.size()];
+          : hops->ports[crc32_u32(pkt.ip_src().value) % hops->ports.size()];
   ++stats_.routed;
-  tx_counters_.count(pass, port, pkt.wire_size());
+  tx_counters_.count(pass, port, pkt.size());
   md.egress_port = port;
 }
 

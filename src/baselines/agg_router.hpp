@@ -43,7 +43,7 @@ class AggRouterProgram final : public pisa::SwitchProgram {
   void add_ecmp_prefix(wire::Ipv4Address prefix, std::uint8_t len,
                        std::vector<std::size_t> ports);
 
-  void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void on_ingress(wire::PacketView& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
   [[nodiscard]] const char* name() const override { return "AggRouter"; }

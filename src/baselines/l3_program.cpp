@@ -10,10 +10,10 @@ void L3ForwardProgram::add_route(wire::Ipv4Address ip, std::size_t port) {
   fwd_table_.insert(ip.value, port);
 }
 
-void L3ForwardProgram::on_ingress(wire::Packet& pkt,
+void L3ForwardProgram::on_ingress(wire::PacketView& pkt,
                                   pisa::PacketMetadata& md,
                                   pisa::PipelinePass& pass) {
-  const auto* port = fwd_table_.find(pass, pkt.ip.dst.value);
+  const auto* port = fwd_table_.find(pass, pkt.ip_dst().value);
   if (!port) {
     ++stats_.missing_route_drops;
     md.drop = true;

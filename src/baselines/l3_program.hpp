@@ -22,7 +22,7 @@ class L3ForwardProgram final : public pisa::SwitchProgram {
 
   void add_route(wire::Ipv4Address ip, std::size_t port);
 
-  void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void on_ingress(wire::PacketView& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
   [[nodiscard]] const char* name() const override { return "L3Forward"; }

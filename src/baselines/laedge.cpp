@@ -27,13 +27,12 @@ SimTime LaedgeCoordinator::charge_cpu() {
 
 void LaedgeCoordinator::handle_frame(std::size_t /*port*/,
                                      wire::FrameHandle frame) {
-  wire::Packet pkt;
+  wire::PacketView pkt;
   try {
-    pkt = wire::Packet::parse_backed(frame);
+    pkt = wire::PacketView{std::move(frame)};
   } catch (const wire::CodecError&) {
     return;
   }
-  frame.reset();
   if (!pkt.has_netclone()) {
     return;
   }
@@ -41,7 +40,7 @@ void LaedgeCoordinator::handle_frame(std::size_t /*port*/,
   // costing any cycles (NIC ring overflow). Responses are always admitted —
   // they are bounded by the outstanding-dispatch count and freeing worker
   // slots must not livelock behind the request flood.
-  if (pkt.nc().is_request()) {
+  if (wire::is_request(pkt.type())) {
     const auto backlog_ns =
         static_cast<double>((cpu_busy_until_ - sim_.now()).ns());
     if (backlog_ns > static_cast<double>(params_.per_packet_cost.ns()) *
@@ -57,9 +56,9 @@ void LaedgeCoordinator::handle_frame(std::size_t /*port*/,
 }
 
 void LaedgeCoordinator::on_cpu() {
-  wire::Packet pkt = std::move(rx_queue_.front());
+  wire::PacketView pkt = std::move(rx_queue_.front());
   rx_queue_.pop_front();
-  if (pkt.nc().is_request()) {
+  if (wire::is_request(pkt.type())) {
     admit_request(std::move(pkt));
   } else {
     on_response(std::move(pkt));
@@ -76,12 +75,11 @@ std::vector<std::size_t> LaedgeCoordinator::idle_workers() const {
   return idle;
 }
 
-void LaedgeCoordinator::admit_request(wire::Packet&& pkt) {
+void LaedgeCoordinator::admit_request(wire::PacketView&& pkt) {
   ++stats_.requests;
-  const wire::NetCloneHeader& nc = pkt.nc();
-  const std::uint64_t key = request_key(nc.client_id, nc.client_seq);
+  const std::uint64_t key = request_key(pkt.client_id(), pkt.client_seq());
   requests_.insert_or_assign(
-      key, RequestState{pkt.ip.src, pkt.udp.src_port, /*copies=*/0, false});
+      key, RequestState{pkt.ip_src(), pkt.src_port(), /*copies=*/0, false});
 
   const std::vector<std::size_t> idle = idle_workers();
   if (idle.empty()) {
@@ -108,33 +106,32 @@ void LaedgeCoordinator::admit_request(wire::Packet&& pkt) {
   dispatch(pkt, idle[b]);
 }
 
-void LaedgeCoordinator::dispatch(const wire::Packet& pkt, std::size_t w) {
+void LaedgeCoordinator::dispatch(const wire::PacketView& pkt,
+                                 std::size_t w) {
   const LaedgeWorkerInfo& worker = params_.workers[w];
   ++outstanding_[w];
 
-  wire::Packet out = pkt;
-  out.eth.src = my_mac_;
-  out.ip.src = my_ip_;  // responses must come back through the coordinator
-  out.ip.dst = worker.ip;
-  out.udp.src_port = wire::kNetClonePort;
-
-  const std::uint64_t key =
-      request_key(out.nc().client_id, out.nc().client_seq);
+  const std::uint64_t key = request_key(pkt.client_id(), pkt.client_seq());
   if (RequestState* state = requests_.find(key)) {
     ++state->copies_outstanding;  // always present: admit_request inserts
   }
 
+  // The received request still holds its frame, so the first rewrite
+  // moves this copy to a private copy of that frame.
+  wire::PacketView out = pkt;
+  out.set_eth_src(my_mac_);
+  out.set_ip_src(my_ip_);  // responses must come back through us
+  out.set_ip_dst(worker.ip);
+  out.set_src_port(wire::kNetClonePort);
   // Transmit path: each copy occupies the CPU again before hitting the NIC.
-  // The received packet still holds its frame, so each dispatched copy is
-  // patched into a private copy of that frame.
-  send_at(0, charge_cpu(), out.serialize_pooled());
+  send_at(0, charge_cpu(), out.take_frame());
 }
 
-void LaedgeCoordinator::on_response(wire::Packet&& pkt) {
-  const wire::NetCloneHeader& nc = pkt.nc();
+void LaedgeCoordinator::on_response(wire::PacketView&& pkt) {
+  const std::uint8_t sid = pkt.sid();
   // Locate the worker that answered and release its slot.
   for (std::size_t w = 0; w < params_.workers.size(); ++w) {
-    if (value_of(params_.workers[w].sid) == nc.sid) {
+    if (value_of(params_.workers[w].sid) == sid) {
       if (outstanding_[w] > 0) {
         --outstanding_[w];
       }
@@ -142,7 +139,7 @@ void LaedgeCoordinator::on_response(wire::Packet&& pkt) {
     }
   }
 
-  const std::uint64_t key = request_key(nc.client_id, nc.client_seq);
+  const std::uint64_t key = request_key(pkt.client_id(), pkt.client_seq());
   if (RequestState* found = requests_.find(key)) {
     RequestState& state = *found;
     if (state.copies_outstanding > 0) {
@@ -151,13 +148,12 @@ void LaedgeCoordinator::on_response(wire::Packet&& pkt) {
     if (!state.relayed) {
       state.relayed = true;
       ++stats_.relayed_responses;
-      wire::Packet out = std::move(pkt);
-      out.eth.src = my_mac_;
-      out.ip.src = my_ip_;
-      out.ip.dst = state.client_ip;
-      out.udp.dst_port = state.client_port;
-      out.udp.src_port = wire::kNetClonePort;
-      send_at(0, charge_cpu(), out.serialize_pooled());
+      pkt.set_eth_src(my_mac_);
+      pkt.set_ip_src(my_ip_);
+      pkt.set_ip_dst(state.client_ip);
+      pkt.set_dst_port(state.client_port);
+      pkt.set_src_port(wire::kNetClonePort);
+      send_at(0, charge_cpu(), pkt.take_frame());
     } else {
       ++stats_.absorbed_duplicates;  // slower clone: CPU paid, then dropped
     }
@@ -175,7 +171,7 @@ void LaedgeCoordinator::drain_queue() {
     if (idle.empty()) {
       return;
     }
-    wire::Packet pkt = std::move(pending_.front());
+    wire::PacketView pkt = std::move(pending_.front());
     pending_.pop_front();
     if (idle.size() >= 2) {
       ++stats_.cloned;

@@ -24,7 +24,7 @@
 #include "host/addressing.hpp"
 #include "phys/node.hpp"
 #include "sim/scheduler.hpp"
-#include "wire/frame.hpp"
+#include "wire/packet_view.hpp"
 
 namespace netclone::baselines {
 
@@ -85,10 +85,10 @@ class LaedgeCoordinator : public phys::Node {
 
   /// The CPU reaches the rx queue's front packet.
   void on_cpu();
-  void admit_request(wire::Packet&& pkt);
-  void on_response(wire::Packet&& pkt);
+  void admit_request(wire::PacketView&& pkt);
+  void on_response(wire::PacketView&& pkt);
   /// Dispatches one copy of `pkt` to worker `w`, charging CPU for the tx.
-  void dispatch(const wire::Packet& pkt, std::size_t w);
+  void dispatch(const wire::PacketView& pkt, std::size_t w);
   void drain_queue();
   [[nodiscard]] std::vector<std::size_t> idle_workers() const;
   /// Occupies the serial CPU for one packet-time and returns the instant
@@ -103,9 +103,9 @@ class LaedgeCoordinator : public phys::Node {
 
   SimTime cpu_busy_until_ = SimTime::zero();
   /// Received packets waiting for the CPU, in arrival order.
-  std::deque<wire::Packet> rx_queue_;
+  std::deque<wire::PacketView> rx_queue_;
   std::vector<std::uint32_t> outstanding_;  // per worker
-  std::deque<wire::Packet> pending_;
+  std::deque<wire::PacketView> pending_;
   /// Outstanding requests keyed by (client_id, client_seq) — on the
   /// coordinator's per-packet critical path, hence the flat table.
   FlatMap64<RequestState> requests_;

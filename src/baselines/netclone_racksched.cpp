@@ -53,47 +53,41 @@ void NetCloneRackSchedProgram::add_route(wire::Ipv4Address ip,
   fwd_table_.insert(ip.value, port);
 }
 
-void NetCloneRackSchedProgram::on_ingress(wire::Packet& pkt,
+void NetCloneRackSchedProgram::on_ingress(wire::PacketView& pkt,
                                           pisa::PacketMetadata& md,
                                           pisa::PipelinePass& pass) {
-  if (!pkt.has_netclone()) {
-    forward_to(pkt.ip.dst, md, pass);
+  if (!pkt.has_netclone() || pkt.type() == wire::MsgType::kCancel) {
+    forward_to(pkt.ip_dst(), md, pass);
     return;
   }
-  if (pkt.nc().is_cancel()) {
-    forward_to(pkt.ip.dst, md, pass);
-    return;
-  }
-  if (pkt.nc().is_request()) {
+  if (wire::is_request(pkt.type())) {
     handle_request(pkt, md, pass);
   } else {
     handle_response(pkt, md, pass);
   }
 }
 
-void NetCloneRackSchedProgram::handle_request(wire::Packet& pkt,
+void NetCloneRackSchedProgram::handle_request(wire::PacketView& pkt,
                                               pisa::PacketMetadata& md,
                                               pisa::PipelinePass& pass) {
-  wire::NetCloneHeader& nc = pkt.nc();
-
   if (md.is_recirculated) {
-    nc.clo = wire::CloneStatus::kClonedCopy;
+    pkt.set_clo(wire::CloneStatus::kClonedCopy);
     ++stats_.recirculated_clones;
-    const auto* entry = addr_table_.find(pass, nc.sid);
+    const auto* entry = addr_table_.find(pass, pkt.sid());
     if (!entry) {
       ++stats_.missing_route_drops;
       md.drop = true;
       return;
     }
-    pkt.ip.dst = entry->ip;
+    pkt.set_ip_dst(entry->ip);
     forward_to(entry->ip, md, pass);
     return;
   }
 
   ++stats_.requests;
-  nc.req_id = seq_.execute(pass, [](std::uint32_t& c) { return ++c; });
+  pkt.set_req_id(seq_.execute(pass, [](std::uint32_t& c) { return ++c; }));
 
-  const auto* pair = grp_table_.find(pass, nc.grp);
+  const auto* pair = grp_table_.find(pass, pkt.grp());
   if (!pair) {
     ++stats_.missing_route_drops;
     md.drop = true;
@@ -105,15 +99,15 @@ void NetCloneRackSchedProgram::handle_request(wire::Packet& pkt,
 
   if (config_.enable_cloning && l1 == 0 && l2 == 0) {
     // Both candidate queues empty: clone as plain NetClone would.
-    nc.clo = wire::CloneStatus::kClonedOriginal;
-    nc.sid = pair->srv2;
+    pkt.set_clo(wire::CloneStatus::kClonedOriginal);
+    pkt.set_sid(pair->srv2);
     const auto* entry1 = addr_table_.find(pass, pair->srv1);
     if (!entry1) {
       ++stats_.missing_route_drops;
       md.drop = true;
       return;
     }
-    pkt.ip.dst = entry1->ip;
+    pkt.set_ip_dst(entry1->ip);
     ++stats_.cloned_requests;
     md.multicast_group = entry1->mcast_group;
     return;
@@ -128,30 +122,32 @@ void NetCloneRackSchedProgram::handle_request(wire::Packet& pkt,
     md.drop = true;
     return;
   }
-  pkt.ip.dst = entry->ip;
+  pkt.set_ip_dst(entry->ip);
   forward_to(entry->ip, md, pass);
 }
 
-void NetCloneRackSchedProgram::handle_response(wire::Packet& pkt,
+void NetCloneRackSchedProgram::handle_response(wire::PacketView& pkt,
                                                pisa::PacketMetadata& md,
                                                pisa::PipelinePass& pass) {
-  wire::NetCloneHeader& nc = pkt.nc();
   ++stats_.responses;
-  if (nc.sid < load_table_.size()) {
-    load_table_.write(pass, nc.sid, nc.state);
-    shadow_load_table_.write(pass, nc.sid, nc.state);
+  const std::uint8_t sid = pkt.sid();
+  if (sid < load_table_.size()) {
+    load_table_.write(pass, sid, pkt.state());
+    shadow_load_table_.write(pass, sid, pkt.state());
   }
-  if (nc.cloned() && config_.enable_filtering) {
-    const std::size_t table = nc.idx % config_.num_filter_tables;
+  if (pkt.clo() != wire::CloneStatus::kNotCloned &&
+      config_.enable_filtering) {
+    const std::size_t table = pkt.idx() % config_.num_filter_tables;
+    const std::uint32_t req_id = pkt.req_id();
     const std::uint32_t slot = hash_unit_.hash32(
-        pass, nc.req_id, static_cast<std::uint32_t>(config_.filter_slots));
+        pass, req_id, static_cast<std::uint32_t>(config_.filter_slots));
     const bool drop = filter_tables_[table]->execute(
-        pass, slot, [rid = nc.req_id](std::uint32_t& cell) {
-          if (cell == rid) {
+        pass, slot, [req_id](std::uint32_t& cell) {
+          if (cell == req_id) {
             cell = 0;
             return true;
           }
-          cell = rid;
+          cell = req_id;
           return false;
         });
     if (drop) {
@@ -160,7 +156,7 @@ void NetCloneRackSchedProgram::handle_response(wire::Packet& pkt,
       return;
     }
   }
-  forward_to(pkt.ip.dst, md, pass);
+  forward_to(pkt.ip_dst(), md, pass);
 }
 
 void NetCloneRackSchedProgram::forward_to(wire::Ipv4Address ip,

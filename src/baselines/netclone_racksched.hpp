@@ -44,7 +44,7 @@ class NetCloneRackSchedProgram final : public pisa::SwitchProgram {
   void install_groups(const std::vector<core::GroupPair>& groups);
   void add_route(wire::Ipv4Address ip, std::size_t port);
 
-  void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void on_ingress(wire::PacketView& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
   [[nodiscard]] const char* name() const override {
@@ -60,9 +60,9 @@ class NetCloneRackSchedProgram final : public pisa::SwitchProgram {
     std::uint16_t mcast_group = 0;
   };
 
-  void handle_request(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_request(wire::PacketView& pkt, pisa::PacketMetadata& md,
                       pisa::PipelinePass& pass);
-  void handle_response(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_response(wire::PacketView& pkt, pisa::PacketMetadata& md,
                        pisa::PipelinePass& pass);
   void forward_to(wire::Ipv4Address ip, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass);

@@ -24,11 +24,11 @@ void RackSchedProgram::add_route(wire::Ipv4Address ip, std::size_t port) {
   fwd_table_.insert(ip.value, port);
 }
 
-void RackSchedProgram::on_ingress(wire::Packet& pkt,
+void RackSchedProgram::on_ingress(wire::PacketView& pkt,
                                   pisa::PacketMetadata& md,
                                   pisa::PipelinePass& pass) {
   if (!pkt.has_netclone()) {
-    const auto* port = fwd_table_.find(pass, pkt.ip.dst.value);
+    const auto* port = fwd_table_.find(pass, pkt.ip_dst().value);
     if (!port) {
       ++stats_.missing_route_drops;
       md.drop = true;
@@ -37,13 +37,12 @@ void RackSchedProgram::on_ingress(wire::Packet& pkt,
     md.egress_port = *port;
     return;
   }
-  wire::NetCloneHeader& nc = pkt.nc();
-  if (nc.is_request()) {
+  if (wire::is_request(pkt.type())) {
     handle_request(pkt, md, pass);
     return;
   }
-  if (nc.is_cancel()) {
-    const auto* out = fwd_table_.find(pass, pkt.ip.dst.value);
+  if (pkt.type() == wire::MsgType::kCancel) {
+    const auto* out = fwd_table_.find(pass, pkt.ip_dst().value);
     if (!out) {
       ++stats_.missing_route_drops;
       md.drop = true;
@@ -54,11 +53,12 @@ void RackSchedProgram::on_ingress(wire::Packet& pkt,
   }
   // Response: learn the piggybacked queue length, then route to the client.
   ++stats_.responses;
-  if (nc.sid < load_table_.size()) {
-    load_table_.write(pass, nc.sid, nc.state);
-    shadow_load_table_.write(pass, nc.sid, nc.state);
+  const std::uint8_t sid = pkt.sid();
+  if (sid < load_table_.size()) {
+    load_table_.write(pass, sid, pkt.state());
+    shadow_load_table_.write(pass, sid, pkt.state());
   }
-  const auto* port = fwd_table_.find(pass, pkt.ip.dst.value);
+  const auto* port = fwd_table_.find(pass, pkt.ip_dst().value);
   if (!port) {
     ++stats_.missing_route_drops;
     md.drop = true;
@@ -67,7 +67,7 @@ void RackSchedProgram::on_ingress(wire::Packet& pkt,
   md.egress_port = *port;
 }
 
-void RackSchedProgram::handle_request(wire::Packet& pkt,
+void RackSchedProgram::handle_request(wire::PacketView& pkt,
                                       pisa::PacketMetadata& md,
                                       pisa::PipelinePass& pass) {
   ++stats_.requests;
@@ -96,7 +96,7 @@ void RackSchedProgram::handle_request(wire::Packet& pkt,
     md.drop = true;
     return;
   }
-  pkt.ip.dst = *ip;
+  pkt.set_ip_dst(*ip);
   const auto* port = fwd_table_.find(pass, ip->value);
   if (!port) {
     ++stats_.missing_route_drops;

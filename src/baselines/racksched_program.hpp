@@ -36,14 +36,14 @@ class RackSchedProgram final : public pisa::SwitchProgram {
   /// Plain route for clients.
   void add_route(wire::Ipv4Address ip, std::size_t port);
 
-  void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void on_ingress(wire::PacketView& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
   [[nodiscard]] const char* name() const override { return "RackSched"; }
   [[nodiscard]] const RackSchedStats& stats() const { return stats_; }
 
  private:
-  void handle_request(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_request(wire::PacketView& pkt, pisa::PacketMetadata& md,
                       pisa::PipelinePass& pass);
 
   std::size_t num_servers_ = 0;

@@ -113,69 +113,70 @@ std::uint32_t NetCloneProgram::client_tuple_id(std::uint16_t client_id,
   return id == 0 ? 1 : id;  // 0 means "empty slot" in the filter tables
 }
 
-void NetCloneProgram::assign_request_id(wire::NetCloneHeader& nc,
+void NetCloneProgram::assign_request_id(wire::PacketView& pkt,
                                         pisa::PipelinePass& pass) {
   if (config_.id_mode == RequestIdMode::kClientTuple) {
     // §3.7 protocol support: derive the id from the client tuple so a TCP
     // retransmission keeps its id; the SEQ register is not touched.
-    nc.req_id = client_tuple_id(nc.client_id, nc.client_seq);
+    pkt.set_req_id(client_tuple_id(pkt.client_id(), pkt.client_seq()));
     return;
   }
   // Algorithm 1, lines 2-3.
-  nc.req_id = seq_.execute(pass, [](std::uint32_t& c) { return ++c; });
+  pkt.set_req_id(seq_.execute(pass, [](std::uint32_t& c) { return ++c; }));
 }
 
-void NetCloneProgram::on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+void NetCloneProgram::on_ingress(wire::PacketView& pkt,
+                                 pisa::PacketMetadata& md,
                                  pisa::PipelinePass& pass) {
   if (!pkt.has_netclone()) {
     l3_forward(pkt, md, pass);
     return;
   }
-  wire::NetCloneHeader& nc = pkt.nc();
   // Multi-rack scoping (§3.7): NetClone logic belongs to the switch that
   // stamped the request. A non-zero SWITCH_ID of another switch means the
   // packet is just passing through — plain routing.
-  if (nc.switch_id != 0 && nc.switch_id != config_.switch_id) {
+  const std::uint8_t switch_id = pkt.switch_id();
+  if (switch_id != 0 && switch_id != config_.switch_id) {
     ++stats_.foreign_packets;
     l3_forward(pkt, md, pass);
     return;
   }
-  if (nc.is_chain_sync()) {
-    handle_chain_sync(nc, md);
-    return;
-  }
-  if (nc.is_cancel()) {
-    // Cancellation is an end-to-end affair between client and server; the
-    // switch just routes it.
-    l3_forward(pkt, md, pass);
-    return;
-  }
-  if (nc.is_request()) {
-    handle_request(pkt, md, pass);
-  } else {
-    handle_response(pkt, md, pass);
+  switch (pkt.type()) {
+    case wire::MsgType::kChainSync:
+      handle_chain_sync(pkt.req_id(), md);
+      return;
+    case wire::MsgType::kCancel:
+      // Cancellation is an end-to-end affair between client and server;
+      // the switch just routes it.
+      l3_forward(pkt, md, pass);
+      return;
+    case wire::MsgType::kRequest:
+    case wire::MsgType::kWriteRequest:
+      handle_request(pkt, md, pass);
+      return;
+    case wire::MsgType::kResponse:
+      handle_response(pkt, md, pass);
+      return;
   }
 }
 
-void NetCloneProgram::handle_request(wire::Packet& pkt,
+void NetCloneProgram::handle_request(wire::PacketView& pkt,
                                      pisa::PacketMetadata& md,
                                      pisa::PipelinePass& pass) {
-  wire::NetCloneHeader& nc = pkt.nc();
-
   if (md.is_recirculated) {
     // Algorithm 1, lines 11-13: the loopback copy. Mark it as the cloned
     // duplicate and steer it to the second candidate recorded in SID.
-    NETCLONE_CHECK(nc.clo == wire::CloneStatus::kClonedOriginal,
+    NETCLONE_CHECK(pkt.clo() == wire::CloneStatus::kClonedOriginal,
                    "recirculated request must carry CLO=1");
     ++stats_.recirculated_clones;
-    nc.clo = wire::CloneStatus::kClonedCopy;
-    const auto* entry = addr_table_.find(pass, nc.sid);
+    pkt.set_clo(wire::CloneStatus::kClonedCopy);
+    const auto* entry = addr_table_.find(pass, pkt.sid());
     if (!entry) {
       ++stats_.missing_route_drops;  // candidate removed mid-flight (§3.6)
       md.drop = true;
       return;
     }
-    pkt.ip.dst = entry->ip;
+    pkt.set_ip_dst(entry->ip);
     const auto* port = fwd_table_.find(pass, route_key(entry->ip));
     if (!port) {
       ++stats_.missing_route_drops;
@@ -186,22 +187,22 @@ void NetCloneProgram::handle_request(wire::Packet& pkt,
     return;
   }
 
-  if (nc.clo != wire::CloneStatus::kNotCloned) {
+  if (pkt.clo() != wire::CloneStatus::kNotCloned) {
     // A fresh (non-recirculated) request must carry CLO=0; anything else
     // is a malformed packet and is discarded rather than cloned twice.
     md.drop = true;
     return;
   }
-  if (nc.switch_id == 0) {
-    nc.switch_id = config_.switch_id;  // stamp the deciding switch (§3.7)
+  if (pkt.switch_id() == 0) {
+    pkt.set_switch_id(config_.switch_id);  // stamp the deciding switch
   }
-  assign_request_id(nc, pass);
+  assign_request_id(pkt, pass);
 
-  if (nc.is_write()) {
+  if (pkt.type() == wire::MsgType::kWriteRequest) {
     // §5.5: writes are never cloned — coordination belongs to the
     // replication protocol. Route to the group's first candidate.
     ++stats_.write_requests;
-    const auto* pair = grp_table_.find(pass, nc.grp);
+    const auto* pair = grp_table_.find(pass, pkt.grp());
     if (!pair) {
       ++stats_.missing_route_drops;
       md.drop = true;
@@ -213,20 +214,20 @@ void NetCloneProgram::handle_request(wire::Packet& pkt,
       md.drop = true;
       return;
     }
-    pkt.ip.dst = entry->ip;
+    pkt.set_ip_dst(entry->ip);
     l3_forward(pkt, md, pass);
     return;
   }
 
   ++stats_.requests;
 
-  if (config_.enable_multipacket && nc.frag_idx > 0) {
+  if (config_.enable_multipacket && pkt.frag_idx() > 0) {
     handle_continuation_fragment(pkt, md, pass);
     return;
   }
 
   // Line 4: group id -> ordered candidate pair.
-  const auto* pair = grp_table_.find(pass, nc.grp);
+  const auto* pair = grp_table_.find(pass, pkt.grp());
   if (!pair) {
     ++stats_.missing_route_drops;
     md.drop = true;
@@ -240,7 +241,7 @@ void NetCloneProgram::handle_request(wire::Packet& pkt,
     md.drop = true;
     return;
   }
-  pkt.ip.dst = entry1->ip;
+  pkt.set_ip_dst(entry1->ip);
 
   // Line 6: both candidates idle? StateT serves srv1, the shadow copy
   // serves srv2 — one register array cannot be read twice in a pass. On
@@ -253,16 +254,17 @@ void NetCloneProgram::handle_request(wire::Packet& pkt,
     // Lines 7-9: clone. SID carries the second candidate for the
     // recirculated copy; the PRE group sends the original to srv1's port
     // and the copy to the loopback port.
-    nc.clo = wire::CloneStatus::kClonedOriginal;
-    nc.sid = pair->srv2;
+    pkt.set_clo(wire::CloneStatus::kClonedOriginal);
+    pkt.set_sid(pair->srv2);
     ++stats_.cloned_requests;
-    if (config_.enable_multipacket && nc.multi_packet()) {
+    if (config_.enable_multipacket && pkt.frag_count() > 1) {
       // §3.7: remember the cloned-but-unfinished request so that later
       // fragments clone regardless of the tracked states.
+      const std::uint32_t req_id = pkt.req_id();
       const std::uint32_t slot =
-          filter_hash(nc.req_id,
+          filter_hash(req_id,
                       config_.cloned_req_slots);  // reuses the CRC profile
-      cloned_req_table_->write(pass, slot, nc.req_id);
+      cloned_req_table_->write(pass, slot, req_id);
     }
     md.multicast_group = entry1->mcast_group;
     return;
@@ -278,13 +280,13 @@ void NetCloneProgram::handle_request(wire::Packet& pkt,
 }
 
 void NetCloneProgram::handle_continuation_fragment(
-    wire::Packet& pkt, pisa::PacketMetadata& md, pisa::PipelinePass& pass) {
-  wire::NetCloneHeader& nc = pkt.nc();
+    wire::PacketView& pkt, pisa::PacketMetadata& md,
+    pisa::PipelinePass& pass) {
   ++stats_.continuation_fragments;
 
   // Affinity: the client keeps the group id constant across fragments, so
   // the first candidate is the same server fragment 0 was sent to.
-  const auto* pair = grp_table_.find(pass, nc.grp);
+  const auto* pair = grp_table_.find(pass, pkt.grp());
   if (!pair) {
     ++stats_.missing_route_drops;
     md.drop = true;
@@ -296,16 +298,16 @@ void NetCloneProgram::handle_continuation_fragment(
     md.drop = true;
     return;
   }
-  pkt.ip.dst = entry1->ip;
+  pkt.set_ip_dst(entry1->ip);
 
   // Was fragment 0 cloned? One RMW: match, and clear on the last fragment
   // so the slot frees as soon as the request finishes.
-  const std::uint32_t slot =
-      filter_hash(nc.req_id, config_.cloned_req_slots);
+  const std::uint32_t req_id = pkt.req_id();
+  const bool last = pkt.frag_idx() + 1 >= pkt.frag_count();
+  const std::uint32_t slot = filter_hash(req_id, config_.cloned_req_slots);
   const bool was_cloned = cloned_req_table_->execute(
-      pass, slot,
-      [rid = nc.req_id, last = nc.last_fragment()](std::uint32_t& cell) {
-        if (cell != rid) {
+      pass, slot, [req_id, last](std::uint32_t& cell) {
+        if (cell != req_id) {
           return false;
         }
         if (last) {
@@ -315,8 +317,8 @@ void NetCloneProgram::handle_continuation_fragment(
       });
 
   if (was_cloned) {
-    nc.clo = wire::CloneStatus::kClonedOriginal;
-    nc.sid = pair->srv2;
+    pkt.set_clo(wire::CloneStatus::kClonedOriginal);
+    pkt.set_sid(pair->srv2);
     ++stats_.cloned_fragments;
     md.multicast_group = entry1->mcast_group;
     return;
@@ -330,10 +332,9 @@ void NetCloneProgram::handle_continuation_fragment(
   md.egress_port = *port;
 }
 
-void NetCloneProgram::handle_response(wire::Packet& pkt,
+void NetCloneProgram::handle_response(wire::PacketView& pkt,
                                       pisa::PacketMetadata& md,
                                       pisa::PipelinePass& pass) {
-  wire::NetCloneHeader& nc = pkt.nc();
   if (!chain_member_) {
     // Stale in-flight traffic around a crash/rejoin: a non-member must
     // not touch replicated state or enact verdicts — the controller
@@ -347,9 +348,10 @@ void NetCloneProgram::handle_response(wire::Packet& pkt,
   // Lines 15-16: absorb the piggybacked state into both tables so they
   // stay consistent. Every replica applies the identical write in chain
   // order, so replicated StateT/ShadowT converge cell by cell.
-  if (nc.sid < config_.max_servers) {
-    state_table_.write(pass, nc.sid, nc.state);
-    shadow_table_.write(pass, nc.sid, nc.state);
+  const std::uint8_t sid = pkt.sid();
+  if (sid < config_.max_servers) {
+    state_table_.write(pass, sid, pkt.state());
+    shadow_table_.write(pass, sid, pkt.state());
   }
 
   // Lines 17-25: fingerprint filtering, only for responses of cloned
@@ -357,25 +359,27 @@ void NetCloneProgram::handle_response(wire::Packet& pkt,
   // responses enter at the head and the chain links preserve order, all
   // replicas compute the same verdict for every response.
   bool duplicate = false;
-  if (nc.cloned() && config_.enable_filtering) {
+  if (pkt.clo() != wire::CloneStatus::kNotCloned &&
+      config_.enable_filtering) {
     // §3.7 multi-packet: response fragments share REQ_ID, so each ordinal
     // is steered to its own "ordered" filter table (idx + frag_idx).
     // Deploy at least as many tables as the largest response fragment
     // count, or same-id fragments would collide in one slot.
     const std::size_t ordinal =
-        config_.enable_multipacket ? nc.frag_idx : 0U;
+        config_.enable_multipacket ? pkt.frag_idx() : 0U;
     const std::size_t table =
-        (nc.idx + ordinal) % config_.num_filter_tables;  // bad IDX tolerated
+        (pkt.idx() + ordinal) % config_.num_filter_tables;  // bad IDX ok
+    const std::uint32_t req_id = pkt.req_id();
     const std::uint32_t slot = hash_unit_.hash32(
-        pass, nc.req_id, static_cast<std::uint32_t>(config_.filter_slots));
+        pass, req_id, static_cast<std::uint32_t>(config_.filter_slots));
     duplicate = filter_tables_[table]->execute(
-        pass, slot, [rid = nc.req_id](std::uint32_t& cell) {
-          if (cell == rid) {
+        pass, slot, [req_id](std::uint32_t& cell) {
+          if (cell == req_id) {
             cell = 0;   // slower duplicate: clear the slot for reuse
             return true;
           }
-          cell = rid;   // faster response (or collision): overwrite (§3.5)
-          return false;
+          cell = req_id;  // faster response (or collision): overwrite
+          return false;   // (§3.5)
         });
     if (duplicate) {
       ++stats_.filter_hits;
@@ -400,10 +404,10 @@ void NetCloneProgram::handle_response(wire::Packet& pkt,
   l3_forward(pkt, md, pass);
 }
 
-void NetCloneProgram::handle_chain_sync(const wire::NetCloneHeader& nc,
+void NetCloneProgram::handle_chain_sync(std::uint32_t sync_id,
                                         pisa::PacketMetadata& md) {
   AggChainSyncRecord* record =
-      sync_hub_ != nullptr ? sync_hub_->find(nc.req_id) : nullptr;
+      sync_hub_ != nullptr ? sync_hub_->find(sync_id) : nullptr;
   if (record == nullptr) {
     // Only a controller mints markers, and only for a record it created
     // in the tier's hub. Anything else is wire input this switch cannot
@@ -425,16 +429,16 @@ void NetCloneProgram::handle_chain_sync(const wire::NetCloneHeader& nc,
       // the new link and every forwarded response rides behind it.
       chain_next_ = record->filler_next_port;
     }
-    if (nc.req_id > last_sync_gen_) {
-      last_sync_gen_ = nc.req_id;  // own state IS this snapshot
+    if (sync_id > last_sync_gen_) {
+      last_sync_gen_ = sync_id;  // own state IS this snapshot
     }
-  } else if (nc.req_id <= last_sync_gen_) {
+  } else if (sync_id <= last_sync_gen_) {
     // Already absorbed a sync at least this fresh — installing would
     // clobber newer state with an older cut.
     ++stats_.chain_sync_stale;
   } else {
     install_sync_record(*record);
-    last_sync_gen_ = nc.req_id;
+    last_sync_gen_ = sync_id;
     if (record->admit_target == role_.replica_index) {
       // Rejoin complete: become the tail. The delta stream queued behind
       // the marker replays, in chain order, everything the snapshot
@@ -491,10 +495,10 @@ void NetCloneProgram::install_sync_record(const AggChainSyncRecord& record) {
   }
 }
 
-void NetCloneProgram::l3_forward(const wire::Packet& pkt,
+void NetCloneProgram::l3_forward(const wire::PacketView& pkt,
                                  pisa::PacketMetadata& md,
                                  pisa::PipelinePass& pass) {
-  const auto* port = fwd_table_.find(pass, route_key(pkt.ip.dst));
+  const auto* port = fwd_table_.find(pass, route_key(pkt.ip_dst()));
   if (!port) {
     ++stats_.missing_route_drops;
     md.drop = true;

@@ -259,7 +259,7 @@ class NetCloneProgram final : public pisa::SwitchProgram {
 
   // -- data plane -----------------------------------------------------------
 
-  void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void on_ingress(wire::PacketView& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
   [[nodiscard]] const char* name() const override { return "NetClone"; }
@@ -296,20 +296,19 @@ class NetCloneProgram final : public pisa::SwitchProgram {
     std::uint16_t mcast_group = 0;
   };
 
-  void handle_request(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_request(wire::PacketView& pkt, pisa::PacketMetadata& md,
                       pisa::PipelinePass& pass);
-  void handle_continuation_fragment(wire::Packet& pkt,
+  void handle_continuation_fragment(wire::PacketView& pkt,
                                     pisa::PacketMetadata& md,
                                     pisa::PipelinePass& pass);
-  void handle_response(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_response(wire::PacketView& pkt, pisa::PacketMetadata& md,
                        pisa::PipelinePass& pass);
-  void handle_chain_sync(const wire::NetCloneHeader& nc,
-                         pisa::PacketMetadata& md);
+  void handle_chain_sync(std::uint32_t sync_id, pisa::PacketMetadata& md);
   void fill_sync_record(AggChainSyncRecord& record);
   void install_sync_record(const AggChainSyncRecord& record);
-  void l3_forward(const wire::Packet& pkt, pisa::PacketMetadata& md,
+  void l3_forward(const wire::PacketView& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass);
-  void assign_request_id(wire::NetCloneHeader& nc, pisa::PipelinePass& pass);
+  void assign_request_id(wire::PacketView& pkt, pisa::PipelinePass& pass);
 
   NetCloneConfig config_;
   AggChainRole role_;

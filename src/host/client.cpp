@@ -297,11 +297,13 @@ void Client::emit_request(const wire::RpcRequest& req, wire::Ipv4Address dst,
   nc.client_id = params_.client_id;
   nc.client_seq = client_seq;
 
-  wire::Packet pkt = wire::make_netclone_packet(
+  const wire::Packet headers = wire::make_netclone_packet(
       my_mac_, wire::MacAddress::broadcast(), my_ip_, dst,
       /*src_port=*/static_cast<std::uint16_t>(40000 + params_.client_id),
-      nc, req.to_frame());
-  emit_frame(pkt.serialize_pooled());
+      nc, {});
+  emit_frame(headers.serialize_pooled(
+      wire::RpcRequest::kSize,
+      [&req](wire::ByteWriter& w) { req.serialize(w); }));
 }
 
 void Client::emit_frame(wire::FrameHandle bytes) {
@@ -336,29 +338,27 @@ void Client::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
     ++stats_.checksum_drops;
     return;
   }
-  wire::Packet pkt;
+  wire::PacketView pkt;
   try {
-    pkt = wire::Packet::parse_backed(frame);
+    pkt = wire::PacketView{std::move(frame)};
   } catch (const wire::CodecError&) {
     return;
   }
-  frame.reset();
-  if (!pkt.has_netclone() || !pkt.nc().is_response()) {
+  if (!pkt.has_netclone() || pkt.type() != wire::MsgType::kResponse) {
     return;
   }
   // Keep only what the application reads; the frame goes back to the
   // pool now rather than after the receiver thread's delay.
-  const wire::NetCloneHeader& nc = pkt.nc();
   Response resp;
-  resp.client_seq = nc.client_seq;
-  resp.responder = pkt.ip.src;
-  resp.frag_idx = nc.frag_idx;
-  resp.frag_count = nc.frag_count;
-  if (!pkt.payload.empty()) {
+  resp.client_seq = pkt.client_seq();
+  resp.responder = pkt.ip_src();
+  resp.frag_idx = pkt.frag_idx();
+  resp.frag_count = pkt.frag_count();
+  const std::span<const std::byte> payload = pkt.payload();
+  if (!payload.empty()) {
     // The payload-bearing fragment carries the server's decomposition.
     try {
-      const wire::RpcResponse body =
-          wire::RpcResponse::peek(pkt.payload);
+      const wire::RpcResponse body = wire::RpcResponse::peek(payload);
       resp.server_wait_ns = body.queue_wait_ns;
       resp.server_service_ns = body.service_ns;
       resp.has_decomposition = true;

@@ -7,10 +7,11 @@
 // duplicates) and duplicate sends (C-Clone) consume real client capacity —
 // the effect Figures 15 and 7 quantify.
 //
-// Each packet is built as one contiguous pooled frame by
-// Packet::serialize_pooled(). A TCP-mode retransmission builds its frames
-// again from the request table entry, so every attempt carries the same
-// bytes (kDirectRandom re-draws its worker each attempt).
+// Each packet is built as one pooled frame by Packet::serialize_pooled(),
+// which serializes the RPC body straight into the frame; responses are
+// read through a wire::PacketView. A TCP-mode retransmission builds its
+// frames again from the request table entry, so every attempt carries the
+// same bytes (kDirectRandom re-draws its worker each attempt).
 #pragma once
 
 #include <array>

@@ -39,24 +39,22 @@ void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
     ++stats_.checksum_drops;
     return;
   }
-  wire::Packet pkt;
+  wire::PacketView pkt;
   try {
-    pkt = wire::Packet::parse_backed(frame);
+    pkt = wire::PacketView{std::move(frame)};
   } catch (const wire::CodecError&) {
     return;  // not for us / corrupt — a real NIC would also discard it
   }
-  frame.reset();
-  if (!pkt.has_netclone() ||
-      (!pkt.nc().is_request() && !pkt.nc().is_cancel())) {
+  if (!pkt.has_netclone() || (!wire::is_request(pkt.type()) &&
+                              pkt.type() != wire::MsgType::kCancel)) {
     return;  // servers only consume requests and cancels
   }
-  // Strip the packet down to what the host path needs: the NetClone
-  // header, the return route, and the payload as a zero-copy view (the
-  // view's keepalive pins the received frame; the headers' bytes are
-  // done with).
+  // Keep what the host path needs: the NetClone header, the return
+  // route, and the payload as a zero-copy view that pins the frame.
   dispatch_queue_.push_back(PendingRequest{
-      pkt.nc(), ResponseRoute{pkt.eth.src, pkt.ip.src, pkt.udp.src_port},
-      std::move(pkt.payload)});
+      pkt.netclone(),
+      ResponseRoute{pkt.eth_src(), pkt.ip_src(), pkt.src_port()},
+      pkt.payload_ref()});
   // The dispatcher thread is a serial resource: packets are picked up one
   // at a time, `dispatch_cost` apart when busy. Its events fire in
   // enqueue order, so each one takes the dispatch queue's front.
@@ -317,23 +315,25 @@ void Server::on_complete(PendingRequest req, const wire::RpcRequest& rpc,
   // The request payload view is done with; drop its pin on the received
   // frame before the response outlives it.
   req.payload.clear();
-  resp.payload = body.to_frame();
 
   ++stats_.responses_total;
   if (qlen == 0) {
     ++stats_.responses_with_empty_queue;
   }
 
-  // Fragment 0 carries the body; the rest are header-only markers the
-  // switch filters through its ordered tables. Each leaves as soon as it
-  // is built; the egress link's FIFO arms one delivery event for the
-  // back-to-back run.
+  // Fragment 0 carries the body, serialized straight into its frame; the
+  // rest are header-only markers the switch filters through its ordered
+  // tables. Each leaves as soon as it is built; the egress link's FIFO
+  // arms one delivery event for the back-to-back run.
   const auto frags = std::max<std::uint8_t>(params_.response_fragments, 1);
   resp.nc().frag_count = frags;
-  for (std::uint8_t f = 0; f < frags; ++f) {
+  resp.nc().frag_idx = 0;
+  send(0, resp.serialize_pooled(
+              body.wire_size(),
+              [&body](wire::ByteWriter& w) { body.serialize(w); }));
+  for (std::uint8_t f = 1; f < frags; ++f) {
     resp.nc().frag_idx = f;
     send(0, resp.serialize_pooled());
-    resp.payload.clear();
   }
 
   --busy_workers_;

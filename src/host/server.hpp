@@ -8,11 +8,13 @@
 //   * every response piggybacks the current queue length in STATE, which is
 //     how the switch learns server idleness.
 //
-// A request's payload rides through the FCFS queue and the reassembly
-// table as a wire::PayloadRef view pinning the received frame (never
-// copied). Each response fragment is built as one contiguous pooled frame
-// by Packet::serialize_pooled(); Packet::serialize() remains the byte
-// oracle it is tested against.
+// Received frames are read through a wire::PacketView. A request's
+// payload rides through the FCFS queue and the reassembly table as a
+// wire::PayloadRef view pinning the received frame (never copied). Each
+// response fragment is built as one pooled frame by
+// Packet::serialize_pooled(), which serializes the RPC body straight into
+// the frame; Packet::serialize() remains the byte oracle it is tested
+// against.
 #pragma once
 
 #include <deque>
@@ -132,8 +134,8 @@ class Server : public phys::Node {
   [[nodiscard]] double slowdown() const { return slowdown_; }
 
  private:
-  /// Where the response must go, captured when the request is parsed so
-  /// the full Packet (and its backing handle) need not ride the queue.
+  /// Where the response must go, captured when the request arrives so
+  /// the frame's headers need not ride the queue.
   struct ResponseRoute {
     wire::MacAddress mac{};
     wire::Ipv4Address ip{};

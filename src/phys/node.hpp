@@ -22,9 +22,9 @@ class Node {
 
   /// Called by a link when a frame arrives on `port`. The handle may share
   /// its bytes with other in-flight copies of the frame (multicast); treat
-  /// the bytes as immutable and mutate only via Packet's copy-on-write
-  /// serialize path. (wire::Frame converts implicitly, so legacy callers
-  /// passing owned vectors still work.)
+  /// the bytes as immutable and mutate only through wire::PacketView's
+  /// copy-on-write setters. (wire::Frame converts implicitly, so legacy
+  /// callers passing owned vectors still work.)
   virtual void handle_frame(std::size_t port, wire::FrameHandle frame) = 0;
 
   /// Registers an egress link and returns the new port index. Called by

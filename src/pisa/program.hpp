@@ -5,7 +5,7 @@
 #include <optional>
 
 #include "pisa/pipeline.hpp"
-#include "wire/frame.hpp"
+#include "wire/packet_view.hpp"
 
 namespace netclone::pisa {
 
@@ -25,9 +25,10 @@ class SwitchProgram {
  public:
   virtual ~SwitchProgram() = default;
 
-  /// Ingress control: reads/writes the packet headers, accesses pipeline
-  /// resources through `pass`, and steers via `md`.
-  virtual void on_ingress(wire::Packet& pkt, PacketMetadata& md,
+  /// Ingress control: reads and rewrites header fields of the frame in
+  /// place through `pkt`, accesses pipeline resources through `pass`, and
+  /// steers via `md`.
+  virtual void on_ingress(wire::PacketView& pkt, PacketMetadata& md,
                           PipelinePass& pass) = 0;
 
   /// Human-readable program name for reports.

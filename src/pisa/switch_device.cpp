@@ -80,14 +80,13 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
     return;
   }
 
-  wire::Packet pkt;
+  wire::PacketView pkt;
   try {
-    pkt = wire::Packet::parse_backed(frame);
+    pkt = wire::PacketView{std::move(frame)};
   } catch (const wire::CodecError&) {
     ++stats_.parse_errors;
     return;
   }
-  frame.reset();  // the packet's backing now holds the only live references
 
   PacketMetadata md;
   md.ingress_port = port;
@@ -101,12 +100,12 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
     return;
   }
 
-  // Resolve the output port set and run the deparser now; each copy is
-  // handed to its port ready one pipeline latency out, as a PSA deparser
-  // hands the packet to the buffering/queueing engine at the end of the
-  // pass. The deparser (serialize) runs exactly once; a multicast set
-  // shares the resulting buffer across all output ports by reference
-  // count.
+  // Resolve the output port set; each copy is handed to its port ready one
+  // pipeline latency out, as a PSA deparser hands the packet to the
+  // buffering/queueing engine at the end of the pass. The program wrote
+  // its fields into the frame in place, so there is nothing to deparse: a
+  // multicast set shares the one frame across all output ports by
+  // reference count.
   const SimTime ready = sim_.now() + params_.pipeline_latency;
   if (md.multicast_group) {
     const std::vector<std::size_t>* ports =
@@ -119,13 +118,13 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
       stats_.multicast_copies += ports->size() - 1;
     }
     ++stats_.egress_scheduled;
-    const wire::FrameHandle bytes = pkt.serialize_pooled();
+    const wire::FrameHandle bytes = pkt.take_frame();
     for (const std::size_t p : *ports) {
       emit(p, ready, bytes);
     }
   } else if (md.egress_port) {
     ++stats_.egress_scheduled;
-    emit(*md.egress_port, ready, pkt.serialize_pooled());
+    emit(*md.egress_port, ready, pkt.take_frame());
   } else {
     ++stats_.dropped_by_program;  // program made no forwarding decision
   }

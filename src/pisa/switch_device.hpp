@@ -1,4 +1,5 @@
-// The switch as a topology node: parser -> ingress pipeline -> deparser ->
+// The switch as a topology node: parser (a PacketView over the arriving
+// frame) -> ingress pipeline, which rewrites header fields in place ->
 // packet replication (multicast) / recirculation / egress.
 #pragma once
 
@@ -88,13 +89,12 @@ class SwitchDevice : public phys::Node {
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
  private:
-  /// One pipeline pass: parse, run the program and the deparser, and hand
-  /// each copy to its port ready one pipeline latency out.
+  /// One pipeline pass: open a view on the frame, run the program, and
+  /// hand each copy to its port ready one pipeline latency out.
   void process(std::size_t port, wire::FrameHandle frame, bool recirculated);
   /// Hands one shared frame handle to an output port, ready at `ready`.
   /// Every port of a multicast set receives a refcount bump of the same
-  /// serialized bytes — the deparser runs once per pipeline pass, not
-  /// once per copy.
+  /// frame.
   void emit(std::size_t port, SimTime ready, wire::FrameHandle bytes);
 
   [[nodiscard]] bool is_loopback(std::size_t port) const {

@@ -60,9 +60,9 @@ inline std::uint32_t load_u32(const std::byte* p, std::size_t off) {
 /// caller-provided fixed buffer (the pooled frame path serializes straight
 /// into arena storage; overflowing the fixed bound throws CodecError).
 ///
-/// The accessors are inline: header serialization is the per-hop inner
-/// loop of the whole simulation, and a u32 through out-of-line per-byte
-/// calls costs seven function calls.
+/// The accessors are inline: every frame a host builds, RPC body
+/// included, is written through them, and a u32 through out-of-line
+/// per-byte calls costs seven function calls.
 class ByteWriter {
  public:
   explicit ByteWriter(Frame& out) : vec_(&out) {}
@@ -125,8 +125,8 @@ class ByteWriter {
 
 /// Consumes big-endian values from a byte span; throws CodecError on
 /// underrun so truncated packets can never be half-parsed silently.
-/// Inline for the same reason as ByteWriter: parsing is the other half of
-/// the per-hop inner loop.
+/// Inline for the same reason as ByteWriter: hosts read every RPC body
+/// through it.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::byte> data) : data_(data) {}

@@ -36,7 +36,7 @@ struct EthernetHeader {
   MacAddress src{};
   EtherType ether_type = EtherType::kIpv4;
 
-  // Inline: the header codecs are the per-hop inner loop of the simulator.
+  // Inline: every frame a host builds, and the oracle, go through these.
   void serialize(ByteWriter& w) const {
     std::byte* p = w.raw(kSize);
     for (std::size_t i = 0; i < 6; ++i) {

@@ -1,32 +1,28 @@
-// Whole-packet composition and parsing.
+// Whole-packet composition: the frame builder and the byte oracle.
 //
-// A Packet is the parsed (struct) form of a frame: Ethernet + IPv4 + UDP +
-// optional NetClone header + opaque application payload. Hosts and the
-// switch model all work on Packet and serialize back to raw bytes at the
-// wire boundary — mirroring the parser/deparser split of a PISA pipeline.
-//
-// Two serialization paths exist:
-//   * serialize() — the legacy oracle: rebuilds the whole frame and
-//     recomputes every length and checksum from scratch. Observation
-//     boundaries (pcap, tests, parse-error injection) use this.
-//   * serialize_pooled() — the one build path for the data plane. A
-//     Packet parsed from a FrameHandle stays "backed" by its source
-//     buffer; the deparser diffs the current header fields against the
-//     backing bytes and patches only the dirty ones in place, updating
-//     the IPv4 and UDP checksums incrementally per RFC 1624 (a shared
-//     frame is copied whole, from its own pool, before it is patched).
-//     Anything else — a packet a host builds, or a backed one whose
-//     layout changed — is built fresh into one contiguous pooled frame.
-// The two are byte-equivalent; tests/test_framebuf.cpp holds the property.
+// A Packet is the struct form of a frame: Ethernet + IPv4 + UDP + optional
+// NetClone header + opaque application payload. The data path does not
+// work on it: switches, hosts and the LÆDGE coordinator read and rewrite
+// frames in place through wire::PacketView (packet_view.hpp). Packet is
+//   * the builder — serialize_pooled() writes the header stack and then
+//     the payload, or an RPC body written straight into the frame, into
+//     one fresh pooled buffer and computes the UDP checksum. Every frame a
+//     host sends is built this way;
+//   * the oracle — serialize() rebuilds a frame from scratch and parse()
+//     reads one back. Observation boundaries (pcap, tests, parse-error
+//     injection) use them, and tests/test_framebuf.cpp holds the view's
+//     in-place writes and the pooled builder byte-identical to them.
 #pragma once
 
 #include <optional>
 
+#include "common/check.hpp"
 #include "wire/bytes.hpp"
 #include "wire/ethernet.hpp"
 #include "wire/framebuf.hpp"
 #include "wire/ipv4.hpp"
 #include "wire/netclone_header.hpp"
+#include "wire/packet_view.hpp"
 #include "wire/udp.hpp"
 
 namespace netclone::wire {
@@ -39,32 +35,41 @@ class Packet {
   std::optional<NetCloneHeader> netclone{};
   PayloadRef payload{};
 
-  /// Parses a full frame into an unbacked packet (the payload is copied).
+  /// Parses a full frame (the payload is copied).
   /// Throws CodecError on malformed input. The NetClone header is parsed
   /// iff either UDP port equals kNetClonePort.
   [[nodiscard]] static Packet parse(std::span<const std::byte> frame);
 
-  /// Parses a pooled frame into a backed packet: the handle is retained,
-  /// the payload is a zero-copy view, and serialize_pooled() can patch the
-  /// source bytes instead of rebuilding them. (Named, not overloaded: a
-  /// Frame converts implicitly to both span and FrameHandle.)
+  /// parse() of a pooled frame, with the payload as a zero-copy view
+  /// that pins the frame. (Named, not overloaded: a Frame converts
+  /// implicitly to both span and FrameHandle.)
   [[nodiscard]] static Packet parse_backed(const FrameHandle& frame);
 
   /// Serializes to wire bytes, recomputing every length and checksum
   /// (IPv4 total_length + header checksum, UDP length + checksum).
   [[nodiscard]] Frame serialize() const;
 
-  /// Serializes into a pooled frame. Backed packets with an untouched
-  /// payload take the in-place patch path (copy-on-write when the buffer
-  /// is shared); everything else is a full build into a pooled buffer.
-  /// The returned handle shares bytes with this packet's backing, so
-  /// emitting to N ports is N refcount bumps, not N frames.
-  [[nodiscard]] FrameHandle serialize_pooled();
+  /// serialize(), into one fresh pooled frame.
+  [[nodiscard]] FrameHandle serialize_pooled() const {
+    return serialize_pooled(payload.size(),
+                            [this](ByteWriter& w) { w.bytes(payload); });
+  }
+  /// Builds one fresh pooled frame with this packet's headers and a
+  /// `body_size`-byte payload that `write_body(ByteWriter&)` writes
+  /// straight into the frame (this packet's own payload is not used).
+  template <typename WriteBody>
+  [[nodiscard]] FrameHandle serialize_pooled(std::size_t body_size,
+                                             WriteBody&& write_body) const {
+    FrameHandle frame = write_headers(body_size);
+    std::byte* bytes = frame.writable();
+    ByteWriter w{std::span<std::byte>{bytes + header_size(), body_size}};
+    write_body(w);
+    NETCLONE_CHECK(w.written() == body_size, "frame body size mismatch");
+    seal_udp_checksum(bytes, frame.size());
+    return frame;
+  }
 
   [[nodiscard]] bool has_netclone() const { return netclone.has_value(); }
-
-  /// True when this packet retains the buffer it was parsed from.
-  [[nodiscard]] bool backed() const { return static_cast<bool>(backing_); }
 
   /// Mutable access that fails loudly instead of dereferencing empty state.
   [[nodiscard]] NetCloneHeader& nc();
@@ -80,13 +85,11 @@ class Packet {
   }
 
  private:
-  [[nodiscard]] FrameHandle build_pooled() const;
-  /// Diff-and-patch the backing header region; false when the fast path
-  /// does not apply (layout changed, foreign checksums, ...).
-  [[nodiscard]] bool patch_backing();
-
-  FrameHandle backing_{};
-  std::uint16_t backed_header_len_ = 0;
+  /// A unique pooled frame for a `body_size`-byte payload, with the header
+  /// stack written and the UDP checksum still zero.
+  [[nodiscard]] FrameHandle write_headers(std::size_t body_size) const;
+  /// Computes the UDP checksum of a complete frame into its header.
+  static void seal_udp_checksum(std::byte* frame, std::size_t size);
 };
 
 /// Receive-path integrity check: verifies the IPv4 header checksum and

@@ -111,9 +111,9 @@ Frame FrameHandle::to_frame() const {
   return Frame{b.begin(), b.end()};
 }
 
-std::byte* FrameHandle::writable(std::uint32_t tolerated_refs) {
+std::byte* FrameHandle::writable() {
   NETCLONE_CHECK(buf_ != nullptr, "empty frame handle");
-  if (buf_->refs > tolerated_refs) {
+  if (buf_->refs > 1) {
     FrameBuf* fresh = buf_->pool->acquire(buf_->size);
     std::memcpy(fresh->data(), buf_->data(), buf_->size);
     reset();

@@ -10,9 +10,9 @@
 //     pooled frame. Copies share bytes (multicast fan-out is a refcount
 //     bump); mutating a shared frame first copies the whole frame (at
 //     most 138 bytes for the RPCs modeled here) from its own pool;
-//   * PayloadRef — Packet's payload as either owned bytes (built packets)
-//     or a view pinning the backing buffer (parsed packets), so parsing a
-//     frame no longer copies the application payload.
+//   * PayloadRef — a payload as either owned bytes (built packets) or a
+//     view pinning a received frame's buffer, so a host queues a request
+//     without copying its application payload.
 //
 // Everything here is single-threaded, like the event engine: refcounts are
 // plain integers, and determinism is unaffected because sharing never
@@ -190,12 +190,11 @@ class FrameHandle {
   /// parse).
   [[nodiscard]] Frame to_frame() const;
 
-  /// Write access to the whole frame with copy-on-write: when more than
-  /// `tolerated_refs` references share the buffer (a backed Packet
-  /// legitimately holds two — its backing handle and its payload view),
-  /// this handle first moves to a private copy of the frame taken from
-  /// the buffer's own pool, and the other holders keep the old bytes.
-  [[nodiscard]] std::byte* writable(std::uint32_t tolerated_refs = 1);
+  /// Write access to the whole frame with copy-on-write: when other
+  /// handles share the buffer, this handle first moves to a private copy
+  /// of the frame taken from the buffer's own pool, and the other holders
+  /// keep the old bytes.
+  [[nodiscard]] std::byte* writable();
 
   /// Reference count of the buffer.
   [[nodiscard]] std::uint32_t use_count() const {
@@ -231,9 +230,8 @@ static_assert(sizeof(FrameHandle) == sizeof(FrameBuf*),
               "a frame handle is one pointer");
 
 /// A packet payload: owned bytes for built packets, or a zero-copy view
-/// into the backing frame for parsed packets. The view mode pins the
-/// backing buffer, so the span stays valid for the payload's lifetime
-/// (header patching never touches payload bytes).
+/// into a received frame. The view mode pins the frame's buffer, so the
+/// span stays valid for the payload's lifetime.
 class PayloadRef {
  public:
   PayloadRef() = default;
@@ -268,11 +266,6 @@ class PayloadRef {
   }
 
   [[nodiscard]] bool is_view() const { return is_view_; }
-  /// True when this payload is the untouched parse-time view into the
-  /// buffer `backing` also refers to — the fast-path precondition.
-  [[nodiscard]] bool views_buffer_of(const FrameHandle& backing) const {
-    return is_view_ && keepalive_.shares_buffer_with(backing);
-  }
 
   /// Owned copy of the payload bytes.
   [[nodiscard]] Frame to_frame() const {

@@ -1,8 +1,9 @@
 // IPv4 header with real Internet-checksum math.
 //
 // The NetClone switch rewrites the destination IP of requests (AddrT) and so
-// must incrementally fix the header checksum, exactly as the P4 deparser
-// does on hardware; tests verify the rewritten packets still checksum clean.
+// must incrementally fix the header checksum, as the P4 deparser does on
+// hardware (wire::PacketView's setters); tests verify the rewritten packets
+// still checksum clean.
 #pragma once
 
 #include <compare>
@@ -52,9 +53,8 @@ struct Ipv4Header {
   /// ignored on write and updated to the computed value).
   void serialize(ByteWriter& w);
 
-  /// Serializes with a caller-chosen checksum value (in-place patching
-  /// writes the old bytes as placeholders, then fixes them incrementally).
-  /// Inline: the header codecs are the per-hop inner loop of the simulator.
+  /// Serializes with a caller-chosen checksum value (compute_checksum
+  /// writes zero).
   void serialize_with_checksum(ByteWriter& w, std::uint16_t checksum) const {
     std::byte* p = w.raw(kSize);
     store_u8(p, 0, 0x45);  // version 4, IHL 5

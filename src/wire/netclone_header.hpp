@@ -39,6 +39,11 @@ enum class MsgType : std::uint8_t {
   kChainSync = 5,
 };
 
+/// REQ and WREQ: the message types a switch steers toward a worker.
+[[nodiscard]] constexpr bool is_request(MsgType type) {
+  return type == MsgType::kRequest || type == MsgType::kWriteRequest;
+}
+
 /// CLO field values (§3.2).
 enum class CloneStatus : std::uint8_t {
   kNotCloned = 0,       // request was not replicated
@@ -64,7 +69,10 @@ struct NetCloneHeader {
   std::uint8_t frag_idx = 0;
   std::uint8_t frag_count = 1;
 
-  // Inline: the header codecs are the per-hop inner loop of the simulator.
+  friend bool operator==(const NetCloneHeader&,
+                         const NetCloneHeader&) = default;
+
+  // Inline: every frame a host builds, and the oracle, go through these.
   void serialize(ByteWriter& w) const {
     std::byte* p = w.raw(kSize);
     store_u8(p, 0, static_cast<std::uint8_t>(type));
@@ -82,18 +90,30 @@ struct NetCloneHeader {
   }
   [[nodiscard]] static NetCloneHeader parse(ByteReader& r) {
     const std::byte* p = r.raw(kSize);
+    check(p);
+    return load(p);
+  }
+  /// Throws CodecError unless the kSize bytes at `p` carry a known TYPE, a
+  /// known CLO and a fragment ordinal below a non-zero count.
+  static void check(const std::byte* p) {
     const std::uint8_t type = load_u8(p, 0);
     if (type < static_cast<std::uint8_t>(MsgType::kRequest) ||
         type > static_cast<std::uint8_t>(MsgType::kChainSync)) {
       throw CodecError{"bad NetClone TYPE"};
     }
-    const std::uint8_t clo = load_u8(p, 1);
-    if (clo > 2) {
+    if (load_u8(p, 1) > 2) {
       throw CodecError{"bad NetClone CLO"};
     }
+    const std::uint8_t frag_count = load_u8(p, 20);
+    if (frag_count == 0 || load_u8(p, 19) >= frag_count) {
+      throw CodecError{"bad NetClone fragment fields"};
+    }
+  }
+  /// Loads the fields of a header check() accepted.
+  [[nodiscard]] static NetCloneHeader load(const std::byte* p) {
     NetCloneHeader h;
-    h.type = static_cast<MsgType>(type);
-    h.clo = static_cast<CloneStatus>(clo);
+    h.type = static_cast<MsgType>(load_u8(p, 0));
+    h.clo = static_cast<CloneStatus>(load_u8(p, 1));
     h.grp = load_u16(p, 2);
     h.req_id = load_u32(p, 4);
     h.sid = load_u8(p, 8);
@@ -104,15 +124,10 @@ struct NetCloneHeader {
     h.client_seq = load_u32(p, 15);
     h.frag_idx = load_u8(p, 19);
     h.frag_count = load_u8(p, 20);
-    if (h.frag_count == 0 || h.frag_idx >= h.frag_count) {
-      throw CodecError{"bad NetClone fragment fields"};
-    }
     return h;
   }
 
-  [[nodiscard]] bool is_request() const {
-    return type == MsgType::kRequest || type == MsgType::kWriteRequest;
-  }
+  [[nodiscard]] bool is_request() const { return wire::is_request(type); }
   [[nodiscard]] bool is_cancel() const { return type == MsgType::kCancel; }
   [[nodiscard]] bool is_chain_sync() const {
     return type == MsgType::kChainSync;

@@ -58,7 +58,7 @@ RpcResponse RpcResponse::parse(ByteReader& r) {
 
 Frame RpcResponse::to_frame() const {
   Frame f;
-  f.reserve(11 + value.size());
+  f.reserve(wire_size());
   ByteWriter w{f};
   serialize(w);
   return f;

@@ -56,6 +56,8 @@ struct RpcResponse {
   /// GET: the object value; SCAN: an 8-byte digest; SYNTHETIC/SET: empty.
   Frame value{};
 
+  /// Serialized size: a fixed 11 bytes plus the value.
+  [[nodiscard]] std::size_t wire_size() const { return 11 + value.size(); }
   void serialize(ByteWriter& w) const;
   [[nodiscard]] static RpcResponse parse(ByteReader& r);
   [[nodiscard]] Frame to_frame() const;

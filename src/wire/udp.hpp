@@ -20,7 +20,7 @@ struct UdpHeader {
   std::uint16_t length = 0;  // header + payload
   std::uint16_t checksum = 0;
 
-  // Inline: the header codecs are the per-hop inner loop of the simulator.
+  // Inline: every frame a host builds, and the oracle, go through these.
   void serialize(ByteWriter& w) const {
     std::byte* p = w.raw(kSize);
     store_u16(p, 0, src_port);

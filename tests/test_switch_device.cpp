@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/l3_program.hpp"
 #include "phys/topology.hpp"
 #include "pisa/resources.hpp"
 #include "test_util.hpp"
@@ -20,7 +21,7 @@ class EchoProgram : public SwitchProgram {
   EchoProgram(Pipeline& pipeline, std::size_t out_port)
       : counter_(pipeline, "count", 0), out_port_(out_port) {}
 
-  void on_ingress(wire::Packet&, PacketMetadata& md,
+  void on_ingress(wire::PacketView&, PacketMetadata& md,
                   PipelinePass& pass) override {
     (void)counter_.execute(pass, [](std::uint32_t& c) { return ++c; });
     md.egress_port = out_port_;
@@ -36,9 +37,9 @@ class EchoProgram : public SwitchProgram {
 /// Multicasts requests to group 1, drops responses.
 class McastProgram : public SwitchProgram {
  public:
-  void on_ingress(wire::Packet& pkt, PacketMetadata& md,
+  void on_ingress(wire::PacketView& pkt, PacketMetadata& md,
                   PipelinePass&) override {
-    if (pkt.has_netclone() && pkt.nc().is_response()) {
+    if (pkt.has_netclone() && pkt.type() == wire::MsgType::kResponse) {
       md.drop = true;
       return;
     }
@@ -54,10 +55,10 @@ class RecircProgram : public SwitchProgram {
   RecircProgram(std::size_t loopback, std::size_t out)
       : loopback_(loopback), out_(out) {}
 
-  void on_ingress(wire::Packet& pkt, PacketMetadata& md,
+  void on_ingress(wire::PacketView& pkt, PacketMetadata& md,
                   PipelinePass&) override {
     if (md.is_recirculated) {
-      pkt.nc().sid = 99;
+      pkt.set_sid(99);
       md.egress_port = out_;
     } else {
       md.egress_port = loopback_;
@@ -67,6 +68,24 @@ class RecircProgram : public SwitchProgram {
 
  private:
   std::size_t loopback_;
+  std::size_t out_;
+};
+
+/// Rewrites the IPv4 destination, as a cloning or scheduling switch does.
+class RewriteDstProgram : public SwitchProgram {
+ public:
+  RewriteDstProgram(wire::Ipv4Address dst, std::size_t out)
+      : dst_(dst), out_(out) {}
+
+  void on_ingress(wire::PacketView& pkt, PacketMetadata& md,
+                  PipelinePass&) override {
+    pkt.set_ip_dst(dst_);
+    md.egress_port = out_;
+  }
+  [[nodiscard]] const char* name() const override { return "RewriteDst"; }
+
+ private:
+  wire::Ipv4Address dst_;
   std::size_t out_;
 };
 
@@ -129,8 +148,8 @@ TEST(SwitchDevice, NoProgramDropsEverything) {
 
 TEST(SwitchDevice, ProgramWithoutDecisionCountsDrop) {
   class NullProgram : public SwitchProgram {
-    void on_ingress(wire::Packet&, PacketMetadata&, PipelinePass&) override {
-    }
+    void on_ingress(wire::PacketView&, PacketMetadata&,
+                    PipelinePass&) override {}
     [[nodiscard]] const char* name() const override { return "Null"; }
   };
   Rig rig;
@@ -309,6 +328,57 @@ TEST(SwitchDevice, PipelineFlushRestoresTheEgressLink) {
   EXPECT_EQ(rig.sw->stats().tx_frames, 1U);
   EXPECT_EQ(rig.to_b->stats().tx_frames, 1U);
   expect_conserved(rig.sw->stats());
+}
+
+// A pass forwards what its program does not rewrite byte for byte. A
+// length field the link corrupted is neither healed nor rewritten, so the
+// receiver's checksum check still rejects the frame.
+TEST(SwitchDevice, CorruptedLengthFieldsCrossAPassUntouched) {
+  Rig rig;
+  auto program =
+      std::make_shared<baselines::L3ForwardProgram>(rig.sw->pipeline());
+  program->add_route(host::service_vip(), rig.port_b);
+  rig.sw->load_program(program);
+  const wire::Frame clean = make_request(0, 1, 0, 0).serialize();
+  std::size_t flips = 0;
+  // IPv4 total length, IPv4 flags + fragment offset, UDP length.
+  for (const std::size_t off : {16U, 17U, 20U, 21U, 38U, 39U}) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(off) + " bit " +
+                   std::to_string(bit));
+      wire::Frame sent = clean;
+      sent[off] ^= static_cast<std::byte>(1U << bit);
+      rig.b->received.clear();
+      rig.a->transmit(0, sent);
+      rig.sim.run();
+      ASSERT_EQ(rig.b->received.size(), 1U);
+      const wire::Frame& got = rig.b->received.front().frame;
+      EXPECT_EQ(got, sent);
+      EXPECT_FALSE(wire::verify_frame_checksums(got));
+      ++flips;
+    }
+  }
+  EXPECT_EQ(flips, 48U);
+}
+
+// RFC 768: a zero UDP checksum means the sender computed none. A pass
+// that rewrites a field the checksum covers keeps it zero, and the
+// receiver accepts the frame.
+TEST(SwitchDevice, ZeroUdpChecksumStaysZeroAcrossARewrite) {
+  Rig rig;
+  const wire::Ipv4Address dst = host::server_ip(ServerId{3});
+  rig.sw->load_program(std::make_shared<RewriteDstProgram>(dst, rig.port_b));
+  wire::Frame sent = make_request(0, 1, 0, 0).serialize();
+  constexpr std::size_t kUdpChecksum = 40;
+  sent[kUdpChecksum] = std::byte{0};
+  sent[kUdpChecksum + 1] = std::byte{0};
+  rig.a->transmit(0, sent);
+  rig.sim.run();
+  ASSERT_EQ(rig.b->received.size(), 1U);
+  const wire::Frame& got = rig.b->received.front().frame;
+  EXPECT_EQ(wire::peek_u16(got, kUdpChecksum), 0U);
+  EXPECT_EQ(wire::Packet::parse(got).ip.dst, dst);
+  EXPECT_TRUE(wire::verify_frame_checksums(got));
 }
 
 }  // namespace

@@ -83,7 +83,10 @@ inline wire::Packet make_response(ServerId sid, std::uint16_t qlen,
   return resp;
 }
 
-/// Runs one packet through a switch program with fresh pass/metadata.
+/// Runs one packet through a switch program with fresh pass/metadata, as
+/// the switch does: the packet is serialized, the program works on a
+/// PacketView of the frame, and `pkt` is parsed back from the view's
+/// frame.
 inline pisa::PacketMetadata run_ingress(pisa::SwitchProgram& program,
                                         pisa::Pipeline& pipeline,
                                         wire::Packet& pkt,
@@ -93,7 +96,9 @@ inline pisa::PacketMetadata run_ingress(pisa::SwitchProgram& program,
   md.ingress_port = ingress_port;
   md.is_recirculated = recirculated;
   pisa::PipelinePass pass{pipeline};
-  program.on_ingress(pkt, md, pass);
+  wire::PacketView view{wire::FrameHandle{pkt.serialize()}};
+  program.on_ingress(view, md, pass);
+  pkt = wire::Packet::parse(view.frame().bytes());
   return md;
 }
 
