@@ -5,11 +5,16 @@
 // reports. Durations scale with NETCLONE_BENCH_SCALE (default 1.0).
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <ostream>
+#include <string_view>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
+#include "harness/testbed.hpp"
 #include "host/service.hpp"
 #include "host/workload.hpp"
 
@@ -44,11 +49,10 @@ inline double synthetic_capacity(const harness::ClusterConfig& cfg,
                                        mean_us * jitter.mean_inflation());
 }
 
-/// The Fig. 7 point bench_packet_path and bench_pisa_pipeline time end
-/// to end: NetClone, Exp(25) with high variability, 80% load, and a fixed
-/// 2 + 20 + 10 ms window that NETCLONE_BENCH_SCALE does not scale, so the
-/// completions, p99 and event count the bench gate pins hold at any
-/// scale.
+/// The Fig. 7 point bench_packet_path times end to end: NetClone, Exp(25)
+/// with high variability, 80% load, and a fixed 2 + 20 + 10 ms window that
+/// NETCLONE_BENCH_SCALE does not scale, so the completions, p99 and work
+/// counts the bench gate pins hold at any scale.
 inline harness::ClusterConfig fig7_point() {
   harness::ClusterConfig cfg = synthetic_cluster(
       std::make_shared<host::ExponentialWorkload>(25.0), high_variability());
@@ -58,6 +62,78 @@ inline harness::ClusterConfig fig7_point() {
   cfg.drain = SimTime::milliseconds(10);
   cfg.offered_rps = 0.8 * synthetic_capacity(cfg, 25.0, high_variability());
   return cfg;
+}
+
+/// The work one run did, as totals over its testbed's registries. The
+/// simulator is deterministic, so each count is exact on any machine, and
+/// a change that adds work to every request moves at least one of them.
+struct WorkCounts {
+  std::uint64_t requests_sent = 0;    // by the clients, retransmits apart
+  std::uint64_t executed_events = 0;  // by the event engine
+  std::uint64_t frames = 0;           // sent on links, both directions
+  std::uint64_t pool_acquires = 0;    // buffers taken from the frame pool
+  std::uint64_t passes = 0;           // switch pipeline passes
+  std::uint64_t recirculated = 0;     // passes that sent a copy round again
+  std::uint64_t cloned = 0;           // requests a NetClone program cloned
+  std::uint64_t filtered = 0;         // slower responses it dropped
+
+  bool operator==(const WorkCounts&) const = default;
+};
+
+inline WorkCounts work_counts(const harness::Testbed& testbed) {
+  WorkCounts w;
+  for (const host::Client* client : testbed.clients()) {
+    w.requests_sent += client->stats().requests_sent;
+  }
+  w.executed_events = testbed.executed_events();
+  for (const auto& [name, link] : testbed.links()) {
+    w.frames += link->stats().tx_frames;
+  }
+  for (const wire::FramePool::Stats& pool : testbed.frame_pool_stats()) {
+    w.pool_acquires += pool.acquired;
+  }
+  for (const auto& [name, device] : testbed.switches()) {
+    w.passes += device->stats().rx_frames;
+    w.recirculated += device->stats().recirculated;
+  }
+  for (const auto& [name, program] : testbed.netclone_programs()) {
+    w.cloned += program->stats().cloned_requests;
+    w.filtered += program->stats().filtered_responses;
+  }
+  return w;
+}
+
+/// Writes `w` as BENCH JSON members `"<point>_<key>": <total>,`, one a
+/// line, and prints each count per request sent. The keys carry the layer
+/// prefixes of benchmark/'s traced rows; the clone count's key is
+/// `cloned_key`, so a point that pinned it under an older name keeps it.
+inline void write_work_counts(std::ostream& json, std::string_view point,
+                              const WorkCounts& w,
+                              std::string_view cloned_key) {
+  const struct {
+    std::string_view key;
+    std::uint64_t total;
+  } rows[] = {
+      {"requests_sent", w.requests_sent},
+      {"executed_events", w.executed_events},
+      {"phys.frames", w.frames},
+      {"wire.pool_acquires", w.pool_acquires},
+      {"pisa.passes", w.passes},
+      {"pisa.recirculated", w.recirculated},
+      {cloned_key, w.cloned},
+      {"core.filtered", w.filtered},
+  };
+  std::printf("%.*s work per request sent:\n",
+              static_cast<int>(point.size()), point.data());
+  for (const auto& row : rows) {
+    json << "  \"" << point << '_' << row.key << "\": " << row.total
+         << ",\n";
+    std::printf("  %-20.*s %10llu  %6.2f\n", static_cast<int>(row.key.size()),
+                row.key.data(), static_cast<unsigned long long>(row.total),
+                w.requests_sent > 0 ? static_cast<double>(row.total) /
+                                          static_cast<double>(w.requests_sent)
+                                    : 0.0);
+  }
 }
 
 /// Longer measurement for long-RPC workloads so tails keep enough samples.

@@ -6,9 +6,10 @@
 // killed and rejoined mid-run, and the bench reports how fast throughput
 // recovers.
 //
-// Results land in BENCH_multirack.json: the pod's simulated results and
-// the fail-over digest are exact (machine-independent), the wall clock is
-// informational.
+// Results land in BENCH_multirack.json: the pod's simulated results, its
+// work counts (requests sent, events, frames, pool acquires, pipeline
+// passes, recirculations, clones, filtered responses) and the fail-over
+// digest are exact (machine-independent), the wall clock is informational.
 //
 // Usage: bench_multirack [output.json]
 #include <chrono>
@@ -64,9 +65,8 @@ struct RunResult {
   double wall_s = 0.0;
   std::uint64_t completed = 0;
   std::int64_t p99_ns = 0;
-  std::uint64_t executed = 0;
   std::uint64_t digest = 0;
-  std::uint64_t cloned = 0;
+  bench::WorkCounts work{};
 };
 
 RunResult run_point() {
@@ -81,9 +81,10 @@ RunResult run_point() {
   NETCLONE_CHECK(report.ok(), "invariant violations:\n" + report.to_string());
   out.completed = result.completed;
   out.p99_ns = result.p99.ns();
-  out.executed = experiment.executed_events();
   out.digest = harness::chaos_digest(experiment);
-  out.cloned = result.cloned_requests;
+  out.work = bench::work_counts(experiment);
+  NETCLONE_CHECK(out.work.cloned == result.cloned_requests,
+                 "only the aggregation replicas clone in this pod");
   return out;
 }
 
@@ -91,7 +92,7 @@ RunResult best_of_3() {
   RunResult best = run_point();
   for (int i = 0; i < 2; ++i) {
     const RunResult run = run_point();
-    NETCLONE_CHECK(run.digest == best.digest,
+    NETCLONE_CHECK(run.digest == best.digest && run.work == best.work,
                    "same-config repeat runs diverged");
     if (run.wall_s < best.wall_s) {
       best = run;
@@ -173,7 +174,8 @@ int main(int argc, char** argv) {
               hw_threads);
 
   const RunResult pod = best_of_3();
-  NETCLONE_CHECK(pod.cloned > 0, "replicated aggregation tier cloned nothing");
+  NETCLONE_CHECK(pod.work.cloned > 0,
+                 "replicated aggregation tier cloned nothing");
 
   // Fail-over recovery: the timeline is simulated, so the digest and the
   // recovery time are machine-independent.
@@ -184,13 +186,10 @@ int main(int argc, char** argv) {
   std::printf("  recovered to 90%% of pre-crash throughput in %.0f us\n",
               failover.recovery_us);
 
-  std::printf("pod point (%llu completed, p99 %lld ns, %llu events, "
-              "%llu cloned):\n",
+  std::printf("pod point (%llu completed, p99 %lld ns):\n",
               static_cast<unsigned long long>(pod.completed),
-              static_cast<long long>(pod.p99_ns),
-              static_cast<unsigned long long>(pod.executed),
-              static_cast<unsigned long long>(pod.cloned));
-  std::printf("  %8.3f s wall\n", pod.wall_s);
+              static_cast<long long>(pod.p99_ns));
+  std::printf("  %8.3f s wall\n\n", pod.wall_s);
 
   std::ofstream out{out_path};
   out << "{\n"
@@ -199,10 +198,9 @@ int main(int argc, char** argv) {
       << "  \"hw_threads\": " << hw_threads << ",\n"
       << "  \"multirack_completed\": " << pod.completed << ",\n"
       << "  \"multirack_p99_ns\": " << pod.p99_ns << ",\n"
-      << "  \"multirack_executed_events\": " << pod.executed << ",\n"
-      << "  \"multirack_digest\": " << pod.digest << ",\n"
-      << "  \"multirack_cloned_requests\": " << pod.cloned << ",\n"
-      << "  \"multirack_failover_digest\": " << failover.digest << ",\n"
+      << "  \"multirack_digest\": " << pod.digest << ",\n";
+  bench::write_work_counts(out, "multirack", pod.work, "cloned_requests");
+  out << "  \"multirack_failover_digest\": " << failover.digest << ",\n"
       << "  \"multirack_failover_recovery_us\": " << failover.recovery_us
       << ",\n"
       << "  \"multirack_wall_seconds\": " << pod.wall_s << "\n"

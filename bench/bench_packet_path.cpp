@@ -1,22 +1,19 @@
-// Packet-path throughput: the zero-copy frame layer vs the legacy
-// re-materializing path, plus the Figure-7 digest pins.
+// Packet-path throughput of the zero-copy frame layer, plus the work the
+// Figure-7 point does per request.
 //
-//   * per-hop: the switch-hop cycle (parse -> header rewrite -> deparse) on
-//     one frame, in frames per second. "legacy" linearizes the frame into
-//     vectors at parse (Packet::parse over to_frame()) and rebuilds +
-//     copies it back into a handle at deparse (serialize()) — the data
-//     path without the zero-copy layer. The fast path is the hop the
-//     switch runs: it opens a PacketView on the pooled buffer, writes the
-//     fields in place (RFC 1624 incremental checksums) and takes the
-//     frame.
-//   * multicast: one packet replicated to 8 ports. Legacy serializes per
-//     port; the fast path opens a view, takes the frame and bumps a
-//     refcount per port.
-//   * end-to-end: one Figure-7-style NetClone experiment, wall-clocked.
-//     Its completions, p99 and executed-event count are the fig7 digest
-//     keys the bench gate pins exactly.
+//   * per-hop: the switch-hop cycle on one frame, in frames per second: open
+//     a PacketView on the pooled buffer, write the fields in place (RFC 1624
+//     incremental checksums) and take the frame.
+//   * multicast: one packet replicated to 8 ports: open a view, take the
+//     frame and bump a refcount per port.
+//   * end-to-end: bench::fig7_point(), wall-clocked best of 3. Its
+//     completions, p99 and work counts (requests sent, events, frames,
+//     pool acquires, pipeline passes, recirculations, clones, filtered
+//     responses) are exact keys the bench gate pins.
 //
-// Every timed section is best-of-3. Results land in BENCH_packet_path.json.
+// Before timing, one hop's bytes are checked against the Packet::serialize()
+// oracle the tests also hold the view to. The rates and the wall clock are
+// info rows. Results land in BENCH_packet_path.json.
 //
 // Usage: bench_packet_path [output.json]  (default: BENCH_packet_path.json)
 #include <chrono>
@@ -76,7 +73,7 @@ void mutate_hop(wire::PacketView& pkt, std::uint32_t i) {
 
 /// One switch-hop cycle over a FrameHandle, zero-copy: a view over the
 /// pooled buffer, fields written in place.
-double bench_per_hop_fast(std::size_t iters, std::size_t payload_size) {
+double bench_per_hop(std::size_t iters, std::size_t payload_size) {
   wire::FrameHandle frame{sample_packet(payload_size).serialize()};
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
@@ -89,43 +86,10 @@ double bench_per_hop_fast(std::size_t iters, std::size_t payload_size) {
   return static_cast<double>(iters) / elapsed;
 }
 
-/// The same cycle without the zero-copy layer: every hop linearizes the
-/// frame to vectors and rebuilds it into a fresh handle.
-double bench_per_hop_legacy(std::size_t iters, std::size_t payload_size) {
-  wire::FrameHandle frame{sample_packet(payload_size).serialize()};
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) {
-    wire::Packet pkt = wire::Packet::parse(frame.to_frame());
-    frame.reset();
-    mutate_hop(pkt, static_cast<std::uint32_t>(i));
-    frame = wire::FrameHandle{pkt.serialize()};
-  }
-  const double elapsed = seconds_since(start);
-  NETCLONE_CHECK(!frame.empty(), "sink");
-  return static_cast<double>(iters) / elapsed;
-}
-
 constexpr std::size_t kFanOut = 8;
 
-/// Seed-era multicast: the packet is re-serialized once per output port.
-double bench_multicast_legacy(std::size_t iters, std::size_t payload_size) {
-  const wire::Frame frame = sample_packet(payload_size).serialize();
-  const wire::Packet pkt = wire::Packet::parse(frame);
-  std::size_t sink = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) {
-    for (std::size_t p = 0; p < kFanOut; ++p) {
-      const wire::Frame copy = pkt.serialize();
-      sink += copy.size();
-    }
-  }
-  const double elapsed = seconds_since(start);
-  NETCLONE_CHECK(sink > 0, "sink");
-  return static_cast<double>(iters * kFanOut) / elapsed;
-}
-
 /// Zero-copy multicast: one view, then one refcount bump per port.
-double bench_multicast_fast(std::size_t iters, std::size_t payload_size) {
+double bench_multicast(std::size_t iters, std::size_t payload_size) {
   const wire::FrameHandle incoming{sample_packet(payload_size).serialize()};
   std::size_t sink = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -145,7 +109,7 @@ double bench_multicast_fast(std::size_t iters, std::size_t payload_size) {
 struct E2e {
   double wall_s = 0.0;
   harness::ExperimentResult result{};
-  std::uint64_t executed = 0;
+  bench::WorkCounts work{};
   wire::FramePool::Stats pool{};  // the experiment's own frame pool
 };
 
@@ -155,8 +119,8 @@ E2e run_fig7_point() {
   harness::Experiment experiment{bench::fig7_point()};
   E2e out;
   out.result = experiment.run();
-  out.executed = experiment.executed_events();
   out.wall_s = seconds_since(start);
+  out.work = bench::work_counts(experiment);
   out.pool = experiment.frame_pool_stats().front();
   return out;
 }
@@ -176,15 +140,16 @@ int main(int argc, char** argv) {
   const std::string out_path =
       argc > 1 ? argv[1] : "BENCH_packet_path.json";
 
-  // Sanity first: both paths must emit identical bytes for one hop.
+  // Sanity first: a hop through the view must emit the bytes the
+  // Packet::serialize() oracle builds for the same rewrites.
   {
     const wire::Frame frame = sample_packet(128).serialize();
-    wire::Packet legacy = wire::Packet::parse(frame);
-    wire::PacketView fast{wire::FrameHandle::copy_of(frame)};
-    mutate_hop(legacy, 7);
-    mutate_hop(fast, 7);
-    NETCLONE_CHECK(fast.frame().to_frame() == legacy.serialize(),
-                   "fast path bytes diverge from the legacy oracle");
+    wire::Packet oracle = wire::Packet::parse(frame);
+    wire::PacketView view{wire::FrameHandle::copy_of(frame)};
+    mutate_hop(oracle, 7);
+    mutate_hop(view, 7);
+    NETCLONE_CHECK(view.frame().to_frame() == oracle.serialize(),
+                   "view bytes diverge from the serialize() oracle");
   }
 
   constexpr std::size_t kHopIters = 400000;
@@ -193,23 +158,13 @@ int main(int argc, char** argv) {
 
   std::printf("packet path bench: payload %zu B, best of 3\n\n", kPayload);
 
-  const double hop_legacy =
-      best_of_3([] { return bench_per_hop_legacy(kHopIters, kPayload); });
-  const double hop_fast =
-      best_of_3([] { return bench_per_hop_fast(kHopIters, kPayload); });
-  std::printf("per-hop (parse+mutate+deparse):\n");
-  std::printf("  legacy : %12.0f frames/s\n", hop_legacy);
-  std::printf("  fast   : %12.0f frames/s   (%.2fx)\n\n", hop_fast,
-              hop_fast / hop_legacy);
-
-  const double mc_legacy = best_of_3(
-      [] { return bench_multicast_legacy(kMcastIters, kPayload); });
-  const double mc_fast =
-      best_of_3([] { return bench_multicast_fast(kMcastIters, kPayload); });
-  std::printf("multicast x%zu (copies emitted):\n", kFanOut);
-  std::printf("  legacy : %12.0f frames/s\n", mc_legacy);
-  std::printf("  fast   : %12.0f frames/s   (%.2fx)\n\n", mc_fast,
-              mc_fast / mc_legacy);
+  const double hop =
+      best_of_3([] { return bench_per_hop(kHopIters, kPayload); });
+  std::printf("per-hop (view + in-place rewrite): %12.0f frames/s\n", hop);
+  const double mc =
+      best_of_3([] { return bench_multicast(kMcastIters, kPayload); });
+  std::printf("multicast x%zu (copies emitted):  %12.0f frames/s\n\n",
+              kFanOut, mc);
 
   std::printf("end-to-end (fig7-style NetClone point, wall clock, "
               "best of 3):\n");
@@ -219,15 +174,13 @@ int main(int argc, char** argv) {
     // Reruns must reproduce the simulated results exactly.
     NETCLONE_CHECK(again.result.completed == fig7.result.completed &&
                        again.result.p99 == fig7.result.p99 &&
-                       again.executed == fig7.executed,
+                       again.work == fig7.work,
                    "fig7 rerun changed simulated behavior");
     fig7.wall_s = std::min(fig7.wall_s, again.wall_s);
   }
-  std::printf("  %8.3f s wall  (%llu completed, p99 %s, %llu events)\n\n",
-              fig7.wall_s,
+  std::printf("  %8.3f s wall  (%llu completed, p99 %s)\n\n", fig7.wall_s,
               static_cast<unsigned long long>(fig7.result.completed),
-              to_string(fig7.result.p99).c_str(),
-              static_cast<unsigned long long>(fig7.executed));
+              to_string(fig7.result.p99).c_str());
 
   const wire::FramePool::Stats& pool = fig7.pool;
   std::printf("fig7 point frame pool: %llu acquires, %llu recycled "
@@ -244,18 +197,13 @@ int main(int argc, char** argv) {
   out << "{\n"
       << "  \"bench\": \"packet_path\",\n"
       << "  \"unit\": \"frames_per_second\",\n"
-      << "  \"per_hop_fast\": " << static_cast<std::uint64_t>(hop_fast)
-      << ",\n"
-      << "  \"per_hop_legacy\": " << static_cast<std::uint64_t>(hop_legacy)
-      << ",\n"
-      << "  \"multicast8_fast\": " << static_cast<std::uint64_t>(mc_fast)
-      << ",\n"
-      << "  \"multicast8_legacy\": " << static_cast<std::uint64_t>(mc_legacy)
-      << ",\n"
+      << "  \"per_hop\": " << static_cast<std::uint64_t>(hop) << ",\n"
+      << "  \"multicast8\": " << static_cast<std::uint64_t>(mc) << ",\n"
       << "  \"fig7_completed\": " << fig7.result.completed << ",\n"
-      << "  \"fig7_p99_ns\": " << fig7.result.p99.ns() << ",\n"
-      << "  \"fig7_executed_events\": " << fig7.executed << ",\n"
-      << "  \"fig7_point_wall_seconds\": " << fig7.wall_s << "\n"
+      << "  \"fig7_p99_ns\": " << fig7.result.p99.ns() << ",\n";
+  std::printf("\n");
+  bench::write_work_counts(out, "fig7", fig7.work, "core.cloned");
+  out << "  \"fig7_point_wall_seconds\": " << fig7.wall_s << "\n"
       << "}\n";
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;

@@ -3,11 +3,9 @@
 //
 // The engine is the hottest path in the repository — every latency figure
 // rides on it — so its throughput trajectory is tracked from this bench
-// forward (BENCH_sim_engine.json). To keep the before/after comparison
-// honest across checkouts, the pre-arena engine (std::function actions in a
-// priority_queue plus a lazy unordered_set of cancelled ids) is
-// reimplemented here verbatim and measured side by side with the live
-// sim::Simulator.
+// forward (BENCH_sim_engine.json, info rows). The work a whole run puts on
+// the engine is pinned exactly by the executed-event counts of
+// bench_packet_path and bench_multirack.
 //
 // Usage: bench_sim_engine [output.json]   (default: BENCH_sim_engine.json)
 #include <algorithm>
@@ -15,11 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <string>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -29,83 +23,7 @@
 namespace {
 
 using netclone::SimTime;
-
-// ---------------------------------------------------------------------------
-// The pre-arena engine, kept for comparison. Mirrors the original
-// src/sim/simulator.{hpp,cpp} before the slot-map refactor.
-class LegacySimulator {
- public:
-  using Action = std::function<void()>;
-  using EventId = std::uint64_t;
-
-  [[nodiscard]] SimTime now() const { return now_; }
-
-  EventId schedule_at(SimTime when, Action action) {
-    NETCLONE_CHECK(when >= now_, "cannot schedule an event in the past");
-    const std::uint64_t seq = next_seq_++;
-    queue_.push(Event{when, seq, std::move(action)});
-    return seq;
-  }
-
-  EventId schedule_after(SimTime delay, Action action) {
-    NETCLONE_CHECK(delay >= SimTime::zero(), "negative delay");
-    return schedule_at(now_ + delay, std::move(action));
-  }
-
-  void cancel(EventId id) { cancelled_.insert(id); }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  bool step() {
-    Event ev;
-    if (!pop_one(ev)) {
-      return false;
-    }
-    now_ = ev.when;
-    ev.action();
-    return true;
-  }
-
- private:
-  struct Event {
-    SimTime when;
-    std::uint64_t seq;
-    Action action;
-  };
-
-  [[nodiscard]] bool pop_one(Event& out) {
-    while (!queue_.empty()) {
-      Event& top = const_cast<Event&>(queue_.top());
-      Event ev{top.when, top.seq, std::move(top.action)};
-      queue_.pop();
-      if (auto it = cancelled_.find(ev.seq); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      out = std::move(ev);
-      return true;
-    }
-    return false;
-  }
-
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 0;
-};
-
-// ---------------------------------------------------------------------------
+using netclone::sim::Simulator;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -115,8 +33,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// The simulation's events capture a node pointer plus a frame or a few
 /// scalars — 40-to-60 bytes (see Link::transmit, Client::handle_frame).
-/// The bench payload mirrors that: far past std::function's ~16-byte
-/// inline buffer, within EventCallback's 64.
+/// The bench payload mirrors that, within EventCallback's 64.
 struct CountPayload {
   std::uint64_t* counter;
   std::uint64_t pad[4] = {};  // representative capture bulk
@@ -125,9 +42,8 @@ struct CountPayload {
 
 /// Schedule `batch` events, run them all, repeat. Keeps a realistic queue
 /// depth and measures the plain schedule->fire cycle.
-template <typename Engine>
 double bench_schedule_fire(std::size_t batch, std::size_t rounds) {
-  Engine sim;
+  Simulator sim;
   std::uint64_t fired = 0;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
@@ -145,9 +61,8 @@ double bench_schedule_fire(std::size_t batch, std::size_t rounds) {
 
 /// `chains` events that each reschedule themselves from inside the
 /// callback — the pattern of every timer/arrival loop in the simulation.
-template <typename Engine>
 struct ChainState {
-  Engine sim;
+  Simulator sim;
   std::uint64_t fired = 0;
   std::size_t chains = 0;
   std::uint64_t total = 0;
@@ -166,15 +81,13 @@ struct ChainState {
   }
 };
 
-template <typename Engine>
 double bench_fire_chain(std::size_t chains, std::uint64_t total) {
-  ChainState<Engine> state;
+  ChainState state;
   state.chains = chains;
   state.total = total;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t c = 0; c < chains; ++c) {
-    state.sim.schedule_after(SimTime::nanoseconds(1),
-                             typename ChainState<Engine>::Hop{&state});
+    state.sim.schedule_after(SimTime::nanoseconds(1), ChainState::Hop{&state});
   }
   state.sim.run();
   const double elapsed = seconds_since(start);
@@ -186,12 +99,10 @@ double bench_fire_chain(std::size_t chains, std::uint64_t total) {
 /// Schedule `batch` events and cancel every one (the retransmit-timeout
 /// pattern: most timers are cancelled, not fired). Counts one
 /// schedule+cancel pair as one op.
-template <typename Engine>
 double bench_schedule_cancel(std::size_t batch, std::size_t rounds) {
-  Engine sim;
+  Simulator sim;
   std::uint64_t never = 0;
-  using Id = decltype(sim.schedule_at(SimTime::zero(), CountPayload{&never}));
-  std::vector<Id> ids(batch);
+  std::vector<netclone::sim::EventId> ids(batch);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
     const SimTime base = sim.now();
@@ -203,7 +114,7 @@ double bench_schedule_cancel(std::size_t batch, std::size_t rounds) {
     for (std::size_t i = 0; i < batch; ++i) {
       sim.cancel(ids[i]);
     }
-    // Drain whatever bookkeeping the engine does for cancelled events.
+    // Drain the tombstones the cancelled events leave behind.
     sim.run();
   }
   const double elapsed = seconds_since(start);
@@ -213,8 +124,7 @@ double bench_schedule_cancel(std::size_t batch, std::size_t rounds) {
 
 struct Row {
   const char* name;
-  double legacy_eps;
-  double arena_eps;
+  double events_per_second;
 };
 
 /// Best-of-N: the container this runs in is shared, so the max over a few
@@ -241,49 +151,28 @@ int main(int argc, char** argv) {
   constexpr int kReps = 3;
 
   // Warmup (page in, settle the branch predictors).
-  (void)bench_schedule_fire<netclone::sim::Simulator>(kBatch, 8);
-  (void)bench_schedule_fire<LegacySimulator>(kBatch, 8);
+  (void)bench_schedule_fire(kBatch, 8);
 
-  using Sim = netclone::sim::Simulator;
-  Row rows[] = {
+  const Row rows[] = {
       {"schedule_fire",
-       best_of(kReps,
-               [&] { return bench_schedule_fire<LegacySimulator>(kBatch,
-                                                                 kRounds); }),
-       best_of(kReps,
-               [&] { return bench_schedule_fire<Sim>(kBatch, kRounds); })},
+       best_of(kReps, [&] { return bench_schedule_fire(kBatch, kRounds); })},
       {"fire_chain",
-       best_of(kReps,
-               [&] {
-                 return bench_fire_chain<LegacySimulator>(kChains,
-                                                          kChainTotal);
-               }),
-       best_of(kReps,
-               [&] { return bench_fire_chain<Sim>(kChains, kChainTotal); })},
+       best_of(kReps, [&] { return bench_fire_chain(kChains, kChainTotal); })},
       {"schedule_cancel",
        best_of(kReps,
-               [&] {
-                 return bench_schedule_cancel<LegacySimulator>(kBatch,
-                                                               kRounds);
-               }),
-       best_of(kReps,
-               [&] { return bench_schedule_cancel<Sim>(kBatch, kRounds); })},
+               [&] { return bench_schedule_cancel(kBatch, kRounds); })},
   };
 
-  std::printf("%-16s %15s %15s %9s\n", "workload", "legacy (ev/s)",
-              "arena (ev/s)", "speedup");
+  std::printf("%-16s %15s\n", "workload", "events/s");
   for (const Row& row : rows) {
-    std::printf("%-16s %15.3e %15.3e %8.2fx\n", row.name, row.legacy_eps,
-                row.arena_eps, row.arena_eps / row.legacy_eps);
+    std::printf("%-16s %15.3e\n", row.name, row.events_per_second);
   }
 
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"sim_engine\",\n  \"unit\": \"events_per_second\"";
   for (const Row& row : rows) {
     json << ",\n  \"" << row.name
-         << "\": " << static_cast<std::uint64_t>(row.arena_eps) << ",\n  \""
-         << row.name
-         << "_legacy\": " << static_cast<std::uint64_t>(row.legacy_eps);
+         << "\": " << static_cast<std::uint64_t>(row.events_per_second);
   }
   json << "\n}\n";
   json.flush();

@@ -8,24 +8,22 @@ loudly on regression.
 
 What is gated, and how:
 
-  * Speedup ratios. Each bench records a fast/legacy pair measured in the
-    same process on the same machine (e.g. request_pass_fast vs
-    request_pass_legacy); the ratio between them is machine-independent,
-    so it transfers from the machine that recorded the baseline to
-    whichever runner executes the gate. A ratio may degrade by at most
-    --tolerance (default 15%) relative to the baseline ratio.
-  * Exact digests. The simulation is deterministic, so digest keys
-    (fig7_completed, fig7_p99_ns, fig7_executed_events, pipeline_checks,
-    ...) must match the baseline bit for bit on any machine.
-  * Absolute rates and wall-clock seconds are reported for information
-    only — they do not transfer across machines.
+  * Exact keys (EXACT_KEYS). The simulation is deterministic, so its
+    results and the work it does must match the baseline bit for bit on
+    any machine: completions, p99 and digests, and the work counts of the
+    Fig. 7 point (bench_packet_path) and the pod point (bench_multirack)
+    -- requests sent, executed events, frames on links, frame-pool
+    acquires, pipeline passes, recirculations, clones and filtered
+    responses. A change that adds work to every request moves a count. An
+    exact key must be present in both the run and the baseline.
+  * Every other numeric key (rates, wall-clock seconds, the faulted
+    Fig. 16 counters) is an info row: it is reported, never gated.
 
 A delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is set, to
 the job summary as markdown.
 
 Usage:
-  bench_gate.py [--build-dir build] [--baseline-dir .]
-                [--tolerance 0.15] [--update]
+  bench_gate.py [--build-dir build] [--baseline-dir .] [--update]
 
 --update rewrites the committed baselines from the current run (use on
 the machine that owns the baselines, then commit the diff).
@@ -44,20 +42,31 @@ BENCHES = ["sim_engine", "packet_path", "pisa_pipeline", "fig16",
 # Bench names whose binary is not simply bench_<name>.
 BINARIES = {"fig16": "bench_fig16_failure"}
 
-# Deterministic simulation digests: must match the baseline exactly.
-# The fig7 keys come from bench_packet_path's Figure-7 point. The fig16
-# keys come from that bench's fault-free control run, so they are
-# bit-exact on any machine; its faulted-run counters (recovery time,
-# lost/duplicated requests) are reported as info rows. The multirack
-# keys are bench_multirack's pod point and its chain fail-over run.
-EXACT_KEYS = {"fig7_completed", "fig7_p99_ns", "fig7_executed_events",
-              "pipeline_checks",
-              "fig16_nofault_completed", "fig16_nofault_digest",
-              "multirack_completed", "multirack_p99_ns",
-              "multirack_executed_events", "multirack_digest",
-              "multirack_cloned_requests", "multirack_failover_digest"}
+# Deterministic simulation results: must match the baseline exactly.
+# The fig16 keys come from that bench's fault-free control run; its
+# faulted-run counters (recovery time, lost/duplicated requests) are info
+# rows.
+EXACT_KEYS = {
+    # bench_packet_path: the Figure-7 point and the work it does.
+    "fig7_completed", "fig7_p99_ns",
+    "fig7_requests_sent", "fig7_executed_events", "fig7_phys.frames",
+    "fig7_wire.pool_acquires", "fig7_pisa.passes", "fig7_pisa.recirculated",
+    "fig7_core.cloned", "fig7_core.filtered",
+    # bench_pisa_pipeline: whether the per-pass checks are compiled in.
+    "pipeline_checks",
+    # bench_fig16_failure: the fault-free control run.
+    "fig16_nofault_completed", "fig16_nofault_digest",
+    # bench_multirack: the pod point, the work it does, and the chain
+    # fail-over run.
+    "multirack_completed", "multirack_p99_ns", "multirack_digest",
+    "multirack_requests_sent", "multirack_executed_events",
+    "multirack_phys.frames", "multirack_wire.pool_acquires",
+    "multirack_pisa.passes", "multirack_pisa.recirculated",
+    "multirack_cloned_requests", "multirack_core.filtered",
+    "multirack_failover_digest",
+}
 
-# Informational keys that are neither ratios nor digests.
+# Labels, not measurements.
 SKIP_KEYS = {"bench", "unit"}
 
 
@@ -78,91 +87,34 @@ def run_bench(binary, out_path):
         return json.load(f)
 
 
-def ratio_pairs(data):
-    """Yields (label, fast_key, legacy_key, lower_is_better)."""
-    for key in sorted(data):
-        if not key.endswith("_legacy"):
-            continue
-        base = key[: -len("_legacy")]
-        fast_key = None
-        if base in data:
-            fast_key = base
-        elif base + "_fast" in data:
-            fast_key = base + "_fast"
-        elif base.endswith("_fast") and base in data:
-            fast_key = base
-        if fast_key is None:
-            continue
-        lower_is_better = "seconds" in base or "wall" in base
-        yield base.removesuffix("_fast"), fast_key, key, lower_is_better
-
-
-def speedup(data, fast_key, legacy_key, lower_is_better):
-    fast = float(data[fast_key])
-    legacy = float(data[legacy_key])
-    if lower_is_better:
-        return legacy / fast if fast > 0 else 0.0
-    return fast / legacy if legacy > 0 else 0.0
-
-
-def compare(name, baseline, current, tolerance):
+def compare(name, baseline, current):
     """Returns (rows, failures) for one bench's delta table."""
     rows = []
     failures = []
-    paired = set()
-    for label, fast_key, legacy_key, lower in ratio_pairs(baseline):
-        paired.update((fast_key, legacy_key))
-        if fast_key not in current or legacy_key not in current:
-            failures.append(f"{name}: key pair {label} missing from run")
-            continue
-        base_ratio = speedup(baseline, fast_key, legacy_key, lower)
-        cur_ratio = speedup(current, fast_key, legacy_key, lower)
-        delta = (cur_ratio - base_ratio) / base_ratio if base_ratio else 0.0
-        # Wall-clock ratios are too noisy to gate on shared runners; rate
-        # ratios are stable and enforced.
-        gated = not lower
-        ok = (not gated) or cur_ratio >= base_ratio * (1.0 - tolerance)
-        status = "info" if not gated else ("OK" if ok else "FAIL")
-        if gated and not ok:
-            failures.append(
-                f"{name}: {label} speedup {cur_ratio:.2f}x fell below "
-                f"baseline {base_ratio:.2f}x minus {tolerance:.0%} tolerance"
-            )
-        rows.append(
-            (
-                name,
-                f"{label} speedup",
-                f"{base_ratio:.2f}x",
-                f"{cur_ratio:.2f}x",
-                f"{delta:+.1%}",
-                status,
-            )
-        )
-    for key in sorted(baseline):
-        if key in SKIP_KEYS or key in paired:
-            continue
+    for key in sorted((baseline.keys() | current.keys()) - SKIP_KEYS):
+        base_value = baseline.get(key)
+        cur_value = current.get(key)
         if key in EXACT_KEYS:
-            base_value = baseline[key]
-            cur_value = current.get(key)
-            ok = cur_value == base_value
-            if not ok:
-                failures.append(
-                    f"{name}: digest {key} = {cur_value!r}, "
-                    f"baseline {base_value!r} (must match exactly)"
-                )
-            rows.append(
-                (
-                    name,
-                    key,
-                    str(base_value),
-                    str(cur_value),
-                    "exact",
-                    "OK" if ok else "FAIL",
-                )
-            )
-        elif isinstance(baseline[key], (int, float)) and key in current:
-            base_value = float(baseline[key])
-            cur_value = float(current[key])
+            if base_value is None:
+                failures.append(f"{name}: exact key {key} has no baseline "
+                                f"value (record it with --update)")
+                ok = False
+            elif cur_value is None:
+                failures.append(f"{name}: exact key {key} missing from run")
+                ok = False
+            else:
+                ok = cur_value == base_value
+                if not ok:
+                    failures.append(
+                        f"{name}: {key} = {cur_value!r}, baseline "
+                        f"{base_value!r} (must match exactly)"
+                    )
+            rows.append((name, key, str(base_value), str(cur_value),
+                         "exact", "OK" if ok else "FAIL"))
+        elif (isinstance(base_value, (int, float))
+              and isinstance(cur_value, (int, float))):
+            base_value = float(base_value)
+            cur_value = float(cur_value)
             delta = (
                 (cur_value - base_value) / base_value if base_value else 0.0
             )
@@ -203,7 +155,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default="build")
     parser.add_argument("--baseline-dir", default=".")
-    parser.add_argument("--tolerance", type=float, default=0.15)
     parser.add_argument("--update", action="store_true",
                         help="rewrite baselines from this run")
     args = parser.parse_args()
@@ -234,7 +185,7 @@ def main():
             continue
         with open(baseline_path, encoding="utf-8") as f:
             baseline = json.load(f)
-        rows, errs = compare(bench, baseline, current, args.tolerance)
+        rows, errs = compare(bench, baseline, current)
         all_rows.extend(rows)
         failures.extend(errs)
 
@@ -260,7 +211,7 @@ def main():
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(f"\nbench gate passed (tolerance {args.tolerance:.0%})")
+    print("\nbench gate passed")
     return 0
 
 

@@ -79,17 +79,14 @@ class ByteWriter {
     }
     fixed_[len_++] = static_cast<std::byte>(v);
   }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v >> 8));
-    u8(static_cast<std::uint8_t>(v & 0xFFU));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v & 0xFFFFU));
-  }
+  // Each width reserves its bytes with one raw(): one bounds check, and an
+  // overflow throws before anything is written.
+  void u16(std::uint16_t v) { store_u16(raw(2), 0, v); }
+  void u32(std::uint32_t v) { store_u32(raw(4), 0, v); }
   void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v & 0xFFFFFFFFU));
+    std::byte* p = raw(8);
+    store_u32(p, 0, static_cast<std::uint32_t>(v >> 32));
+    store_u32(p, 4, static_cast<std::uint32_t>(v & 0xFFFFFFFFU));
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void bytes(std::span<const std::byte> data);
@@ -135,23 +132,13 @@ class ByteReader {
     require(1);
     return static_cast<std::uint8_t>(data_[offset_++]);
   }
-  [[nodiscard]] std::uint16_t u16() {
-    require(2);
-    const auto v = static_cast<std::uint16_t>(
-        static_cast<std::uint16_t>(data_[offset_]) << 8 |
-        static_cast<std::uint16_t>(data_[offset_ + 1]));
-    offset_ += 2;
-    return v;
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    const auto hi = static_cast<std::uint32_t>(u16());
-    const auto lo = static_cast<std::uint32_t>(u16());
-    return hi << 16 | lo;
-  }
+  // Each width consumes its bytes with one raw(): one bounds check, and an
+  // underrun throws before the offset moves.
+  [[nodiscard]] std::uint16_t u16() { return load_u16(raw(2), 0); }
+  [[nodiscard]] std::uint32_t u32() { return load_u32(raw(4), 0); }
   [[nodiscard]] std::uint64_t u64() {
-    const auto hi = static_cast<std::uint64_t>(u32());
-    const auto lo = static_cast<std::uint64_t>(u32());
-    return hi << 32 | lo;
+    const std::byte* p = raw(8);
+    return static_cast<std::uint64_t>(load_u32(p, 0)) << 32 | load_u32(p, 4);
   }
   [[nodiscard]] std::int64_t i64() {
     return static_cast<std::int64_t>(u64());

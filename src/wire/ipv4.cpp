@@ -33,8 +33,7 @@ std::uint16_t internet_checksum(std::span<const std::byte> data,
 
 std::uint16_t Ipv4Header::compute_checksum() const {
   std::array<std::byte, kSize> buf;
-  ByteWriter w{std::span<std::byte>{buf}};
-  serialize_with_checksum(w, 0);
+  store(buf.data());
   return internet_checksum(buf);
 }
 
@@ -43,8 +42,10 @@ bool Ipv4Header::checksum_valid() const {
 }
 
 void Ipv4Header::serialize(ByteWriter& w) {
-  header_checksum = compute_checksum();
-  serialize_with_checksum(w, header_checksum);
+  std::byte* p = w.raw(kSize);
+  store(p);
+  header_checksum = internet_checksum({p, kSize});
+  store_u16(p, 10, header_checksum);
 }
 
 }  // namespace netclone::wire

@@ -50,13 +50,14 @@ struct Ipv4Header {
   Ipv4Address dst{};
 
   /// Serializes with a freshly computed checksum (the stored field is
-  /// ignored on write and updated to the computed value).
+  /// ignored on write and updated to the computed value). Each byte is
+  /// written once: the checksum is summed over the written header and
+  /// stored in place.
   void serialize(ByteWriter& w);
 
-  /// Serializes with a caller-chosen checksum value (compute_checksum
-  /// writes zero).
-  void serialize_with_checksum(ByteWriter& w, std::uint16_t checksum) const {
-    std::byte* p = w.raw(kSize);
+  /// Writes the kSize header bytes at `p` with a zero checksum field, the
+  /// form the checksum is summed over.
+  void store(std::byte* p) const {
     store_u8(p, 0, 0x45);  // version 4, IHL 5
     store_u8(p, 1, dscp);
     store_u16(p, 2, total_length);
@@ -64,7 +65,7 @@ struct Ipv4Header {
     store_u16(p, 6, 0);  // flags + fragment offset: never fragmented here
     store_u8(p, 8, ttl);
     store_u8(p, 9, static_cast<std::uint8_t>(protocol));
-    store_u16(p, 10, checksum);
+    store_u16(p, 10, 0);  // checksum: serialize fills it in
     store_u32(p, 12, src.value);
     store_u32(p, 16, dst.value);
   }

@@ -1,5 +1,8 @@
 #include "wire/bytes.hpp"
 
+#include <array>
+#include <span>
+
 #include <gtest/gtest.h>
 
 namespace netclone::wire {
@@ -90,6 +93,49 @@ TEST(ByteWriter, ZerosAndBytes) {
   ASSERT_EQ(f.size(), 5U);
   EXPECT_EQ(f[2], std::byte{0});
   EXPECT_EQ(f[3], std::byte{9});
+}
+
+TEST(ByteCodec, FixedBoundThrowsBeforeMoving) {
+  // Each width, started one byte short of room, throws CodecError without
+  // writing or consuming a part of itself.
+  for (const std::size_t width : {1U, 2U, 4U, 8U}) {
+    SCOPED_TRACE(width);
+    std::array<std::byte, 16> buf;
+    buf.fill(std::byte{0xEE});
+    const std::size_t start = buf.size() - (width - 1);
+
+    ByteWriter w{std::span<std::byte>{buf}};
+    w.zeros(start);
+    EXPECT_THROW(
+        {
+          switch (width) {
+            case 1: w.u8(0x11); break;
+            case 2: w.u16(0x1122); break;
+            case 4: w.u32(0x11223344U); break;
+            default: w.u64(0x1122334455667788ULL); break;
+          }
+        },
+        CodecError);
+    EXPECT_EQ(w.written(), start);
+    for (std::size_t i = start; i < buf.size(); ++i) {
+      EXPECT_EQ(buf[i], std::byte{0xEE}) << "byte " << i;
+    }
+
+    ByteReader r{buf};
+    r.skip(start);
+    EXPECT_THROW(
+        {
+          switch (width) {
+            case 1: (void)r.u8(); break;
+            case 2: (void)r.u16(); break;
+            case 4: (void)r.u32(); break;
+            default: (void)r.u64(); break;
+          }
+        },
+        CodecError);
+    EXPECT_EQ(r.offset(), start);
+    EXPECT_EQ(r.remaining(), width - 1);
+  }
 }
 
 TEST(PokePeek, RoundTrip) {
