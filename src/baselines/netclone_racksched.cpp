@@ -97,7 +97,7 @@ void NetCloneRackSchedProgram::handle_request(wire::PacketView& pkt,
   const std::uint16_t l1 = load_table_.read(pass, pair->srv1);
   const std::uint16_t l2 = shadow_load_table_.read(pass, pair->srv2);
 
-  if (config_.enable_cloning && l1 == 0 && l2 == 0) {
+  if (l1 == 0 && l2 == 0) {
     // Both candidate queues empty: clone as plain NetClone would.
     pkt.set_clo(wire::CloneStatus::kClonedOriginal);
     pkt.set_sid(pair->srv2);

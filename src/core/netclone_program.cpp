@@ -250,7 +250,7 @@ void NetCloneProgram::handle_request(wire::PacketView& pkt,
   const std::uint16_t s1 = state_table_.read(pass, pair->srv1);
   const std::uint16_t s2 = shadow_table_.read(pass, pair->srv2);
 
-  if (config_.enable_cloning && s1 == 0 && s2 == 0) {
+  if (s1 == 0 && s2 == 0) {
     // Lines 7-9: clone. SID carries the second candidate for the
     // recirculated copy; the PRE group sends the original to srv1's port
     // and the copy to the loopback port.

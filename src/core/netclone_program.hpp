@@ -67,8 +67,7 @@ struct NetCloneConfig {
   /// This ToR's identity for multi-rack deployments (§3.7); stamped into
   /// requests with SWITCH_ID == 0.
   std::uint8_t switch_id = 1;
-  /// Ablation toggles (Fig. 15 disables filtering).
-  bool enable_cloning = true;
+  /// Ablation toggle (Fig. 15 disables filtering).
   bool enable_filtering = true;
   RequestIdMode id_mode = RequestIdMode::kSwitchSequence;
   /// Multi-packet message support (§3.7): a cloned-request table makes

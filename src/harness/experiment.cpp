@@ -154,7 +154,6 @@ void Experiment::build() {
   // The coordinator, for LÆDGE runs.
   if (config_.scheme == Scheme::kLaedge) {
     baselines::LaedgeParams lp;
-    lp.per_packet_cost = config_.laedge_packet_cost;
     lp.workers = laedge_workers;
     coordinator_ = &topology().add_node<baselines::LaedgeCoordinator>(
         sim, lp, root_rng().fork());

@@ -45,8 +45,6 @@ struct ClusterConfig {
   std::shared_ptr<host::ServiceModel> service;
 
   core::NetCloneConfig netclone{};
-  /// Coordinator CPU cost per packet for the LÆDGE scheme.
-  SimTime laedge_packet_cost = SimTime::nanoseconds(1200);
 
   host::ClientParams client_template{};
   host::ServerParams server_template{};

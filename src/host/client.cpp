@@ -134,7 +134,8 @@ SimTime Client::next_arrival_time() {
   // OFF gaps, so the long-run mean rate stays rate_rps.
   const double f = std::clamp(params_.burst_on_fraction, 0.01, 1.0);
   const double rate_on = params_.rate_rps / f;
-  const double mean_on_us = params_.burst_mean_on.us();
+  static constexpr SimTime kBurstMeanOn = SimTime::microseconds(200.0);
+  const double mean_on_us = kBurstMeanOn.us();
   const double mean_off_us = mean_on_us * (1.0 - f) / f;
 
   SimTime t = from + SimTime::microseconds(rng_.exponential(1e6 / rate_on));
@@ -310,8 +311,9 @@ void Client::emit_frame(wire::FrameHandle bytes) {
   // Sender thread: serial per-packet cost delays actual emission; the
   // request's latency clock started at the (open-loop) arrival instant.
   // The frame goes to the link now, ready when the thread has paid for it.
+  static constexpr SimTime kTxCost = SimTime::nanoseconds(100);
   const SimTime start = std::max(sim_.now(), tx_busy_until_);
-  tx_busy_until_ = start + params_.tx_cost;
+  tx_busy_until_ = start + kTxCost;
   ++stats_.packets_sent;
   send_at(0, tx_busy_until_, std::move(bytes));
 }
@@ -402,8 +404,8 @@ void Client::on_response_processed(const Response& resp) {
     return;  // waiting for the remaining fragments
   }
   mark_completed(resp.client_seq);
-  // The retransmit timeout is dead weight now — O(1)-cancel it so the
-  // engine truly removes the event instead of firing a no-op later.
+  // The retransmit timeout is dead weight now — cancel it so the engine
+  // removes the event from its queue instead of firing a no-op later.
   sim_.cancel(pending.retransmit_event);
   ++stats_.completed;
   if (params_.mode == SendMode::kCClone && params_.cclone_cancel) {

@@ -84,8 +84,6 @@ struct ClientParams {
   ArrivalProcess arrival = ArrivalProcess::kPoisson;
   /// kBursty: fraction of time spent in the ON state (0 < f <= 1).
   double burst_on_fraction = 0.25;
-  /// kBursty: mean length of one ON window.
-  SimTime burst_mean_on = SimTime::microseconds(200.0);
   /// Production traffic shapes (flash crowds, diurnal curves — see
   /// harness/traffic_shapes): a piecewise-constant multiplier on rate_rps
   /// over absolute simulation time. Segments must be sorted by `from`
@@ -108,8 +106,6 @@ struct ClientParams {
   wire::Ipv4Address target{};
   /// Receiver-thread CPU time per response.
   SimTime rx_cost = SimTime::nanoseconds(300);
-  /// Sender-thread CPU time per transmitted packet.
-  SimTime tx_cost = SimTime::nanoseconds(100);
   /// Sending window.
   SimTime start_at = SimTime::zero();
   SimTime stop_at = SimTime::max();

@@ -221,7 +221,9 @@ void Server::try_start_worker() {
     free_slots_.pop_back();
   }
   in_service_[slot] = InService{std::move(req), rpc, queue_wait, exec};
-  sim_.schedule_after(exec + params_.response_tx_cost,
+  // CPU time a worker spends building + sending the response.
+  static constexpr SimTime kResponseTxCost = SimTime::nanoseconds(150);
+  sim_.schedule_after(exec + kResponseTxCost,
                       [this, epoch = epoch_, slot] {
                         if (epoch != epoch_) {
                           // The worker's result died with the crash;

@@ -51,8 +51,6 @@ struct ServerParams {
   std::uint32_t workers = 16;
   /// Dispatcher CPU time per received packet (VMA userspace path).
   SimTime dispatch_cost = SimTime::nanoseconds(300);
-  /// CPU time a worker spends building + sending the response.
-  SimTime response_tx_cost = SimTime::nanoseconds(150);
   /// NetClone server-side mechanism: drop CLO=2 requests when the server
   /// is busier than the tracked state promised. Always safe to leave on:
   /// only switch-cloned copies match.

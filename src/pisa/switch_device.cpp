@@ -10,7 +10,6 @@ SwitchDevice::SwitchDevice(sim::Scheduler& scheduler, std::string name,
                            SwitchParams params)
     : phys::Node(std::move(name)),
       sim_(scheduler),
-      params_(params),
       pipeline_(params.stage_count) {}
 
 void SwitchDevice::load_program(std::shared_ptr<SwitchProgram> program) {
@@ -106,7 +105,10 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
   // its fields into the frame in place, so there is nothing to deparse: a
   // multicast set shares the one frame across all output ports by
   // reference count.
-  const SimTime ready = sim_.now() + params_.pipeline_latency;
+  // Fixed ingress-to-egress latency of one pipeline traversal. Tofino's
+  // port-to-port latency is a few hundred nanoseconds.
+  static constexpr SimTime kPipelineLatency = SimTime::nanoseconds(400);
+  const SimTime ready = sim_.now() + kPipelineLatency;
   if (md.multicast_group) {
     const std::vector<std::size_t>* ports =
         mcast_groups_.find(*md.multicast_group);
@@ -134,7 +136,9 @@ void SwitchDevice::emit(std::size_t port, SimTime ready,
                         wire::FrameHandle bytes) {
   if (is_loopback(port)) {
     // A loopback copy has no link to wait in: it keeps a timed egress
-    // event, then re-enters ingress after the recirculation latency.
+    // event, then re-enters ingress after the recirculation latency (the
+    // loopback port's turnaround).
+    static constexpr SimTime kRecirculationLatency = SimTime::nanoseconds(450);
     sim_.schedule_at(ready, [this, port, epoch = fail_epoch_,
                              bytes = std::move(bytes)]() mutable {
       if (epoch != fail_epoch_) {
@@ -143,7 +147,7 @@ void SwitchDevice::emit(std::size_t port, SimTime ready,
       }
       ++stats_.recirculated;
       sim_.schedule_after(
-          params_.recirculation_latency,
+          kRecirculationLatency,
           [this, port, bytes = std::move(bytes)]() mutable {
             process(port, std::move(bytes), /*recirculated=*/true);
           });

@@ -16,11 +16,6 @@
 namespace netclone::pisa {
 
 struct SwitchParams {
-  /// Fixed ingress-to-egress latency of one pipeline traversal. Tofino's
-  /// port-to-port latency is a few hundred nanoseconds.
-  SimTime pipeline_latency = SimTime::nanoseconds(400);
-  /// Extra latency for a recirculation loop (loopback port turnaround).
-  SimTime recirculation_latency = SimTime::nanoseconds(450);
   std::size_t stage_count = kDefaultStageCount;
 };
 
@@ -102,7 +97,6 @@ class SwitchDevice : public phys::Node {
   }
 
   sim::Scheduler& sim_;
-  SwitchParams params_;
   Pipeline pipeline_;
   std::shared_ptr<SwitchProgram> program_;
   /// Dense per-port loopback flags (ports are small dense integers).

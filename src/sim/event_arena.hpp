@@ -1,44 +1,25 @@
-// Slot-map event storage for the discrete-event engine, ordered by a
-// hierarchical timing wheel.
+// Slot-map event storage for the discrete-event engine, ordered by one
+// indexed 4-ary min-heap.
 //
 // Every pending event lives in a fixed slot (stable until it fires or is
-// cancelled). Ordering is a calendar queue: four wheel levels of 256
-// buckets each cover a 2^32-tick (one tick = one nanosecond) horizon —
-// level 0 resolves single ticks, each higher level one 256x coarser
-// stride — and a binary heap remains as the overflow tier for the rare
-// event scheduled beyond the horizon. Insertion is O(1): the level is the
-// highest 8-bit group in which the event's tick differs from the wheel's
-// current tick. Extraction drains one level-0 bucket at a time (a dense
-// same-timestamp burst costs one sort of its bucket, not a heap sift per
-// event), cascading higher-level buckets down as the current tick crosses
-// their windows. Per-level 256-bit occupancy bitmaps make "next non-empty
-// bucket" a couple of word scans.
+// cancelled). A min-heap of 16-byte (when, seq‖slot) entries orders them,
+// and each slot records where its entry sits, so insert, pop and cancel
+// are one O(log n) sift each. No cancelled event stays in the heap:
+// cancel removes the entry and destroys the callback (with its captures)
+// at once. Generation counters make stale EventIds inert even after the
+// slot has been reused. Four children per node and a root that pop leaves
+// vacant for the next insert keep the sifts short (docs/ARCHITECTURE.md,
+// "The event queue and reserved sequence numbers", has the measurements).
 //
-// Cancellation frees the slot — destroying the callback and its captures
-// immediately — in O(1) and leaves the bucket (or heap) entry behind as a
-// tombstone that extraction skips when its key no longer matches the
-// slot. Generation counters make stale EventIds inert even after the slot
-// has been reused.
+// Determinism contract: events pop in strict (when, seq) order; seq is the
+// tie-break number drawn (or reserved) at scheduling time, and a reserved
+// number materialized late still takes its place in seq order.
 //
-// Determinism contract: events pop in strict (when, seq) order, where seq
-// is the tie-break sequence number drawn (or reserved) at scheduling
-// time. Two subtleties the wheel must preserve exactly:
-//   * a same-timestamp bucket is sorted by seq before draining, because
-//     schedule_at_seq can materialize a reserved number out of insertion
-//     order;
-//   * an event inserted *at the tick currently being drained* (a deferred
-//     scheduler materializing a reservation mid-drain) is merged into the
-//     undrained suffix, since its seq may precede entries still waiting.
-//
-// Defined header-only: the schedule/fire cycle is the hottest loop in the
-// repository and must inline into the engine's run loop.
-//
-// This file is an engine internal: components schedule through the
-// Scheduler interface (scheduler.hpp) and never see the arena.
+// Header-only, so the schedule/fire cycle inlines into the run loop;
+// components schedule through Scheduler (scheduler.hpp), not the arena.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -63,9 +44,8 @@ class EventArena {
 
   /// Draws the next scheduling sequence number without storing an event.
   /// A reserved number holds its place in the same-timestamp tie order
-  /// until insert_at_seq materializes it — deferred schedulers (the link
-  /// delivery FIFO) stay bit-for-bit equivalent to eager per-item
-  /// scheduling this way.
+  /// until insert_at_seq materializes it, so deferred schedulers (the link
+  /// delivery FIFO) match eager per-item scheduling bit for bit.
   [[nodiscard]] std::uint64_t reserve_seq() {
     NETCLONE_CHECK(next_seq_ < kMaxSeq, "event sequence space exhausted");
     return next_seq_++;
@@ -75,13 +55,11 @@ class EventArena {
   /// reserve_seq(). Each reserved number must be used at most once.
   EventId insert_at_seq(SimTime when, std::uint64_t seq,
                         EventCallback&& callback) {
-    // The wheel origin never runs ahead of the engine's clock — pop_due
-    // stops at its deadline — and the engine never schedules into its
-    // past, so no event lands before the origin.
-    NETCLONE_CHECK(tick_of(when) >= cur_tick_,
-                   "event scheduled before the wheel origin");
+    // Pop times never go backwards (the engine never schedules the past).
+    NETCLONE_CHECK(when >= last_popped_,
+                   "event scheduled before an already popped event");
     std::uint32_t index;
-    if (free_head_ != kNilSlot) {
+    if (free_head_ != kNil) {
       index = free_head_;
       free_head_ = slots_[index].next_free;
     } else {
@@ -89,419 +67,190 @@ class EventArena {
       index = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
     }
-    Slot& slot = slots_[index];
-    slot.key = (seq << kSlotBits) | index;
-    slot.live = true;
-    slot.callback = std::move(callback);
-    push_entry(when, slot.key);
-    ++live_;
-    return EventId{index, slot.generation};
+    slots_[index].callback = std::move(callback);
+    const Entry entry{when, (seq << kSlotBits) | index};
+    if (root_vacant_) {
+      root_vacant_ = false;
+      sift_down(0, entry);
+    } else {
+      heap_.emplace_back();
+      sift_up(heap_.size() - 1, entry);
+    }
+    return EventId{index, slots_[index].generation};
   }
 
   /// Removes the event and destroys its callback. Returns false (no-op)
   /// for invalid, stale, fired, or already-cancelled ids.
   bool cancel(EventId id) {
-    if (!id.valid() || id.slot >= slots_.size()) {
-      return false;
-    }
-    Slot& slot = slots_[id.slot];
-    if (!slot.live || slot.generation != id.generation) {
+    if (!id.valid() || id.slot >= slots_.size() ||
+        slots_[id.slot].heap_pos == kNil ||
+        slots_[id.slot].generation != id.generation) {
       return false;  // already fired/cancelled, or the slot was reused
     }
-    // The wheel-bucket (or overflow-heap) entry stays behind as a
-    // tombstone (its key no longer matches a live slot) and is skipped
-    // when extraction reaches it.
+    // A vacant root holds the entry just popped, which precedes every
+    // pending entry, so this removal's sift never reaches it.
+    const std::size_t pos = slots_[id.slot].heap_pos;
     release(id.slot);
+    erase_at(pos);
     return true;
   }
 
   /// Removes the earliest pending event into `when`/`callback`. Returns
   /// false when no event is pending.
   bool pop(SimTime& when, EventCallback& callback) {
-    if (!prepare()) {
-      return false;
-    }
-    take(when, callback);
-    return true;
+    return pop_due(SimTime::max(), when, callback);
   }
 
   /// pop(), but only if the earliest event fires at or before `deadline`:
-  /// one ordering inspection per event of run_until(). The refill is
-  /// bounded by the deadline so the wheel origin never advances past it —
-  /// events scheduled after an early-exiting run_until() land at ticks
-  /// >= the origin.
+  /// one ordering inspection per event of run_until(). The popped event's
+  /// root entry stays, vacant, for the next insert or pop to fill.
   bool pop_due(SimTime deadline, SimTime& when, EventCallback& callback) {
-    if (!prepare(tick_of(deadline)) || drain_[drain_pos_].when > deadline) {
+    fill_vacant_root();
+    if (heap_.empty() || heap_.front().when > deadline) {
       return false;
     }
-    take(when, callback);
+    when = last_popped_ = heap_.front().when;
+    const auto slot = static_cast<std::uint32_t>(heap_.front().key &
+                                                 (kMaxSlots - 1));
+    callback = std::move(slots_[slot].callback);
+    release(slot);
+    root_vacant_ = true;
     return true;
   }
 
   /// Exact number of pending events (cancelled events do not count).
-  [[nodiscard]] std::size_t size() const { return live_; }
-  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] std::size_t size() const {
+    return heap_.size() - (root_vacant_ ? 1 : 0);
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
  private:
-  static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFU;
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFU;
   /// (seq, slot) pack into one 64-bit key: seq in the high 40 bits
-  /// (hard-checked in insert — at 15M events/sec that is ~20 hours of
-  /// wall-clock simulation before the check fires), slot index in the low
-  /// 24. A 16-byte ordering entry keeps bucket sorts and heap sifts to a
-  /// minimum of cache traffic.
+  /// (checked in reserve_seq; ~20 hours of simulation at 15M events/sec),
+  /// slot index in the low 24. So a heap entry is 16 bytes.
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kMaxSlots = 1ULL << kSlotBits;
   static constexpr std::uint64_t kMaxSeq = 1ULL << (64 - kSlotBits);
-
-  // -- wheel geometry ------------------------------------------------------
-  /// One tick is one nanosecond of SimTime (scheduling never needs finer
-  /// resolution and the engine's clock is integral ns).
-  static constexpr std::uint64_t kGroupBits = 8;
-  static constexpr std::size_t kWheelSlotCount = std::size_t{1}
-                                                 << kGroupBits;  // 256
-  static constexpr std::size_t kWheelLevels = 4;
-  /// Horizon of the wheel: 2^32 ticks ≈ 4.29 simulated seconds. Events
-  /// whose tick lies in a different 2^32 window than the current tick go
-  /// to the overflow heap and migrate in when the window is reached.
-  static constexpr std::uint64_t kSpanBits = kGroupBits * kWheelLevels;
-  static constexpr std::size_t kBitmapWords = kWheelSlotCount / 64;
-
-  static constexpr std::uint32_t slot_of(std::uint64_t key) {
-    return static_cast<std::uint32_t>(key & (kMaxSlots - 1));
-  }
-
-  /// Wheel ticks are raw nanoseconds. The engine never schedules in the
-  /// past and its clock starts at zero, so ticks are non-negative and
-  /// monotone over the arena's lifetime.
-  static constexpr std::uint64_t tick_of(SimTime when) {
-    return static_cast<std::uint64_t>(when.ns());
-  }
-
-  static constexpr std::size_t group_of(std::uint64_t tick,
-                                        std::size_t level) {
-    return static_cast<std::size_t>((tick >> (kGroupBits * level)) &
-                                    (kWheelSlotCount - 1));
-  }
+  static constexpr std::size_t kArity = 4;
 
   struct Slot {
-    std::uint64_t key = 0;
     std::uint32_t generation = 1;
-    std::uint32_t next_free = kNilSlot;
-    bool live = false;
+    std::uint32_t heap_pos = kNil;  // kNil once fired or cancelled
+    std::uint32_t next_free = kNil;
     EventCallback callback;
   };
 
-  struct HeapEntry {
+  struct Entry {
     SimTime when;
     std::uint64_t key;
   };
 
-  /// Max-heap comparator on "fires later", making the overflow std heap a
-  /// min-heap on (when, key). The key's high bits are the globally unique
-  /// scheduling sequence number, so same-time events keep insertion order
-  /// (the determinism contract) and the order is strict.
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
+  /// Strict order on (when, key) as one 128-bit number (when is never
+  /// negative). The key's high bits are the unique scheduling sequence
+  /// number: same-time events keep scheduling order.
+  static bool before(const Entry& a, const Entry& b) {
+    __extension__ using U128 = unsigned __int128;
+    const auto packed = [](const Entry& e) {
+      return (U128{static_cast<std::uint64_t>(e.when.ns())} << 64) | e.key;
+    };
+    return packed(a) < packed(b);
+  }
+
+  /// Writes `entry` at heap position `pos` and records that in its slot.
+  void place(std::size_t pos, const Entry& entry) {
+    heap_[pos] = entry;
+    slots_[entry.key & (kMaxSlots - 1)].heap_pos =
+        static_cast<std::uint32_t>(pos);
+  }
+
+  /// Moves `entry`, destined for the hole at `pos`, toward the root past
+  /// every parent that fires after it.
+  void sift_up(std::size_t pos, const Entry& entry) {
+    while (pos > 0) {
+      const std::size_t parent = (pos - 1) / kArity;
+      if (!before(entry, heap_[parent])) {
+        break;
       }
-      return a.key > b.key;
+      place(pos, heap_[parent]);
+      pos = parent;
     }
-  };
-
-  [[nodiscard]] bool is_live(const HeapEntry& entry) const {
-    const Slot& slot = slots_[slot_of(entry.key)];
-    return slot.live && slot.key == entry.key;
+    place(pos, entry);
   }
 
-  // -- occupancy bitmaps ---------------------------------------------------
-
-  void set_bit(std::size_t level, std::size_t slot) {
-    occupied_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
-  }
-  void clear_bit(std::size_t level, std::size_t slot) {
-    occupied_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
-  [[nodiscard]] bool test_bit(std::size_t level, std::size_t slot) const {
-    return (occupied_[level][slot >> 6] >>
-            (slot & 63)) & 1U;
-  }
-
-  /// Lowest occupied bucket index >= `from` at `level`, or kWheelSlotCount
-  /// when none.
-  [[nodiscard]] std::size_t next_occupied(std::size_t level,
-                                          std::size_t from) const {
-    std::size_t word = from >> 6;
-    std::uint64_t bits = occupied_[level][word] & (~std::uint64_t{0}
-                                                   << (from & 63));
-    while (true) {
-      if (bits != 0) {
-        return (word << 6) + static_cast<std::size_t>(
-                                 std::countr_zero(bits));
+  /// Position of the earliest child of `pos`, or the heap size when `pos`
+  /// is a leaf. A full set of four is compared as two pairs, so the picks
+  /// compile to selects rather than branches the CPU has to guess.
+  [[nodiscard]] std::size_t earliest_child(std::size_t pos) const {
+    const std::size_t first = kArity * pos + 1;
+    const std::size_t n = heap_.size();
+    if (first + 3 >= n) {  // the heap's last parent, or a leaf
+      std::size_t earliest = std::min(first, n);
+      for (std::size_t c = first + 1; c < n; ++c) {
+        earliest = before(heap_[c], heap_[earliest]) ? c : earliest;
       }
-      if (++word == kBitmapWords) {
-        return kWheelSlotCount;
-      }
-      bits = occupied_[level][word];
+      return earliest;
+    }
+    const auto pick = [this](std::size_t i) {
+      return i + static_cast<std::size_t>(before(heap_[i + 1], heap_[i]));
+    };
+    const std::size_t a = pick(first);
+    const std::size_t b = pick(first + 2);
+    return before(heap_[b], heap_[a]) ? b : a;
+  }
+
+  /// Moves `entry`, destined for the hole at `pos`, toward the leaves past
+  /// every child that fires before it.
+  void sift_down(std::size_t pos, const Entry& entry) {
+    for (std::size_t child = earliest_child(pos);
+         child < heap_.size() && before(heap_[child], entry);
+         child = earliest_child(pos)) {
+      place(pos, heap_[child]);
+      pos = child;
+    }
+    place(pos, entry);
+  }
+
+  /// Removes the heap entry at `pos`: the last entry fills the hole and
+  /// sifts whichever way restores the order.
+  void erase_at(std::size_t pos) {
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size()) {
+      return;  // the removed entry was the last one
+    }
+    if (pos > 0 && before(last, heap_[(pos - 1) / kArity])) {
+      sift_up(pos, last);
+    } else {
+      sift_down(pos, last);
     }
   }
 
-  // -- wheel operations ----------------------------------------------------
-
-  /// Files an ordering entry into its wheel bucket (the highest 8-bit
-  /// group where its tick differs from the current tick) or the overflow
-  /// heap (tick beyond the wheel's 2^32-tick window).
-  void push_entry(SimTime when, std::uint64_t key) {
-    const std::uint64_t tick = tick_of(when);
-    if ((tick >> kSpanBits) != (cur_tick_ >> kSpanBits)) [[unlikely]] {
-      heap_.push_back(HeapEntry{when, key});
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-      return;
+  /// Completes a pop whose vacant root no insert has filled.
+  void fill_vacant_root() {
+    if (root_vacant_) {
+      root_vacant_ = false;
+      erase_at(0);
     }
-    const std::uint64_t diff = tick ^ cur_tick_;
-    const std::size_t level =
-        diff == 0 ? 0
-                  : static_cast<std::size_t>(std::bit_width(diff) - 1) /
-                        kGroupBits;
-    const std::size_t slot = group_of(tick, level);
-    wheel_[level][slot].push_back(HeapEntry{when, key});
-    set_bit(level, slot);
-  }
-
-  /// Empties every occupied bucket of `level` in [from, to). Only called
-  /// for buckets the advancing current tick has passed over, which can
-  /// hold nothing but tombstones (a live earlier event would have been
-  /// the advance target instead).
-  void clear_level_range(std::size_t level, std::size_t from,
-                         std::size_t to) {
-    std::size_t slot = from;
-    while (slot < to && (slot = next_occupied(level, slot)) < to) {
-      wheel_[level][slot].clear();
-      clear_bit(level, slot);
-      ++slot;
-    }
-  }
-
-  /// Re-files a higher-level bucket one level down (or further) after the
-  /// current tick entered its window. Tombstones are dropped on the way —
-  /// cascading doubles as garbage collection.
-  void cascade(std::size_t level, std::size_t slot) {
-    if (!test_bit(level, slot)) {
-      return;
-    }
-    clear_bit(level, slot);
-    scratch_.clear();
-    scratch_.swap(wheel_[level][slot]);  // capacities rotate, no churn
-    for (const HeapEntry& entry : scratch_) {
-      if (is_live(entry)) {
-        push_entry(entry.when, entry.key);
-      }
-    }
-  }
-
-  /// Moves the wheel origin to `tick` — the tick of the next event to
-  /// drain, so nothing live exists before it. Buckets passed over are
-  /// cleared (tombstones only); the target bucket of the top changing
-  /// level cascades down.
-  void advance_to(std::uint64_t tick) {
-    if (tick == cur_tick_) {
-      return;
-    }
-    if ((tick >> kSpanBits) != (cur_tick_ >> kSpanBits)) [[unlikely]] {
-      // Window jump (overflow migration): every remaining wheel bucket is
-      // tombstone-only.
-      for (std::size_t level = 0; level < kWheelLevels; ++level) {
-        clear_level_range(level, 0, kWheelSlotCount);
-      }
-      cur_tick_ = tick;
-      return;
-    }
-    const std::uint64_t diff = tick ^ cur_tick_;
-    const auto top =
-        static_cast<std::size_t>(std::bit_width(diff) - 1) / kGroupBits;
-    for (std::size_t level = 0; level < top; ++level) {
-      clear_level_range(level, 0, kWheelSlotCount);
-    }
-    clear_level_range(top, group_of(cur_tick_, top), group_of(tick, top));
-    cur_tick_ = tick;
-    if (top > 0) {
-      cascade(top, group_of(tick, top));
-    }
-  }
-
-  /// Folds level-0 entries that were inserted *at the tick being drained*
-  /// into the undrained suffix. A reservation materialized mid-drain may
-  /// carry a seq smaller than entries still waiting, so the suffix is
-  /// re-sorted.
-  void merge_current_tick() {
-    const std::size_t slot = group_of(cur_tick_, 0);
-    if (!test_bit(0, slot)) [[likely]] {
-      return;
-    }
-    std::vector<HeapEntry>& bucket = wheel_[0][slot];
-    drain_.insert(drain_.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-    clear_bit(0, slot);
-    std::sort(drain_.begin() + static_cast<std::ptrdiff_t>(drain_pos_),
-              drain_.end(),
-              [](const HeapEntry& a, const HeapEntry& b) {
-                return a.key < b.key;
-              });
-  }
-
-  /// Drops cancelled entries off the top of the overflow heap.
-  void prune_heap_top() {
-    while (!heap_.empty() && !is_live(heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-  }
-
-  /// Loads the next non-empty level-0 bucket into the drain buffer,
-  /// advancing (and cascading) the wheel to reach it and migrating
-  /// overflow entries whose window has arrived. Returns false when the
-  /// arena holds no entry at a tick <= `bound` (for pop_due, so the
-  /// origin never advances past a run_until deadline) or no entries at
-  /// all.
-  bool refill(std::uint64_t bound) {
-    while (true) {
-      std::size_t cand_level = kWheelLevels;
-      std::size_t cand_slot = 0;
-      for (std::size_t level = 0; level < kWheelLevels; ++level) {
-        const std::size_t slot =
-            next_occupied(level, group_of(cur_tick_, level));
-        if (slot < kWheelSlotCount) {
-          cand_level = level;
-          cand_slot = slot;
-          break;
-        }
-      }
-      if (cand_level == kWheelLevels) {
-        // Wheel empty: migrate the overflow window holding the earliest
-        // event, if any. Overflow ticks are always in later windows than
-        // the current one, so every wheel entry precedes every overflow
-        // entry and this order is exact.
-        prune_heap_top();
-        if (heap_.empty() || tick_of(heap_.front().when) > bound) {
-          return false;
-        }
-        advance_to(tick_of(heap_.front().when));
-        while (!heap_.empty() &&
-               (tick_of(heap_.front().when) >> kSpanBits) ==
-                   (cur_tick_ >> kSpanBits)) {
-          const HeapEntry entry = heap_.front();
-          std::pop_heap(heap_.begin(), heap_.end(), Later{});
-          heap_.pop_back();
-          if (is_live(entry)) {
-            push_entry(entry.when, entry.key);
-          }
-        }
-        continue;
-      }
-      if (cand_level > 0) {
-        // Enter the candidate window; its bucket cascades to lower levels
-        // and the next iteration finds it there. The window base is a
-        // lower bound on every tick inside, so stopping when it passes
-        // `bound` never hides a due event.
-        const std::uint64_t base =
-            cur_tick_ &
-            ~((std::uint64_t{1} << (kGroupBits * (cand_level + 1))) - 1);
-        const std::uint64_t target =
-            base | (static_cast<std::uint64_t>(cand_slot)
-                    << (kGroupBits * cand_level));
-        if (target > bound) {
-          return false;
-        }
-        advance_to(target);
-        continue;
-      }
-      const std::uint64_t cand_tick =
-          (cur_tick_ & ~std::uint64_t{kWheelSlotCount - 1}) | cand_slot;
-      if (cand_tick > bound) {
-        return false;
-      }
-      advance_to(cand_tick);
-      std::vector<HeapEntry>& bucket = wheel_[0][cand_slot];
-      drain_.assign(bucket.begin(), bucket.end());
-      bucket.clear();
-      clear_bit(0, cand_slot);
-      drain_pos_ = 0;
-      std::sort(drain_.begin(), drain_.end(),
-                [](const HeapEntry& a, const HeapEntry& b) {
-                  return a.key < b.key;
-                });
-      draining_ = true;
-      return true;
-    }
-  }
-
-  /// Positions drain_pos_ on the earliest live entry; false when no event
-  /// is pending at a tick <= `bound`. Entries already drained are always
-  /// inspected (their when is compared by the caller); the bound only
-  /// gates how far refill may advance the origin.
-  bool prepare(std::uint64_t bound = ~std::uint64_t{0}) {
-    while (true) {
-      if (draining_) {
-        merge_current_tick();
-        while (drain_pos_ < drain_.size()) {
-          if (is_live(drain_[drain_pos_])) {
-            return true;
-          }
-          ++drain_pos_;  // tombstone: slot already released by cancel
-        }
-        draining_ = false;
-        drain_.clear();
-        drain_pos_ = 0;
-      }
-      if (live_ == 0) {
-        // Fast exit; tombstones left in buckets/heap are reclaimed lazily
-        // when the wheel advances past them (or with the arena).
-        return false;
-      }
-      if (!refill(bound)) {
-        return false;
-      }
-    }
-  }
-
-  /// Consumes the prepared entry at drain_pos_ (prepare() returned true).
-  void take(SimTime& when, EventCallback& callback) {
-    const HeapEntry entry = drain_[drain_pos_++];
-    when = entry.when;
-    const std::uint32_t slot = slot_of(entry.key);
-    callback = std::move(slots_[slot].callback);
-    release(slot);
   }
 
   void release(std::uint32_t slot_index) {
     Slot& slot = slots_[slot_index];
     slot.callback.reset();  // free captured resources immediately
-    slot.live = false;
-    ++slot.generation;  // stale EventIds and ordering entries go inert
+    slot.heap_pos = kNil;
+    ++slot.generation;  // stale EventIds go inert
     slot.next_free = free_head_;
     free_head_ = slot_index;
-    --live_;
   }
 
   std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNilSlot;
+  std::uint32_t free_head_ = kNil;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
-
-  /// The wheel proper: per-level buckets of ordering entries plus their
-  /// occupancy bitmaps, anchored at cur_tick_ (the tick of the bucket
-  /// currently draining — never ahead of any live entry).
-  std::vector<HeapEntry> wheel_[kWheelLevels][kWheelSlotCount];
-  std::uint64_t occupied_[kWheelLevels][kBitmapWords] = {};
-  std::uint64_t cur_tick_ = 0;
-  /// Overflow tier: events beyond the wheel window, kept in a plain
-  /// binary min-heap on (when, key) until their window arrives.
-  std::vector<HeapEntry> heap_;
-  /// The level-0 bucket being drained, sorted by key (= seq order).
-  std::vector<HeapEntry> drain_;
-  std::size_t drain_pos_ = 0;
-  bool draining_ = false;
-  std::vector<HeapEntry> scratch_;  // cascade staging
+  SimTime last_popped_ = SimTime::zero();
+  /// Min-heap on (when, key) of every pending event; the children of i
+  /// are kArity * i + 1 .. kArity * i + 4.
+  std::vector<Entry> heap_;
+  bool root_vacant_ = false;  // heap_[0] is the entry just popped
 };
 
 }  // namespace netclone::sim

@@ -9,10 +9,10 @@
 //   * determinism — events at the same timestamp execute in scheduling
 //     order (ties broken by a monotonically increasing sequence number),
 //     so a run is bit-for-bit reproducible for a given seed;
-//   * cancel() is O(1), destroys the event's callback (and whatever it
-//     captured) immediately, and a returned EventId can never cancel a
-//     later event that happens to reuse the same storage (generation
-//     counters make stale handles inert).
+//   * cancel() removes the event from the queue in O(log n), destroys
+//     its callback (and whatever it captured) immediately, and a returned
+//     EventId can never cancel a later event that happens to reuse the
+//     same storage (generation counters make stale handles inert).
 #pragma once
 
 #include <cstddef>
@@ -190,7 +190,7 @@ class Scheduler {
     return schedule_at(now() + delay, std::move(action));
   }
 
-  /// Cancels a pending event: O(1), frees the callback immediately.
+  /// Cancels a pending event: O(log n) removal, frees the callback now.
   /// Cancelling an invalid, already-fired, or already-cancelled id is a
   /// harmless no-op.
   virtual void cancel(EventId id) = 0;

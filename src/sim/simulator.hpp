@@ -9,8 +9,8 @@
 // Only the owner of the event loop (the harness, tests, benches) includes
 // this header. Components schedule through the Scheduler interface in
 // scheduler.hpp; event storage is the slot-map arena in event_arena.hpp,
-// giving O(1) cancellation that truly removes the event and an exact
-// pending_events() count.
+// whose O(log n) cancellation removes the event from the queue and keeps
+// pending_events() exact.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +50,9 @@ class Simulator final : public Scheduler {
     return events_.insert_at_seq(when, seq, std::move(action));
   }
 
-  /// Cancels a pending event in O(1), destroying its callback. Cancelling
-  /// an already-fired or already-cancelled event is a harmless no-op.
+  /// Removes a pending event in O(log n), destroying its callback.
+  /// Cancelling an already-fired or already-cancelled event is a harmless
+  /// no-op.
   void cancel(EventId id) override { events_.cancel(id); }
 
   /// Runs events until the queue empties or `stop()` is called.

@@ -1,8 +1,9 @@
-// Property tests for the hierarchical timing wheel behind the event
-// engine (sim/event_arena.hpp): window rollover into and out of the
-// overflow heap, cancellation in every tier, dense same-timestamp FIFO
-// order (including reservations materialized out of order or mid-drain),
-// and a randomized schedule/cancel/run sweep checked against a sort-based
+// Property tests for the indexed heap behind the event engine
+// (sim/event_arena.hpp): ordering out to far horizons (past 2^32 ns),
+// cancellation at every distance, dense same-timestamp FIFO order
+// (including reservations materialized out of order or mid-drain), and
+// two randomized schedule/cancel/run sweeps — one driven from outside the
+// run loop, one from inside callbacks — checked against a sort-based
 // reference model.
 #include "sim/event_arena.hpp"
 
@@ -20,16 +21,16 @@ namespace {
 
 using namespace netclone::literals;
 
-/// One tick = 1 ns; the wheel covers 2^32 ticks before the overflow heap
-/// takes over (see event_arena.hpp).
+/// 2^32 ns (about 4.29 s): past any benchmark workload's simulated time,
+/// and past anything a 32-bit nanosecond offset could hold.
 constexpr std::int64_t kWindowNs = std::int64_t{1} << 32;
 
-TEST(TimingWheel, EventsBeyondTheWheelWindowFireInOrder) {
+TEST(EventQueue, FarHorizonEventsFireInOrder) {
   Simulator sim;
   std::vector<int> order;
-  // Deliberately scheduled shuffled: two wheel-resident events, one at
-  // the last tick of the window, and three overflow events in distinct
-  // 2^32-tick windows.
+  // Deliberately scheduled shuffled: two near events, one at the last
+  // nanosecond before 2^32, and three far events in distinct 2^32-ns
+  // windows.
   sim.schedule_at(SimTime::nanoseconds(3 * kWindowNs + 7),
                   [&] { order.push_back(6); });
   sim.schedule_at(1_ns, [&] { order.push_back(1); });
@@ -45,11 +46,10 @@ TEST(TimingWheel, EventsBeyondTheWheelWindowFireInOrder) {
   EXPECT_EQ(sim.now(), SimTime::nanoseconds(3 * kWindowNs + 7));
 }
 
-TEST(TimingWheel, DenseRolloverAcrossTheWindowBoundary) {
-  // 200 back-to-back ticks straddling the 2^32 boundary, inserted in a
-  // deterministic shuffle: the first half lands in the wheel, the second
-  // half in the overflow heap, and extraction must interleave them into
-  // one monotone run.
+TEST(EventQueue, DenseShuffledRunAtTheFarHorizonFiresInOrder) {
+  // 200 back-to-back nanoseconds straddling 2^32 ns, inserted in a
+  // deterministic shuffle: extraction must return them as one monotone
+  // run.
   Simulator sim;
   const std::int64_t base = kWindowNs - 100;
   std::vector<std::int64_t> offsets;
@@ -70,23 +70,23 @@ TEST(TimingWheel, DenseRolloverAcrossTheWindowBoundary) {
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
-TEST(TimingWheel, CancelRemovesEventsInEveryTier) {
-  // One doomed + one surviving event per tier: level 0 (tick-resolution
-  // bucket), levels 1-3 (coarser strides), and the overflow heap.
+TEST(EventQueue, CancelRemovesEventsAtEveryDistance) {
+  // One doomed + one surviving event per distance, from nanoseconds to
+  // beyond 2^32 ns.
   Simulator sim;
-  const SimTime tiers[] = {
-      10_ns,                           // level 0
-      1_us,                            // level 1
-      100_us,                          // level 2
-      20_ms,                           // level 3
-      SimTime::nanoseconds(kWindowNs + 500),  // overflow heap
+  const SimTime distances[] = {
+      10_ns,
+      1_us,
+      100_us,
+      20_ms,
+      SimTime::nanoseconds(kWindowNs + 500),
   };
   std::vector<int> order;
   std::vector<EventId> doomed;
   for (int i = 0; i < 5; ++i) {
-    doomed.push_back(
-        sim.schedule_at(tiers[i], [&] { FAIL() << "cancelled event fired"; }));
-    sim.schedule_at(tiers[i], [&order, i] { order.push_back(i); });
+    doomed.push_back(sim.schedule_at(
+        distances[i], [&] { FAIL() << "cancelled event fired"; }));
+    sim.schedule_at(distances[i], [&order, i] { order.push_back(i); });
   }
   EXPECT_EQ(sim.pending_events(), 10U);
   for (const EventId id : doomed) {
@@ -98,9 +98,9 @@ TEST(TimingWheel, CancelRemovesEventsInEveryTier) {
   EXPECT_EQ(sim.executed_events(), 5U);
 }
 
-TEST(TimingWheel, DenseSameTickBucketDrainsInSeqOrder) {
-  // 500 events on one tick with interleaved cancellations: the bucket is
-  // sorted once and drains in scheduling order, skipping tombstones.
+TEST(EventQueue, DenseSameTimestampFiresInSeqOrder) {
+  // 500 events at one timestamp with interleaved cancellations: the
+  // survivors fire in scheduling order.
   Simulator sim;
   std::vector<int> order;
   std::vector<EventId> ids;
@@ -120,7 +120,7 @@ TEST(TimingWheel, DenseSameTickBucketDrainsInSeqOrder) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(TimingWheel, ReservedSeqsMaterializedOutOfOrderFireInSeqOrder) {
+TEST(EventQueue, ReservedSeqsMaterializedOutOfOrderFireInSeqOrder) {
   // Reservations hold their place in the same-timestamp tie order no
   // matter when insert_at_seq materializes them.
   Simulator sim;
@@ -136,10 +136,10 @@ TEST(TimingWheel, ReservedSeqsMaterializedOutOfOrderFireInSeqOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST(TimingWheel, ReservationMaterializedMidDrainKeepsItsPlace) {
+TEST(EventQueue, ReservationMaterializedMidDrainKeepsItsPlace) {
   // The deferred-scheduler pattern (the link delivery FIFO): a
-  // callback materializes a reservation at the very tick being drained,
-  // with a seq smaller than entries already waiting in the bucket.
+  // callback materializes a reservation at the very timestamp being run,
+  // with a seq smaller than events already waiting at that timestamp.
   Simulator sim;
   std::vector<int> order;
   std::uint64_t reserved = 0;  // assigned below, between A and B
@@ -156,10 +156,9 @@ TEST(TimingWheel, ReservationMaterializedMidDrainKeepsItsPlace) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(TimingWheel, PopDueNeverAdvancesTheOriginPastTheDeadline) {
-  // A bounded pop that finds nothing due must leave the origin at or
-  // before the deadline, so later inserts between the deadline and the
-  // pending event land at or after the origin.
+TEST(EventQueue, InsertAfterAMissedPopDueFiresInTimeOrder) {
+  // A bounded pop that finds nothing due must consume nothing, so a
+  // later insert between the deadline and the pending event fires first.
   EventArena arena;
   arena.insert(1_us, [] {});
   SimTime when;
@@ -172,12 +171,13 @@ TEST(TimingWheel, PopDueNeverAdvancesTheOriginPastTheDeadline) {
   EXPECT_EQ(when, 1_us);
 }
 
-TEST(TimingWheel, RandomizedScheduleCancelRunMatchesReferenceModel) {
-  // Property sweep: random schedules across every tier (including heavy
-  // same-tick ties and overflow-window jumps), random cancellations of
-  // not-yet-fired events, and run_until() to random deadlines. The global
-  // firing order must equal the reference: all surviving events sorted by
-  // (when, scheduling order).
+TEST(EventQueue, RandomizedScheduleCancelRunMatchesReferenceModel) {
+  // Property sweep: random schedules at every distance (including heavy
+  // same-timestamp ties and jumps past 2^32 ns), random cancellations of
+  // up to half the pending events each round (removals from the heap's
+  // interior, sifting both ways), and run_until() to random deadlines.
+  // The global firing order must equal the reference: all surviving
+  // events sorted by (when, scheduling order).
   Simulator sim;
   Rng rng{0xFEEDFACE};
   struct Ref {
@@ -192,8 +192,8 @@ TEST(TimingWheel, RandomizedScheduleCancelRunMatchesReferenceModel) {
   std::vector<std::size_t> fire_order;
   std::uint64_t order_counter = 0;
 
-  // Spreads chosen to hit: dense ties, level-0/1/2 buckets, level 3, and
-  // the overflow heap (beyond the 2^32-tick window).
+  // Spreads chosen to hit: dense ties, sub-microsecond to millisecond
+  // gaps, and seconds past 2^32 ns.
   const std::uint64_t spreads[] = {16, 200, 60'000, 5'000'000,
                                    3'000'000'000, 8'000'000'000};
   for (int round = 0; round < 30; ++round) {
@@ -212,14 +212,23 @@ TEST(TimingWheel, RandomizedScheduleCancelRunMatchesReferenceModel) {
       cancelled.push_back(0);
       refs.push_back(Ref{when, order_counter++, idx});
     }
-    const std::size_t cancels = rng.next_below(8);
-    for (std::size_t i = 0; i < cancels; ++i) {
-      const std::size_t idx = rng.next_below(ids.size());
+    std::vector<std::size_t> pending;
+    for (std::size_t idx = 0; idx < ids.size(); ++idx) {
       if (fired[idx] == 0 && cancelled[idx] == 0) {
-        sim.cancel(ids[idx]);
-        cancelled[idx] = 1;
+        pending.push_back(idx);
       }
     }
+    ASSERT_EQ(sim.pending_events(), pending.size());
+    const std::size_t cancels = rng.next_below(pending.size() / 2 + 1);
+    for (std::size_t i = 0; i < cancels; ++i) {
+      const std::size_t pick = rng.next_below(pending.size());
+      const std::size_t idx = pending[pick];
+      pending[pick] = pending.back();
+      pending.pop_back();
+      sim.cancel(ids[idx]);
+      cancelled[idx] = 1;
+    }
+    ASSERT_EQ(sim.pending_events(), pending.size());
     sim.run_until(sim.now() + SimTime::nanoseconds(static_cast<std::int64_t>(
                                   rng.next_below(2'000'000'000))));
   }
@@ -244,6 +253,93 @@ TEST(TimingWheel, RandomizedScheduleCancelRunMatchesReferenceModel) {
   }
   EXPECT_EQ(fire_order, expected);
   EXPECT_EQ(sim.executed_events(), expected.size());
+}
+
+/// Loads the engine from inside its own callbacks: each firing event
+/// schedules 0-2 follow-ups and sometimes cancels a pending event.
+struct CallbackWorkload {
+  struct Ref {
+    SimTime when;
+    std::size_t idx;  // scheduling order
+  };
+
+  Simulator sim;
+  Rng rng{0xC0FFEE};
+  std::vector<Ref> refs;
+  std::vector<EventId> ids;
+  std::vector<char> done;  // fired or cancelled
+  std::vector<std::size_t> fire_order;
+  std::size_t cancels = 0;
+
+  void schedule(SimTime when) {
+    const std::size_t idx = ids.size();
+    refs.push_back(Ref{when, idx});
+    done.push_back(0);
+    ids.push_back(sim.schedule_at(when, [this, idx] { fire(idx); }));
+  }
+
+  void fire(std::size_t idx) {
+    fire_order.push_back(idx);
+    done[idx] = 1;
+    if (ids.size() < 20'000) {
+      const std::size_t children = rng.next_below(3);
+      for (std::size_t c = 0; c < children; ++c) {
+        schedule(sim.now() + SimTime::nanoseconds(static_cast<std::int64_t>(
+                                 rng.next_below(c == 0 ? 4 : 5'000))));
+      }
+    }
+    if (rng.next_below(4) == 0) {
+      // Cancel a random event if it is still pending.
+      const std::size_t victim = rng.next_below(ids.size());
+      if (done[victim] == 0) {
+        sim.cancel(ids[victim]);
+        done[victim] = 1;
+        ++cancels;
+      }
+    }
+  }
+};
+
+TEST(EventQueue, CallbacksThatScheduleAndCancelMatchTheReferenceModel) {
+  // Events scheduled and cancelled from inside callbacks, as the
+  // simulation's components do: a pop leaves the heap's root vacant until
+  // the next operation, and each kind of next operation (an insert that
+  // fills the root, a cancel, a further pop) must keep the order.
+  // Scheduling never goes into the past, so the reference stays all
+  // surviving events sorted by (when, scheduling order).
+  using Ref = CallbackWorkload::Ref;
+  CallbackWorkload d;
+  for (int i = 0; i < 300; ++i) {
+    d.schedule(SimTime::nanoseconds(
+        static_cast<std::int64_t>(d.rng.next_below(10'000))));
+  }
+  d.sim.run();
+  ASSERT_EQ(d.sim.pending_events(), 0U);
+
+  std::vector<char> fired(d.refs.size(), 0);
+  for (const std::size_t idx : d.fire_order) {
+    fired[idx] = 1;
+  }
+  std::vector<Ref> live;
+  for (const Ref& ref : d.refs) {
+    if (fired[ref.idx] != 0) {
+      live.push_back(ref);
+    }
+  }
+  EXPECT_EQ(live.size() + d.cancels, d.refs.size());
+  std::sort(live.begin(), live.end(), [](const Ref& a, const Ref& b) {
+    if (a.when != b.when) {
+      return a.when < b.when;
+    }
+    return a.idx < b.idx;
+  });
+  std::vector<std::size_t> expected;
+  expected.reserve(live.size());
+  for (const Ref& ref : live) {
+    expected.push_back(ref.idx);
+  }
+  EXPECT_EQ(d.fire_order, expected);
+  EXPECT_GT(d.cancels, 100U);
 }
 
 }  // namespace

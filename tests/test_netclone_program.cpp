@@ -286,24 +286,6 @@ TEST_F(NetCloneProgramTest, FilteringDisabledForwardsDuplicates) {
   EXPECT_EQ(program.stats().filtered_responses, 0U);
 }
 
-TEST_F(NetCloneProgramTest, CloningDisabledNeverClones) {
-  NetCloneConfig cfg = make_config();
-  cfg.enable_cloning = false;
-  pisa::Pipeline pipeline;
-  NetCloneProgram program{pipeline, cfg};
-  program.add_server(ServerId{0}, host::server_ip(ServerId{0}), kPortSrv0,
-                     kMcastSrv0);
-  program.add_server(ServerId{1}, host::server_ip(ServerId{1}), kPortSrv1,
-                     kMcastSrv1);
-  program.install_groups(build_group_pairs(2));
-
-  wire::Packet pkt = make_request(0, 1, 0, 0);
-  const auto md = run_ingress(program, pipeline, pkt);
-  EXPECT_FALSE(md.multicast_group.has_value());
-  EXPECT_EQ(md.egress_port, kPortSrv0);
-  EXPECT_EQ(program.stats().cloned_requests, 0U);
-}
-
 TEST_F(NetCloneProgramTest, UnknownGroupDropsRequest) {
   wire::Packet pkt = make_request(0, 1, /*grp=*/999, 0);
   const auto md = run_ingress(program_, pipeline_, pkt);
