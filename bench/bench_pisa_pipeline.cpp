@@ -1,16 +1,14 @@
 // PISA pipeline execution throughput: the flat match tables and the
-// compile-time pass checks, measured two ways.
+// per-pass legality checks, measured two ways.
 //
 //   * per-pass: one Alg.-1-shaped request pass (two match-table lookups,
 //     a register RMW, the SEQ counter, a forwarding lookup) in passes per
 //     second.
 //   * lookups: raw match-table probe rate, hit and miss.
 //
-// Every timed section is best-of-3. The rates are info rows; the one exact
-// key, pipeline_checks, records whether the per-pass legality checks were
-// compiled in, since they change what a pass costs. The work a pass does in
-// a whole run is pinned by bench_packet_path and bench_multirack. Results
-// land in BENCH_pisa_pipeline.json.
+// Every timed section is best-of-3. The rates are info rows; the work a
+// pass does in a whole run is pinned by bench_packet_path and
+// bench_multirack. Results land in BENCH_pisa_pipeline.json.
 //
 // Usage: bench_pisa_pipeline [output.json]
 #include <algorithm>
@@ -131,9 +129,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kPassIters = 10000000;
   constexpr std::size_t kLookupIters = 40000000;
 
-  std::printf("pisa pipeline bench: checks %s, best of 3\n\n",
-              pisa::pipeline_checks_enabled() ? "compiled in"
-                                              : "compiled out");
+  std::printf("pisa pipeline bench: best of 3\n\n");
 
   const double pass = best_of_3([] { return bench_pass(kPassIters); });
   std::printf("request pass (2 lookups + RMW + SEQ + fwd):\n");
@@ -150,8 +146,6 @@ int main(int argc, char** argv) {
   std::ofstream out{out_path};
   out << "{\n"
       << "  \"bench\": \"pisa_pipeline\",\n"
-      << "  \"pipeline_checks\": "
-      << (pisa::pipeline_checks_enabled() ? 1 : 0) << ",\n"
       << "  \"request_pass\": " << static_cast<std::uint64_t>(pass) << ",\n"
       << "  \"lookup_hit\": " << static_cast<std::uint64_t>(hit) << ",\n"
       << "  \"lookup_miss\": " << static_cast<std::uint64_t>(miss) << "\n"

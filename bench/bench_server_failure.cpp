@@ -27,7 +27,7 @@ int main() {
   cfg.measure = SimTime::milliseconds(24);
 
   harness::Experiment experiment{cfg};
-  experiment.scheduler().schedule_at(
+  experiment.simulator().schedule_at(
       SimTime::milliseconds(12),
       [&experiment] { experiment.remove_server(ServerId{2}); });
   const auto bins = experiment.run_timeline(

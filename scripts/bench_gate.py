@@ -52,8 +52,6 @@ EXACT_KEYS = {
     "fig7_requests_sent", "fig7_executed_events", "fig7_phys.frames",
     "fig7_wire.pool_acquires", "fig7_pisa.passes", "fig7_pisa.recirculated",
     "fig7_core.cloned", "fig7_core.filtered",
-    # bench_pisa_pipeline: whether the per-pass checks are compiled in.
-    "pipeline_checks",
     # bench_fig16_failure: the fault-free control run.
     "fig16_nofault_completed", "fig16_nofault_digest",
     # bench_multirack: the pod point, the work it does, and the chain

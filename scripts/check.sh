@@ -4,12 +4,11 @@
 # (refcounts, whole-frame copy-on-write, in-place patching) and the host
 # data path (PayloadRef views pinning rx frames through the server
 # queue, frames built into pooled buffers) — a leak or UB there is
-# invisible to the functional tests. The sanitizer builds also compile
-# the per-pass pipeline legality checks in (NETCLONE_PIPELINE_CHECKS
-# AUTO), so the full run covers both check modes. The slow-labelled
-# 100-combo chaos sweep (fault injection + invariant auditor +
-# determinism digests) rides in every full suite, so it runs under both
-# sanitizers before a merge.
+# invisible to the functional tests. Every build compiles the per-pass
+# pipeline legality checks in, so each lane runs under them. The
+# slow-labelled 100-combo chaos sweep (fault injection + invariant
+# auditor + determinism digests) rides in every full suite, so it runs
+# under both sanitizers before a merge.
 #
 # Every configure/build/test step reports which step failed and stops
 # there; nothing downstream runs on a broken build.

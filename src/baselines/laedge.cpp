@@ -7,10 +7,10 @@
 
 namespace netclone::baselines {
 
-LaedgeCoordinator::LaedgeCoordinator(sim::Scheduler& scheduler,
+LaedgeCoordinator::LaedgeCoordinator(sim::Simulator& sim,
                                      LaedgeParams params, Rng rng)
     : phys::Node("laedge-coordinator"),
-      sim_(scheduler),
+      sim_(sim),
       params_(std::move(params)),
       rng_(rng),
       my_ip_(host::coordinator_ip()),

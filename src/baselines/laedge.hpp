@@ -23,7 +23,7 @@
 #include "common/types.hpp"
 #include "host/addressing.hpp"
 #include "phys/node.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "wire/packet_view.hpp"
 
 namespace netclone::baselines {
@@ -61,7 +61,7 @@ struct LaedgeStats {
 
 class LaedgeCoordinator : public phys::Node {
  public:
-  LaedgeCoordinator(sim::Scheduler& scheduler, LaedgeParams params, Rng rng);
+  LaedgeCoordinator(sim::Simulator& sim, LaedgeParams params, Rng rng);
 
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
@@ -95,7 +95,7 @@ class LaedgeCoordinator : public phys::Node {
   /// the work completes.
   SimTime charge_cpu();
 
-  sim::Scheduler& sim_;
+  sim::Simulator& sim_;
   LaedgeParams params_;
   Rng rng_;
   wire::Ipv4Address my_ip_;

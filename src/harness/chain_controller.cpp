@@ -47,7 +47,7 @@ void ChainController::settle_and_check_no_overlap(const char* op) {
   NETCLONE_CHECK(pending_admits_.empty() && pending_reconciles_.empty(),
                  std::string(op) +
                      " overlaps an in-flight chain resync — space plan "
-                     "events at least chain_sync_delay apart");
+                     "events at least kChainSyncDelay apart");
 }
 
 void ChainController::fail_replica(std::size_t replica) {

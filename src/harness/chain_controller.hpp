@@ -12,10 +12,10 @@
 //     ECMP-spraying requests at it. When a MIDDLE replica died, the
 //     successor may have missed updates that perished inside the corpse
 //     or on its links, so a reconcile marker injected at the predecessor
-//     after `chain_sync_delay` carries a snapshot cut down the spliced
-//     chain: installs overwrite every downstream replica with the
-//     predecessor's state, and the FIFO delta stream behind the marker
-//     replays everything newer. Head/tail deaths need no reconcile —
+//     `MultiRackExperiment::kChainSyncDelay` later carries a snapshot cut
+//     down the spliced chain: installs overwrite every downstream replica
+//     with the predecessor's state, and the FIFO delta stream behind the
+//     marker replays everything newer. Head/tail deaths need no reconcile —
 //     survivors saw a prefix of the same stream and stay convergent.
 //   * rejoin_replica(a): the switch recovers with zeroed soft state and
 //     is appended at the chain END. The old tail fills an admit record
@@ -24,13 +24,13 @@
 //     the new chain link and the delta stream rides behind it. The
 //     rejoiner installs the snapshot, becomes the tail (verdict
 //     authority moves atomically at the marker), and only after
-//     `chain_readmit_delay` does the client ToR spray requests at it
+//     `kChainReadmitDelay` does the client ToR spray requests at it
 //     again.
 //
 // Determinism: every mutation runs from events the fault installer
 // scheduled at install time, and sync-record ids are assigned in event
 // order, so a same-seed run replays the identical sequence. Plans must
-// space chain events at least `chain_sync_delay` apart (the installer's
+// space chain events at least `kChainSyncDelay` apart (the installer's
 // contract); the controller CHECKs instead of silently mis-splicing
 // when a plan violates that.
 #pragma once
@@ -70,7 +70,7 @@ class ChainController {
 
   /// Event at the fail instant: crash + splice + spray/route updates.
   void fail_replica(std::size_t replica);
-  /// Event at fail + chain_sync_delay: inject the reconcile
+  /// Event at fail + kChainSyncDelay: inject the reconcile
   /// marker at the recorded predecessor (no-op when superseded).
   void reconcile_after_fail(std::size_t replica);
   /// Event at the rejoin instant: recover the switch and append it to
@@ -79,7 +79,7 @@ class ChainController {
   /// Event at the same instant, scheduled after rejoin_replica: inject
   /// the admit marker at the old tail.
   void inject_admit_marker(std::size_t replica);
-  /// Event at rejoin + chain_readmit_delay: put the replica
+  /// Event at rejoin + kChainReadmitDelay: put the replica
   /// back into the ECMP spray set (no-op when superseded).
   void readmit_spray(std::size_t replica);
 

@@ -55,10 +55,9 @@ Experiment::~Experiment() = default;
 void Experiment::build() {
   const wire::ScopedPoolBinding bind(pool());
   const std::size_t num_servers = config_.server_workers.size();
-  sim::Scheduler& sim = scheduler();
+  sim::Simulator& sim = simulator();
 
-  switch_ = &topology().add_node<pisa::SwitchDevice>(sim, "tor",
-                                                     config_.switch_params);
+  switch_ = &topology().add_node<pisa::SwitchDevice>(sim, "tor");
 
   // The loopback port used for clone recirculation must exist before the
   // PRE multicast groups referencing it.
@@ -233,10 +232,10 @@ std::vector<std::uint64_t> Experiment::run_timeline(
     std::optional<SimTime> recover_at) {
   start_timeline(bin);
   if (fail_at) {
-    scheduler().schedule_at(*fail_at, [this] { switch_->fail(); });
+    simulator().schedule_at(*fail_at, [this] { switch_->fail(); });
   }
   if (recover_at) {
-    scheduler().schedule_at(*recover_at, [this] { switch_->recover(); });
+    simulator().schedule_at(*recover_at, [this] { switch_->recover(); });
   }
   return completions_per_bin(total, bin);
 }

@@ -23,7 +23,7 @@
 #include "host/server.hpp"
 #include "phys/topology.hpp"
 #include "pisa/switch_device.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 
 namespace netclone::harness {
 
@@ -48,10 +48,9 @@ struct ClusterConfig {
 
   host::ClientParams client_template{};
   host::ServerParams server_template{};
-  pisa::SwitchParams switch_params{};
 
-  /// Timed faults installed at build time and fired through the
-  /// Scheduler (deterministic relative to every other event).
+  /// Timed faults installed at build time and fired as engine events
+  /// (deterministic relative to every other event).
   FaultPlan faults{};
 };
 

@@ -29,8 +29,8 @@
 // names in one place (Testbed::apply_fault), exactly: a link or switch
 // must be registered under that name, and the N of `s<N>`, `agg<N>` and
 // `rack<N>` must be the whole rest of the target. Every entry is
-// scheduled through the Scheduler, so fault firing obeys the same
-// deterministic event order as everything else.
+// scheduled as an event on the run's sim::Simulator, so fault firing
+// obeys the same deterministic event order as everything else.
 //
 // Multi-rack plans address fat-tree entities through the same grammar:
 // switches `tor1` (client ToR), `tor2`.. (server-rack ToRs), `agg0`..

@@ -27,7 +27,7 @@
 //     response stream — the NetChain-style state-machine-replication
 //     contract.
 //
-// chaos_digest() folds the scheduler event count and every stats counter
+// chaos_digest() folds the engine's event count and every stats counter
 // into one value: two same-seed runs must produce identical digests —
 // the determinism half of the chaos-sweep contract.
 #pragma once

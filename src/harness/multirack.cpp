@@ -84,7 +84,7 @@ void MultiRackExperiment::build() {
                  "group id space exceeded: too many servers");
 
   const wire::ScopedPoolBinding bind(pool());
-  sim::Scheduler& sim = scheduler();
+  sim::Simulator& sim = simulator();
 
   // Tables must hold the whole pod regardless of the caller's defaults.
   core::NetCloneConfig nc = config_.netclone;
@@ -135,7 +135,7 @@ void MultiRackExperiment::build() {
   std::vector<phys::DuplexPorts> client_trunks;
   for (std::size_t a = 0; a < config_.num_aggs; ++a) {
     const phys::DuplexPorts trunk =
-        connect_nodes(*client_tor_, *aggs_[a], config_.trunk_link);
+        connect_nodes(*client_tor_, *aggs_[a], kTrunkLink);
     record_link("tor1", indexed_name("agg", a), trunk);
     client_trunks.push_back(trunk);
   }
@@ -163,7 +163,7 @@ void MultiRackExperiment::build() {
     for (std::size_t i = 0; i < config_.num_aggs; ++i) {
       for (std::size_t j = i + 1; j < config_.num_aggs; ++j) {
         const phys::DuplexPorts hop =
-            connect_nodes(*aggs_[i], *aggs_[j], config_.trunk_link);
+            connect_nodes(*aggs_[i], *aggs_[j], kTrunkLink);
         record_link(indexed_name("agg", i), indexed_name("agg", j), hop);
         chain_ports_[i][j] = hop.port_on_a;
         chain_ports_[j][i] = hop.port_on_b;
@@ -231,7 +231,7 @@ void MultiRackExperiment::build() {
     std::vector<phys::DuplexPorts> trunks;
     for (std::size_t a = 0; a < config_.num_aggs; ++a) {
       const phys::DuplexPorts trunk =
-          connect_nodes(tor, *aggs_[a], config_.trunk_link);
+          connect_nodes(tor, *aggs_[a], kTrunkLink);
       record_link(tor_name, indexed_name("agg", a), trunk);
       trunks.push_back(trunk);
     }
@@ -249,7 +249,7 @@ void MultiRackExperiment::build() {
       auto& server = topology().add_node<host::Server>(
           sim, sp, config_.service, root_rng().fork());
       const phys::DuplexPorts ports =
-          connect_nodes(server, tor, config_.host_link);
+          connect_nodes(server, tor, kHostLink);
       record_link(indexed_name("s", sid), tor_name, ports);
       record_server(server);
       const wire::Ipv4Address ip = host::server_ip(ServerId{sid});
@@ -295,7 +295,7 @@ void MultiRackExperiment::build() {
     auto& client = topology().add_node<host::Client>(
         sim, cp, config_.factory, root_rng().fork());
     const phys::DuplexPorts ports =
-        connect_nodes(client, *client_tor_, config_.host_link);
+        connect_nodes(client, *client_tor_, kHostLink);
     record_link(indexed_name("c", c), "tor1", ports);
     const wire::Ipv4Address ip = host::client_ip(cp.client_id);
     client_ips_.push_back(ip);
@@ -372,10 +372,10 @@ bool MultiRackExperiment::schedule_expanded_fault(const FaultEvent& event) {
       const std::size_t a = indexed_target(event, "agg", config_.num_aggs);
       // Crash + splice + spray/route updates now; the reconcile marker
       // a little later.
-      scheduler().schedule_at(
+      simulator().schedule_at(
           event.at, [this, a] { chain_controller_->fail_replica(a); });
-      scheduler().schedule_at(
-          event.at + config_.chain_sync_delay,
+      simulator().schedule_at(
+          event.at + kChainSyncDelay,
           [this, a] { chain_controller_->reconcile_after_fail(a); });
       return true;
     }
@@ -384,13 +384,13 @@ bool MultiRackExperiment::schedule_expanded_fault(const FaultEvent& event) {
       // Same-instant pair: recover + bookkeeping fires before the
       // admit marker injection because it is scheduled first (equal
       // times break ties by scheduling order). Keep this call order.
-      scheduler().schedule_at(
+      simulator().schedule_at(
           event.at, [this, a] { chain_controller_->rejoin_replica(a); });
-      scheduler().schedule_at(event.at, [this, a] {
+      simulator().schedule_at(event.at, [this, a] {
         chain_controller_->inject_admit_marker(a);
       });
-      scheduler().schedule_at(
-          event.at + config_.chain_readmit_delay,
+      simulator().schedule_at(
+          event.at + kChainReadmitDelay,
           [this, a] { chain_controller_->readmit_spray(a); });
       return true;
     }

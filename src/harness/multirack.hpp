@@ -22,8 +22,9 @@
 // Every cloning switch — the client ToR, or each replica — is wired by
 // its own core::Controller, as the single rack's ToR is.
 //
-// Oversubscription is expressed through the link parameters: `host_link`
-// for edge links, `trunk_link` for ToR↔agg uplinks and the chain.
+// Edge links run MultiRackExperiment::kHostLink, and ToR↔agg uplinks and
+// the chain run kTrunkLink: both at 100 Gb/s, so the pod is not
+// oversubscribed.
 #pragma once
 
 #include <memory>
@@ -65,28 +66,12 @@ struct MultiRackConfig {
   core::NetCloneConfig netclone{};
   host::ClientParams client_template{};
   host::ServerParams server_template{};
-  /// Edge links (host ↔ ToR).
-  phys::LinkParams host_link{};
-  /// ToR ↔ agg uplinks and the agg↔agg chain links. Oversubscription is
-  /// modeled by giving these a lower rate than `host_link`. The default
-  /// delay is longer than the edge default — cross-tier cables are —
-  /// which also keeps same-instant arrival coincidences between tiers
-  /// rare.
-  phys::LinkParams trunk_link{100e9, SimTime::nanoseconds(1700), 1024};
   /// Timed fault plan. Targets resolve against fat-tree names: switches
   /// `tor1`/`tor2`../`agg0`.., links `tor1-agg0`/`agg0-agg1`/`tor2-s0`,
   /// servers `s<N>` (global id), racks `rack<N>`, and the managed chain
   /// pair `agg_fail`/`agg_rejoin` (kReplicated mode only). Installed at
   /// build time so fault firing shares the deterministic event order.
   FaultPlan faults{};
-  /// agg_fail: delay between the chain splice and the reconcile marker.
-  /// Must exceed the worst-case residual flight time of a response on a
-  /// chain/trunk link (~10us with the defaults) so the marker's snapshot
-  /// supersedes every frame the splice orphaned.
-  SimTime chain_sync_delay = SimTime::microseconds(50);
-  /// agg_rejoin: delay before the rejoined replica re-enters the client
-  /// ToR's ECMP spray set (the admit marker must have landed by then).
-  SimTime chain_readmit_delay = SimTime::microseconds(50);
 };
 
 /// One built-and-runnable fat-tree pod; see Testbed for the lifecycle.
@@ -96,6 +81,24 @@ class MultiRackExperiment : public Testbed {
  public:
   explicit MultiRackExperiment(MultiRackConfig config);
   ~MultiRackExperiment() override;
+
+  // -- fixed link and chain timing ----------------------------------------
+
+  /// Edge links (host ↔ ToR).
+  static constexpr phys::LinkParams kHostLink{};
+  /// ToR ↔ agg uplinks and the agg↔agg chain links. The delay is longer
+  /// than the edge default — cross-tier cables are — which also keeps
+  /// same-instant arrival coincidences between tiers rare.
+  static constexpr phys::LinkParams kTrunkLink{
+      100e9, SimTime::nanoseconds(1700), 1024};
+  /// agg_fail: delay between the chain splice and the reconcile marker.
+  /// Must exceed the worst-case residual flight time of a response on a
+  /// chain/trunk link (~10us) so the marker's snapshot supersedes every
+  /// frame the splice orphaned.
+  static constexpr SimTime kChainSyncDelay = SimTime::microseconds(50);
+  /// agg_rejoin: delay before the rejoined replica re-enters the client
+  /// ToR's ECMP spray set (the admit marker must have landed by then).
+  static constexpr SimTime kChainReadmitDelay = SimTime::microseconds(50);
 
   // -- programs -----------------------------------------------------------
 

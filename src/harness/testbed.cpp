@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/histogram.hpp"
-#include "sim/simulator.hpp"
 
 namespace netclone::harness {
 
@@ -39,16 +38,13 @@ double cluster_capacity_rps(const std::vector<std::uint32_t>& server_workers,
 
 Testbed::Testbed(const Schedule& schedule)
     : schedule_(schedule),
-      sim_(std::make_unique<sim::Simulator>()),
-      topology_(*sim_),
+      topology_(sim_),
       root_rng_(schedule.seed) {}
 
 Testbed::~Testbed() = default;
 
-sim::Scheduler& Testbed::scheduler() { return *sim_; }
-
 std::uint64_t Testbed::executed_events() const {
-  return sim_->executed_events();
+  return sim_.executed_events();
 }
 
 std::vector<wire::FramePool::Stats> Testbed::frame_pool_stats() const {
@@ -148,7 +144,7 @@ void Testbed::install_fault_plan(const FaultPlan& plan) {
     // storage (the event's target string would not fit).
     const std::size_t index = fault_events_.size();
     fault_events_.push_back(event);
-    scheduler().schedule_at(event.at, [this, index] {
+    sim_.schedule_at(event.at, [this, index] {
       apply_fault(fault_events_[index]);
     });
   }
@@ -250,7 +246,7 @@ void Testbed::start_clients() {
 
 void Testbed::run_until(SimTime deadline) {
   const wire::ScopedPoolBinding bind(pool_);
-  sim_->run_until(deadline);
+  sim_.run_until(deadline);
 }
 
 ExperimentResult Testbed::run() {

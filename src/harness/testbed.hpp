@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -23,12 +22,8 @@
 #include "host/server.hpp"
 #include "phys/topology.hpp"
 #include "pisa/switch_device.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "wire/framebuf.hpp"
-
-namespace netclone::sim {
-class Simulator;
-}  // namespace netclone::sim
 
 namespace netclone::harness {
 
@@ -94,7 +89,7 @@ class Testbed {
   [[nodiscard]] std::vector<std::uint64_t> run_timeline(SimTime total,
                                                         SimTime bin);
 
-  /// Schedules every entry of `plan` through the Scheduler. The plan in
+  /// Schedules every entry of `plan` on the engine. The plan in
   /// the harness's config is installed at build time; this lets tests and
   /// benches add more afterwards. Throws CheckFailure, before scheduling
   /// anything, when an entry needs a component this topology lacks.
@@ -133,9 +128,9 @@ class Testbed {
     return clients_;
   }
 
-  /// Scheduling surface of the engine, for tests/benches that inject
-  /// events (failures, reconfigurations) into a run.
-  [[nodiscard]] sim::Scheduler& scheduler();
+  /// The event engine, for tests/benches that inject events (failures,
+  /// reconfigurations) into a run.
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   /// Engine telemetry: events executed so far (determinism fingerprint).
   [[nodiscard]] std::uint64_t executed_events() const;
   /// The balance sheet of this testbed's own frame pool, as the
@@ -243,8 +238,7 @@ class Testbed {
   // every frame the nodes and the pending events hold releases into the
   // pool, and links cancel their events in the engine when destroyed.
   wire::FramePool pool_;
-  // Held through a pointer so the event arena stays out of this header.
-  std::unique_ptr<sim::Simulator> sim_;
+  sim::Simulator sim_;
   phys::Topology topology_;
   Rng root_rng_;
   std::vector<std::pair<std::string, phys::Link*>> links_;

@@ -20,17 +20,16 @@ std::uint64_t retry_stream_seed(Rng probe, std::uint16_t client_id) {
 
 }  // namespace
 
-Client::Client(sim::Scheduler& scheduler, ClientParams params,
+Client::Client(sim::Simulator& sim, ClientParams params,
                std::shared_ptr<RequestFactory> factory, Rng rng)
     : phys::Node("client-" + std::to_string(params.client_id)),
-      sim_(scheduler),
+      sim_(sim),
       params_(params),
       factory_(std::move(factory)),
       rng_(rng),
       retry_rng_(retry_stream_seed(rng, params.client_id)),
       my_ip_(client_ip(params.client_id)),
-      my_mac_(wire::MacAddress::from_node(0x0200U + params.client_id)),
-      arrival_timer_(scheduler, [this] { on_arrival(); }) {
+      my_mac_(wire::MacAddress::from_node(0x0200U + params.client_id)) {
   NETCLONE_CHECK(params_.rate_rps > 0.0, "client rate must be positive");
   NETCLONE_CHECK(params_.num_filter_tables > 0, "need >= 1 filter table");
   // The server tracks a request's fragments in a 64-bit mask.
@@ -69,16 +68,14 @@ Client::Client(sim::Scheduler& scheduler, ClientParams params,
 void Client::start() {
   if (params_.loop == LoopMode::kClosedLoop) {
     // Prime the window; completions keep it full from here on.
-    sim_.schedule_at(std::max(params_.start_at, sim_.now()), [this] {
+    sim_.schedule_at(sim_.now(), [this] {
       for (std::uint32_t i = 0; i < params_.closed_loop_window; ++i) {
         issue_request();
       }
     });
     return;
   }
-  burst_on_until_ = params_.start_at;  // first ON window opens lazily
-  const SimTime first = next_arrival_time();
-  arrival_timer_.arm_at(std::max(first, sim_.now()));
+  sim_.schedule_at(next_arrival_time(), [this] { on_arrival(); });
 }
 
 double Client::profile_multiplier(const std::vector<RateSegment>& profile,
@@ -118,7 +115,7 @@ std::size_t Client::pick_weighted(const std::vector<double>& cdf,
 }
 
 SimTime Client::next_arrival_time() {
-  const SimTime from = std::max(sim_.now(), params_.start_at);
+  const SimTime from = sim_.now();
   if (params_.arrival == ArrivalProcess::kPoisson) {
     // An active rate profile rescales the exponential gap by the
     // multiplier in force at the draw instant (piecewise-constant
@@ -156,7 +153,7 @@ void Client::schedule_next_arrival() {
   if (next >= params_.stop_at) {
     return;  // sending window over; the receiver keeps draining
   }
-  arrival_timer_.arm_at(next);
+  sim_.schedule_at(next, [this] { on_arrival(); });
 }
 
 void Client::issue_request() {

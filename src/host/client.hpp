@@ -26,7 +26,7 @@
 #include "host/addressing.hpp"
 #include "host/workload.hpp"
 #include "phys/node.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "wire/frame.hpp"
 
 namespace netclone::host {
@@ -106,8 +106,7 @@ struct ClientParams {
   wire::Ipv4Address target{};
   /// Receiver-thread CPU time per response.
   SimTime rx_cost = SimTime::nanoseconds(300);
-  /// Sending window.
-  SimTime start_at = SimTime::zero();
+  /// End of the sending window, which opens when start() is called.
   SimTime stop_at = SimTime::max();
   /// Samples sent before this instant are excluded from the histogram.
   SimTime warmup_until = SimTime::zero();
@@ -163,7 +162,7 @@ struct ClientStats {
 
 class Client : public phys::Node {
  public:
-  Client(sim::Scheduler& scheduler, ClientParams params,
+  Client(sim::Simulator& sim, ClientParams params,
          std::shared_ptr<RequestFactory> factory, Rng rng);
 
   /// Schedules the first send; call once after topology wiring.
@@ -266,7 +265,7 @@ class Client : public phys::Node {
   void mark_completed(std::uint32_t client_seq);
   [[nodiscard]] bool was_completed(std::uint32_t client_seq) const;
 
-  sim::Scheduler& sim_;
+  sim::Simulator& sim_;
   ClientParams params_;
   /// Cumulative group weights (empty = uniform draws).
   std::vector<double> group_cdf_;
@@ -278,11 +277,10 @@ class Client : public phys::Node {
   wire::Ipv4Address my_ip_;
   wire::MacAddress my_mac_;
 
-  /// Open-loop arrival pacing: rearmed from its own callback.
-  sim::Timer arrival_timer_;
   SimTime tx_busy_until_ = SimTime::zero();
   SimTime rx_busy_until_ = SimTime::zero();
-  SimTime burst_on_until_ = SimTime::zero();  // end of the current ON window
+  /// End of the current ON window; the first one opens lazily.
+  SimTime burst_on_until_ = SimTime::zero();
   std::uint32_t next_seq_ = 1;
   /// Requests in flight, keyed by CLIENT_SEQ; erased on completion. An
   /// insert may move entries, so no Pending& survives issue_request().

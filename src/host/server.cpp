@@ -6,10 +6,10 @@
 
 namespace netclone::host {
 
-Server::Server(sim::Scheduler& scheduler, ServerParams params,
+Server::Server(sim::Simulator& sim, ServerParams params,
                std::shared_ptr<ServiceModel> service, Rng rng)
     : phys::Node("server-" + std::to_string(value_of(params.sid))),
-      sim_(scheduler),
+      sim_(sim),
       params_(params),
       service_(std::move(service)),
       rng_(rng),
@@ -326,7 +326,7 @@ void Server::on_complete(PendingRequest req, const wire::RpcRequest& rpc,
   // Fragment 0 carries the body, serialized straight into its frame; the
   // rest are header-only markers the switch filters through its ordered
   // tables. Each leaves as soon as it is built; the egress link's FIFO
-  // arms one delivery event for the back-to-back run.
+  // schedules one delivery event per fragment.
   const auto frags = std::max<std::uint8_t>(params_.response_fragments, 1);
   resp.nc().frag_count = frags;
   resp.nc().frag_idx = 0;

@@ -28,7 +28,7 @@
 #include "host/addressing.hpp"
 #include "host/service.hpp"
 #include "phys/node.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "wire/frame.hpp"
 
 namespace netclone::host {
@@ -104,7 +104,7 @@ struct ServerStats {
 
 class Server : public phys::Node {
  public:
-  Server(sim::Scheduler& scheduler, ServerParams params,
+  Server(sim::Simulator& sim, ServerParams params,
          std::shared_ptr<ServiceModel> service, Rng rng);
 
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
@@ -116,7 +116,7 @@ class Server : public phys::Node {
 
   // Fault hooks (the deterministic chaos layer). Crash models a process
   // kill: all soft state (queue, partials, in-service work) is lost and
-  // rx frames are discarded until restart(); in-flight scheduler events
+  // rx frames are discarded until restart(); in-flight engine events
   // from before the crash are voided by an epoch guard. Pause models a
   // stalled NIC/dispatcher: rx frames are buffered and replayed on
   // resume(); workers already executing keep running (no preemption).
@@ -179,7 +179,7 @@ class Server : public phys::Node {
   void on_complete(PendingRequest req, const wire::RpcRequest& rpc,
                    SimTime queue_wait, SimTime service);
 
-  sim::Scheduler& sim_;
+  sim::Simulator& sim_;
   ServerParams params_;
   std::shared_ptr<ServiceModel> service_;
   Rng rng_;

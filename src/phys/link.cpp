@@ -28,16 +28,17 @@ wire::FrameHandle corrupt_copy(const wire::FrameHandle& frame, Rng& rng) {
   return copy;
 }
 
-constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 61) - 1;
+/// A FIFO entry holds its ready time in 61 bits.
+constexpr std::uint64_t kReadyMask = (std::uint64_t{1} << 61) - 1;
 
 }  // namespace
 
-Link::Link(sim::Scheduler& scheduler, LinkParams params)
-    : sim_(scheduler), params_(params) {
+Link::Link(sim::Simulator& sim, LinkParams params)
+    : sim_(sim), params_(params) {
   NETCLONE_CHECK(params_.rate_bps > 0.0, "link rate must be positive");
 }
 
-Link::~Link() { sim_.cancel(delivery_event_); }
+Link::~Link() { cancel_deliveries(); }
 
 void Link::connect_to(Node* dst, std::size_t dst_port) {
   NETCLONE_CHECK(dst_ == nullptr, "link already connected");
@@ -59,6 +60,8 @@ void Link::transmit_at(SimTime ready, wire::FrameHandle frame) {
   NETCLONE_CHECK(ready >= sim_.now(), "link hand-off ready in the past");
   NETCLONE_CHECK(ready >= last_ready_,
                  "link hand-off ready before the previous hand-off's");
+  NETCLONE_CHECK(static_cast<std::uint64_t>(ready.ns()) <= kReadyMask,
+                 "link hand-off ready beyond the FIFO's time range");
   last_ready_ = ready;
   if (!up_ || dst_ == nullptr) {
     ++stats_.dropped_frames;
@@ -103,7 +106,7 @@ void Link::transmit_impaired(SimTime ready, wire::FrameHandle frame) {
       pending_[pending_.size() - 2].deliver_at > ready &&
       st.rng.bernoulli(st.cfg.reorder_rate)) {
     // Reorder by swapping the *frames* of the last two FIFO entries.
-    // Delivery times, tie-break seqs, and occupancy accounting stay with
+    // Delivery times, delivery events, and occupancy accounting stay with
     // their slots, so the swap is invisible to the event machinery — the
     // receiver just sees the two frames in the opposite order.
     InFlight& last = pending_.back();
@@ -131,7 +134,7 @@ std::size_t Link::queued() const {
   std::size_t not_ready = 0;
   // Ready times never decrease along the FIFO.
   for (auto it = pending_.rbegin();
-       it != pending_.rend() && it->ready > sim_.now(); ++it) {
+       it != pending_.rend() && it->ready() > sim_.now(); ++it) {
     if (it->counted_queued != 0) {
       ++not_ready;
     }
@@ -155,15 +158,13 @@ void Link::enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate) {
   if (counted_queued) {
     ++queued_;
   }
-  pending_.push_back(InFlight{ready, busy_until_ + params_.delay,
-                              sim_.reserve_seq() & kSeqMask,
-                              counted_queued ? 1U : 0U, duplicate ? 1U : 0U,
-                              /*swapped=*/0U, std::move(frame)});
-  if (pending_.size() == 1) {
-    arm_head();
-  }
-  // A deeper FIFO already has the event armed for its head; this frame's
-  // turn comes when delivery reaches it, under the seq reserved above.
+  const SimTime deliver_at = busy_until_ + params_.delay;
+  pending_.push_back(
+      InFlight{deliver_at, static_cast<std::uint64_t>(ready.ns()) & kReadyMask,
+               counted_queued ? 1U : 0U, duplicate ? 1U : 0U,
+               /*swapped=*/0U,
+               sim_.schedule_at(deliver_at, [this] { deliver_front(); }),
+               std::move(frame)});
 }
 
 std::size_t Link::retract_not_ready() {
@@ -173,8 +174,9 @@ std::size_t Link::retract_not_ready() {
   // tail slot of its time, so reverse order restores every frame. The
   // slot a swap reaches is still in the FIFO: a swap needs it in flight
   // at the swapped frame's ready time, which has not passed.
-  while (!pending_.empty() && pending_.back().ready >= sim_.now()) {
+  while (!pending_.empty() && pending_.back().ready() >= sim_.now()) {
     InFlight& last = pending_.back();
+    sim_.cancel(last.delivery);
     if (last.swapped != 0) {
       std::swap(last.frame, pending_[pending_.size() - 2].frame);
     }
@@ -192,8 +194,6 @@ std::size_t Link::retract_not_ready() {
   // With none kept, every earlier frame has been delivered, so it is
   // idle now.
   if (pending_.empty()) {
-    sim_.cancel(delivery_event_);
-    delivery_event_ = sim::EventId{};
     busy_until_ = std::min(busy_until_, sim_.now());
   } else {
     busy_until_ = pending_.back().deliver_at - params_.delay;
@@ -201,26 +201,21 @@ std::size_t Link::retract_not_ready() {
   return handoffs;
 }
 
-void Link::arm_head() {
-  const InFlight& head = pending_.front();
-  delivery_event_ = sim_.schedule_at_seq(head.deliver_at, head.seq,
-                                         [this] { deliver_head(); });
-}
-
-void Link::deliver_head() {
-  delivery_event_ = sim::EventId{};
-  InFlight entry = std::move(pending_.front());
-  pending_.pop_front();
-  if (entry.counted_queued != 0) {
+void Link::deliver_front() {
+  InFlight& front = pending_.front();
+  wire::FrameHandle frame = std::move(front.frame);
+  if (front.counted_queued != 0) {
     NETCLONE_CHECK(queued_ > 0, "link drop-tail occupancy underflow");
     --queued_;
   }
-  // Rearm before delivering: handle_frame may reentrantly transmit on
-  // this link, and it must find the FIFO consistent with the armed event.
-  if (!pending_.empty()) {
-    arm_head();
+  pending_.pop_front();
+  dst_->handle_frame(dst_port_, std::move(frame));
+}
+
+void Link::cancel_deliveries() {
+  for (const InFlight& entry : pending_) {
+    sim_.cancel(entry.delivery);
   }
-  dst_->handle_frame(dst_port_, std::move(entry.frame));
 }
 
 void Link::configure_impairments(const LinkImpairments& cfg,
@@ -243,12 +238,11 @@ void Link::set_up(bool up) {
   }
   up_ = up;
   if (!up) {
-    // Everything in flight is lost with the cable; clearing the FIFO here
-    // (instead of letting per-frame events fire into a revived link) is
-    // what keeps the new-epoch drop-tail occupancy exact.
+    // Everything in flight is lost with the cable; cancelling the events
+    // and clearing the FIFO here (instead of letting them fire into a
+    // revived link) is what keeps the new-epoch drop-tail occupancy exact.
     stats_.flushed_frames += pending_.size();
-    sim_.cancel(delivery_event_);
-    delivery_event_ = sim::EventId{};
+    cancel_deliveries();
     pending_.clear();
     queued_ = 0;
     busy_until_ = sim_.now();

@@ -12,19 +12,19 @@
 // when its sender thread has paid the per-packet cost. The FIFO starts the
 // frame at max(busy_until, ready) and decides drop-tail admission and
 // reordering against the queue as it will stand at `ready`, so the
-// sender needs no event of its own to wait out the delay — one scheduler
-// event per hop. The frame's tie-break sequence number is reserved at
-// hand-off.
+// sender needs no event of its own to wait out the delay — one engine
+// event per hop.
 //
-// Delivery is batched: handed-over frames — in flight, queued, or not
-// ready yet — wait in one per-link FIFO and a single scheduler event is
-// armed for the earliest delivery, so a busy link holds one pending event
-// no matter how deep its queue. Each firing delivers the head frame and
-// rearms for the next under the sequence number reserved at its hand-off.
-// Taking the link down simply clears the FIFO, which is also what makes
-// a down/up cycle safe: no stale per-frame events survive to corrupt the
-// revived link's drop-tail occupancy. A failing sender can take back the
-// frames it handed over that are not ready yet (retract_not_ready).
+// Handed-over frames — in flight, queued, or not ready yet — wait in one
+// per-link FIFO, and each one's delivery event is scheduled at hand-off.
+// Delivery times and scheduling sequence numbers both grow along the
+// FIFO, so the events fire in FIFO order and each one delivers the front
+// frame. Taking the link down cancels the events of every frame in the
+// FIFO and clears it, which is also what makes a down/up cycle safe: no
+// stale event survives to corrupt the revived link's drop-tail occupancy.
+// A failing sender can take back the frames it handed over that are not
+// ready yet (retract_not_ready); their events are cancelled too, and so
+// are those of a link destroyed with frames in flight.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "wire/framebuf.hpp"
 
 namespace netclone::phys {
@@ -78,7 +78,7 @@ struct LinkStats {
 
 class Link {
  public:
-  Link(sim::Scheduler& scheduler, LinkParams params);
+  Link(sim::Simulator& sim, LinkParams params);
   ~Link();
 
   Link(const Link&) = delete;
@@ -128,7 +128,7 @@ class Link {
   }
 
   /// Handed-over frames awaiting delivery: not ready yet, queued, or in
-  /// flight (at most one scheduler event is pending for all of them).
+  /// flight (one pending delivery event each).
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
   /// Frames currently holding a drop-tail occupancy slot. A frame that is
   /// not ready yet holds none.
@@ -138,15 +138,13 @@ class Link {
   [[nodiscard]] const LinkParams& params() const { return params_; }
 
  private:
-  /// Kept at 32 bytes on 64-bit targets (the flags share the sequence
-  /// number's word): the deque allocates one chunk per chunk's worth of
+  /// Kept at 32 bytes on 64-bit targets (the flags share the ready
+  /// time's word): the deque allocates one chunk per chunk's worth of
   /// frames, so larger entries mean more allocations per frame.
   struct InFlight {
-    SimTime ready;
     SimTime deliver_at;
-    /// Tie-break sequence reserved at hand-off; arming the delivery event
-    /// under it keeps batching invisible to the determinism contract.
-    std::uint64_t seq : 61;
+    /// Ready time in nanoseconds (61 bits hold 73 years; see ready()).
+    std::uint64_t ready_ns : 61;
     /// Holds a drop-tail occupancy slot until delivery.
     std::uint64_t counted_queued : 1;
     /// A second copy added by the impairment model.
@@ -154,7 +152,13 @@ class Link {
     /// The reorder impairment swapped this slot's frame with the previous
     /// slot's (toggled, so a swap repeated on the same pair cancels).
     std::uint64_t swapped : 1;
+    /// This slot's delivery event, scheduled at hand-off.
+    sim::EventId delivery;
     wire::FrameHandle frame;
+
+    [[nodiscard]] SimTime ready() const {
+      return SimTime::nanoseconds(static_cast<std::int64_t>(ready_ns));
+    }
   };
   static_assert(sizeof(InFlight) <= 32, "link FIFO entry grew");
 
@@ -170,18 +174,20 @@ class Link {
   /// Drop-tail occupancy at `ready`: queued_ minus the occupancy slots of
   /// frames delivered by then.
   [[nodiscard]] std::size_t occupancy_at(SimTime ready) const;
-  /// The clean enqueue path: drop-tail check, FIFO push, head arming.
+  /// The clean enqueue path: drop-tail check, FIFO push, delivery event.
   void enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate);
   /// Impairment gate in front of enqueue(): drop, corrupt (on a private
   /// copy), duplicate (second enqueue of a shared handle), reorder (swap
   /// the frame bytes of the last two FIFO entries while the earlier one
   /// is still in flight at `ready`).
   void transmit_impaired(SimTime ready, wire::FrameHandle frame);
-  /// Arms the delivery event for the FIFO head (which must exist).
-  void arm_head();
-  void deliver_head();
+  /// Fired by each frame's delivery event: hands the FIFO's front frame
+  /// to the receiver.
+  void deliver_front();
+  /// Cancels the delivery event of every FIFO entry.
+  void cancel_deliveries();
 
-  sim::Scheduler& sim_;
+  sim::Simulator& sim_;
   LinkParams params_;
   Node* dst_ = nullptr;
   std::size_t dst_port_ = 0;
@@ -193,7 +199,6 @@ class Link {
   std::size_t queued_ = 0;
   bool up_ = true;
   std::deque<InFlight> pending_;
-  sim::EventId delivery_event_{};
   LinkStats stats_;
   std::unique_ptr<ImpairmentState> impair_;
 };

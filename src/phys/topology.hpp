@@ -7,7 +7,7 @@
 
 #include "phys/link.hpp"
 #include "phys/node.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 
 namespace netclone::phys {
 
@@ -22,7 +22,7 @@ struct DuplexPorts {
 
 class Topology {
  public:
-  explicit Topology(sim::Scheduler& scheduler) : sim_(scheduler) {}
+  explicit Topology(sim::Simulator& sim) : sim_(sim) {}
 
   /// Constructs a node of type T owned by the topology.
   template <typename T, typename... Args>
@@ -36,13 +36,12 @@ class Topology {
   /// Creates a full-duplex connection between two nodes.
   DuplexPorts connect(Node& a, Node& b, LinkParams params = {});
 
-  [[nodiscard]] sim::Scheduler& scheduler() { return sim_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Link>>& links() const {
     return links_;
   }
 
  private:
-  sim::Scheduler& sim_;
+  sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
 };

@@ -51,10 +51,6 @@ std::string AuditReport::to_string() const {
                 static_cast<double>(sram_bytes_total) / (1024.0 * 1024.0),
                 sram_fraction * 100.0, kAsicSramBytes / (1024 * 1024));
   os << line;
-  os << (per_pass_checks
-             ? "  per-pass legality checks: compiled in (checked build)\n"
-             : "  per-pass legality checks: compiled out (release build; "
-               "legality proven by the checked lanes)\n");
   return os.str();
 }
 

@@ -28,9 +28,6 @@ struct AuditReport {
   std::size_t stages_available = 0;
   std::size_t sram_bytes_total = 0;
   double sram_fraction = 0.0;       // of kAsicSramBytes
-  /// Whether this binary validates per-access legality (the checked
-  /// build proves the program legal; release builds trust that proof).
-  bool per_pass_checks = pipeline_checks_enabled();
 
   /// Formats a human-readable table mirroring the paper's §4.1 numbers.
   [[nodiscard]] std::string to_string() const;

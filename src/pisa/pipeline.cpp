@@ -27,7 +27,6 @@ void Pipeline::reset_soft_state() {
   }
 }
 
-#if NETCLONE_PIPELINE_CHECKS
 // Cold failure paths live out of line so the inline access fast path
 // carries no string machinery.
 void PipelinePass::fail_stage_order(const StageResource& resource) const {
@@ -44,6 +43,5 @@ void PipelinePass::fail_double_access(const StageResource& resource) {
                    "' in one pipeline pass (one ALU op per register per "
                    "packet — use a shadow copy)");
 }
-#endif
 
 }  // namespace netclone::pisa

@@ -12,15 +12,12 @@
 //      table for two different servers is therefore impossible — exactly
 //      why the paper introduces the shadow table.
 //
-// Enforcement is a compile-time policy (NETCLONE_PIPELINE_CHECKS): checked
-// builds (Debug, sanitizers, the dedicated checked CI lane) validate every
-// access and throw CheckFailure on violations — a program that violates
-// them would simply not compile for the ASIC. Release builds compile the
-// per-access checks out: legality is a static property of the program's
-// access pattern, proven by running the full suite in the checked lanes,
-// so the release data plane only pays for the accesses themselves.
-// Construction-time checks (stage bounds, resource budget) and memory
-// safety checks (register index bounds) remain on in every build.
+// Every build enforces them: each access is validated, and a violation
+// throws CheckFailure — a program that violates them would simply not
+// compile for the ASIC. So the benchmark, the figure benches and every
+// test run under the rules that force the paper's shadow table and
+// recirculation. Construction-time checks (stage bounds, resource
+// budget) and memory safety checks (register index bounds) are on too.
 #pragma once
 
 #include <array>
@@ -29,18 +26,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-
-// 1 = per-access legality checks (stage monotonicity, single access per
-// stateful resource per pass) are compiled in; 0 = compiled out. Normally
-// injected by CMake (option NETCLONE_PIPELINE_CHECKS, AUTO = on for Debug
-// and sanitizer builds); the fallback below covers non-CMake consumers.
-#ifndef NETCLONE_PIPELINE_CHECKS
-#ifdef NDEBUG
-#define NETCLONE_PIPELINE_CHECKS 0
-#else
-#define NETCLONE_PIPELINE_CHECKS 1
-#endif
-#endif
 
 namespace netclone::pisa {
 
@@ -53,11 +38,6 @@ inline constexpr std::size_t kDefaultStageCount = 12;
 /// Upper bound on resources registered against one pipeline. Keeps the
 /// per-pass access bitset in a few inline words (kMaxResources / 64).
 inline constexpr std::size_t kMaxResources = 256;
-
-/// Whether this build validates per-access legality (see file header).
-[[nodiscard]] inline constexpr bool pipeline_checks_enabled() {
-  return NETCLONE_PIPELINE_CHECKS != 0;
-}
 
 class Pipeline {
  public:
@@ -82,13 +62,9 @@ class Pipeline {
   /// control-plane state and survive (the controller re-installs them).
   void reset_soft_state();
 
-  /// Monotonic pass-id source (trace correlation; see PipelinePass::id).
-  [[nodiscard]] std::uint64_t next_pass_id() { return ++pass_counter_; }
-
  private:
   std::size_t stage_count_;
   std::vector<StageResource*> resources_;
-  std::uint64_t pass_counter_ = 0;
 };
 
 /// Base class for data-plane resources: binds a named resource to a
@@ -134,38 +110,29 @@ class StageResource {
 /// to every data-plane resource access.
 class PipelinePass {
  public:
-  explicit PipelinePass(Pipeline& pipeline) : id_(pipeline.next_pass_id()) {}
+  /// A pass over `pipeline`: its access bitset is indexed by the dense
+  /// indices that pipeline's resources registered under.
+  explicit PipelinePass(const Pipeline& /*pipeline*/) {}
 
-  [[nodiscard]] std::uint64_t id() const { return id_; }
-
-  /// Validates and records an access to `resource` in its bound stage.
-  /// Checked builds throw CheckFailure if the access goes backwards or
-  /// repeats; release builds compile this down to nothing.
+  /// Validates and records an access to `resource` in its bound stage:
+  /// throws CheckFailure if the access goes backwards or repeats.
   inline void access(StageResource& resource);
 
   /// Stage-order check only, for stateless units (hash, random) that may
   /// produce several values for one packet within their stage.
   inline void access_stateless(StageResource& resource);
 
-#if NETCLONE_PIPELINE_CHECKS
   [[nodiscard]] std::size_t current_stage() const { return current_stage_; }
-#endif
 
  private:
-#if NETCLONE_PIPELINE_CHECKS
   [[noreturn]] void fail_stage_order(const StageResource& resource) const;
   [[noreturn]] static void fail_double_access(const StageResource& resource);
-#endif
 
-  std::uint64_t id_;
-#if NETCLONE_PIPELINE_CHECKS
   std::size_t current_stage_ = 0;
   std::array<std::uint64_t, kMaxResources / 64> accessed_{};
-#endif
 };
 
 inline void PipelinePass::access(StageResource& resource) {
-#if NETCLONE_PIPELINE_CHECKS
   if (resource.stage_ < current_stage_) {
     fail_stage_order(resource);
   }
@@ -176,20 +143,13 @@ inline void PipelinePass::access(StageResource& resource) {
   }
   word |= bit;
   current_stage_ = resource.stage_;
-#else
-  (void)resource;
-#endif
 }
 
 inline void PipelinePass::access_stateless(StageResource& resource) {
-#if NETCLONE_PIPELINE_CHECKS
   if (resource.stage_ < current_stage_) {
     fail_stage_order(resource);
   }
   current_stage_ = resource.stage_;
-#else
-  (void)resource;
-#endif
 }
 
 inline void StageResource::record_access(PipelinePass& pass) {

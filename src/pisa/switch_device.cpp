@@ -6,11 +6,8 @@
 
 namespace netclone::pisa {
 
-SwitchDevice::SwitchDevice(sim::Scheduler& scheduler, std::string name,
-                           SwitchParams params)
-    : phys::Node(std::move(name)),
-      sim_(scheduler),
-      pipeline_(params.stage_count) {}
+SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name)
+    : phys::Node(std::move(name)), sim_(sim) {}
 
 void SwitchDevice::load_program(std::shared_ptr<SwitchProgram> program) {
   program_ = std::move(program);

@@ -11,13 +11,9 @@
 #include "phys/node.hpp"
 #include "pisa/pipeline.hpp"
 #include "pisa/program.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/simulator.hpp"
 
 namespace netclone::pisa {
-
-struct SwitchParams {
-  std::size_t stage_count = kDefaultStageCount;
-};
 
 struct SwitchStats {
   std::uint64_t rx_frames = 0;
@@ -44,8 +40,8 @@ struct SwitchStats {
 
 class SwitchDevice : public phys::Node {
  public:
-  SwitchDevice(sim::Scheduler& scheduler, std::string name,
-               SwitchParams params = {});
+  /// A Tofino-class switch with a kDefaultStageCount-stage pipeline.
+  SwitchDevice(sim::Simulator& sim, std::string name);
 
   /// Installs the ingress program. The program's resources must have been
   /// built against pipeline().
@@ -96,7 +92,7 @@ class SwitchDevice : public phys::Node {
     return port < loopback_ports_.size() && loopback_ports_[port];
   }
 
-  sim::Scheduler& sim_;
+  sim::Simulator& sim_;
   Pipeline pipeline_;
   std::shared_ptr<SwitchProgram> program_;
   /// Dense per-port loopback flags (ports are small dense integers).

@@ -1,5 +1,6 @@
-// Slot-map event storage for the discrete-event engine, ordered by one
-// indexed 4-ary min-heap.
+// Event storage for the discrete-event engine: the cancellable handle
+// (EventId), the inline move-only callable (EventCallback), and the
+// slot-map arena ordered by one indexed 4-ary min-heap (EventArena).
 //
 // Every pending event lives in a fixed slot (stable until it fires or is
 // cancelled). A min-heap of 16-byte (when, seq‖slot) entries orders them,
@@ -9,26 +10,153 @@
 // at once. Generation counters make stale EventIds inert even after the
 // slot has been reused. Four children per node and a root that pop leaves
 // vacant for the next insert keep the sifts short (docs/ARCHITECTURE.md,
-// "The event queue and reserved sequence numbers", has the measurements).
+// "The event queue", has the measurements).
 //
 // Determinism contract: events pop in strict (when, seq) order; seq is the
-// tie-break number drawn (or reserved) at scheduling time, and a reserved
-// number materialized late still takes its place in seq order.
+// tie-break number each insert draws, so same-time events fire in
+// scheduling order.
 //
 // Header-only, so the schedule/fire cycle inlines into the run loop;
-// components schedule through Scheduler (scheduler.hpp), not the arena.
+// components schedule through sim::Simulator (simulator.hpp), not the
+// arena.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
-#include "sim/scheduler.hpp"
 
 namespace netclone::sim {
+
+/// Handle for cancelling a scheduled event. A default-constructed id is
+/// invalid (cancelling it is a no-op); after the event fires or is
+/// cancelled the handle goes stale and is equally harmless.
+struct EventId {
+  std::uint32_t slot = 0;
+  std::uint32_t generation = 0;  // 0 = never issued
+
+  [[nodiscard]] bool valid() const { return generation != 0; }
+  friend bool operator==(const EventId&, const EventId&) = default;
+};
+
+/// Move-only callable stored inline, sized so every event capture in the
+/// simulator fits: a component pointer plus a frame handle or a few
+/// scalars. The schedule/fire cycle therefore never touches the heap —
+/// std::function, by contrast, spills almost every capture in this
+/// codebase. There is no heap fallback: a capture that is too large,
+/// over-aligned or throwing on move fails to compile, and the fix is to
+/// park the state in the component (a FIFO, a slot table) and capture an
+/// index or nothing.
+class EventCallback {
+ public:
+  /// Inline capture budget. 64 bytes covers `this` + a frame handle + a
+  /// few scalars (the switch's loopback egress closure, 32 B) without
+  /// bloating the event arena's slots; the link-delivery lambda captures
+  /// only `this`.
+  static constexpr std::size_t kInlineCapacity = 64;
+
+  EventCallback() = default;
+
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, EventCallback> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&>)
+  // NOLINTNEXTLINE(google-explicit-constructor): callables convert freely,
+  // as with std::function.
+  EventCallback(F&& fn) {
+    using D = std::decay_t<F>;
+    static_assert(sizeof(D) <= kInlineCapacity,
+                  "event capture exceeds EventCallback::kInlineCapacity: "
+                  "park the state in the component and capture an index");
+    static_assert(alignof(D) <= alignof(std::max_align_t),
+                  "event capture is over-aligned for "
+                  "EventCallback::kInlineCapacity storage");
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "event capture must be nothrow-movable to live in "
+                  "EventCallback::kInlineCapacity storage");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+    ops_ = &InlineOps<D>::table;
+  }
+
+  EventCallback(EventCallback&& other) noexcept { steal(other); }
+  EventCallback& operator=(EventCallback&& other) noexcept {
+    if (this != &other) {
+      reset();
+      steal(other);
+    }
+    return *this;
+  }
+  EventCallback(const EventCallback&) = delete;
+  EventCallback& operator=(const EventCallback&) = delete;
+  ~EventCallback() { reset(); }
+
+  /// Destroys the held callable (releasing captured resources) and goes
+  /// back to the empty state.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      if (ops_->destroy != nullptr) {
+        ops_->destroy(storage_);
+      }
+      ops_ = nullptr;
+    }
+  }
+
+  void operator()() { ops_->invoke(storage_); }
+
+  [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* obj);
+    /// Move-constructs into `dst` from `src` and destroys the source
+    /// (relocation); both point at kInlineCapacity bytes of storage.
+    /// nullptr means "memcpy the storage" — true for trivially relocatable
+    /// captures (the common pointer+scalars case). Skipping the indirect
+    /// call matters: the engine relocates twice per event.
+    void (*relocate)(void* dst, void* src) noexcept;
+    /// nullptr means trivially destructible — nothing to do.
+    void (*destroy)(void* obj) noexcept;
+  };
+
+  template <typename D>
+  struct InlineOps {
+    static void invoke(void* obj) { (*std::launder(static_cast<D*>(obj)))(); }
+    static void relocate(void* dst, void* src) noexcept {
+      D* from = std::launder(static_cast<D*>(src));
+      ::new (dst) D(std::move(*from));
+      from->~D();
+    }
+    static void destroy(void* obj) noexcept {
+      std::launder(static_cast<D*>(obj))->~D();
+    }
+    static constexpr bool kTrivialRelocate =
+        std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>;
+    static constexpr Ops table{
+        &invoke, kTrivialRelocate ? nullptr : &relocate,
+        std::is_trivially_destructible_v<D> ? nullptr : &destroy};
+  };
+
+  void steal(EventCallback& other) noexcept {
+    if (other.ops_ != nullptr) {
+      ops_ = other.ops_;
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(storage_, other.storage_);
+      } else {
+        std::memcpy(storage_, other.storage_, kInlineCapacity);
+      }
+      other.ops_ = nullptr;
+    }
+  }
+
+  alignas(std::max_align_t) std::byte storage_[kInlineCapacity];
+  const Ops* ops_ = nullptr;
+};
 
 class EventArena {
  public:
@@ -39,22 +167,8 @@ class EventArena {
   /// Stores an event and orders it behind everything earlier (ties break
   /// by insertion order — the determinism contract).
   EventId insert(SimTime when, EventCallback&& callback) {
-    return insert_at_seq(when, reserve_seq(), std::move(callback));
-  }
-
-  /// Draws the next scheduling sequence number without storing an event.
-  /// A reserved number holds its place in the same-timestamp tie order
-  /// until insert_at_seq materializes it, so deferred schedulers (the link
-  /// delivery FIFO) match eager per-item scheduling bit for bit.
-  [[nodiscard]] std::uint64_t reserve_seq() {
     NETCLONE_CHECK(next_seq_ < kMaxSeq, "event sequence space exhausted");
-    return next_seq_++;
-  }
-
-  /// insert(), but with a tie-break sequence number reserved earlier via
-  /// reserve_seq(). Each reserved number must be used at most once.
-  EventId insert_at_seq(SimTime when, std::uint64_t seq,
-                        EventCallback&& callback) {
+    const std::uint64_t seq = next_seq_++;
     // Pop times never go backwards (the engine never schedules the past).
     NETCLONE_CHECK(when >= last_popped_,
                    "event scheduled before an already popped event");
@@ -127,7 +241,7 @@ class EventArena {
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFU;
   /// (seq, slot) pack into one 64-bit key: seq in the high 40 bits
-  /// (checked in reserve_seq; ~20 hours of simulation at 15M events/sec),
+  /// (checked in insert; ~20 hours of simulation at 15M events/sec),
   /// slot index in the low 24. So a heap entry is 16 bytes.
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kMaxSlots = 1ULL << kSlotBits;

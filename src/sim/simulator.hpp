@@ -6,11 +6,14 @@
 // sequence number breaks ties), which makes every run bit-for-bit
 // reproducible for a given seed.
 //
-// Only the owner of the event loop (the harness, tests, benches) includes
-// this header. Components schedule through the Scheduler interface in
-// scheduler.hpp; event storage is the slot-map arena in event_arena.hpp,
-// whose O(log n) cancellation removes the event from the queue and keeps
-// pending_events() exact.
+// Components (links, switches, hosts, the LÆDGE coordinator) hold a
+// Simulator& and call now/schedule_at/schedule_after/cancel directly, so
+// the schedule/fire cycle inlines into them; the owner of the engine (the
+// harness, tests, benches) also runs the loop. Event storage is the
+// slot-map arena in event_arena.hpp, whose O(log n) cancellation removes
+// the event from the queue, destroys its callback (and whatever it
+// captured) at once, and keeps pending_events() exact; a stale EventId
+// never cancels a later event that reuses its slot.
 #pragma once
 
 #include <cstdint>
@@ -19,41 +22,34 @@
 #include "common/check.hpp"
 #include "common/types.hpp"
 #include "sim/event_arena.hpp"
-#include "sim/scheduler.hpp"
 
 namespace netclone::sim {
 
-class Simulator final : public Scheduler {
+class Simulator {
  public:
   Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulated time.
-  [[nodiscard]] SimTime now() const override { return now_; }
+  [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `action` at absolute time `when` (must not be in the past).
-  // Defined inline (as are cancel and step): the schedule/fire cycle must
-  // inline into the caller when the concrete engine type is known.
-  EventId schedule_at(SimTime when, EventCallback action) override {
+  EventId schedule_at(SimTime when, EventCallback action) {
     NETCLONE_CHECK(when >= now_, "cannot schedule an event in the past");
     return events_.insert(when, std::move(action));
   }
 
-  /// Reserves the next tie-break sequence number (see Scheduler).
-  [[nodiscard]] std::uint64_t reserve_seq() override {
-    return events_.reserve_seq();
-  }
-
-  /// Schedules `action` under a previously reserved tie-break number.
-  EventId schedule_at_seq(SimTime when, std::uint64_t seq,
-                          EventCallback action) override {
-    NETCLONE_CHECK(when >= now_, "cannot schedule an event in the past");
-    return events_.insert_at_seq(when, seq, std::move(action));
+  /// Schedules `action` after `delay` (must be non-negative).
+  EventId schedule_after(SimTime delay, EventCallback action) {
+    NETCLONE_CHECK(delay >= SimTime::zero(), "negative delay");
+    return schedule_at(now_ + delay, std::move(action));
   }
 
   /// Removes a pending event in O(log n), destroying its callback.
-  /// Cancelling an already-fired or already-cancelled event is a harmless
-  /// no-op.
-  void cancel(EventId id) override { events_.cancel(id); }
+  /// Cancelling an invalid, already-fired or already-cancelled event is a
+  /// harmless no-op.
+  void cancel(EventId id) { events_.cancel(id); }
 
   /// Runs events until the queue empties or `stop()` is called.
   void run();

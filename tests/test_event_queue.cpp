@@ -1,7 +1,6 @@
 // Property tests for the indexed heap behind the event engine
 // (sim/event_arena.hpp): ordering out to far horizons (past 2^32 ns),
-// cancellation at every distance, dense same-timestamp FIFO order
-// (including reservations materialized out of order or mid-drain), and
+// cancellation at every distance, dense same-timestamp FIFO order, and
 // two randomized schedule/cancel/run sweeps — one driven from outside the
 // run loop, one from inside callbacks — checked against a sort-based
 // reference model.
@@ -118,42 +117,6 @@ TEST(EventQueue, DenseSameTimestampFiresInSeqOrder) {
     }
   }
   EXPECT_EQ(order, expected);
-}
-
-TEST(EventQueue, ReservedSeqsMaterializedOutOfOrderFireInSeqOrder) {
-  // Reservations hold their place in the same-timestamp tie order no
-  // matter when insert_at_seq materializes them.
-  Simulator sim;
-  const std::uint64_t r1 = sim.reserve_seq();
-  const std::uint64_t r2 = sim.reserve_seq();
-  const std::uint64_t r3 = sim.reserve_seq();
-  std::vector<int> order;
-  sim.schedule_at_seq(10_ns, r3, [&] { order.push_back(3); });
-  sim.schedule_at_seq(10_ns, r1, [&] { order.push_back(1); });
-  sim.schedule_at(10_ns, [&] { order.push_back(4); });  // drawn after r3
-  sim.schedule_at_seq(10_ns, r2, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(EventQueue, ReservationMaterializedMidDrainKeepsItsPlace) {
-  // The deferred-scheduler pattern (the link delivery FIFO): a
-  // callback materializes a reservation at the very timestamp being run,
-  // with a seq smaller than events already waiting at that timestamp.
-  Simulator sim;
-  std::vector<int> order;
-  std::uint64_t reserved = 0;  // assigned below, between A and B
-  sim.schedule_at(10_ns, [&] {  // A
-    order.push_back(0);
-    // `reserved` was drawn before B and C drew their seqs, so this event
-    // must run before both even though it is inserted mid-drain.
-    sim.schedule_at_seq(10_ns, reserved, [&] { order.push_back(1); });
-  });
-  reserved = sim.reserve_seq();
-  sim.schedule_at(10_ns, [&] { order.push_back(2); });  // B
-  sim.schedule_at(10_ns, [&] { order.push_back(3); });  // C
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(EventQueue, InsertAfterAMissedPopDueFiresInTimeOrder) {

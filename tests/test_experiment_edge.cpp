@@ -33,7 +33,7 @@ TEST(ExperimentEdge, FailureDuringActiveCloningDoesNotWedge) {
   Experiment experiment{cfg};
   for (int i = 0; i < 8; ++i) {
     const auto at = SimTime::milliseconds(2 + i);
-    experiment.scheduler().schedule_at(at, [&experiment, i] {
+    experiment.simulator().schedule_at(at, [&experiment, i] {
       if (i % 2 == 0) {
         experiment.tor().fail();
       } else {
@@ -126,7 +126,7 @@ TEST(ExperimentEdge, ServerRemovalMidRun) {
   cfg.offered_rps =
       0.4 * cluster_capacity_rps(cfg.server_workers, 25.0 * 1.14);
   Experiment experiment{cfg};
-  experiment.scheduler().schedule_at(
+  experiment.simulator().schedule_at(
       SimTime::milliseconds(5),
       [&experiment] { experiment.remove_server(ServerId{1}); });
   const ExperimentResult result = experiment.run();

@@ -47,9 +47,9 @@ TEST(KitchenSink, AllFeaturesCompose) {
                                factory->mean_intrinsic_us() * 1.14);
 
   Experiment experiment{cfg};
-  experiment.scheduler().schedule_at(SimTime::milliseconds(10),
+  experiment.simulator().schedule_at(SimTime::milliseconds(10),
                                      [&] { experiment.tor().fail(); });
-  experiment.scheduler().schedule_at(SimTime::milliseconds(13),
+  experiment.simulator().schedule_at(SimTime::milliseconds(13),
                                      [&] { experiment.tor().recover(); });
   const ExperimentResult result = experiment.run();
 

@@ -129,7 +129,7 @@ TEST(Link, GoingDownLosesInFlightFrames) {
   EXPECT_TRUE(dst.received.empty());
 }
 
-TEST(Link, BusyLinkHoldsOneDeliveryEvent) {
+TEST(Link, EachFrameInFlightHoldsOneDeliveryEvent) {
   sim::Simulator sim;
   CaptureNode dst;
   LinkParams params;
@@ -141,12 +141,35 @@ TEST(Link, BusyLinkHoldsOneDeliveryEvent) {
   for (int i = 0; i < 5; ++i) {
     link.transmit(frame_of_size(125));
   }
-  // Batched delivery: five frames in flight, one materialized event.
+  // Each handed-over frame has its delivery event scheduled at hand-off.
   EXPECT_EQ(link.in_flight(), 5U);
-  EXPECT_EQ(sim.pending_events(), 1U);
+  EXPECT_EQ(sim.pending_events(), 5U);
   sim.run();
   EXPECT_EQ(dst.received.size(), 5U);
   EXPECT_EQ(link.in_flight(), 0U);
+  EXPECT_EQ(sim.pending_events(), 0U);
+}
+
+TEST(Link, DestroyingALinkCancelsItsDeliveries) {
+  sim::Simulator sim;
+  CaptureNode dst;
+  std::size_t fired = 0;
+  sim.schedule_at(1_ms, [&] { ++fired; });  // an unrelated event survives
+  const std::size_t before = sim.pending_events();
+  {
+    Link link{sim, LinkParams{}};
+    link.connect_to(&dst, 0);
+    for (int i = 0; i < 3; ++i) {
+      link.transmit(frame_of_size(125));
+    }
+    EXPECT_EQ(sim.pending_events(), before + 3);
+  }
+  // A delivery left behind would fire into the freed link.
+  ASSERT_EQ(sim.pending_events(), before);
+  sim.run();
+  EXPECT_EQ(sim.executed_events(), 1U);
+  EXPECT_EQ(fired, 1U);
+  EXPECT_TRUE(dst.received.empty());
 }
 
 TEST(Link, BackToBackFramesDeliverOneEventEach) {
@@ -428,8 +451,12 @@ TEST(LinkHandOff, RetractRestoresTheLinkAsIfNeverHandedOver) {
   link.transmit_at(500_ns, tagged_frame(125, 3));
   EXPECT_EQ(link.stats().tx_frames, 3U);
   sim.schedule_at(200_ns, [&] {
-    // Frames 2 and 3 are still inside the sender: take them back.
+    // Frames 2 and 3 are still inside the sender: take them back, and
+    // their delivery events with them.
+    const std::size_t pending = sim.pending_events();
+    EXPECT_EQ(pending, 3U);
     EXPECT_EQ(link.retract_not_ready(), 2U);
+    EXPECT_EQ(sim.pending_events(), pending - 2);
     EXPECT_EQ(link.in_flight(), 1U);
     EXPECT_EQ(link.queued(), 0U);
     // busy_until is back to the end of frame 1, so this one starts at

@@ -61,14 +61,12 @@ TEST_F(LpmTest, BadLengthRejected) {
   EXPECT_THROW((void)table_.insert(ip(1, 2, 3, 4), 33, 0), CheckFailure);
 }
 
-#if NETCLONE_PIPELINE_CHECKS
 TEST_F(LpmTest, SingleAccessPerPassEnforced) {
   table_.insert(ip(10, 0, 0, 0), 8, 1);
   PipelinePass pass{pipeline_};
   (void)table_.lookup(pass, ip(10, 0, 0, 1));
   EXPECT_THROW((void)table_.lookup(pass, ip(10, 0, 0, 2)), CheckFailure);
 }
-#endif  // NETCLONE_PIPELINE_CHECKS
 
 TEST(CounterArray, CountsPacketsAndBytes) {
   Pipeline pipeline;

@@ -124,17 +124,6 @@ TEST(Client, CancelCombinesWithClosedLoop) {
   EXPECT_EQ(cs.completed, cs.requests_sent);
 }
 
-TEST(SwitchDevice, CustomStageCountIsHonoured) {
-  sim::Simulator sim;
-  pisa::SwitchParams params;
-  params.stage_count = 4;
-  pisa::SwitchDevice device{sim, "small", params};
-  EXPECT_EQ(device.pipeline().stage_count(), 4U);
-  EXPECT_THROW(
-      pisa::RegisterScalar<int>(device.pipeline(), "beyond", 4),
-      CheckFailure);
-}
-
 TEST(Workloads, ScenarioBimodalKeysApply) {
   const harness::Scenario s = harness::parse_scenario(
       "workload = bimodal\nbimodal_short_us = 10\nbimodal_long_us = 100\n"

@@ -14,11 +14,6 @@ TEST(Pipeline, ResourceBeyondStageCountThrows) {
   EXPECT_NO_THROW(RegisterScalar<int>(pipeline, "ok", 3));
 }
 
-// Per-pass legality checks (stage order, single access) are compiled out
-// of release builds once the checked lanes have proven the programs legal;
-// the tests that provoke them only exist in checked builds.
-#if NETCLONE_PIPELINE_CHECKS
-
 TEST(Pipeline, ForwardAccessAcrossStages) {
   Pipeline pipeline;
   RegisterArray<int> early{pipeline, "early", 1, 8};
@@ -47,8 +42,6 @@ TEST(Pipeline, DoubleAccessInOnePassThrows) {
   (void)state.read(pass, 0);
   EXPECT_THROW((void)state.read(pass, 1), CheckFailure);
 }
-
-#endif  // NETCLONE_PIPELINE_CHECKS
 
 TEST(Pipeline, ShadowTablePatternWorks) {
   Pipeline pipeline;
@@ -154,7 +147,6 @@ TEST(ExactMatchTable, OverwriteExistingKeyAllowedAtCapacity) {
   EXPECT_THROW((void)table.insert(3, 3), CheckFailure);
 }
 
-#if NETCLONE_PIPELINE_CHECKS
 TEST(ExactMatchTable, DoubleLookupThrows) {
   Pipeline pipeline;
   ExactMatchTable<int> table{pipeline, "T", 0, 4, 4, 4};
@@ -163,7 +155,6 @@ TEST(ExactMatchTable, DoubleLookupThrows) {
   (void)table.lookup(pass, 1);
   EXPECT_THROW((void)table.lookup(pass, 1), CheckFailure);
 }
-#endif  // NETCLONE_PIPELINE_CHECKS
 
 TEST(HashUnit, DeterministicAndBounded) {
   Pipeline pipeline;
@@ -175,7 +166,6 @@ TEST(HashUnit, DeterministicAndBounded) {
   EXPECT_LT(a, 128U);
 }
 
-#if NETCLONE_PIPELINE_CHECKS
 TEST(HashUnit, StageOrderStillEnforced) {
   Pipeline pipeline;
   HashUnit hash{pipeline, "H", 2};
@@ -184,7 +174,6 @@ TEST(HashUnit, StageOrderStillEnforced) {
   (void)late.read(pass, 0);
   EXPECT_THROW((void)hash.hash32(pass, 1, 8), CheckFailure);
 }
-#endif  // NETCLONE_PIPELINE_CHECKS
 
 TEST(RandomUnit, MultipleDrawsPerPass) {
   Pipeline pipeline;

@@ -4,11 +4,8 @@
 //     crafted collision chains and backward-shift deletion, and grows
 //     while preserving every entry.
 //   * Randomized pipeline programs produce results identical to a plain
-//     (map + vector) reference model. This test is built in both the
-//     checked and the unchecked lane, so passing in both proves the two
-//     NETCLONE_PIPELINE_CHECKS modes compute the same packets.
-//   * In checked builds, illegal programs (double access, backward stage
-//     order) still abort.
+//     (map + vector) reference model.
+//   * Illegal programs (double access, backward stage order) abort.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -303,13 +300,7 @@ TEST(PipelineFastpath, ResetSoftStateMatchesReferenceModel) {
   EXPECT_EQ(*hit, 33U);
 }
 
-TEST(PipelineFastpath, ChecksEnabledMatchesBuildMode) {
-  EXPECT_EQ(pisa::pipeline_checks_enabled(), NETCLONE_PIPELINE_CHECKS != 0);
-}
-
-#if NETCLONE_PIPELINE_CHECKS
-// Checked builds must still reject illegal programs — the legality net the
-// release build relies on having been run.
+// Every build rejects illegal programs: the per-pass checks are always on.
 TEST(PipelineFastpath, CheckedBuildRejectsDoubleAccess) {
   pisa::Pipeline pipeline;
   pisa::RegisterArray<std::uint32_t> reg{pipeline, "R", 3, 8};
@@ -326,7 +317,6 @@ TEST(PipelineFastpath, CheckedBuildRejectsBackwardStageOrder) {
   (void)late.read(pass, 0);
   EXPECT_THROW((void)early.find(pass, 1), CheckFailure);
 }
-#endif  // NETCLONE_PIPELINE_CHECKS
 
 }  // namespace
 }  // namespace netclone

@@ -85,9 +85,9 @@ TEST(Retransmission, RecoversRequestsLostInSwitchOutage) {
   // Without retransmission, a 3 ms outage loses ~3 ms x offered requests
   // forever. With TCP-mode timeouts every request eventually completes.
   harness::Experiment experiment{retransmit_cluster()};
-  experiment.scheduler().schedule_at(SimTime::milliseconds(5),
+  experiment.simulator().schedule_at(SimTime::milliseconds(5),
                                      [&] { experiment.tor().fail(); });
-  experiment.scheduler().schedule_at(SimTime::milliseconds(8),
+  experiment.simulator().schedule_at(SimTime::milliseconds(8),
                                      [&] { experiment.tor().recover(); });
   (void)experiment.run();
 
