@@ -1,8 +1,8 @@
 // Cache-prefetch hint for batched probes.
 //
-// A batched insert (the KV store's bulk populate) issues the home-slot
-// prefetches for keys a few steps ahead, so their cache misses overlap
-// instead of stalling each insert in turn.
+// A batched insert (the KV store's bulk populate) issues the prefetches of
+// its keys' home index entries a few steps ahead, so their cache misses
+// overlap instead of stalling each insert in turn.
 // Purely advisory: a no-op compiles away on toolchains without the
 // builtin, and correctness never depends on it.
 #pragma once

@@ -14,6 +14,7 @@
 #include "host/service.hpp"
 #include "host/workload.hpp"
 #include "kv/kv_workload.hpp"
+#include "kv/store.hpp"
 
 namespace netclone::harness {
 namespace {
@@ -224,6 +225,10 @@ Scenario parse_scenario(const std::string& text) {
         scenario.get_fraction = parse_double(value, key);
       } else if (key == "kv_objects") {
         scenario.kv_objects = parse_u64(value, key);
+        if (scenario.kv_objects < 1 || scenario.kv_objects > kv::kMaxObjects) {
+          throw ScenarioError{"'kv_objects' must be in [1, " +
+                              std::to_string(kv::kMaxObjects) + "]: " + value};
+        }
       } else if (key == "jitter_p") {
         scenario.jitter_p = parse_double(value, key);
       } else if (key == "jitter_multiplier") {

@@ -31,11 +31,11 @@ std::uint64_t load_le64(const char* bytes) {
   return word;
 }
 
-/// Asks the kernel to back a large table with transparent huge pages
-/// (needed where THP runs in "madvise" mode). Zero-filling and randomly
-/// probing a 166 MiB table otherwise costs a page fault per 4 KiB and a
-/// TLB miss on nearly every probe. Advisory only: the bytes and their
-/// layout are the same either way.
+/// Asks the kernel to back a large array with transparent huge pages
+/// (needed where THP runs in "madvise" mode). Filling and randomly probing
+/// the 1M-object store's 8 MiB index and 78 MiB of records otherwise costs
+/// a page fault per 4 KiB and a TLB miss on nearly every probe. Advisory
+/// only: the bytes and their layout are the same either way.
 void advise_huge_pages(const void* data, std::size_t bytes) {
 #if defined(__linux__) && defined(MADV_HUGEPAGE)
   if (bytes < (std::size_t{2} << 20)) {
@@ -75,53 +75,40 @@ void fill_values(const std::array<std::uint64_t, N>& index,
 
 KvStore::KvStore(std::size_t capacity_hint) {
   NETCLONE_CHECK(capacity_hint > 0, "store capacity must be positive");
+  NETCLONE_CHECK(capacity_hint <= kMaxObjects,
+                 "store capacity " + std::to_string(capacity_hint) +
+                     " exceeds kMaxObjects");
   const std::size_t capacity = std::bit_ceil(capacity_hint * 2);
-  slots_.reserve(capacity);
-  advise_huge_pages(slots_.data(), capacity * sizeof(Slot));
-  slots_.resize(capacity);  // within the reservation: no reallocation
+  index_.reserve(capacity);
+  advise_huge_pages(index_.data(), capacity * sizeof(std::uint32_t));
+  index_.resize(capacity);  // within the reservation: no reallocation
+  // Reserved to the load bound and never resized: appends stay within the
+  // reservation, and only appended records are ever touched.
+  records_.reserve(capacity / 2);
+  advise_huge_pages(records_.data(), capacity / 2 * sizeof(Record));
   mask_ = capacity - 1;
 }
 
-std::size_t KvStore::slot_of(std::string_view key) const {
+std::size_t KvStore::home_of(std::string_view key) const {
   return static_cast<std::size_t>(fnv1a(key)) & mask_;
 }
 
-std::optional<std::size_t> KvStore::probe(std::string_view key) const {
-  const std::size_t start = slot_of(key);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const std::size_t idx = (start + i) & mask_;
-    const Slot& slot = slots_[idx];
-    if (!slot.occupied) {
-      return idx;
+std::size_t KvStore::position_of(std::string_view key,
+                                 std::size_t home) const {
+  // The load bound leaves half the positions empty, so the probe ends.
+  for (std::size_t pos = home;; pos = (pos + 1) & mask_) {
+    const std::uint32_t entry = index_[pos];
+    if (entry == 0) {
+      return pos;
     }
-    if (slot.key_len == key.size() &&
-        std::memcmp(slot.key, key.data(), key.size()) == 0) {
-      return idx;
-    }
-  }
-  return std::nullopt;
-}
-
-KvStore::Slot* KvStore::claim(std::string_view key, std::size_t home) {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = slots_[(home + i) & mask_];
-    if (!slot.occupied) {
-      // Keep the load factor at or below 1/2 so probe chains stay short.
-      if ((size_ + 1) * 2 > slots_.size()) {
-        return nullptr;
+    if (entry < kPending) {
+      const Record& record = records_[entry - 1];
+      if (record.key_len == key.size() &&
+          std::memcmp(record.key, key.data(), key.size()) == 0) {
+        return pos;
       }
-      slot.occupied = true;
-      slot.key_len = static_cast<std::uint8_t>(key.size());
-      std::memcpy(slot.key, key.data(), key.size());
-      ++size_;
-      return &slot;
-    }
-    if (slot.key_len == key.size() &&
-        std::memcmp(slot.key, key.data(), key.size()) == 0) {
-      return &slot;
     }
   }
-  return nullptr;
 }
 
 bool KvStore::set(std::string_view key, std::string_view value) {
@@ -129,12 +116,19 @@ bool KvStore::set(std::string_view key, std::string_view value) {
       value.size() > kMaxValueBytes) {
     return false;
   }
-  Slot* slot = claim(key, slot_of(key));
-  if (slot == nullptr) {
-    return false;
+  std::uint32_t& entry = index_[position_of(key, home_of(key))];
+  if (entry == 0) {
+    if (!has_room(records_.size())) {
+      return false;
+    }
+    records_.emplace_back();
+    entry = static_cast<std::uint32_t>(records_.size());
   }
-  slot->value_len = static_cast<std::uint8_t>(value.size());
-  std::memcpy(slot->value, value.data(), value.size());
+  Record& record = records_[entry - 1];
+  record.key_len = static_cast<std::uint8_t>(key.size());
+  std::memcpy(record.key, key.data(), key.size());
+  record.value_len = static_cast<std::uint8_t>(value.size());
+  std::memcpy(record.value, value.data(), value.size());
   return true;
 }
 
@@ -142,31 +136,32 @@ std::optional<std::string_view> KvStore::get(std::string_view key) const {
   if (key.empty() || key.size() > kMaxKeyBytes) {
     return std::nullopt;
   }
-  const auto idx = probe(key);
-  if (!idx || !slots_[*idx].occupied) {
+  const std::uint32_t entry = index_[position_of(key, home_of(key))];
+  if (entry == 0) {
     return std::nullopt;
   }
-  const Slot& slot = slots_[*idx];
-  return std::string_view{slot.value, slot.value_len};
+  const Record& record = records_[entry - 1];
+  return std::string_view{record.value, record.value_len};
 }
 
 std::uint64_t KvStore::scan_digest(std::string_view start_key,
                                    std::size_t count) const {
   std::uint64_t digest = kFnvOffsetBasis;
   std::size_t visited = 0;
-  const std::size_t start = slot_of(start_key);
-  for (std::size_t i = 0; i < slots_.size() && visited < count; ++i) {
-    const Slot& slot = slots_[(start + i) & mask_];
-    if (!slot.occupied) {
+  const std::size_t start = home_of(start_key);
+  for (std::size_t i = 0; i < index_.size() && visited < count; ++i) {
+    const std::uint32_t entry = index_[(start + i) & mask_];
+    if (entry == 0) {
       continue;
     }
+    const Record& record = records_[entry - 1];
     std::size_t b = 0;
-    for (; b + 8 <= slot.value_len; b += 8) {
-      digest ^= load_le64(slot.value + b);
+    for (; b + 8 <= record.value_len; b += 8) {
+      digest ^= load_le64(record.value + b);
       digest *= kFnvPrime;
     }
-    for (; b < slot.value_len; ++b) {
-      digest ^= static_cast<std::uint8_t>(slot.value[b]);
+    for (; b < record.value_len; ++b) {
+      digest ^= static_cast<std::uint8_t>(record.value[b]);
       digest *= kFnvPrime;
     }
     ++visited;
@@ -202,11 +197,15 @@ std::string value_for_index(std::uint64_t index) {
 }
 
 void populate(KvStore& store, std::size_t count) {
-  using Slot = KvStore::Slot;
+  using Record = KvStore::Record;
   NETCLONE_CHECK(count == 0 || count - 1 <= kMaxKeyIndex,
                  "object count does not fit 16-byte keys");
-  // Keys are formatted and hashed kAhead objects before they are inserted,
-  // and their home slots prefetched then, so the table's cache misses
+
+  // Pass 1 claims each new object's position in object order, as the
+  // set() loop would, and marks it pending with the object index; objects
+  // already in the store get their value rewritten in place. Keys are
+  // formatted and hashed kAhead objects before they are inserted, and
+  // their home entries prefetched then, so the index's cache misses
   // overlap instead of stalling each insert in turn.
   constexpr std::size_t kAhead = 16;
   struct Staged {
@@ -217,14 +216,41 @@ void populate(KvStore& store, std::size_t count) {
   const auto stage = [&](std::uint64_t i) {
     Staged& s = staged[i % kAhead];
     write_key(i, s.key);
-    s.home = store.slot_of({s.key, kMaxKeyBytes});
-    const auto* slot = reinterpret_cast<const char*>(&store.slots_[s.home]);
-    prefetch_read(slot);
-    prefetch_read(slot + sizeof(Slot) - 1);
+    s.home = store.home_of({s.key, kMaxKeyBytes});
+    prefetch_read(&store.index_[s.home]);
   };
+  for (std::uint64_t i = 0; i < std::min(count, kAhead); ++i) {
+    stage(i);
+  }
+  const std::size_t stored = store.size();
+  std::size_t pending = 0;
+  bool full = false;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const Staged& s = staged[i % kAhead];
+    std::uint32_t& entry =
+        store.index_[store.position_of({s.key, kMaxKeyBytes}, s.home)];
+    if (entry != 0) {
+      Record& record = store.records_[entry - 1];
+      record.value_len = kMaxValueBytes;
+      write_value(i, record.value);
+    } else if (store.has_room(stored + pending)) {
+      // Objects 0..i-1 are all stored or pending, so the load bound keeps
+      // i below kMaxObjects: it fits beside the flag.
+      entry = KvStore::kPending | static_cast<std::uint32_t>(i);
+      ++pending;
+    } else {
+      full = true;
+      break;
+    }
+    if (i + kAhead < count) {
+      stage(i + kAhead);
+    }
+  }
 
-  // Values are generated kLanes objects at a time, straight into their
-  // slots, once those slots are claimed.
+  // Pass 2 walks the index in table order and appends a record for each
+  // pending entry, so a SCAN over the populated store reads consecutive
+  // records. Values are generated kLanes objects at a time, straight into
+  // the records just appended.
   constexpr std::size_t kLanes = 8;
   std::array<std::uint64_t, kLanes> lane_index{};
   std::array<char*, kLanes> lane_value{};
@@ -239,28 +265,26 @@ void populate(KvStore& store, std::size_t count) {
     }
     lanes = 0;
   };
-
-  for (std::uint64_t i = 0; i < std::min(count, kAhead); ++i) {
-    stage(i);
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Staged& s = staged[i % kAhead];
-    Slot* slot = store.claim({s.key, kMaxKeyBytes}, s.home);
-    if (slot == nullptr) {
-      flush_values();
-      NETCLONE_CHECK(false, "store population failed (capacity too small)");
+  for (std::size_t pos = 0; pending > 0; ++pos) {
+    std::uint32_t& entry = store.index_[pos];
+    if (entry < KvStore::kPending) {
+      continue;
     }
-    slot->value_len = kMaxValueBytes;
-    lane_index[lanes] = i;
-    lane_value[lanes] = slot->value;
+    const std::uint64_t object = entry & ~KvStore::kPending;
+    Record& record = store.records_.emplace_back();
+    entry = static_cast<std::uint32_t>(store.records_.size());
+    record.key_len = kMaxKeyBytes;
+    write_key(object, record.key);
+    record.value_len = kMaxValueBytes;
+    lane_index[lanes] = object;
+    lane_value[lanes] = record.value;
     if (++lanes == kLanes) {
       flush_values();
     }
-    if (i + kAhead < count) {
-      stage(i + kAhead);
-    }
+    --pending;
   }
   flush_values();
+  NETCLONE_CHECK(!full, "store population failed (capacity too small)");
 }
 
 }  // namespace netclone::kv

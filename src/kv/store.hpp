@@ -1,11 +1,27 @@
 // In-memory key-value store: the Redis / Memcached stand-in (§5.5).
 //
-// An open-addressing hash table with linear probing and inline fixed-size
-// slots (16-byte keys, 64-byte values — the MICA-style object sizes the
-// paper evaluates with). Lookups do real hashing and probing over a
-// contiguous slot array; the service-time model converts operations into
-// simulated time, so the store provides correctness and workload structure
-// while the clock stays deterministic.
+// An open-addressing hash table with linear probing over fixed-size
+// objects (16-byte keys, 64-byte values — the MICA-style object sizes the
+// paper evaluates with). Lookups do real hashing and probing; the
+// service-time model converts operations into simulated time, so the store
+// provides correctness and workload structure while the clock stays
+// deterministic.
+//
+// Layout: the table is an index of 2^k four-byte entries, and the objects
+// live in a separate dense array of records. An index entry is 0 when its
+// position is empty and record number + 1 otherwise. At most half of the
+// positions are ever used, so 1M objects take an 8 MiB index plus 1M
+// 82-byte records, 86 MiB in all; an inline slot at every position would
+// take 166 MiB, half of it empty. A key's position (its FNV-1a hash masked
+// to the table, then linear probing) decides GET and SCAN results; where
+// its record sits only decides how far apart SCAN's reads are.
+// `populate()` lays its records out in table order, so a SCAN over a
+// populated store reads consecutive records; a later `set()` of a new key
+// appends its record out of that order.
+//
+// The record array is reserved once to the load bound, so appending a
+// record never reallocates it, and the reserved records beyond the last
+// one appended are never touched: they take no memory.
 #pragma once
 
 #include <cstdint>
@@ -19,14 +35,20 @@ namespace netclone::kv {
 inline constexpr std::size_t kMaxKeyBytes = 16;
 inline constexpr std::size_t kMaxValueBytes = 64;
 
+/// Largest `KvStore` capacity hint. The table then has 2^31 positions, so
+/// a table position, a record number + 1 and populate's pending object
+/// index each fit in 31 bits of an index entry.
+inline constexpr std::size_t kMaxObjects = std::size_t{1} << 30;
+
 class KvStore {
  public:
   /// Creates a store able to hold at least `capacity_hint` objects at a
   /// load factor <= 0.5 (capacity is rounded up to a power of two).
+  /// Throws CheckFailure unless 0 < capacity_hint <= kMaxObjects.
   explicit KvStore(std::size_t capacity_hint);
 
   /// Inserts or overwrites. Returns false when the table is full or the
-  /// key/value exceeds the fixed slot size.
+  /// key/value exceeds the fixed record size.
   bool set(std::string_view key, std::string_view value);
 
   /// Point lookup; the returned view is valid until the next set().
@@ -37,10 +59,10 @@ class KvStore {
     return get(key).has_value();
   }
 
-  /// Range-read emulation for SCAN: starting at `start_key`'s slot, visits
-  /// up to `count` occupied slots in table order and folds their values
-  /// into a 64-bit digest (the paper's SCAN reads 100 objects and the
-  /// response stays single-packet).
+  /// Range-read emulation for SCAN: starting at `start_key`'s home
+  /// position, visits up to `count` objects in table order (wrapping at
+  /// the end) and folds their values into a 64-bit digest (the paper's
+  /// SCAN reads 100 objects and the response stays single-packet).
   ///
   /// The digest is a word-wise FNV-1a: it starts at the FNV-1a 64-bit
   /// offset basis and, for each visited value, folds every whole 8-byte
@@ -51,32 +73,39 @@ class KvStore {
   [[nodiscard]] std::uint64_t scan_digest(std::string_view start_key,
                                           std::size_t count) const;
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return index_.size(); }
 
   friend void populate(KvStore& store, std::size_t count);
 
  private:
-  struct Slot {
-    bool occupied = false;
+  struct Record {
     std::uint8_t key_len = 0;
     std::uint8_t value_len = 0;
     char key[kMaxKeyBytes] = {};
     char value[kMaxValueBytes] = {};
   };
 
-  [[nodiscard]] std::size_t slot_of(std::string_view key) const;
-  /// Index of the key's slot, or of the first free slot in its probe
-  /// sequence; nullopt when the table is full.
-  [[nodiscard]] std::optional<std::size_t> probe(std::string_view key) const;
-  /// One probe from `home` (the key's slot_of): the key's slot, or a free
-  /// slot now holding the key; nullptr when inserting would pass the load
-  /// bound. The value is left to the caller.
-  [[nodiscard]] Slot* claim(std::string_view key, std::size_t home);
+  /// Index entries at or above this hold no record number: during
+  /// populate's first pass they mark a claimed position, with the object
+  /// index in the low 31 bits.
+  static constexpr std::uint32_t kPending = std::uint32_t{1} << 31;
 
-  std::vector<Slot> slots_;
+  [[nodiscard]] std::size_t home_of(std::string_view key) const;
+  /// Probing from `home` (the key's home_of), the position holding `key`,
+  /// or the first empty one. Pending entries are passed over: they hold
+  /// objects populate claimed before `key`'s, whose keys all differ.
+  [[nodiscard]] std::size_t position_of(std::string_view key,
+                                        std::size_t home) const;
+  /// Whether a store of `objects` can take one more within the load bound
+  /// of 1/2, which keeps probe chains short.
+  [[nodiscard]] bool has_room(std::size_t objects) const {
+    return (objects + 1) * 2 <= index_.size();
+  }
+
+  std::vector<std::uint32_t> index_;
+  std::vector<Record> records_;  // reserved once; never reallocates
   std::size_t mask_ = 0;
-  std::size_t size_ = 0;
 };
 
 /// Largest object index with a distinct key: "k" plus 15 decimal digits.
@@ -98,9 +127,10 @@ void write_value(std::uint64_t index, char (&out)[kMaxValueBytes]);
 
 /// Fills the store with objects 0..count-1. The table ends up exactly as
 /// after `set(key_for_index(i), value_for_index(i))` for i = 0..count-1
-/// (same slots, same SCAN order), but each object is probed once and its
-/// value generated straight into its slot. Throws CheckFailure when the
-/// store is too small.
+/// (same positions, same GET and SCAN results), but each object is probed
+/// once, and the new records are laid out in table order with their values
+/// generated in place. Throws CheckFailure when the store is too small,
+/// after inserting every object that fits.
 void populate(KvStore& store, std::size_t count);
 
 }  // namespace netclone::kv

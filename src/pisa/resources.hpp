@@ -8,11 +8,10 @@
 //   * RandomUnit — the ASIC's per-packet PRNG (used by RackSched's
 //     power-of-two-choices sampling).
 //
-// Everything on the data-plane path is header-inline: a resource access in
-// a release build is the operation itself (a flat-table probe, a register
-// read-modify-write) with no dispatch and — when the per-pass legality
-// checks are compiled out — no bookkeeping. See pipeline.hpp for the
-// check policy.
+// Everything on the data-plane path is header-inline: a resource access is
+// the operation itself (a flat-table probe, a register read-modify-write)
+// with no dispatch, plus the per-pass legality check that every build
+// runs. See pipeline.hpp for the constraints it enforces.
 #pragma once
 
 #include <cstdint>
@@ -92,8 +91,7 @@ class ExactMatchTable final : public StageResource {
 /// Stateful register array. The only data-plane operation is `execute`,
 /// mirroring a Tofino RegisterAction: one indexed read-modify-write whose
 /// lambda body must be a simple ALU-expressible update. The index bounds
-/// check stays on in every build (memory safety); the single-access check
-/// follows the pipeline check policy.
+/// check (memory safety) and the single-access check run in every build.
 template <typename T>
 class RegisterArray final : public StageResource {
  public:

@@ -67,25 +67,52 @@ TEST_P(LpmProperty, MatchesBruteForceReference) {
     }
   }
 
-  for (int i = 0; i < 4000; ++i) {
-    const std::uint32_t addr =
-        rng.bernoulli(0.8)
-            ? 0x0A000000U |
-                  static_cast<std::uint32_t>(rng.next_below(1 << 24))
-            : rng.next_u32();
-    PipelinePass pass{pipeline};
-    const auto got = table.lookup(pass, wire::Ipv4Address{addr});
-    const auto want = reference_lookup(reference, addr);
-    if (want.has_value()) {
-      ASSERT_TRUE(got.has_value()) << "addr=" << addr;
-      // When several prefixes share the longest length, both pick one of
-      // them; lengths must agree, and for our generator values at equal
-      // (prefix,len) are unique, so values must match too.
-      EXPECT_EQ(*got, *want) << "addr=" << addr;
-    } else {
-      EXPECT_FALSE(got.has_value()) << "addr=" << addr;
+  std::vector<std::uint32_t> addrs(4000);
+  for (std::uint32_t& addr : addrs) {
+    addr = rng.bernoulli(0.8)
+               ? 0x0A000000U |
+                     static_cast<std::uint32_t>(rng.next_below(1 << 24))
+               : rng.next_u32();
+  }
+  const auto expect_matches_reference = [&] {
+    for (const std::uint32_t addr : addrs) {
+      PipelinePass pass{pipeline};
+      const auto got = table.lookup(pass, wire::Ipv4Address{addr});
+      const auto want = reference_lookup(reference, addr);
+      if (want.has_value()) {
+        ASSERT_TRUE(got.has_value()) << "addr=" << addr;
+        // When several prefixes share the longest length, both pick one of
+        // them; lengths must agree, and for our generator values at equal
+        // (prefix,len) are unique, so values must match too.
+        EXPECT_EQ(*got, *want) << "addr=" << addr;
+      } else {
+        EXPECT_FALSE(got.has_value()) << "addr=" << addr;
+      }
+    }
+  };
+  expect_matches_reference();
+
+  // Erase a random third of the prefixes, among them every prefix of one
+  // length. Each is erased twice: the second erase finds nothing and must
+  // leave the other routes, at that length too, in place.
+  const auto erase_at = [&](std::size_t i) {
+    const RefEntry e = reference[i];
+    table.erase(wire::Ipv4Address{e.prefix}, e.len);
+    table.erase(wire::Ipv4Address{e.prefix}, e.len);
+    reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  const std::size_t keep = reference.size() - reference.size() / 3;
+  const std::uint8_t emptied = reference[rng.next_below(reference.size())].len;
+  for (std::size_t i = reference.size(); i-- > 0;) {
+    if (reference[i].len == emptied) {
+      erase_at(i);
     }
   }
+  while (reference.size() > keep) {
+    erase_at(rng.next_below(reference.size()));
+  }
+  ASSERT_EQ(table.entry_count(), reference.size());
+  expect_matches_reference();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpmProperty,

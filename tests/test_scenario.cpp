@@ -107,6 +107,8 @@ TEST(ScenarioDiagnostics, OutOfRangeIntegersCarryLineAndKey) {
       {"seed", "inf"},
       {"seed", "1e30"},
       {"kv_objects", "-1"},
+      {"kv_objects", "0"},
+      {"kv_objects", "1073741825"},  // kv::kMaxObjects + 1
       {"workers", "4294967296"},  // 2^32
   };
   for (const auto& [key, value] : cases) {

@@ -116,6 +116,33 @@ TEST(KvStore, ZeroCapacityRejected) {
   EXPECT_THROW(KvStore{0}, CheckFailure);
 }
 
+TEST(KvStore, CapacityAboveMaxObjectsRejected) {
+  // Thrown before anything is allocated (the table alone would be 16 GiB).
+  EXPECT_THROW(KvStore{kMaxObjects + 1}, CheckFailure);
+}
+
+TEST(KvStore, TableLayoutIsPinned) {
+  // Recorded from the inline-slot table this store replaced. They pin
+  // every key's table position and SCAN order, which the populate-vs-set()
+  // comparisons below cannot see when both move together.
+  KvStore store{100000};
+  populate(store, 100000);
+  EXPECT_EQ(store.capacity(), 262144U);
+  EXPECT_EQ(store.size(), 100000U);
+  const std::pair<std::uint64_t, std::uint64_t> scans[] = {
+      {0, 0xe167d2fa8b896577ULL},     {1, 0x61bc3a933c739da8ULL},
+      {4242, 0xb52bbd182abf2cf5ULL},  {77777, 0xff9bc482f9cb725dULL},
+      {99999, 0x3348068bc78f1a0cULL},
+  };
+  for (const auto& [start, digest] : scans) {
+    EXPECT_EQ(store.scan_digest(key_for_index(start), 100), digest) << start;
+  }
+  EXPECT_EQ(store.scan_digest(key_for_index(0), 100000),
+            0x55bcf616856817f6ULL);
+  ASSERT_TRUE(store.set("knew", "v"));
+  EXPECT_EQ(store.scan_digest(key_for_index(0), 1000), 0xa5161d401be2fc0fULL);
+}
+
 // -- populate fast path ------------------------------------------------------
 
 /// The reference populate: one set() per object.
