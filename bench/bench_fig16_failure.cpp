@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
   std::jthread control{[&] {
     try {
       harness::Experiment clean{fig16_cluster()};
-      (void)clean.run_timeline(SimTime::seconds(25), SimTime::seconds(1),
-                               std::nullopt, std::nullopt);
+      (void)clean.run_timeline(SimTime::seconds(25), SimTime::seconds(1));
       clean_report = harness::audit_invariants(clean);
       nofault = collect_counters(clean);
     } catch (...) {
@@ -97,10 +96,11 @@ int main(int argc, char** argv) {
     }
   }};
 
+  cfg.faults.events = {harness::parse_fault_entry("at=5s switch_fail sw0"),
+                       harness::parse_fault_entry("at=7s switch_recover sw0")};
   harness::Experiment experiment{cfg};
-  const auto bins = experiment.run_timeline(
-      SimTime::seconds(25), SimTime::seconds(1), SimTime::seconds(5),
-      SimTime::seconds(7));
+  const auto bins =
+      experiment.run_timeline(SimTime::seconds(25), SimTime::seconds(1));
 
   std::printf("\n== Fig 16 — completed requests per second ==\n");
   std::printf("  %5s %12s\n", "t(s)", "KRPS");

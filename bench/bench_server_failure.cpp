@@ -30,9 +30,8 @@ int main() {
   experiment.simulator().schedule_at(
       SimTime::milliseconds(12),
       [&experiment] { experiment.remove_server(ServerId{2}); });
-  const auto bins = experiment.run_timeline(
-      SimTime::milliseconds(24), SimTime::milliseconds(2), std::nullopt,
-      std::nullopt);
+  const auto bins = experiment.run_timeline(SimTime::milliseconds(24),
+                                            SimTime::milliseconds(2));
 
   std::printf("\n  t(ms)  completed KRPS\n");
   for (std::size_t i = 0; i < bins.size(); ++i) {

@@ -26,13 +26,14 @@ int main() {
   const double capacity =
       harness::cluster_capacity_rps(cfg.server_workers, 100.0 * 1.14);
   cfg.offered_rps = 0.5 * capacity;
+  cfg.faults.events = {harness::parse_fault_entry("at=4s switch_fail sw0"),
+                       harness::parse_fault_entry("at=6s switch_recover sw0")};
 
   harness::Experiment experiment{cfg};
   std::printf("NetClone rack at 50%% load; ToR fails at t=4s, "
               "recovers at t=6s\n\n");
-  const auto bins = experiment.run_timeline(
-      SimTime::seconds(12), SimTime::milliseconds(500), SimTime::seconds(4),
-      SimTime::seconds(6));
+  const auto bins = experiment.run_timeline(SimTime::seconds(12),
+                                            SimTime::milliseconds(500));
 
   const std::uint64_t peak = *std::max_element(bins.begin(), bins.end());
   std::printf("  t(s)   KRPS  |timeline (each # ~ %.0f KRPS)\n",

@@ -13,16 +13,18 @@ namespace {
 }  // namespace
 
 NetCloneProgram::NetCloneProgram(pisa::Pipeline& pipeline,
-                                 NetCloneConfig config, AggChainRole role)
+                                 NetCloneConfig config, AggChainRole role,
+                                 UnclonedRoute uncloned)
     : config_(config),
       role_(role),
+      uncloned_(uncloned),
       seq_(pipeline, "SEQ", 0, 0U),
       grp_table_(pipeline, "GrpT", 1, config.max_groups, /*key_bytes=*/2,
                  /*value_bytes=*/2),
-      addr_table_(pipeline, "AddrT", 2, config.max_servers, /*key_bytes=*/1,
+      state_table_(pipeline, "StateT", 2, config.max_servers),
+      shadow_table_(pipeline, "ShadowT", 3, config.max_servers),
+      addr_table_(pipeline, "AddrT", 4, config.max_servers, /*key_bytes=*/1,
                   /*value_bytes=*/6),
-      state_table_(pipeline, "StateT", 3, config.max_servers),
-      shadow_table_(pipeline, "ShadowT", 4, config.max_servers),
       hash_unit_(pipeline, "FilterHash", 5),
       fwd_table_(pipeline, "FwdT", 6, /*capacity=*/1024, /*key_bytes=*/4,
                  /*value_bytes=*/2),
@@ -35,6 +37,11 @@ NetCloneProgram::NetCloneProgram(pisa::Pipeline& pipeline,
                      config_.id_mode == RequestIdMode::kClientTuple,
                  "multi-packet support needs client-tuple request ids: "
                  "fragments must share one REQ_ID (§3.7)");
+  NETCLONE_CHECK(!config_.enable_multipacket ||
+                     uncloned_ == UnclonedRoute::kFirstCandidate,
+                 "multi-packet support needs uncloned requests on the first "
+                 "candidate: a shorter-queue choice per fragment would "
+                 "scatter one request's fragments across servers");
   NETCLONE_CHECK(role_.chain_length >= 1 &&
                      role_.replica_index < role_.chain_length,
                  "chain role out of range");
@@ -234,23 +241,29 @@ void NetCloneProgram::handle_request(wire::PacketView& pkt,
     return;
   }
 
-  // Line 5: the non-cloned destination is always the first candidate.
-  const auto* entry1 = addr_table_.find(pass, pair->srv1);
-  if (!entry1) {
-    ++stats_.missing_route_drops;
-    md.drop = true;
-    return;
-  }
-  pkt.set_ip_dst(entry1->ip);
-
   // Line 6: both candidates idle? StateT serves srv1, the shadow copy
   // serves srv2 — one register array cannot be read twice in a pass. On
   // a replica the read is relaxed: updates still in the chain cost at
   // most a missed or wasted clone, never correctness.
   const std::uint16_t s1 = state_table_.read(pass, pair->srv1);
   const std::uint16_t s2 = shadow_table_.read(pass, pair->srv2);
+  const bool clone = s1 == 0 && s2 == 0;
 
-  if (s1 == 0 && s2 == 0) {
+  // Line 5: a clone's original and Algorithm 1's uncloned request go to
+  // the first candidate; the RackSched integration sends an uncloned
+  // request to the shorter queue.
+  const bool to_srv2 =
+      uncloned_ == UnclonedRoute::kShorterQueue && !clone && s2 < s1;
+  const auto* entry =
+      addr_table_.find(pass, to_srv2 ? pair->srv2 : pair->srv1);
+  if (!entry) {
+    ++stats_.missing_route_drops;
+    md.drop = true;
+    return;
+  }
+  pkt.set_ip_dst(entry->ip);
+
+  if (clone) {
     // Lines 7-9: clone. SID carries the second candidate for the
     // recirculated copy; the PRE group sends the original to srv1's port
     // and the copy to the loopback port.
@@ -266,11 +279,11 @@ void NetCloneProgram::handle_request(wire::PacketView& pkt,
                       config_.cloned_req_slots);  // reuses the CRC profile
       cloned_req_table_->write(pass, slot, req_id);
     }
-    md.multicast_group = entry1->mcast_group;
+    md.multicast_group = entry->mcast_group;
     return;
   }
 
-  const auto* port = fwd_table_.find(pass, route_key(entry1->ip));
+  const auto* port = fwd_table_.find(pass, route_key(entry->ip));
   if (!port) {
     ++stats_.missing_route_drops;
     md.drop = true;

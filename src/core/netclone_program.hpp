@@ -20,14 +20,22 @@
 // response. A ToR is the default chain of one: head and tail at once,
 // always a member, enacting its own verdicts.
 //
-// Stage layout (compile-time, mirrors the 7-stage budget of §4.1):
+// The §3.7 RackSched integration runs this same program. StateT holds
+// the piggybacked queue lengths; Algorithm 1 only tests them against
+// zero, while the integration also compares them: a request that is not
+// cloned joins the shorter of its two candidates' queues instead of the
+// first candidate's (UnclonedRoute::kShorterQueue).
+//
+// Stage layout (compile-time, mirrors the 7-stage budget of §4.1). AddrT
+// sits after the two state reads, because under the integration the
+// address to look up depends on their comparison:
 //
 //   stage 0: SEQ       (request-id allocator, one register)
 //   stage 1: GrpT      (group id -> ordered candidate pair)
-//   stage 2: AddrT     (server id -> IP address)
-//   stage 3: StateT    (server states, written on every response)
-//   stage 4: ShadowT   (copy of StateT — the ASIC cannot read one register
+//   stage 2: StateT    (server states, written on every response)
+//   stage 3: ShadowT   (copy of StateT — the ASIC cannot read one register
 //                       array twice in a pass, §3.4)
+//   stage 4: AddrT     (server id -> IP address)
 //   stage 5: HashT + FilterT[0..k)  (fingerprint filters, §3.5)
 //   stage 6: FwdT      (dst IP -> egress port, the L2/L3 routing module)
 #pragma once
@@ -78,6 +86,15 @@ struct NetCloneConfig {
   bool enable_multipacket = false;
   /// Slots in the cloned-request table (hash-indexed, like FilterT).
   std::size_t cloned_req_slots = std::size_t{1} << 15;
+};
+
+/// Where a request the switch does not clone goes.
+enum class UnclonedRoute {
+  /// Algorithm 1: the group's first candidate.
+  kFirstCandidate,
+  /// §3.7 RackSched integration: the candidate with the shorter tracked
+  /// queue, ties to the first candidate.
+  kShorterQueue,
 };
 
 /// Where this switch sits in its chain AT BUILD TIME. The default is a
@@ -197,9 +214,12 @@ class NetCloneProgram final : public pisa::SwitchProgram {
   /// of one. Replicas of one tier share `config.switch_id`, so the rack
   /// ToRs treat tier-stamped packets as foreign. A chain longer than one
   /// needs RequestIdMode::kClientTuple: replicated deciders cannot share
-  /// a SEQ register without coordination.
+  /// a SEQ register without coordination. `uncloned` picks where an
+  /// uncloned request goes; kShorterQueue rejects multi-packet support,
+  /// whose fragments must all reach one server.
   NetCloneProgram(pisa::Pipeline& pipeline, NetCloneConfig config,
-                  AggChainRole role = {});
+                  AggChainRole role = {},
+                  UnclonedRoute uncloned = UnclonedRoute::kFirstCandidate);
 
   // -- control plane --------------------------------------------------------
 
@@ -311,12 +331,13 @@ class NetCloneProgram final : public pisa::SwitchProgram {
 
   NetCloneConfig config_;
   AggChainRole role_;
+  UnclonedRoute uncloned_;
 
   pisa::RegisterScalar<std::uint32_t> seq_;
   pisa::ExactMatchTable<GroupPair> grp_table_;
-  pisa::ExactMatchTable<AddrEntry> addr_table_;
   pisa::RegisterArray<std::uint16_t> state_table_;
   pisa::RegisterArray<std::uint16_t> shadow_table_;
+  pisa::ExactMatchTable<AddrEntry> addr_table_;
   pisa::HashUnit hash_unit_;
   std::vector<std::unique_ptr<pisa::RegisterArray<std::uint32_t>>>
       filter_tables_;

@@ -34,10 +34,13 @@ Experiment::Experiment(ClusterConfig config)
   NETCLONE_CHECK(config_.service != nullptr, "config needs a service");
   NETCLONE_CHECK(config_.server_workers.size() >= 2,
                  "need at least two servers");
+  NETCLONE_CHECK(config_.server_workers.size() <= 256,
+                 "server id space is 8 bits");
   NETCLONE_CHECK(config_.num_clients >= 1, "need at least one client");
   // Responses pass a filter under NetClone and the RackSched integration
   // (the ToR's filter tables) and under LAEDGE (the coordinator relays
-  // one response per request); only NetClone has multi-packet tables.
+  // one response per request). The integration's program rejects
+  // multi-packet tables when it is built.
   if (config_.scheme == Scheme::kLaedge ||
       ((config_.scheme == Scheme::kNetClone ||
         config_.scheme == Scheme::kNetCloneRackSched) &&
@@ -65,8 +68,6 @@ void Experiment::build() {
   switch_->set_loopback_port(recirc_port);
 
   // Load the scheme's data-plane program.
-  const bool uses_netclone = config_.scheme == Scheme::kNetClone ||
-                             config_.scheme == Scheme::kNetCloneNoFilter;
   core::NetCloneConfig nc_cfg = config_.netclone;
   nc_cfg.enable_filtering =
       config_.scheme != Scheme::kNetCloneNoFilter &&
@@ -74,18 +75,16 @@ void Experiment::build() {
   switch (config_.scheme) {
     case Scheme::kNetClone:
     case Scheme::kNetCloneNoFilter:
+    case Scheme::kNetCloneRackSched:
       netclone_program_ = std::make_shared<core::NetCloneProgram>(
-          switch_->pipeline(), nc_cfg);
+          switch_->pipeline(), nc_cfg, core::AggChainRole{},
+          config_.scheme == Scheme::kNetCloneRackSched
+              ? core::UnclonedRoute::kShorterQueue
+              : core::UnclonedRoute::kFirstCandidate);
       switch_->load_program(netclone_program_);
       controller_ = std::make_unique<core::Controller>(*netclone_program_,
                                                        *switch_,
                                                        recirc_port);
-      break;
-    case Scheme::kNetCloneRackSched:
-      integration_program_ =
-          std::make_shared<baselines::NetCloneRackSchedProgram>(
-              switch_->pipeline(), nc_cfg);
-      switch_->load_program(integration_program_);
       break;
     case Scheme::kRackSched:
       racksched_program_ = std::make_shared<baselines::RackSchedProgram>(
@@ -121,19 +120,9 @@ void Experiment::build() {
     server_ips.push_back(ip);
     record_server(server);
 
-    const auto mcast_group = static_cast<std::uint16_t>(i + 1);
-    if (uses_netclone) {
+    if (controller_) {
       // The control plane wires AddrT/FwdT/PRE and maintains the groups.
       controller_->add_server(sid, ip, ports.port_on_b);
-    } else {
-      switch_->configure_multicast_group(mcast_group,
-                                         {ports.port_on_b, recirc_port});
-    }
-    if (uses_netclone) {
-      // handled above
-    } else if (integration_program_) {
-      integration_program_->add_server(sid, ip, ports.port_on_b,
-                                       mcast_group);
     } else if (racksched_program_) {
       racksched_program_->add_server(sid, ip, ports.port_on_b);
     } else {
@@ -141,13 +130,6 @@ void Experiment::build() {
     }
     laedge_workers.push_back(
         baselines::LaedgeWorkerInfo{sid, ip, config_.server_workers[i]});
-  }
-
-  // Candidate groups for the cloning schemes (the controller already
-  // installed them for the NetClone schemes).
-  const auto groups = core::build_group_pairs(num_servers);
-  if (integration_program_) {
-    integration_program_->install_groups(groups);
   }
 
   // The coordinator, for LÆDGE runs.
@@ -168,7 +150,8 @@ void Experiment::build() {
     cp.client_id = static_cast<std::uint16_t>(c);
     cp.rate_rps =
         config_.offered_rps / static_cast<double>(config_.num_clients);
-    cp.num_groups = static_cast<std::uint16_t>(groups.size());
+    cp.num_groups =
+        static_cast<std::uint16_t>(core::group_count(num_servers));
     cp.num_filter_tables =
         static_cast<std::uint8_t>(config_.netclone.num_filter_tables);
     cp.server_ips = server_ips;
@@ -195,10 +178,8 @@ void Experiment::build() {
     const auto ports = topology().connect(client, *switch_);
     record_link(indexed_name("c", c), "sw0", ports);
     const wire::Ipv4Address ip = host::client_ip(cp.client_id);
-    if (uses_netclone) {
+    if (controller_) {
       controller_->add_route(ip, ports.port_on_b);
-    } else if (integration_program_) {
-      integration_program_->add_route(ip, ports.port_on_b);
     } else if (racksched_program_) {
       racksched_program_->add_route(ip, ports.port_on_b);
     } else {
@@ -227,28 +208,11 @@ void Experiment::remove_server(ServerId sid) {
   }
 }
 
-std::vector<std::uint64_t> Experiment::run_timeline(
-    SimTime total, SimTime bin, std::optional<SimTime> fail_at,
-    std::optional<SimTime> recover_at) {
-  start_timeline(bin);
-  if (fail_at) {
-    simulator().schedule_at(*fail_at, [this] { switch_->fail(); });
-  }
-  if (recover_at) {
-    simulator().schedule_at(*recover_at, [this] { switch_->recover(); });
-  }
-  return completions_per_bin(total, bin);
-}
-
 void Experiment::add_switch_counters(ExperimentResult& result) const {
   if (netclone_program_) {
     result.cloned_requests = netclone_program_->stats().cloned_requests;
     result.filtered_responses =
         netclone_program_->stats().filtered_responses;
-  } else if (integration_program_) {
-    result.cloned_requests = integration_program_->stats().cloned_requests;
-    result.filtered_responses =
-        integration_program_->stats().filtered_responses;
   }
   result.switch_stats = switch_->stats();
 }

@@ -6,16 +6,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "baselines/l3_program.hpp"
 #include "baselines/laedge.hpp"
-#include "core/controller.hpp"
-#include "baselines/netclone_racksched.hpp"
 #include "baselines/racksched_program.hpp"
 #include "common/types.hpp"
+#include "core/controller.hpp"
 #include "core/netclone_program.hpp"
 #include "harness/faults.hpp"
 #include "harness/testbed.hpp"
@@ -55,26 +53,21 @@ struct ClusterConfig {
 };
 
 /// One ToR rack (§5): the scheme's program on the switch, and the LÆDGE
-/// coordinator when compared. See Testbed for the lifecycle; failure
-/// injection (Fig. 16) is exposed for timeline runs.
+/// coordinator when compared. See Testbed for the lifecycle; a switch
+/// failure (Fig. 16) is a `switch_fail sw0` entry of the fault plan.
 class Experiment : public Testbed {
  public:
   explicit Experiment(ClusterConfig config);
   ~Experiment() override;
 
-  using Testbed::run_timeline;
-  /// Timeline mode with switch failure injection: the ToR fails at
-  /// `fail_at` and recovers at `recover_at`, when given.
-  [[nodiscard]] std::vector<std::uint64_t> run_timeline(
-      SimTime total, SimTime bin, std::optional<SimTime> fail_at,
-      std::optional<SimTime> recover_at);
-
-  /// §3.6 server-failure handling, available for the NetClone schemes:
-  /// the control plane removes the worker from the candidate groups and
-  /// every client learns the shrunken group count. The server process
-  /// itself keeps draining whatever it already accepted. Requests already
-  /// in flight with now-stale group ids are dropped at the switch — the
-  /// brief reconfiguration loss a real deployment would also see.
+  /// §3.6 server-failure handling, available for the schemes that run
+  /// the NetClone program (NetClone, its no-filter ablation and the
+  /// RackSched integration): the control plane removes the worker from
+  /// the candidate groups and every client learns the shrunken group
+  /// count. The server process itself keeps draining whatever it already
+  /// accepted. Requests already in flight with now-stale group ids are
+  /// dropped at the switch — the brief reconfiguration loss a real
+  /// deployment would also see.
   void remove_server(ServerId sid);
 
   /// The ToR, registered as switch `sw0`.
@@ -101,7 +94,6 @@ class Experiment : public Testbed {
   std::unique_ptr<core::Controller> controller_;  // NetClone schemes only
   std::shared_ptr<baselines::L3ForwardProgram> l3_program_;
   std::shared_ptr<baselines::RackSchedProgram> racksched_program_;
-  std::shared_ptr<baselines::NetCloneRackSchedProgram> integration_program_;
 };
 
 }  // namespace netclone::harness

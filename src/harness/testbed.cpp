@@ -257,17 +257,8 @@ ExperimentResult Testbed::run() {
 
 std::vector<std::uint64_t> Testbed::run_timeline(SimTime total,
                                                  SimTime bin) {
-  start_timeline(bin);
-  return completions_per_bin(total, bin);
-}
-
-void Testbed::start_timeline(SimTime bin) {
   NETCLONE_CHECK(bin > SimTime::zero(), "bin must be positive");
   start_clients();
-}
-
-std::vector<std::uint64_t> Testbed::completions_per_bin(SimTime total,
-                                                        SimTime bin) {
   std::vector<std::uint64_t> bins;
   std::uint64_t last_total = 0;
   for (SimTime t = bin; t <= total; t += bin) {

@@ -175,14 +175,6 @@ class Testbed {
   void record_server(host::Server& server) { servers_.push_back(&server); }
   void record_client(host::Client& client) { clients_.push_back(&client); }
 
-  // -- running -------------------------------------------------------------
-
-  /// Checks `bin` and starts the clients: the first step of any timeline.
-  void start_timeline(SimTime bin);
-  /// Runs to `total` in `bin`-sized steps, counting completions per bin.
-  [[nodiscard]] std::vector<std::uint64_t> completions_per_bin(SimTime total,
-                                                               SimTime bin);
-
   /// `<prefix><N>`, the harness name of an indexed node (`s3`, `agg1`,
   /// `tor2`).
   [[nodiscard]] static std::string indexed_name(std::string_view prefix,

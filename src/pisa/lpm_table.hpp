@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 
 #include "pisa/resources.hpp"
 #include "wire/ipv4.hpp"
@@ -41,16 +40,8 @@ class LpmTable final : public StageResource {
 
   // -- data plane -----------------------------------------------------------
 
-  /// Longest matching prefix for `addr`, or nullopt.
-  [[nodiscard]] std::optional<Value> lookup(PipelinePass& pass,
-                                            wire::Ipv4Address addr) {
-    const Value* v = find(pass, addr);
-    return v != nullptr ? std::optional<Value>{*v} : std::nullopt;
-  }
-
-  /// Longest matching prefix for `addr` without copying the action data
-  /// (ECMP port lists); nullptr on miss. The pointer is stable until the
-  /// next control-plane insert/erase.
+  /// Longest matching prefix for `addr`; nullptr on miss. The pointer is
+  /// stable until the next control-plane insert/erase.
   [[nodiscard]] const Value* find(PipelinePass& pass,
                                   wire::Ipv4Address addr) {
     record_access(pass);

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,16 +62,6 @@ class ExactMatchTable final : public StageResource {
   [[nodiscard]] const Value* find(PipelinePass& pass, std::uint64_t key) {
     record_access(pass);
     return entries_.find(key);
-  }
-
-  /// Single lookup per pass; returns nullopt on miss (value copy).
-  [[nodiscard]] std::optional<Value> lookup(PipelinePass& pass,
-                                            std::uint64_t key) {
-    const Value* value = find(pass, key);
-    if (value == nullptr) {
-      return std::nullopt;
-    }
-    return *value;
   }
 
   [[nodiscard]] std::size_t sram_bytes() const override {

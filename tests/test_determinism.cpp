@@ -148,5 +148,28 @@ TEST(Determinism, GoldenPinImpairedLinks) {
   expect_pinned(cfg, Pin{15509716551751228117ULL, 269, 464896, 4295});
 }
 
+TEST(Determinism, GoldenPinNetCloneRackSched) {
+  // The §3.7 integration on Fig. 10's heterogeneous rack in miniature, at
+  // a load where requests both clone and join the shorter queue. The
+  // values were recorded while the integration still ran a program class
+  // of its own, so they show that NetCloneProgram's shorter-queue route
+  // computes the same run. chaos_digest is not pinned: it folds the
+  // program's stats only since the integration runs NetCloneProgram.
+  ClusterConfig cfg = fig7_style_cluster(/*seed=*/3);
+  cfg.scheme = Scheme::kNetCloneRackSched;
+  cfg.server_workers = {8, 8, 8, 4, 4, 4};
+  cfg.offered_rps =
+      cluster_capacity_rps(cfg.server_workers, 25.0 * 1.14) * 0.6;
+  Experiment exp{cfg};
+  const ExperimentResult result = exp.run();
+  const InvariantReport report = audit_invariants(exp);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(result.completed, 6108U);
+  EXPECT_EQ(result.p99.ns(), 144384);
+  EXPECT_EQ(result.cloned_requests, 3450U);
+  EXPECT_EQ(result.filtered_responses, 2708U);
+  EXPECT_EQ(exp.executed_events(), 80304U);
+}
+
 }  // namespace
 }  // namespace netclone::harness

@@ -181,10 +181,11 @@ TEST(Experiment, TimelineWithSwitchFailureRecovers) {
   ClusterConfig cfg = small_cluster(Scheme::kNetClone, 0.4);
   cfg.warmup = SimTime::zero();
   cfg.measure = SimTime::milliseconds(20);
+  cfg.faults.events = {parse_fault_entry("at=6ms switch_fail sw0"),
+                       parse_fault_entry("at=10ms switch_recover sw0")};
   Experiment experiment{cfg};
-  const auto bins = experiment.run_timeline(
-      SimTime::milliseconds(20), SimTime::milliseconds(2),
-      SimTime::milliseconds(6), SimTime::milliseconds(10));
+  const auto bins = experiment.run_timeline(SimTime::milliseconds(20),
+                                            SimTime::milliseconds(2));
   ASSERT_EQ(bins.size(), 10U);
   EXPECT_GT(bins[1], 0U);   // healthy before failure
   EXPECT_EQ(bins[4], 0U);   // 8-10 ms: switch down, nothing completes

@@ -55,8 +55,7 @@ TEST(ExperimentEdge, TimelineBinsSumToCompletions) {
   cfg.measure = SimTime::milliseconds(10);
   Experiment experiment{cfg};
   const auto bins = experiment.run_timeline(SimTime::milliseconds(10),
-                                            SimTime::milliseconds(1),
-                                            std::nullopt, std::nullopt);
+                                            SimTime::milliseconds(1));
   ASSERT_EQ(bins.size(), 10U);
   std::uint64_t total = 0;
   for (const auto b : bins) {
@@ -119,31 +118,43 @@ TEST(ExperimentEdge, RackSchedBeatsBaselineOnHeterogeneousCluster) {
 }
 
 TEST(ExperimentEdge, ServerRemovalMidRun) {
-  ClusterConfig cfg = base_cfg(Scheme::kNetClone);
-  cfg.server_workers = {4, 4, 4, 4};
-  cfg.warmup = SimTime::zero();
-  cfg.measure = SimTime::milliseconds(10);
-  cfg.offered_rps =
-      0.4 * cluster_capacity_rps(cfg.server_workers, 25.0 * 1.14);
-  Experiment experiment{cfg};
-  experiment.simulator().schedule_at(
-      SimTime::milliseconds(5),
-      [&experiment] { experiment.remove_server(ServerId{1}); });
-  const ExperimentResult result = experiment.run();
+  // §3.6 on every scheme whose switch runs the NetClone program and its
+  // controller, the RackSched integration included.
+  for (const Scheme scheme :
+       {Scheme::kNetClone, Scheme::kNetCloneRackSched}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    ClusterConfig cfg = base_cfg(scheme);
+    cfg.server_workers = {4, 4, 4, 4};
+    cfg.warmup = SimTime::zero();
+    cfg.measure = SimTime::milliseconds(10);
+    cfg.offered_rps =
+        0.4 * cluster_capacity_rps(cfg.server_workers, 25.0 * 1.14);
+    Experiment experiment{cfg};
+    std::uint64_t rx_after_removal = 0;
+    experiment.simulator().schedule_at(
+        SimTime::milliseconds(5),
+        [&experiment] { experiment.remove_server(ServerId{1}); });
+    experiment.simulator().schedule_at(
+        SimTime::milliseconds(6), [&experiment, &rx_after_removal] {
+          rx_after_removal = experiment.servers()[1]->stats().rx_requests;
+        });
+    const ExperimentResult result = experiment.run();
 
-  // The drained server stopped receiving shortly after removal; the
-  // survivors carried the load.
-  const auto& servers = experiment.servers();
-  EXPECT_LT(servers[1]->stats().completed,
-            servers[0]->stats().completed / 2 * 3);
-  EXPECT_GT(servers[0]->stats().completed, 0U);
-  // Losses are limited to requests in flight with stale group ids.
-  std::uint64_t completed = 0;
-  for (const host::Client* client : experiment.clients()) {
-    completed += client->stats().completed;
+    // The drained server stopped receiving shortly after removal; the
+    // survivors carried the load.
+    const auto& servers = experiment.servers();
+    EXPECT_EQ(servers[1]->stats().rx_requests, rx_after_removal);
+    EXPECT_LT(servers[1]->stats().completed,
+              servers[0]->stats().completed / 2 * 3);
+    EXPECT_GT(servers[0]->stats().completed, 0U);
+    // Losses are limited to requests in flight with stale group ids.
+    std::uint64_t completed = 0;
+    for (const host::Client* client : experiment.clients()) {
+      completed += client->stats().completed;
+    }
+    EXPECT_GE(completed + 50, result.requests_sent);
+    EXPECT_GT(result.cloned_requests, 0U);
   }
-  EXPECT_GE(completed + 50, result.requests_sent);
-  EXPECT_GT(result.cloned_requests, 0U);
 }
 
 TEST(ExperimentEdge, RemoveServerRequiresNetCloneScheme) {

@@ -544,25 +544,32 @@ TEST(ExperimentFaults, FatTreeActionsRejectedOnSingleRack) {
 TEST(ExperimentFaults, FilterStaleCausesFilteredResponseAbsorbedByRetry) {
   // Plant stale fingerprints for upcoming request ids: the first response
   // hashing there is wrongly filtered, and TCP-mode retransmission must
-  // absorb the loss (requests still complete).
-  harness::ClusterConfig cfg = netclone::testing::chaos_cluster(5);
-  for (int t = 0; t < 2; ++t) {
-    for (std::uint32_t id = 1; id <= 64; ++id) {
-      harness::FaultEvent ev;
-      ev.at = SimTime::microseconds(550.0);
-      ev.action = FaultAction::kFilterStale;
-      ev.target = "sw0";
-      ev.table = static_cast<std::size_t>(t);
-      ev.value = static_cast<double>(
-          core::NetCloneProgram::client_tuple_id(t == 0 ? 0 : 1, id));
-      cfg.faults.events.push_back(ev);
+  // absorb the loss (requests still complete). The RackSched integration
+  // runs the same program, so the fault plants into its filter too.
+  for (const harness::Scheme scheme :
+       {harness::Scheme::kNetClone, harness::Scheme::kNetCloneRackSched}) {
+    SCOPED_TRACE(harness::scheme_name(scheme));
+    harness::ClusterConfig cfg = netclone::testing::chaos_cluster(5);
+    cfg.scheme = scheme;
+    for (int t = 0; t < 2; ++t) {
+      for (std::uint32_t id = 1; id <= 64; ++id) {
+        harness::FaultEvent ev;
+        ev.at = SimTime::microseconds(550.0);
+        ev.action = FaultAction::kFilterStale;
+        ev.target = "sw0";
+        ev.table = static_cast<std::size_t>(t);
+        ev.value = static_cast<double>(
+            core::NetCloneProgram::client_tuple_id(t == 0 ? 0 : 1, id));
+        cfg.faults.events.push_back(ev);
+      }
     }
+    harness::Experiment exp{cfg};
+    (void)exp.run();
+    ASSERT_NE(exp.netclone_program(), nullptr);
+    EXPECT_EQ(exp.netclone_program()->stats().injected_stale_entries, 128U);
+    const harness::InvariantReport report = harness::audit_invariants(exp);
+    EXPECT_TRUE(report.ok()) << report.to_string();
   }
-  harness::Experiment exp{cfg};
-  (void)exp.run();
-  EXPECT_EQ(exp.netclone_program()->stats().injected_stale_entries, 128U);
-  const harness::InvariantReport report = harness::audit_invariants(exp);
-  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(ExperimentFaults, ServerPauseBuffersAndReplays) {
@@ -812,10 +819,12 @@ TEST(MultiRackFaults, PodResultsReportTheServerSideSplit) {
 TEST(InvariantAuditor, CleanRunsPassOnEveryScheme) {
   for (const harness::Scheme scheme :
        {harness::Scheme::kBaseline, harness::Scheme::kCClone,
-        harness::Scheme::kNetClone, harness::Scheme::kRackSched}) {
+        harness::Scheme::kNetClone, harness::Scheme::kRackSched,
+        harness::Scheme::kNetCloneRackSched}) {
     harness::ClusterConfig cfg = netclone::testing::chaos_cluster(20);
     cfg.scheme = scheme;
-    if (scheme != harness::Scheme::kNetClone) {
+    if (scheme != harness::Scheme::kNetClone &&
+        scheme != harness::Scheme::kNetCloneRackSched) {
       cfg.netclone.id_mode = core::RequestIdMode::kSwitchSequence;
       cfg.client_template.retransmit_timeout = SimTime::zero();
     }

@@ -8,7 +8,6 @@
 //   * 4 ordered filter tables
 #include <gtest/gtest.h>
 
-#include "baselines/netclone_racksched.hpp"
 #include "harness/experiment.hpp"
 #include "kv/kv_workload.hpp"
 
@@ -87,12 +86,18 @@ TEST(KitchenSink, AllFeaturesCompose) {
 }
 
 TEST(KitchenSink, IntegrationRejectsMultipacket) {
-  pisa::Pipeline pipeline;
+  // A shorter-queue choice per fragment would scatter one request's
+  // fragments across servers; Algorithm 1's routing keeps them together.
   core::NetCloneConfig cfg;
   cfg.id_mode = core::RequestIdMode::kClientTuple;
   cfg.enable_multipacket = true;
-  EXPECT_THROW((void)baselines::NetCloneRackSchedProgram(pipeline, cfg),
+  pisa::Pipeline integration;
+  EXPECT_THROW((void)core::NetCloneProgram(integration, cfg,
+                                           core::AggChainRole{},
+                                           core::UnclonedRoute::kShorterQueue),
                CheckFailure);
+  pisa::Pipeline netclone;
+  EXPECT_NO_THROW((void)core::NetCloneProgram(netclone, cfg));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "baselines/agg_router.hpp"
 #include "test_util.hpp"
 
@@ -20,7 +22,8 @@ class LpmTest : public ::testing::Test {
 
   std::optional<int> lookup(wire::Ipv4Address addr) {
     PipelinePass pass{pipeline_};
-    return table_.lookup(pass, addr);
+    const int* value = table_.find(pass, addr);
+    return value != nullptr ? std::optional<int>{*value} : std::nullopt;
   }
 };
 
@@ -64,8 +67,8 @@ TEST_F(LpmTest, BadLengthRejected) {
 TEST_F(LpmTest, SingleAccessPerPassEnforced) {
   table_.insert(ip(10, 0, 0, 0), 8, 1);
   PipelinePass pass{pipeline_};
-  (void)table_.lookup(pass, ip(10, 0, 0, 1));
-  EXPECT_THROW((void)table_.lookup(pass, ip(10, 0, 0, 2)), CheckFailure);
+  (void)table_.find(pass, ip(10, 0, 0, 1));
+  EXPECT_THROW((void)table_.find(pass, ip(10, 0, 0, 2)), CheckFailure);
 }
 
 TEST(CounterArray, CountsPacketsAndBytes) {

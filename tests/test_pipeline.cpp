@@ -125,16 +125,18 @@ TEST(ExactMatchTable, InsertLookupEraseSemantics) {
   EXPECT_EQ(table.entry_count(), 2U);
   {
     PipelinePass pass{pipeline};
-    EXPECT_EQ(table.lookup(pass, 10), 100);
+    const int* hit = table.find(pass, 10);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, 100);
   }
   {
     PipelinePass pass{pipeline};
-    EXPECT_EQ(table.lookup(pass, 30), std::nullopt);
+    EXPECT_EQ(table.find(pass, 30), nullptr);
   }
   table.erase(10);
   {
     PipelinePass pass{pipeline};
-    EXPECT_EQ(table.lookup(pass, 10), std::nullopt);
+    EXPECT_EQ(table.find(pass, 10), nullptr);
   }
 }
 
@@ -152,8 +154,8 @@ TEST(ExactMatchTable, DoubleLookupThrows) {
   ExactMatchTable<int> table{pipeline, "T", 0, 4, 4, 4};
   table.insert(1, 1);
   PipelinePass pass{pipeline};
-  (void)table.lookup(pass, 1);
-  EXPECT_THROW((void)table.lookup(pass, 1), CheckFailure);
+  (void)table.find(pass, 1);
+  EXPECT_THROW((void)table.find(pass, 1), CheckFailure);
 }
 
 TEST(HashUnit, DeterministicAndBounded) {

@@ -151,30 +151,6 @@ TEST(FlatMap64, RandomizedChurnAgreesWithUnorderedMap) {
   EXPECT_EQ(visited, ref.size());
 }
 
-TEST(ExactMatchTable, FindAndLookupAgree) {
-  pisa::Pipeline pipeline;
-  pisa::ExactMatchTable<int> table{pipeline, "T", 0, 8, 4, 4};
-  table.insert(5, 50);
-  {
-    pisa::PipelinePass pass{pipeline};
-    const int* hit = table.find(pass, 5);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 50);
-  }
-  {
-    pisa::PipelinePass pass{pipeline};
-    EXPECT_EQ(table.lookup(pass, 5), 50);
-  }
-  {
-    pisa::PipelinePass pass{pipeline};
-    EXPECT_EQ(table.find(pass, 6), nullptr);
-  }
-  {
-    pisa::PipelinePass pass{pipeline};
-    EXPECT_EQ(table.lookup(pass, 6), std::nullopt);
-  }
-}
-
 TEST(ExactMatchTable, ControlPlaneDeleteThenReuseCapacity) {
   pisa::Pipeline pipeline;
   pisa::ExactMatchTable<int> table{pipeline, "T", 0, 2, 4, 4};

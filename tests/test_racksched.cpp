@@ -1,9 +1,9 @@
-#include "baselines/netclone_racksched.hpp"
 #include "baselines/racksched_program.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/groups.hpp"
+#include "core/netclone_program.hpp"
 #include "test_util.hpp"
 
 namespace netclone::baselines {
@@ -87,9 +87,13 @@ TEST_F(RackSchedTest, EqualLoadsSpreadAcrossBoth) {
   EXPECT_LT(to_zero, 150);
 }
 
+// The §3.7 NetClone x RackSched integration: NetClone's program with
+// uncloned requests joining the shorter tracked queue.
 class IntegrationTest : public ::testing::Test {
  protected:
-  IntegrationTest() : program_(pipeline_, make_config()) {
+  IntegrationTest()
+      : program_(pipeline_, make_config(), core::AggChainRole{},
+                 core::UnclonedRoute::kShorterQueue) {
     program_.add_server(ServerId{0}, host::server_ip(ServerId{0}), kPortSrv0,
                         1);
     program_.add_server(ServerId{1}, host::server_ip(ServerId{1}), kPortSrv1,
@@ -111,7 +115,7 @@ class IntegrationTest : public ::testing::Test {
   }
 
   pisa::Pipeline pipeline_;
-  NetCloneRackSchedProgram program_;
+  core::NetCloneProgram program_;
 };
 
 TEST_F(IntegrationTest, BothQueuesEmptyClones) {
@@ -132,7 +136,7 @@ TEST_F(IntegrationTest, FallsBackToJsqWhenBusy) {
   EXPECT_FALSE(md.multicast_group.has_value());
   EXPECT_EQ(*md.egress_port, kPortSrv1);
   EXPECT_EQ(pkt.ip.dst, host::server_ip(ServerId{1}));
-  EXPECT_EQ(program_.stats().jsq_fallbacks, 1U);
+  EXPECT_EQ(program_.stats().cloned_requests, 0U);
   EXPECT_EQ(pkt.nc().clo, wire::CloneStatus::kNotCloned);
 }
 
@@ -152,6 +156,27 @@ TEST_F(IntegrationTest, OneEmptyOneBusyJoinsEmpty) {
   const auto md = run_ingress(program_, pipeline_, pkt);
   EXPECT_FALSE(md.multicast_group.has_value());
   EXPECT_EQ(*md.egress_port, kPortSrv1);
+}
+
+TEST_F(IntegrationTest, WriteRequestsGoUnclonedToTheFirstCandidate) {
+  // §5.5: a write is never cloned, and it skips the shorter-queue choice
+  // too: it goes to its group's first candidate, as under NetClone.
+  wire::Packet idle = make_request(0, 1, /*grp=*/0, 0);
+  idle.nc().type = wire::MsgType::kWriteRequest;
+  auto md = run_ingress(program_, pipeline_, idle);
+  EXPECT_FALSE(md.multicast_group.has_value());
+  EXPECT_EQ(md.egress_port, kPortSrv0);
+  EXPECT_EQ(idle.nc().clo, wire::CloneStatus::kNotCloned);
+  EXPECT_EQ(idle.ip.dst, host::server_ip(ServerId{0}));
+
+  set_load(ServerId{0}, 5);
+  wire::Packet busy = make_request(0, 2, /*grp=*/0, 0);
+  busy.nc().type = wire::MsgType::kWriteRequest;
+  md = run_ingress(program_, pipeline_, busy);
+  EXPECT_FALSE(md.multicast_group.has_value());
+  EXPECT_EQ(md.egress_port, kPortSrv0);
+  EXPECT_EQ(program_.stats().write_requests, 2U);
+  EXPECT_EQ(program_.stats().cloned_requests, 0U);
 }
 
 TEST_F(IntegrationTest, RecirculatedCloneSteered) {
