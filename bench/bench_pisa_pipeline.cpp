@@ -1,9 +1,9 @@
 // PISA pipeline execution throughput: the flat match tables and the
 // per-pass legality checks, measured two ways.
 //
-//   * per-pass: one Alg.-1-shaped request pass (two match-table lookups,
-//     a register RMW, the SEQ counter, a forwarding lookup) in passes per
-//     second.
+//   * per-pass: one uncloned request's pass through Algorithm 1 as
+//     NetCloneProgram lays it out (the SEQ counter, two register reads,
+//     three match-table lookups), in passes per second.
 //   * lookups: raw match-table probe rate, hit and miss.
 //
 // Every timed section is best-of-3. The rates are info rows; the work a
@@ -46,42 +46,55 @@ constexpr std::size_t kGroups = 16;
 constexpr std::size_t kFwdEntries = 256;
 
 // ---- the measured pass ---------------------------------------------------
-// The request-ingress resource sequence of Alg. 1: group membership
-// lookup, server address lookup, server-state register RMW, the SEQ
-// counter, and the forwarding table.
+// The request-ingress resources of Alg. 1 in NetCloneProgram's stage
+// layout: SEQ (stage 0), GrpT (1), StateT (2) and ShadowT (3) read for the
+// two candidates, AddrT (4), FwdT (6). An uncloned request takes every one
+// of them.
+
+struct GroupPair {
+  std::uint8_t srv1;
+  std::uint8_t srv2;
+};
 
 struct Program {
   pisa::Pipeline pipeline;
-  pisa::ExactMatchTable<std::uint32_t> grp{pipeline, "GrpT", 1, kGroups, 2,
-                                           16};
-  pisa::ExactMatchTable<std::uint32_t> addr{pipeline,     "AddrT", 2,
-                                            kFwdEntries, 2,       10};
-  pisa::RegisterArray<std::uint32_t> state{pipeline, "StateT", 3, kServers};
-  pisa::RegisterScalar<std::uint32_t> seq{pipeline, "SEQ", 4};
+  pisa::RegisterScalar<std::uint32_t> seq{pipeline, "SEQ", 0};
+  pisa::ExactMatchTable<GroupPair> grp{pipeline, "GrpT", 1, kGroups, 2, 2};
+  pisa::RegisterArray<std::uint16_t> state{pipeline, "StateT", 2, kServers};
+  pisa::RegisterArray<std::uint16_t> shadow{pipeline, "ShadowT", 3,
+                                            kServers};
+  pisa::ExactMatchTable<std::uint32_t> addr{pipeline, "AddrT", 4, kServers,
+                                            1,        6};
   pisa::ExactMatchTable<std::uint32_t> fwd{pipeline,     "FwdT", 6,
-                                           kFwdEntries, 4,      8};
+                                           kFwdEntries, 4,      2};
 
   Program() {
     for (std::uint64_t g = 0; g < kGroups; ++g) {
-      grp.insert(g, static_cast<std::uint32_t>(g * 4));
+      grp.insert(g, GroupPair{static_cast<std::uint8_t>(g * 4),
+                              static_cast<std::uint8_t>(g * 4 + 1)});
+    }
+    for (std::uint64_t s = 0; s < kServers; ++s) {
+      state.poke_write(s, static_cast<std::uint16_t>(s % 3));
+      shadow.poke_write(s, static_cast<std::uint16_t>(s % 3));
+      addr.insert(s, static_cast<std::uint32_t>((s * 7 + 1) % kFwdEntries));
     }
     for (std::uint64_t a = 0; a < kFwdEntries; ++a) {
-      addr.insert(a, static_cast<std::uint32_t>((a * 7 + 1) % kFwdEntries));
       fwd.insert(a, static_cast<std::uint32_t>(a + 1000));
     }
   }
 
   std::uint64_t request_pass(std::uint64_t i) {
     pisa::PipelinePass pass{pipeline};
-    const std::uint32_t* g = grp.find(pass, i & (kGroups - 1));
-    const std::uint32_t* a = addr.find(pass, *g + (i & 3U));
-    const std::uint32_t s = state.execute(
-        pass, *a % kServers, [](std::uint32_t& cell) { return ++cell; });
     const std::uint32_t q =
         seq.execute(pass, [](std::uint32_t& c) { return ++c; });
+    const GroupPair* g = grp.find(pass, i & (kGroups - 1));
+    const std::uint16_t s1 = state.read(pass, g->srv1);
+    const std::uint16_t s2 = shadow.read(pass, g->srv2);
+    const std::uint32_t* a = addr.find(pass, g->srv1);
     const std::uint32_t* f = fwd.find(pass, *a);
-    return (static_cast<std::uint64_t>(*f) << 32) ^ s ^
-           (static_cast<std::uint64_t>(q) << 8);
+    return (static_cast<std::uint64_t>(*f) << 32) ^
+           (static_cast<std::uint64_t>(q) << 8) ^
+           (static_cast<std::uint64_t>(s1) << 2) ^ s2;
   }
 };
 
@@ -132,7 +145,8 @@ int main(int argc, char** argv) {
   std::printf("pisa pipeline bench: best of 3\n\n");
 
   const double pass = best_of_3([] { return bench_pass(kPassIters); });
-  std::printf("request pass (2 lookups + RMW + SEQ + fwd):\n");
+  std::printf(
+      "request pass (SEQ + GrpT + StateT + ShadowT + AddrT + FwdT):\n");
   std::printf("  %12.0f passes/s  (%.1f ns/pass)\n\n", pass, 1e9 / pass);
 
   const double hit =

@@ -19,8 +19,10 @@
 #           other slow-labelled tests)
 #   --tsan: ThreadSanitizer lane only: build with NETCLONE_SANITIZE=thread
 #           and run the tier-1 suite. This is the bar for merging changes
-#           to harness::run_sweep, whose tier-1 tests (test_sweep) run
-#           concurrent experiments on real threads.
+#           to parallel_for (common/parallel.hpp) and what runs on it:
+#           harness::run_sweep's concurrent experiments and kv::populate's
+#           parallel record fill. Their tier-1 tests (test_parallel,
+#           test_sweep, test_store) run them on real threads.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -52,9 +52,12 @@ std::uint16_t crc16(std::span<const std::byte> data) {
     crc = static_cast<std::uint16_t>(crc ^
                                      (static_cast<std::uint16_t>(b) << 8));
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 0x8000U) != 0
-                ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021U)
-                : static_cast<std::uint16_t>(crc << 1);
+      // Widened before the shift: `crc << 1` would be an int, and
+      // `^ 0x1021U` then a sign conversion.
+      const unsigned shifted = static_cast<unsigned>(crc) << 1;
+      crc = static_cast<std::uint16_t>((crc & 0x8000U) != 0
+                                           ? shifted ^ 0x1021U
+                                           : shifted);
     }
   }
   return crc;

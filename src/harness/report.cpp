@@ -1,42 +1,21 @@
 #include "harness/report.hpp"
 
-#include <sched.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <numeric>
-#include <system_error>
-#include <thread>
 
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 
 namespace netclone::harness {
 
 namespace {
 
-/// CPUs this process may run on: its affinity mask, so `taskset` and
-/// container CPU sets are honored.
-std::size_t usable_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
-  }
-  return std::max(1U, std::thread::hardware_concurrency());
-}
-
-/// Sweep workers for `points` experiments: one per usable CPU, at most
-/// one per point.
-std::size_t sweep_workers(std::size_t points) {
-  return std::min(usable_cpus(), std::max<std::size_t>(points, 1));
-}
-
-/// The one sweep driver, for Experiment and MultiRackExperiment. Workers
-/// claim points from an atomic counter and write only their own point's
-/// slot; results are collected after the join, in point order.
+/// The one sweep driver, for Experiment and MultiRackExperiment. Points
+/// run through parallel_for and write only their own slot; results are
+/// collected after it returns, in point order.
 template <typename Exp, typename Config>
 std::vector<SweepPoint> sweep(const Config& base, double capacity_rps,
                               const std::vector<double>& loads) {
@@ -54,35 +33,21 @@ std::vector<SweepPoint> sweep(const Config& base, double capacity_rps,
                    [&](std::size_t a, std::size_t b) {
                      return loads[a] > loads[b];
                    });
-  std::atomic<std::size_t> next{0};
-  const auto work = [&] {
-    for (std::size_t i = next++; i < n; i = next++) {
-      const std::size_t k = order[i];
-      Slot& slot = slots[k];
-      try {
-        Config cfg = base;
-        cfg.offered_rps = capacity_rps * loads[k];
-        cfg.seed = base.seed + 1000 * (k + 1);
-        Exp experiment{std::move(cfg)};
-        slot.point = SweepPoint{loads[k], experiment.run()};
-      } catch (...) {
-        slot.error = std::current_exception();
-      }
+  // Each point keeps its own error, so the one rethrown is the lowest
+  // failing point's, not the heaviest failing load's.
+  parallel_for(n, [&](std::size_t i) {
+    const std::size_t k = order[i];
+    Slot& slot = slots[k];
+    try {
+      Config cfg = base;
+      cfg.offered_rps = capacity_rps * loads[k];
+      cfg.seed = base.seed + 1000 * (k + 1);
+      Exp experiment{std::move(cfg)};
+      slot.point = SweepPoint{loads[k], experiment.run()};
+    } catch (...) {
+      slot.error = std::current_exception();
     }
-  };
-
-  const std::size_t workers = sweep_workers(n);
-  {
-    std::vector<std::jthread> helpers;
-    for (std::size_t w = 1; w < workers; ++w) {
-      try {
-        helpers.emplace_back(work);
-      } catch (const std::system_error&) {
-        break;  // no more threads to be had; the others cover the points
-      }
-    }
-    work();
-  }  // joins the helpers
+  });
 
   std::vector<SweepPoint> points;
   points.reserve(n);

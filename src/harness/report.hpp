@@ -22,10 +22,11 @@ struct SweepPoint {
 /// base.seed + 1000 * (k + 1), so runs are independent but the whole sweep
 /// is reproducible.
 ///
-/// The points are independent experiments, so they run concurrently: one
-/// worker per CPU in the process's affinity mask, at most one per point,
-/// heaviest load first. Results are identical to running the points one
-/// after another; `taskset -c 0` gives that serial run.
+/// The points are independent experiments, so they run concurrently
+/// through `parallel_for` (common/parallel.hpp): one worker per CPU in the
+/// affinity mask, at most one per point, heaviest load first. Results are
+/// identical to running the points one after another; `taskset -c 0`
+/// gives that serial run.
 /// If any point throws, the exception of the lowest-indexed failing point
 /// is rethrown here once every worker has finished.
 [[nodiscard]] std::vector<SweepPoint> run_sweep(

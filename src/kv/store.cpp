@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
+#include <vector>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -13,6 +15,7 @@
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
+#include "common/parallel.hpp"
 #include "common/prefetch.hpp"
 
 namespace netclone::kv {
@@ -82,10 +85,10 @@ KvStore::KvStore(std::size_t capacity_hint) {
   index_.reserve(capacity);
   advise_huge_pages(index_.data(), capacity * sizeof(std::uint32_t));
   index_.resize(capacity);  // within the reservation: no reallocation
-  // Reserved to the load bound and never resized: appends stay within the
-  // reservation, and only appended records are ever touched.
-  records_.reserve(capacity / 2);
-  advise_huge_pages(records_.data(), capacity / 2 * sizeof(Record));
+  // Sized to the load bound and left unwritten: only records in use are
+  // ever touched.
+  records_ = std::make_unique_for_overwrite<Record[]>(capacity / 2);
+  advise_huge_pages(records_.get(), capacity / 2 * sizeof(Record));
   mask_ = capacity - 1;
 }
 
@@ -118,11 +121,11 @@ bool KvStore::set(std::string_view key, std::string_view value) {
   }
   std::uint32_t& entry = index_[position_of(key, home_of(key))];
   if (entry == 0) {
-    if (!has_room(records_.size())) {
+    if (!has_room(size_)) {
       return false;
     }
-    records_.emplace_back();
-    entry = static_cast<std::uint32_t>(records_.size());
+    records_[size_] = Record{};
+    entry = static_cast<std::uint32_t>(++size_);
   }
   Record& record = records_[entry - 1];
   record.key_len = static_cast<std::uint8_t>(key.size());
@@ -201,6 +204,15 @@ void populate(KvStore& store, std::size_t count) {
   NETCLONE_CHECK(count == 0 || count - 1 <= kMaxKeyIndex,
                  "object count does not fit 16-byte keys");
 
+  // The index in chunks of 2^16 positions, the unit of pass 2's parallel
+  // fill: 32 chunks at 1M objects, enough to keep every worker busy to
+  // the end, each large enough that claiming it costs nothing.
+  constexpr unsigned kChunkBits = 16;
+  const std::size_t chunks = ((store.index_.size() - 1) >> kChunkBits) + 1;
+  // Pass 1 counts each chunk's pending entries into first[c + 1]; a
+  // prefix sum then turns first[c] into chunk c's first record number.
+  std::vector<std::size_t> first(chunks + 1, 0);
+
   // Pass 1 claims each new object's position in object order, as the
   // set() loop would, and marks it pending with the object index; objects
   // already in the store get their value rewritten in place. Keys are
@@ -227,8 +239,8 @@ void populate(KvStore& store, std::size_t count) {
   bool full = false;
   for (std::uint64_t i = 0; i < count; ++i) {
     const Staged& s = staged[i % kAhead];
-    std::uint32_t& entry =
-        store.index_[store.position_of({s.key, kMaxKeyBytes}, s.home)];
+    const std::size_t pos = store.position_of({s.key, kMaxKeyBytes}, s.home);
+    std::uint32_t& entry = store.index_[pos];
     if (entry != 0) {
       Record& record = store.records_[entry - 1];
       record.value_len = kMaxValueBytes;
@@ -237,6 +249,7 @@ void populate(KvStore& store, std::size_t count) {
       // Objects 0..i-1 are all stored or pending, so the load bound keeps
       // i below kMaxObjects: it fits beside the flag.
       entry = KvStore::kPending | static_cast<std::uint32_t>(i);
+      ++first[(pos >> kChunkBits) + 1];
       ++pending;
     } else {
       full = true;
@@ -247,43 +260,52 @@ void populate(KvStore& store, std::size_t count) {
     }
   }
 
-  // Pass 2 walks the index in table order and appends a record for each
-  // pending entry, so a SCAN over the populated store reads consecutive
-  // records. Values are generated kLanes objects at a time, straight into
-  // the records just appended.
-  constexpr std::size_t kLanes = 8;
-  std::array<std::uint64_t, kLanes> lane_index{};
-  std::array<char*, kLanes> lane_value{};
-  std::size_t lanes = 0;
-  const auto flush_values = [&] {
-    if (lanes == kLanes) {
-      fill_values<kLanes>(lane_index, lane_value);
-    } else {
-      for (std::size_t j = 0; j < lanes; ++j) {
-        fill_values<1>({lane_index[j]}, {lane_value[j]});
+  // Pass 2 gives each pending entry the next record number in table
+  // order, after the records already stored, so a SCAN over the populated
+  // store reads consecutive records. A chunk's numbers follow from the
+  // counts alone, so the chunks fill their records in parallel, each
+  // number landing exactly where the serial walk would put it. The new
+  // records are first written by the worker filling them. Values are
+  // generated kLanes objects at a time, straight into their records.
+  first[0] = stored;
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  store.size_ = stored + pending;
+  const auto fill_chunk = [&store, &first](std::size_t c) {
+    constexpr std::size_t kLanes = 8;
+    std::array<std::uint64_t, kLanes> lane_index{};
+    std::array<char*, kLanes> lane_value{};
+    std::size_t lanes = 0;
+    const auto flush_values = [&] {
+      if (lanes == kLanes) {
+        fill_values<kLanes>(lane_index, lane_value);
+      } else {
+        for (std::size_t j = 0; j < lanes; ++j) {
+          fill_values<1>({lane_index[j]}, {lane_value[j]});
+        }
+      }
+      lanes = 0;
+    };
+    std::size_t next = first[c];
+    for (std::size_t pos = c << kChunkBits; next < first[c + 1]; ++pos) {
+      std::uint32_t& entry = store.index_[pos];
+      if (entry < KvStore::kPending) {
+        continue;
+      }
+      const std::uint64_t object = entry & ~KvStore::kPending;
+      Record& record = store.records_[next];
+      entry = static_cast<std::uint32_t>(++next);
+      record.key_len = kMaxKeyBytes;
+      write_key(object, record.key);
+      record.value_len = kMaxValueBytes;
+      lane_index[lanes] = object;
+      lane_value[lanes] = record.value;
+      if (++lanes == kLanes) {
+        flush_values();
       }
     }
-    lanes = 0;
+    flush_values();
   };
-  for (std::size_t pos = 0; pending > 0; ++pos) {
-    std::uint32_t& entry = store.index_[pos];
-    if (entry < KvStore::kPending) {
-      continue;
-    }
-    const std::uint64_t object = entry & ~KvStore::kPending;
-    Record& record = store.records_.emplace_back();
-    entry = static_cast<std::uint32_t>(store.records_.size());
-    record.key_len = kMaxKeyBytes;
-    write_key(object, record.key);
-    record.value_len = kMaxValueBytes;
-    lane_index[lanes] = object;
-    lane_value[lanes] = record.value;
-    if (++lanes == kLanes) {
-      flush_values();
-    }
-    --pending;
-  }
-  flush_values();
+  parallel_for(chunks, fill_chunk);
   NETCLONE_CHECK(!full, "store population failed (capacity too small)");
 }
 

@@ -19,12 +19,15 @@
 // populated store reads consecutive records; a later `set()` of a new key
 // appends its record out of that order.
 //
-// The record array is reserved once to the load bound, so appending a
-// record never reallocates it, and the reserved records beyond the last
-// one appended are never touched: they take no memory.
+// The record array is allocated once, to the load bound, and left
+// unwritten, so appending a record never reallocates it, and the records
+// beyond the last one in use are never touched: they take no memory.
+// `set()` appends a zeroed record; `populate()` writes every byte of the
+// records it adds, each from the worker that fills it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -73,17 +76,18 @@ class KvStore {
   [[nodiscard]] std::uint64_t scan_digest(std::string_view start_key,
                                           std::size_t count) const;
 
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return index_.size(); }
 
   friend void populate(KvStore& store, std::size_t count);
 
  private:
+  /// No member initializers: a record is written by whoever adds it.
   struct Record {
-    std::uint8_t key_len = 0;
-    std::uint8_t value_len = 0;
-    char key[kMaxKeyBytes] = {};
-    char value[kMaxValueBytes] = {};
+    std::uint8_t key_len;
+    std::uint8_t value_len;
+    char key[kMaxKeyBytes];
+    char value[kMaxValueBytes];
   };
 
   /// Index entries at or above this hold no record number: during
@@ -104,7 +108,8 @@ class KvStore {
   }
 
   std::vector<std::uint32_t> index_;
-  std::vector<Record> records_;  // reserved once; never reallocates
+  std::unique_ptr<Record[]> records_;  // load bound's worth, unwritten
+  std::size_t size_ = 0;               // records in use
   std::size_t mask_ = 0;
 };
 
@@ -129,8 +134,11 @@ void write_value(std::uint64_t index, char (&out)[kMaxValueBytes]);
 /// after `set(key_for_index(i), value_for_index(i))` for i = 0..count-1
 /// (same positions, same GET and SCAN results), but each object is probed
 /// once, and the new records are laid out in table order with their values
-/// generated in place. Throws CheckFailure when the store is too small,
-/// after inserting every object that fits.
+/// generated in place. Positions are claimed serially, in object order;
+/// the new records are then numbered in table order and filled on every
+/// usable CPU (`parallel_for`), chunk by chunk of the index, so the store
+/// is the same byte for byte on any number of CPUs. Throws CheckFailure
+/// when the store is too small, after inserting every object that fits.
 void populate(KvStore& store, std::size_t count);
 
 }  // namespace netclone::kv

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -9,6 +11,7 @@
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
+#include "one_cpu.hpp"
 
 namespace netclone::kv {
 namespace {
@@ -195,6 +198,59 @@ TEST(KvPopulate, LayoutMatchesSetLoopOnFilledStore) {
   EXPECT_EQ(fast.get("foreign"), ref.get("foreign"));
   EXPECT_EQ(*fast.get(key_for_index(5)), value_for_index(5));
   EXPECT_EQ(*fast.get(key_for_index(70000)), value_for_index(70000));
+}
+
+/// Same record numbers: GET views point into the one record array, so
+/// each object's distance from object 0's record gives its number.
+/// (expect_same_layout cannot see them: GETs and SCANs read the same
+/// bytes wherever a record sits.)
+void expect_same_records(const KvStore& a, const KvStore& b,
+                         std::uint64_t objects) {
+  const auto offset = [](const KvStore& store, std::uint64_t i) {
+    const auto at = [&](std::uint64_t j) {
+      return reinterpret_cast<std::uintptr_t>(
+          store.get(key_for_index(j))->data());
+    };
+    return static_cast<std::ptrdiff_t>(at(i) - at(0));
+  };
+  for (std::uint64_t i = 0; i < objects; ++i) {
+    ASSERT_EQ(offset(a, i), offset(b, i)) << i;
+  }
+}
+
+// populate fills its chunks of 2^16 index positions on every usable CPU;
+// the layout, down to each record's number, must not depend on how many
+// there are. 100000 objects take a 2^18-position table: 4 chunks.
+TEST(KvPopulate, LayoutIndependentOfWorkerCount) {
+  KvStore serial{100000};
+  KvStore parallel{100000};
+  {
+    const testing::OneCpuScope one_cpu;
+    populate(serial, 100000);
+  }
+  populate(parallel, 100000);
+  expect_same_layout(parallel, serial, 100000);
+  expect_same_records(parallel, serial, 100000);
+
+  // On a filled store the new records are numbered after the 60000
+  // already there.
+  KvStore filled_serial{100000};
+  KvStore filled_parallel{100000};
+  populate(filled_serial, 60000);
+  populate(filled_parallel, 60000);
+  for (KvStore* store : {&filled_serial, &filled_parallel}) {
+    ASSERT_TRUE(store->set(key_for_index(5), "overwritten"));
+    ASSERT_TRUE(store->set(key_for_index(70000), "short"));
+    ASSERT_TRUE(store->set("foreign", "value"));
+  }
+  {
+    const testing::OneCpuScope one_cpu;
+    populate(filled_serial, 100000);
+  }
+  populate(filled_parallel, 100000);
+  expect_same_layout(filled_parallel, filled_serial, 100000);
+  expect_same_records(filled_parallel, filled_serial, 100000);
+  EXPECT_EQ(filled_parallel.get("foreign"), filled_serial.get("foreign"));
 }
 
 TEST(KvPopulate, TooSmallStoreThrowsAfterFillingIt) {
