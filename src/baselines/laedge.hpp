@@ -15,10 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "host/addressing.hpp"
@@ -103,9 +103,9 @@ class LaedgeCoordinator : public phys::Node {
 
   SimTime cpu_busy_until_ = SimTime::zero();
   /// Received packets waiting for the CPU, in arrival order.
-  std::deque<wire::PacketView> rx_queue_;
+  Ring<wire::PacketView> rx_queue_;
   std::vector<std::uint32_t> outstanding_;  // per worker
-  std::deque<wire::PacketView> pending_;
+  Ring<wire::PacketView> pending_;
   /// Outstanding requests keyed by (client_id, client_seq) — on the
   /// coordinator's per-packet critical path, hence the flat table.
   FlatMap64<RequestState> requests_;

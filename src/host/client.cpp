@@ -4,9 +4,20 @@
 #include <bit>
 #include <utility>
 
+#include "wire/frame.hpp"
+
 namespace netclone::host {
 
 namespace {
+
+/// Every request frame: the header stack, the NetClone header, the body.
+constexpr std::size_t kRequestFrameSize =
+    wire::kNetClonePayloadOffset + wire::RpcRequest::kSize;
+
+/// The UDP port a client sends from and receives its responses on.
+std::uint16_t client_port(std::uint16_t client_id) {
+  return static_cast<std::uint16_t>(40000 + client_id);
+}
 
 /// Seed for the client's retransmit-jitter stream. The probe is a *copy*
 /// of the workload RNG, so deriving the seed consumes nothing from the
@@ -58,10 +69,21 @@ Client::Client(sim::Simulator& sim, ClientParams params,
       params_.request_fragments == 1 ||
           params_.mode == SendMode::kViaSwitch,
       "multi-packet requests are a switch-steered (NetClone) feature");
+  const auto request_headers_to = [this](wire::Ipv4Address dst) {
+    return wire::HeaderTemplate{
+        wire::UdpFlow{my_mac_, wire::MacAddress::broadcast(), my_ip_, dst,
+                      client_port(params_.client_id), wire::kNetClonePort},
+        kRequestFrameSize};
+  };
   if (params_.mode == SendMode::kDirectRandom ||
       params_.mode == SendMode::kCClone) {
     NETCLONE_CHECK(params_.server_ips.size() >= 2,
                    "direct modes need at least two servers");
+    for (const wire::Ipv4Address ip : params_.server_ips) {
+      request_headers_.push_back(request_headers_to(ip));
+    }
+  } else {
+    request_headers_.push_back(request_headers_to(params_.target));
   }
 }
 
@@ -179,7 +201,8 @@ void Client::issue_request() {
     if (b >= a) {
       ++b;
     }
-    pending.cclone_dsts = {params_.server_ips[a], params_.server_ips[b]};
+    pending.cclone_servers = {static_cast<std::uint32_t>(a),
+                              static_cast<std::uint32_t>(b)};
   }
   ++stats_.requests_sent;
 
@@ -206,7 +229,7 @@ void Client::send_all_packets(const Pending& pending,
     case SendMode::kViaSwitch:
     case SendMode::kToCoordinator:
       for (std::uint8_t f = 0; f < params_.request_fragments; ++f) {
-        emit_request(req, params_.target, pending.grp, pending.idx,
+        emit_request(req, request_headers_[0], pending.grp, pending.idx,
                      client_seq, f);
       }
       break;
@@ -214,7 +237,7 @@ void Client::send_all_packets(const Pending& pending,
       // A fresh random worker every attempt.
       const auto i = static_cast<std::size_t>(
           rng_.next_below(params_.server_ips.size()));
-      emit_request(req, params_.server_ips[i], pending.grp, pending.idx,
+      emit_request(req, request_headers_[i], pending.grp, pending.idx,
                    client_seq, 0);
       break;
     }
@@ -222,8 +245,9 @@ void Client::send_all_packets(const Pending& pending,
       // Two copies to two distinct random workers (chosen at issue time);
       // the client fields both responses itself (no in-network filtering
       // for C-Clone).
-      for (const wire::Ipv4Address dst : pending.cclone_dsts) {
-        emit_request(req, dst, pending.grp, pending.idx, client_seq, 0);
+      for (const std::uint32_t server : pending.cclone_servers) {
+        emit_request(req, request_headers_[server], pending.grp,
+                     pending.idx, client_seq, 0);
       }
       break;
   }
@@ -276,7 +300,8 @@ void Client::arm_retransmit_timer(std::uint32_t client_seq) {
       });
 }
 
-void Client::emit_request(const wire::RpcRequest& req, wire::Ipv4Address dst,
+void Client::emit_request(const wire::RpcRequest& req,
+                          const wire::HeaderTemplate& headers,
                           std::uint16_t grp, std::uint8_t idx,
                           std::uint32_t client_seq, std::uint8_t frag_idx) {
   wire::NetCloneHeader nc;
@@ -295,13 +320,14 @@ void Client::emit_request(const wire::RpcRequest& req, wire::Ipv4Address dst,
   nc.client_id = params_.client_id;
   nc.client_seq = client_seq;
 
-  const wire::Packet headers = wire::make_netclone_packet(
-      my_mac_, wire::MacAddress::broadcast(), my_ip_, dst,
-      /*src_port=*/static_cast<std::uint16_t>(40000 + params_.client_id),
-      nc, {});
-  emit_frame(headers.serialize_pooled(
-      wire::RpcRequest::kSize,
-      [&req](wire::ByteWriter& w) { req.serialize(w); }));
+  wire::FrameHandle frame = headers.stamp();
+  std::byte* p = frame.writable();
+  nc.store(p + wire::kNetCloneOffset);
+  wire::ByteWriter body{std::span<std::byte>{
+      p + wire::kNetClonePayloadOffset, wire::RpcRequest::kSize}};
+  req.serialize(body);
+  wire::seal_udp_checksum(p, frame.size());
+  emit_frame(std::move(frame));
 }
 
 void Client::emit_frame(wire::FrameHandle bytes) {
@@ -318,16 +344,17 @@ void Client::emit_frame(wire::FrameHandle bytes) {
 void Client::send_cancel(const Pending& pending, std::uint32_t client_seq,
                          wire::Ipv4Address responder) {
   // Tell the worker that has NOT answered to drop the queued duplicate.
-  const wire::Ipv4Address other = pending.cclone_dsts[0] == responder
-                                      ? pending.cclone_dsts[1]
-                                      : pending.cclone_dsts[0];
+  const auto [a, b] = pending.cclone_servers;
+  const wire::Ipv4Address other = params_.server_ips[a] == responder
+                                      ? params_.server_ips[b]
+                                      : params_.server_ips[a];
   wire::NetCloneHeader nc;
   nc.type = wire::MsgType::kCancel;
   nc.client_id = params_.client_id;
   nc.client_seq = client_seq;
   wire::Packet pkt = wire::make_netclone_packet(
       my_mac_, wire::MacAddress::broadcast(), my_ip_, other,
-      static_cast<std::uint16_t>(40000 + params_.client_id), nc, {});
+      client_port(params_.client_id), nc, {});
   ++stats_.cancels_sent;
   emit_frame(pkt.serialize_pooled());
 }

@@ -7,9 +7,11 @@
 // duplicates) and duplicate sends (C-Clone) consume real client capacity —
 // the effect Figures 15 and 7 quantify.
 //
-// Each packet is built as one pooled frame by Packet::serialize_pooled(),
-// which serializes the RPC body straight into the frame; responses are
-// read through a wire::PacketView. A TCP-mode retransmission builds its
+// Each request is stamped into one pooled frame from a header template:
+// the Ethernet, IPv4 and UDP headers of this client's requests to one
+// destination, written once at construction. Per frame only the NetClone
+// header, the RPC body and the UDP checksum are written. Responses are
+// read through a wire::PacketView. A TCP-mode retransmission writes its
 // frames again from the request table entry, so every attempt carries the
 // same bytes (kDirectRandom re-draws its worker each attempt).
 #pragma once
@@ -27,7 +29,8 @@
 #include "host/workload.hpp"
 #include "phys/node.hpp"
 #include "sim/simulator.hpp"
-#include "wire/frame.hpp"
+#include "wire/rpc.hpp"
+#include "wire/udp_frame.hpp"
 
 namespace netclone::host {
 
@@ -224,8 +227,9 @@ class Client : public phys::Node {
     /// fragment that carried the payload.
     std::uint32_t server_wait_ns = 0;
     std::uint32_t server_service_ns = 0;
-    /// C-Clone: the two chosen workers, for targeted cancellation.
-    std::array<wire::Ipv4Address, 2> cclone_dsts{};
+    /// C-Clone: the two chosen workers (indexes into server_ips), for
+    /// targeted cancellation.
+    std::array<std::uint32_t, 2> cclone_servers{};
     /// Pending retransmit timeout (TCP mode); cancelled on completion so
     /// the event — and the closure it holds — is freed immediately.
     sim::EventId retransmit_event{};
@@ -251,10 +255,12 @@ class Client : public phys::Node {
   void send_cancel(const Pending& pending, std::uint32_t client_seq,
                    wire::Ipv4Address responder);
   void send_all_packets(const Pending& pending, std::uint32_t client_seq);
-  /// Builds, serializes and paces one request packet.
-  void emit_request(const wire::RpcRequest& req, wire::Ipv4Address dst,
-                    std::uint16_t grp, std::uint8_t idx,
-                    std::uint32_t client_seq, std::uint8_t frag_idx);
+  /// Stamps one request frame from `headers`, writes its NetClone header,
+  /// body and UDP checksum, and paces it.
+  void emit_request(const wire::RpcRequest& req,
+                    const wire::HeaderTemplate& headers, std::uint16_t grp,
+                    std::uint8_t idx, std::uint32_t client_seq,
+                    std::uint8_t frag_idx);
   /// Paces one already-serialized frame through the sender thread.
   void emit_frame(wire::FrameHandle bytes);
   void arm_retransmit_timer(std::uint32_t client_seq);
@@ -276,6 +282,9 @@ class Client : public phys::Node {
   Rng retry_rng_;
   wire::Ipv4Address my_ip_;
   wire::MacAddress my_mac_;
+  /// Request header templates: one per entry of server_ips in the direct
+  /// modes (kDirectRandom, kCClone), else one for `target`.
+  std::vector<wire::HeaderTemplate> request_headers_;
 
   SimTime tx_busy_until_ = SimTime::zero();
   SimTime rx_busy_until_ = SimTime::zero();

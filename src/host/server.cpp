@@ -4,7 +4,38 @@
 #include <bit>
 #include <utility>
 
+#include "wire/udp_frame.hpp"
+
 namespace netclone::host {
+
+namespace {
+
+/// Writes one response fragment — the header stack of `flow`, `nc`, and
+/// `body` when given — over `frame` when the handle holds its buffer alone
+/// and the fragment fits it, and into a fresh pooled frame otherwise.
+wire::FrameHandle write_response(wire::FrameHandle frame,
+                                 const wire::UdpFlow& flow,
+                                 const wire::NetCloneHeader& nc,
+                                 const wire::RpcResponse* body) {
+  const std::size_t body_size = body != nullptr ? body->wire_size() : 0;
+  const std::size_t size = wire::kNetClonePayloadOffset + body_size;
+  if (!frame.reuse(size)) {
+    frame.reset();
+    frame = wire::FrameHandle::allocate(size);
+  }
+  std::byte* p = frame.writable();
+  wire::write_udp_headers(p, flow, size);
+  nc.store(p + wire::kNetCloneOffset);
+  if (body != nullptr) {
+    wire::ByteWriter w{
+        std::span<std::byte>{p + wire::kNetClonePayloadOffset, body_size}};
+    body->serialize(w);
+  }
+  wire::seal_udp_checksum(p, size);
+  return frame;
+}
+
+}  // namespace
 
 Server::Server(sim::Simulator& sim, ServerParams params,
                std::shared_ptr<ServiceModel> service, Rng rng)
@@ -50,11 +81,10 @@ void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
     return;  // servers only consume requests and cancels
   }
   // Keep what the host path needs: the NetClone header, the return
-  // route, and the payload as a zero-copy view that pins the frame.
-  dispatch_queue_.push_back(PendingRequest{
-      pkt.netclone(),
-      ResponseRoute{pkt.eth_src(), pkt.ip_src(), pkt.src_port()},
-      pkt.payload_ref()});
+  // route, and the frame itself.
+  const wire::NetCloneHeader nc = pkt.netclone();
+  const ResponseRoute from{pkt.eth_src(), pkt.ip_src(), pkt.src_port()};
+  dispatch_queue_.push_back(PendingRequest{nc, from, pkt.take_frame()});
   // The dispatcher thread is a serial resource: packets are picked up one
   // at a time, `dispatch_cost` apart when busy. Its events fire in
   // enqueue order, so each one takes the dispatch queue's front.
@@ -66,9 +96,10 @@ void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
       ++stats_.abandoned_in_flight;
       return;  // the dispatcher died with the crash
     }
-    PendingRequest req = std::move(dispatch_queue_.front());
+    // on_dispatch never touches the dispatch queue, so the front it
+    // works on stays put until the pop.
+    on_dispatch(dispatch_queue_.front());
     dispatch_queue_.pop_front();
-    on_dispatch(std::move(req));
   });
 }
 
@@ -76,11 +107,11 @@ void Server::on_cancel(const wire::NetCloneHeader& nc) {
   // Cancel only reaches into the waiting queue and the reassembly table;
   // a request already being executed runs to completion (no preemption,
   // as in C-Clone practice).
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    const wire::NetCloneHeader& queued = it->req.nc;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const wire::NetCloneHeader& queued = queue_[i].req.nc;
     if (queued.client_id == nc.client_id &&
         queued.client_seq == nc.client_seq) {
-      queue_.erase(it);
+      queue_.erase(i);
       ++stats_.cancelled_requests;
       return;
     }
@@ -96,7 +127,7 @@ void Server::on_cancel(const wire::NetCloneHeader& nc) {
   ++stats_.cancel_misses;
 }
 
-void Server::on_dispatch(PendingRequest req) {
+void Server::on_dispatch(PendingRequest& req) {
   if ((++dispatch_counter_ & 0xFFFU) == 0 && !partials_.empty()) {
     sweep_stale_partials();
   }
@@ -125,7 +156,7 @@ void Server::on_dispatch(PendingRequest req) {
   if (nc.multi_packet() && !reassemble(req)) {
     return;  // waiting for more fragments
   }
-  queue_.push_back(QueueEntry{std::move(req), sim_.now()});
+  queue_.emplace_back(std::move(req), sim_.now());
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
   try_start_worker();
 }
@@ -193,16 +224,17 @@ void Server::try_start_worker() {
   if (busy_workers_ >= params_.workers || queue_.empty()) {
     return;
   }
-  PendingRequest req = std::move(queue_.front().req);
-  const SimTime queue_wait = sim_.now() - queue_.front().enqueued_at;
+  QueueEntry& head = queue_.front();
+  const SimTime queue_wait = sim_.now() - head.enqueued_at;
   stats_.queue_wait.record(queue_wait);
-  queue_.pop_front();
   ++busy_workers_;
 
   wire::RpcRequest rpc;
   try {
-    rpc = wire::RpcRequest::from_frame(req.payload);
+    rpc = wire::RpcRequest::from_frame(
+        head.req.frame.bytes().subspan(wire::kNetClonePayloadOffset));
   } catch (const wire::CodecError&) {
+    queue_.pop_front();
     --busy_workers_;
     try_start_worker();
     return;
@@ -220,7 +252,13 @@ void Server::try_start_worker() {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  in_service_[slot] = InService{std::move(req), rpc, queue_wait, exec};
+  // The request moves from the queue's head straight into its slot.
+  InService& started = in_service_[slot];
+  started.req = std::move(head.req);
+  started.rpc = rpc;
+  started.queue_wait = queue_wait;
+  started.service = exec;
+  queue_.pop_front();
   // CPU time a worker spends building + sending the response.
   static constexpr SimTime kResponseTxCost = SimTime::nanoseconds(150);
   sim_.schedule_after(exec + kResponseTxCost,
@@ -233,8 +271,8 @@ void Server::try_start_worker() {
                         }
                         InService done = std::move(in_service_[slot]);
                         free_slots_.push_back(slot);
-                        on_complete(std::move(done.req), done.rpc,
-                                    done.queue_wait, done.service);
+                        on_complete(done.req, done.rpc, done.queue_wait,
+                                    done.service);
                       });
 }
 
@@ -286,17 +324,9 @@ void Server::set_slowdown(double factor) {
   slowdown_ = factor;
 }
 
-void Server::on_complete(PendingRequest req, const wire::RpcRequest& rpc,
+void Server::on_complete(PendingRequest& req, const wire::RpcRequest& rpc,
                          SimTime queue_wait, SimTime service) {
   ++stats_.completed;
-
-  wire::Packet resp;
-  resp.eth.src = my_mac_;
-  resp.eth.dst = req.from.mac;
-  resp.ip.src = my_ip_;
-  resp.ip.dst = req.from.ip;  // back to whoever sent the request
-  resp.udp.src_port = wire::kNetClonePort;
-  resp.udp.dst_port = req.from.udp_port;
 
   wire::NetCloneHeader nc = req.nc;
   nc.type = wire::MsgType::kResponse;
@@ -306,7 +336,6 @@ void Server::on_complete(PendingRequest req, const wire::RpcRequest& rpc,
   const auto qlen = static_cast<std::uint16_t>(
       std::min<std::size_t>(queue_.size(), 0xFFFF));
   nc.state = qlen;
-  resp.netclone = nc;
   wire::RpcResponse body = service_->execute(rpc);
   // Latency decomposition for the client (clamped to the field width;
   // 4.2 s of queueing would mean something far worse than truncation).
@@ -314,28 +343,26 @@ void Server::on_complete(PendingRequest req, const wire::RpcRequest& rpc,
       std::min<std::int64_t>(queue_wait.ns(), 0xFFFFFFFFLL));
   body.service_ns = static_cast<std::uint32_t>(
       std::min<std::int64_t>(service.ns(), 0xFFFFFFFFLL));
-  // The request payload view is done with; drop its pin on the received
-  // frame before the response outlives it.
-  req.payload.clear();
 
   ++stats_.responses_total;
   if (qlen == 0) {
     ++stats_.responses_with_empty_queue;
   }
 
-  // Fragment 0 carries the body, serialized straight into its frame; the
-  // rest are header-only markers the switch filters through its ordered
-  // tables. Each leaves as soon as it is built; the egress link's FIFO
+  // Back to whoever sent the request. Fragment 0 carries the body and is
+  // written over the request's own frame when it can be; the rest are
+  // header-only markers the switch filters through its ordered tables.
+  // Each leaves as soon as it is written; the egress link's FIFO
   // schedules one delivery event per fragment.
+  const wire::UdpFlow flow{my_mac_, req.from.mac, my_ip_, req.from.ip,
+                           wire::kNetClonePort, req.from.udp_port};
   const auto frags = std::max<std::uint8_t>(params_.response_fragments, 1);
-  resp.nc().frag_count = frags;
-  resp.nc().frag_idx = 0;
-  send(0, resp.serialize_pooled(
-              body.wire_size(),
-              [&body](wire::ByteWriter& w) { body.serialize(w); }));
+  nc.frag_count = frags;
+  nc.frag_idx = 0;
+  send(0, write_response(std::move(req.frame), flow, nc, &body));
   for (std::uint8_t f = 1; f < frags; ++f) {
-    resp.nc().frag_idx = f;
-    send(0, resp.serialize_pooled());
+    nc.frag_idx = f;
+    send(0, write_response({}, flow, nc, nullptr));
   }
 
   --busy_workers_;

@@ -8,28 +8,30 @@
 //   * every response piggybacks the current queue length in STATE, which is
 //     how the switch learns server idleness.
 //
-// Received frames are read through a wire::PacketView. A request's
-// payload rides through the FCFS queue and the reassembly table as a
-// wire::PayloadRef view pinning the received frame (never copied). Each
-// response fragment is built as one pooled frame by
-// Packet::serialize_pooled(), which serializes the RPC body straight into
-// the frame; Packet::serialize() remains the byte oracle it is tested
-// against.
+// Received frames are read through a wire::PacketView. The request's
+// frame itself rides through the dispatch queue, the reassembly table and
+// the FCFS queue (never copied), and the worker parses the RPC body from
+// it. The response is written over that very frame when the server holds
+// it alone and the response fits its buffer — the server answers in the
+// buffer it received on — and into a fresh pooled frame otherwise (a KV
+// GET response outgrows an 80-byte request's 128-byte buffer); header-only
+// fragment markers take fresh frames. Packet::serialize() is the byte
+// oracle these writes are tested against.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/histogram.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "host/addressing.hpp"
 #include "host/service.hpp"
 #include "phys/node.hpp"
 #include "sim/simulator.hpp"
-#include "wire/frame.hpp"
+#include "wire/packet_view.hpp"
 
 namespace netclone::host {
 
@@ -140,12 +142,12 @@ class Server : public phys::Node {
     std::uint16_t udp_port = 0;
   };
   /// A request in flight through dispatch, reassembly, and the FCFS
-  /// queue: just the NetClone header, the return route, and the payload
-  /// as a refcounted zero-copy view of the received frame.
+  /// queue: the NetClone header, the return route, and the received
+  /// frame, which carries the RPC body and takes the response.
   struct PendingRequest {
     wire::NetCloneHeader nc{};
     ResponseRoute from{};
-    wire::PayloadRef payload{};
+    wire::FrameHandle frame{};
   };
   struct PartialRequest {
     /// Fragment 0 — the fragment carrying the RPC payload and the CLO
@@ -168,7 +170,7 @@ class Server : public phys::Node {
     SimTime service{};
   };
 
-  void on_dispatch(PendingRequest req);
+  void on_dispatch(PendingRequest& req);
   void on_cancel(const wire::NetCloneHeader& nc);
   /// Returns true when all fragments arrived; `req` then holds the
   /// reassembled request (fragment 0's payload and CLO marking).
@@ -176,7 +178,7 @@ class Server : public phys::Node {
   void sweep_stale_partials();
   void try_start_worker();
   /// `rpc` is the body parsed once in try_start_worker().
-  void on_complete(PendingRequest req, const wire::RpcRequest& rpc,
+  void on_complete(PendingRequest& req, const wire::RpcRequest& rpc,
                    SimTime queue_wait, SimTime service);
 
   sim::Simulator& sim_;
@@ -189,8 +191,8 @@ class Server : public phys::Node {
   SimTime dispatcher_busy_until_ = SimTime::zero();
   /// Requests received and waiting for the dispatcher thread, in arrival
   /// order; each dispatch event pops the front.
-  std::deque<PendingRequest> dispatch_queue_;
-  std::deque<QueueEntry> queue_;
+  Ring<PendingRequest> dispatch_queue_;
+  Ring<QueueEntry> queue_;
   /// Requests in execution, indexed by the slot their completion event
   /// captured; free_slots_ lists the reusable ones.
   std::vector<InService> in_service_;

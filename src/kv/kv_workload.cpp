@@ -1,5 +1,6 @@
 #include "kv/kv_workload.hpp"
 
+#include <array>
 #include <cstdio>
 #include <optional>
 #include <string_view>
@@ -49,6 +50,9 @@ SimTime KvService::execution_time(const wire::RpcRequest& req, Rng& rng) {
   return jitter_.apply(SimTime::microseconds(base_us), rng);
 }
 
+// A GET response carries the whole object value.
+static_assert(kMaxValueBytes <= wire::RpcValue::kCapacity);
+
 namespace {
 
 /// Formats object `index`'s key into `buf`; nullopt when no 16-byte key
@@ -75,8 +79,8 @@ wire::RpcResponse KvService::execute(const wire::RpcRequest& req) {
         resp.status = wire::RpcStatus::kNotFound;
         break;
       }
-      const auto* bytes = reinterpret_cast<const std::byte*>(value->data());
-      resp.value.assign(bytes, bytes + value->size());
+      resp.value.assign(
+          {reinterpret_cast<const std::byte*>(value->data()), value->size()});
       break;
     }
     case wire::RpcOp::kScan: {
@@ -86,11 +90,11 @@ wire::RpcResponse KvService::execute(const wire::RpcRequest& req) {
         break;
       }
       const std::uint64_t digest = store_->scan_digest(*key, req.scan_count);
-      resp.value.resize(8);
-      for (std::size_t i = 0; i < 8; ++i) {
-        resp.value[i] =
-            static_cast<std::byte>((digest >> (8 * (7 - i))) & 0xFFU);
+      std::array<std::byte, 8> bytes{};
+      for (std::size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = static_cast<std::byte>((digest >> (8 * (7 - i))) & 0xFFU);
       }
+      resp.value.assign(bytes);
       break;
     }
     case wire::RpcOp::kSet:

@@ -119,7 +119,8 @@ void Link::transmit_impaired(SimTime ready, wire::FrameHandle frame) {
 std::size_t Link::occupancy_at(SimTime ready) const {
   std::size_t freed = 0;
   // deliver_at never decreases along the FIFO.
-  for (const InFlight& entry : pending_) {
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const InFlight& entry = pending_[i];
     if (entry.deliver_at > ready) {
       break;
     }
@@ -133,9 +134,9 @@ std::size_t Link::occupancy_at(SimTime ready) const {
 std::size_t Link::queued() const {
   std::size_t not_ready = 0;
   // Ready times never decrease along the FIFO.
-  for (auto it = pending_.rbegin();
-       it != pending_.rend() && it->ready() > sim_.now(); ++it) {
-    if (it->counted_queued != 0) {
+  for (std::size_t i = pending_.size();
+       i > 0 && pending_[i - 1].ready() > sim_.now(); --i) {
+    if (pending_[i - 1].counted_queued != 0) {
       ++not_ready;
     }
   }
@@ -159,12 +160,13 @@ void Link::enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate) {
     ++queued_;
   }
   const SimTime deliver_at = busy_until_ + params_.delay;
-  pending_.push_back(
-      InFlight{deliver_at, static_cast<std::uint64_t>(ready.ns()) & kReadyMask,
-               counted_queued ? 1U : 0U, duplicate ? 1U : 0U,
-               /*swapped=*/0U,
-               sim_.schedule_at(deliver_at, [this] { deliver_front(); }),
-               std::move(frame)});
+  InFlight& entry = pending_.emplace_back();
+  entry.deliver_at = deliver_at;
+  entry.ready_ns = static_cast<std::uint64_t>(ready.ns()) & kReadyMask;
+  entry.counted_queued = counted_queued ? 1U : 0U;
+  entry.duplicate = duplicate ? 1U : 0U;
+  entry.delivery = sim_.schedule_at(deliver_at, [this] { deliver_front(); });
+  entry.frame = std::move(frame);
 }
 
 std::size_t Link::retract_not_ready() {
@@ -213,8 +215,8 @@ void Link::deliver_front() {
 }
 
 void Link::cancel_deliveries() {
-  for (const InFlight& entry : pending_) {
-    sim_.cancel(entry.delivery);
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    sim_.cancel(pending_[i].delivery);
   }
 }
 

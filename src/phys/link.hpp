@@ -28,9 +28,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
 #include "wire/framebuf.hpp"
@@ -139,8 +139,8 @@ class Link {
 
  private:
   /// Kept at 32 bytes on 64-bit targets (the flags share the ready
-  /// time's word): the deque allocates one chunk per chunk's worth of
-  /// frames, so larger entries mean more allocations per frame.
+  /// time's word), so two entries share a cache line and the occupancy
+  /// walks touch few lines.
   struct InFlight {
     SimTime deliver_at;
     /// Ready time in nanoseconds (61 bits hold 73 years; see ready()).
@@ -198,7 +198,7 @@ class Link {
   /// (queued() leaves those out).
   std::size_t queued_ = 0;
   bool up_ = true;
-  std::deque<InFlight> pending_;
+  Ring<InFlight> pending_;
   LinkStats stats_;
   std::unique_ptr<ImpairmentState> impair_;
 };

@@ -6,12 +6,6 @@ namespace netclone::wire {
 
 namespace {
 
-// Absolute byte offsets within a serialized frame.
-constexpr std::size_t kIpProtoOff = kIpOffset + 9;   // 23
-constexpr std::size_t kIpSrcOff = kIpOffset + 12;    // 26
-constexpr std::size_t kUdpLenOff = kUdpOffset + 4;   // 38
-constexpr std::size_t kUdpCsumOff = kUdpOffset + 6;  // 40
-
 /// Parses the header stack (Ethernet/IPv4/UDP/NetClone) off the reader,
 /// leaving it positioned at the first payload byte.
 Packet parse_headers(ByteReader& r) {
@@ -103,52 +97,6 @@ FrameHandle Packet::write_headers(std::size_t body_size) const {
     netclone->serialize(w);
   }
   return h;
-}
-
-void Packet::seal_udp_checksum(std::byte* frame, std::size_t size) {
-  const std::uint16_t csum = udp_checksum(
-      Ipv4Address{load_u32(frame, kIpSrcOff)},
-      Ipv4Address{load_u32(frame, kIpSrcOff + 4)},
-      std::span<const std::byte>{frame + kUdpOffset, size - kUdpOffset});
-  store_u16(frame, kUdpCsumOff, csum);
-}
-
-bool verify_frame_checksums(const FrameHandle& frame) {
-  const auto bytes = frame.bytes();
-  if (bytes.size() < kUdpOffset + UdpHeader::kSize) {
-    return true;  // too short to carry the checksummed headers
-  }
-  const std::byte* o = bytes.data();
-  if (load_u16(o, 12) != static_cast<std::uint16_t>(EtherType::kIpv4)) {
-    return true;  // not IPv4: nothing here is checksummed
-  }
-  // The IPv4 header sums to zero (complemented) when intact — this also
-  // covers flips in version/IHL, lengths, protocol, and addresses.
-  if (internet_checksum(bytes.subspan(kIpOffset, Ipv4Header::kSize)) != 0) {
-    return false;
-  }
-  if (load_u8(o, kIpProtoOff) != static_cast<std::uint8_t>(IpProto::kUdp)) {
-    return true;  // IPv4 header intact but not UDP: nothing more to check
-  }
-  // Lengths must agree with the bytes on the wire before the UDP sum can
-  // mean anything; a mismatch is an integrity failure in its own right.
-  if (load_u16(o, kIpOffset + 2) !=
-          static_cast<std::uint16_t>(bytes.size() - kIpOffset) ||
-      load_u16(o, kUdpLenOff) !=
-          static_cast<std::uint16_t>(bytes.size() - kUdpOffset)) {
-    return false;
-  }
-  if (load_u16(o, kUdpCsumOff) == 0) {
-    return true;  // RFC 768: zero means the sender skipped the checksum
-  }
-  const std::uint32_t pseudo =
-      static_cast<std::uint32_t>(load_u16(o, kIpSrcOff)) +
-      load_u16(o, kIpSrcOff + 2) + load_u16(o, kIpSrcOff + 4) +
-      load_u16(o, kIpSrcOff + 6) +
-      static_cast<std::uint32_t>(IpProto::kUdp) +
-      static_cast<std::uint32_t>(bytes.size() - kUdpOffset);
-  // internet_checksum zero-pads an odd-length segment (RFC 1071).
-  return internet_checksum(bytes.subspan(kUdpOffset), pseudo) == 0;
 }
 
 NetCloneHeader& Packet::nc() {

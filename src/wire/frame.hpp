@@ -1,17 +1,19 @@
-// Whole-packet composition: the frame builder and the byte oracle.
+// Whole-packet composition: the byte oracle and the cold-path builder.
 //
 // A Packet is the struct form of a frame: Ethernet + IPv4 + UDP + optional
 // NetClone header + opaque application payload. The data path does not
-// work on it: switches, hosts and the LÆDGE coordinator read and rewrite
-// frames in place through wire::PacketView (packet_view.hpp). Packet is
-//   * the builder — serialize_pooled() writes the header stack and then
-//     the payload, or an RPC body written straight into the frame, into
-//     one fresh pooled buffer and computes the UDP checksum. Every frame a
-//     host sends is built this way;
+// work on it: switches and the LÆDGE coordinator rewrite frames in place
+// through wire::PacketView (packet_view.hpp), and hosts write theirs
+// straight into pooled buffers (udp_frame.hpp). Packet is
 //   * the oracle — serialize() rebuilds a frame from scratch and parse()
 //     reads one back. Observation boundaries (pcap, tests, parse-error
-//     injection) use them, and tests/test_framebuf.cpp holds the view's
-//     in-place writes and the pooled builder byte-identical to them.
+//     injection) use them, and the tests hold the view's in-place writes
+//     and every frame a host writes byte-identical to them;
+//   * the builder of frames off the per-request path — serialize_pooled()
+//     writes the header stack and then the payload, or a body written
+//     straight into the frame, into one fresh pooled buffer and computes
+//     the UDP checksum: C-Clone's cancels and the chain controller's
+//     resync markers.
 #pragma once
 
 #include <optional>
@@ -24,6 +26,7 @@
 #include "wire/netclone_header.hpp"
 #include "wire/packet_view.hpp"
 #include "wire/udp.hpp"
+#include "wire/udp_frame.hpp"
 
 namespace netclone::wire {
 
@@ -88,18 +91,7 @@ class Packet {
   /// A unique pooled frame for a `body_size`-byte payload, with the header
   /// stack written and the UDP checksum still zero.
   [[nodiscard]] FrameHandle write_headers(std::size_t body_size) const;
-  /// Computes the UDP checksum of a complete frame into its header.
-  static void seal_udp_checksum(std::byte* frame, std::size_t size);
 };
-
-/// Receive-path integrity check: verifies the IPv4 header checksum and
-/// the UDP checksum (pseudo-header included) directly against the frame
-/// bytes, in one pass over the contiguous frame. Returns
-/// false when either checksum fails or the IP/UDP lengths disagree with
-/// the frame size — the caller should drop and count the frame. Frames
-/// that are not IPv4/UDP-shaped return true: they carry no checksum to
-/// verify and the parser rejects them on its own.
-[[nodiscard]] bool verify_frame_checksums(const FrameHandle& frame);
 
 /// Convenience builder for a NetClone UDP packet between two endpoints.
 [[nodiscard]] Packet make_netclone_packet(MacAddress src_mac,

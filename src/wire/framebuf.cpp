@@ -24,13 +24,26 @@ FramePool* FramePool::bind_to_thread(FramePool* pool) {
 // -- FramePool --------------------------------------------------------------
 
 FramePool::~FramePool() {
-  for (FrameBuf*& head : free_) {
-    while (head != nullptr) {
-      FrameBuf* next = head->next_free;
-      ::operator delete(static_cast<void*>(head));
-      head = next;
-    }
+  // Pooled buffers live in blocks; freeing the blocks frees them all.
+  while (blocks_ != nullptr) {
+    Block* next = blocks_->next;
+    ::operator delete(static_cast<void*>(blocks_));
+    blocks_ = next;
   }
+}
+
+void* FramePool::carve(std::uint8_t cls) {
+  const std::size_t stride = sizeof(FrameBuf) + kClassSize[cls];
+  if (carve_left_[cls] == 0) {
+    void* raw = ::operator new(kBlockHeader + stride * kBlockBuffers);
+    blocks_ = ::new (raw) Block{blocks_};
+    carve_next_[cls] = static_cast<std::byte*>(raw) + kBlockHeader;
+    carve_left_[cls] = kBlockBuffers;
+  }
+  void* raw = carve_next_[cls];
+  carve_next_[cls] += stride;
+  --carve_left_[cls];
+  return raw;
 }
 
 FrameBuf* FramePool::acquire(std::size_t size) {
@@ -56,7 +69,9 @@ FrameBuf* FramePool::acquire(std::size_t size) {
   }
 
   const std::size_t capacity = cls != kUnpooled ? kClassSize[cls] : size;
-  void* raw = ::operator new(sizeof(FrameBuf) + capacity);
+  void* raw = kRecyclingEnabled && cls != kUnpooled
+                  ? carve(cls)
+                  : ::operator new(sizeof(FrameBuf) + capacity);
   auto* buf = ::new (raw) FrameBuf{};
   buf->refs = 1;
   buf->size = static_cast<std::uint32_t>(size);

@@ -11,8 +11,8 @@
 //     bump); mutating a shared frame first copies the whole frame (at
 //     most 138 bytes for the RPCs modeled here) from its own pool;
 //   * PayloadRef — a payload as either owned bytes (built packets) or a
-//     view pinning a received frame's buffer, so a host queues a request
-//     without copying its application payload.
+//     view pinning a received frame's buffer, so reading a received
+//     payload copies nothing.
 //
 // Everything here is single-threaded, like the event engine: refcounts are
 // plain integers, and determinism is unaffected because sharing never
@@ -50,10 +50,14 @@ struct FrameBuf {
   }
 };
 
-/// Free-list arena of FrameBufs in power-of-two size classes. Oversized
-/// requests fall through to plain heap allocations that are freed, not
-/// recycled. Under AddressSanitizer recycling is disabled entirely so a
-/// use-after-release of a frame is a real heap use-after-free ASan can see.
+/// Free-list arena of FrameBufs in power-of-two size classes. A class's
+/// buffers are carved from blocks of kBlockBuffers, so a pool growing to
+/// a new peak of live frames makes one heap allocation per kBlockBuffers
+/// buffers, and every block is freed with the pool. Oversized requests
+/// fall through to plain heap allocations that are freed, not recycled.
+/// Under AddressSanitizer recycling is disabled entirely — each buffer is
+/// its own allocation, freed on release — so a use-after-release of a
+/// frame is a real heap use-after-free ASan can see.
 class FramePool {
  public:
 #if defined(__SANITIZE_ADDRESS__)
@@ -69,7 +73,7 @@ class FramePool {
 #endif
 
   struct Stats {
-    std::uint64_t slabs_allocated = 0;  // buffers created with operator new
+    std::uint64_t slabs_allocated = 0;  // buffers first handed out
     std::uint64_t acquired = 0;
     std::uint64_t released = 0;
     std::uint64_t recycled = 0;  // acquires served from a free list
@@ -109,8 +113,24 @@ class FramePool {
   static constexpr std::size_t kClassSize[kClassCount] = {64,  128,  256,
                                                           512, 1024, 2048};
   static constexpr std::uint8_t kUnpooled = 0xFF;
+  static constexpr std::size_t kBlockBuffers = 32;
+
+  /// A block of one class's buffers; the buffers follow the header.
+  struct Block {
+    Block* next;
+  };
+  static constexpr std::size_t kBlockHeader = 32;  // keeps buffers aligned
+
+  /// Storage for a new buffer of pooled class `cls`, carved from the
+  /// class's newest block (allocating a block when it is used up).
+  [[nodiscard]] void* carve(std::uint8_t cls);
 
   FrameBuf* free_[kClassCount] = {};
+  /// Per class: the next uncarved buffer of its newest block, and how many
+  /// of that block's buffers are left.
+  std::byte* carve_next_[kClassCount] = {};
+  std::size_t carve_left_[kClassCount] = {};
+  Block* blocks_ = nullptr;  // every block, freed by the destructor
   Stats stats_;
 };
 
@@ -195,6 +215,18 @@ class FrameHandle {
   /// of the frame taken from the buffer's own pool, and the other holders
   /// keep the old bytes.
   [[nodiscard]] std::byte* writable();
+
+  /// Takes the buffer over as a `size`-byte frame to rewrite in place,
+  /// its bytes left as they were, when this handle holds the only
+  /// reference and `size` fits the buffer's capacity. Returns false, and
+  /// changes nothing, otherwise.
+  [[nodiscard]] bool reuse(std::size_t size) {
+    if (buf_ == nullptr || buf_->refs != 1 || size > buf_->capacity) {
+      return false;
+    }
+    buf_->size = static_cast<std::uint32_t>(size);
+    return true;
+  }
 
   /// Reference count of the buffer.
   [[nodiscard]] std::uint32_t use_count() const {

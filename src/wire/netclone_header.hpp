@@ -72,9 +72,10 @@ struct NetCloneHeader {
   friend bool operator==(const NetCloneHeader&,
                          const NetCloneHeader&) = default;
 
-  // Inline: every frame a host builds, and the oracle, go through these.
-  void serialize(ByteWriter& w) const {
-    std::byte* p = w.raw(kSize);
+  // Inline: every frame a host writes, and the oracle, go through these.
+  void serialize(ByteWriter& w) const { store(w.raw(kSize)); }
+  /// Writes the kSize header bytes at `p`.
+  void store(std::byte* p) const {
     store_u8(p, 0, static_cast<std::uint8_t>(type));
     store_u8(p, 1, static_cast<std::uint8_t>(clo));
     store_u16(p, 2, grp);

@@ -24,16 +24,9 @@
 #include "wire/ipv4.hpp"
 #include "wire/netclone_header.hpp"
 #include "wire/udp.hpp"
+#include "wire/udp_frame.hpp"
 
 namespace netclone::wire {
-
-// Byte offsets of the header stack every frame here carries: NetClone's
-// single-packet RPCs use IPv4 without options.
-inline constexpr std::size_t kIpOffset = EthernetHeader::kSize;  // 14
-inline constexpr std::size_t kUdpOffset =
-    kIpOffset + Ipv4Header::kSize;  // 34
-inline constexpr std::size_t kNetCloneOffset =
-    kUdpOffset + UdpHeader::kSize;  // 42
 
 class PacketView {
  public:

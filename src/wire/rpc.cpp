@@ -37,12 +37,33 @@ RpcRequest RpcRequest::from_frame(std::span<const std::byte> f) {
   return parse(r);
 }
 
+namespace {
+
+/// A response's value length field, checked against RpcValue's capacity.
+std::size_t value_length(ByteReader& r) {
+  const std::size_t len = r.u16();
+  if (len > RpcValue::kCapacity) {
+    throw CodecError{"RPC response value too long"};
+  }
+  return len;
+}
+
+}  // namespace
+
+void RpcValue::assign(std::span<const std::byte> bytes) {
+  if (bytes.size() > kCapacity) {
+    throw CodecError{"RPC response value too long"};
+  }
+  std::copy(bytes.begin(), bytes.end(), bytes_.begin());
+  size_ = bytes.size();
+}
+
 void RpcResponse::serialize(ByteWriter& w) const {
   w.u8(static_cast<std::uint8_t>(status));
   w.u32(queue_wait_ns);
   w.u32(service_ns);
   w.u16(static_cast<std::uint16_t>(value.size()));
-  w.bytes(value);
+  w.bytes(value.bytes());
 }
 
 RpcResponse RpcResponse::parse(ByteReader& r) {
@@ -50,9 +71,8 @@ RpcResponse RpcResponse::parse(ByteReader& r) {
   resp.status = static_cast<RpcStatus>(r.u8());
   resp.queue_wait_ns = r.u32();
   resp.service_ns = r.u32();
-  const std::uint16_t len = r.u16();
-  resp.value.resize(len);
-  r.bytes(resp.value);
+  const std::size_t len = value_length(r);
+  resp.value.assign({r.raw(len), len});
   return resp;
 }
 
@@ -75,7 +95,7 @@ RpcResponse RpcResponse::peek(std::span<const std::byte> f) {
   resp.status = static_cast<RpcStatus>(r.u8());
   resp.queue_wait_ns = r.u32();
   resp.service_ns = r.u32();
-  r.skip(r.u16());
+  r.skip(value_length(r));
   return resp;
 }
 

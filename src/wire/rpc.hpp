@@ -7,7 +7,10 @@
 // read (matching the paper's one-packet-response setup).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 
 #include "wire/bytes.hpp"
 
@@ -45,6 +48,34 @@ enum class RpcStatus : std::uint8_t {
   kNotFound = 1,
 };
 
+/// A response value, held inline: at most kCapacity bytes — a GET's
+/// 64-byte object, a SCAN's 8-byte digest — so a response carries its
+/// value without a heap allocation.
+class RpcValue {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  /// Copies `bytes` in as the value. Throws CodecError beyond kCapacity.
+  void assign(std::span<const std::byte> bytes);
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::byte operator[](std::size_t i) const {
+    return bytes_[i];
+  }
+  [[nodiscard]] std::span<const std::byte> bytes() const {
+    return {bytes_.data(), size_};
+  }
+
+  friend bool operator==(const RpcValue& a, const RpcValue& b) {
+    return std::ranges::equal(a.bytes(), b.bytes());
+  }
+
+ private:
+  std::array<std::byte, kCapacity> bytes_{};
+  std::size_t size_ = 0;
+};
+
 struct RpcResponse {
   RpcStatus status = RpcStatus::kOk;
   /// Server-side latency decomposition, stamped by the worker: time the
@@ -54,7 +85,7 @@ struct RpcResponse {
   std::uint32_t queue_wait_ns = 0;
   std::uint32_t service_ns = 0;
   /// GET: the object value; SCAN: an 8-byte digest; SYNTHETIC/SET: empty.
-  Frame value{};
+  RpcValue value{};
 
   /// Serialized size: a fixed 11 bytes plus the value.
   [[nodiscard]] std::size_t wire_size() const { return 11 + value.size(); }
@@ -64,7 +95,8 @@ struct RpcResponse {
   [[nodiscard]] static RpcResponse from_frame(std::span<const std::byte> f);
   /// from_frame() without copying the value out: status and the latency
   /// decomposition only, `value` left empty. Rejects the same malformed
-  /// bodies from_frame() does.
+  /// bodies from_frame() does: a truncated one, and one whose value is
+  /// longer than RpcValue::kCapacity.
   [[nodiscard]] static RpcResponse peek(std::span<const std::byte> f);
 };
 

@@ -570,13 +570,15 @@ TEST(PacketView, ThrowsExactlyWhenParseThrowsAndReadsTheSameFields) {
   }
 }
 
-// -- frames a host builds ---------------------------------------------------
+// -- the pooled builder -----------------------------------------------------
 //
-// serialize_pooled() of an unbacked packet (the host build path) equals the
-// legacy serialize() byte oracle. The suite keeps the name it had when hosts
-// built frames by scatter-gather.
+// serialize_pooled() of an unbacked packet (the builder of C-Clone cancels
+// and chain markers) equals the legacy serialize() byte oracle. The suite
+// keeps the name it had when hosts built frames by scatter-gather; the
+// frames hosts write in place are held to the oracle in
+// test_host_frames.cpp.
 
-void expect_host_built_frames_match_oracle(Rng& rng, bool netclone) {
+void expect_pooled_frames_match_oracle(Rng& rng, bool netclone) {
   // Sizes cover the empty payload and odd segment lengths.
   for (const std::size_t size : {0U, 1U, 2U, 7U, 64U, 333U}) {
     for (int round = 0; round < 50; ++round) {
@@ -600,14 +602,14 @@ TEST(PacketScatterGather, ComposedSerializeMatchesOracle) {
   // With the NetClone header the payload starts at an odd offset in the
   // UDP segment (8 + 21 bytes).
   Rng rng{0x56A7};
-  expect_host_built_frames_match_oracle(rng, /*netclone=*/true);
+  expect_pooled_frames_match_oracle(rng, /*netclone=*/true);
 }
 
 TEST(PacketScatterGather, EvenPayloadOffsetMatchesOracle) {
   // Without the NetClone header the payload starts 8 bytes into the UDP
   // segment.
   Rng rng{0x0FF5};
-  expect_host_built_frames_match_oracle(rng, /*netclone=*/false);
+  expect_pooled_frames_match_oracle(rng, /*netclone=*/false);
 }
 
 }  // namespace

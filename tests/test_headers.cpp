@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "common/rng.hpp"
 #include "wire/ethernet.hpp"
 #include "wire/ipv4.hpp"
 #include "wire/netclone_header.hpp"
@@ -88,6 +91,69 @@ TEST(InternetChecksum, KnownVector) {
       std::byte{0x00}, std::byte{0x01}, std::byte{0xf2}, std::byte{0x03},
       std::byte{0xf4}, std::byte{0xf5}, std::byte{0xf6}, std::byte{0xf7}};
   EXPECT_EQ(internet_checksum(data), static_cast<std::uint16_t>(~0xddf2));
+}
+
+/// RFC 1071 as first written here: big-endian byte pairs into a 32-bit
+/// sum, an odd trailing byte zero-padded, folded and complemented.
+std::uint16_t byte_pair_checksum(std::span<const std::byte> data,
+                                 std::uint32_t initial_sum) {
+  std::uint32_t sum = initial_sum;
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) {
+    sum += static_cast<std::uint32_t>(
+        static_cast<std::uint16_t>(data[i]) << 8 |
+        static_cast<std::uint16_t>(data[i + 1]));
+  }
+  if (i < data.size()) {
+    sum += static_cast<std::uint32_t>(static_cast<std::uint16_t>(data[i])
+                                      << 8);
+  }
+  while ((sum >> 16) != 0) {
+    sum = (sum & 0xFFFFU) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum & 0xFFFFU);
+}
+
+// The word-wise sum agrees with the byte-pair reference on every length
+// from 0 to 160 (odd ones included), on random, all-0x00 and all-0xFF
+// data, from zero and non-zero initial sums. Initial sums stay below
+// 2^24, where the reference's 32-bit accumulator cannot wrap; callers
+// pass pseudo-header sums below 2^19.
+TEST(InternetChecksum, WordWiseMatchesBytePairReference) {
+  Rng rng{0xC5C5};
+  const std::uint32_t fixed_initials[] = {0,       1,       0xFFFF,
+                                          0x10000, 0x1FFFE, 0xFFFFFF};
+  for (std::size_t len = 0; len <= 160; ++len) {
+    Frame random(len);
+    for (std::byte& b : random) {
+      b = static_cast<std::byte>(rng.next_below(256));
+    }
+    const Frame zeros(len, std::byte{0x00});
+    const Frame ones(len, std::byte{0xFF});
+    for (const Frame* data :
+         std::initializer_list<const Frame*>{&random, &zeros, &ones}) {
+      for (const std::uint32_t initial : fixed_initials) {
+        ASSERT_EQ(internet_checksum(*data, initial),
+                  byte_pair_checksum(*data, initial))
+            << "length " << len << " initial " << initial;
+      }
+      for (int draw = 0; draw < 8; ++draw) {
+        const auto initial =
+            static_cast<std::uint32_t>(rng.next_below(1U << 24));
+        ASSERT_EQ(internet_checksum(*data, initial),
+                  byte_pair_checksum(*data, initial))
+            << "length " << len << " initial " << initial;
+      }
+    }
+    // Every offset of a span, so no alignment is assumed.
+    for (std::size_t off = 1; off < 8 && off <= len; ++off) {
+      const std::span<const std::byte> tail =
+          std::span<const std::byte>{random}.subspan(off);
+      ASSERT_EQ(internet_checksum(tail, 0x1234),
+                byte_pair_checksum(tail, 0x1234))
+          << "length " << len << " offset " << off;
+    }
+  }
 }
 
 TEST(Udp, RoundTrip) {

@@ -38,9 +38,11 @@ TEST(RpcResponse, RoundTripWithValue) {
   resp.status = RpcStatus::kOk;
   resp.queue_wait_ns = 12345;
   resp.service_ns = 25000;
+  Frame value;
   for (int i = 0; i < 64; ++i) {
-    resp.value.push_back(static_cast<std::byte>(i));
+    value.push_back(static_cast<std::byte>(i));
   }
+  resp.value.assign(value);
   const Frame f = resp.to_frame();
   const RpcResponse parsed = RpcResponse::from_frame(f);
   EXPECT_EQ(parsed.status, RpcStatus::kOk);
@@ -65,9 +67,26 @@ TEST(RpcResponse, EmptyValue) {
 
 TEST(RpcResponse, LengthFieldGuardsParse) {
   RpcResponse resp;
-  resp.value.assign(10, std::byte{7});
+  resp.value.assign(Frame(10, std::byte{7}));
+  const Frame whole = resp.to_frame();
+  const Frame f{whole.begin(), whole.end() - 5};  // truncate the value
+  EXPECT_THROW((void)RpcResponse::from_frame(f), CodecError);
+  EXPECT_THROW((void)RpcResponse::peek(f), CodecError);
+}
+
+// A value is held inline, so one longer than its capacity is rejected
+// when assigned, and a body whose length field claims one fails to parse
+// and to peek alike.
+TEST(RpcResponse, ValueBeyondCapacityIsRejected) {
+  RpcResponse resp;
+  EXPECT_THROW(resp.value.assign(Frame(RpcValue::kCapacity + 1)),
+               CodecError);
+  resp.value.assign(Frame(RpcValue::kCapacity, std::byte{1}));
   Frame f = resp.to_frame();
-  f.resize(f.size() - 5);  // truncate the value
+  EXPECT_EQ(RpcResponse::from_frame(f).value, resp.value);
+  // Claim one byte more and supply it.
+  poke_u16(f, 9, static_cast<std::uint16_t>(RpcValue::kCapacity + 1));
+  f.push_back(std::byte{1});
   EXPECT_THROW((void)RpcResponse::from_frame(f), CodecError);
   EXPECT_THROW((void)RpcResponse::peek(f), CodecError);
 }

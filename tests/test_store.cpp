@@ -253,6 +253,46 @@ TEST(KvPopulate, LayoutIndependentOfWorkerCount) {
   EXPECT_EQ(filled_parallel.get("foreign"), filled_serial.get("foreign"));
 }
 
+// populate numbers its records in table order (store.hpp), which only
+// decides how far apart a SCAN's reads are: every other populate test
+// would pass with the records in any order. Replaying the table's linear
+// probing of fnv1a(key) & (capacity - 1), in object order, gives each
+// object's position; walking the positions in order, each object's value
+// must sit exactly one record — 2 length bytes, a 16-byte key and a
+// 64-byte value — after the previous object's.
+TEST(KvPopulate, RecordsFollowTableOrder) {
+  constexpr std::uint64_t kObjects = 100000;
+  constexpr std::ptrdiff_t kRecordBytes = 2 + kMaxKeyBytes + kMaxValueBytes;
+  KvStore store{kObjects};
+  populate(store, kObjects);
+  const std::size_t mask = store.capacity() - 1;
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::vector<std::uint64_t> object_at(store.capacity(), kEmpty);
+  for (std::uint64_t i = 0; i < kObjects; ++i) {
+    std::size_t pos = static_cast<std::size_t>(fnv1a(key_for_index(i))) & mask;
+    while (object_at[pos] != kEmpty) {
+      pos = (pos + 1) & mask;
+    }
+    object_at[pos] = i;
+  }
+  const char* previous = nullptr;
+  std::uint64_t visited = 0;
+  for (std::size_t pos = 0; pos < object_at.size(); ++pos) {
+    if (object_at[pos] == kEmpty) {
+      continue;
+    }
+    const auto value = store.get(key_for_index(object_at[pos]));
+    ASSERT_TRUE(value.has_value()) << "object " << object_at[pos];
+    if (previous != nullptr) {
+      ASSERT_EQ(value->data() - previous, kRecordBytes)
+          << "position " << pos << ", object " << object_at[pos];
+    }
+    previous = value->data();
+    ++visited;
+  }
+  EXPECT_EQ(visited, kObjects);
+}
+
 TEST(KvPopulate, TooSmallStoreThrowsAfterFillingIt) {
   KvStore store{100};  // capacity 256: at most 128 objects
   for (const char* key : {"x", "y", "z"}) {
