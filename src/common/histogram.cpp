@@ -3,8 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 namespace netclone {
+
+LatencyHistogram::LatencyHistogram() {
+  buckets_.reserve(
+      bucket_index(std::numeric_limits<std::int64_t>::max()) + 1);
+}
 
 std::size_t LatencyHistogram::bucket_index(std::uint64_t v) {
   if (v < 128) {

@@ -16,7 +16,10 @@ namespace netclone {
 
 class LatencyHistogram {
  public:
-  LatencyHistogram() = default;
+  /// Reserves the buckets of the whole range (every non-negative
+  /// nanosecond count, about 29 KiB) once, so record() never reallocates;
+  /// the vector itself grows only to the largest bucket used.
+  LatencyHistogram();
 
   /// Records one latency sample. Negative durations are clamped to zero
   /// (they cannot occur in a causally-correct simulation; the clamp keeps

@@ -97,6 +97,19 @@ void Client::start() {
     });
     return;
   }
+  if (params_.stop_at > sim_.now() && params_.stop_at != SimTime::max()) {
+    // One completion bit per request the window should issue, with room
+    // for the arrival process's spread, so completions do not grow the
+    // bitmap mid-run.
+    double peak = 1.0;
+    for (const RateSegment& seg : params_.rate_profile) {
+      peak = std::max(peak, seg.multiplier);
+    }
+    const double expected =
+        params_.rate_rps * peak * (params_.stop_at - sim_.now()).sec();
+    completed_bits_.reserve(static_cast<std::size_t>(expected / 64.0 * 1.25) +
+                            2);
+  }
   sim_.schedule_at(next_arrival_time(), [this] { on_arrival(); });
 }
 
@@ -360,6 +373,9 @@ void Client::send_cancel(const Pending& pending, std::uint32_t client_seq,
 }
 
 void Client::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
+  // The ingress link delivers each frame when the receiver thread has
+  // picked it up (rx_cost, paid by every arriving frame — wanted,
+  // redundant or discarded), so the application sees it right here.
   if (!wire::verify_frame_checksums(frame)) {
     ++stats_.checksum_drops;
     return;
@@ -373,36 +389,14 @@ void Client::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
   if (!pkt.has_netclone() || pkt.type() != wire::MsgType::kResponse) {
     return;
   }
-  // Keep only what the application reads; the frame goes back to the
-  // pool now rather than after the receiver thread's delay.
-  Response resp;
-  resp.client_seq = pkt.client_seq();
-  resp.responder = pkt.ip_src();
-  resp.frag_idx = pkt.frag_idx();
-  resp.frag_count = pkt.frag_count();
-  const std::span<const std::byte> payload = pkt.payload();
-  if (!payload.empty()) {
-    // The payload-bearing fragment carries the server's decomposition.
-    try {
-      const wire::RpcResponse body = wire::RpcResponse::peek(payload);
-      resp.server_wait_ns = body.queue_wait_ns;
-      resp.server_service_ns = body.service_ns;
-      resp.has_decomposition = true;
-    } catch (const wire::CodecError&) {
-      // tolerate foreign payloads; the decomposition is not updated
-    }
-  }
-  // Receiver thread: every arriving response — wanted or redundant — costs
-  // rx_cost of serial CPU before the application sees it.
-  const SimTime done = std::max(sim_.now(), rx_busy_until_) + params_.rx_cost;
-  rx_busy_until_ = done;
-  sim_.schedule_at(done, [this, resp] { on_response_processed(resp); });
+  on_response_processed(pkt);
 }
 
-void Client::on_response_processed(const Response& resp) {
-  Pending* found = outstanding_.find(resp.client_seq);
+void Client::on_response_processed(const wire::PacketView& resp) {
+  const std::uint32_t client_seq = resp.client_seq();
+  Pending* found = outstanding_.find(client_seq);
   if (found == nullptr) {
-    if (was_completed(resp.client_seq)) {
+    if (was_completed(client_seq)) {
       ++stats_.redundant_responses;
     } else {
       ++stats_.unmatched_responses;
@@ -413,27 +407,34 @@ void Client::on_response_processed(const Response& resp) {
   // Multi-packet responses complete when every fragment ordinal has been
   // seen once; a repeated ordinal is a redundant duplicate (a clone's
   // response that slipped past the filter).
-  const std::uint64_t bit = std::uint64_t{1} << (resp.frag_idx & 63U);
+  const std::uint64_t bit = std::uint64_t{1} << (resp.frag_idx() & 63U);
   if ((pending.frag_mask & bit) != 0) {
     ++stats_.redundant_responses;
     return;
   }
   pending.frag_mask |= bit;
-  if (resp.has_decomposition) {
-    pending.server_wait_ns = resp.server_wait_ns;
-    pending.server_service_ns = resp.server_service_ns;
+  const std::span<const std::byte> payload = resp.payload();
+  if (!payload.empty()) {
+    // The payload-bearing fragment carries the server's decomposition.
+    try {
+      const wire::RpcResponse body = wire::RpcResponse::peek(payload);
+      pending.server_wait_ns = body.queue_wait_ns;
+      pending.server_service_ns = body.service_ns;
+    } catch (const wire::CodecError&) {
+      // tolerate foreign payloads; the decomposition is not updated
+    }
   }
   if (std::popcount(pending.frag_mask) <
-      static_cast<int>(resp.frag_count)) {
+      static_cast<int>(resp.frag_count())) {
     return;  // waiting for the remaining fragments
   }
-  mark_completed(resp.client_seq);
+  mark_completed(client_seq);
   // The retransmit timeout is dead weight now — cancel it so the engine
   // removes the event from its queue instead of firing a no-op later.
   sim_.cancel(pending.retransmit_event);
   ++stats_.completed;
   if (params_.mode == SendMode::kCClone && params_.cclone_cancel) {
-    send_cancel(pending, resp.client_seq, resp.responder);
+    send_cancel(pending, client_seq, resp.ip_src());
   }
   // Read the entry before issuing: a closed-loop issue inserts into the
   // table, and an insert may move every entry.
@@ -455,7 +456,7 @@ void Client::on_response_processed(const Response& resp) {
   // The completion bit now classifies any late duplicate, so the entry
   // can go. Erased by key: issuing the next closed-loop request above may
   // have moved it.
-  outstanding_.erase(resp.client_seq);
+  outstanding_.erase(client_seq);
 }
 
 void Client::mark_completed(std::uint32_t client_seq) {

@@ -5,7 +5,10 @@
 // to outstanding requests and records end-to-end latency. Both threads are
 // modeled as serial CPU resources, so redundant responses (unfiltered
 // duplicates) and duplicate sends (C-Clone) consume real client capacity —
-// the effect Figures 15 and 7 quantify.
+// the effect Figures 15 and 7 quantify. Neither costs an event of its own:
+// the sender hands each frame to its link ready when the thread has paid
+// for it, and the ingress link delivers each frame when the receiver
+// thread has picked it up (Node::receive_cost).
 //
 // Each request is stamped into one pooled frame from a header template:
 // the Ethernet, IPv4 and UDP headers of this client's requests to one
@@ -29,6 +32,7 @@
 #include "host/workload.hpp"
 #include "phys/node.hpp"
 #include "sim/simulator.hpp"
+#include "wire/packet_view.hpp"
 #include "wire/rpc.hpp"
 #include "wire/udp_frame.hpp"
 
@@ -107,7 +111,8 @@ struct ClientParams {
   std::vector<wire::Ipv4Address> server_ips{};
   /// Destination for kViaSwitch / kToCoordinator.
   wire::Ipv4Address target{};
-  /// Receiver-thread CPU time per response.
+  /// Receiver-thread CPU time per received frame (a corrupted or foreign
+  /// one included).
   SimTime rx_cost = SimTime::nanoseconds(300);
   /// End of the sending window, which opens when start() is called.
   SimTime stop_at = SimTime::max();
@@ -172,6 +177,9 @@ class Client : public phys::Node {
   void start();
 
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
+  [[nodiscard]] SimTime receive_cost() const override {
+    return params_.rx_cost;
+  }
 
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
   /// Requests issued and not yet completed: an entry is erased the moment
@@ -234,19 +242,6 @@ class Client : public phys::Node {
     /// the event — and the closure it holds — is freed immediately.
     sim::EventId retransmit_event{};
   };
-  /// What the application reads from one response, taken at arrival so
-  /// the receiver-thread event carries a few scalars, not the packet.
-  struct Response {
-    std::uint32_t client_seq = 0;
-    wire::Ipv4Address responder{};
-    std::uint32_t server_wait_ns = 0;
-    std::uint32_t server_service_ns = 0;
-    std::uint8_t frag_idx = 0;
-    std::uint8_t frag_count = 0;
-    /// The payload parsed as an RPC response (it carried the server's
-    /// wait/service pair).
-    bool has_decomposition = false;
-  };
 
   void issue_request();
   void on_arrival();
@@ -267,7 +262,9 @@ class Client : public phys::Node {
   /// Backoff delay before retry number `retries` (0-based), jittered
   /// from the dedicated retry stream.
   [[nodiscard]] SimTime retransmit_delay(std::uint32_t retries);
-  void on_response_processed(const Response& resp);
+  /// Matches a response the receiver thread picked up against the
+  /// request table and completes its request.
+  void on_response_processed(const wire::PacketView& resp);
   void mark_completed(std::uint32_t client_seq);
   [[nodiscard]] bool was_completed(std::uint32_t client_seq) const;
 
@@ -287,7 +284,6 @@ class Client : public phys::Node {
   std::vector<wire::HeaderTemplate> request_headers_;
 
   SimTime tx_busy_until_ = SimTime::zero();
-  SimTime rx_busy_until_ = SimTime::zero();
   /// End of the current ON window; the first one opens lazily.
   SimTime burst_on_until_ = SimTime::zero();
   std::uint32_t next_seq_ = 1;

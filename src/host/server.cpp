@@ -57,6 +57,8 @@ Server::Server(sim::Simulator& sim, ServerParams params,
 }
 
 void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
+  // The ingress link delivers each frame when the dispatcher thread has
+  // picked it up (receive_cost), so the frame is dispatched right here.
   if (crashed_) {
     ++stats_.dropped_while_crashed;
     return;
@@ -66,6 +68,10 @@ void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
     paused_rx_.push_back(std::move(frame));
     return;
   }
+  dispatch(std::move(frame));
+}
+
+void Server::dispatch(wire::FrameHandle frame) {
   if (!wire::verify_frame_checksums(frame)) {
     ++stats_.checksum_drops;
     return;
@@ -82,25 +88,11 @@ void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
   }
   // Keep what the host path needs: the NetClone header, the return
   // route, and the frame itself.
-  const wire::NetCloneHeader nc = pkt.netclone();
-  const ResponseRoute from{pkt.eth_src(), pkt.ip_src(), pkt.src_port()};
-  dispatch_queue_.push_back(PendingRequest{nc, from, pkt.take_frame()});
-  // The dispatcher thread is a serial resource: packets are picked up one
-  // at a time, `dispatch_cost` apart when busy. Its events fire in
-  // enqueue order, so each one takes the dispatch queue's front.
-  const SimTime now = sim_.now();
-  const SimTime start = std::max(now, dispatcher_busy_until_);
-  dispatcher_busy_until_ = start + params_.dispatch_cost;
-  sim_.schedule_at(dispatcher_busy_until_, [this, epoch = epoch_] {
-    if (epoch != epoch_) {
-      ++stats_.abandoned_in_flight;
-      return;  // the dispatcher died with the crash
-    }
-    // on_dispatch never touches the dispatch queue, so the front it
-    // works on stays put until the pop.
-    on_dispatch(dispatch_queue_.front());
-    dispatch_queue_.pop_front();
-  });
+  PendingRequest req{pkt.netclone(),
+                     ResponseRoute{pkt.eth_src(), pkt.ip_src(),
+                                   pkt.src_port()},
+                     pkt.take_frame()};
+  on_dispatch(req);
 }
 
 void Server::on_cancel(const wire::NetCloneHeader& nc) {
@@ -278,26 +270,18 @@ void Server::try_start_worker() {
 
 void Server::crash() {
   ++stats_.crashes;
-  ++epoch_;  // voids every in-flight dispatch and worker completion
+  ++epoch_;  // voids every in-flight worker completion
   crashed_ = true;
   paused_ = false;
   queue_.clear();
-  dispatch_queue_.clear();
   in_service_.clear();
   free_slots_.clear();
   partials_.clear();
   paused_rx_.clear();
   busy_workers_ = 0;
-  dispatcher_busy_until_ = sim_.now();
 }
 
-void Server::restart() {
-  if (!crashed_) {
-    return;
-  }
-  crashed_ = false;
-  dispatcher_busy_until_ = sim_.now();
-}
+void Server::restart() { crashed_ = false; }
 
 void Server::pause() {
   if (!crashed_) {
@@ -310,12 +294,12 @@ void Server::resume() {
     return;
   }
   paused_ = false;
-  // Replay the buffered frames in arrival order through the normal rx
-  // path; the dispatcher pacing restarts from now.
+  // Dispatch the buffered frames in arrival order. The dispatcher already
+  // paid for each one when it picked it up, so none is paced again.
   std::vector<wire::FrameHandle> backlog;
   backlog.swap(paused_rx_);
   for (wire::FrameHandle& frame : backlog) {
-    handle_frame(0, std::move(frame));
+    dispatch(std::move(frame));
   }
 }
 

@@ -1,22 +1,26 @@
 // Worker server model (paper §4.2).
 //
 // One dispatcher thread drains the NIC and enqueues requests into a global
-// FCFS queue; `workers` worker threads dequeue and execute in parallel. The
-// NetClone server-side mechanisms (§3.4) live here:
+// FCFS queue; `workers` worker threads dequeue and execute in parallel.
+// The dispatcher is a serial stage with a fixed cost per frame
+// (`dispatch_cost`), so the server's ingress link models it: it delivers
+// each frame when the dispatcher has picked it up (Node::receive_cost),
+// and handle_frame dispatches it in that same event. The NetClone
+// server-side mechanisms (§3.4) live here:
 //   * a cloned request (CLO=2) arriving while the queue is non-empty is
 //     dropped — the tracked switch state was stale;
 //   * every response piggybacks the current queue length in STATE, which is
 //     how the switch learns server idleness.
 //
 // Received frames are read through a wire::PacketView. The request's
-// frame itself rides through the dispatch queue, the reassembly table and
-// the FCFS queue (never copied), and the worker parses the RPC body from
-// it. The response is written over that very frame when the server holds
-// it alone and the response fits its buffer — the server answers in the
+// frame itself rides through the reassembly table and the FCFS queue
+// (never copied), and the worker parses the RPC body from it. The
+// response is written over that very frame when the server holds it
+// alone and the response fits its buffer — the server answers in the
 // buffer it received on — and into a fresh pooled frame otherwise (a KV
-// GET response outgrows an 80-byte request's 128-byte buffer); header-only
-// fragment markers take fresh frames. Packet::serialize() is the byte
-// oracle these writes are tested against.
+// GET response outgrows an 80-byte request's 128-byte buffer);
+// header-only fragment markers take fresh frames. Packet::serialize() is
+// the byte oracle these writes are tested against.
 #pragma once
 
 #include <memory>
@@ -51,7 +55,9 @@ struct ServerParams {
   /// Parallel worker threads (paper: 16 per server for synthetic runs,
   /// 8 for the KV experiments, 15 vs 8 in the heterogeneous Fig. 10 setup).
   std::uint32_t workers = 16;
-  /// Dispatcher CPU time per received packet (VMA userspace path).
+  /// Dispatcher CPU time per received packet (VMA userspace path). Every
+  /// frame the ingress link hands over pays it, a corrupted or foreign
+  /// one included.
   SimTime dispatch_cost = SimTime::nanoseconds(300);
   /// NetClone server-side mechanism: drop CLO=2 requests when the server
   /// is busier than the tracked state promised. Always safe to leave on:
@@ -92,9 +98,9 @@ struct ServerStats {
   std::uint64_t cancel_misses = 0;
   /// Frames dropped because the IPv4 or UDP checksum failed on receive.
   std::uint64_t checksum_drops = 0;
-  /// Fault-hook accounting: crash() invocations, frames discarded while
-  /// crashed, frames buffered while paused, and in-flight dispatch/worker
-  /// events voided because their epoch died with a crash.
+  /// Fault-hook accounting: crash() invocations, frames picked up while
+  /// crashed (discarded), frames picked up while paused (buffered), and
+  /// worker completions voided because their epoch died with a crash.
   std::uint64_t crashes = 0;
   std::uint64_t dropped_while_crashed = 0;
   std::uint64_t paused_frames = 0;
@@ -110,6 +116,9 @@ class Server : public phys::Node {
          std::shared_ptr<ServiceModel> service, Rng rng);
 
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
+  [[nodiscard]] SimTime receive_cost() const override {
+    return params_.dispatch_cost;
+  }
 
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
   [[nodiscard]] ServerId sid() const { return params_.sid; }
@@ -118,10 +127,12 @@ class Server : public phys::Node {
 
   // Fault hooks (the deterministic chaos layer). Crash models a process
   // kill: all soft state (queue, partials, in-service work) is lost and
-  // rx frames are discarded until restart(); in-flight engine events
+  // frames picked up are discarded until restart(); worker completions
   // from before the crash are voided by an epoch guard. Pause models a
-  // stalled NIC/dispatcher: rx frames are buffered and replayed on
-  // resume(); workers already executing keep running (no preemption).
+  // stalled dispatcher: frames picked up are buffered, and resume()
+  // dispatches them in arrival order without pacing them again (each
+  // paid its dispatch cost at pickup); workers already executing keep
+  // running (no preemption).
   void crash();
   void restart();
   void pause();
@@ -141,9 +152,9 @@ class Server : public phys::Node {
     wire::Ipv4Address ip{};
     std::uint16_t udp_port = 0;
   };
-  /// A request in flight through dispatch, reassembly, and the FCFS
-  /// queue: the NetClone header, the return route, and the received
-  /// frame, which carries the RPC body and takes the response.
+  /// A request in flight through reassembly and the FCFS queue: the
+  /// NetClone header, the return route, and the received frame, which
+  /// carries the RPC body and takes the response.
   struct PendingRequest {
     wire::NetCloneHeader nc{};
     ResponseRoute from{};
@@ -170,6 +181,9 @@ class Server : public phys::Node {
     SimTime service{};
   };
 
+  /// Checksum and parse checks, then on_dispatch: the dispatcher's work
+  /// on one picked-up frame.
+  void dispatch(wire::FrameHandle frame);
   void on_dispatch(PendingRequest& req);
   void on_cancel(const wire::NetCloneHeader& nc);
   /// Returns true when all fragments arrived; `req` then holds the
@@ -188,10 +202,6 @@ class Server : public phys::Node {
   wire::Ipv4Address my_ip_;
   wire::MacAddress my_mac_;
 
-  SimTime dispatcher_busy_until_ = SimTime::zero();
-  /// Requests received and waiting for the dispatcher thread, in arrival
-  /// order; each dispatch event pops the front.
-  Ring<PendingRequest> dispatch_queue_;
   Ring<QueueEntry> queue_;
   /// Requests in execution, indexed by the slot their completion event
   /// captured; free_slots_ lists the reusable ones.
@@ -207,14 +217,14 @@ class Server : public phys::Node {
   std::vector<std::uint64_t> expired_keys_;
   std::uint64_t dispatch_counter_ = 0;
   std::uint32_t busy_workers_ = 0;
-  /// Bumped by crash(); scheduled dispatch/completion events carry the
-  /// epoch they were created in and no-op when it is stale, before they
-  /// touch dispatch_queue_ or in_service_ (crash() clears both).
+  /// Bumped by crash(); scheduled completion events carry the epoch they
+  /// were created in and no-op when it is stale, before they touch
+  /// in_service_ (crash() clears it).
   std::uint64_t epoch_ = 0;
   bool crashed_ = false;
   bool paused_ = false;
   double slowdown_ = 1.0;
-  /// Frames received while paused, replayed in order on resume().
+  /// Frames picked up while paused, dispatched in order on resume().
   std::vector<wire::FrameHandle> paused_rx_;
   ServerStats stats_;
 };

@@ -42,6 +42,7 @@ Link::~Link() { cancel_deliveries(); }
 
 void Link::connect_to(Node* dst, std::size_t dst_port) {
   NETCLONE_CHECK(dst_ == nullptr, "link already connected");
+  receive_cost_ = dst->attach_ingress();
   dst_ = dst;
   dst_port_ = dst_port;
 }
@@ -99,16 +100,17 @@ void Link::transmit_impaired(SimTime ready, wire::FrameHandle frame) {
     ++stats_.duplicated_frames;
     enqueue(ready, std::move(dup_copy), /*duplicate=*/true);
   }
-  // Reorder only while the earlier frame is still in flight at `ready`
-  // (delivered by then, it could not be overtaken), so no frame is ever
+  // Reorder only while the earlier frame is still on the wire at `ready`
+  // (arrived by then, it could not be overtaken), so no frame is ever
   // delivered before it is ready.
   if (st.cfg.reorder_rate > 0.0 && pending_.size() >= 2 &&
       pending_[pending_.size() - 2].deliver_at > ready &&
       st.rng.bernoulli(st.cfg.reorder_rate)) {
     // Reorder by swapping the *frames* of the last two FIFO entries.
-    // Delivery times, delivery events, and occupancy accounting stay with
-    // their slots, so the swap is invisible to the event machinery — the
-    // receiver just sees the two frames in the opposite order.
+    // Arrival and pickup times, delivery events, and occupancy accounting
+    // stay with their slots, so the swap is invisible to the event
+    // machinery — the receiver just sees the two frames in the opposite
+    // order.
     InFlight& last = pending_.back();
     std::swap(last.frame, pending_[pending_.size() - 2].frame);
     last.swapped ^= 1U;
@@ -132,15 +134,16 @@ std::size_t Link::occupancy_at(SimTime ready) const {
 }
 
 std::size_t Link::queued() const {
-  std::size_t not_ready = 0;
-  // Ready times never decrease along the FIFO.
-  for (std::size_t i = pending_.size();
-       i > 0 && pending_[i - 1].ready() > sim_.now(); --i) {
-    if (pending_[i - 1].counted_queued != 0) {
-      ++not_ready;
+  const SimTime now = sim_.now();
+  std::size_t held = 0;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const InFlight& entry = pending_[i];
+    if (entry.counted_queued != 0 && entry.ready() <= now &&
+        entry.deliver_at > now) {
+      ++held;
     }
   }
-  return queued_ - not_ready;
+  return held;
 }
 
 void Link::enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate) {
@@ -160,12 +163,17 @@ void Link::enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate) {
     ++queued_;
   }
   const SimTime deliver_at = busy_until_ + params_.delay;
+  // The receiver's thread takes frames one at a time, in arrival order.
+  picked_up_until_ =
+      std::max(deliver_at, picked_up_until_) + receive_cost_;
   InFlight& entry = pending_.emplace_back();
   entry.deliver_at = deliver_at;
+  entry.pickup_at = picked_up_until_;
   entry.ready_ns = static_cast<std::uint64_t>(ready.ns()) & kReadyMask;
   entry.counted_queued = counted_queued ? 1U : 0U;
   entry.duplicate = duplicate ? 1U : 0U;
-  entry.delivery = sim_.schedule_at(deliver_at, [this] { deliver_front(); });
+  entry.delivery =
+      sim_.schedule_at(picked_up_until_, [this] { deliver_front(); });
   entry.frame = std::move(frame);
 }
 
@@ -192,13 +200,15 @@ std::size_t Link::retract_not_ready() {
     }
     pending_.pop_back();
   }
-  // The transmitter is busy until the last kept frame has serialized.
-  // With none kept, every earlier frame has been delivered, so it is
-  // idle now.
+  // The transmitter is busy until the last kept frame has serialized,
+  // and the receiver until it has picked that frame up. With none kept,
+  // every earlier frame has been delivered, so both are idle now.
   if (pending_.empty()) {
     busy_until_ = std::min(busy_until_, sim_.now());
+    picked_up_until_ = std::min(picked_up_until_, sim_.now());
   } else {
     busy_until_ = pending_.back().deliver_at - params_.delay;
+    picked_up_until_ = pending_.back().pickup_at;
   }
   return handoffs;
 }
@@ -248,6 +258,7 @@ void Link::set_up(bool up) {
     pending_.clear();
     queued_ = 0;
     busy_until_ = sim_.now();
+    picked_up_until_ = sim_.now();
   }
 }
 

@@ -12,19 +12,28 @@
 // when its sender thread has paid the per-packet cost. The FIFO starts the
 // frame at max(busy_until, ready) and decides drop-tail admission and
 // reordering against the queue as it will stand at `ready`, so the
-// sender needs no event of its own to wait out the delay — one engine
-// event per hop.
+// sender needs no event of its own to wait out the delay.
 //
-// Handed-over frames — in flight, queued, or not ready yet — wait in one
-// per-link FIFO, and each one's delivery event is scheduled at hand-off.
-// Delivery times and scheduling sequence numbers both grow along the
-// FIFO, so the events fire in FIFO order and each one delivers the front
-// frame. Taking the link down cancels the events of every frame in the
-// FIFO and clears it, which is also what makes a down/up cycle safe: no
-// stale event survives to corrupt the revived link's drop-tail occupancy.
-// A failing sender can take back the frames it handed over that are not
-// ready yet (retract_not_ready); their events are cancelled too, and so
-// are those of a link destroyed with frames in flight.
+// The receive side mirrors it. A receiver whose thread spends a fixed
+// time on every frame (Node::receive_cost: a server's dispatcher, a
+// client's receiver thread) is a serial stage right behind the wire, and
+// it has this one link as its only ingress. So the link computes the
+// pickup instant at hand-off too, pickup = max(wire arrival, previous
+// pickup) + cost, and delivers the frame then. For a receiver without a
+// cost (a switch) the pickup is the wire arrival. Wire arrival frees the
+// frame's drop-tail slot either way. One engine event per hop.
+//
+// Handed-over frames — not ready yet, queued, in flight, or awaiting
+// pickup — wait in one per-link FIFO, and each one's delivery event is
+// scheduled at hand-off. Pickup times and scheduling sequence numbers
+// both grow along the FIFO, so the events fire in FIFO order and each one
+// delivers the front frame. Taking the link down cancels the events of
+// every frame in the FIFO and clears it, which is also what makes a
+// down/up cycle safe: no stale event survives to corrupt the revived
+// link's drop-tail occupancy. A failing sender can take back the frames
+// it handed over that are not ready yet (retract_not_ready); their events
+// are cancelled too, and so are those of a link destroyed with frames in
+// flight.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +94,8 @@ class Link {
   Link& operator=(const Link&) = delete;
 
   /// Wires the receive side. `dst_port` is the port index on `dst` at which
-  /// frames arrive.
+  /// frames arrive. Reads the receiver's per-frame cost once (see
+  /// Node::attach_ingress).
   void connect_to(Node* dst, std::size_t dst_port);
 
   /// Enqueues a frame that is ready now; may drop if the queue is full.
@@ -102,16 +112,17 @@ class Link {
 
   /// Takes back every frame whose ready time is not before now — frames
   /// still inside a failing sender — as if they had never been handed
-  /// over: busy_until, drop-tail occupancy, tx_frames and tx_bytes roll
-  /// back, and a reorder swap that moved one of them is undone. Copies
-  /// the link refused at hand-off stay counted where they were lost, and
-  /// impairment draws are not returned to the stream. Returns the number
-  /// of the sender's hand-offs removed (a duplicate the impairment model
-  /// added is not one).
+  /// over: busy_until, the receiver's pickup clock, drop-tail occupancy,
+  /// tx_frames and tx_bytes roll back, and a reorder swap that moved one
+  /// of them is undone. Copies the link refused at hand-off stay counted
+  /// where they were lost, and impairment draws are not returned to the
+  /// stream. Returns the number of the sender's hand-offs removed (a
+  /// duplicate the impairment model added is not one).
   std::size_t retract_not_ready();
 
-  /// Administratively disables the link; queued and in-flight frames are
-  /// lost (models pulling the cable / peer down).
+  /// Administratively disables the link; queued and in-flight frames, and
+  /// frames that arrived but await the receiver's pickup, are lost
+  /// (models pulling the cable / peer down).
   void set_up(bool up);
   [[nodiscard]] bool is_up() const { return up_; }
 
@@ -127,25 +138,27 @@ class Link {
     return impair_ != nullptr ? &impair_->cfg : nullptr;
   }
 
-  /// Handed-over frames awaiting delivery: not ready yet, queued, or in
-  /// flight (one pending delivery event each).
+  /// Handed-over frames awaiting delivery: not ready yet, queued, in
+  /// flight, or awaiting pickup (one pending delivery event each).
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
   /// Frames currently holding a drop-tail occupancy slot. A frame that is
-  /// not ready yet holds none.
+  /// not ready yet, or has reached the far end of the wire, holds none.
   [[nodiscard]] std::size_t queued() const;
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] const LinkParams& params() const { return params_; }
 
  private:
-  /// Kept at 32 bytes on 64-bit targets (the flags share the ready
-  /// time's word), so two entries share a cache line and the occupancy
-  /// walks touch few lines.
+  /// Kept at 40 bytes on 64-bit targets (the flags share the ready
+  /// time's word), so the occupancy walks touch few cache lines.
   struct InFlight {
+    /// Wire arrival: the frame's drop-tail slot is free from here on.
     SimTime deliver_at;
+    /// The receiver picks the frame up and its delivery event fires.
+    SimTime pickup_at;
     /// Ready time in nanoseconds (61 bits hold 73 years; see ready()).
     std::uint64_t ready_ns : 61;
-    /// Holds a drop-tail occupancy slot until delivery.
+    /// Holds a drop-tail occupancy slot until wire arrival.
     std::uint64_t counted_queued : 1;
     /// A second copy added by the impairment model.
     std::uint64_t duplicate : 1;
@@ -160,7 +173,7 @@ class Link {
       return SimTime::nanoseconds(static_cast<std::int64_t>(ready_ns));
     }
   };
-  static_assert(sizeof(InFlight) <= 32, "link FIFO entry grew");
+  static_assert(sizeof(InFlight) <= 40, "link FIFO entry grew");
 
   /// Per-link impairment state, allocated only when a non-zero config is
   /// installed — a clean link carries a null pointer and the transmit
@@ -172,7 +185,7 @@ class Link {
 
   [[nodiscard]] SimTime serialization_time(std::size_t bytes) const;
   /// Drop-tail occupancy at `ready`: queued_ minus the occupancy slots of
-  /// frames delivered by then.
+  /// frames that reached the far end of the wire by then.
   [[nodiscard]] std::size_t occupancy_at(SimTime ready) const;
   /// The clean enqueue path: drop-tail check, FIFO push, delivery event.
   void enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate);
@@ -181,8 +194,8 @@ class Link {
   /// the frame bytes of the last two FIFO entries while the earlier one
   /// is still in flight at `ready`).
   void transmit_impaired(SimTime ready, wire::FrameHandle frame);
-  /// Fired by each frame's delivery event: hands the FIFO's front frame
-  /// to the receiver.
+  /// Fired by each frame's delivery event at its pickup: hands the FIFO's
+  /// front frame to the receiver.
   void deliver_front();
   /// Cancels the delivery event of every FIFO entry.
   void cancel_deliveries();
@@ -191,11 +204,17 @@ class Link {
   LinkParams params_;
   Node* dst_ = nullptr;
   std::size_t dst_port_ = 0;
+  /// The receiver's per-frame cost, read at connect_to.
+  SimTime receive_cost_ = SimTime::zero();
   SimTime busy_until_ = SimTime::zero();
+  /// Pickup instant of the latest hand-off: the receiver's thread is busy
+  /// until then.
+  SimTime picked_up_until_ = SimTime::zero();
   /// Ready time of the latest hand-off; hand-offs come in ready order.
   SimTime last_ready_ = SimTime::zero();
-  /// Occupancy slots held by FIFO entries, frames not ready yet included
-  /// (queued() leaves those out).
+  /// Occupancy slots held by FIFO entries until their pickup, frames not
+  /// ready yet and frames past wire arrival included (queued() leaves
+  /// those out).
   std::size_t queued_ = 0;
   bool up_ = true;
   Ring<InFlight> pending_;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/check.hpp"
 #include "phys/link.hpp"
 
 namespace netclone::phys {
@@ -9,6 +10,14 @@ namespace netclone::phys {
 std::size_t Node::attach_egress(Link* link) {
   egress_.push_back(link);
   return egress_.size() - 1;
+}
+
+SimTime Node::attach_ingress() {
+  const SimTime cost = receive_cost();
+  NETCLONE_CHECK(cost == SimTime::zero() || ingress_links_ == 0,
+                 "a node with a receive cost takes one ingress link");
+  ++ingress_links_;
+  return cost;
 }
 
 void Node::send(std::size_t port, wire::FrameHandle frame) {

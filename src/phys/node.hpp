@@ -20,17 +20,33 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Called by a link when a frame arrives on `port`. The handle may share
-  /// its bytes with other in-flight copies of the frame (multicast); treat
-  /// the bytes as immutable and mutate only through wire::PacketView's
-  /// copy-on-write setters. (wire::Frame converts implicitly, so legacy
-  /// callers passing owned vectors still work.)
+  /// Called by a link when the node picks up a frame that arrived on
+  /// `port`: at wire arrival plus receive_cost(), behind the frames before
+  /// it. The handle may share its bytes with other in-flight copies of the
+  /// frame (multicast); treat the bytes as immutable and mutate only
+  /// through wire::PacketView's copy-on-write setters. (wire::Frame
+  /// converts implicitly, so legacy callers passing owned vectors still
+  /// work.)
   virtual void handle_frame(std::size_t port, wire::FrameHandle frame) = 0;
+
+  /// CPU time the node's receive thread spends on every frame before
+  /// handle_frame sees it: a serial stage its ingress link models (see
+  /// Link). Zero — the default — hands frames over at wire arrival; a
+  /// switch and the LÆDGE coordinator, which models its own CPU, keep it.
+  [[nodiscard]] virtual SimTime receive_cost() const {
+    return SimTime::zero();
+  }
 
   /// Registers an egress link and returns the new port index. Called by
   /// Topology while wiring; a node's ingress port i receives from the peer
   /// wired at the same index.
   std::size_t attach_egress(Link* link);
+
+  /// Registers an ingress link (Link::connect_to) and returns
+  /// receive_cost(). A node with a receive cost has one receive thread
+  /// behind one link, so it takes a single ingress link: a second one
+  /// throws CheckFailure.
+  SimTime attach_ingress();
 
   [[nodiscard]] std::size_t port_count() const { return egress_.size(); }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -54,6 +70,7 @@ class Node {
  private:
   std::string name_;
   std::vector<Link*> egress_;
+  std::size_t ingress_links_ = 0;
 };
 
 }  // namespace netclone::phys

@@ -35,11 +35,11 @@ void SwitchDevice::fail() {
     return;
   }
   failed_ = true;
-  ++fail_epoch_;
+  fail_times_.push_back(sim_.now());
   // Copies still inside the pipeline never leave, even if the switch
   // recovers before they would have: take back the ones already handed
-  // to an egress link (their ready time has not come). A loopback copy's
-  // egress event sees the epoch change.
+  // to an egress link (their ready time has not come). A loopback copy
+  // finds this fail's time when it re-enters.
   const std::size_t lost = retract_not_ready();
   stats_.tx_frames -= lost;
   stats_.flushed_in_pipeline += lost;
@@ -132,23 +132,24 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
 void SwitchDevice::emit(std::size_t port, SimTime ready,
                         wire::FrameHandle bytes) {
   if (is_loopback(port)) {
-    // A loopback copy has no link to wait in: it keeps a timed egress
-    // event, then re-enters ingress after the recirculation latency (the
-    // loopback port's turnaround).
+    // A loopback copy has no link to wait in: it re-enters ingress the
+    // recirculation latency (the loopback port's turnaround) after its
+    // egress instant, in one event. A fail at or before `ready` caught it
+    // inside the pipeline; after that it was in the loop and meets the
+    // ingress as it stands at re-entry.
     static constexpr SimTime kRecirculationLatency = SimTime::nanoseconds(450);
-    sim_.schedule_at(ready, [this, port, epoch = fail_epoch_,
-                             bytes = std::move(bytes)]() mutable {
-      if (epoch != fail_epoch_) {
-        ++stats_.flushed_in_pipeline;  // the switch failed meanwhile
-        return;
-      }
-      ++stats_.recirculated;
-      sim_.schedule_after(
-          kRecirculationLatency,
-          [this, port, bytes = std::move(bytes)]() mutable {
-            process(port, std::move(bytes), /*recirculated=*/true);
-          });
-    });
+    sim_.schedule_at(ready + kRecirculationLatency,
+                     [this, port, ready, fails = fail_times_.size(),
+                      bytes = std::move(bytes)]() mutable {
+                       if (fails < fail_times_.size() &&
+                           fail_times_[fails] <= ready) {
+                         ++stats_.flushed_in_pipeline;
+                         return;
+                       }
+                       ++stats_.recirculated;
+                       process(port, std::move(bytes),
+                               /*recirculated=*/true);
+                     });
     return;
   }
   ++stats_.tx_frames;

@@ -19,6 +19,7 @@ struct SwitchStats {
   std::uint64_t rx_frames = 0;
   std::uint64_t tx_frames = 0;
   std::uint64_t dropped_by_program = 0;
+  /// Loopback copies that re-entered ingress (counted at re-entry).
   std::uint64_t recirculated = 0;
   std::uint64_t multicast_copies = 0;
   std::uint64_t parse_errors = 0;
@@ -31,8 +32,9 @@ struct SwitchStats {
   /// copies handed to ports at the end of the pass).
   std::uint64_t egress_scheduled = 0;
   /// Copies lost because the switch failed while they were still inside
-  /// the pipeline (taken back from the egress link, or a loopback copy).
-  /// A lost copy counts here and not in tx_frames.
+  /// the pipeline, at or before their egress instant (taken back from the
+  /// egress link, or a loopback copy). A lost copy counts here and not in
+  /// tx_frames.
   std::uint64_t flushed_in_pipeline = 0;
   /// Mid-run register wipes injected via wipe_soft_state().
   std::uint64_t soft_state_wipes = 0;
@@ -51,7 +53,8 @@ class SwitchDevice : public phys::Node {
   [[nodiscard]] const Pipeline& pipeline() const { return pipeline_; }
 
   /// Marks a port as loopback: frames egressing there re-enter ingress
-  /// after the recirculation latency (§3.4 "Cloning in the switch").
+  /// after the recirculation latency (§3.4 "Cloning in the switch"), one
+  /// event per copy.
   void set_loopback_port(std::size_t port);
 
   /// Adds a port that exists on the ASIC but is not cabled; used to create
@@ -100,9 +103,10 @@ class SwitchDevice : public phys::Node {
   FlatMap64<std::vector<std::size_t>> mcast_groups_;
   std::size_t internal_ports_ = 0;
   bool failed_ = false;
-  /// Bumped by fail(); a loopback copy's egress event carries the epoch
-  /// of its pass and is lost when it no longer matches.
-  std::uint64_t fail_epoch_ = 0;
+  /// The instant of every fail(), in order. A loopback copy carries the
+  /// count at its pass; at re-entry, the first fail after the pass decides
+  /// whether it was lost inside the pipeline.
+  std::vector<SimTime> fail_times_;
   SwitchStats stats_;
 };
 

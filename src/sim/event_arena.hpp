@@ -57,7 +57,7 @@ struct EventId {
 class EventCallback {
  public:
   /// Inline capture budget. 64 bytes covers `this` + a frame handle + a
-  /// few scalars (the switch's loopback egress closure, 32 B) without
+  /// few scalars (the switch's loopback closure, 40 B) without
   /// bloating the event arena's slots; the link-delivery lambda captures
   /// only `this`.
   static constexpr std::size_t kInlineCapacity = 64;

@@ -355,5 +355,34 @@ TEST(Client, RejectsBadConfigs) {
       CheckFailure);
 }
 
+TEST(ClientFaults, ACorruptedFramePaysTheReceiverThread) {
+  // A response that fails its checksum is discarded only once the
+  // receiver thread has picked it up, so the good copy behind it completes
+  // the request one rx_cost later.
+  const auto latency = [](bool corrupted_first) {
+    ClientParams p = base_params(SendMode::kViaSwitch, 100000.0);
+    p.stop_at = SimTime::microseconds(100);  // a handful of requests
+    Rig rig{p};
+    rig.client->start();
+    rig.sim.run();
+    const auto pkts = rig.wire_end->packets();
+    EXPECT_GE(pkts.size(), 1U);
+    const wire::Packet resp =
+        netclone::testing::make_response(ServerId{2}, 0, pkts.at(0));
+    if (corrupted_first) {
+      wire::Frame bad = resp.serialize();
+      bad.back() ^= std::byte{0x01};
+      rig.wire_end->transmit(0, bad);
+    }
+    rig.wire_end->transmit(0, resp.serialize());
+    rig.sim.run();
+    const ClientStats& stats = rig.client->stats();
+    EXPECT_EQ(stats.completed, 1U);
+    EXPECT_EQ(stats.checksum_drops, corrupted_first ? 1U : 0U);
+    return stats.latency.max();
+  };
+  EXPECT_EQ(latency(true), latency(false) + ClientParams{}.rx_cost);
+}
+
 }  // namespace
 }  // namespace netclone::host

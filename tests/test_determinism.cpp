@@ -89,7 +89,9 @@ TEST(Determinism, DifferentSeedsProduceDifferentSchedules) {
 // recorded result, so they pin what the data path computes across
 // commits: a change that moves one changes simulated behaviour, not just
 // speed. The values were re-recorded when links began taking frames with
-// a ready time (one event per hop): executed_events fell, and
+// a ready time (one event per hop), and again when a host's ingress link
+// began delivering each frame at its receive thread's pickup and a clone
+// began recirculating in one event: each time executed_events fell, and
 // chaos_digest moved only because it folds that count — with the fold
 // left out, every digest equals the one recorded before the change.
 
@@ -114,7 +116,7 @@ void expect_pinned(const ClusterConfig& cfg, const Pin& pin) {
 TEST(Determinism, GoldenPinCleanChaosCluster) {
   // Retransmission armed: every request holds a TCP-mode timer.
   expect_pinned(testing::chaos_cluster(/*seed=*/77),
-                Pin{6854595986237259463ULL, 279, 130560, 4734});
+                Pin{6140230645322921474ULL, 279, 130560, 3386});
 }
 
 TEST(Determinism, GoldenPinRandomFaultPlan) {
@@ -123,7 +125,7 @@ TEST(Determinism, GoldenPinRandomFaultPlan) {
   Rng plan_rng{0xC0FFEE};
   cfg.faults = testing::random_fault_plan(
       plan_rng, cfg.server_workers.size(), cfg.num_clients);
-  expect_pinned(cfg, Pin{891313825688686467ULL, 296, 585728, 4623});
+  expect_pinned(cfg, Pin{10969227387702829547ULL, 296, 585728, 3350});
 }
 
 TEST(Determinism, GoldenPinImpairedLinks) {
@@ -145,7 +147,7 @@ TEST(Determinism, GoldenPinImpairedLinks) {
       impair("s2-sw0", FaultAction::kDuplicateRate, 0.03),
       impair("sw0-c1", FaultAction::kCorruptRate, 0.02),
   };
-  expect_pinned(cfg, Pin{15509716551751228117ULL, 269, 464896, 4295});
+  expect_pinned(cfg, Pin{5531572714352056751ULL, 269, 464896, 3077});
 }
 
 TEST(Determinism, GoldenPinNetCloneRackSched) {
@@ -168,7 +170,7 @@ TEST(Determinism, GoldenPinNetCloneRackSched) {
   EXPECT_EQ(result.p99.ns(), 144384);
   EXPECT_EQ(result.cloned_requests, 3450U);
   EXPECT_EQ(result.filtered_responses, 2708U);
-  EXPECT_EQ(exp.executed_events(), 80304U);
+  EXPECT_EQ(exp.executed_events(), 58132U);
 }
 
 }  // namespace

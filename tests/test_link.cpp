@@ -6,6 +6,7 @@
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -468,6 +469,351 @@ TEST(LinkHandOff, RetractRestoresTheLinkAsIfNeverHandedOver) {
                                                              {2_us, 4}}));
   EXPECT_EQ(link.stats().tx_frames, 2U);
   EXPECT_EQ(link.stats().tx_bytes, 250U);
+}
+
+// -- receive side: one event per frame, at the receiver's pickup -------------
+
+/// A receiver whose thread spends `cost` on every frame. Records each
+/// delivery's instant and the frame's 16-bit tag (its first two bytes).
+class CostlyReceiver : public Node {
+ public:
+  CostlyReceiver(const sim::Simulator& sim, SimTime cost)
+      : Node("receiver"), sim_(sim), cost_(cost) {}
+  [[nodiscard]] SimTime receive_cost() const override { return cost_; }
+  void handle_frame(std::size_t /*port*/, wire::FrameHandle frame) override {
+    const std::span<const std::byte> b = frame.bytes();
+    seen.emplace_back(sim_.now(), std::to_integer<int>(b[0]) << 8 |
+                                      std::to_integer<int>(b[1]));
+  }
+
+  std::vector<std::pair<SimTime, int>> seen;
+
+ private:
+  const sim::Simulator& sim_;
+  SimTime cost_;
+};
+
+wire::Frame tag16_frame(std::size_t n, int tag) {
+  wire::Frame f(n, std::byte{0});
+  f[0] = static_cast<std::byte>(tag >> 8);
+  f[1] = static_cast<std::byte>(tag & 0xFF);
+  return f;
+}
+
+/// The receive path as its definition: a wire stage (drop-tail queue,
+/// serialization, delay), then a serial thread that takes `cost` per
+/// frame in arrival order. Its state is a function of the hand-offs
+/// accepted since the link last came up, so a retracted hand-off is
+/// simply forgotten, and a downed link loses every frame not picked up.
+class ReferenceReceivePath {
+ public:
+  ReferenceReceivePath(LinkParams params, SimTime cost)
+      : params_(params), cost_(cost) {}
+
+  /// Brings the model to instant `t`, just before an event scheduled
+  /// ahead of every hand-off runs there: frames picked up before `t` are
+  /// delivered.
+  void advance(SimTime t) {
+    while (next_ < accepted_.size() && accepted_[next_].pickup < t) {
+      delivered.emplace_back(accepted_[next_].pickup, accepted_[next_].tag);
+      ++next_;
+    }
+  }
+  void hand_off(SimTime ready, std::size_t size, int tag) {
+    if (!up_) {
+      ++dropped;
+      return;
+    }
+    const SimTime busy = accepted_.empty() ? base_ : accepted_.back().sent;
+    std::size_t occupancy = 0;
+    for (const Entry& e : accepted_) {
+      if (e.waited && e.arrive > ready) {
+        ++occupancy;
+      }
+    }
+    if (busy > ready && occupancy >= params_.queue_capacity) {
+      ++dropped;
+      return;
+    }
+    Entry e;
+    e.ready = ready;
+    e.waited = busy > ready;
+    e.sent = std::max(busy, ready) +
+             SimTime::seconds(static_cast<double>(size) * 8.0 /
+                              params_.rate_bps);
+    e.arrive = e.sent + params_.delay;
+    const SimTime thread_free =
+        accepted_.empty() ? base_ : accepted_.back().pickup;
+    e.pickup = std::max(e.arrive, thread_free) + cost_;
+    e.tag = tag;
+    accepted_.push_back(e);
+  }
+  std::size_t retract(SimTime now) {
+    std::size_t n = 0;
+    while (accepted_.size() > next_ && accepted_.back().ready >= now) {
+      accepted_.pop_back();
+      ++n;
+    }
+    return n;
+  }
+  void set_up(bool up, SimTime now) {
+    if (up_ && !up) {
+      flushed += accepted_.size() - next_;
+      accepted_.clear();
+      next_ = 0;
+      base_ = now;
+    }
+    up_ = up;
+  }
+  [[nodiscard]] std::size_t in_flight() const {
+    return accepted_.size() - next_;
+  }
+  [[nodiscard]] std::size_t queued(SimTime now) const {
+    std::size_t n = 0;
+    for (std::size_t i = next_; i < accepted_.size(); ++i) {
+      const Entry& e = accepted_[i];
+      if (e.waited && e.ready <= now && e.arrive > now) {
+        ++n;
+      }
+    }
+    return n;
+  }
+
+  std::vector<std::pair<SimTime, int>> delivered;
+  std::uint64_t dropped = 0;
+  std::uint64_t flushed = 0;
+
+ private:
+  struct Entry {
+    SimTime ready;
+    SimTime sent;    // end of serialization
+    SimTime arrive;  // wire arrival: the drop-tail slot is free
+    SimTime pickup;  // the thread is done with the frame: delivery
+    bool waited = false;
+    int tag = 0;
+  };
+
+  LinkParams params_;
+  SimTime cost_;
+  std::vector<Entry> accepted_;  // since the last down; delivered included
+  std::size_t next_ = 0;         // first entry not yet delivered
+  SimTime base_ = SimTime::zero();
+  bool up_ = true;
+};
+
+SimTime random_ns(Rng& rng, std::uint64_t below) {
+  return SimTime::nanoseconds(
+      static_cast<std::int64_t>(rng.next_below(below)));
+}
+
+TEST(LinkReceiver, DeliversEachFrameAtItsPickupLikeTheReferenceModel) {
+  // Random sizes, ready times, rates, delays, costs and capacities, with
+  // retractions and down/up cycles: every frame is delivered, in FIFO
+  // order, at max(wire arrival, previous pickup) + cost, and drop-tail
+  // slots free at wire arrival, exactly as in the reference model.
+  enum class Kind { kHandOff, kRetract, kDown, kUp };
+  struct Op {
+    SimTime at;
+    Kind kind;
+    SimTime ready;
+    std::size_t size;
+  };
+  constexpr std::array<double, 3> kRates{1e9, 10e9, 100e9};
+  std::size_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t flushed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng{seed};
+    LinkParams params;
+    params.rate_bps = kRates[rng.next_below(kRates.size())];
+    params.delay = random_ns(rng, 1000);
+    params.queue_capacity = 1 + rng.next_below(6);
+    const SimTime cost = random_ns(rng, 2000);
+    // Hand-offs come about one mean frame time apart, so queues build and
+    // drain.
+    const auto gap = static_cast<std::uint64_t>(2 * 780 * 8e9 /
+                                                params.rate_bps);
+
+    std::vector<Op> ops;
+    SimTime at = SimTime::zero();
+    SimTime last_ready = SimTime::zero();
+    for (int i = 0; i < 300; ++i) {
+      at = at + random_ns(rng, gap);
+      const std::uint64_t pick = rng.next_below(100);
+      if (pick < 88) {
+        last_ready = std::max(at + random_ns(rng, gap), last_ready);
+        ops.push_back(Op{at, Kind::kHandOff, last_ready,
+                         64 + static_cast<std::size_t>(rng.next_below(1437))});
+      } else {
+        const Kind kind = pick < 93   ? Kind::kRetract
+                          : pick < 95 ? Kind::kDown
+                                      : Kind::kUp;
+        ops.push_back(Op{at, kind, SimTime::zero(), 0});
+      }
+    }
+
+    sim::Simulator sim;
+    CostlyReceiver dst{sim, cost};
+    Link link{sim, params};
+    link.connect_to(&dst, 0);
+    ReferenceReceivePath ref{params, cost};
+    // Every op is scheduled before any hand-off, so at a shared instant
+    // it runs ahead of the link's delivery events (ReferenceReceivePath
+    // ::advance).
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      sim.schedule_at(ops[i].at, [&, i] {
+        const Op& op = ops[i];
+        ref.advance(op.at);
+        EXPECT_EQ(link.in_flight(), ref.in_flight()) << "seed " << seed;
+        EXPECT_EQ(link.queued(), ref.queued(op.at)) << "seed " << seed;
+        switch (op.kind) {
+          case Kind::kHandOff:
+            link.transmit_at(op.ready,
+                             tag16_frame(op.size, static_cast<int>(i)));
+            ref.hand_off(op.ready, op.size, static_cast<int>(i));
+            break;
+          case Kind::kRetract:
+            EXPECT_EQ(link.retract_not_ready(), ref.retract(op.at))
+                << "seed " << seed;
+            break;
+          case Kind::kDown:
+          case Kind::kUp:
+            link.set_up(op.kind == Kind::kUp);
+            ref.set_up(op.kind == Kind::kUp, op.at);
+            break;
+        }
+      });
+    }
+    sim.run();
+    ref.advance(SimTime::max());
+    EXPECT_EQ(dst.seen, ref.delivered) << "seed " << seed;
+    EXPECT_EQ(link.stats().dropped_frames, ref.dropped) << "seed " << seed;
+    EXPECT_EQ(link.stats().flushed_frames, ref.flushed) << "seed " << seed;
+    EXPECT_EQ(link.in_flight(), 0U);
+    delivered += dst.seen.size();
+    dropped += ref.dropped;
+    flushed += ref.flushed;
+  }
+  // The mix exercised every path.
+  EXPECT_GT(delivered, 2000U);
+  EXPECT_GT(dropped, 500U);
+  EXPECT_GT(flushed, 100U);
+}
+
+TEST(LinkReceiver, DuplicatesAndReordersKeepThePickupSchedule) {
+  // With duplication, reordering and impairment drops, the slots still
+  // follow the reference: each copy that reached the receiver holds a
+  // slot in hand-off order (a duplicate right behind its original), and
+  // a reorder swaps frames between slots but leaves every slot's pickup
+  // where it was.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng{seed};
+    LinkParams params;
+    params.rate_bps = 10e9;
+    params.delay = random_ns(rng, 1000);
+    params.queue_capacity = 1U << 20;  // never fills
+    const SimTime cost = random_ns(rng, 1500);
+
+    struct HandOff {
+      SimTime at;
+      SimTime ready;
+      std::size_t size;
+    };
+    std::vector<HandOff> handoffs;
+    SimTime at = SimTime::zero();
+    SimTime last_ready = SimTime::zero();
+    for (int i = 0; i < 300; ++i) {
+      at = at + random_ns(rng, 300);
+      last_ready = std::max(at + random_ns(rng, 1500), last_ready);
+      handoffs.push_back(
+          HandOff{at, last_ready,
+                  64 + static_cast<std::size_t>(rng.next_below(1437))});
+    }
+
+    sim::Simulator sim;
+    CostlyReceiver dst{sim, cost};
+    Link link{sim, params};
+    link.connect_to(&dst, 0);
+    LinkImpairments cfg;
+    cfg.drop_rate = 0.05;
+    cfg.duplicate_rate = 0.1;
+    cfg.reorder_rate = 0.3;
+    link.configure_impairments(cfg, seed);
+    for (std::size_t i = 0; i < handoffs.size(); ++i) {
+      sim.schedule_at(handoffs[i].at, [&, i] {
+        link.transmit_at(handoffs[i].ready,
+                         tag16_frame(handoffs[i].size, static_cast<int>(i)));
+      });
+    }
+    sim.run();
+
+    std::vector<std::size_t> copies(handoffs.size(), 0);
+    for (const auto& [t, tag] : dst.seen) {
+      ++copies[static_cast<std::size_t>(tag)];
+    }
+    ReferenceReceivePath ref{params, cost};
+    for (std::size_t i = 0; i < handoffs.size(); ++i) {
+      for (std::size_t c = 0; c < copies[i]; ++c) {
+        ref.hand_off(handoffs[i].ready, handoffs[i].size,
+                     static_cast<int>(i));
+      }
+    }
+    ref.advance(SimTime::max());
+    ASSERT_EQ(dst.seen.size(), ref.delivered.size()) << "seed " << seed;
+    std::size_t moved = 0;
+    for (std::size_t k = 0; k < dst.seen.size(); ++k) {
+      EXPECT_EQ(dst.seen[k].first, ref.delivered[k].first)
+          << "seed " << seed << " slot " << k;
+      const auto tag = static_cast<std::size_t>(dst.seen[k].second);
+      EXPECT_GE(dst.seen[k].first, handoffs[tag].ready + cost);
+      if (dst.seen[k].second != ref.delivered[k].second) {
+        ++moved;
+      }
+    }
+    const LinkStats& s = link.stats();
+    EXPECT_EQ(dst.seen.size(),
+              handoffs.size() + s.duplicated_frames - s.impaired_drops);
+    EXPECT_GT(s.duplicated_frames, 0U);
+    EXPECT_GT(s.reordered_frames, 0U);
+    EXPECT_GT(moved, 0U);
+  }
+}
+
+TEST(LinkReceiver, AReceiverWithACostTakesOneIngressLink) {
+  sim::Simulator sim;
+  CostlyReceiver costly{sim, 300_ns};
+  Link first{sim, LinkParams{}};
+  Link second{sim, LinkParams{}};
+  first.connect_to(&costly, 0);
+  EXPECT_THROW(second.connect_to(&costly, 1), CheckFailure);
+  // A receiver without a cost (a switch) takes any number.
+  CostlyReceiver free_receiver{sim, SimTime::zero()};
+  Link third{sim, LinkParams{}};
+  Link fourth{sim, LinkParams{}};
+  third.connect_to(&free_receiver, 0);
+  fourth.connect_to(&free_receiver, 1);
+}
+
+TEST(LinkReceiver, ADownedLinkLosesFramesAwaitingPickup) {
+  sim::Simulator sim;
+  CostlyReceiver dst{sim, 1_us};
+  LinkParams params;
+  params.rate_bps = 1e9;  // 125 bytes = 1 us
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+  link.transmit(tag16_frame(125, 1));  // arrives at 1 us, picked up at 2 us
+  sim.schedule_at(1500_ns, [&] {
+    EXPECT_EQ(link.in_flight(), 1U);
+    EXPECT_EQ(link.queued(), 0U);  // arrived: its slot is free
+    link.set_up(false);
+    link.set_up(true);
+    link.transmit(tag16_frame(125, 2));  // the thread is idle again
+  });
+  sim.run();
+  EXPECT_EQ(dst.seen,
+            (std::vector<std::pair<SimTime, int>>{{3500_ns, 2}}));
+  EXPECT_EQ(link.stats().flushed_frames, 1U);
 }
 
 // -- impairment model --------------------------------------------------------

@@ -93,24 +93,25 @@ TEST(FatTree, ReplicatedSameSeedRerunsAreIdentical) {
 TEST(FatTree, ReplicatedGoldenPin) {
   // Pins what the pod computes across commits, where the rerun test above
   // only compares a run with itself. Re-recorded when links began taking
-  // frames with a ready time: executed events fell, and the digest moved
-  // only through its fold of that count.
+  // frames with a ready time, and again when a host's ingress link began
+  // delivering each frame at its pickup: each time executed events fell,
+  // and the digest moved only through its fold of that count.
   const RunOutcome run =
       audited_run(fattree_config(AggMode::kReplicated));
-  EXPECT_EQ(run.digest, 11912010506036592716ULL);
+  EXPECT_EQ(run.digest, 3148370554329373494ULL);
   EXPECT_EQ(run.completed, 1426u);
   EXPECT_EQ(run.p99_ns, 160768);
-  EXPECT_EQ(run.executed, 29941u);
+  EXPECT_EQ(run.executed, 24667u);
 }
 
 TEST(FatTree, ObliviousGoldenPin) {
   // The oblivious pod's counterpart of the pin above: holds the client
   // ToR's cloning, wired by its core::Controller, across commits.
   const RunOutcome run = audited_run(fattree_config(AggMode::kOblivious));
-  EXPECT_EQ(run.digest, 13241905335124404977ULL);
+  EXPECT_EQ(run.digest, 17987066361553641800ULL);
   EXPECT_EQ(run.completed, 1423u);
   EXPECT_EQ(run.p99_ns, 154624);
-  EXPECT_EQ(run.executed, 29328u);
+  EXPECT_EQ(run.executed, 23992u);
 }
 
 TEST(FatTree, ReplicatedTierClonesAcrossRacks) {

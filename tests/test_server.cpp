@@ -245,5 +245,83 @@ TEST(Server, RejectsMoreThan64ResponseFragments) {
                CheckFailure);
 }
 
+// -- receive-path faults -----------------------------------------------------
+//
+// The server's ingress link delivers each frame when the dispatcher has
+// picked it up: wire arrival plus dispatch_cost, behind the frames before
+// it. A crash or pause acts on the frame at that instant.
+
+TEST(ServerFaults, AFramePickedUpWhileCrashedIsDropped) {
+  ServerParams p = params_with(4);
+  p.dispatch_cost = 1_us;
+  Rig rig{p};
+  // Both arrive by 0.87 us; the dispatcher picks them up at about 1.86 and
+  // 2.86 us.
+  rig.inject(make_request(0, 1, 0, 0, 1000));
+  rig.inject(make_request(0, 2, 0, 0, 1000));
+  rig.sim.schedule_at(1_us, [&] { rig.server->crash(); });
+  rig.sim.schedule_at(2_us, [&] { rig.server->restart(); });
+  rig.sim.run();
+  const ServerStats& s = rig.server->stats();
+  EXPECT_EQ(s.dropped_while_crashed, 1U);
+  EXPECT_EQ(s.rx_requests, 1U);
+  EXPECT_EQ(s.abandoned_in_flight, 0U);
+  const auto resp = rig.responses();
+  ASSERT_EQ(resp.size(), 1U);
+  EXPECT_EQ(resp[0].nc().client_seq, 2U);
+}
+
+TEST(ServerFaults, PausedBacklogIsDispatchedInArrivalOrderWithoutPacing) {
+  ServerParams p = params_with(1);
+  p.dispatch_cost = 1_us;
+  Rig rig{p};
+  rig.server->pause();
+  for (std::uint32_t i = 1; i <= 3; ++i) {
+    rig.inject(make_request(0, i, 0, 0, 10000));
+  }
+  rig.sim.schedule_at(10_us, [&] {
+    EXPECT_EQ(rig.server->stats().paused_frames, 3U);
+    EXPECT_EQ(rig.server->stats().rx_requests, 0U);
+    rig.server->resume();
+    // Each paid the dispatcher at pickup, so all three are dispatched
+    // at once: one runs, two wait.
+    EXPECT_EQ(rig.server->stats().rx_requests, 3U);
+    EXPECT_EQ(rig.server->queue_depth(), 2U);
+  });
+  rig.sim.run();
+  const auto resp = rig.responses();
+  ASSERT_EQ(resp.size(), 3U);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(resp[i].nc().client_seq, i + 1);
+    EXPECT_EQ(resp[i].nc().state, 2 - i);
+  }
+  // The last one waited for two executions (10 us + 150 ns response
+  // cost each) and not for the dispatcher.
+  EXPECT_EQ(rig.server->stats().queue_wait.max(),
+            SimTime::nanoseconds(2 * 10150));
+}
+
+TEST(ServerFaults, ACorruptedFramePaysTheDispatcher) {
+  // A frame that fails its checksum is discarded only once the dispatcher
+  // has picked it up, so the request behind it is served one
+  // dispatch_cost later.
+  const auto finished_at = [](bool corrupted_first) {
+    ServerParams p = params_with(1);
+    p.dispatch_cost = 1_us;
+    Rig rig{p};
+    if (corrupted_first) {
+      wire::Frame bad = make_request(0, 1, 0, 0, 1000).serialize();
+      bad.back() ^= std::byte{0x01};
+      rig.wire_end->transmit(0, bad);
+    }
+    rig.inject(make_request(0, 2, 0, 0, 1000));
+    rig.sim.run();
+    EXPECT_EQ(rig.responses().size(), 1U);
+    EXPECT_EQ(rig.server->stats().checksum_drops, corrupted_first ? 1U : 0U);
+    return rig.sim.now();
+  };
+  EXPECT_EQ(finished_at(true), finished_at(false) + 1_us);
+}
+
 }  // namespace
 }  // namespace netclone::host

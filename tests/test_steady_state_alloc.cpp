@@ -6,8 +6,10 @@
 // measured window opens and when it closes — two events on the run's own
 // engine — and asserts fewer than one allocation per 1,000 requests in
 // between. Growth during warm-up is fine: that is where queues, rings,
-// tables and pools reach their peak sizes. The margin tolerates a rare
-// doubling of a client's completion bitmap or a histogram.
+// tables and pools reach their peak sizes. Latency histograms reserve
+// their range at construction and clients size their completion bitmaps
+// in start(), so neither grows in the window; the margin tolerates a
+// rare doubling of a queue or a table.
 //
 // Sanitizer builds skip it: ASan and TSan supply their own operator new,
 // and ASan also turns frame recycling off.

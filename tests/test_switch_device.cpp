@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/l3_program.hpp"
+#include "core/netclone_program.hpp"
 #include "phys/topology.hpp"
 #include "pisa/resources.hpp"
 #include "test_util.hpp"
@@ -280,21 +281,55 @@ TEST(SwitchDevice, EachMulticastCopyLostInThePipelineCountsOnce) {
   expect_conserved(rig.sw->stats());
 }
 
+/// Loads a NetClone program that clones requests from a (the client) to
+/// two servers that both sit behind b; each clone's second copy goes
+/// through `loopback`.
+std::shared_ptr<core::NetCloneProgram> load_netclone(Rig& rig,
+                                                     std::size_t loopback) {
+  auto program = std::make_shared<core::NetCloneProgram>(
+      rig.sw->pipeline(), core::NetCloneConfig{});
+  rig.sw->load_program(program);
+  for (std::uint8_t sid = 0; sid < 2; ++sid) {
+    program->add_server(ServerId{sid}, host::server_ip(ServerId{sid}),
+                        rig.port_b, sid + 1U);
+    rig.sw->configure_multicast_group(sid + 1U, {rig.port_b, loopback});
+  }
+  program->install_groups(core::build_group_pairs(2));
+  program->add_route(host::client_ip(0), rig.port_a);
+  return program;
+}
+
+// A fail inside the pass loses the loopback copy in the pipeline, even
+// though the switch is back long before the copy would re-enter (at
+// 850 ns): a program's own loopback copy, and a NetClone clone's second
+// copy, whose original is taken back from its link as well.
 TEST(SwitchDevice, FailureLosesALoopbackCopyInsideThePipeline) {
-  Rig rig;
-  const std::size_t loopback = rig.sw->add_internal_port();
-  rig.sw->set_loopback_port(loopback);
-  rig.sw->load_program(
-      std::make_shared<RecircProgram>(loopback, rig.port_b));
-  rig.sw->handle_frame(rig.port_a, make_request(0, 5, 0, 0).serialize());
-  rig.sim.schedule_at(100_ns, [&] { rig.sw->fail(); });
-  rig.sim.schedule_at(200_ns, [&] { rig.sw->recover(); });
-  rig.sim.run();
-  EXPECT_TRUE(rig.b->received.empty());
-  EXPECT_EQ(rig.sw->stats().recirculated, 0U);
-  EXPECT_EQ(rig.sw->stats().flushed_in_pipeline, 1U);
-  EXPECT_EQ(rig.sw->stats().rx_frames, 1U);
-  expect_conserved(rig.sw->stats());
+  for (const bool clone : {false, true}) {
+    SCOPED_TRACE(clone ? "NetClone clone" : "RecircProgram");
+    Rig rig;
+    const std::size_t loopback = rig.sw->add_internal_port();
+    rig.sw->set_loopback_port(loopback);
+    std::shared_ptr<core::NetCloneProgram> netclone;
+    if (clone) {
+      netclone = load_netclone(rig, loopback);
+    } else {
+      rig.sw->load_program(
+          std::make_shared<RecircProgram>(loopback, rig.port_b));
+    }
+    rig.sw->handle_frame(rig.port_a, make_request(0, 5, 0, 0).serialize());
+    rig.sim.schedule_at(100_ns, [&] { rig.sw->fail(); });
+    rig.sim.schedule_at(200_ns, [&] { rig.sw->recover(); });
+    rig.sim.run();
+    EXPECT_TRUE(rig.b->received.empty());
+    EXPECT_EQ(rig.sw->stats().recirculated, 0U);
+    EXPECT_EQ(rig.sw->stats().flushed_in_pipeline, clone ? 2U : 1U);
+    EXPECT_EQ(rig.sw->stats().rx_frames, 1U);
+    expect_conserved(rig.sw->stats());
+    if (netclone) {
+      EXPECT_EQ(netclone->stats().cloned_requests, 1U);
+      EXPECT_EQ(netclone->stats().recirculated_clones, 0U);
+    }
+  }
 }
 
 TEST(SwitchDevice, PipelineFlushRestoresTheEgressLink) {
@@ -379,6 +414,49 @@ TEST(SwitchDevice, ZeroUdpChecksumStaysZeroAcrossARewrite) {
   EXPECT_EQ(wire::peek_u16(got, kUdpChecksum), 0U);
   EXPECT_EQ(wire::Packet::parse(got).ip.dst, dst);
   EXPECT_TRUE(wire::verify_frame_checksums(got));
+}
+
+// -- a fail racing a loopback copy -------------------------------------------
+//
+// A loopback copy re-enters ingress 450 ns after its egress instant (the
+// end of its pass, 400 ns out), in one event. A fail at or before the
+// egress instant caught the copy inside the pipeline, even when the
+// switch is back by re-entry (FailureLosesALoopbackCopyInsideThePipeline
+// above); a later fail meets it at the failed ingress (FailureRace in
+// test_deep_edge.cpp).
+
+TEST(SwitchFaults, FailAtTheEgressInstantLosesTheLoopbackCopy) {
+  Rig rig;
+  const std::size_t loopback = rig.sw->add_internal_port();
+  rig.sw->set_loopback_port(loopback);
+  rig.sw->load_program(
+      std::make_shared<RecircProgram>(loopback, rig.port_b));
+  rig.sw->handle_frame(rig.port_a, make_request(0, 5, 0, 0).serialize());
+  rig.sim.schedule_at(400_ns, [&] { rig.sw->fail(); });
+  rig.sim.schedule_at(500_ns, [&] { rig.sw->recover(); });
+  rig.sim.run();
+  EXPECT_TRUE(rig.b->received.empty());
+  EXPECT_EQ(rig.sw->stats().flushed_in_pipeline, 1U);
+  EXPECT_EQ(rig.sw->stats().recirculated, 0U);
+  EXPECT_EQ(rig.sw->stats().rx_frames, 1U);
+  expect_conserved(rig.sw->stats());
+}
+
+TEST(SwitchFaults, FailAfterTheEgressInstantMeetsTheCopyAtIngress) {
+  Rig rig;
+  const std::size_t loopback = rig.sw->add_internal_port();
+  rig.sw->set_loopback_port(loopback);
+  rig.sw->load_program(
+      std::make_shared<RecircProgram>(loopback, rig.port_b));
+  rig.sw->handle_frame(rig.port_a, make_request(0, 5, 0, 0).serialize());
+  rig.sim.schedule_at(401_ns, [&] { rig.sw->fail(); });
+  rig.sim.run();
+  EXPECT_TRUE(rig.b->received.empty());
+  EXPECT_EQ(rig.sw->stats().flushed_in_pipeline, 0U);
+  EXPECT_EQ(rig.sw->stats().recirculated, 1U);
+  EXPECT_EQ(rig.sw->stats().dropped_while_failed, 1U);
+  EXPECT_EQ(rig.sw->stats().rx_frames, 2U);
+  expect_conserved(rig.sw->stats());
 }
 
 }  // namespace
