@@ -1,14 +1,18 @@
-// Aggregation-layer router for multi-rack deployments (§3.7).
+// Plain L3 router: the one program that routes without NetClone logic.
 //
-// The paper's point: aggregation switches do not need to be NetClone-aware
-// at all — they run plain LPM routing and pass NetClone packets through
-// untouched. This program is exactly that: an LPM table plus per-port
-// traffic counters, with no parser branch for the NetClone header.
+// It serves three places: the rack ToR under the schemes that steer at
+// the hosts (the Baseline's random server choice, C-Clone, LÆDGE), with
+// a /32 route per host; the replicated pod's client ToR; and the
+// oblivious pod's aggregation switches. The last are the paper's point
+// about multi-rack deployments (§3.7): aggregation switches do not need
+// to be NetClone-aware at all — they run plain LPM routing and pass
+// NetClone packets through untouched. The program has no parser branch
+// for the NetClone header.
 //
-// Fat-tree extensions: the route capacity and port count are sized by the
-// harness from the topology (a misconfigured prefix or port fails loudly
-// at install time, not via a silent table miss), and a prefix may carry
-// several next hops — flow-hashed ECMP over the parallel agg trunks.
+// The route capacity and port count are sized by the harness from the
+// topology (a misconfigured prefix or port fails loudly at install time,
+// not via a silent table miss), and a prefix may carry several next hops
+// — flow-hashed ECMP over the parallel agg trunks.
 #pragma once
 
 #include <cstdint>
@@ -19,18 +23,18 @@
 
 namespace netclone::baselines {
 
-struct AggRouterStats {
+struct RouterStats {
   std::uint64_t routed = 0;
   std::uint64_t no_route_drops = 0;
 };
 
-class AggRouterProgram final : public pisa::SwitchProgram {
+class RouterProgram final : public pisa::SwitchProgram {
  public:
   /// `num_ports` bounds the egress ports routes may name; `route_capacity`
   /// bounds the LPM table. Both are meant to be derived from the topology
   /// being built (ports wired, prefixes to install).
-  AggRouterProgram(pisa::Pipeline& pipeline, std::size_t num_ports,
-                   std::size_t route_capacity = 4096);
+  RouterProgram(pisa::Pipeline& pipeline, std::size_t num_ports,
+                std::size_t route_capacity = 4096);
 
   /// Installs `prefix/len -> egress port`. Throws via NETCLONE_CHECK when
   /// the port is not one of the switch's `num_ports` or the table is full.
@@ -46,13 +50,8 @@ class AggRouterProgram final : public pisa::SwitchProgram {
   void on_ingress(wire::PacketView& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
-  [[nodiscard]] const char* name() const override { return "AggRouter"; }
-  [[nodiscard]] const AggRouterStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t num_ports() const { return num_ports_; }
-  /// Frames forwarded out of `port` so far (data-plane counter).
-  [[nodiscard]] std::uint64_t port_packets(std::size_t port) const {
-    return tx_counters_.packets(port);
-  }
+  [[nodiscard]] const char* name() const override { return "Router"; }
+  [[nodiscard]] const RouterStats& stats() const { return stats_; }
 
  private:
   struct NextHops {
@@ -63,8 +62,7 @@ class AggRouterProgram final : public pisa::SwitchProgram {
 
   std::size_t num_ports_;
   pisa::LpmTable<NextHops> routes_;
-  pisa::CounterArray tx_counters_;
-  AggRouterStats stats_;
+  RouterStats stats_;
 };
 
 }  // namespace netclone::baselines

@@ -14,13 +14,13 @@ namespace {
 
 NetCloneProgram::NetCloneProgram(pisa::Pipeline& pipeline,
                                  NetCloneConfig config, AggChainRole role,
-                                 UnclonedRoute uncloned)
+                                 Steering steering)
     : config_(config),
       role_(role),
-      uncloned_(uncloned),
+      steering_(steering),
       seq_(pipeline, "SEQ", 0, 0U),
-      grp_table_(pipeline, "GrpT", 1, config.max_groups, /*key_bytes=*/2,
-                 /*value_bytes=*/2),
+      grp_table_(pipeline, "GrpT", 1, group_count(config.max_servers),
+                 /*key_bytes=*/2, /*value_bytes=*/2),
       state_table_(pipeline, "StateT", 2, config.max_servers),
       shadow_table_(pipeline, "ShadowT", 3, config.max_servers),
       addr_table_(pipeline, "AddrT", 4, config.max_servers, /*key_bytes=*/1,
@@ -38,7 +38,7 @@ NetCloneProgram::NetCloneProgram(pisa::Pipeline& pipeline,
                  "multi-packet support needs client-tuple request ids: "
                  "fragments must share one REQ_ID (§3.7)");
   NETCLONE_CHECK(!config_.enable_multipacket ||
-                     uncloned_ == UnclonedRoute::kFirstCandidate,
+                     steering_ == Steering::kCloneOrFirst,
                  "multi-packet support needs uncloned requests on the first "
                  "candidate: a shorter-queue choice per fragment would "
                  "scatter one request's fragments across servers");
@@ -244,16 +244,18 @@ void NetCloneProgram::handle_request(wire::PacketView& pkt,
   // Line 6: both candidates idle? StateT serves srv1, the shadow copy
   // serves srv2 — one register array cannot be read twice in a pass. On
   // a replica the read is relaxed: updates still in the chain cost at
-  // most a missed or wasted clone, never correctness.
+  // most a missed or wasted clone, never correctness. RackSched never
+  // clones.
   const std::uint16_t s1 = state_table_.read(pass, pair->srv1);
   const std::uint16_t s2 = shadow_table_.read(pass, pair->srv2);
-  const bool clone = s1 == 0 && s2 == 0;
+  const bool clone =
+      s1 == 0 && s2 == 0 && steering_ != Steering::kShorterQueue;
 
   // Line 5: a clone's original and Algorithm 1's uncloned request go to
-  // the first candidate; the RackSched integration sends an uncloned
+  // the first candidate; the shorter-queue policies send an uncloned
   // request to the shorter queue.
   const bool to_srv2 =
-      uncloned_ == UnclonedRoute::kShorterQueue && !clone && s2 < s1;
+      steering_ != Steering::kCloneOrFirst && !clone && s2 < s1;
   const auto* entry =
       addr_table_.find(pass, to_srv2 ? pair->srv2 : pair->srv1);
   if (!entry) {

@@ -20,15 +20,18 @@
 // response. A ToR is the default chain of one: head and tail at once,
 // always a member, enacting its own verdicts.
 //
-// The §3.7 RackSched integration runs this same program. StateT holds
-// the piggybacked queue lengths; Algorithm 1 only tests them against
-// zero, while the integration also compares them: a request that is not
-// cloned joins the shorter of its two candidates' queues instead of the
-// first candidate's (UnclonedRoute::kShorterQueue).
+// RackSched [44] and the §3.7 integration run this same program, picked
+// by its Steering policy. StateT holds the piggybacked queue lengths;
+// Algorithm 1 only tests them against zero, while the other two policies
+// also compare them: the integration sends a request it does not clone
+// to the shorter of its two candidates' queues, and RackSched never
+// clones and always joins the shorter queue. The candidate pair is the
+// group the client drew, so RackSched's two samples are the client's
+// uniform draw over all ordered pairs of distinct servers.
 //
 // Stage layout (compile-time, mirrors the 7-stage budget of §4.1). AddrT
-// sits after the two state reads, because under the integration the
-// address to look up depends on their comparison:
+// sits after the two state reads, because under the shorter-queue
+// policies the address to look up depends on their comparison:
 //
 //   stage 0: SEQ       (request-id allocator, one register)
 //   stage 1: GrpT      (group id -> ordered candidate pair)
@@ -68,10 +71,9 @@ struct NetCloneConfig {
   std::size_t num_filter_tables = 2;
   /// Hash slots per filter table (§4.1: 2^17).
   std::size_t filter_slots = std::size_t{1} << 17;
-  /// Maximum servers AddrT/StateT are sized for.
+  /// Maximum servers AddrT/StateT are sized for. GrpT holds every group
+  /// that many servers can install, group_count(max_servers).
   std::size_t max_servers = 64;
-  /// Maximum installed groups (n·(n-1) for n servers).
-  std::size_t max_groups = 64 * 63;
   /// This ToR's identity for multi-rack deployments (§3.7); stamped into
   /// requests with SWITCH_ID == 0.
   std::uint8_t switch_id = 1;
@@ -88,12 +90,19 @@ struct NetCloneConfig {
   std::size_t cloned_req_slots = std::size_t{1} << 15;
 };
 
-/// Where a request the switch does not clone goes.
-enum class UnclonedRoute {
-  /// Algorithm 1: the group's first candidate.
-  kFirstCandidate,
-  /// §3.7 RackSched integration: the candidate with the shorter tracked
-  /// queue, ties to the first candidate.
+/// How the switch steers a fresh read request between its group's two
+/// candidates. A WREQ goes uncloned to the first candidate under every
+/// policy (§5.5).
+enum class Steering {
+  /// Algorithm 1: clone when both candidates are idle, else send to the
+  /// first candidate.
+  kCloneOrFirst,
+  /// §3.7 NetClone × RackSched integration: clone when both are idle,
+  /// else send to the candidate with the shorter tracked queue, ties to
+  /// the first.
+  kCloneOrShorterQueue,
+  /// RackSched [44]: never clone; send to the candidate with the shorter
+  /// tracked queue, ties to the first.
   kShorterQueue,
 };
 
@@ -214,12 +223,12 @@ class NetCloneProgram final : public pisa::SwitchProgram {
   /// of one. Replicas of one tier share `config.switch_id`, so the rack
   /// ToRs treat tier-stamped packets as foreign. A chain longer than one
   /// needs RequestIdMode::kClientTuple: replicated deciders cannot share
-  /// a SEQ register without coordination. `uncloned` picks where an
-  /// uncloned request goes; kShorterQueue rejects multi-packet support,
-  /// whose fragments must all reach one server.
+  /// a SEQ register without coordination. `steering` picks the policy;
+  /// the shorter-queue policies reject multi-packet support, whose
+  /// fragments must all reach one server.
   NetCloneProgram(pisa::Pipeline& pipeline, NetCloneConfig config,
                   AggChainRole role = {},
-                  UnclonedRoute uncloned = UnclonedRoute::kFirstCandidate);
+                  Steering steering = Steering::kCloneOrFirst);
 
   // -- control plane --------------------------------------------------------
 
@@ -331,7 +340,7 @@ class NetCloneProgram final : public pisa::SwitchProgram {
 
   NetCloneConfig config_;
   AggChainRole role_;
-  UnclonedRoute uncloned_;
+  Steering steering_;
 
   pisa::RegisterScalar<std::uint32_t> seq_;
   pisa::ExactMatchTable<GroupPair> grp_table_;

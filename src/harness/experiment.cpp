@@ -23,6 +23,18 @@ void reject_fat_tree_action(FaultAction action) {
   }
 }
 
+/// The steering policy of a scheme whose ToR runs the NetClone program.
+core::Steering steering_of(Scheme scheme) {
+  switch (scheme) {
+    case Scheme::kRackSched:
+      return core::Steering::kShorterQueue;
+    case Scheme::kNetCloneRackSched:
+      return core::Steering::kCloneOrShorterQueue;
+    default:
+      return core::Steering::kCloneOrFirst;
+  }
+}
+
 }  // namespace
 
 Experiment::Experiment(ClusterConfig config)
@@ -39,8 +51,9 @@ Experiment::Experiment(ClusterConfig config)
   NETCLONE_CHECK(config_.num_clients >= 1, "need at least one client");
   // Responses pass a filter under NetClone and the RackSched integration
   // (the ToR's filter tables) and under LAEDGE (the coordinator relays
-  // one response per request). The integration's program rejects
-  // multi-packet tables when it is built.
+  // one response per request); RackSched clones nothing, so it filters
+  // nothing. The program rejects multi-packet tables under both
+  // shorter-queue policies when it is built.
   if (config_.scheme == Scheme::kLaedge ||
       ((config_.scheme == Scheme::kNetClone ||
         config_.scheme == Scheme::kNetCloneRackSched) &&
@@ -67,7 +80,9 @@ void Experiment::build() {
   const std::size_t recirc_port = switch_->add_internal_port();
   switch_->set_loopback_port(recirc_port);
 
-  // Load the scheme's data-plane program.
+  // Load the scheme's data-plane program: the NetClone program where the
+  // switch steers requests, a router with a /32 route per host where the
+  // hosts do.
   core::NetCloneConfig nc_cfg = config_.netclone;
   nc_cfg.enable_filtering =
       config_.scheme != Scheme::kNetCloneNoFilter &&
@@ -75,29 +90,27 @@ void Experiment::build() {
   switch (config_.scheme) {
     case Scheme::kNetClone:
     case Scheme::kNetCloneNoFilter:
+    case Scheme::kRackSched:
     case Scheme::kNetCloneRackSched:
       netclone_program_ = std::make_shared<core::NetCloneProgram>(
           switch_->pipeline(), nc_cfg, core::AggChainRole{},
-          config_.scheme == Scheme::kNetCloneRackSched
-              ? core::UnclonedRoute::kShorterQueue
-              : core::UnclonedRoute::kFirstCandidate);
+          steering_of(config_.scheme));
       switch_->load_program(netclone_program_);
       controller_ = std::make_unique<core::Controller>(*netclone_program_,
                                                        *switch_,
                                                        recirc_port);
       break;
-    case Scheme::kRackSched:
-      racksched_program_ = std::make_shared<baselines::RackSchedProgram>(
-          switch_->pipeline(), nc_cfg.max_servers, root_rng().next_u64());
-      switch_->load_program(racksched_program_);
-      break;
     case Scheme::kBaseline:
     case Scheme::kCClone:
-    case Scheme::kLaedge:
-      l3_program_ = std::make_shared<baselines::L3ForwardProgram>(
-          switch_->pipeline());
-      switch_->load_program(l3_program_);
+    case Scheme::kLaedge: {
+      const std::size_t hosts = num_servers + config_.num_clients +
+                                (config_.scheme == Scheme::kLaedge ? 1 : 0);
+      router_ = std::make_shared<baselines::RouterProgram>(
+          switch_->pipeline(), /*num_ports=*/recirc_port + 1 + hosts,
+          /*route_capacity=*/hosts);
+      switch_->load_program(router_);
       break;
+    }
   }
   record_switch("sw0", *switch_);
   if (netclone_program_) {
@@ -123,10 +136,8 @@ void Experiment::build() {
     if (controller_) {
       // The control plane wires AddrT/FwdT/PRE and maintains the groups.
       controller_->add_server(sid, ip, ports.port_on_b);
-    } else if (racksched_program_) {
-      racksched_program_->add_server(sid, ip, ports.port_on_b);
     } else {
-      l3_program_->add_route(ip, ports.port_on_b);
+      router_->add_prefix(ip, 32, ports.port_on_b);
     }
     laedge_workers.push_back(
         baselines::LaedgeWorkerInfo{sid, ip, config_.server_workers[i]});
@@ -140,7 +151,7 @@ void Experiment::build() {
         sim, lp, root_rng().fork());
     const auto ports = topology().connect(*coordinator_, *switch_);
     record_link("co0", "sw0", ports);
-    l3_program_->add_route(host::coordinator_ip(), ports.port_on_b);
+    router_->add_prefix(host::coordinator_ip(), 32, ports.port_on_b);
   }
 
   // Clients.
@@ -180,10 +191,8 @@ void Experiment::build() {
     const wire::Ipv4Address ip = host::client_ip(cp.client_id);
     if (controller_) {
       controller_->add_route(ip, ports.port_on_b);
-    } else if (racksched_program_) {
-      racksched_program_->add_route(ip, ports.port_on_b);
     } else {
-      l3_program_->add_route(ip, ports.port_on_b);
+      router_->add_prefix(ip, 32, ports.port_on_b);
     }
     record_client(client);
   }
@@ -201,7 +210,8 @@ void Experiment::apply_fat_tree_fault(const FaultEvent& event) {
 
 void Experiment::remove_server(ServerId sid) {
   NETCLONE_CHECK(controller_ != nullptr,
-                 "server removal is wired for the NetClone schemes only");
+                 "server removal is wired for the switch-steered schemes "
+                 "only");
   controller_->remove_server(sid);
   for (host::Client* client : clients()) {
     client->set_num_groups(controller_->group_count());

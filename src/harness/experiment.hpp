@@ -9,9 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/l3_program.hpp"
 #include "baselines/laedge.hpp"
-#include "baselines/racksched_program.hpp"
+#include "baselines/router.hpp"
 #include "common/types.hpp"
 #include "core/controller.hpp"
 #include "core/netclone_program.hpp"
@@ -61,8 +60,8 @@ class Experiment : public Testbed {
   ~Experiment() override;
 
   /// §3.6 server-failure handling, available for the schemes that run
-  /// the NetClone program (NetClone, its no-filter ablation and the
-  /// RackSched integration): the control plane removes the worker from
+  /// the NetClone program (NetClone, its no-filter ablation, RackSched
+  /// and the integration): the control plane removes the worker from
   /// the candidate groups and every client learns the shrunken group
   /// count. The server process itself keeps draining whatever it already
   /// accepted. Requests already in flight with now-stale group ids are
@@ -89,11 +88,11 @@ class Experiment : public Testbed {
   ClusterConfig config_;
   pisa::SwitchDevice* switch_ = nullptr;
   baselines::LaedgeCoordinator* coordinator_ = nullptr;
-  // Exactly one of these is loaded, depending on the scheme.
+  // Exactly one program is loaded: the NetClone program with its
+  // controller when the switch steers, the router when the hosts do.
   std::shared_ptr<core::NetCloneProgram> netclone_program_;
-  std::unique_ptr<core::Controller> controller_;  // NetClone schemes only
-  std::shared_ptr<baselines::L3ForwardProgram> l3_program_;
-  std::shared_ptr<baselines::RackSchedProgram> racksched_program_;
+  std::unique_ptr<core::Controller> controller_;
+  std::shared_ptr<baselines::RouterProgram> router_;
 };
 
 }  // namespace netclone::harness

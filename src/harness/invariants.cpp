@@ -441,7 +441,7 @@ std::uint64_t chaos_digest(const MultiRackExperiment& exp) {
   } else {
     fold_netclone(fold, exp.client_tor_program().stats());
     for (std::size_t a = 0; a < exp.num_aggs(); ++a) {
-      const baselines::AggRouterStats& rs = exp.agg_program(a).stats();
+      const baselines::RouterStats& rs = exp.agg_program(a).stats();
       fold(rs.routed);
       fold(rs.no_route_drops);
     }

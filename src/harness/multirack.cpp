@@ -46,7 +46,7 @@ const core::NetCloneProgram& MultiRackExperiment::client_tor_program() const {
   return *client_tor_program_;
 }
 
-const baselines::AggRouterProgram& MultiRackExperiment::agg_program(
+const baselines::RouterProgram& MultiRackExperiment::agg_program(
     std::size_t agg) const {
   NETCLONE_CHECK(agg < agg_router_programs_.size(),
                  "agg routers exist in kOblivious mode only");
@@ -89,7 +89,6 @@ void MultiRackExperiment::build() {
   // Tables must hold the whole pod regardless of the caller's defaults.
   core::NetCloneConfig nc = config_.netclone;
   nc.max_servers = std::max(nc.max_servers, num_servers);
-  nc.max_groups = std::max(nc.max_groups, num_servers * (num_servers - 1));
 
   const bool replicated = config_.agg_mode == AggMode::kReplicated;
 
@@ -124,7 +123,7 @@ void MultiRackExperiment::build() {
     controllers_.emplace_back(*client_tor_program_, *client_tor_,
                               client_recirc);
   } else {
-    client_router_program_ = std::make_shared<baselines::AggRouterProgram>(
+    client_router_program_ = std::make_shared<baselines::RouterProgram>(
         client_tor_->pipeline(),
         /*num_ports=*/config_.num_aggs + config_.num_clients,
         /*route_capacity=*/1 + config_.num_clients + num_servers);
@@ -199,7 +198,7 @@ void MultiRackExperiment::build() {
     }
   } else {
     for (std::size_t a = 0; a < config_.num_aggs; ++a) {
-      auto program = std::make_shared<baselines::AggRouterProgram>(
+      auto program = std::make_shared<baselines::RouterProgram>(
           aggs_[a]->pipeline(), /*num_ports=*/1 + config_.server_racks,
           /*route_capacity=*/num_servers + 1);
       aggs_[a]->load_program(program);

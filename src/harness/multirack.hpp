@@ -33,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/agg_router.hpp"
+#include "baselines/router.hpp"
 #include "core/controller.hpp"
 #include "core/netclone_program.hpp"
 #include "harness/chain_controller.hpp"
@@ -109,7 +109,7 @@ class MultiRackExperiment : public Testbed {
     return *server_tor_programs_.at(rack);
   }
   /// Aggregation router `agg` (kOblivious mode only).
-  [[nodiscard]] const baselines::AggRouterProgram& agg_program(
+  [[nodiscard]] const baselines::RouterProgram& agg_program(
       std::size_t agg = 0) const;
   /// Chain replica `agg` (kReplicated mode only).
   [[nodiscard]] const core::NetCloneProgram& agg_netclone_program(
@@ -143,10 +143,10 @@ class MultiRackExperiment : public Testbed {
   std::vector<pisa::SwitchDevice*> aggs_;
   // kOblivious mode:
   std::shared_ptr<core::NetCloneProgram> client_tor_program_;
-  std::vector<std::shared_ptr<baselines::AggRouterProgram>>
+  std::vector<std::shared_ptr<baselines::RouterProgram>>
       agg_router_programs_;
   // kReplicated mode:
-  std::shared_ptr<baselines::AggRouterProgram> client_router_program_;
+  std::shared_ptr<baselines::RouterProgram> client_router_program_;
   std::vector<std::shared_ptr<core::NetCloneProgram>> agg_netclone_programs_;
   // Both modes:
   std::vector<std::shared_ptr<core::NetCloneProgram>> server_tor_programs_;

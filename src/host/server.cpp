@@ -316,7 +316,8 @@ void Server::on_complete(PendingRequest& req, const wire::RpcRequest& rpc,
   nc.type = wire::MsgType::kResponse;
   nc.sid = value_of(params_.sid);
   // Piggyback the *current* queue length — the state signal of §3.4. The
-  // switch treats 0 as idle; the RackSched integration uses the raw value.
+  // switch treats 0 as idle; RackSched and the integration compare the raw
+  // values.
   const auto qlen = static_cast<std::uint16_t>(
       std::min<std::size_t>(queue_.size(), 0xFFFF));
   nc.state = qlen;

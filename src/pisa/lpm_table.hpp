@@ -1,6 +1,6 @@
 // Longest-prefix-match table — the classic L3 routing structure of a
-// switch ASIC (TCAM-backed on hardware). Single-rack deployments get away
-// with host routes; the multi-rack deployment of §3.7 routes whole server
+// switch ASIC (TCAM-backed on hardware). A single rack needs only host
+// routes (/32); the multi-rack deployment of §3.7 routes whole server
 // subnets toward the aggregation layer, which needs LPM.
 #pragma once
 
@@ -81,39 +81,6 @@ class LpmTable final : public StageResource {
 
   std::size_t capacity_;
   std::map<Key, Value> entries_;
-};
-
-/// Data-plane packet/byte counter, attachable to any program action —
-/// P4's counter extern. Stateless from the constraint model's perspective
-/// (counters never feed back into forwarding), so multiple increments per
-/// pass are allowed.
-class CounterArray final : public StageResource {
- public:
-  CounterArray(Pipeline& pipeline, std::string name, std::size_t stage,
-               std::size_t size)
-      : StageResource(pipeline, std::move(name), stage),
-        packets_(size, 0),
-        bytes_(size, 0) {}
-
-  void count(PipelinePass& pass, std::size_t index, std::size_t frame_bytes);
-
-  [[nodiscard]] std::uint64_t packets(std::size_t index) const {
-    return packets_.at(index);
-  }
-  [[nodiscard]] std::uint64_t bytes(std::size_t index) const {
-    return bytes_.at(index);
-  }
-  [[nodiscard]] std::size_t size() const { return packets_.size(); }
-
-  [[nodiscard]] std::size_t sram_bytes() const override {
-    return packets_.size() * 16;  // 64-bit packet + byte cells
-  }
-  [[nodiscard]] bool is_soft_state() const override { return true; }
-  void reset() override;
-
- private:
-  std::vector<std::uint64_t> packets_;
-  std::vector<std::uint64_t> bytes_;
 };
 
 }  // namespace netclone::pisa

@@ -94,7 +94,7 @@ class StageResource {
  protected:
   /// Every stateful data-plane entry point must call this first.
   inline void record_access(PipelinePass& pass);
-  /// Stage-order-only variant for stateless units (hash, random).
+  /// Stage-order-only variant for stateless units (the hash unit).
   inline void record_access_stateless(PipelinePass& pass);
 
  private:
@@ -118,7 +118,7 @@ class PipelinePass {
   /// throws CheckFailure if the access goes backwards or repeats.
   inline void access(StageResource& resource);
 
-  /// Stage-order check only, for stateless units (hash, random) that may
+  /// Stage-order check only, for stateless units (the hash unit) that may
   /// produce several values for one packet within their stage.
   inline void access_stateless(StageResource& resource);
 

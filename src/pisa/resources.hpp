@@ -5,8 +5,6 @@
 //   * RegisterArray / RegisterScalar — stateful memory updated at line rate
 //     through a single read-modify-write ALU operation per pass.
 //   * HashUnit — CRC hash computation (Tofino's hash engines).
-//   * RandomUnit — the ASIC's per-packet PRNG (used by RackSched's
-//     power-of-two-choices sampling).
 //
 // Everything on the data-plane path is header-inline: a resource access is
 // the operation itself (a flat-table probe, a register read-modify-write)
@@ -20,7 +18,6 @@
 
 #include "common/flat_map.hpp"
 #include "common/hash.hpp"
-#include "common/rng.hpp"
 #include "pisa/pipeline.hpp"
 
 namespace netclone::pisa {
@@ -184,28 +181,6 @@ class HashUnit final : public StageResource {
   [[nodiscard]] std::size_t sram_bytes() const override { return 0; }
   [[nodiscard]] bool is_soft_state() const override { return false; }
   void reset() override {}
-};
-
-/// Per-packet hardware randomness.
-class RandomUnit final : public StageResource {
- public:
-  RandomUnit(Pipeline& pipeline, std::string name, std::size_t stage,
-             std::uint64_t seed)
-      : StageResource(pipeline, std::move(name), stage), rng_(seed) {}
-
-  /// Uniform value in [0, bound).
-  [[nodiscard]] std::uint32_t next_below(PipelinePass& pass,
-                                         std::uint32_t bound) {
-    record_access_stateless(pass);
-    return static_cast<std::uint32_t>(rng_.next_below(bound));
-  }
-
-  [[nodiscard]] std::size_t sram_bytes() const override { return 0; }
-  [[nodiscard]] bool is_soft_state() const override { return false; }
-  void reset() override {}
-
- private:
-  Rng rng_;
 };
 
 }  // namespace netclone::pisa

@@ -10,8 +10,8 @@
 //     and keeps retransmissions from receiving fresh switch request IDs.
 //
 // STATE carries the server's request-queue length. NetClone proper only
-// tests it against zero (empty queue == idle, §3.4); the RackSched
-// integration (§3.7) uses the full value as the load signal.
+// tests it against zero (empty queue == idle, §3.4); RackSched and the
+// integration (§3.7) use the full value as the load signal.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,9 @@
 // deterministic but computes something different.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "chaos_util.hpp"
 #include "harness/experiment.hpp"
@@ -171,6 +173,92 @@ TEST(Determinism, GoldenPinNetCloneRackSched) {
   EXPECT_EQ(result.cloned_requests, 3450U);
   EXPECT_EQ(result.filtered_responses, 2708U);
   EXPECT_EQ(exp.executed_events(), 58132U);
+}
+
+// -- common random numbers ---------------------------------------------------
+//
+// NetClone, RackSched and the integration build the same nodes in the
+// same order, and their switch draws nothing: at one seed their clients
+// issue the same requests, so comparing them is a paired comparison.
+
+/// An Exp(25) factory that records the intrinsic size of every request
+/// per client stream. Each client draws from its own Rng, so the stream
+/// names the client; streams are kept in the order of their first
+/// request.
+class RecordingFactory final : public host::RequestFactory {
+ public:
+  [[nodiscard]] wire::RpcRequest make(Rng& rng) override {
+    const wire::RpcRequest request = inner_.make(rng);
+    auto stream =
+        std::find_if(streams_.begin(), streams_.end(),
+                     [&rng](const Stream& s) { return s.rng == &rng; });
+    if (stream == streams_.end()) {
+      stream = streams_.insert(streams_.end(), Stream{&rng, {}});
+    }
+    stream->sizes.push_back(request.intrinsic_ns);
+    return request;
+  }
+  [[nodiscard]] double mean_intrinsic_us() const override {
+    return inner_.mean_intrinsic_us();
+  }
+  [[nodiscard]] std::string label() const override { return inner_.label(); }
+
+  [[nodiscard]] std::vector<std::vector<std::uint32_t>> sizes() const {
+    std::vector<std::vector<std::uint32_t>> out;
+    for (const Stream& stream : streams_) {
+      out.push_back(stream.sizes);
+    }
+    return out;
+  }
+
+ private:
+  struct Stream {
+    const Rng* rng;
+    std::vector<std::uint32_t> sizes;
+  };
+  host::ExponentialWorkload inner_{25.0};
+  std::vector<Stream> streams_;
+};
+
+struct Issued {
+  std::vector<std::uint64_t> requests_sent;  // per client
+  std::vector<std::vector<std::uint32_t>> sizes;
+};
+
+Issued issue(Scheme scheme) {
+  ClusterConfig cfg;  // 6 servers x 16 workers, 2 clients
+  cfg.scheme = scheme;
+  auto factory = std::make_shared<RecordingFactory>();
+  cfg.factory = factory;
+  cfg.service =
+      std::make_shared<host::SyntheticService>(host::JitterModel{0.01, 15.0});
+  cfg.warmup = SimTime::zero();
+  cfg.measure = SimTime::milliseconds(10);
+  cfg.drain = SimTime::milliseconds(5);
+  cfg.offered_rps = cluster_capacity_rps(cfg.server_workers, 25.0) * 0.3;
+  cfg.seed = 1;
+  Experiment exp{cfg};
+  (void)exp.run();
+  Issued issued;
+  for (const host::Client* client : exp.clients()) {
+    issued.requests_sent.push_back(client->stats().requests_sent);
+  }
+  issued.sizes = factory->sizes();
+  return issued;
+}
+
+TEST(Determinism, SwitchSteeredSchemesIssueTheSameRequests) {
+  const Issued netclone = issue(Scheme::kNetClone);
+  ASSERT_EQ(netclone.requests_sent.size(), 2U);
+  ASSERT_EQ(netclone.sizes.size(), 2U);
+  EXPECT_GT(netclone.requests_sent[0] + netclone.requests_sent[1], 10000U);
+  for (const Scheme scheme :
+       {Scheme::kRackSched, Scheme::kNetCloneRackSched}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const Issued other = issue(scheme);
+    EXPECT_EQ(other.requests_sent, netclone.requests_sent);
+    EXPECT_TRUE(other.sizes == netclone.sizes);
+  }
 }
 
 }  // namespace

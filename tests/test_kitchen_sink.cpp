@@ -91,11 +91,14 @@ TEST(KitchenSink, IntegrationRejectsMultipacket) {
   core::NetCloneConfig cfg;
   cfg.id_mode = core::RequestIdMode::kClientTuple;
   cfg.enable_multipacket = true;
-  pisa::Pipeline integration;
-  EXPECT_THROW((void)core::NetCloneProgram(integration, cfg,
-                                           core::AggChainRole{},
-                                           core::UnclonedRoute::kShorterQueue),
-               CheckFailure);
+  for (const core::Steering steering :
+       {core::Steering::kCloneOrShorterQueue,
+        core::Steering::kShorterQueue}) {
+    pisa::Pipeline shorter_queue;
+    EXPECT_THROW((void)core::NetCloneProgram(shorter_queue, cfg,
+                                             core::AggChainRole{}, steering),
+                 CheckFailure);
+  }
   pisa::Pipeline netclone;
   EXPECT_NO_THROW((void)core::NetCloneProgram(netclone, cfg));
 }

@@ -4,7 +4,7 @@
 
 #include <optional>
 
-#include "baselines/agg_router.hpp"
+#include "baselines/router.hpp"
 #include "test_util.hpp"
 
 namespace netclone::pisa {
@@ -71,38 +71,6 @@ TEST_F(LpmTest, SingleAccessPerPassEnforced) {
   EXPECT_THROW((void)table_.find(pass, ip(10, 0, 0, 2)), CheckFailure);
 }
 
-TEST(CounterArray, CountsPacketsAndBytes) {
-  Pipeline pipeline;
-  CounterArray counters{pipeline, "ctr", 0, 4};
-  PipelinePass pass{pipeline};
-  counters.count(pass, 1, 100);
-  counters.count(pass, 1, 50);  // stateless: multiple per pass allowed
-  counters.count(pass, 3, 7);
-  EXPECT_EQ(counters.packets(1), 2U);
-  EXPECT_EQ(counters.bytes(1), 150U);
-  EXPECT_EQ(counters.packets(3), 1U);
-  EXPECT_EQ(counters.packets(0), 0U);
-}
-
-TEST(CounterArray, SoftStateResets) {
-  Pipeline pipeline;
-  CounterArray counters{pipeline, "ctr", 0, 2};
-  {
-    PipelinePass pass{pipeline};
-    counters.count(pass, 0, 10);
-  }
-  pipeline.reset_soft_state();
-  EXPECT_EQ(counters.packets(0), 0U);
-  EXPECT_EQ(counters.bytes(0), 0U);
-}
-
-TEST(CounterArray, OutOfRangeThrows) {
-  Pipeline pipeline;
-  CounterArray counters{pipeline, "ctr", 0, 2};
-  PipelinePass pass{pipeline};
-  EXPECT_THROW((void)counters.count(pass, 2, 1), CheckFailure);
-}
-
 }  // namespace
 }  // namespace netclone::pisa
 
@@ -114,7 +82,7 @@ using netclone::testing::run_ingress;
 
 TEST(AggRouter, RoutesBySubnetAndCounts) {
   pisa::Pipeline pipeline;
-  AggRouterProgram router{pipeline, 4};
+  RouterProgram router{pipeline, 4};
   // Rack 1 subnet via port 0, rack 2 via port 1, clients via port 2.
   router.add_prefix(wire::Ipv4Address::from_octets(10, 0, 1, 0), 24, 0);
   router.add_prefix(wire::Ipv4Address::from_octets(10, 0, 2, 0), 24, 1);
@@ -137,8 +105,6 @@ TEST(AggRouter, RoutesBySubnetAndCounts) {
 
   EXPECT_EQ(router.stats().routed, 2U);
   EXPECT_EQ(router.stats().no_route_drops, 1U);
-  EXPECT_EQ(router.port_packets(0), 1U);
-  EXPECT_EQ(router.port_packets(2), 1U);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 
 #include "sim/simulator.hpp"
 #include "baselines/laedge.hpp"
-#include "baselines/racksched_program.hpp"
 #include "common/histogram.hpp"
 #include "common/logging.hpp"
 #include "harness/experiment.hpp"
@@ -82,18 +81,28 @@ TEST(Laedge, HeterogeneousCapacitiesRespectSlots) {
   EXPECT_EQ(to_srv0 + to_srv1, 4U);
 }
 
+// The NetClone program under RackSched's steering policy.
+core::NetCloneProgram make_racksched_program(pisa::Pipeline& pipeline) {
+  core::NetCloneConfig cfg;
+  cfg.max_servers = 4;
+  cfg.filter_slots = 64;
+  return core::NetCloneProgram{pipeline, cfg, core::AggChainRole{},
+                               core::Steering::kShorterQueue};
+}
+
 TEST(RackSchedProgram, NoServersDropsRequests) {
   pisa::Pipeline pipeline;
-  baselines::RackSchedProgram program{pipeline, 4, 1};
+  core::NetCloneProgram program = make_racksched_program(pipeline);
   wire::Packet pkt = make_request(0, 1, 0, 0);
   EXPECT_TRUE(run_ingress(program, pipeline, pkt).drop);
 }
 
 TEST(RackSchedProgram, CancelPacketsRoutedNotScheduled) {
   pisa::Pipeline pipeline;
-  baselines::RackSchedProgram program{pipeline, 4, 1};
-  program.add_server(ServerId{0}, host::server_ip(ServerId{0}), 10);
-  program.add_server(ServerId{1}, host::server_ip(ServerId{1}), 11);
+  core::NetCloneProgram program = make_racksched_program(pipeline);
+  program.add_server(ServerId{0}, host::server_ip(ServerId{0}), 10, 1);
+  program.add_server(ServerId{1}, host::server_ip(ServerId{1}), 11, 2);
+  program.install_groups(core::build_group_pairs(2));
   wire::Packet cancel = make_request(0, 1, 0, 0);
   cancel.nc().type = wire::MsgType::kCancel;
   cancel.ip.dst = host::server_ip(ServerId{1});

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hpp"
-#include "baselines/agg_router.hpp"
+#include "baselines/router.hpp"
 #include "core/netclone_program.hpp"
 #include "host/client.hpp"
 #include "host/server.hpp"
@@ -136,7 +136,7 @@ TEST(MultiRack, ThroughAnLpmAggregationLayer) {
   const auto tor2_agg = topo.connect(tor2, agg);
 
   auto agg_prog =
-      std::make_shared<baselines::AggRouterProgram>(agg.pipeline(), 8);
+      std::make_shared<baselines::RouterProgram>(agg.pipeline(), 8);
   agg.load_program(agg_prog);
   // Server subnet behind tor2, client subnet behind tor1.
   agg_prog->add_prefix(wire::Ipv4Address::from_octets(10, 0, 1, 0), 24,
@@ -190,8 +190,8 @@ TEST(MultiRack, ThroughAnLpmAggregationLayer) {
   // never touched the NetClone header.
   EXPECT_GT(agg_prog->stats().routed, 2 * client.stats().requests_sent);
   EXPECT_EQ(agg_prog->stats().no_route_drops, 0U);
-  EXPECT_GT(agg_prog->port_packets(tor2_agg.port_on_b), 0U);
-  EXPECT_GT(agg_prog->port_packets(tor1_agg.port_on_b), 0U);
+  EXPECT_GT(tor2_agg.b_to_a->stats().tx_frames, 0U);
+  EXPECT_GT(tor1_agg.b_to_a->stats().tx_frames, 0U);
 }
 
 }  // namespace

@@ -177,15 +177,6 @@ TEST(HashUnit, StageOrderStillEnforced) {
   EXPECT_THROW((void)hash.hash32(pass, 1, 8), CheckFailure);
 }
 
-TEST(RandomUnit, MultipleDrawsPerPass) {
-  Pipeline pipeline;
-  RandomUnit random{pipeline, "R", 0, 42};
-  PipelinePass pass{pipeline};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_LT(random.next_below(pass, 6), 6U);
-  }
-}
-
 TEST(Pipeline, ResetSoftStateClearsRegistersKeepsTables) {
   Pipeline pipeline;
   RegisterScalar<std::uint32_t> seq{pipeline, "SEQ", 0};

@@ -1,12 +1,13 @@
-#include "baselines/racksched_program.hpp"
-
+// RackSched [44] and the §3.7 NetClone x RackSched integration: both run
+// the NetClone program, under its two shorter-queue steering policies.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "core/groups.hpp"
 #include "core/netclone_program.hpp"
 #include "test_util.hpp"
 
-namespace netclone::baselines {
+namespace netclone::core {
 namespace {
 
 using netclone::testing::make_request;
@@ -17,12 +18,24 @@ constexpr std::size_t kPortSrv0 = 10;
 constexpr std::size_t kPortSrv1 = 11;
 constexpr std::size_t kPortClient = 20;
 
-class RackSchedTest : public ::testing::Test {
+/// The program under `steering`, with two servers (clone groups 1 and 2),
+/// groups {0, 1} and {1, 0}, and a route to client 0.
+class SteeringTest : public ::testing::Test {
  protected:
-  RackSchedTest() : program_(pipeline_, 16, /*rng_seed=*/7) {
-    program_.add_server(ServerId{0}, host::server_ip(ServerId{0}), kPortSrv0);
-    program_.add_server(ServerId{1}, host::server_ip(ServerId{1}), kPortSrv1);
+  explicit SteeringTest(Steering steering)
+      : program_(pipeline_, small_config(), AggChainRole{}, steering) {
+    program_.add_server(ServerId{0}, host::server_ip(ServerId{0}), kPortSrv0,
+                        1);
+    program_.add_server(ServerId{1}, host::server_ip(ServerId{1}), kPortSrv1,
+                        2);
+    program_.install_groups(build_group_pairs(2));
     program_.add_route(host::client_ip(0), kPortClient);
+  }
+
+  static NetCloneConfig small_config() {
+    NetCloneConfig cfg;
+    cfg.filter_slots = 64;
+    return cfg;
   }
 
   void set_load(ServerId sid, std::uint16_t qlen) {
@@ -32,7 +45,14 @@ class RackSchedTest : public ::testing::Test {
   }
 
   pisa::Pipeline pipeline_;
-  RackSchedProgram program_;
+  NetCloneProgram program_;
+};
+
+// RackSched: never clone; join the shorter of the two candidates' tracked
+// queues. The pair is the group the client drew.
+class RackSchedTest : public SteeringTest {
+ protected:
+  RackSchedTest() : SteeringTest(Steering::kShorterQueue) {}
 };
 
 TEST_F(RackSchedTest, ForwardsToSomeServerInitially) {
@@ -44,12 +64,27 @@ TEST_F(RackSchedTest, ForwardsToSomeServerInitially) {
               pkt.ip.dst == host::server_ip(ServerId{1}));
 }
 
+TEST_F(RackSchedTest, NeverClonesEvenWhenBothIdle) {
+  for (std::uint16_t grp = 0; grp < 2; ++grp) {
+    wire::Packet pkt = make_request(0, 1U + grp, grp, 0);
+    const auto md = run_ingress(program_, pipeline_, pkt);
+    EXPECT_FALSE(md.multicast_group.has_value());
+    EXPECT_EQ(pkt.nc().clo, wire::CloneStatus::kNotCloned);
+    // Ties go to the group's first candidate.
+    EXPECT_EQ(md.egress_port, grp == 0 ? kPortSrv0 : kPortSrv1);
+  }
+  EXPECT_EQ(program_.stats().requests, 2U);
+  EXPECT_EQ(program_.stats().cloned_requests, 0U);
+}
+
 TEST_F(RackSchedTest, JoinsTheShorterQueue) {
   set_load(ServerId{0}, 9);
   set_load(ServerId{1}, 0);
-  // With two servers, po2c always samples both; the min must win.
+  // With two servers every group holds both; the min must win in either
+  // order.
   for (int i = 0; i < 50; ++i) {
-    wire::Packet pkt = make_request(0, 1, 0, 0);
+    wire::Packet pkt =
+        make_request(0, 1, static_cast<std::uint16_t>(i % 2), 0);
     const auto md = run_ingress(program_, pipeline_, pkt);
     EXPECT_EQ(*md.egress_port, kPortSrv1);
   }
@@ -61,7 +96,8 @@ TEST_F(RackSchedTest, LoadUpdateFlipsDecision) {
   set_load(ServerId{0}, 0);
   set_load(ServerId{1}, 5);
   for (int i = 0; i < 50; ++i) {
-    wire::Packet pkt = make_request(0, 1, 0, 0);
+    wire::Packet pkt =
+        make_request(0, 1, static_cast<std::uint16_t>(i % 2), 0);
     const auto md = run_ingress(program_, pipeline_, pkt);
     EXPECT_EQ(*md.egress_port, kPortSrv0);
   }
@@ -76,46 +112,25 @@ TEST_F(RackSchedTest, ResponsesRoutedToClient) {
 }
 
 TEST_F(RackSchedTest, EqualLoadsSpreadAcrossBoth) {
+  // The switch draws nothing: the client's uniform GRP draw is the first
+  // sample, and ties break toward it.
+  Rng rng{7};
   int to_zero = 0;
   for (int i = 0; i < 200; ++i) {
-    wire::Packet pkt = make_request(0, 1, 0, 0);
+    const auto grp = static_cast<std::uint16_t>(rng.next_below(2));
+    wire::Packet pkt = make_request(0, 1, grp, 0);
     const auto md = run_ingress(program_, pipeline_, pkt);
     to_zero += *md.egress_port == kPortSrv0 ? 1 : 0;
   }
-  // Ties break toward the first sample, which is uniform: expect a split.
   EXPECT_GT(to_zero, 50);
   EXPECT_LT(to_zero, 150);
 }
 
-// The §3.7 NetClone x RackSched integration: NetClone's program with
-// uncloned requests joining the shorter tracked queue.
-class IntegrationTest : public ::testing::Test {
+// The §3.7 integration: Algorithm 1's cloning, with uncloned requests
+// joining the shorter tracked queue.
+class IntegrationTest : public SteeringTest {
  protected:
-  IntegrationTest()
-      : program_(pipeline_, make_config(), core::AggChainRole{},
-                 core::UnclonedRoute::kShorterQueue) {
-    program_.add_server(ServerId{0}, host::server_ip(ServerId{0}), kPortSrv0,
-                        1);
-    program_.add_server(ServerId{1}, host::server_ip(ServerId{1}), kPortSrv1,
-                        2);
-    program_.install_groups(core::build_group_pairs(2));
-    program_.add_route(host::client_ip(0), kPortClient);
-  }
-
-  static core::NetCloneConfig make_config() {
-    core::NetCloneConfig cfg;
-    cfg.filter_slots = 64;
-    return cfg;
-  }
-
-  void set_load(ServerId sid, std::uint16_t qlen) {
-    wire::Packet req = make_request(0, 1, 0, 0);
-    wire::Packet resp = make_response(sid, qlen, req);
-    (void)run_ingress(program_, pipeline_, resp);
-  }
-
-  pisa::Pipeline pipeline_;
-  core::NetCloneProgram program_;
+  IntegrationTest() : SteeringTest(Steering::kCloneOrShorterQueue) {}
 };
 
 TEST_F(IntegrationTest, BothQueuesEmptyClones) {
@@ -210,4 +225,4 @@ TEST_F(IntegrationTest, ResponseUpdatesLoadTables) {
 }
 
 }  // namespace
-}  // namespace netclone::baselines
+}  // namespace netclone::core

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/l3_program.hpp"
+#include "baselines/router.hpp"
 #include "core/netclone_program.hpp"
 #include "phys/topology.hpp"
 #include "pisa/resources.hpp"
@@ -370,9 +370,9 @@ TEST(SwitchDevice, PipelineFlushRestoresTheEgressLink) {
 // receiver's checksum check still rejects the frame.
 TEST(SwitchDevice, CorruptedLengthFieldsCrossAPassUntouched) {
   Rig rig;
-  auto program =
-      std::make_shared<baselines::L3ForwardProgram>(rig.sw->pipeline());
-  program->add_route(host::service_vip(), rig.port_b);
+  auto program = std::make_shared<baselines::RouterProgram>(
+      rig.sw->pipeline(), /*num_ports=*/rig.port_b + 1);
+  program->add_prefix(host::service_vip(), 32, rig.port_b);
   rig.sw->load_program(program);
   const wire::Frame clean = make_request(0, 1, 0, 0).serialize();
   std::size_t flips = 0;
