@@ -2,9 +2,9 @@
 # Full verification: build + tests, then the same suite under ASan and
 # UBSan. This is the bar for merging changes to the wire/framebuf layer
 # (refcounts, whole-frame copy-on-write, in-place patching) and the host
-# data path (PayloadRef views pinning rx frames through the server
-# queue, frames built into pooled buffers) — a leak or UB there is
-# invisible to the functional tests. Every build compiles the per-pass
+# data path (the server queue holding each request's own frame and
+# answering in it, frames written in place into pooled buffers) — a leak
+# or UB there is invisible to the functional tests. Every build compiles the per-pass
 # pipeline legality checks in, so each lane runs under them. The
 # slow-labelled 100-combo chaos sweep (fault injection + invariant
 # auditor + determinism digests) rides in every full suite, so it runs
@@ -21,8 +21,10 @@
 #           and run the tier-1 suite. This is the bar for merging changes
 #           to parallel_for (common/parallel.hpp) and what runs on it:
 #           harness::run_sweep's concurrent experiments and kv::populate's
-#           parallel record fill. Their tier-1 tests (test_parallel,
-#           test_sweep, test_store) run them on real threads.
+#           parallel record fill, and to the frame pools each experiment
+#           hands its nodes. Their tier-1 tests (test_parallel, test_store,
+#           and test_sweep, whose ExperimentPools tests run a rack and a
+#           pod at once on two threads) run them on real threads.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

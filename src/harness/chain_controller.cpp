@@ -4,9 +4,24 @@
 
 #include "common/check.hpp"
 #include "host/addressing.hpp"
-#include "wire/frame.hpp"
+#include "wire/udp_frame.hpp"
 
 namespace netclone::harness {
+
+wire::FrameHandle chain_sync_marker(wire::FramePool& pool,
+                                    std::uint8_t switch_id,
+                                    std::uint32_t sync_id) {
+  wire::NetCloneHeader nc;
+  nc.type = wire::MsgType::kChainSync;
+  nc.req_id = sync_id;
+  nc.switch_id = switch_id;
+  return wire::header_only_frame(
+      pool,
+      wire::UdpFlow{wire::MacAddress::broadcast(),
+                    wire::MacAddress::broadcast(), host::service_vip(),
+                    host::service_vip(), /*src_port=*/0, wire::kNetClonePort},
+      nc);
+}
 
 ChainController::ChainController(
     std::vector<ChainReplica> replicas,
@@ -170,15 +185,12 @@ void ChainController::inject_marker(std::size_t filler,
   // filler's ingress; it rides the same FIFO pipeline and chain links as
   // the response stream, which is exactly what makes its position a
   // consistent cut.
-  wire::NetCloneHeader nc;
-  nc.type = wire::MsgType::kChainSync;
-  nc.req_id = sync_id;
-  nc.switch_id = replicas_[filler].program->config().switch_id;
-  wire::Packet pkt = wire::make_netclone_packet(
-      wire::MacAddress::broadcast(), wire::MacAddress::broadcast(),
-      host::service_vip(), host::service_vip(), /*src_port=*/0, nc,
-      wire::Frame{});
-  replicas_[filler].device->handle_frame(/*port=*/0, pkt.serialize_pooled());
+  pisa::SwitchDevice& device = *replicas_[filler].device;
+  device.handle_frame(
+      /*port=*/0,
+      chain_sync_marker(device.pool(),
+                        replicas_[filler].program->config().switch_id,
+                        sync_id));
 }
 
 }  // namespace netclone::harness

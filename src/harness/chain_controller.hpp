@@ -47,6 +47,12 @@
 
 namespace netclone::harness {
 
+/// Sync marker `sync_id` for a replica of tier `switch_id`: a header-only
+/// kChainSync frame from the service VIP to itself, fresh from `pool`.
+[[nodiscard]] wire::FrameHandle chain_sync_marker(wire::FramePool& pool,
+                                                  std::uint8_t switch_id,
+                                                  std::uint32_t sync_id);
+
 struct ChainReplica {
   pisa::SwitchDevice* device = nullptr;
   core::NetCloneProgram* program = nullptr;

@@ -7,22 +7,6 @@ namespace netclone::harness {
 
 namespace {
 
-/// agg_fail/agg_rejoin/rack_down/rack_up act on a fat-tree's aggregation
-/// tier and racks; a single-rack Experiment has neither.
-void reject_fat_tree_action(FaultAction action) {
-  switch (action) {
-    case FaultAction::kAggFail:
-    case FaultAction::kAggRejoin:
-    case FaultAction::kRackDown:
-    case FaultAction::kRackUp:
-      throw CheckFailure(std::string("fault action '") +
-                         fault_action_name(action) +
-                         "' needs a fat-tree MultiRackExperiment");
-    default:
-      break;
-  }
-}
-
 /// The steering policy of a scheme whose ToR runs the NetClone program.
 core::Steering steering_of(Scheme scheme) {
   switch (scheme) {
@@ -69,7 +53,6 @@ Experiment::Experiment(ClusterConfig config)
 Experiment::~Experiment() = default;
 
 void Experiment::build() {
-  const wire::ScopedPoolBinding bind(pool());
   const std::size_t num_servers = config_.server_workers.size();
   sim::Simulator& sim = simulator();
 
@@ -198,14 +181,6 @@ void Experiment::build() {
   }
 
   install_fault_plan(config_.faults);
-}
-
-void Experiment::check_fault(const FaultEvent& event) const {
-  reject_fat_tree_action(event.action);
-}
-
-void Experiment::apply_fat_tree_fault(const FaultEvent& event) {
-  reject_fat_tree_action(event.action);
 }
 
 void Experiment::remove_server(ServerId sid) {

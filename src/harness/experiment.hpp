@@ -79,10 +79,6 @@ class Experiment : public Testbed {
 
  private:
   void build();
-  /// A single rack has no aggregation tier and no racks to isolate:
-  /// agg_fail, agg_rejoin, rack_down and rack_up throw CheckFailure.
-  void check_fault(const FaultEvent& event) const override;
-  void apply_fat_tree_fault(const FaultEvent& event) override;
   void add_switch_counters(ExperimentResult& result) const override;
 
   ClusterConfig config_;

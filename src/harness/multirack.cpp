@@ -83,7 +83,6 @@ void MultiRackExperiment::build() {
   NETCLONE_CHECK(num_servers * (num_servers - 1) <= 65535,
                  "group id space exceeded: too many servers");
 
-  const wire::ScopedPoolBinding bind(pool());
   sim::Simulator& sim = simulator();
 
   // Tables must hold the whole pod regardless of the caller's defaults.

@@ -38,7 +38,7 @@ double cluster_capacity_rps(const std::vector<std::uint32_t>& server_workers,
 
 Testbed::Testbed(const Schedule& schedule)
     : schedule_(schedule),
-      topology_(sim_),
+      topology_(sim_, pool_),
       root_rng_(schedule.seed) {}
 
 Testbed::~Testbed() = default;
@@ -236,6 +236,24 @@ void Testbed::apply_fault(const FaultEvent& event) {
   }
 }
 
+void Testbed::check_fault(const FaultEvent& event) const {
+  switch (event.action) {
+    case FaultAction::kAggFail:
+    case FaultAction::kAggRejoin:
+    case FaultAction::kRackDown:
+    case FaultAction::kRackUp:
+      throw CheckFailure(std::string("fault action '") +
+                         fault_action_name(event.action) +
+                         "' needs a fat-tree MultiRackExperiment");
+    default:
+      break;
+  }
+}
+
+void Testbed::apply_fat_tree_fault(const FaultEvent& event) {
+  Testbed::check_fault(event);  // throws: only fat-tree actions come here
+}
+
 // -- running ---------------------------------------------------------------
 
 void Testbed::start_clients() {
@@ -244,14 +262,9 @@ void Testbed::start_clients() {
   }
 }
 
-void Testbed::run_until(SimTime deadline) {
-  const wire::ScopedPoolBinding bind(pool_);
-  sim_.run_until(deadline);
-}
-
 ExperimentResult Testbed::run() {
   start_clients();
-  run_until(schedule_.end);
+  sim_.run_until(schedule_.end);
   return collect();
 }
 
@@ -262,7 +275,7 @@ std::vector<std::uint64_t> Testbed::run_timeline(SimTime total,
   std::vector<std::uint64_t> bins;
   std::uint64_t last_total = 0;
   for (SimTime t = bin; t <= total; t += bin) {
-    run_until(t);
+    sim_.run_until(t);
     std::uint64_t now_total = 0;
     for (const host::Client* client : clients_) {
       now_total += client->stats().completed;

@@ -6,6 +6,8 @@
 // named registries of its links, switches, servers and clients. Faults,
 // the run loop and the result collector work on those registries, so
 // both harnesses resolve a fault target and report a run the same way.
+// The topology hands the pool to every node, so however the engine is
+// driven, the testbed's frames come from its own pool.
 #pragma once
 
 #include <cstdint>
@@ -134,9 +136,9 @@ class Testbed {
   /// Engine telemetry: events executed so far (determinism fingerprint).
   [[nodiscard]] std::uint64_t executed_events() const;
   /// The balance sheet of this testbed's own frame pool, as the
-  /// one-element list the auditor and the benchmark iterate. Nothing a
-  /// testbed does allocates from the process-wide pool, so testbeds on
-  /// different threads (run_sweep's load points) never share a free list.
+  /// one-element list the auditor and the benchmark iterate. Its nodes
+  /// allocate only from it, so testbeds on different threads (run_sweep's
+  /// load points) never share a free list.
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
 
  protected:
@@ -152,10 +154,7 @@ class Testbed {
   explicit Testbed(const Schedule& schedule);
 
   // -- building ------------------------------------------------------------
-  // Harnesses bind pool() (ScopedPoolBinding) while they build; the run
-  // loop binds it itself.
 
-  [[nodiscard]] wire::FramePool& pool() { return pool_; }
   [[nodiscard]] phys::Topology& topology() { return topology_; }
   /// The stream every node's RNG is forked from, in build order.
   [[nodiscard]] Rng& root_rng() { return root_rng_; }
@@ -199,24 +198,25 @@ class Testbed {
   // -- what each topology decides ------------------------------------------
 
   /// Checks one plan entry before anything is scheduled; throws
-  /// CheckFailure for an action this topology cannot carry out.
-  virtual void check_fault(const FaultEvent& event) const = 0;
+  /// CheckFailure for an action this topology cannot carry out. The
+  /// default rejects agg_fail, agg_rejoin, rack_down and rack_up, which
+  /// need a fat tree's aggregation tier and racks.
+  virtual void check_fault(const FaultEvent& event) const;
   /// Schedules an entry that expands into several timed events and
   /// returns true; a plain entry returns false and fires through
   /// apply_fault.
   virtual bool schedule_expanded_fault(const FaultEvent& /*event*/) {
     return false;
   }
-  /// Applies agg_fail, agg_rejoin, rack_down or rack_up.
-  virtual void apply_fat_tree_fault(const FaultEvent& event) = 0;
+  /// Applies agg_fail, agg_rejoin, rack_down or rack_up. The default
+  /// throws CheckFailure, as check_fault's does.
+  virtual void apply_fat_tree_fault(const FaultEvent& event);
   /// Adds the scheme's switch-side counters to a collected result:
   /// cloned and filtered totals, and the client-facing switch's stats.
   virtual void add_switch_counters(ExperimentResult& result) const = 0;
 
  private:
   void start_clients();
-  /// Runs the engine to `deadline` with the pool bound to this thread.
-  void run_until(SimTime deadline);
   [[nodiscard]] ExperimentResult collect() const;
   [[nodiscard]] pisa::SwitchDevice& target_switch(
       const std::string& name) const;

@@ -4,8 +4,6 @@
 #include <bit>
 #include <utility>
 
-#include "wire/frame.hpp"
-
 namespace netclone::host {
 
 namespace {
@@ -333,7 +331,7 @@ void Client::emit_request(const wire::RpcRequest& req,
   nc.client_id = params_.client_id;
   nc.client_seq = client_seq;
 
-  wire::FrameHandle frame = headers.stamp();
+  wire::FrameHandle frame = headers.stamp(pool());
   std::byte* p = frame.writable();
   nc.store(p + wire::kNetCloneOffset);
   wire::ByteWriter body{std::span<std::byte>{
@@ -365,11 +363,12 @@ void Client::send_cancel(const Pending& pending, std::uint32_t client_seq,
   nc.type = wire::MsgType::kCancel;
   nc.client_id = params_.client_id;
   nc.client_seq = client_seq;
-  wire::Packet pkt = wire::make_netclone_packet(
-      my_mac_, wire::MacAddress::broadcast(), my_ip_, other,
-      client_port(params_.client_id), nc, {});
   ++stats_.cancels_sent;
-  emit_frame(pkt.serialize_pooled());
+  emit_frame(wire::header_only_frame(
+      pool(),
+      wire::UdpFlow{my_mac_, wire::MacAddress::broadcast(), my_ip_, other,
+                    client_port(params_.client_id), wire::kNetClonePort},
+      nc));
 }
 
 void Client::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {

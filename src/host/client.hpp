@@ -10,10 +10,12 @@
 // for it, and the ingress link delivers each frame when the receiver
 // thread has picked it up (Node::receive_cost).
 //
-// Each request is stamped into one pooled frame from a header template:
-// the Ethernet, IPv4 and UDP headers of this client's requests to one
+// Each request is stamped into one frame of the client's pool (the one its
+// topology handed it, phys::Node::pool) from a header template: the
+// Ethernet, IPv4 and UDP headers of this client's requests to one
 // destination, written once at construction. Per frame only the NetClone
-// header, the RPC body and the UDP checksum are written. Responses are
+// header, the RPC body and the UDP checksum are written; a C-Clone cancel
+// is a header-only frame of the same pool. Responses are
 // read through a wire::PacketView. A TCP-mode retransmission writes its
 // frames again from the request table entry, so every attempt carries the
 // same bytes (kDirectRandom re-draws its worker each attempt).

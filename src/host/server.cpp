@@ -11,26 +11,25 @@ namespace netclone::host {
 namespace {
 
 /// Writes one response fragment — the header stack of `flow`, `nc`, and
-/// `body` when given — over `frame` when the handle holds its buffer alone
-/// and the fragment fits it, and into a fresh pooled frame otherwise.
-wire::FrameHandle write_response(wire::FrameHandle frame,
+/// `body` — over `frame` when the handle holds its buffer alone and the
+/// fragment fits it, and into a fresh frame from `pool` otherwise.
+wire::FrameHandle write_response(wire::FramePool& pool,
+                                 wire::FrameHandle frame,
                                  const wire::UdpFlow& flow,
                                  const wire::NetCloneHeader& nc,
-                                 const wire::RpcResponse* body) {
-  const std::size_t body_size = body != nullptr ? body->wire_size() : 0;
+                                 const wire::RpcResponse& body) {
+  const std::size_t body_size = body.wire_size();
   const std::size_t size = wire::kNetClonePayloadOffset + body_size;
   if (!frame.reuse(size)) {
     frame.reset();
-    frame = wire::FrameHandle::allocate(size);
+    frame = wire::FrameHandle::allocate(pool, size);
   }
   std::byte* p = frame.writable();
   wire::write_udp_headers(p, flow, size);
   nc.store(p + wire::kNetCloneOffset);
-  if (body != nullptr) {
-    wire::ByteWriter w{
-        std::span<std::byte>{p + wire::kNetClonePayloadOffset, body_size}};
-    body->serialize(w);
-  }
+  wire::ByteWriter w{
+      std::span<std::byte>{p + wire::kNetClonePayloadOffset, body_size}};
+  body.serialize(w);
   wire::seal_udp_checksum(p, size);
   return frame;
 }
@@ -344,10 +343,10 @@ void Server::on_complete(PendingRequest& req, const wire::RpcRequest& rpc,
   const auto frags = std::max<std::uint8_t>(params_.response_fragments, 1);
   nc.frag_count = frags;
   nc.frag_idx = 0;
-  send(0, write_response(std::move(req.frame), flow, nc, &body));
+  send(0, write_response(pool(), std::move(req.frame), flow, nc, body));
   for (std::uint8_t f = 1; f < frags; ++f) {
     nc.frag_idx = f;
-    send(0, write_response({}, flow, nc, nullptr));
+    send(0, wire::header_only_frame(pool(), flow, nc));
   }
 
   --busy_workers_;

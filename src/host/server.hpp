@@ -17,9 +17,10 @@
 // (never copied), and the worker parses the RPC body from it. The
 // response is written over that very frame when the server holds it
 // alone and the response fits its buffer — the server answers in the
-// buffer it received on — and into a fresh pooled frame otherwise (a KV
-// GET response outgrows an 80-byte request's 128-byte buffer);
-// header-only fragment markers take fresh frames. Packet::serialize() is
+// buffer it received on — and into a fresh frame otherwise (a KV GET
+// response outgrows an 80-byte request's 128-byte buffer); header-only
+// fragment markers take fresh frames. Fresh frames come from the pool the
+// server's topology handed it (phys::Node::pool). Packet::serialize() is
 // the byte oracle these writes are tested against.
 #pragma once
 

@@ -1,10 +1,13 @@
-// A node in the simulated topology: a host NIC endpoint or a switch.
+// A node in the simulated topology: a host NIC endpoint or a switch. Hosts
+// write fresh frames into the pool their Topology hands them (pool());
+// switches only rewrite frames, copying on write from a frame's own pool.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "wire/framebuf.hpp"
 
@@ -51,6 +54,13 @@ class Node {
   [[nodiscard]] std::size_t port_count() const { return egress_.size(); }
   [[nodiscard]] const std::string& name() const { return name_; }
 
+  /// The pool this node's fresh frames come from, handed over by
+  /// Topology::add_node.
+  [[nodiscard]] wire::FramePool& pool() const {
+    NETCLONE_CHECK(pool_ != nullptr, "node was not added by a Topology");
+    return *pool_;
+  }
+
  protected:
   /// Transmits a frame out of `port`. Silently counts (and drops) frames
   /// sent on an unattached port — that models unplugged cables, not a bug.
@@ -68,7 +78,10 @@ class Node {
   std::size_t retract_not_ready();
 
  private:
+  friend class Topology;  // hands each node it adds its pool
+
   std::string name_;
+  wire::FramePool* pool_ = nullptr;
   std::vector<Link*> egress_;
   std::size_t ingress_links_ = 0;
 };

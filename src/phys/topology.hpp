@@ -1,4 +1,5 @@
-// Topology: owns nodes and links and wires them into duplex connections.
+// Topology: owns nodes and links and wires them into duplex connections,
+// and hands every node it adds the frame pool it allocates from.
 #pragma once
 
 #include <memory>
@@ -22,13 +23,19 @@ struct DuplexPorts {
 
 class Topology {
  public:
-  explicit Topology(sim::Simulator& sim) : sim_(sim) {}
+  /// The nodes added here allocate from `pool`, which must outlive every
+  /// frame they send. harness::Testbed passes its own; the default, the
+  /// process pool, serves rigs built outside any experiment.
+  explicit Topology(sim::Simulator& sim,
+                    wire::FramePool& pool = wire::FramePool::instance())
+      : sim_(sim), pool_(pool) {}
 
-  /// Constructs a node of type T owned by the topology.
+  /// Constructs a node of type T owned by the topology, with its pool.
   template <typename T, typename... Args>
   T& add_node(Args&&... args) {
     auto node = std::make_unique<T>(std::forward<Args>(args)...);
     T& ref = *node;
+    ref.pool_ = &pool_;
     nodes_.push_back(std::move(node));
     return ref;
   }
@@ -42,6 +49,7 @@ class Topology {
 
  private:
   sim::Simulator& sim_;
+  wire::FramePool& pool_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
 };

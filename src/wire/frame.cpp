@@ -81,10 +81,11 @@ Frame Packet::serialize() const {
   return out;
 }
 
-FrameHandle Packet::write_headers(std::size_t body_size) const {
-  const std::size_t total = header_size() + body_size;
-  FrameHandle h = FrameHandle::allocate(total);
-  ByteWriter w{std::span<std::byte>{h.writable(), header_size()}};
+FrameHandle Packet::serialize_pooled() const {
+  const std::size_t total = wire_size();
+  FrameHandle h = FrameHandle::allocate(FramePool::instance(), total);
+  std::byte* bytes = h.writable();
+  ByteWriter w{std::span<std::byte>{bytes, total}};
   eth.serialize(w);
   Ipv4Header ip_fixed = ip;
   ip_fixed.total_length = static_cast<std::uint16_t>(total - kIpOffset);
@@ -96,6 +97,8 @@ FrameHandle Packet::write_headers(std::size_t body_size) const {
   if (netclone) {
     netclone->serialize(w);
   }
+  w.bytes(payload);
+  seal_udp_checksum(bytes, total);
   return h;
 }
 

@@ -9,11 +9,10 @@
 //     reads one back. Observation boundaries (pcap, tests, parse-error
 //     injection) use them, and the tests hold the view's in-place writes
 //     and every frame a host writes byte-identical to them;
-//   * the builder of frames off the per-request path — serialize_pooled()
-//     writes the header stack and then the payload, or a body written
-//     straight into the frame, into one fresh pooled buffer and computes
-//     the UDP checksum: C-Clone's cancels and the chain controller's
-//     resync markers.
+//   * a builder for code outside any topology — serialize_pooled() writes
+//     serialize()'s bytes into one fresh frame of the process pool. No
+//     simulated node calls it: nodes allocate from the pool their
+//     topology hands them.
 #pragma once
 
 #include <optional>
@@ -52,25 +51,8 @@ class Packet {
   /// (IPv4 total_length + header checksum, UDP length + checksum).
   [[nodiscard]] Frame serialize() const;
 
-  /// serialize(), into one fresh pooled frame.
-  [[nodiscard]] FrameHandle serialize_pooled() const {
-    return serialize_pooled(payload.size(),
-                            [this](ByteWriter& w) { w.bytes(payload); });
-  }
-  /// Builds one fresh pooled frame with this packet's headers and a
-  /// `body_size`-byte payload that `write_body(ByteWriter&)` writes
-  /// straight into the frame (this packet's own payload is not used).
-  template <typename WriteBody>
-  [[nodiscard]] FrameHandle serialize_pooled(std::size_t body_size,
-                                             WriteBody&& write_body) const {
-    FrameHandle frame = write_headers(body_size);
-    std::byte* bytes = frame.writable();
-    ByteWriter w{std::span<std::byte>{bytes + header_size(), body_size}};
-    write_body(w);
-    NETCLONE_CHECK(w.written() == body_size, "frame body size mismatch");
-    seal_udp_checksum(bytes, frame.size());
-    return frame;
-  }
+  /// serialize(), into one fresh frame of the process pool.
+  [[nodiscard]] FrameHandle serialize_pooled() const;
 
   [[nodiscard]] bool has_netclone() const { return netclone.has_value(); }
 
@@ -86,11 +68,6 @@ class Packet {
     return EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize +
            (netclone ? NetCloneHeader::kSize : 0);
   }
-
- private:
-  /// A unique pooled frame for a `body_size`-byte payload, with the header
-  /// stack written and the UDP checksum still zero.
-  [[nodiscard]] FrameHandle write_headers(std::size_t body_size) const;
 };
 
 /// Convenience builder for a NetClone UDP packet between two endpoints.

@@ -7,20 +7,6 @@
 
 namespace netclone::wire {
 
-namespace {
-
-/// Pool the current thread allocates from when one is bound (the running
-/// experiment's pool); nullptr falls back to the process-wide singleton.
-thread_local FramePool* g_bound_pool = nullptr;
-
-}  // namespace
-
-FramePool* FramePool::bind_to_thread(FramePool* pool) {
-  FramePool* prev = g_bound_pool;
-  g_bound_pool = pool;
-  return prev;
-}
-
 // -- FramePool --------------------------------------------------------------
 
 FramePool::~FramePool() {
@@ -96,25 +82,18 @@ void FramePool::release(FrameBuf* buf) {
 }
 
 FramePool& FramePool::instance() {
-  if (g_bound_pool != nullptr) {
-    return *g_bound_pool;
-  }
   static FramePool pool;
   return pool;
 }
 
 // -- FrameHandle ------------------------------------------------------------
 
-FrameHandle FrameHandle::allocate(std::size_t size) {
-  return allocate(FramePool::instance(), size);
-}
-
 FrameHandle FrameHandle::allocate(FramePool& pool, std::size_t size) {
   return FrameHandle{pool.acquire(size)};
 }
 
 FrameHandle FrameHandle::copy_of(std::span<const std::byte> bytes) {
-  FrameHandle h = allocate(bytes.size());
+  FrameHandle h = allocate(FramePool::instance(), bytes.size());
   if (!bytes.empty()) {
     std::memcpy(h.writable(), bytes.data(), bytes.size());
   }

@@ -16,7 +16,10 @@
 //
 // Everything here is single-threaded, like the event engine: refcounts are
 // plain integers, and determinism is unaffected because sharing never
-// changes the bytes observed at any wire boundary.
+// changes the bytes observed at any wire boundary. A pool is therefore
+// never shared between threads: every fresh frame comes from a pool its
+// writer is handed (a node's, from its topology), and every copy-on-write
+// copy from the buffer's own pool.
 #pragma once
 
 #include <algorithm>
@@ -96,17 +99,11 @@ class FramePool {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// The pool the data path allocates from: the thread-bound pool when
-  /// one is installed (an experiment's own pool), else the process-wide
-  /// singleton (code running outside any experiment).
+  /// The process-wide pool, for frames built outside any topology:
+  /// FrameHandle::copy_of, the Frame conversions and the Packet builder.
+  /// Nodes never allocate from it unless their topology hands it to them
+  /// (phys::Topology's default).
   [[nodiscard]] static FramePool& instance();
-
-  /// Binds `pool` as this thread's allocation pool (nullptr unbinds) and
-  /// returns the previous binding. Buffers still release to the pool that
-  /// acquired them — the FrameBuf back-pointer, not the binding — so a
-  /// handle that outlives a binding change stays balanced in its home
-  /// pool's stats.
-  static FramePool* bind_to_thread(FramePool* pool);
 
  private:
   static constexpr std::size_t kClassCount = 6;
@@ -132,23 +129,6 @@ class FramePool {
   std::size_t carve_left_[kClassCount] = {};
   Block* blocks_ = nullptr;  // every block, freed by the destructor
   Stats stats_;
-};
-
-/// Scoped FramePool::bind_to_thread: installs `pool` for the lifetime of
-/// the binding and restores the previous one on exit. Experiments wrap
-/// their build and every engine run in one, so node code allocating
-/// through FramePool::instance() transparently hits the experiment's
-/// pool.
-class ScopedPoolBinding {
- public:
-  explicit ScopedPoolBinding(FramePool& pool)
-      : prev_(FramePool::bind_to_thread(&pool)) {}
-  ~ScopedPoolBinding() { (void)FramePool::bind_to_thread(prev_); }
-  ScopedPoolBinding(const ScopedPoolBinding&) = delete;
-  ScopedPoolBinding& operator=(const ScopedPoolBinding&) = delete;
-
- private:
-  FramePool* prev_;
 };
 
 /// Refcounted handle to one contiguous pooled frame. Copying a handle
@@ -180,18 +160,16 @@ class FrameHandle {
   ~FrameHandle() { reset(); }
 
   // Bridges from the legacy owned-vector frame type: copies the bytes into
-  // a pooled buffer. Implicit so call sites (and tests) that still build
-  // wire::Frame values keep working unchanged.
+  // a buffer of the process pool (copy_of). Implicit so call sites (and
+  // tests) that still build wire::Frame values keep working unchanged.
   // NOLINTNEXTLINE(google-explicit-constructor)
   FrameHandle(const Frame& frame) : FrameHandle(copy_of(frame)) {}
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  FrameHandle(Frame&& frame) : FrameHandle(copy_of(frame)) {}
 
-  /// A unique handle to `size` uninitialized pooled bytes; fill through
-  /// writable() before sharing.
-  [[nodiscard]] static FrameHandle allocate(std::size_t size);
+  /// A unique handle to `size` uninitialized bytes from `pool`; fill
+  /// through writable() before sharing.
   [[nodiscard]] static FrameHandle allocate(FramePool& pool,
                                             std::size_t size);
+  /// A frame of the process pool holding a copy of `bytes`.
   [[nodiscard]] static FrameHandle copy_of(std::span<const std::byte> bytes);
 
   [[nodiscard]] std::size_t size() const {

@@ -42,13 +42,23 @@ void seal_udp_checksum(std::byte* frame, std::size_t size) {
   store_u16(frame, kUdpCsumOff, csum);
 }
 
+FrameHandle header_only_frame(FramePool& pool, const UdpFlow& flow,
+                              const NetCloneHeader& nc) {
+  FrameHandle frame = FrameHandle::allocate(pool, kNetClonePayloadOffset);
+  std::byte* p = frame.writable();
+  write_udp_headers(p, flow, kNetClonePayloadOffset);
+  nc.store(p + kNetCloneOffset);
+  seal_udp_checksum(p, kNetClonePayloadOffset);
+  return frame;
+}
+
 HeaderTemplate::HeaderTemplate(const UdpFlow& flow, std::size_t frame_size)
     : frame_size_(frame_size) {
   write_udp_headers(headers_.data(), flow, frame_size);
 }
 
-FrameHandle HeaderTemplate::stamp() const {
-  FrameHandle frame = FrameHandle::allocate(frame_size_);
+FrameHandle HeaderTemplate::stamp(FramePool& pool) const {
+  FrameHandle frame = FrameHandle::allocate(pool, frame_size_);
   std::memcpy(frame.writable(), headers_.data(), headers_.size());
   return frame;
 }

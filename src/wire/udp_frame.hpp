@@ -2,7 +2,8 @@
 //
 // Every frame here is Ethernet + IPv4 (no options) + UDP + optional
 // NetClone header + payload, at fixed offsets. A host writes its frames
-// straight into pooled buffers with the helpers below:
+// straight into pooled buffers with the helpers below, taking every fresh
+// frame from the pool its node was handed (phys::Node::pool):
 //   * a client stamps each request from a HeaderTemplate — the Ethernet,
 //     IPv4 and UDP headers of one destination's requests, written once —
 //     and writes only the NetClone header, the RPC body and the UDP
@@ -10,7 +11,10 @@
 //   * a server writes each response over its request's own frame when it
 //     holds that buffer alone and the response fits it
 //     (FrameHandle::reuse), and into a fresh pooled frame otherwise:
-//     write_udp_headers, the NetClone header, the body, and the seal.
+//     write_udp_headers, the NetClone header, the body, and the seal;
+//   * a frame that carries only a NetClone header — a server's fragment
+//     marker, a C-Clone cancel, the chain controller's sync marker — is
+//     header_only_frame.
 // wire::Packet (frame.hpp) is the byte oracle these writes are tested
 // against (tests/test_host_frames.cpp).
 #pragma once
@@ -59,6 +63,11 @@ void write_udp_headers(std::byte* frame, const UdpFlow& flow,
 /// frame's UDP header.
 void seal_udp_checksum(std::byte* frame, std::size_t size);
 
+/// A fresh frame from `pool` holding `flow`'s headers and `nc`, sealed.
+[[nodiscard]] FrameHandle header_only_frame(FramePool& pool,
+                                            const UdpFlow& flow,
+                                            const NetCloneHeader& nc);
+
 /// The Ethernet, IPv4 and UDP headers of one flow's `frame_size`-byte
 /// frames, written once. Stamping a frame copies them, lengths and IPv4
 /// checksum included; what follows the UDP header, and the UDP checksum,
@@ -68,8 +77,8 @@ class HeaderTemplate {
   HeaderTemplate(const UdpFlow& flow, std::size_t frame_size);
 
   [[nodiscard]] std::size_t frame_size() const { return frame_size_; }
-  /// A fresh pooled frame of frame_size() bytes, headers stamped in.
-  [[nodiscard]] FrameHandle stamp() const;
+  /// A fresh frame of frame_size() bytes from `pool`, headers stamped in.
+  [[nodiscard]] FrameHandle stamp(FramePool& pool) const;
 
  private:
   std::array<std::byte, kNetCloneOffset> headers_{};

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "test_util.hpp"
 #include "wire/frame.hpp"
 #include "wire/rpc.hpp"
 
@@ -381,10 +382,9 @@ TEST(PacketFastpath, RecirculationChainStaysByteExact) {
 
 TEST(PacketFastpath, UnchangedPacketForwardsTheExactSameBuffer) {
   FramePool pool;
-  const ScopedPoolBinding binding{pool};
   Rng rng{0x1D1E};
-  const FrameHandle incoming =
-      FrameHandle::copy_of(sample_packet(rng, 32).serialize());
+  const FrameHandle incoming = netclone::testing::copy_into(
+      pool, sample_packet(rng, 32).serialize());
   const std::uint64_t acquired = pool.stats().acquired;
   PacketView view{incoming};
   // Writing a field's current value writes nothing.

@@ -1,12 +1,14 @@
 // The byte oracle for every frame a host writes.
 //
-// Clients stamp their requests from header templates, and servers write
-// each response over its request's own frame when they can
-// (wire/udp_frame.hpp). Each test here drives a real host, captures what
-// it sends, and holds every frame equal, byte for byte, to
-// Packet::serialize() of the fields that frame should carry — built
-// independently, through make_netclone_packet or by filling a Packet.
-// The server tests also pin where each response was written: over the
+// Clients stamp their requests from header templates, servers write each
+// response over its request's own frame when they can, and C-Clone
+// cancels, fragment markers and the chain controller's sync markers are
+// header-only frames (wire/udp_frame.hpp). Each test here drives a real
+// host (or writes a sync marker), captures what it sends, and holds every
+// frame equal, byte for byte, to Packet::serialize() of the fields that
+// frame should carry — built independently, through make_netclone_packet
+// or by filling a Packet. The tests also pin which pool each frame came
+// from and, for a server, where each response was written: over the
 // request's frame, in a fresh frame when the response outgrows the
 // request's buffer, or in a fresh frame when another holder shares it.
 #include <gtest/gtest.h>
@@ -14,8 +16,10 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "harness/chain_controller.hpp"
 #include "host/client.hpp"
 #include "host/server.hpp"
 #include "host/service.hpp"
@@ -69,11 +73,12 @@ ClientParams client_params(SendMode mode) {
   return p;
 }
 
+/// A client sending into a sink; the topology hands the client the rig's
+/// pool.
 struct ClientRig {
   wire::FramePool pool;
-  wire::ScopedPoolBinding binding{pool};
   sim::Simulator sim;
-  phys::Topology topo{sim};
+  phys::Topology topo{sim, pool};
   Client* client = nullptr;
   HandleSink* sink = nullptr;
 
@@ -265,6 +270,32 @@ TEST(HostFrames, CCloneCancelMatchesTheOracle) {
                 second.ip.dst,
                 static_cast<std::uint16_t>(40000 + kClientId), nc, {})
                 .serialize());
+  // Both copies and the cancel came from the client's pool.
+  EXPECT_EQ(rig.pool.stats().acquired, 3U);
+}
+
+// -- chain-sync markers ------------------------------------------------------
+
+TEST(HostFrames, ChainSyncMarkerMatchesTheOracle) {
+  wire::FramePool pool;
+  for (const auto& [switch_id, sync_id] :
+       {std::pair<std::uint8_t, std::uint32_t>{1, 1},
+        std::pair<std::uint8_t, std::uint32_t>{2, 0xC0FFEE},
+        std::pair<std::uint8_t, std::uint32_t>{255, 0xFFFFFFFF}}) {
+    NetCloneHeader nc;
+    nc.type = wire::MsgType::kChainSync;
+    nc.req_id = sync_id;
+    nc.switch_id = switch_id;
+    EXPECT_EQ(harness::chain_sync_marker(pool, switch_id, sync_id).to_frame(),
+              wire::make_netclone_packet(wire::MacAddress::broadcast(),
+                                         wire::MacAddress::broadcast(),
+                                         service_vip(), service_vip(),
+                                         /*src_port=*/0, nc, {})
+                  .serialize())
+        << "switch " << int{switch_id} << " sync " << sync_id;
+  }
+  EXPECT_EQ(pool.stats().acquired, 3U);
+  EXPECT_EQ(pool.stats().live, 0U);
 }
 
 // -- responses ---------------------------------------------------------------
@@ -275,9 +306,8 @@ constexpr ServerId kSid{4};
 /// own pool. Jitter-free, so a response's timing fields are exact.
 struct ServerRig {
   wire::FramePool pool;
-  wire::ScopedPoolBinding binding{pool};
   sim::Simulator sim;
-  phys::Topology topo{sim};
+  phys::Topology topo{sim, pool};
   Server* server = nullptr;
   HandleSink* sink = nullptr;
 
@@ -339,10 +369,11 @@ wire::RpcResponse response_body(std::uint32_t service_ns) {
   return body;
 }
 
-/// Hands the rig's server `request` as one pooled frame and runs it to
-/// completion. Returns the request frame's buffer address.
+/// Hands the rig's server `request` as one frame of the rig's pool and
+/// runs it to completion. Returns the request frame's buffer address.
 const std::byte* serve(ServerRig& rig, const Packet& request) {
-  FrameHandle frame = FrameHandle::copy_of(request.serialize());
+  FrameHandle frame =
+      netclone::testing::copy_into(rig.pool, request.serialize());
   const std::byte* buffer = frame.bytes().data();
   rig.server->handle_frame(0, std::move(frame));
   rig.sim.run();
@@ -431,7 +462,8 @@ TEST(HostFrames, SharedRequestFrameIsLeftIntactAndAnsweredInAFreshFrame) {
   const Frame request_bytes = request.serialize();
   // A second holder of the request's frame — a duplicate the link model
   // delivers, say — keeps it shared while the server works.
-  const FrameHandle held = FrameHandle::copy_of(request_bytes);
+  const FrameHandle held =
+      netclone::testing::copy_into(rig.pool, request_bytes);
   rig.server->handle_frame(0, held);
   rig.sim.run();
   ASSERT_EQ(rig.sink->frames.size(), 1U);

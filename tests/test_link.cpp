@@ -886,7 +886,7 @@ TEST(LinkFaults, CorruptionFlipsOneBitOnAPrivateCopy) {
 }
 
 TEST(LinkFaults, CorruptedCopyComesFromTheFramesOwnPool) {
-  // No pool is bound here, so an implicit allocation would land in the
+  // A copy taken from any pool but the frame's own would land in the
   // process pool.
   wire::FramePool pool;
   sim::Simulator sim;

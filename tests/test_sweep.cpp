@@ -2,10 +2,13 @@
 // on. run_sweep runs its points on real worker threads, so the TSan lane
 // checks these for races: it must equal the serial loop it replaced,
 // field by field, and surface a failing point's exception on the caller.
+// Two testbeds also run side by side on two threads here, each driving
+// its engine directly, and must share no frame pool.
 #include "harness/report.hpp"
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -55,6 +58,34 @@ MultiRackConfig small_pod() {
   cfg.seed = 13;
   cfg.offered_rps = 0.5 * cluster_capacity_rps({4, 4, 4, 4}, kMeanServiceUs);
   return cfg;
+}
+
+/// small_rack() under C-Clone with cancels: the clients write cancels.
+ClusterConfig cancelling_rack() {
+  ClusterConfig cfg = small_rack();
+  cfg.scheme = Scheme::kCClone;
+  cfg.client_template.cclone_cancel = true;
+  return cfg;
+}
+
+/// small_pod() with three chain-replicated aggregation switches whose
+/// middle one fails and rejoins: the chain controller writes a reconcile
+/// marker and an admit marker.
+MultiRackConfig failing_over_pod() {
+  MultiRackConfig cfg = small_pod();
+  cfg.num_aggs = 3;
+  cfg.agg_mode = AggMode::kReplicated;
+  cfg.faults.events.push_back(parse_fault_entry("at=1500us agg_fail agg1"));
+  cfg.faults.events.push_back(
+      parse_fault_entry("at=2500us agg_rejoin agg1"));
+  return cfg;
+}
+
+/// Starts `bed` with run_timeline, then drives its engine on through the
+/// public simulator(), as a test or bench that injects events does.
+void drive_directly(Testbed& bed) {
+  (void)bed.run_timeline(SimTime::milliseconds(1), SimTime::milliseconds(1));
+  bed.simulator().run_until(SimTime::milliseconds(3));
 }
 
 void expect_same_result(const ExperimentResult& a, const ExperimentResult& b,
@@ -171,6 +202,47 @@ TEST(ExperimentPools, ExperimentsNeverTouchTheProcessPool) {
     testing::expect_own_pools_balance(exp.frame_pool_stats(), "pod");
   }
   testing::expect_process_pool_untouched(before, "rack + pod");
+}
+
+// The topology hands every node its testbed's pool, so driving the engine
+// directly — not through run() — allocates nothing from the process pool
+// either, cancels and chain-sync markers included.
+TEST(ExperimentPools, DirectlyDrivenTestbedsNeverTouchTheProcessPool) {
+  const wire::FramePool::Stats before = wire::FramePool::instance().stats();
+  {
+    Experiment exp{cancelling_rack()};
+    drive_directly(exp);
+    EXPECT_GT(exp.clients()[0]->stats().cancels_sent, 0U);
+    testing::expect_own_pools_balance(exp.frame_pool_stats(), "rack");
+  }
+  {
+    MultiRackExperiment exp{failing_over_pod()};
+    drive_directly(exp);
+    EXPECT_GT(exp.agg_netclone_program(1).stats().chain_sync_installs, 0U)
+        << "the rejoined replica installed no snapshot";
+    testing::expect_own_pools_balance(exp.frame_pool_stats(), "pod");
+  }
+  testing::expect_process_pool_untouched(before, "directly driven rack + pod");
+}
+
+// A rack and a pod built and run at the same time on two threads share
+// nothing: each pool balances and the process pool never moves. Under the
+// TSan lane a shared free list is a reported race.
+TEST(ExperimentPools, TestbedsOnTwoThreadsShareNoPool) {
+  const wire::FramePool::Stats before = wire::FramePool::instance().stats();
+  auto rack = std::async(std::launch::async, [] {
+    Experiment exp{cancelling_rack()};
+    drive_directly(exp);
+    return exp.frame_pool_stats();
+  });
+  auto pod = std::async(std::launch::async, [] {
+    MultiRackExperiment exp{failing_over_pod()};
+    drive_directly(exp);
+    return exp.frame_pool_stats();
+  });
+  testing::expect_own_pools_balance(rack.get(), "rack thread");
+  testing::expect_own_pools_balance(pod.get(), "pod thread");
+  testing::expect_process_pool_untouched(before, "rack + pod threads");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "host/addressing.hpp"
@@ -45,6 +47,17 @@ class CaptureNode : public phys::Node {
   };
   std::vector<Rx> received;
 };
+
+/// A frame of `pool` holding a copy of `bytes` (FrameHandle::copy_of
+/// copies into the process pool).
+inline wire::FrameHandle copy_into(wire::FramePool& pool,
+                                   std::span<const std::byte> bytes) {
+  wire::FrameHandle frame = wire::FrameHandle::allocate(pool, bytes.size());
+  if (!bytes.empty()) {
+    std::memcpy(frame.writable(), bytes.data(), bytes.size());
+  }
+  return frame;
+}
 
 /// Builds a NetClone request packet the way a client would.
 inline wire::Packet make_request(std::uint16_t client_id,
