@@ -17,8 +17,8 @@
 // A second, fault-free run produces the exact-digest keys the bench gate
 // checks bit-for-bit (fig16_nofault_completed / fig16_nofault_digest);
 // the faulted run's counters are reported for information. The control
-// runs on its own thread while the faulted run proceeds: each experiment
-// binds its own frame pool, as run_sweep's load points do.
+// runs on its own thread while the faulted run proceeds: each experiment's
+// testbed hands its own frame pool to its nodes, so the runs share none.
 //
 // Usage: bench_fig16_failure [output.json] (default: BENCH_fig16.json)
 #include <cstdio>

@@ -1,14 +1,15 @@
 // Command-line simulator front end.
 //
-//   ./build/examples/netclone_sim --template            # print a template
-//   ./build/examples/netclone_sim scenario.cfg          # run a file
-//   ./build/examples/netclone_sim scenario.cfg scheme=baseline loads=0.5
+//   ./build/examples/simctl --template            # print a template
+//   ./build/examples/simctl scenario.cfg          # run a file
+//   ./build/examples/simctl scenario.cfg scheme=baseline loads=0.5
 //
 // Trailing key=value arguments override the file, so one scenario can be
 // swept across schemes from a shell loop.
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "harness/scenario.hpp"
 
@@ -34,25 +35,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    // Load the file, then apply overrides by re-parsing "file + overrides"
-    // as one concatenated scenario (later keys win by assignment order).
-    std::string text;
-    {
-      // Reuse the library loader for the existence/IO error message.
-      (void)harness::load_scenario_file(argv[1]);
-      std::FILE* f = std::fopen(argv[1], "rb");
-      char buf[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        text.append(buf, n);
-      }
-      std::fclose(f);
-    }
-    for (int i = 2; i < argc; ++i) {
-      text += "\n";
-      text += argv[i];
-    }
-    const harness::Scenario scenario = harness::parse_scenario(text);
+    const harness::Scenario scenario = harness::load_scenario_file(
+        argv[1], std::vector<std::string>(argv + 2, argv + argc));
     std::printf("capacity estimate: %.0f KRPS\n",
                 scenario.capacity_rps() / 1e3);
     (void)scenario.run();

@@ -7,21 +7,31 @@
 
 namespace netclone::baselines {
 
+namespace {
+
+/// Serial CPU time per packet handled (rx or tx).
+constexpr SimTime kPerPacketCost = SimTime::nanoseconds(1200);
+/// NIC rx ring size, in packet-times of reserved CPU backlog.
+constexpr std::size_t kRxRingCapacity = 512;
+
+}  // namespace
+
 LaedgeCoordinator::LaedgeCoordinator(sim::Simulator& sim,
-                                     LaedgeParams params, Rng rng)
+                                     std::vector<LaedgeWorkerInfo> workers,
+                                     Rng rng)
     : phys::Node("laedge-coordinator"),
       sim_(sim),
-      params_(std::move(params)),
+      workers_(std::move(workers)),
       rng_(rng),
       my_ip_(host::coordinator_ip()),
       my_mac_(wire::MacAddress::from_node(0x0300U)) {
-  NETCLONE_CHECK(!params_.workers.empty(), "coordinator needs workers");
-  outstanding_.assign(params_.workers.size(), 0);
+  NETCLONE_CHECK(!workers_.empty(), "coordinator needs workers");
+  outstanding_.assign(workers_.size(), 0);
 }
 
 SimTime LaedgeCoordinator::charge_cpu() {
   const SimTime start = std::max(sim_.now(), cpu_busy_until_);
-  cpu_busy_until_ = start + params_.per_packet_cost;
+  cpu_busy_until_ = start + kPerPacketCost;
   return cpu_busy_until_;
 }
 
@@ -43,8 +53,8 @@ void LaedgeCoordinator::handle_frame(std::size_t /*port*/,
   if (wire::is_request(pkt.type())) {
     const auto backlog_ns =
         static_cast<double>((cpu_busy_until_ - sim_.now()).ns());
-    if (backlog_ns > static_cast<double>(params_.per_packet_cost.ns()) *
-                         static_cast<double>(params_.rx_ring_capacity)) {
+    if (backlog_ns > static_cast<double>(kPerPacketCost.ns()) *
+                         static_cast<double>(kRxRingCapacity)) {
       ++stats_.rx_ring_drops;
       return;
     }
@@ -67,8 +77,8 @@ void LaedgeCoordinator::on_cpu() {
 
 std::vector<std::size_t> LaedgeCoordinator::idle_workers() const {
   std::vector<std::size_t> idle;
-  for (std::size_t w = 0; w < params_.workers.size(); ++w) {
-    if (outstanding_[w] < params_.workers[w].capacity) {
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    if (outstanding_[w] < workers_[w].capacity) {
       idle.push_back(w);
     }
   }
@@ -90,6 +100,11 @@ void LaedgeCoordinator::admit_request(wire::PacketView&& pkt) {
         std::max(stats_.max_queue_depth, pending_.size());
     return;
   }
+  forward_or_clone(pkt, idle);
+}
+
+void LaedgeCoordinator::forward_or_clone(
+    const wire::PacketView& pkt, const std::vector<std::size_t>& idle) {
   if (idle.size() == 1) {
     ++stats_.forwarded_single;
     dispatch(pkt, idle[0]);
@@ -108,7 +123,7 @@ void LaedgeCoordinator::admit_request(wire::PacketView&& pkt) {
 
 void LaedgeCoordinator::dispatch(const wire::PacketView& pkt,
                                  std::size_t w) {
-  const LaedgeWorkerInfo& worker = params_.workers[w];
+  const LaedgeWorkerInfo& worker = workers_[w];
   ++outstanding_[w];
 
   const std::uint64_t key = request_key(pkt.client_id(), pkt.client_seq());
@@ -130,8 +145,8 @@ void LaedgeCoordinator::dispatch(const wire::PacketView& pkt,
 void LaedgeCoordinator::on_response(wire::PacketView&& pkt) {
   const std::uint8_t sid = pkt.sid();
   // Locate the worker that answered and release its slot.
-  for (std::size_t w = 0; w < params_.workers.size(); ++w) {
-    if (value_of(params_.workers[w].sid) == sid) {
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    if (value_of(workers_[w].sid) == sid) {
       if (outstanding_[w] > 0) {
         --outstanding_[w];
       }
@@ -173,19 +188,7 @@ void LaedgeCoordinator::drain_queue() {
     }
     wire::PacketView pkt = std::move(pending_.front());
     pending_.pop_front();
-    if (idle.size() >= 2) {
-      ++stats_.cloned;
-      const auto a = static_cast<std::size_t>(rng_.next_below(idle.size()));
-      auto b = static_cast<std::size_t>(rng_.next_below(idle.size() - 1));
-      if (b >= a) {
-        ++b;
-      }
-      dispatch(pkt, idle[a]);
-      dispatch(pkt, idle[b]);
-    } else {
-      ++stats_.forwarded_single;
-      dispatch(pkt, idle[0]);
-    }
+    forward_or_clone(pkt, idle);
   }
 }
 

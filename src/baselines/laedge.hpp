@@ -10,8 +10,12 @@
 //     client and absorbs the redundant one — paying CPU for it, which is
 //     one of the two reasons the paper finds the approach unscalable.
 // Every packet the coordinator receives or transmits occupies its serial
-// CPU for `per_packet_cost`, giving it the few-Mpps ceiling of a commodity
-// server and reproducing the Fig. 8 throughput collapse.
+// CPU for 1.2 µs: an optimized kernel-bypass coordinator processes a few
+// million packets per second once decision logic is included. That is the
+// few-Mpps ceiling of a commodity server, and it reproduces the Fig. 8
+// throughput collapse. Under overload its NIC rx ring sheds requests that
+// arrive while 512 packet-times of CPU work are already reserved, as on
+// real hardware (otherwise rx work would starve transmissions forever).
 #pragma once
 
 #include <cstdint>
@@ -36,18 +40,6 @@ struct LaedgeWorkerInfo {
   std::uint32_t capacity = 16;
 };
 
-struct LaedgeParams {
-  /// Serial CPU time per packet handled (rx or tx). An optimized
-  /// kernel-bypass coordinator processes a few million packets per second,
-  /// i.e. order-microsecond per packet once decision logic is included.
-  SimTime per_packet_cost = SimTime::nanoseconds(1200);
-  /// NIC rx ring size: frames arriving while this many packets of CPU
-  /// backlog are already reserved get dropped, as on real hardware under
-  /// overload (otherwise rx work would starve transmissions forever).
-  std::size_t rx_ring_capacity = 512;
-  std::vector<LaedgeWorkerInfo> workers{};
-};
-
 struct LaedgeStats {
   std::uint64_t requests = 0;
   std::uint64_t cloned = 0;
@@ -61,7 +53,8 @@ struct LaedgeStats {
 
 class LaedgeCoordinator : public phys::Node {
  public:
-  LaedgeCoordinator(sim::Simulator& sim, LaedgeParams params, Rng rng);
+  LaedgeCoordinator(sim::Simulator& sim,
+                    std::vector<LaedgeWorkerInfo> workers, Rng rng);
 
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
@@ -89,6 +82,10 @@ class LaedgeCoordinator : public phys::Node {
   void on_response(wire::PacketView&& pkt);
   /// Dispatches one copy of `pkt` to worker `w`, charging CPU for the tx.
   void dispatch(const wire::PacketView& pkt, std::size_t w);
+  /// LÆDGE's decision for a request and a non-empty `idle` list: forward
+  /// to the one idle worker, or clone to two distinct random ones.
+  void forward_or_clone(const wire::PacketView& pkt,
+                        const std::vector<std::size_t>& idle);
   void drain_queue();
   [[nodiscard]] std::vector<std::size_t> idle_workers() const;
   /// Occupies the serial CPU for one packet-time and returns the instant
@@ -96,7 +93,7 @@ class LaedgeCoordinator : public phys::Node {
   SimTime charge_cpu();
 
   sim::Simulator& sim_;
-  LaedgeParams params_;
+  std::vector<LaedgeWorkerInfo> workers_;
   Rng rng_;
   wire::Ipv4Address my_ip_;
   wire::MacAddress my_mac_;

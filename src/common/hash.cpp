@@ -64,10 +64,10 @@ std::uint16_t crc16(std::span<const std::byte> data) {
 }
 
 std::uint64_t fnv1a(std::span<const std::byte> data) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnv1aOffsetBasis;
   for (const std::byte b : data) {
     h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001B3ULL;
+    h *= kFnv1aPrime;
   }
   return h;
 }

@@ -23,8 +23,24 @@ namespace netclone {
 [[nodiscard]] std::uint16_t crc16(std::span<const std::byte> data);
 
 /// FNV-1a 64-bit, for host-side hash tables.
+inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xCBF29CE484222325ULL;
+inline constexpr std::uint64_t kFnv1aPrime = 0x100000001B3ULL;
 [[nodiscard]] std::uint64_t fnv1a(std::string_view data);
 [[nodiscard]] std::uint64_t fnv1a(std::span<const std::byte> data);
+
+/// A running FNV-1a 64-bit digest over 64-bit values, each folded as its
+/// 8 bytes, least significant first (the run digests and a switch's
+/// soft-state digest).
+struct Fnv1aFold {
+  std::uint64_t digest = kFnv1aOffsetBasis;
+
+  constexpr void operator()(std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      digest ^= (value >> shift) & 0xFFU;
+      digest *= kFnv1aPrime;
+    }
+  }
+};
 
 /// Fibonacci/multiplicative finalizer used to spread sequential IDs.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {

@@ -1,6 +1,7 @@
 #include "core/netclone_program.hpp"
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace netclone::core {
 namespace {
@@ -533,13 +534,7 @@ std::uint16_t NetCloneProgram::peek_state(ServerId sid) const {
 }
 
 std::uint64_t NetCloneProgram::soft_state_digest() const {
-  std::uint64_t digest = 0xCBF29CE484222325ULL;
-  const auto fold = [&digest](std::uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      digest ^= (value >> shift) & 0xFFU;
-      digest *= 0x100000001B3ULL;
-    }
-  };
+  Fnv1aFold fold;
   for (std::size_t i = 0; i < config_.max_servers; ++i) {
     fold(state_table_.peek(i));
     fold(shadow_table_.peek(i));
@@ -549,7 +544,7 @@ std::uint64_t NetCloneProgram::soft_state_digest() const {
       fold(table->peek(slot));
     }
   }
-  return digest;
+  return fold.digest;
 }
 
 std::uint64_t NetCloneProgram::filter_occupancy() const {

@@ -128,10 +128,8 @@ void Experiment::build() {
 
   // The coordinator, for LÆDGE runs.
   if (config_.scheme == Scheme::kLaedge) {
-    baselines::LaedgeParams lp;
-    lp.workers = laedge_workers;
     coordinator_ = &topology().add_node<baselines::LaedgeCoordinator>(
-        sim, lp, root_rng().fork());
+        sim, std::move(laedge_workers), root_rng().fork());
     const auto ports = topology().connect(*coordinator_, *switch_);
     record_link("co0", "sw0", ports);
     router_->add_prefix(host::coordinator_ip(), 32, ports.port_on_b);

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "harness/experiment.hpp"
 #include "harness/multirack.hpp"
 #include "wire/framebuf.hpp"
@@ -159,19 +160,8 @@ InvariantReport audit_testbed(const Testbed& bed) {
 
 // ---- shared digest folds -------------------------------------------------
 
-struct Fold {
-  std::uint64_t digest = 0xCBF29CE484222325ULL;
-
-  // FNV-1a, one byte at a time, over the value's 8 bytes.
-  void operator()(std::uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      digest ^= (value >> shift) & 0xFFU;
-      digest *= 0x100000001B3ULL;
-    }
-  }
-};
-
-void fold_clients(Fold& fold, const std::vector<host::Client*>& clients) {
+void fold_clients(Fnv1aFold& fold,
+                  const std::vector<host::Client*>& clients) {
   for (const host::Client* client : clients) {
     const host::ClientStats& cs = client->stats();
     fold(cs.requests_sent);
@@ -186,7 +176,8 @@ void fold_clients(Fold& fold, const std::vector<host::Client*>& clients) {
   }
 }
 
-void fold_servers(Fold& fold, const std::vector<host::Server*>& servers) {
+void fold_servers(Fnv1aFold& fold,
+                  const std::vector<host::Server*>& servers) {
   for (const host::Server* server : servers) {
     const host::ServerStats& ss = server->stats();
     fold(ss.rx_requests);
@@ -203,7 +194,7 @@ void fold_servers(Fold& fold, const std::vector<host::Server*>& servers) {
   }
 }
 
-void fold_switch(Fold& fold, const pisa::SwitchStats& sw) {
+void fold_switch(Fnv1aFold& fold, const pisa::SwitchStats& sw) {
   fold(sw.rx_frames);
   fold(sw.tx_frames);
   fold(sw.dropped_by_program);
@@ -217,7 +208,7 @@ void fold_switch(Fold& fold, const pisa::SwitchStats& sw) {
 }
 
 void fold_links(
-    Fold& fold,
+    Fnv1aFold& fold,
     const std::vector<std::pair<std::string, phys::Link*>>& links) {
   for (const auto& [name, link] : links) {
     const phys::LinkStats& ls = link->stats();
@@ -232,7 +223,8 @@ void fold_links(
   }
 }
 
-void fold_netclone(Fold& fold, const core::NetCloneProgramStats& ps) {
+void fold_netclone(Fnv1aFold& fold,
+                   const core::NetCloneProgramStats& ps) {
   fold(ps.requests);
   fold(ps.cloned_requests);
   fold(ps.recirculated_clones);
@@ -243,7 +235,8 @@ void fold_netclone(Fold& fold, const core::NetCloneProgramStats& ps) {
   fold(ps.injected_stale_entries);
 }
 
-void fold_agg_netclone(Fold& fold, const core::NetCloneProgramStats& ps) {
+void fold_agg_netclone(Fnv1aFold& fold,
+                       const core::NetCloneProgramStats& ps) {
   fold(ps.requests);
   fold(ps.cloned_requests);
   fold(ps.recirculated_clones);
@@ -266,8 +259,8 @@ void fold_agg_netclone(Fold& fold, const core::NetCloneProgramStats& ps) {
 
 /// The folds every testbed shares, in digest order: the executed event
 /// count, then clients, servers, every switch and every link.
-Fold fold_testbed(const Testbed& bed) {
-  Fold fold;
+Fnv1aFold fold_testbed(const Testbed& bed) {
+  Fnv1aFold fold;
   fold(bed.executed_events());
   fold_clients(fold, bed.clients());
   fold_servers(fold, bed.servers());
@@ -425,7 +418,7 @@ InvariantReport audit_invariants(const MultiRackExperiment& exp) {
 }
 
 std::uint64_t chaos_digest(const Experiment& exp) {
-  Fold fold = fold_testbed(exp);
+  Fnv1aFold fold = fold_testbed(exp);
   if (exp.netclone_program() != nullptr) {
     fold_netclone(fold, exp.netclone_program()->stats());
   }
@@ -433,7 +426,7 @@ std::uint64_t chaos_digest(const Experiment& exp) {
 }
 
 std::uint64_t chaos_digest(const MultiRackExperiment& exp) {
-  Fold fold = fold_testbed(exp);
+  Fnv1aFold fold = fold_testbed(exp);
   if (exp.config().agg_mode == AggMode::kReplicated) {
     for (std::size_t a = 0; a < exp.num_aggs(); ++a) {
       fold_agg_netclone(fold, exp.agg_netclone_program(a).stats());

@@ -364,17 +364,22 @@ Scenario parse_scenario(const std::string& text) {
   return scenario;
 }
 
-Scenario load_scenario_file(const std::string& path) {
+Scenario load_scenario_file(const std::string& path,
+                            const std::vector<std::string>& overrides) {
   std::ifstream in{path};
   if (!in) {
     throw ScenarioError{"cannot open scenario file: " + path};
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
+  for (const std::string& line : overrides) {
+    buffer << '\n' << line;
+  }
   try {
     return parse_scenario(buffer.str());
   } catch (const ScenarioError& err) {
-    throw ScenarioError{path + ": " + err.what()};
+    throw ScenarioError{path + (overrides.empty() ? ": " : " + overrides: ") +
+                        err.what()};
   }
 }
 

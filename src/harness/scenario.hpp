@@ -110,9 +110,13 @@ struct Scenario {
 /// values raise ScenarioError with a line reference.
 [[nodiscard]] Scenario parse_scenario(const std::string& text);
 
-/// Reads and parses a scenario file. Parse errors are re-raised with the
-/// path prefixed, so `file.cfg: line 3: ...` points at the exact spot.
-[[nodiscard]] Scenario load_scenario_file(const std::string& path);
+/// Reads and parses a scenario file, then each `key=value` override as one
+/// more line after the file's (later keys win). Parse errors are re-raised
+/// with the path prefixed, so `file.cfg: line 3: ...` points at the exact
+/// spot; with overrides the prefix is `file.cfg + overrides: `, and line
+/// numbers past the file's count the overrides.
+[[nodiscard]] Scenario load_scenario_file(
+    const std::string& path, const std::vector<std::string>& overrides = {});
 
 /// A template scenario file with every supported key.
 [[nodiscard]] std::string default_scenario_text();

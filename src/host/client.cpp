@@ -12,6 +12,12 @@ namespace {
 constexpr std::size_t kRequestFrameSize =
     wire::kNetClonePayloadOffset + wire::RpcRequest::kSize;
 
+/// TCP-mode retry backoff (ClientParams::retransmit_timeout): growth per
+/// retry, cap on the un-jittered delay, and the jitter band.
+constexpr double kRetransmitBackoff = 2.0;
+constexpr SimTime kRetransmitCap = SimTime::milliseconds(100);
+constexpr double kRetransmitJitter = 0.1;
+
 /// The UDP port a client sends from and receives its responses on.
 std::uint16_t client_port(std::uint16_t client_id) {
   return static_cast<std::uint16_t>(40000 + client_id);
@@ -46,9 +52,8 @@ Client::Client(sim::Simulator& sim, ClientParams params,
                      params_.request_fragments <= 64,
                  "a request has 1 to 64 fragments");
   if (!params_.rate_profile.empty()) {
-    NETCLONE_CHECK(params_.arrival == ArrivalProcess::kPoisson &&
-                       params_.loop == LoopMode::kOpenLoop,
-                   "rate profiles shape open-loop Poisson arrivals only");
+    NETCLONE_CHECK(params_.arrival == ArrivalProcess::kPoisson,
+                   "rate profiles shape Poisson arrivals only");
     SimTime prev = SimTime::zero();
     for (const RateSegment& seg : params_.rate_profile) {
       NETCLONE_CHECK(seg.multiplier > 0.0,
@@ -86,15 +91,6 @@ Client::Client(sim::Simulator& sim, ClientParams params,
 }
 
 void Client::start() {
-  if (params_.loop == LoopMode::kClosedLoop) {
-    // Prime the window; completions keep it full from here on.
-    sim_.schedule_at(sim_.now(), [this] {
-      for (std::uint32_t i = 0; i < params_.closed_loop_window; ++i) {
-        issue_request();
-      }
-    });
-    return;
-  }
   if (params_.stop_at > sim_.now() && params_.stop_at != SimTime::max()) {
     // One completion bit per request the window should issue, with room
     // for the arrival process's spread, so completions do not grow the
@@ -190,9 +186,6 @@ void Client::schedule_next_arrival() {
 }
 
 void Client::issue_request() {
-  if (sim_.now() >= params_.stop_at) {
-    return;
-  }
   const std::uint32_t seq = next_seq_++;
   Pending pending;
   pending.sent_at = sim_.now();
@@ -270,15 +263,10 @@ SimTime Client::retransmit_delay(std::uint32_t retries) {
   // implementations.
   double ns = static_cast<double>(params_.retransmit_timeout.ns());
   for (std::uint32_t k = 0; k < retries; ++k) {
-    ns *= params_.retransmit_backoff;
+    ns *= kRetransmitBackoff;
   }
-  const auto cap = static_cast<double>(params_.retransmit_cap.ns());
-  if (cap > 0.0 && ns > cap) {
-    ns = cap;
-  }
-  if (params_.retransmit_jitter > 0.0) {
-    ns *= 1.0 + params_.retransmit_jitter * retry_rng_.next_double();
-  }
+  ns = std::min(ns, static_cast<double>(kRetransmitCap.ns()));
+  ns *= 1.0 + kRetransmitJitter * retry_rng_.next_double();
   return SimTime::nanoseconds(static_cast<std::int64_t>(ns));
 }
 
@@ -435,26 +423,19 @@ void Client::on_response_processed(const wire::PacketView& resp) {
   if (params_.mode == SendMode::kCClone && params_.cclone_cancel) {
     send_cancel(pending, client_seq, resp.ip_src());
   }
-  // Read the entry before issuing: a closed-loop issue inserts into the
-  // table, and an insert may move every entry.
-  const SimTime sent_at = pending.sent_at;
-  const std::uint32_t server_wait_ns = pending.server_wait_ns;
-  const std::uint32_t server_service_ns = pending.server_service_ns;
-  if (params_.loop == LoopMode::kClosedLoop) {
-    issue_request();  // keep the window full
-  }
   const SimTime now = sim_.now();
-  if (sent_at >= params_.warmup_until) {
-    stats_.latency.record(now - sent_at);
-    stats_.server_queue_wait.record(SimTime::nanoseconds(server_wait_ns));
-    stats_.server_service.record(SimTime::nanoseconds(server_service_ns));
+  if (pending.sent_at >= params_.warmup_until) {
+    stats_.latency.record(now - pending.sent_at);
+    stats_.server_queue_wait.record(
+        SimTime::nanoseconds(pending.server_wait_ns));
+    stats_.server_service.record(
+        SimTime::nanoseconds(pending.server_service_ns));
   }
   if (now >= params_.warmup_until && now <= params_.stop_at) {
     ++stats_.completed_in_window;
   }
   // The completion bit now classifies any late duplicate, so the entry
-  // can go. Erased by key: issuing the next closed-loop request above may
-  // have moved it.
+  // can go.
   outstanding_.erase(client_seq);
 }
 

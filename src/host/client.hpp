@@ -71,24 +71,10 @@ struct RateSegment {
   double multiplier = 1.0;
 };
 
-/// How request issuance is paced.
-enum class LoopMode {
-  /// The paper's load generator: arrivals follow the configured process
-  /// regardless of completions.
-  kOpenLoop,
-  /// Classic RPC-benchmark pacing: keep `closed_loop_window` requests in
-  /// flight; each completion immediately issues the next request.
-  kClosedLoop,
-};
-
 struct ClientParams {
   std::uint16_t client_id = 0;
   SendMode mode = SendMode::kViaSwitch;
-  LoopMode loop = LoopMode::kOpenLoop;
-  /// In-flight window for kClosedLoop.
-  std::uint32_t closed_loop_window = 16;
-  /// Offered load in requests per second (long-run mean for kBursty;
-  /// ignored in closed-loop mode).
+  /// Offered load in requests per second (long-run mean for kBursty).
   double rate_rps = 100000.0;
   ArrivalProcess arrival = ArrivalProcess::kPoisson;
   /// kBursty: fraction of time spent in the ON state (0 < f <= 1).
@@ -127,15 +113,12 @@ struct ClientParams {
   /// TCP-mode reliability (§3.7): when non-zero, an uncompleted request is
   /// re-sent after this timeout (same CLIENT_SEQ, so the switch derives
   /// the same REQ_ID in client-tuple mode), up to max_retransmits times.
-  SimTime retransmit_timeout = SimTime::zero();
-  std::uint32_t max_retransmits = 3;
-  /// Retry k waits min(timeout * backoff^k, cap) * (1 + jitter * u) with
+  /// Retry k waits min(timeout * 2^k, 100 ms) * (1 + 0.1 * u) with
   /// u ~ U[0,1) from a per-client stream independent of the workload RNG.
   /// The growth plus jitter keeps a dead server from seeing synchronized
-  /// retry storms; a cap of zero means uncapped.
-  double retransmit_backoff = 2.0;
-  SimTime retransmit_cap = SimTime::milliseconds(100);
-  double retransmit_jitter = 0.1;
+  /// retry storms.
+  SimTime retransmit_timeout = SimTime::zero();
+  std::uint32_t max_retransmits = 3;
   /// C-Clone's optional cancellation (§2.2): after the first response
   /// arrives, tell the server that has not answered to drop the queued
   /// duplicate. The paper cites evidence this buys little —

@@ -10,6 +10,10 @@ namespace netclone::host {
 
 namespace {
 
+/// Partially reassembled multi-packet requests untouched this long are
+/// garbage-collected (a fragment was dropped, e.g. a stale clone copy).
+constexpr SimTime kPartialRequestTtl = SimTime::milliseconds(50);
+
 /// Writes one response fragment — the header stack of `flow`, `nc`, and
 /// `body` — over `frame` when the handle holds its buffer alone and the
 /// fragment fits it, and into a fresh frame from `pool` otherwise.
@@ -133,8 +137,7 @@ void Server::on_dispatch(PendingRequest& req) {
   // original (CLO=1) is never dropped. For multi-packet requests the check
   // applies per fragment, which is why a partially-cloned request can
   // strand a partial reassembly (swept by TTL below).
-  if (params_.drop_busy_clones &&
-      nc.clo == wire::CloneStatus::kClonedCopy) {
+  if (nc.clo == wire::CloneStatus::kClonedCopy) {
     const bool busy =
         params_.clone_admission == CloneAdmission::kQueueEmpty
             ? !queue_.empty()
@@ -195,7 +198,7 @@ bool Server::reassemble(PendingRequest& req) {
 }
 
 void Server::sweep_stale_partials() {
-  const SimTime cutoff = sim_.now() - params_.partial_request_ttl;
+  const SimTime cutoff = sim_.now() - kPartialRequestTtl;
   // Collect first, erase after: backward-shift deletion moves entries
   // the visit has not reached yet, so erasing mid-iteration could skip
   // (or double-visit) survivors.

@@ -60,19 +60,14 @@ struct ServerParams {
   /// frame the ingress link hands over pays it, a corrupted or foreign
   /// one included.
   SimTime dispatch_cost = SimTime::nanoseconds(300);
-  /// NetClone server-side mechanism: drop CLO=2 requests when the server
-  /// is busier than the tracked state promised. Always safe to leave on:
-  /// only switch-cloned copies match.
-  bool drop_busy_clones = true;
+  /// NetClone server-side mechanism: which busy state makes the server
+  /// drop a CLO=2 request (only switch-cloned copies are ever dropped).
   CloneAdmission clone_admission = CloneAdmission::kQueueEmpty;
   /// Multi-packet responses (§3.7): each response is sent as this many
   /// fragments (at most 64); the switch filters them through ordered
   /// filter tables, so a filtering switch needs multi-packet support and
   /// at least this many tables (the harnesses check).
   std::uint8_t response_fragments = 1;
-  /// Partially reassembled multi-packet requests older than this are
-  /// garbage-collected (a fragment was dropped, e.g. a stale clone copy).
-  SimTime partial_request_ttl = SimTime::milliseconds(50);
 };
 
 struct ServerStats {

@@ -22,9 +22,6 @@ namespace netclone::kv {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
 std::uint64_t load_le64(const char* bytes) {
   std::uint64_t word = 0;
   std::memcpy(&word, bytes, sizeof(word));
@@ -149,7 +146,7 @@ std::optional<std::string_view> KvStore::get(std::string_view key) const {
 
 std::uint64_t KvStore::scan_digest(std::string_view start_key,
                                    std::size_t count) const {
-  std::uint64_t digest = kFnvOffsetBasis;
+  std::uint64_t digest = kFnv1aOffsetBasis;
   std::size_t visited = 0;
   const std::size_t start = home_of(start_key);
   for (std::size_t i = 0; i < index_.size() && visited < count; ++i) {
@@ -161,11 +158,11 @@ std::uint64_t KvStore::scan_digest(std::string_view start_key,
     std::size_t b = 0;
     for (; b + 8 <= record.value_len; b += 8) {
       digest ^= load_le64(record.value + b);
-      digest *= kFnvPrime;
+      digest *= kFnv1aPrime;
     }
     for (; b < record.value_len; ++b) {
       digest ^= static_cast<std::uint8_t>(record.value[b]);
-      digest *= kFnvPrime;
+      digest *= kFnv1aPrime;
     }
     ++visited;
   }

@@ -10,7 +10,7 @@ namespace netclone::pisa {
 
 AuditReport audit(const Pipeline& pipeline) {
   AuditReport report;
-  report.stages_available = pipeline.stage_count();
+  report.stages_available = kStageCount;
   std::size_t max_stage = 0;
   bool any = false;
   for (const StageResource* r : pipeline.resources()) {

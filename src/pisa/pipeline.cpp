@@ -9,7 +9,7 @@ StageResource::StageResource(Pipeline& pipeline, std::string name,
 }
 
 void Pipeline::register_resource(StageResource* resource) {
-  NETCLONE_CHECK(resource->stage() < stage_count_,
+  NETCLONE_CHECK(resource->stage() < kStageCount,
                  "resource '" + resource->name() +
                      "' bound beyond the last pipeline stage");
   NETCLONE_CHECK(resources_.size() < kMaxResources,

@@ -33,21 +33,19 @@ class PipelinePass;
 class StageResource;
 
 /// Tofino has 12 ingress match-action stages per pipeline.
-inline constexpr std::size_t kDefaultStageCount = 12;
+inline constexpr std::size_t kStageCount = 12;
 
 /// Upper bound on resources registered against one pipeline. Keeps the
 /// per-pass access bitset in a few inline words (kMaxResources / 64).
 inline constexpr std::size_t kMaxResources = 256;
 
+/// One Tofino ingress pipeline: kStageCount stages.
 class Pipeline {
  public:
-  explicit Pipeline(std::size_t stage_count = kDefaultStageCount)
-      : stage_count_(stage_count) {}
+  Pipeline() = default;
 
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
-
-  [[nodiscard]] std::size_t stage_count() const { return stage_count_; }
 
   /// Called by StageResource's constructor; assigns the resource its
   /// dense per-pipeline index (the bit it owns in the per-pass bitset).
@@ -63,7 +61,6 @@ class Pipeline {
   void reset_soft_state();
 
  private:
-  std::size_t stage_count_;
   std::vector<StageResource*> resources_;
 };
 

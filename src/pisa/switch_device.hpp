@@ -42,7 +42,7 @@ struct SwitchStats {
 
 class SwitchDevice : public phys::Node {
  public:
-  /// A Tofino-class switch with a kDefaultStageCount-stage pipeline.
+  /// A Tofino-class switch with a kStageCount-stage pipeline.
   SwitchDevice(sim::Simulator& sim, std::string name);
 
   /// Installs the ingress program. The program's resources must have been

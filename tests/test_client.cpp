@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "harness/experiment.hpp"
+#include "host/service.hpp"
 #include "phys/topology.hpp"
 #include "test_util.hpp"
 
@@ -224,6 +226,39 @@ TEST(Client, StopsSendingAtStopTime) {
   // ~500 requests at 1M RPS in 500 us.
   EXPECT_NEAR(static_cast<double>(rig.client->stats().requests_sent), 500.0,
               120.0);
+}
+
+TEST(Client, FixedServiceRunRecordsExactSamples) {
+  // An open-loop run at about nine requests in flight: the request table
+  // grows past its first slots mid-run, and every completion must still
+  // record its own request's samples.
+  harness::ClusterConfig cfg;
+  cfg.scheme = harness::Scheme::kBaseline;
+  cfg.server_workers = {16, 16};
+  cfg.factory = std::make_shared<FixedWorkload>(25.0);
+  cfg.service = std::make_shared<SyntheticService>(JitterModel{0.0, 1.0});
+  cfg.num_clients = 1;
+  cfg.warmup = SimTime::zero();
+  cfg.measure = SimTime::milliseconds(5);
+  cfg.offered_rps = 300000.0;
+
+  harness::Experiment experiment{cfg};
+  (void)experiment.run();
+  const Client* client = experiment.clients()[0];
+  const ClientStats& stats = client->stats();
+  EXPECT_GT(stats.completed, 1000U);
+  // After stop_at no new requests are issued; everything in flight drains.
+  EXPECT_EQ(stats.completed, stats.requests_sent);
+  EXPECT_EQ(client->outstanding(), 0U);
+  EXPECT_EQ(stats.latency.count(), stats.completed);
+  // No jitter: every request executes for exactly 25 us.
+  EXPECT_EQ(stats.server_service.min(), SimTime::microseconds(25.0));
+  EXPECT_EQ(stats.server_service.max(), SimTime::microseconds(25.0));
+  // End to end: service plus path, plus at most one service time of
+  // queueing when the random choice puts more than 16 on one server.
+  EXPECT_GT(stats.latency.min(), SimTime::microseconds(25.0));
+  EXPECT_LT(stats.latency.max(), SimTime::microseconds(60.0));
+  EXPECT_LT(stats.server_queue_wait.max(), SimTime::microseconds(25.0));
 }
 
 TEST(Client, SequencesAreUniqueAndDense) {

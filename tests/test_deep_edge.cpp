@@ -83,7 +83,6 @@ TEST(StrandedPartials, ExpiredByTtlSweep) {
   host::ServerParams sp;
   sp.sid = ServerId{0};
   sp.workers = 4;
-  sp.partial_request_ttl = SimTime::microseconds(100.0);
   auto& server = topo.add_node<host::Server>(
       sim, sp,
       std::make_shared<host::SyntheticService>(host::JitterModel{0.0, 1.0}),
@@ -100,9 +99,9 @@ TEST(StrandedPartials, ExpiredByTtlSweep) {
   sim.run();
   EXPECT_EQ(server.stats().reassembled_requests, 0U);
 
-  // Drive > 4096 dispatches (the lazy-sweep cadence) well past the TTL,
-  // paced so the link's egress queue never overflows.
-  const SimTime base = sim.now();
+  // Drive > 4096 dispatches (the lazy-sweep cadence) past the server's
+  // 50 ms TTL, paced so the link's egress queue never overflows.
+  const SimTime base = sim.now() + SimTime::milliseconds(50);
   for (std::uint32_t i = 2; i < 4200; ++i) {
     sim.schedule_at(base + SimTime::nanoseconds(500 * i),
                     [&wire_end, i] {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -356,19 +357,17 @@ TEST(ChecksumVerify, ClientAndServerCountDrops) {
 
 harness::ClusterConfig backoff_cluster() {
   harness::ClusterConfig cfg = netclone::testing::chaos_cluster(42);
-  // One closed-loop client with a single-request window: with the switch
+  // One open-loop client whose 25 us sending window holds one arrival (a
+  // few microseconds in; the next one comes after 50 us): with the switch
   // down from t=0, the retransmit timeline belongs to exactly one request.
+  // retransmit_times() checks that it stays one.
   cfg.num_clients = 1;
-  cfg.client_template.loop = host::LoopMode::kClosedLoop;
-  cfg.client_template.closed_loop_window = 1;
+  cfg.offered_rps = 20000.0;
   cfg.client_template.retransmit_timeout = SimTime::microseconds(100.0);
   cfg.client_template.max_retransmits = 8;
-  cfg.client_template.retransmit_backoff = 2.0;
-  cfg.client_template.retransmit_cap = SimTime::zero();  // uncapped
-  cfg.client_template.retransmit_jitter = 0.1;
   cfg.warmup = SimTime::zero();
-  cfg.measure = SimTime::milliseconds(40);
-  cfg.drain = SimTime::milliseconds(20);
+  cfg.measure = SimTime::microseconds(25.0);
+  cfg.drain = SimTime::milliseconds(60);
   cfg.faults.events.push_back(parse_fault_entry("at=0s switch_fail sw0"));
   return cfg;
 }
@@ -376,13 +375,17 @@ harness::ClusterConfig backoff_cluster() {
 std::vector<SimTime> retransmit_times(const harness::ClusterConfig& cfg) {
   harness::Experiment exp{cfg};
   (void)exp.run();
-  return exp.clients()[0]->stats().retransmit_times;
+  const host::ClientStats& stats = exp.clients()[0]->stats();
+  EXPECT_EQ(stats.requests_sent, 1U);
+  return stats.retransmit_times;
 }
 
 TEST(RetransmitBackoff, GapsGrowExponentially) {
   const std::vector<SimTime> times = retransmit_times(backoff_cluster());
   ASSERT_EQ(times.size(), 8U);
-  SimTime prev_gap = times[0];  // first gap is measured from t=0's send
+  // The first gap is measured from t=0, a few microseconds before the
+  // send, which only makes the first growth check stricter.
+  SimTime prev_gap = times[0];
   for (std::size_t i = 1; i < times.size(); ++i) {
     const SimTime gap = times[i] - times[i - 1];
     // backoff 2.0 with <= 10% jitter: every gap strictly exceeds the
@@ -398,15 +401,23 @@ TEST(RetransmitBackoff, GapsGrowExponentially) {
 }
 
 TEST(RetransmitBackoff, CapBoundsTheGaps) {
+  // A 50 ms timeout doubles into the client's 100 ms cap at the second
+  // retry, so every later gap sits at the cap (within the jitter band).
   harness::ClusterConfig cfg = backoff_cluster();
-  cfg.client_template.retransmit_cap = SimTime::microseconds(300.0);
+  cfg.client_template.retransmit_timeout = SimTime::milliseconds(50);
+  cfg.drain = SimTime::seconds(1.0);
   const std::vector<SimTime> times = retransmit_times(cfg);
   ASSERT_EQ(times.size(), 8U);
+  std::size_t capped_run = 0;
+  std::size_t longest_capped_run = 0;
   for (std::size_t i = 1; i < times.size(); ++i) {
     const double gap_ns =
         static_cast<double>((times[i] - times[i - 1]).ns());
-    EXPECT_LE(gap_ns, 300e3 * 1.1 + 1.0) << "gap " << i << " exceeds cap";
+    EXPECT_LE(gap_ns, 100e6 * 1.1 + 1.0) << "gap " << i << " exceeds cap";
+    capped_run = gap_ns >= 100e6 ? capped_run + 1 : 0;
+    longest_capped_run = std::max(longest_capped_run, capped_run);
   }
+  EXPECT_GE(longest_capped_run, 2U) << "the cap never bound";
 }
 
 TEST(RetransmitBackoff, DeterministicAcrossRuns) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <set>
 #include <string_view>
@@ -68,6 +69,21 @@ TEST(Fnv1a, KnownVectors) {
 TEST(Fnv1a, SpanAndStringViewAgree) {
   const std::string_view s = "netclone";
   EXPECT_EQ(fnv1a(s), fnv1a(bytes_of(s)));
+}
+
+TEST(Fnv1a, FoldMatchesLittleEndianBytes) {
+  // Folding values one after another hashes their bytes, least
+  // significant first, as one FNV-1a stream.
+  Fnv1aFold fold;
+  EXPECT_EQ(fold.digest, fnv1a(std::string_view{""}));
+  fold(0x0102030405060708ULL);
+  fold(0xA0ULL);
+  const std::array<std::byte, 16> buf{
+      std::byte{0x08}, std::byte{0x07}, std::byte{0x06}, std::byte{0x05},
+      std::byte{0x04}, std::byte{0x03}, std::byte{0x02}, std::byte{0x01},
+      std::byte{0xA0}, std::byte{0x00}, std::byte{0x00}, std::byte{0x00},
+      std::byte{0x00}, std::byte{0x00}, std::byte{0x00}, std::byte{0x00}};
+  EXPECT_EQ(fold.digest, fnv1a(buf));
 }
 
 TEST(Mix64, BijectiveOnSamples) {

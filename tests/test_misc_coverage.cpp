@@ -48,16 +48,14 @@ TEST(Laedge, HeterogeneousCapacitiesRespectSlots) {
   // servers.
   sim::Simulator sim;
   phys::Topology topo{sim};
-  baselines::LaedgeParams lp;
-  lp.per_packet_cost = SimTime::nanoseconds(100);
-  lp.workers = {
+  std::vector<baselines::LaedgeWorkerInfo> workers = {
       baselines::LaedgeWorkerInfo{ServerId{0}, host::server_ip(ServerId{0}),
                                   3},
       baselines::LaedgeWorkerInfo{ServerId{1}, host::server_ip(ServerId{1}),
                                   1},
   };
-  auto& coord =
-      topo.add_node<baselines::LaedgeCoordinator>(sim, lp, Rng{2});
+  auto& coord = topo.add_node<baselines::LaedgeCoordinator>(
+      sim, std::move(workers), Rng{2});
   auto& wire_end = topo.add_node<CaptureNode>("wire");
   topo.connect(coord, wire_end);
   for (std::uint32_t i = 1; i <= 4; ++i) {
@@ -109,28 +107,6 @@ TEST(RackSchedProgram, CancelPacketsRoutedNotScheduled) {
   const auto md = run_ingress(program, pipeline, cancel);
   EXPECT_EQ(md.egress_port, 11U);  // routed to its addressed server
   EXPECT_EQ(program.stats().requests, 0U);
-}
-
-TEST(Client, CancelCombinesWithClosedLoop) {
-  harness::ClusterConfig cfg;
-  cfg.scheme = harness::Scheme::kCClone;
-  cfg.server_workers = {4, 4, 4};
-  cfg.factory = std::make_shared<host::FixedWorkload>(25.0);
-  cfg.service =
-      std::make_shared<host::SyntheticService>(host::JitterModel{0.01, 15});
-  cfg.num_clients = 1;
-  cfg.warmup = SimTime::milliseconds(1);
-  cfg.measure = SimTime::milliseconds(8);
-  cfg.client_template.loop = host::LoopMode::kClosedLoop;
-  cfg.client_template.closed_loop_window = 8;
-  cfg.client_template.cclone_cancel = true;
-  cfg.offered_rps = 1.0;  // unused in closed loop
-  harness::Experiment experiment{cfg};
-  (void)experiment.run();
-  const host::ClientStats& cs = experiment.clients()[0]->stats();
-  EXPECT_GT(cs.completed, 100U);
-  EXPECT_EQ(cs.cancels_sent, cs.completed);
-  EXPECT_EQ(cs.completed, cs.requests_sent);
 }
 
 TEST(Workloads, ScenarioBimodalKeysApply) {

@@ -9,9 +9,10 @@ namespace netclone::pisa {
 namespace {
 
 TEST(Pipeline, ResourceBeyondStageCountThrows) {
-  Pipeline pipeline{4};
-  EXPECT_THROW((void)RegisterScalar<int>(pipeline, "late", 4), CheckFailure);
-  EXPECT_NO_THROW(RegisterScalar<int>(pipeline, "ok", 3));
+  Pipeline pipeline;
+  EXPECT_THROW((void)RegisterScalar<int>(pipeline, "late", kStageCount),
+               CheckFailure);
+  EXPECT_NO_THROW(RegisterScalar<int>(pipeline, "ok", kStageCount - 1));
 }
 
 TEST(Pipeline, ForwardAccessAcrossStages) {
@@ -201,7 +202,7 @@ TEST(Audit, ReportsStageAndSramTotals) {
                                       std::size_t{1} << 17};
   const AuditReport report = audit(pipeline);
   EXPECT_EQ(report.stages_used, 6U);
-  EXPECT_EQ(report.stages_available, kDefaultStageCount);
+  EXPECT_EQ(report.stages_available, kStageCount);
   EXPECT_EQ(report.sram_bytes_total, 4U + (std::size_t{1} << 19));
   EXPECT_GT(report.sram_fraction, 0.0);
   EXPECT_LT(report.sram_fraction, 1.0);

@@ -279,6 +279,26 @@ TEST(ScenarioFile, RoundTripThroughDisk) {
   std::remove(path.c_str());
 }
 
+TEST(ScenarioFile, OverridesFollowTheFilesLines) {
+  const std::string path = ::testing::TempDir() + "netclone_overrides.cfg";
+  {
+    std::ofstream out{path};
+    out << "scheme = racksched\nservers = 3";
+  }
+  const Scenario s = load_scenario_file(path, {"servers=5", "workers=8"});
+  EXPECT_EQ(s.scheme, Scheme::kRackSched);
+  EXPECT_EQ(s.servers, 5U);
+  EXPECT_EQ(s.workers, 8U);
+  try {
+    (void)load_scenario_file(path, {"servers=5", "workers=oops"});
+    ADD_FAILURE() << "expected ScenarioError";
+  } catch (const ScenarioError& err) {
+    const std::string msg = err.what();
+    EXPECT_EQ(msg.rfind(path + " + overrides: line 4:", 0), 0U) << msg;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ScenarioBuild, SyntheticConfigWiring) {
   Scenario s = parse_scenario("workload = bimodal\nservers = 3\n");
   const ClusterConfig cfg = s.build_config();

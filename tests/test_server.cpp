@@ -164,19 +164,6 @@ TEST(Server, NeverDropsClonedOriginal) {
   EXPECT_EQ(rig.server->stats().dropped_stale_clones, 0U);
 }
 
-TEST(Server, DropDisabledAcceptsClonesAlways) {
-  ServerParams p = params_with(1);
-  p.drop_busy_clones = false;
-  Rig rig{p};
-  rig.inject(make_request(0, 1, 0, 0, 50000));
-  rig.inject(make_request(0, 2, 0, 0, 50000));
-  wire::Packet clone = make_request(0, 3, 0, 0, 50000);
-  clone.nc().clo = wire::CloneStatus::kClonedCopy;
-  rig.inject(clone);
-  rig.sim.run();
-  EXPECT_EQ(rig.responses().size(), 3U);
-}
-
 TEST(Server, ClonedResponsesEchoCloAndIdx) {
   Rig rig{params_with(1)};
   wire::Packet req = make_request(0, 1, 5, /*idx=*/1, 10000);

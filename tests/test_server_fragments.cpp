@@ -148,9 +148,7 @@ TEST(ServerFragments, CancelStillPrefersQueuedRequest) {
 // while the queue is non-empty is dropped, stranding the partial — which
 // the TTL sweep then reclaims.
 TEST(ServerFragments, CloneDropStrandsPartialUntilTtlSweep) {
-  ServerParams p = params_with(1);
-  p.partial_request_ttl = 10_us;
-  Rig rig{p};
+  Rig rig{params_with(1)};
 
   wire::Packet c0 = fragment(21, 0, 2);
   c0.nc().clo = wire::CloneStatus::kClonedCopy;
@@ -169,8 +167,10 @@ TEST(ServerFragments, CloneDropStrandsPartialUntilTtlSweep) {
   EXPECT_EQ(rig.responses().size(), 2U);  // only the two originals
 
   // The stranded partial is reclaimed once the periodic sweep runs (every
-  // 4096 dispatches) after the TTL elapsed. Feed the dispatcher in waves
-  // small enough to stay inside the link's drop-tail queue.
+  // 4096 dispatches) after the server's 50 ms TTL elapsed. Let the TTL
+  // pass, then feed the dispatcher in waves small enough to stay inside
+  // the link's drop-tail queue.
+  rig.sim.run_until(rig.sim.now() + 50_ms);
   for (std::uint32_t wave = 0; wave < 9; ++wave) {
     for (std::uint32_t i = 0; i < 500; ++i) {
       rig.inject(make_request(0, 1000 + wave * 500 + i, 0, 0, 0));
