@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark regression gate.
 
-Runs the repo's microbenchmarks (bench_sim_engine, bench_packet_path,
-bench_pisa_pipeline, bench_fig16_failure, bench_multirack), compares
-the results against the committed BENCH_*.json baselines, and fails
-loudly on regression.
+Runs the repo's gated benchmarks (bench_packet_path, bench_fig16_failure,
+bench_multirack), compares the results against the committed
+BENCH_*.json baselines, and fails loudly on regression.
 
 What is gated, and how:
 
@@ -36,8 +35,7 @@ import shutil
 import subprocess
 import sys
 
-BENCHES = ["sim_engine", "packet_path", "pisa_pipeline", "fig16",
-           "multirack"]
+BENCHES = ["packet_path", "fig16", "multirack"]
 
 # Bench names whose binary is not simply bench_<name>.
 BINARIES = {"fig16": "bench_fig16_failure"}

@@ -228,7 +228,8 @@ class Testbed {
   Schedule schedule_;
   // The pool outlives the engine, and the engine outlives the topology:
   // every frame the nodes and the pending events hold releases into the
-  // pool, and links cancel their events in the engine when destroyed.
+  // pool, and a stream destroyed while armed (a link with frames in
+  // flight) takes its head out of the engine.
   wire::FramePool pool_;
   sim::Simulator sim_;
   phys::Topology topology_;

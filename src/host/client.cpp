@@ -38,6 +38,7 @@ std::uint64_t retry_stream_seed(Rng probe, std::uint16_t client_id) {
 Client::Client(sim::Simulator& sim, ClientParams params,
                std::shared_ptr<RequestFactory> factory, Rng rng)
     : phys::Node("client-" + std::to_string(params.client_id)),
+      sim::Stream(sim),
       sim_(sim),
       params_(params),
       factory_(std::move(factory)),
@@ -104,7 +105,8 @@ void Client::start() {
     completed_bits_.reserve(static_cast<std::size_t>(expected / 64.0 * 1.25) +
                             2);
   }
-  sim_.schedule_at(next_arrival_time(), [this] { on_arrival(); });
+  const SimTime first = next_arrival_time();
+  arm(first, sim_.draw_seq());
 }
 
 double Client::profile_multiplier(const std::vector<RateSegment>& profile,
@@ -182,7 +184,7 @@ void Client::schedule_next_arrival() {
   if (next >= params_.stop_at) {
     return;  // sending window over; the receiver keeps draining
   }
-  sim_.schedule_at(next, [this] { on_arrival(); });
+  arm(next, sim_.draw_seq());
 }
 
 void Client::issue_request() {
@@ -215,7 +217,7 @@ void Client::issue_request() {
   arm_retransmit_timer(seq);
 }
 
-void Client::on_arrival() {
+void Client::fire() {
   if (sim_.now() >= params_.stop_at) {
     return;
   }

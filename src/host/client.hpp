@@ -8,7 +8,8 @@
 // the effect Figures 15 and 7 quantify. Neither costs an event of its own:
 // the sender hands each frame to its link ready when the thread has paid
 // for it, and the ingress link delivers each frame when the receiver
-// thread has picked it up (Node::receive_cost).
+// thread has picked it up (Node::receive_cost). The next arrival is the
+// one entry of the client's event stream (sim/stream.hpp).
 //
 // Each request is stamped into one frame of the client's pool (the one its
 // topology handed it, phys::Node::pool) from a header template: the
@@ -153,12 +154,12 @@ struct ClientStats {
   LatencyHistogram server_service;
 };
 
-class Client : public phys::Node {
+class Client : public phys::Node, private sim::Stream {
  public:
   Client(sim::Simulator& sim, ClientParams params,
          std::shared_ptr<RequestFactory> factory, Rng rng);
 
-  /// Schedules the first send; call once after topology wiring.
+  /// Arms the first arrival; call once after topology wiring.
   void start();
 
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
@@ -229,7 +230,12 @@ class Client : public phys::Node {
   };
 
   void issue_request();
-  void on_arrival();
+  /// The arrival the client's stream held: issues a request and arms the
+  /// next arrival, unless the sending window is over.
+  void fire() override;
+  [[nodiscard]] std::size_t pending_events() const override {
+    return armed() ? 1 : 0;
+  }
   void schedule_next_arrival();
   [[nodiscard]] SimTime next_arrival_time();
   void send_cancel(const Pending& pending, std::uint32_t client_seq,

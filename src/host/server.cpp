@@ -339,8 +339,8 @@ void Server::on_complete(PendingRequest& req, const wire::RpcRequest& rpc,
   // Back to whoever sent the request. Fragment 0 carries the body and is
   // written over the request's own frame when it can be; the rest are
   // header-only markers the switch filters through its ordered tables.
-  // Each leaves as soon as it is written; the egress link's FIFO
-  // schedules one delivery event per fragment.
+  // Each leaves as soon as it is written; the egress link's FIFO holds
+  // one delivery event of its stream per fragment.
   const wire::UdpFlow flow{my_mac_, req.from.mac, my_ip_, req.from.ip,
                            wire::kNetClonePort, req.from.udp_port};
   const auto frags = std::max<std::uint8_t>(params_.response_fragments, 1);

@@ -34,11 +34,9 @@ constexpr std::uint64_t kReadyMask = (std::uint64_t{1} << 61) - 1;
 }  // namespace
 
 Link::Link(sim::Simulator& sim, LinkParams params)
-    : sim_(sim), params_(params) {
+    : sim::Stream(sim), sim_(sim), params_(params) {
   NETCLONE_CHECK(params_.rate_bps > 0.0, "link rate must be positive");
 }
-
-Link::~Link() { cancel_deliveries(); }
 
 void Link::connect_to(Node* dst, std::size_t dst_port) {
   NETCLONE_CHECK(dst_ == nullptr, "link already connected");
@@ -107,10 +105,10 @@ void Link::transmit_impaired(SimTime ready, wire::FrameHandle frame) {
       pending_[pending_.size() - 2].deliver_at > ready &&
       st.rng.bernoulli(st.cfg.reorder_rate)) {
     // Reorder by swapping the *frames* of the last two FIFO entries.
-    // Arrival and pickup times, delivery events, and occupancy accounting
-    // stay with their slots, so the swap is invisible to the event
-    // machinery — the receiver just sees the two frames in the opposite
-    // order.
+    // Arrival and pickup times, tie-break numbers, and occupancy
+    // accounting stay with their slots, so the swap is invisible to the
+    // event machinery — the receiver just sees the two frames in the
+    // opposite order.
     InFlight& last = pending_.back();
     std::swap(last.frame, pending_[pending_.size() - 2].frame);
     last.swapped ^= 1U;
@@ -172,9 +170,11 @@ void Link::enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate) {
   entry.ready_ns = static_cast<std::uint64_t>(ready.ns()) & kReadyMask;
   entry.counted_queued = counted_queued ? 1U : 0U;
   entry.duplicate = duplicate ? 1U : 0U;
-  entry.delivery =
-      sim_.schedule_at(picked_up_until_, [this] { deliver_front(); });
+  entry.seq = sim_.draw_seq();
   entry.frame = std::move(frame);
+  if (pending_.size() == 1) {
+    arm(entry.pickup_at, entry.seq);
+  }
 }
 
 std::size_t Link::retract_not_ready() {
@@ -186,7 +186,6 @@ std::size_t Link::retract_not_ready() {
   // at the swapped frame's ready time, which has not passed.
   while (!pending_.empty() && pending_.back().ready() >= sim_.now()) {
     InFlight& last = pending_.back();
-    sim_.cancel(last.delivery);
     if (last.swapped != 0) {
       std::swap(last.frame, pending_[pending_.size() - 2].frame);
     }
@@ -202,8 +201,10 @@ std::size_t Link::retract_not_ready() {
   }
   // The transmitter is busy until the last kept frame has serialized,
   // and the receiver until it has picked that frame up. With none kept,
-  // every earlier frame has been delivered, so both are idle now.
+  // every earlier frame has been delivered, so both are idle now. A kept
+  // front is still the stream's armed head.
   if (pending_.empty()) {
+    disarm();
     busy_until_ = std::min(busy_until_, sim_.now());
     picked_up_until_ = std::min(picked_up_until_, sim_.now());
   } else {
@@ -213,7 +214,7 @@ std::size_t Link::retract_not_ready() {
   return handoffs;
 }
 
-void Link::deliver_front() {
+void Link::fire() {
   InFlight& front = pending_.front();
   wire::FrameHandle frame = std::move(front.frame);
   if (front.counted_queued != 0) {
@@ -221,13 +222,10 @@ void Link::deliver_front() {
     --queued_;
   }
   pending_.pop_front();
-  dst_->handle_frame(dst_port_, std::move(frame));
-}
-
-void Link::cancel_deliveries() {
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    sim_.cancel(pending_[i].delivery);
+  if (!pending_.empty()) {
+    arm(pending_.front().pickup_at, pending_.front().seq);
   }
+  dst_->handle_frame(dst_port_, std::move(frame));
 }
 
 void Link::configure_impairments(const LinkImpairments& cfg,
@@ -250,11 +248,11 @@ void Link::set_up(bool up) {
   }
   up_ = up;
   if (!up) {
-    // Everything in flight is lost with the cable; cancelling the events
-    // and clearing the FIFO here (instead of letting them fire into a
+    // Everything in flight is lost with the cable; clearing the FIFO and
+    // disarming here (instead of letting the deliveries fire into a
     // revived link) is what keeps the new-epoch drop-tail occupancy exact.
     stats_.flushed_frames += pending_.size();
-    cancel_deliveries();
+    disarm();
     pending_.clear();
     queued_ = 0;
     busy_until_ = sim_.now();

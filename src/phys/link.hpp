@@ -24,16 +24,17 @@
 // frame's drop-tail slot either way. One engine event per hop.
 //
 // Handed-over frames — not ready yet, queued, in flight, or awaiting
-// pickup — wait in one per-link FIFO, and each one's delivery event is
-// scheduled at hand-off. Pickup times and scheduling sequence numbers
-// both grow along the FIFO, so the events fire in FIFO order and each one
-// delivers the front frame. Taking the link down cancels the events of
-// every frame in the FIFO and clears it, which is also what makes a
-// down/up cycle safe: no stale event survives to corrupt the revived
-// link's drop-tail occupancy. A failing sender can take back the frames
-// it handed over that are not ready yet (retract_not_ready); their events
-// are cancelled too, and so are those of a link destroyed with frames in
-// flight.
+// pickup — wait in one per-link FIFO, and the link is an event stream
+// (sim/stream.hpp) over it: each entry draws its tie-break number at
+// hand-off, pickup times and those numbers both grow along the FIFO, and
+// the engine sees only the front, which it fires at its pickup to deliver
+// the front frame. Taking the link down clears the FIFO and disarms the
+// stream, which is also what makes a down/up cycle safe: no stale delivery
+// survives to corrupt the revived link's drop-tail occupancy. A failing
+// sender can take back the frames it handed over that are not ready yet
+// (retract_not_ready): they are the FIFO's tail, so the front stays armed
+// unless nothing is left. A link destroyed with frames in flight disarms
+// too.
 #pragma once
 
 #include <cstdint>
@@ -85,10 +86,9 @@ struct LinkStats {
   std::uint64_t reordered_frames = 0;
 };
 
-class Link {
+class Link final : private sim::Stream {
  public:
   Link(sim::Simulator& sim, LinkParams params);
-  ~Link();
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -139,7 +139,8 @@ class Link {
   }
 
   /// Handed-over frames awaiting delivery: not ready yet, queued, in
-  /// flight, or awaiting pickup (one pending delivery event each).
+  /// flight, or awaiting pickup (one pending event of the link's stream
+  /// each).
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
   /// Frames currently holding a drop-tail occupancy slot. A frame that is
   /// not ready yet, or has reached the far end of the wire, holds none.
@@ -154,7 +155,7 @@ class Link {
   struct InFlight {
     /// Wire arrival: the frame's drop-tail slot is free from here on.
     SimTime deliver_at;
-    /// The receiver picks the frame up and its delivery event fires.
+    /// The receiver picks the frame up: the link's stream fires here.
     SimTime pickup_at;
     /// Ready time in nanoseconds (61 bits hold 73 years; see ready()).
     std::uint64_t ready_ns : 61;
@@ -165,8 +166,8 @@ class Link {
     /// The reorder impairment swapped this slot's frame with the previous
     /// slot's (toggled, so a swap repeated on the same pair cancels).
     std::uint64_t swapped : 1;
-    /// This slot's delivery event, scheduled at hand-off.
-    sim::EventId delivery;
+    /// The delivery's tie-break number, drawn at hand-off.
+    std::uint64_t seq;
     wire::FrameHandle frame;
 
     [[nodiscard]] SimTime ready() const {
@@ -187,18 +188,20 @@ class Link {
   /// Drop-tail occupancy at `ready`: queued_ minus the occupancy slots of
   /// frames that reached the far end of the wire by then.
   [[nodiscard]] std::size_t occupancy_at(SimTime ready) const;
-  /// The clean enqueue path: drop-tail check, FIFO push, delivery event.
+  /// The clean enqueue path: drop-tail check, FIFO push, and the stream
+  /// armed if the FIFO was empty.
   void enqueue(SimTime ready, wire::FrameHandle frame, bool duplicate);
   /// Impairment gate in front of enqueue(): drop, corrupt (on a private
   /// copy), duplicate (second enqueue of a shared handle), reorder (swap
   /// the frame bytes of the last two FIFO entries while the earlier one
   /// is still in flight at `ready`).
   void transmit_impaired(SimTime ready, wire::FrameHandle frame);
-  /// Fired by each frame's delivery event at its pickup: hands the FIFO's
-  /// front frame to the receiver.
-  void deliver_front();
-  /// Cancels the delivery event of every FIFO entry.
-  void cancel_deliveries();
+  /// Fired at the front frame's pickup: pops it, arms the next front, and
+  /// hands the frame to the receiver.
+  void fire() override;
+  [[nodiscard]] std::size_t pending_events() const override {
+    return pending_.size();
+  }
 
   sim::Simulator& sim_;
   LinkParams params_;

@@ -6,8 +6,16 @@
 
 namespace netclone::pisa {
 
+namespace {
+
+/// The loopback port's turnaround: a copy re-enters ingress this long
+/// after its egress instant.
+constexpr SimTime kRecirculationLatency = SimTime::nanoseconds(450);
+
+}  // namespace
+
 SwitchDevice::SwitchDevice(sim::Simulator& sim, std::string name)
-    : phys::Node(std::move(name)), sim_(sim) {}
+    : phys::Node(std::move(name)), sim::Stream(sim), sim_(sim) {}
 
 void SwitchDevice::load_program(std::shared_ptr<SwitchProgram> program) {
   program_ = std::move(program);
@@ -133,27 +141,38 @@ void SwitchDevice::emit(std::size_t port, SimTime ready,
                         wire::FrameHandle bytes) {
   if (is_loopback(port)) {
     // A loopback copy has no link to wait in: it re-enters ingress the
-    // recirculation latency (the loopback port's turnaround) after its
-    // egress instant, in one event. A fail at or before `ready` caught it
-    // inside the pipeline; after that it was in the loop and meets the
-    // ingress as it stands at re-entry.
-    static constexpr SimTime kRecirculationLatency = SimTime::nanoseconds(450);
-    sim_.schedule_at(ready + kRecirculationLatency,
-                     [this, port, ready, fails = fail_times_.size(),
-                      bytes = std::move(bytes)]() mutable {
-                       if (fails < fail_times_.size() &&
-                           fail_times_[fails] <= ready) {
-                         ++stats_.flushed_in_pipeline;
-                         return;
-                       }
-                       ++stats_.recirculated;
-                       process(port, std::move(bytes),
-                               /*recirculated=*/true);
-                     });
+    // recirculation latency after its egress instant, in one event.
+    LoopbackCopy& copy = loopback_.emplace_back();
+    copy.reenter_at = ready + kRecirculationLatency;
+    copy.seq = sim_.draw_seq();
+    copy.port = static_cast<std::uint32_t>(port);
+    copy.fails = static_cast<std::uint32_t>(fail_times_.size());
+    copy.bytes = std::move(bytes);
+    if (loopback_.size() == 1) {
+      arm(copy.reenter_at, copy.seq);
+    }
     return;
   }
   ++stats_.tx_frames;
   send_at(port, ready, std::move(bytes));
+}
+
+void SwitchDevice::fire() {
+  LoopbackCopy copy = std::move(loopback_.front());
+  loopback_.pop_front();
+  if (!loopback_.empty()) {
+    arm(loopback_.front().reenter_at, loopback_.front().seq);
+  }
+  // A fail at or before the copy's egress instant caught it inside the
+  // pipeline; after that it was in the loop and meets the ingress as it
+  // stands at re-entry.
+  if (copy.fails < fail_times_.size() &&
+      fail_times_[copy.fails] <= copy.reenter_at - kRecirculationLatency) {
+    ++stats_.flushed_in_pipeline;
+    return;
+  }
+  ++stats_.recirculated;
+  process(copy.port, std::move(copy.bytes), /*recirculated=*/true);
 }
 
 }  // namespace netclone::pisa

@@ -1,6 +1,8 @@
 // The switch as a topology node: parser (a PacketView over the arriving
 // frame) -> ingress pipeline, which rewrites header fields in place ->
-// packet replication (multicast) / recirculation / egress.
+// packet replication (multicast) / recirculation / egress. Loopback copies
+// wait for re-entry in a FIFO that is the switch's event stream
+// (sim/stream.hpp).
 #pragma once
 
 #include <cstdint>
@@ -8,6 +10,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/ring.hpp"
 #include "phys/node.hpp"
 #include "pisa/pipeline.hpp"
 #include "pisa/program.hpp"
@@ -40,7 +43,7 @@ struct SwitchStats {
   std::uint64_t soft_state_wipes = 0;
 };
 
-class SwitchDevice : public phys::Node {
+class SwitchDevice : public phys::Node, private sim::Stream {
  public:
   /// A Tofino-class switch with a kStageCount-stage pipeline.
   SwitchDevice(sim::Simulator& sim, std::string name);
@@ -54,7 +57,7 @@ class SwitchDevice : public phys::Node {
 
   /// Marks a port as loopback: frames egressing there re-enter ingress
   /// after the recirculation latency (§3.4 "Cloning in the switch"), one
-  /// event per copy.
+  /// event of the switch's stream per copy.
   void set_loopback_port(std::size_t port);
 
   /// Adds a port that exists on the ASIC but is not cabled; used to create
@@ -83,6 +86,25 @@ class SwitchDevice : public phys::Node {
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
  private:
+  /// A copy egressed on a loopback port, waiting to re-enter ingress.
+  struct LoopbackCopy {
+    /// Re-entry instant: the copy's egress instant plus the
+    /// recirculation latency. Re-entries come in pass order, so they
+    /// never decrease along the FIFO.
+    SimTime reenter_at;
+    std::uint64_t seq;
+    std::uint32_t port;
+    /// fail_times_.size() at the copy's pass.
+    std::uint32_t fails;
+    wire::FrameHandle bytes;
+  };
+
+  /// The front loopback copy re-enters: pop it, arm the next, and run its
+  /// pass unless a fail caught it inside the pipeline.
+  void fire() override;
+  [[nodiscard]] std::size_t pending_events() const override {
+    return loopback_.size();
+  }
   /// One pipeline pass: open a view on the frame, run the program, and
   /// hand each copy to its port ready one pipeline latency out.
   void process(std::size_t port, wire::FrameHandle frame, bool recirculated);
@@ -107,6 +129,8 @@ class SwitchDevice : public phys::Node {
   /// count at its pass; at re-entry, the first fail after the pass decides
   /// whether it was lost inside the pipeline.
   std::vector<SimTime> fail_times_;
+  /// Loopback copies in re-entry order.
+  Ring<LoopbackCopy> loopback_;
   SwitchStats stats_;
 };
 

@@ -1,19 +1,24 @@
-// Property tests for the indexed heap behind the event engine
-// (sim/event_arena.hpp): ordering out to far horizons (past 2^32 ns),
-// cancellation at every distance, dense same-timestamp FIFO order, and
-// two randomized schedule/cancel/run sweeps — one driven from outside the
-// run loop, one from inside callbacks — checked against a sort-based
-// reference model.
+// Property tests for the event engine's two queues: the arena's indexed
+// heap (sim/event_arena.hpp) — ordering out to far horizons (past
+// 2^32 ns), cancellation at every distance, dense same-timestamp FIFO
+// order, and two randomized schedule/cancel/run sweeps, one driven from
+// outside the run loop, one from inside callbacks — and its merge with
+// event streams (sim/stream.hpp), swept with fake streams. Every sweep is
+// checked against a sort-based reference model.
 #include "sim/event_arena.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/ring.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stream.hpp"
 
 namespace netclone::sim {
 namespace {
@@ -303,6 +308,274 @@ TEST(EventQueue, CallbacksThatScheduleAndCancelMatchTheReferenceModel) {
   }
   EXPECT_EQ(d.fire_order, expected);
   EXPECT_GT(d.cancels, 100U);
+}
+
+/// Reference record of one scheduled event, arena-held or a stream entry:
+/// `order` is its place in scheduling order, which is the order of the
+/// engine's tie-break draws.
+struct MergeRef {
+  SimTime when;
+  std::uint64_t order;
+};
+
+/// A stream as the simulator's components keep one: a FIFO of (when, seq)
+/// entries that never decrease, armed while non-empty. Pushes come from
+/// the test or from firing events; retract_back() and clear() take
+/// entries back the way Link::retract_not_ready and Link::set_up do.
+class FakeStream final : public Stream {
+ public:
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    std::size_t idx;
+  };
+
+  FakeStream(Simulator& sim, std::vector<std::size_t>& fire_order)
+      : Stream(sim), sim_(sim), fire_order_(fire_order) {}
+
+  /// Appends an entry due at `when` (not before the back's).
+  void push(SimTime when, std::size_t idx) {
+    Entry& entry = fifo_.emplace_back(Entry{when, sim_.draw_seq(), idx});
+    if (fifo_.size() == 1) {
+      arm(entry.when, entry.seq);
+    }
+  }
+
+  /// Removes up to `n` entries from the back; returns their indices.
+  std::vector<std::size_t> retract_back(std::size_t n) {
+    std::vector<std::size_t> removed;
+    while (n-- > 0 && !fifo_.empty()) {
+      removed.push_back(fifo_.back().idx);
+      fifo_.pop_back();
+    }
+    if (fifo_.empty()) {
+      disarm();
+    }
+    return removed;
+  }
+
+  std::vector<std::size_t> clear() {
+    return retract_back(fifo_.size());
+  }
+
+  [[nodiscard]] bool empty() const { return fifo_.empty(); }
+  [[nodiscard]] SimTime back_when() const { return fifo_.back().when; }
+  [[nodiscard]] bool is_armed() const { return armed(); }
+
+  /// Runs after each firing, with the popped entry's index: may push
+  /// follow-ups, into this stream included.
+  std::function<void(std::size_t)> on_fire;
+
+ private:
+  void fire() override {
+    const Entry front = fifo_.front();
+    fifo_.pop_front();
+    if (!fifo_.empty()) {
+      arm(fifo_.front().when, fifo_.front().seq);
+    }
+    EXPECT_EQ(sim_.now(), front.when);
+    fire_order_.push_back(front.idx);
+    if (on_fire) {
+      on_fire(front.idx);
+    }
+  }
+  [[nodiscard]] std::size_t pending_events() const override {
+    return fifo_.size();
+  }
+
+  Simulator& sim_;
+  std::vector<std::size_t>& fire_order_;
+  Ring<Entry> fifo_;
+};
+
+/// Sorts the surviving references by (when, scheduling order) into the
+/// expected firing order.
+std::vector<std::size_t> expected_order(const std::vector<MergeRef>& refs,
+                                        const std::vector<char>& removed) {
+  std::vector<std::size_t> live;
+  for (std::size_t idx = 0; idx < refs.size(); ++idx) {
+    if (removed[idx] == 0) {
+      live.push_back(idx);
+    }
+  }
+  std::sort(live.begin(), live.end(), [&refs](std::size_t a, std::size_t b) {
+    if (refs[a].when != refs[b].when) {
+      return refs[a].when < refs[b].when;
+    }
+    return refs[a].order < refs[b].order;
+  });
+  return live;
+}
+
+TEST(EventStreams, RandomizedStreamsAndArenaMatchTheReferenceModel) {
+  // Several streams pushed to, retracted from the back and cleared,
+  // interleaved with arena inserts and cancels, and run to random
+  // deadlines. Times come from a few nanoseconds' spread half the time,
+  // so stream heads and arena events tie at the same nanosecond. Every
+  // fired stream entry may push a follow-up into a random stream — its
+  // own included, as a loopback copy that loops back again does. Events
+  // must fire in the order of a sort by (when, scheduling order), and
+  // pending_events() must be exact every round.
+  Simulator sim;
+  Rng rng{0x5EEDBEEF};
+  std::vector<MergeRef> refs;
+  std::vector<char> removed;  // retracted, cleared or cancelled
+  std::vector<char> fired;
+  std::vector<std::size_t> fire_order;
+  std::vector<EventId> arena_ids;  // per ref; invalid for stream entries
+  std::uint64_t order = 0;
+
+  std::deque<FakeStream> streams;
+  for (int i = 0; i < 5; ++i) {
+    streams.emplace_back(sim, fire_order);
+  }
+  const auto new_ref = [&](SimTime when) {
+    refs.push_back(MergeRef{when, order++});
+    removed.push_back(0);
+    fired.push_back(0);
+    arena_ids.emplace_back();
+    return refs.size() - 1;
+  };
+  const auto draw_delay = [&rng] {
+    return SimTime::nanoseconds(static_cast<std::int64_t>(
+        rng.next_below(2) == 0 ? rng.next_below(3) : rng.next_below(5'000)));
+  };
+  const auto push_to = [&](FakeStream& stream) {
+    SimTime when = sim.now();
+    if (!stream.empty() && stream.back_when() > when) {
+      when = stream.back_when();
+    }
+    when = when + draw_delay();
+    stream.push(when, new_ref(when));
+  };
+  for (FakeStream& stream : streams) {
+    stream.on_fire = [&](std::size_t idx) {
+      fired[idx] = 1;
+      if (refs.size() < 20'000 && rng.next_below(3) == 0) {
+        push_to(streams[rng.next_below(streams.size())]);
+      }
+    };
+  }
+  const auto pending = [&] {
+    std::size_t n = 0;
+    for (std::size_t idx = 0; idx < refs.size(); ++idx) {
+      n += (removed[idx] == 0 && fired[idx] == 0) ? 1U : 0U;
+    }
+    return n;
+  };
+
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t ops = 1 + rng.next_below(30);
+    for (std::size_t i = 0; i < ops; ++i) {
+      switch (rng.next_below(8)) {
+        case 0:
+        case 1:
+        case 2: {  // arena insert
+          const SimTime when = sim.now() + draw_delay();
+          const std::size_t idx = new_ref(when);
+          arena_ids[idx] = sim.schedule_at(when, [&fired, &fire_order, idx] {
+            fired[idx] = 1;
+            fire_order.push_back(idx);
+          });
+          break;
+        }
+        case 3:
+        case 4:
+        case 5:  // stream push
+          push_to(streams[rng.next_below(streams.size())]);
+          break;
+        case 6: {  // arena cancel
+          const std::size_t idx = rng.next_below(refs.size());
+          if (arena_ids[idx].valid() && fired[idx] == 0 &&
+              removed[idx] == 0) {
+            sim.cancel(arena_ids[idx]);
+            removed[idx] = 1;
+          }
+          break;
+        }
+        default: {  // retract from a stream's back, or clear it
+          FakeStream& stream = streams[rng.next_below(streams.size())];
+          const std::vector<std::size_t> taken =
+              rng.next_below(4) == 0 ? stream.clear()
+                                     : stream.retract_back(
+                                           1 + rng.next_below(3));
+          for (const std::size_t idx : taken) {
+            removed[idx] = 1;
+          }
+          EXPECT_EQ(stream.is_armed(), !stream.empty());
+          break;
+        }
+      }
+    }
+    ASSERT_EQ(sim.pending_events(), pending()) << "round " << round;
+    sim.run_until(sim.now() + SimTime::nanoseconds(static_cast<std::int64_t>(
+                                  rng.next_below(8'000))));
+    ASSERT_EQ(sim.pending_events(), pending()) << "round " << round;
+  }
+  sim.run();
+  EXPECT_EQ(sim.pending_events(), 0U);
+  for (const FakeStream& stream : streams) {
+    EXPECT_FALSE(stream.is_armed());
+  }
+
+  const std::vector<std::size_t> expected = expected_order(refs, removed);
+  EXPECT_EQ(fire_order, expected);
+  EXPECT_EQ(sim.executed_events(), expected.size());
+  std::size_t stream_fires = 0;
+  for (const std::size_t idx : fire_order) {
+    stream_fires += arena_ids[idx].valid() ? 0U : 1U;
+  }
+  EXPECT_GT(stream_fires, 1000U);
+  EXPECT_GT(fire_order.size() - stream_fires, 1000U);
+}
+
+TEST(EventStreams, SameNanosecondTiesFireInSchedulingOrder) {
+  // Arena events and two streams' entries, all at one instant, scheduled
+  // alternately: they fire exactly in scheduling order, whichever queue
+  // holds them. step() fires one at a time.
+  Simulator sim;
+  std::vector<std::size_t> fire_order;
+  FakeStream a{sim, fire_order};
+  FakeStream b{sim, fire_order};
+  std::size_t idx = 0;
+  for (int i = 0; i < 10; ++i) {
+    a.push(3_us, idx++);
+    sim.schedule_at(3_us,
+                    [&fire_order, i = idx++] { fire_order.push_back(i); });
+    b.push(3_us, idx++);
+    b.push(3_us, idx++);
+  }
+  EXPECT_EQ(sim.pending_events(), idx);
+  std::size_t steps = 0;
+  while (sim.step()) {
+    ++steps;
+    EXPECT_EQ(sim.pending_events(), idx - steps);
+  }
+  std::vector<std::size_t> expected(idx);
+  for (std::size_t i = 0; i < idx; ++i) {
+    expected[i] = i;
+  }
+  EXPECT_EQ(fire_order, expected);
+  EXPECT_EQ(sim.now(), 3_us);
+}
+
+TEST(EventStreams, AStreamDestroyedWhileArmedLeavesTheEngineConsistent) {
+  Simulator sim;
+  std::vector<std::size_t> fire_order;
+  FakeStream kept{sim, fire_order};
+  kept.push(1_us, 0);
+  kept.push(4_us, 1);
+  {
+    FakeStream doomed{sim, fire_order};
+    doomed.push(2_us, 2);
+    doomed.push(3_us, 3);
+    EXPECT_EQ(sim.pending_events(), 4U);
+  }
+  sim.schedule_at(2_us, [&fire_order] { fire_order.push_back(4); });
+  EXPECT_EQ(sim.pending_events(), 3U);
+  sim.run();
+  EXPECT_EQ(fire_order, (std::vector<std::size_t>{0, 4, 1}));
+  EXPECT_EQ(sim.executed_events(), 3U);
 }
 
 }  // namespace

@@ -142,7 +142,8 @@ TEST(Link, EachFrameInFlightHoldsOneDeliveryEvent) {
   for (int i = 0; i < 5; ++i) {
     link.transmit(frame_of_size(125));
   }
-  // Each handed-over frame has its delivery event scheduled at hand-off.
+  // Each handed-over frame is a pending event of the link's stream from
+  // hand-off on.
   EXPECT_EQ(link.in_flight(), 5U);
   EXPECT_EQ(sim.pending_events(), 5U);
   sim.run();
@@ -469,6 +470,119 @@ TEST(LinkHandOff, RetractRestoresTheLinkAsIfNeverHandedOver) {
                                                              {2_us, 4}}));
   EXPECT_EQ(link.stats().tx_frames, 2U);
   EXPECT_EQ(link.stats().tx_bytes, 250U);
+}
+
+// -- the link's event stream -------------------------------------------------
+//
+// A link's FIFO is an event stream (sim/stream.hpp): the engine holds only
+// its front, and a retraction, a link going down or a destroyed link
+// re-arms or disarms the stream instead of cancelling an event per frame.
+
+TEST(LinkStream, APartialRetractKeepsTheHeadArmed) {
+  sim::Simulator sim;
+  TaggedArrivals dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;  // 125 bytes = 1 us
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+
+  link.transmit(tagged_frame(125, 1));            // delivered at 1 us
+  link.transmit_at(500_ns, tagged_frame(125, 2));  // not ready at 200 ns
+  link.transmit_at(700_ns, tagged_frame(125, 3));
+  sim.schedule_at(200_ns, [&] {
+    EXPECT_EQ(link.retract_not_ready(), 2U);
+    EXPECT_EQ(sim.pending_events(), 1U);  // the kept front, still armed
+  });
+  sim.run();
+  EXPECT_EQ(dst.seen, (std::vector<std::pair<SimTime, int>>{{1_us, 1}}));
+  EXPECT_EQ(sim.executed_events(), 2U);
+  EXPECT_EQ(sim.pending_events(), 0U);
+}
+
+TEST(LinkStream, AFullRetractDisarmsTheLinkAndAHandOffRearmsIt) {
+  sim::Simulator sim;
+  TaggedArrivals dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+
+  link.transmit_at(500_ns, tagged_frame(125, 1));
+  link.transmit_at(500_ns, tagged_frame(125, 2));
+  sim.schedule_at(100_ns, [&] {
+    EXPECT_EQ(link.retract_not_ready(), 2U);
+    EXPECT_EQ(sim.pending_events(), 0U);
+  });
+  sim.run();
+  EXPECT_TRUE(dst.seen.empty());
+  EXPECT_EQ(sim.executed_events(), 1U);  // the retraction alone
+
+  link.transmit_at(600_ns, tagged_frame(125, 3));
+  EXPECT_EQ(sim.pending_events(), 1U);
+  sim.run();
+  EXPECT_EQ(dst.seen,
+            (std::vector<std::pair<SimTime, int>>{{1600_ns, 3}}));
+  EXPECT_EQ(sim.executed_events(), 2U);
+}
+
+TEST(LinkStream, GoingDownDisarmsTheLinkAndComingBackRearmsIt) {
+  sim::Simulator sim;
+  TaggedArrivals dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+  std::size_t other = 0;
+  sim.schedule_at(5_us, [&] { ++other; });
+
+  for (int i = 1; i <= 3; ++i) {
+    link.transmit(tagged_frame(125, i));
+  }
+  EXPECT_EQ(sim.pending_events(), 4U);
+  link.set_up(false);
+  EXPECT_EQ(sim.pending_events(), 1U);  // the unrelated event
+  link.set_up(true);
+  link.transmit(tagged_frame(125, 4));
+  EXPECT_EQ(sim.pending_events(), 2U);
+  sim.run();
+  EXPECT_EQ(dst.seen, (std::vector<std::pair<SimTime, int>>{{1_us, 4}}));
+  EXPECT_EQ(other, 1U);
+  EXPECT_EQ(sim.executed_events(), 2U);
+}
+
+TEST(LinkStream, ALinkDestroyedWithFramesInFlightLeavesTheEngineConsistent) {
+  // Three links whose fronts interleave in time; the middle one is
+  // destroyed while armed. The other two deliver every frame, in time
+  // order across both, and the engine's count stays exact.
+  sim::Simulator sim;
+  TaggedArrivals dst{sim};
+  LinkParams params;
+  params.rate_bps = 1e9;  // 125 bytes = 1 us
+  params.delay = SimTime::zero();
+  Link first{sim, params};
+  Link last{sim, params};
+  first.connect_to(&dst, 0);
+  last.connect_to(&dst, 2);
+  {
+    Link doomed{sim, params};
+    doomed.connect_to(&dst, 1);
+    first.transmit(tagged_frame(125, 1));             // 1 us, 2 us
+    first.transmit(tagged_frame(125, 2));
+    doomed.transmit_at(300_ns, tagged_frame(125, 9));  // 1.3 us, 2.3 us
+    doomed.transmit_at(300_ns, tagged_frame(125, 9));
+    last.transmit_at(600_ns, tagged_frame(125, 3));   // 1.6 us, 2.6 us
+    last.transmit_at(600_ns, tagged_frame(125, 4));
+    EXPECT_EQ(sim.pending_events(), 6U);
+  }
+  EXPECT_EQ(sim.pending_events(), 4U);
+  sim.run();
+  EXPECT_EQ(dst.seen, (std::vector<std::pair<SimTime, int>>{
+                          {1_us, 1}, {1600_ns, 3}, {2_us, 2}, {2600_ns, 4}}));
+  EXPECT_EQ(sim.executed_events(), 4U);
+  EXPECT_EQ(sim.pending_events(), 0U);
 }
 
 // -- receive side: one event per frame, at the receiver's pickup -------------

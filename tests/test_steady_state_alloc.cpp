@@ -1,15 +1,15 @@
 // The packet path's steady state allocates nothing.
 //
 // This binary replaces the global operator new with a counting one. It
-// runs the Fig. 7 point (bench_packet_path) and the replicated pod point
-// (bench_multirack), reads the count and the requests issued when the
-// measured window opens and when it closes — two events on the run's own
-// engine — and asserts fewer than one allocation per 1,000 requests in
-// between. Growth during warm-up is fine: that is where queues, rings,
-// tables and pools reach their peak sizes. Latency histograms reserve
-// their range at construction and clients size their completion bitmaps
-// in start(), so neither grows in the window; the margin tolerates a
-// rare doubling of a queue or a table.
+// runs the Fig. 7 point (bench_packet_path), the replicated pod point
+// (bench_multirack) and a LÆDGE rack, reads the count and the requests
+// issued when the measured window opens and when it closes — two events
+// on the run's own engine — and asserts fewer than one allocation per
+// 1,000 requests in between. Growth during warm-up is fine: that is
+// where queues, rings, tables and pools reach their peak sizes. Latency
+// histograms reserve their range at construction and clients size their
+// completion bitmaps in start(), so neither grows in the window; the
+// margin tolerates a rare doubling of a queue or a table.
 //
 // Sanitizer builds skip it: ASan and TSan supply their own operator new,
 // and ASan also turns frame recycling off.
@@ -106,10 +106,14 @@ struct Window {
   std::uint64_t requests = 0;
 };
 
-/// Runs `bed` with the counter read at both ends of its measured window.
-Window measure_window(Testbed& bed) {
+/// Runs `bed` with the counter read at both ends of its measured window,
+/// [warmup, warmup + measure).
+Window measure_window(Testbed& bed, SimTime warmup = kWarmup,
+                      SimTime measure = kMeasure) {
 #if defined(NETCLONE_SANITIZED)
   (void)bed;
+  (void)warmup;
+  (void)measure;
   return {};
 #else
   const auto requests = [&bed] {
@@ -122,10 +126,10 @@ Window measure_window(Testbed& bed) {
   Window opened;
   Window closed;
   sim::Simulator& sim = bed.simulator();
-  sim.schedule_at(kWarmup, [&] {
+  sim.schedule_at(warmup, [&] {
     opened = {g_allocations.load(), requests()};
   });
-  sim.schedule_at(kWarmup + kMeasure, [&] {
+  sim.schedule_at(warmup + measure, [&] {
     closed = {g_allocations.load(), requests()};
   });
   (void)bed.run();
@@ -173,6 +177,25 @@ MultiRackConfig pod_point() {
   return cfg;
 }
 
+/// bench_fig08_scalability's LÆDGE rack: 5 servers x 16 workers behind
+/// the coordinator, Exp(25), offered 100 Krps — below the coordinator's
+/// CPU ceiling, so its queues stay bounded. At that rate 20 ms issue only
+/// 2,000 requests, so the window is 150 ms.
+constexpr SimTime kLaedgeMeasure = SimTime::milliseconds(150);
+
+ClusterConfig laedge_point() {
+  ClusterConfig cfg;
+  cfg.scheme = Scheme::kLaedge;
+  cfg.server_workers.assign(5, 16);
+  cfg.factory = std::make_shared<host::ExponentialWorkload>(25.0);
+  cfg.service = std::make_shared<host::SyntheticService>(kJitter);
+  cfg.warmup = kWarmup;
+  cfg.measure = kLaedgeMeasure;
+  cfg.drain = kDrain;
+  cfg.offered_rps = 100000.0;
+  return cfg;
+}
+
 void expect_allocation_free(const Window& window) {
   ASSERT_GT(window.requests, 10000U) << "the window issued too few requests";
   EXPECT_LT(window.allocations * 1000, window.requests)
@@ -194,6 +217,15 @@ TEST(SteadyStateAlloc, ReplicatedPodPointAllocatesNothingInItsWindow) {
 #endif
   MultiRackExperiment experiment{pod_point()};
   expect_allocation_free(measure_window(experiment));
+}
+
+TEST(SteadyStateAlloc, LaedgeRackAllocatesNothingInItsWindow) {
+#if defined(NETCLONE_SANITIZED)
+  GTEST_SKIP() << "sanitizers supply their own operator new";
+#endif
+  Experiment experiment{laedge_point()};
+  expect_allocation_free(
+      measure_window(experiment, kWarmup, kLaedgeMeasure));
 }
 
 }  // namespace

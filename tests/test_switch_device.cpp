@@ -207,6 +207,82 @@ TEST(SwitchDevice, RecirculationReentersIngress) {
   EXPECT_EQ(rig.sw->stats().rx_frames, 2U);  // ingress seen twice
 }
 
+/// Loops each packet through the loopback port `times` times, counting
+/// passes in its SID, then forwards it to `out`; records every pass.
+class LoopTimesProgram : public SwitchProgram {
+ public:
+  struct Pass {
+    SimTime at;
+    std::uint32_t client_seq;
+    std::uint8_t loops;
+    friend bool operator==(const Pass&, const Pass&) = default;
+  };
+
+  LoopTimesProgram(const sim::Simulator& sim, std::size_t loopback,
+                   std::size_t out, std::uint8_t times)
+      : sim_(sim), loopback_(loopback), out_(out), times_(times) {}
+
+  void on_ingress(wire::PacketView& pkt, PacketMetadata& md,
+                  PipelinePass&) override {
+    passes.push_back(Pass{sim_.now(), pkt.client_seq(), pkt.sid()});
+    if (pkt.sid() < times_) {
+      pkt.set_sid(static_cast<std::uint8_t>(pkt.sid() + 1));
+      md.egress_port = loopback_;
+    } else {
+      md.egress_port = out_;
+    }
+  }
+  [[nodiscard]] const char* name() const override { return "LoopTimes"; }
+
+  std::vector<Pass> passes;
+
+ private:
+  const sim::Simulator& sim_;
+  std::size_t loopback_;
+  std::size_t out_;
+  std::uint8_t times_;
+};
+
+TEST(SwitchDevice, ALoopbackCopyThatLoopsBackAgainFiresInOrder) {
+  // Three packets loop back three times each. Packets 1 and 2 enter at
+  // the same nanosecond, packet 3 100 ns later, so each re-entry pass
+  // pushes a new copy behind copies already waiting in the switch's
+  // loopback stream: every pass comes 850 ns (a 400-ns pass plus the
+  // 450-ns turnaround) after the previous one of its packet, and
+  // same-instant passes keep their entry order.
+  Rig rig;
+  const std::size_t loopback = rig.sw->add_internal_port();
+  rig.sw->set_loopback_port(loopback);
+  auto program = std::make_shared<LoopTimesProgram>(rig.sim, loopback,
+                                                    rig.port_b, 3);
+  rig.sw->load_program(program);
+  rig.sw->handle_frame(rig.port_a, make_request(0, 1, 0, 0).serialize());
+  rig.sw->handle_frame(rig.port_a, make_request(0, 2, 0, 0).serialize());
+  rig.sim.schedule_at(100_ns, [&] {
+    rig.sw->handle_frame(rig.port_a, make_request(0, 3, 0, 0).serialize());
+  });
+  rig.sim.run();
+
+  using Pass = LoopTimesProgram::Pass;
+  std::vector<Pass> expected;
+  for (std::uint8_t loop = 0; loop <= 3; ++loop) {
+    const SimTime base = SimTime::nanoseconds(850 * loop);
+    expected.push_back(Pass{base, 1, loop});
+    expected.push_back(Pass{base, 2, loop});
+    expected.push_back(Pass{base + 100_ns, 3, loop});
+  }
+  EXPECT_EQ(program->passes, expected);
+  ASSERT_EQ(rig.b->received.size(), 3U);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto pkt = wire::Packet::parse(rig.b->received[i].frame);
+    EXPECT_EQ(pkt.nc().client_seq, i + 1);
+    EXPECT_EQ(pkt.nc().sid, 3);
+  }
+  EXPECT_EQ(rig.sw->stats().recirculated, 9U);
+  EXPECT_EQ(rig.sim.pending_events(), 0U);
+  expect_conserved(rig.sw->stats());
+}
+
 TEST(SwitchDevice, FailureDropsAndWipesSoftState) {
   Rig rig;
   auto program =
