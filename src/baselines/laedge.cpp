@@ -20,7 +20,6 @@ LaedgeCoordinator::LaedgeCoordinator(sim::Simulator& sim,
                                      std::vector<LaedgeWorkerInfo> workers,
                                      Rng rng)
     : phys::Node("laedge-coordinator"),
-      sim::Stream(sim),
       sim_(sim),
       workers_(std::move(workers)),
       rng_(rng),
@@ -61,22 +60,15 @@ void LaedgeCoordinator::handle_frame(std::size_t /*port*/,
       return;
     }
   }
-  // Receive path: the packet waits for the coordinator CPU. Charges only
-  // grow, so the rx queue stays in (when, seq) order.
-  const SimTime done = charge_cpu();
-  const RxPacket& rx =
-      rx_queue_.emplace_back(RxPacket{done, sim_.draw_seq(), std::move(pkt)});
-  if (rx_queue_.size() == 1) {
-    arm(rx.at, rx.seq);
-  }
+  // Receive path: the packet waits for the coordinator CPU. Its events
+  // fire in charge order, so each one takes the rx queue's front.
+  rx_queue_.push_back(std::move(pkt));
+  sim_.schedule_at(charge_cpu(), [this] { on_cpu(); });
 }
 
-void LaedgeCoordinator::fire() {
-  wire::PacketView pkt = std::move(rx_queue_.front().pkt);
+void LaedgeCoordinator::on_cpu() {
+  wire::PacketView pkt = std::move(rx_queue_.front());
   rx_queue_.pop_front();
-  if (!rx_queue_.empty()) {
-    arm(rx_queue_.front().at, rx_queue_.front().seq);
-  }
   if (wire::is_request(pkt.type())) {
     admit_request(std::move(pkt));
   } else {
@@ -84,14 +76,14 @@ void LaedgeCoordinator::fire() {
   }
 }
 
-bool LaedgeCoordinator::find_idle_workers() {
+const std::vector<std::size_t>& LaedgeCoordinator::idle_workers() {
   idle_.clear();
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (outstanding_[w] < workers_[w].capacity) {
       idle_.push_back(w);
     }
   }
-  return !idle_.empty();
+  return idle_;
 }
 
 void LaedgeCoordinator::admit_request(wire::PacketView&& pkt) {
@@ -100,7 +92,8 @@ void LaedgeCoordinator::admit_request(wire::PacketView&& pkt) {
   requests_.insert_or_assign(
       key, RequestState{pkt.ip_src(), pkt.src_port(), /*copies=*/0, false});
 
-  if (!find_idle_workers()) {
+  const std::vector<std::size_t>& idle = idle_workers();
+  if (idle.empty()) {
     // All workers busy: buffer until a response frees capacity.
     ++stats_.queued;
     pending_.push_back(std::move(pkt));
@@ -108,24 +101,25 @@ void LaedgeCoordinator::admit_request(wire::PacketView&& pkt) {
         std::max(stats_.max_queue_depth, pending_.size());
     return;
   }
-  forward_or_clone(pkt);
+  forward_or_clone(pkt, idle);
 }
 
-void LaedgeCoordinator::forward_or_clone(const wire::PacketView& pkt) {
-  if (idle_.size() == 1) {
+void LaedgeCoordinator::forward_or_clone(
+    const wire::PacketView& pkt, const std::vector<std::size_t>& idle) {
+  if (idle.size() == 1) {
     ++stats_.forwarded_single;
-    dispatch(pkt, idle_[0]);
+    dispatch(pkt, idle[0]);
     return;
   }
   // Clone to two random idle workers (LÆDGE: replicate iff >= 2 idle).
   ++stats_.cloned;
-  const auto a = static_cast<std::size_t>(rng_.next_below(idle_.size()));
-  auto b = static_cast<std::size_t>(rng_.next_below(idle_.size() - 1));
+  const auto a = static_cast<std::size_t>(rng_.next_below(idle.size()));
+  auto b = static_cast<std::size_t>(rng_.next_below(idle.size() - 1));
   if (b >= a) {
     ++b;
   }
-  dispatch(pkt, idle_[a]);
-  dispatch(pkt, idle_[b]);
+  dispatch(pkt, idle[a]);
+  dispatch(pkt, idle[b]);
 }
 
 void LaedgeCoordinator::dispatch(const wire::PacketView& pkt,
@@ -189,12 +183,13 @@ void LaedgeCoordinator::on_response(wire::PacketView&& pkt) {
 
 void LaedgeCoordinator::drain_queue() {
   while (!pending_.empty()) {
-    if (!find_idle_workers()) {
+    const std::vector<std::size_t>& idle = idle_workers();
+    if (idle.empty()) {
       return;
     }
     wire::PacketView pkt = std::move(pending_.front());
     pending_.pop_front();
-    forward_or_clone(pkt);
+    forward_or_clone(pkt, idle);
   }
 }
 

@@ -16,8 +16,6 @@
 // throughput collapse. Under overload its NIC rx ring sheds requests that
 // arrive while 512 packet-times of CPU work are already reserved, as on
 // real hardware (otherwise rx work would starve transmissions forever).
-// The rx queue, whose packets reach the CPU in arrival order, is the
-// coordinator's event stream (sim/stream.hpp).
 #pragma once
 
 #include <cstdint>
@@ -53,7 +51,7 @@ struct LaedgeStats {
   std::size_t max_queue_depth = 0;
 };
 
-class LaedgeCoordinator : public phys::Node, private sim::Stream {
+class LaedgeCoordinator : public phys::Node {
  public:
   LaedgeCoordinator(sim::Simulator& sim,
                     std::vector<LaedgeWorkerInfo> workers, Rng rng);
@@ -78,31 +76,20 @@ class LaedgeCoordinator : public phys::Node, private sim::Stream {
     return static_cast<std::uint64_t>(client_id) << 32 | client_seq;
   }
 
-  /// A received packet waiting for the CPU.
-  struct RxPacket {
-    /// The instant the CPU is done with it (charge_cpu() at arrival).
-    SimTime at;
-    std::uint64_t seq;
-    wire::PacketView pkt;
-  };
-
-  /// The CPU is done with the rx queue's front packet: pop it, arm the
-  /// next, and act on it.
-  void fire() override;
-  [[nodiscard]] std::size_t pending_events() const override {
-    return rx_queue_.size();
-  }
+  /// The CPU reaches the rx queue's front packet.
+  void on_cpu();
   void admit_request(wire::PacketView&& pkt);
   void on_response(wire::PacketView&& pkt);
   /// Dispatches one copy of `pkt` to worker `w`, charging CPU for the tx.
   void dispatch(const wire::PacketView& pkt, std::size_t w);
-  /// LÆDGE's decision for a request, over the non-empty idle_ list:
-  /// forward to the one idle worker, or clone to two distinct random ones.
-  void forward_or_clone(const wire::PacketView& pkt);
+  /// LÆDGE's decision for a request and a non-empty `idle` list: forward
+  /// to the one idle worker, or clone to two distinct random ones.
+  void forward_or_clone(const wire::PacketView& pkt,
+                        const std::vector<std::size_t>& idle);
   void drain_queue();
-  /// Fills idle_ with the workers that have spare capacity, in index
-  /// order; returns whether there is any.
-  bool find_idle_workers();
+  /// The workers with spare capacity, in index order, listed into idle_
+  /// (valid until the next call).
+  [[nodiscard]] const std::vector<std::size_t>& idle_workers();
   /// Occupies the serial CPU for one packet-time and returns the instant
   /// the work completes.
   SimTime charge_cpu();
@@ -115,9 +102,9 @@ class LaedgeCoordinator : public phys::Node, private sim::Stream {
 
   SimTime cpu_busy_until_ = SimTime::zero();
   /// Received packets waiting for the CPU, in arrival order.
-  Ring<RxPacket> rx_queue_;
+  Ring<wire::PacketView> rx_queue_;
   std::vector<std::uint32_t> outstanding_;  // per worker
-  /// Scratch for find_idle_workers, reserved to the worker count so a
+  /// Scratch for idle_workers(), reserved to the worker count so a
   /// decision allocates nothing.
   std::vector<std::size_t> idle_;
   Ring<wire::PacketView> pending_;

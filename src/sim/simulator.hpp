@@ -7,10 +7,10 @@
 // reproducible for a given seed.
 //
 // Pending events live in two places. A stream (stream.hpp) — a link, a
-// client, a switch's loopback, the LÆDGE coordinator — keeps its own
-// events in a time-ordered FIFO and shows the engine only the FIFO's head;
-// the engine keeps the armed heads in a small indexed heap. Every other
-// event (worker completions, retransmit timers, fault and harness events)
+// client, a switch's loopback — keeps its own events in a time-ordered
+// FIFO and shows the engine only the FIFO's head; the engine keeps the
+// armed heads in a small indexed heap. Every other event (worker
+// completions, retransmit timers, fault, harness and LÆDGE CPU events)
 // lives in the slot-map arena of event_arena.hpp, whose O(log n)
 // cancellation removes the event from the queue, destroys its callback
 // (and whatever it captured) at once, and keeps pending_events() exact; a

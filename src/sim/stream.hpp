@@ -2,10 +2,10 @@
 //
 // Most of a run's events come from components whose events already wait
 // in a FIFO of their own, in the order they will fire: a link's frames in
-// flight, a client's next arrival, a switch's loopback copies, the LÆDGE
-// coordinator's rx queue. Such a component is a Stream. It keeps its
-// events in that FIFO and shows the engine only the FIFO's head, so the
-// engine orders a few dozen heads instead of every event (simulator.hpp).
+// flight, a client's next arrival, a switch's loopback copies. Such a
+// component is a Stream. It keeps its events in that FIFO and shows the
+// engine only the FIFO's head, so the engine orders a few dozen heads
+// instead of every event (simulator.hpp).
 //
 // The seq contract, which keeps the global order bit-identical to one
 // queue holding every event:

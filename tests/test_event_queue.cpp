@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -576,6 +577,39 @@ TEST(EventStreams, AStreamDestroyedWhileArmedLeavesTheEngineConsistent) {
   sim.run();
   EXPECT_EQ(fire_order, (std::vector<std::size_t>{0, 4, 1}));
   EXPECT_EQ(sim.executed_events(), 3U);
+}
+
+TEST(EventStreams, AnEngineDestroyedBeforeItsStreamsUnarmsThem) {
+  // The other order of destruction: the engine goes while streams are
+  // still armed, one of them armed from inside a firing, and the root of
+  // the heads' heap vacant — it still names a stream destroyed after its
+  // last firing. The streams then go without reaching back into the
+  // engine (an address sanitizer build reports any access to it).
+  auto sim = std::make_unique<Simulator>();
+  std::vector<std::size_t> fire_order;
+  FakeStream a{*sim, fire_order};
+  FakeStream b{*sim, fire_order};
+  b.push(2_us, 0);
+  b.push(5_us, 1);
+  {
+    FakeStream arms_a{*sim, fire_order};
+    arms_a.push(1_us, 2);
+    arms_a.on_fire = [&a](std::size_t) { a.push(4_us, 3); };
+    FakeStream last{*sim, fire_order};
+    last.push(3_us, 4);
+    ASSERT_TRUE(sim->step());  // arms_a fires and arms a
+    ASSERT_TRUE(sim->step());  // b fires and re-arms
+    ASSERT_TRUE(sim->step());  // last fires; nothing refills the root
+    EXPECT_FALSE(arms_a.is_armed());
+    EXPECT_FALSE(last.is_armed());
+  }
+  EXPECT_EQ(fire_order, (std::vector<std::size_t>{2, 0, 4}));
+  EXPECT_TRUE(a.is_armed());
+  EXPECT_TRUE(b.is_armed());
+  EXPECT_EQ(sim->pending_events(), 2U);
+  sim.reset();
+  EXPECT_FALSE(a.is_armed());
+  EXPECT_FALSE(b.is_armed());
 }
 
 }  // namespace
