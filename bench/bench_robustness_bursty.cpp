@@ -26,7 +26,6 @@ int main() {
   harness::ClusterConfig base =
       synthetic_cluster(factory, high_variability());
   base.client_template.arrival = host::ArrivalProcess::kBursty;
-  base.client_template.burst_on_fraction = 0.25;
   const double capacity =
       synthetic_capacity(base, 25.0, high_variability());
   const std::vector<double> loads = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7};

@@ -15,8 +15,10 @@ What is gated, and how:
     acquires, pipeline passes, recirculations, clones and filtered
     responses. A change that adds work to every request moves a count. An
     exact key must be present in both the run and the baseline.
-  * Every other numeric key (rates, wall-clock seconds, the faulted
-    Fig. 16 counters) is an info row: it is reported, never gated.
+  * Every other numeric key (the wall-clock seconds of the Fig. 7 and
+    pod points, the faulted Fig. 16 counters, the pod's fail-over
+    recovery time) is an info row: it is reported, never gated. No gated
+    bench times a micro loop outside a run.
 
 A delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is set, to
 the job summary as markdown.

@@ -14,8 +14,8 @@ from bench_gate import compare  # noqa: E402
 
 BASELINE = {
     "bench": "packet_path",
-    "unit": "frames_per_second",
-    "per_hop": 10000000,
+    "unit": "seconds",
+    "fig7_point_wall_seconds": 0.0737,
     "fig7_completed": 54336,
     "fig7_executed_events": 543822,
 }
@@ -53,10 +53,12 @@ class CompareTest(unittest.TestCase):
         self.assertIn("fig7_executed_events", failures[0])
 
     def test_info_row_drift_passes(self):
-        current = dict(BASELINE, per_hop=BASELINE["per_hop"] * 10)
+        current = dict(BASELINE,
+                       fig7_point_wall_seconds=BASELINE[
+                           "fig7_point_wall_seconds"] * 10)
         rows, failures = run(current)
         self.assertEqual(failures, [])
-        info = [row for row in rows if row[1] == "per_hop"]
+        info = [row for row in rows if row[1] == "fig7_point_wall_seconds"]
         self.assertEqual(len(info), 1)
         self.assertEqual(info[0][5], "info")
 

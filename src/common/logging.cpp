@@ -1,38 +1,11 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace netclone {
-namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
-
-void log(LogLevel level, const std::string& message) {
-  if (level < g_level.load()) {
-    return;
-  }
-  std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
+void log_warn(const std::string& message) {
+  std::fprintf(stderr, "[WARN] %s\n", message.c_str());
 }
 
 }  // namespace netclone

@@ -1,24 +1,12 @@
-// Minimal leveled logging. Simulation components log rarely (topology
-// construction, failure injection); hot paths must stay log-free, so there
-// is deliberately no macro that hides a cost behind a level check.
+// Warnings to stderr. Simulation components do not log: hot paths must
+// stay log-free, and what a run did is in its stats.
 #pragma once
 
 #include <string>
 
 namespace netclone {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-/// Sets the global threshold; messages below it are discarded.
-void set_log_level(LogLevel level);
-[[nodiscard]] LogLevel log_level();
-
-/// Writes one line to stderr as "[LEVEL] message".
-void log(LogLevel level, const std::string& message);
-
-inline void log_debug(const std::string& m) { log(LogLevel::kDebug, m); }
-inline void log_info(const std::string& m) { log(LogLevel::kInfo, m); }
-inline void log_warn(const std::string& m) { log(LogLevel::kWarn, m); }
-inline void log_error(const std::string& m) { log(LogLevel::kError, m); }
+/// Writes one line to stderr as "[WARN] message".
+void log_warn(const std::string& message);
 
 }  // namespace netclone

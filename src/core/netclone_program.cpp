@@ -61,11 +61,9 @@ NetCloneProgram::NetCloneProgram(pisa::Pipeline& pipeline,
             config_.filter_slots));
   }
   if (config_.enable_multipacket) {
-    NETCLONE_CHECK(config_.cloned_req_slots > 0,
-                   "cloned-request table needs slots");
     cloned_req_table_ =
         std::make_unique<pisa::RegisterArray<std::uint32_t>>(
-            pipeline, "ClonedReqT", 5, config_.cloned_req_slots);
+            pipeline, "ClonedReqT", 5, kClonedReqSlots);
   }
 }
 
@@ -278,8 +276,7 @@ void NetCloneProgram::handle_request(wire::PacketView& pkt,
       // fragments clone regardless of the tracked states.
       const std::uint32_t req_id = pkt.req_id();
       const std::uint32_t slot =
-          filter_hash(req_id,
-                      config_.cloned_req_slots);  // reuses the CRC profile
+          filter_hash(req_id, kClonedReqSlots);  // reuses the CRC profile
       cloned_req_table_->write(pass, slot, req_id);
     }
     md.multicast_group = entry->mcast_group;
@@ -320,7 +317,7 @@ void NetCloneProgram::handle_continuation_fragment(
   // so the slot frees as soon as the request finishes.
   const std::uint32_t req_id = pkt.req_id();
   const bool last = pkt.frag_idx() + 1 >= pkt.frag_count();
-  const std::uint32_t slot = filter_hash(req_id, config_.cloned_req_slots);
+  const std::uint32_t slot = filter_hash(req_id, kClonedReqSlots);
   const bool was_cloned = cloned_req_table_->execute(
       pass, slot, [req_id, last](std::uint32_t& cell) {
         if (cell != req_id) {

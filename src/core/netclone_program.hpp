@@ -86,8 +86,6 @@ struct NetCloneConfig {
   /// ordered filter tables. Requires id_mode == kClientTuple so that all
   /// fragments share one REQ_ID.
   bool enable_multipacket = false;
-  /// Slots in the cloned-request table (hash-indexed, like FilterT).
-  std::size_t cloned_req_slots = std::size_t{1} << 15;
 };
 
 /// How the switch steers a fresh read request between its group's two
@@ -219,6 +217,10 @@ using AggNetCloneStats = NetCloneProgramStats;
 
 class NetCloneProgram final : public pisa::SwitchProgram {
  public:
+  /// Slots in the cloned-request table of multi-packet support
+  /// (hash-indexed by filter_hash, like FilterT).
+  static constexpr std::size_t kClonedReqSlots = std::size_t{1} << 15;
+
   /// `role` places the switch in its chain; the default is a ToR's chain
   /// of one. Replicas of one tier share `config.switch_id`, so the rack
   /// ToRs treat tier-stamped packets as foreign. A chain longer than one

@@ -1,5 +1,7 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "core/groups.hpp"
 
@@ -30,8 +32,8 @@ Experiment::Experiment(ClusterConfig config)
   NETCLONE_CHECK(config_.service != nullptr, "config needs a service");
   NETCLONE_CHECK(config_.server_workers.size() >= 2,
                  "need at least two servers");
-  NETCLONE_CHECK(config_.server_workers.size() <= 256,
-                 "server id space is 8 bits");
+  NETCLONE_CHECK(config_.server_workers.size() < 150,
+                 "server count exceeds the address plan");
   NETCLONE_CHECK(config_.num_clients >= 1, "need at least one client");
   // Responses pass a filter under NetClone and the RackSched integration
   // (the ToR's filter tables) and under LAEDGE (the coordinator relays
@@ -65,8 +67,10 @@ void Experiment::build() {
 
   // Load the scheme's data-plane program: the NetClone program where the
   // switch steers requests, a router with a /32 route per host where the
-  // hosts do.
+  // hosts do. The program's tables must hold the whole rack regardless of
+  // the caller's defaults.
   core::NetCloneConfig nc_cfg = config_.netclone;
+  nc_cfg.max_servers = std::max(nc_cfg.max_servers, num_servers);
   nc_cfg.enable_filtering =
       config_.scheme != Scheme::kNetCloneNoFilter &&
       nc_cfg.enable_filtering;

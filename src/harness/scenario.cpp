@@ -81,34 +81,45 @@ std::vector<double> parse_load_list(const std::string& value) {
   return loads;
 }
 
-/// The scenario's workload objects (shared by the single-rack and
-/// fat-tree builders).
-void make_workload(const Scenario& s,
-                   std::shared_ptr<host::RequestFactory>& factory,
-                   std::shared_ptr<host::ServiceModel>& service) {
-  const host::JitterModel jitter{s.jitter_p, s.jitter_multiplier, s.noise};
+bool is_kv(const Scenario& s) {
+  return s.workload == "redis" || s.workload == "memcached";
+}
+
+kv::KvCostProfile kv_profile(const Scenario& s) {
+  return s.workload == "redis" ? kv::redis_profile()
+                               : kv::memcached_profile();
+}
+
+host::JitterModel jitter_of(const Scenario& s) {
+  return host::JitterModel{s.jitter_p, s.jitter_multiplier, s.noise};
+}
+
+/// The scenario's client request generator.
+std::shared_ptr<host::RequestFactory> make_factory(const Scenario& s) {
   if (s.workload == "exp") {
-    factory = std::make_shared<host::ExponentialWorkload>(s.mean_us);
-    service = std::make_shared<host::SyntheticService>(jitter);
-  } else if (s.workload == "bimodal") {
-    factory = std::make_shared<host::BimodalWorkload>(
-        s.bimodal_short_fraction, s.bimodal_short_us, s.bimodal_long_us);
-    service = std::make_shared<host::SyntheticService>(jitter);
-  } else if (s.workload == "fixed") {
-    factory = std::make_shared<host::FixedWorkload>(s.mean_us);
-    service = std::make_shared<host::SyntheticService>(jitter);
-  } else {
-    const kv::KvCostProfile profile = s.workload == "redis"
-                                          ? kv::redis_profile()
-                                          : kv::memcached_profile();
-    auto store = std::make_shared<kv::KvStore>(s.kv_objects);
-    kv::populate(*store, s.kv_objects);
-    kv::KvMix mix;
-    mix.get_fraction = s.get_fraction;
-    mix.num_keys = s.kv_objects;
-    factory = std::make_shared<kv::KvRequestFactory>(mix, profile);
-    service = std::make_shared<kv::KvService>(store, profile, jitter);
+    return std::make_shared<host::ExponentialWorkload>(s.mean_us);
   }
+  if (s.workload == "bimodal") {
+    return std::make_shared<host::BimodalWorkload>(
+        s.bimodal_short_fraction, s.bimodal_short_us, s.bimodal_long_us);
+  }
+  if (s.workload == "fixed") {
+    return std::make_shared<host::FixedWorkload>(s.mean_us);
+  }
+  kv::KvMix mix;
+  mix.get_fraction = s.get_fraction;
+  mix.num_keys = s.kv_objects;
+  return std::make_shared<kv::KvRequestFactory>(mix, kv_profile(s));
+}
+
+/// The scenario's server model; a KV workload's populates its store.
+std::shared_ptr<host::ServiceModel> make_service(const Scenario& s) {
+  if (!is_kv(s)) {
+    return std::make_shared<host::SyntheticService>(jitter_of(s));
+  }
+  auto store = std::make_shared<kv::KvStore>(s.kv_objects);
+  kv::populate(*store, s.kv_objects);
+  return std::make_shared<kv::KvService>(store, kv_profile(s), jitter_of(s));
 }
 
 /// Compiles the generator keys into plain client parameters: a rate
@@ -330,8 +341,7 @@ Scenario parse_scenario(const std::string& text) {
   }
   const bool known_workload =
       scenario.workload == "exp" || scenario.workload == "bimodal" ||
-      scenario.workload == "fixed" || scenario.workload == "redis" ||
-      scenario.workload == "memcached";
+      scenario.workload == "fixed" || is_kv(scenario);
   if (!known_workload) {
     throw ScenarioError{"unknown workload: " + scenario.workload};
   }
@@ -396,7 +406,8 @@ ClusterConfig Scenario::build_config() const {
   cfg.measure = SimTime::milliseconds(measure_ms);
   cfg.seed = seed;
   cfg.faults = faults;
-  make_workload(*this, cfg.factory, cfg.service);
+  cfg.factory = make_factory(*this);
+  cfg.service = make_service(*this);
   apply_traffic_shape(*this, cfg.client_template);
   return cfg;
 }
@@ -417,19 +428,18 @@ MultiRackConfig Scenario::build_multirack_config() const {
   cfg.measure = SimTime::milliseconds(measure_ms);
   cfg.seed = seed;
   cfg.faults = faults;
-  make_workload(*this, cfg.factory, cfg.service);
+  cfg.factory = make_factory(*this);
+  cfg.service = make_service(*this);
   apply_traffic_shape(*this, cfg.client_template);
   return cfg;
 }
 
 double Scenario::capacity_rps() const {
-  std::shared_ptr<host::RequestFactory> factory;
-  std::shared_ptr<host::ServiceModel> service;
-  make_workload(*this, factory, service);
-  const double inflation = 1.0 + jitter_p * (jitter_multiplier - 1.0);
   const std::vector<std::uint32_t> worker_counts(total_servers(), workers);
-  return cluster_capacity_rps(worker_counts,
-                              factory->mean_intrinsic_us() * inflation);
+  return cluster_capacity_rps(
+      worker_counts,
+      make_factory(*this)->mean_intrinsic_us() *
+          jitter_of(*this).mean_inflation());
 }
 
 std::vector<SweepPoint> Scenario::run() const {

@@ -140,8 +140,8 @@ void Testbed::install_fault_plan(const FaultPlan& plan) {
       continue;
     }
     // The events live in fault_events_ and each timed event captures its
-    // index, which keeps the capture inside EventCallback's inline
-    // storage (the event's target string would not fit).
+    // index: an event captures plain data, and the event's target string
+    // is owned state.
     const std::size_t index = fault_events_.size();
     fault_events_.push_back(event);
     sim_.schedule_at(event.at, [this, index] {

@@ -17,6 +17,10 @@ constexpr std::size_t kRequestFrameSize =
 constexpr double kRetransmitBackoff = 2.0;
 constexpr SimTime kRetransmitCap = SimTime::milliseconds(100);
 constexpr double kRetransmitJitter = 0.1;
+/// kBursty: the fraction of time spent in ON windows, and their mean
+/// length.
+constexpr double kBurstOnFraction = 0.25;
+constexpr SimTime kBurstMeanOn = SimTime::microseconds(200.0);
 
 /// The UDP port a client sends from and receives its responses on.
 std::uint16_t client_port(std::uint16_t client_id) {
@@ -160,11 +164,10 @@ SimTime Client::next_arrival_time() {
   // MMPP sample path: arrivals run at rate_on inside exponentially
   // distributed ON windows; leftover inter-arrival time carries across the
   // OFF gaps, so the long-run mean rate stays rate_rps.
-  const double f = std::clamp(params_.burst_on_fraction, 0.01, 1.0);
-  const double rate_on = params_.rate_rps / f;
-  static constexpr SimTime kBurstMeanOn = SimTime::microseconds(200.0);
+  const double rate_on = params_.rate_rps / kBurstOnFraction;
   const double mean_on_us = kBurstMeanOn.us();
-  const double mean_off_us = mean_on_us * (1.0 - f) / f;
+  const double mean_off_us =
+      mean_on_us * (1.0 - kBurstOnFraction) / kBurstOnFraction;
 
   SimTime t = from + SimTime::microseconds(rng_.exponential(1e6 / rate_on));
   while (t > burst_on_until_) {

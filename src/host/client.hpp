@@ -59,8 +59,9 @@ enum class ArrivalProcess {
   /// Exponential inter-arrival times (the paper's open-loop client).
   kPoisson,
   /// Markov-modulated ON/OFF bursts: Poisson at an elevated rate during
-  /// exponentially-distributed ON windows, silent in between. The mean
-  /// rate still equals rate_rps; burst intensity is 1/burst_on_fraction.
+  /// exponentially-distributed ON windows, silent in between. The ON
+  /// windows take a quarter of the time, so bursts run at four times
+  /// rate_rps and the mean rate still equals it.
   kBursty,
 };
 
@@ -78,8 +79,6 @@ struct ClientParams {
   /// Offered load in requests per second (long-run mean for kBursty).
   double rate_rps = 100000.0;
   ArrivalProcess arrival = ArrivalProcess::kPoisson;
-  /// kBursty: fraction of time spent in the ON state (0 < f <= 1).
-  double burst_on_fraction = 0.25;
   /// Production traffic shapes (flash crowds, diurnal curves — see
   /// harness/traffic_shapes): a piecewise-constant multiplier on rate_rps
   /// over absolute simulation time. Segments must be sorted by `from`
@@ -224,8 +223,8 @@ class Client : public phys::Node, private sim::Stream {
     /// C-Clone: the two chosen workers (indexes into server_ips), for
     /// targeted cancellation.
     std::array<std::uint32_t, 2> cclone_servers{};
-    /// Pending retransmit timeout (TCP mode); cancelled on completion so
-    /// the event — and the closure it holds — is freed immediately.
+    /// Pending retransmit timeout (TCP mode); cancelled on completion, so
+    /// a completed request leaves nothing in the engine's queue.
     sim::EventId retransmit_event{};
   };
 

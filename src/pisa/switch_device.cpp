@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.hpp"
-
 namespace netclone::pisa {
 
 namespace {
@@ -54,7 +52,6 @@ void SwitchDevice::fail() {
   // A reboot wipes all stateful (register) memory: server states, the SEQ
   // counter, and filter-table fingerprints — the soft state of §3.6.
   pipeline_.reset_soft_state();
-  log_info("switch '" + name() + "' failed at " + to_string(sim_.now()));
 }
 
 void SwitchDevice::recover() {
@@ -62,14 +59,11 @@ void SwitchDevice::recover() {
     return;
   }
   failed_ = false;
-  log_info("switch '" + name() + "' recovered at " + to_string(sim_.now()));
 }
 
 void SwitchDevice::wipe_soft_state() {
   ++stats_.soft_state_wipes;
   pipeline_.reset_soft_state();
-  log_info("switch '" + name() + "' soft state wiped at " +
-           to_string(sim_.now()));
 }
 
 void SwitchDevice::handle_frame(std::size_t port, wire::FrameHandle frame) {

@@ -1,5 +1,5 @@
 // Event storage for the discrete-event engine: the cancellable handle
-// (EventId), the inline move-only callable (EventCallback), and the
+// (EventId), the inline plain-data callable (EventCallback), and the
 // slot-map arena (EventArena) that holds the events no stream owns
 // (stream.hpp): worker completions, retransmit timers, fault and harness
 // events.
@@ -8,9 +8,9 @@
 // cancelled). An indexed 4-ary min-heap (quad_heap.hpp) of 16-byte
 // (when, seq‖slot) entries orders them, and each slot records where its
 // entry sits, so insert, pop and cancel are one O(log n) sift each. No
-// cancelled event stays in the heap: cancel removes the entry and destroys
-// the callback (with its captures) at once. Generation counters make stale
-// EventIds inert even after the slot has been reused.
+// cancelled event stays in the heap: cancel removes the entry, and since a
+// capture owns nothing, that is all it does. Generation counters make
+// stale EventIds inert even after the slot has been reused.
 //
 // Determinism contract: events pop in strict (when, seq) order; seq is the
 // tie-break number each event draws from draw_seq() when it is scheduled
@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -47,26 +46,34 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Move-only callable stored inline, sized so every event capture in the
-/// simulator fits: a component pointer plus a frame handle or a few
-/// scalars. The schedule/fire cycle therefore never touches the heap —
-/// std::function, by contrast, spills almost every capture in this
-/// codebase. There is no heap fallback: a capture that is too large,
-/// over-aligned or throwing on move fails to compile, and the fix is to
-/// park the state in the component (a FIFO, a slot table) and capture an
-/// index or nothing.
+/// What an event capture may be: plain data (`this` and a few integers)
+/// that the engine copies as bytes and that owns nothing, so neither
+/// firing nor cancelling an event releases anything. A component keeps
+/// its frames and other owned state itself (a FIFO, a slot table) and
+/// captures an index into it.
+template <typename F>
+concept PlainCapture =
+    std::is_trivially_copyable_v<F> && std::is_trivially_destructible_v<F>;
+
+/// An event's action: a plain-data capture stored inline next to the
+/// function that invokes it, so the schedule/fire cycle never touches the
+/// heap. There is no heap fallback: a capture that owns something, is too
+/// large or is over-aligned fails to compile.
 class EventCallback {
  public:
-  /// Inline capture budget. 64 bytes covers `this` + a frame handle + a
-  /// few scalars without bloating the event arena's slots; a worker
-  /// completion captures `this` and two scalars.
-  static constexpr std::size_t kInlineCapacity = 64;
+  /// Inline capture budget, at 8-byte alignment. A component's capture is
+  /// `this` and at most two integers (a worker completion's `this`, epoch
+  /// and slot: 24 bytes); the largest in the tree, a replay driver's, is
+  /// three pointers, a time and an index (40 bytes).
+  static constexpr std::size_t kInlineCapacity = 48;
+  static constexpr std::size_t kInlineAlignment = alignof(std::uint64_t);
 
   EventCallback() = default;
 
   template <typename F>
     requires(!std::is_same_v<std::decay_t<F>, EventCallback> &&
-             std::is_invocable_r_v<void, std::decay_t<F>&>)
+             std::is_invocable_r_v<void, std::decay_t<F>&> &&
+             PlainCapture<std::decay_t<F>>)
   // NOLINTNEXTLINE(google-explicit-constructor): callables convert freely,
   // as with std::function.
   EventCallback(F&& fn) {
@@ -74,88 +81,23 @@ class EventCallback {
     static_assert(sizeof(D) <= kInlineCapacity,
                   "event capture exceeds EventCallback::kInlineCapacity: "
                   "park the state in the component and capture an index");
-    static_assert(alignof(D) <= alignof(std::max_align_t),
+    static_assert(alignof(D) <= kInlineAlignment,
                   "event capture is over-aligned for "
                   "EventCallback::kInlineCapacity storage");
-    static_assert(std::is_nothrow_move_constructible_v<D>,
-                  "event capture must be nothrow-movable to live in "
-                  "EventCallback::kInlineCapacity storage");
     ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-    ops_ = &InlineOps<D>::table;
+    invoke_ = &invoke<D>;
   }
 
-  EventCallback(EventCallback&& other) noexcept { steal(other); }
-  EventCallback& operator=(EventCallback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      steal(other);
-    }
-    return *this;
-  }
-  EventCallback(const EventCallback&) = delete;
-  EventCallback& operator=(const EventCallback&) = delete;
-  ~EventCallback() { reset(); }
-
-  /// Destroys the held callable (releasing captured resources) and goes
-  /// back to the empty state.
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      if (ops_->destroy != nullptr) {
-        ops_->destroy(storage_);
-      }
-      ops_ = nullptr;
-    }
-  }
-
-  void operator()() { ops_->invoke(storage_); }
-
-  [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
+  void operator()() { invoke_(storage_); }
 
  private:
-  struct Ops {
-    void (*invoke)(void* obj);
-    /// Move-constructs into `dst` from `src` and destroys the source
-    /// (relocation); both point at kInlineCapacity bytes of storage.
-    /// nullptr means "memcpy the storage" — true for trivially relocatable
-    /// captures (the common pointer+scalars case). Skipping the indirect
-    /// call matters: the engine relocates twice per event.
-    void (*relocate)(void* dst, void* src) noexcept;
-    /// nullptr means trivially destructible — nothing to do.
-    void (*destroy)(void* obj) noexcept;
-  };
-
   template <typename D>
-  struct InlineOps {
-    static void invoke(void* obj) { (*std::launder(static_cast<D*>(obj)))(); }
-    static void relocate(void* dst, void* src) noexcept {
-      D* from = std::launder(static_cast<D*>(src));
-      ::new (dst) D(std::move(*from));
-      from->~D();
-    }
-    static void destroy(void* obj) noexcept {
-      std::launder(static_cast<D*>(obj))->~D();
-    }
-    static constexpr bool kTrivialRelocate =
-        std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>;
-    static constexpr Ops table{
-        &invoke, kTrivialRelocate ? nullptr : &relocate,
-        std::is_trivially_destructible_v<D> ? nullptr : &destroy};
-  };
-
-  void steal(EventCallback& other) noexcept {
-    if (other.ops_ != nullptr) {
-      ops_ = other.ops_;
-      if (ops_->relocate != nullptr) {
-        ops_->relocate(storage_, other.storage_);
-      } else {
-        std::memcpy(storage_, other.storage_, kInlineCapacity);
-      }
-      other.ops_ = nullptr;
-    }
+  static void invoke(void* obj) {
+    (*std::launder(static_cast<D*>(obj)))();
   }
 
-  alignas(std::max_align_t) std::byte storage_[kInlineCapacity];
-  const Ops* ops_ = nullptr;
+  alignas(kInlineAlignment) std::byte storage_[kInlineCapacity];
+  void (*invoke_)(void*) = nullptr;
 };
 
 class EventArena {
@@ -174,7 +116,7 @@ class EventArena {
 
   /// Stores an event and orders it behind everything earlier (ties break
   /// by insertion order — the determinism contract).
-  EventId insert(SimTime when, EventCallback&& callback) {
+  EventId insert(SimTime when, const EventCallback& callback) {
     const std::uint64_t seq = draw_seq();
     // Pop times never go backwards (the engine never schedules the past).
     NETCLONE_CHECK(when >= last_popped_,
@@ -188,13 +130,13 @@ class EventArena {
       index = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
     }
-    slots_[index].callback = std::move(callback);
+    slots_[index].callback = callback;
     heap_.push(Entry{when, (seq << kSlotBits) | index});
     return EventId{index, slots_[index].generation};
   }
 
-  /// Removes the event and destroys its callback. Returns false (no-op)
-  /// for invalid, stale, fired, or already-cancelled ids.
+  /// Removes the event. Returns false (no-op) for invalid, stale, fired,
+  /// or already-cancelled ids.
   bool cancel(EventId id) {
     if (!id.valid() || id.slot >= slots_.size() ||
         slots_[id.slot].heap_pos == kNil ||
@@ -224,7 +166,7 @@ class EventArena {
     }
     when = last_popped_ = top->when;
     const auto slot = static_cast<std::uint32_t>(top->key & (kMaxSlots - 1));
-    callback = std::move(slots_[slot].callback);
+    callback = slots_[slot].callback;
     release(slot);
     heap_.pop_top();
     return true;
@@ -276,7 +218,6 @@ class EventArena {
 
   void release(std::uint32_t slot_index) {
     Slot& slot = slots_[slot_index];
-    slot.callback.reset();  // free captured resources immediately
     slot.heap_pos = kNil;
     ++slot.generation;  // stale EventIds go inert
     slot.next_free = free_head_;

@@ -12,11 +12,13 @@
 // armed heads in a small indexed heap. Every other event (worker
 // completions, retransmit timers, fault, harness and LÆDGE CPU events)
 // lives in the slot-map arena of event_arena.hpp, whose O(log n)
-// cancellation removes the event from the queue, destroys its callback
-// (and whatever it captured) at once, and keeps pending_events() exact; a
-// stale EventId never cancels a later event that reuses its slot. Both
-// draw their tie-break numbers from one counter (draw_seq), and the run
-// loop fires whichever of the two tops comes first by (when, seq), so the
+// cancellation removes the event from the queue and keeps
+// pending_events() exact; a stale EventId never cancels a later event
+// that reuses its slot. An arena event captures plain data only (`this`
+// and a few integers), so there is nothing to free when it fires or is
+// cancelled: what a component owns stays in the component. Both draw
+// their tie-break numbers from one counter (draw_seq), and the run loop
+// fires whichever of the two tops comes first by (when, seq), so the
 // order is the one a single queue of every event would give.
 //
 // Components hold a Simulator& and call now/schedule_at/schedule_after/
@@ -26,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
@@ -51,18 +52,17 @@ class Simulator {
   /// Schedules `action` at absolute time `when` (must not be in the past).
   EventId schedule_at(SimTime when, EventCallback action) {
     NETCLONE_CHECK(when >= now_, "cannot schedule an event in the past");
-    return events_.insert(when, std::move(action));
+    return events_.insert(when, action);
   }
 
   /// Schedules `action` after `delay` (must be non-negative).
   EventId schedule_after(SimTime delay, EventCallback action) {
     NETCLONE_CHECK(delay >= SimTime::zero(), "negative delay");
-    return schedule_at(now_ + delay, std::move(action));
+    return schedule_at(now_ + delay, action);
   }
 
-  /// Removes a pending event in O(log n), destroying its callback.
-  /// Cancelling an invalid, already-fired or already-cancelled event is a
-  /// harmless no-op.
+  /// Removes a pending event in O(log n). Cancelling an invalid,
+  /// already-fired or already-cancelled event is a harmless no-op.
   void cancel(EventId id) { events_.cancel(id); }
 
   /// The tie-break number of a stream entry scheduled now: draw it at the

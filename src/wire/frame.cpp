@@ -4,11 +4,8 @@
 
 namespace netclone::wire {
 
-namespace {
-
-/// Parses the header stack (Ethernet/IPv4/UDP/NetClone) off the reader,
-/// leaving it positioned at the first payload byte.
-Packet parse_headers(ByteReader& r) {
+Packet Packet::parse(std::span<const std::byte> frame) {
+  ByteReader r{frame};
   Packet pkt;
   pkt.eth = EthernetHeader::parse(r);
   if (pkt.eth.ether_type != EtherType::kIpv4) {
@@ -23,24 +20,13 @@ Packet parse_headers(ByteReader& r) {
       pkt.udp.src_port == kNetClonePort) {
     pkt.netclone = NetCloneHeader::parse(r);
   }
-  return pkt;
-}
-
-}  // namespace
-
-Packet Packet::parse(std::span<const std::byte> frame) {
-  ByteReader r{frame};
-  Packet pkt = parse_headers(r);
   const auto rest = r.rest();
   pkt.payload = Frame{rest.begin(), rest.end()};
   return pkt;
 }
 
 Packet Packet::parse_backed(const FrameHandle& frame) {
-  ByteReader r{frame.bytes()};
-  Packet pkt = parse_headers(r);
-  pkt.payload = PayloadRef{frame, r.rest()};
-  return pkt;
+  return parse(frame.bytes());
 }
 
 std::size_t Packet::wire_size() const {

@@ -35,16 +35,15 @@ class Packet {
   Ipv4Header ip{};
   UdpHeader udp{};
   std::optional<NetCloneHeader> netclone{};
-  PayloadRef payload{};
+  Frame payload{};
 
   /// Parses a full frame (the payload is copied).
   /// Throws CodecError on malformed input. The NetClone header is parsed
   /// iff either UDP port equals kNetClonePort.
   [[nodiscard]] static Packet parse(std::span<const std::byte> frame);
 
-  /// parse() of a pooled frame, with the payload as a zero-copy view
-  /// that pins the frame. (Named, not overloaded: a Frame converts
-  /// implicitly to both span and FrameHandle.)
+  /// parse() of a pooled frame's bytes. (Named, not overloaded: a Frame
+  /// converts implicitly to both span and FrameHandle.)
   [[nodiscard]] static Packet parse_backed(const FrameHandle& frame);
 
   /// Serializes to wire bytes, recomputing every length and checksum

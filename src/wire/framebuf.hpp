@@ -2,17 +2,19 @@
 //
 // The simulation used to re-materialize every packet at every hop: parse
 // into structs, mutate, serialize into a brand-new heap vector, deep-copy
-// once more per multicast port. This layer replaces that with three ideas:
+// once more per multicast port. This layer replaces that with two ideas:
 //
 //   * FramePool — a free-list arena of fixed size-class buffers, so the
 //     per-hop cycle allocates from a recycled slab instead of malloc;
 //   * FrameHandle — an intrusively refcounted handle to one contiguous
 //     pooled frame. Copies share bytes (multicast fan-out is a refcount
 //     bump); mutating a shared frame first copies the whole frame (at
-//     most 138 bytes for the RPCs modeled here) from its own pool;
-//   * PayloadRef — a payload as either owned bytes (built packets) or a
-//     view pinning a received frame's buffer, so reading a received
-//     payload copies nothing.
+//     most 138 bytes for the RPCs modeled here) from its own pool.
+//
+// Only a component's own state holds a handle: a link's FIFO, a switch's
+// loopback ring, a server's queue. Events capture plain data
+// (sim/event_arena.hpp), and a received payload is read through the
+// frame's wire::PacketView.
 //
 // Everything here is single-threaded, like the event engine: refcounts are
 // plain integers, and determinism is unaffected because sharing never
@@ -22,7 +24,6 @@
 // copy from the buffer's own pool.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -137,8 +138,8 @@ class FramePool {
 class FrameHandle {
  public:
   FrameHandle() = default;
-  // The special members are inline: handles ride through every event
-  // lambda and per-hop cycle, so a refcount bump must not cost a call.
+  // The special members are inline: handles ride through every per-hop
+  // cycle, so a refcount bump must not cost a call.
   FrameHandle(const FrameHandle& other) : buf_(other.buf_) { add_ref(buf_); }
   FrameHandle& operator=(const FrameHandle& other) {
     if (this != &other) {
@@ -238,68 +239,5 @@ class FrameHandle {
 };
 static_assert(sizeof(FrameHandle) == sizeof(FrameBuf*),
               "a frame handle is one pointer");
-
-/// A packet payload: owned bytes for built packets, or a zero-copy view
-/// into a received frame. The view mode pins the frame's buffer, so the
-/// span stays valid for the payload's lifetime.
-class PayloadRef {
- public:
-  PayloadRef() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): payloads assign from Frame
-  PayloadRef(Frame owned) : owned_(std::move(owned)) {}
-  PayloadRef(FrameHandle keepalive, std::span<const std::byte> view)
-      : keepalive_(std::move(keepalive)), view_(view), is_view_(true) {}
-
-  PayloadRef& operator=(Frame owned) {
-    owned_ = std::move(owned);
-    keepalive_.reset();
-    view_ = {};
-    is_view_ = false;
-    return *this;
-  }
-
-  [[nodiscard]] std::span<const std::byte> bytes() const {
-    return is_view_ ? view_ : std::span<const std::byte>{owned_};
-  }
-  // NOLINTNEXTLINE(google-explicit-constructor): payloads read as spans
-  operator std::span<const std::byte>() const { return bytes(); }
-
-  [[nodiscard]] std::size_t size() const { return bytes().size(); }
-  [[nodiscard]] bool empty() const { return bytes().empty(); }
-  [[nodiscard]] const std::byte* data() const { return bytes().data(); }
-
-  void clear() {
-    owned_.clear();
-    keepalive_.reset();
-    view_ = {};
-    is_view_ = false;
-  }
-
-  [[nodiscard]] bool is_view() const { return is_view_; }
-
-  /// Owned copy of the payload bytes.
-  [[nodiscard]] Frame to_frame() const {
-    const auto b = bytes();
-    return Frame{b.begin(), b.end()};
-  }
-
-  friend bool operator==(const PayloadRef& a, const PayloadRef& b) {
-    const auto ab = a.bytes();
-    const auto bb = b.bytes();
-    return ab.size() == bb.size() &&
-           std::equal(ab.begin(), ab.end(), bb.begin());
-  }
-  friend bool operator==(const PayloadRef& a, const Frame& b) {
-    const auto ab = a.bytes();
-    return ab.size() == b.size() && std::equal(ab.begin(), ab.end(),
-                                               b.begin());
-  }
-
- private:
-  Frame owned_{};
-  FrameHandle keepalive_{};
-  std::span<const std::byte> view_{};
-  bool is_view_ = false;
-};
 
 }  // namespace netclone::wire

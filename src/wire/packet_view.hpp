@@ -96,10 +96,6 @@ class PacketView {
                                   (has_netclone_ ? NetCloneHeader::kSize
                                                  : 0));
   }
-  /// The payload as a zero-copy view that pins the frame.
-  [[nodiscard]] PayloadRef payload_ref() const {
-    return PayloadRef{frame_, payload()};
-  }
 
   // -- in-place writes: one setter per field the data path rewrites ----------
   void set_eth_src(const MacAddress& mac);

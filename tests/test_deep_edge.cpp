@@ -20,6 +20,7 @@ using core::NetCloneConfig;
 using core::NetCloneProgram;
 using core::RequestIdMode;
 using netclone::testing::CaptureNode;
+using netclone::testing::colliding_seqs;
 using netclone::testing::make_request;
 using netclone::testing::make_response;
 using netclone::testing::run_ingress;
@@ -30,13 +31,12 @@ NetCloneConfig tiny_mp_config() {
   cfg.enable_multipacket = true;
   cfg.num_filter_tables = 4;
   cfg.filter_slots = 64;
-  cfg.cloned_req_slots = 1;  // every multi-packet request collides
   return cfg;
 }
 
 TEST(ClonedReqTableCollision, DegradesToPartialCloningNotCorruption) {
-  // Two concurrent cloned multi-packet requests share the single slot.
-  // The later one overwrites; the earlier one's remaining fragments stop
+  // Two concurrent cloned multi-packet requests share one slot. The
+  // later one overwrites; the earlier one's remaining fragments stop
   // cloning (partial cloning — §3.7 explicitly tolerates this), but
   // nothing is misrouted and affinity is preserved.
   pisa::Pipeline pipeline;
@@ -53,26 +53,29 @@ TEST(ClonedReqTableCollision, DegradesToPartialCloningNotCorruption) {
     return pkt;
   };
 
-  wire::Packet a0 = fragment(1, 0, 3);
+  const std::vector<std::uint32_t> seqs = colliding_seqs(0, 1, 2);
+  const std::uint32_t a = seqs[0];
+  const std::uint32_t b = seqs[1];
+  wire::Packet a0 = fragment(a, 0, 3);
   EXPECT_TRUE(run_ingress(program, pipeline, a0).multicast_group);
 
-  wire::Packet b0 = fragment(2, 0, 3);  // overwrites the slot
+  wire::Packet b0 = fragment(b, 0, 3);  // overwrites the slot
   EXPECT_TRUE(run_ingress(program, pipeline, b0).multicast_group);
 
   // A's follow-up no longer matches: forwarded (not cloned) to srv1 —
   // partial cloning, correct destination.
-  wire::Packet a1 = fragment(1, 1, 3);
+  wire::Packet a1 = fragment(a, 1, 3);
   const auto md_a1 = run_ingress(program, pipeline, a1);
   EXPECT_FALSE(md_a1.multicast_group.has_value());
   EXPECT_EQ(md_a1.egress_port, 10U);
   EXPECT_EQ(a1.nc().clo, wire::CloneStatus::kNotCloned);
 
   // B's follow-ups still clone; the last one clears the slot.
-  wire::Packet b1 = fragment(2, 1, 3);
+  wire::Packet b1 = fragment(b, 1, 3);
   EXPECT_TRUE(run_ingress(program, pipeline, b1).multicast_group);
-  wire::Packet b2 = fragment(2, 2, 3);
+  wire::Packet b2 = fragment(b, 2, 3);
   EXPECT_TRUE(run_ingress(program, pipeline, b2).multicast_group);
-  wire::Packet b_again = fragment(2, 1, 3);
+  wire::Packet b_again = fragment(b, 1, 3);
   EXPECT_FALSE(
       run_ingress(program, pipeline, b_again).multicast_group.has_value());
 }

@@ -58,6 +58,36 @@ TEST(Experiment, ConfigValidation) {
   EXPECT_THROW(Experiment{cfg}, CheckFailure);
 }
 
+TEST(Experiment, RejectsMoreServersThanTheAddressPlanHolds) {
+  ClusterConfig cfg = small_cluster(Scheme::kBaseline, 0.3);
+  cfg.server_workers.assign(150, 1);
+  try {
+    Experiment experiment{cfg};
+    FAIL() << "a 150-server rack was accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string{e.what()}.find("address plan"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Experiment, NetCloneRackOutgrowsTheDefaultTableSizing) {
+  // More servers than NetCloneConfig's default max_servers: the rack sizes
+  // AddrT, StateT and GrpT for its own server count.
+  ClusterConfig cfg = small_cluster(Scheme::kNetClone, 0.3);
+  cfg.server_workers.assign(core::NetCloneConfig{}.max_servers + 6, 1);
+  cfg.offered_rps =
+      0.3 * cluster_capacity_rps(cfg.server_workers, 25.0 * 1.14);
+  Experiment experiment{cfg};
+  const ExperimentResult result = experiment.run();
+  EXPECT_GT(result.requests_sent, 100U);
+  std::uint64_t completed_total = 0;
+  for (const host::Client* client : experiment.clients()) {
+    completed_total += client->stats().completed;
+  }
+  EXPECT_EQ(completed_total, result.requests_sent);
+  EXPECT_GT(result.cloned_requests, 0U);
+}
+
 TEST(Experiment, DeterministicForSeed) {
   const ClusterConfig cfg = small_cluster(Scheme::kNetClone, 0.4);
   Experiment e1{cfg};

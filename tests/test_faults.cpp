@@ -299,9 +299,7 @@ TEST(ChecksumVerify, RejectsFlippedPayloadByte) {
   // The request's UDP segment has even length; one payload byte more
   // makes it odd, so the sum ends on a zero-padded half word.
   wire::Packet odd = make_request(1, 7, 0, 0);
-  wire::Frame longer = odd.payload.to_frame();
-  longer.push_back(std::byte{0x5A});
-  odd.payload = longer;
+  odd.payload.push_back(std::byte{0x5A});
   for (const wire::Frame& clean :
        {request_frame().to_frame(), odd.serialize()}) {
     EXPECT_TRUE(wire::verify_frame_checksums(wire::FrameHandle{clean}));

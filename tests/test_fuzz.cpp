@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/netclone_program.hpp"
@@ -16,6 +18,7 @@
 namespace netclone {
 namespace {
 
+using netclone::testing::colliding_seqs;
 using netclone::testing::make_request;
 using netclone::testing::run_ingress;
 
@@ -175,7 +178,6 @@ TEST(FuzzProgram, MultipacketVariantIsAlsoRobust) {
   pisa::Pipeline pipeline;
   core::NetCloneConfig cfg;
   cfg.filter_slots = 32;
-  cfg.cloned_req_slots = 16;
   cfg.id_mode = core::RequestIdMode::kClientTuple;
   cfg.enable_multipacket = true;
   cfg.num_filter_tables = 4;
@@ -185,12 +187,20 @@ TEST(FuzzProgram, MultipacketVariantIsAlsoRobust) {
   program.install_groups(core::build_group_pairs(2));
   program.add_route(host::client_ip(0), 20);
 
+  // 64 client tuples whose request ids share 16 cloned-request slots,
+  // four to a slot: concurrent multi-packet requests keep colliding.
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> tuples;
+  for (std::uint32_t group = 0; group < 16; ++group) {
+    const auto client = static_cast<std::uint16_t>(group % 4);
+    for (const std::uint32_t seq : colliding_seqs(client, group, 4)) {
+      tuples.emplace_back(client, seq);
+    }
+  }
   Rng rng{123};
   for (int i = 0; i < 50000; ++i) {
+    const auto& [client, seq] = tuples[rng.next_below(tuples.size())];
     wire::Packet pkt = make_request(
-        static_cast<std::uint16_t>(rng.next_below(4)),
-        static_cast<std::uint32_t>(rng.next_below(64)),  // id collisions
-        static_cast<std::uint16_t>(rng.next_below(3)),
+        client, seq, static_cast<std::uint16_t>(rng.next_below(3)),
         static_cast<std::uint8_t>(rng.next_below(6)));
     wire::NetCloneHeader& nc = pkt.nc();
     nc.type = any_msg_type(rng);

@@ -4,7 +4,6 @@
 #include "sim/simulator.hpp"
 #include "baselines/laedge.hpp"
 #include "common/histogram.hpp"
-#include "common/logging.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "host/client.hpp"
@@ -30,16 +29,6 @@ TEST(Histogram, HugeValuesStayOrdered) {
   EXPECT_EQ(h.percentile(0.0).ns(), 5);
   EXPECT_LE(h.percentile(1.0), h.max());
   EXPECT_GE(static_cast<double>(h.percentile(1.0).ns()), 0.98e12);
-}
-
-TEST(Logging, LevelFilterWorks) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  log_debug("suppressed");
-  log_info("suppressed");
-  log_warn("suppressed");
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(old);
 }
 
 TEST(Laedge, HeterogeneousCapacitiesRespectSlots) {
@@ -128,7 +117,6 @@ TEST(Client, BurstyWithViaSwitchConserves) {
   cfg.service =
       std::make_shared<host::SyntheticService>(host::JitterModel{0.0, 1.0});
   cfg.client_template.arrival = host::ArrivalProcess::kBursty;
-  cfg.client_template.burst_on_fraction = 0.5;
   cfg.warmup = SimTime::milliseconds(1);
   cfg.measure = SimTime::milliseconds(8);
   cfg.offered_rps = 0.2 * harness::cluster_capacity_rps({4, 4}, 25.0);

@@ -23,7 +23,6 @@ NetCloneConfig mp_config() {
   cfg.enable_multipacket = true;
   cfg.num_filter_tables = 4;  // >= max response fragment count
   cfg.filter_slots = 256;
-  cfg.cloned_req_slots = 128;
   return cfg;
 }
 
@@ -101,9 +100,6 @@ TEST_F(MultiPacketProgramTest, FollowUpFragmentsCloneWithClonedRoot) {
   const auto md2 = run_ingress(program_, pipeline_, f2);
   EXPECT_TRUE(md2.multicast_group.has_value());
   // The last fragment clears the cloned-request slot for reuse.
-  const std::uint32_t slot = NetCloneProgram::filter_hash(
-      f0.nc().req_id, mp_config().cloned_req_slots);
-  (void)slot;
   wire::Packet late = fragment(7, 1, 3);  // same id after completion
   const auto md_late = run_ingress(program_, pipeline_, late);
   EXPECT_FALSE(md_late.multicast_group.has_value());  // entry cleared

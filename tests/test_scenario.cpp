@@ -317,6 +317,16 @@ TEST(ScenarioBuild, KvConfigWiring) {
   EXPECT_EQ(cfg.factory->label(), "Memcached 90%-GET,10%-SCAN");
 }
 
+TEST(ScenarioBuild, KvCapacityUsesTheRequestMixMean) {
+  const Scenario s = parse_scenario(
+      "workload = redis\nkv_objects = 1000\nget_fraction = 0.9\n"
+      "servers = 3\n");
+  // Redis: a GET costs 5 us, a SCAN(100) 5 + 100 x 1 us.
+  const double mean_us = 0.9 * 5.0 + 0.1 * (5.0 + 100.0 * 1.0);
+  const double expected = 3.0 * 16.0 * 1e6 / (mean_us * 1.14);
+  EXPECT_NEAR(s.capacity_rps(), expected, expected * 1e-9);
+}
+
 TEST(ScenarioRun, EndToEndTinySweep) {
   Scenario s = parse_scenario(R"(
     scheme = netclone

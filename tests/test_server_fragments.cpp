@@ -55,7 +55,7 @@ wire::Packet fragment(std::uint32_t seq, std::uint8_t idx,
   pkt.nc().frag_idx = idx;
   pkt.nc().frag_count = count;
   if (idx != 0) {
-    pkt.payload = wire::PayloadRef{};
+    pkt.payload.clear();
   }
   return pkt;
 }
@@ -63,7 +63,7 @@ wire::Packet fragment(std::uint32_t seq, std::uint8_t idx,
 wire::Packet cancel_for(std::uint32_t seq) {
   wire::Packet pkt = make_request(0, seq, 0, 0);
   pkt.nc().type = wire::MsgType::kCancel;
-  pkt.payload = wire::PayloadRef{};
+  pkt.payload.clear();
   return pkt;
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "wire/framebuf.hpp"
 
 namespace netclone::sim {
 namespace {
@@ -132,10 +137,10 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 100) {
-      sim.schedule_after(1_ns, chain);
+      sim.schedule_after(1_ns, [&chain] { chain(); });
     }
   };
-  sim.schedule_at(0_ns, chain);
+  sim.schedule_at(0_ns, [&chain] { chain(); });
   sim.run();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(sim.now(), 99_ns);
@@ -199,25 +204,52 @@ TEST(Simulator, CancelFromWithinACallback) {
   EXPECT_EQ(sim.executed_events(), 1U);
 }
 
-TEST(Simulator, CancelDestroysTheCallbackImmediately) {
-  Simulator sim;
-  auto token = std::make_shared<int>(7);
-  const EventId id = sim.schedule_at(10_ns, [token] { (void)*token; });
-  EXPECT_EQ(token.use_count(), 2);
-  sim.cancel(id);
-  // The capture is released at cancel time, not when the queue drains.
-  EXPECT_EQ(token.use_count(), 1);
-}
+/// Stands in for a component: it owns a frame and a shared object, and
+/// its events capture `this` and integers, as a client's retransmit timer
+/// and a server's worker completion do.
+struct Owner {
+  wire::FrameHandle frame;
+  std::shared_ptr<std::uint64_t> shared =
+      std::make_shared<std::uint64_t>(1);
+  std::uint64_t fired = 0;
 
-TEST(Simulator, MoveOnlyCapturesAreSupported) {
-  // std::function cannot hold this; EventCallback must.
+  auto retransmit_timer(std::uint32_t client_seq) {
+    return [this, client_seq] { fired += client_seq; };
+  }
+  auto worker_completion(std::uint64_t epoch, std::size_t slot) {
+    return [this, epoch, slot] { fired += epoch * slot; };
+  }
+  auto holding_frame() {
+    return [this, held = frame] { fired += held.size(); };
+  }
+  auto holding_shared() {
+    return [this, held = shared] { fired += *held; };
+  }
+};
+
+TEST(Simulator, OnlyPlainDataCapturesBecomeEvents) {
+  using Timer = decltype(std::declval<Owner&>().retransmit_timer(0));
+  using Completion = decltype(std::declval<Owner&>().worker_completion(0, 0));
+  using HoldsFrame = decltype(std::declval<Owner&>().holding_frame());
+  using HoldsShared = decltype(std::declval<Owner&>().holding_shared());
+  static_assert(std::is_convertible_v<Timer, EventCallback>);
+  static_assert(std::is_convertible_v<Completion, EventCallback>);
+  static_assert(sizeof(Completion) <= EventCallback::kInlineCapacity);
+  // A capture that owns something stays in its component.
+  static_assert(!std::is_constructible_v<EventCallback, HoldsFrame>);
+  static_assert(!std::is_convertible_v<HoldsFrame, EventCallback>);
+  static_assert(!std::is_constructible_v<EventCallback, HoldsShared>);
+  static_assert(!std::is_convertible_v<HoldsShared, EventCallback>);
+
   Simulator sim;
-  auto payload = std::make_unique<int>(9);
-  int seen = 0;
-  sim.schedule_at(1_ns,
-                  [p = std::move(payload), &seen] { seen = *p; });
+  Owner owner;
+  sim.schedule_at(1_ns, owner.retransmit_timer(2));
+  const EventId cancelled =
+      sim.schedule_at(2_ns, owner.worker_completion(3, 4));
+  sim.schedule_at(3_ns, owner.worker_completion(5, 6));
+  sim.cancel(cancelled);
   sim.run();
-  EXPECT_EQ(seen, 9);
+  EXPECT_EQ(owner.fired, 2U + 30U);
 }
 
 TEST(Simulator, DefaultEventIdIsInvalidAndHarmless) {

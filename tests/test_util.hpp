@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "core/netclone_program.hpp"
 #include "host/addressing.hpp"
 #include "phys/node.hpp"
 #include "pisa/pipeline.hpp"
@@ -113,6 +114,27 @@ inline pisa::PacketMetadata run_ingress(pisa::SwitchProgram& program,
   program.on_ingress(view, md, pass);
   pkt = wire::Packet::parse(view.frame().bytes());
   return md;
+}
+
+/// `count` sequence numbers of client `client_id`, `first` and the next
+/// ones whose request ids (RequestIdMode::kClientTuple) hash to the same
+/// slot of the cloned-request table, so their multi-packet requests
+/// collide there.
+inline std::vector<std::uint32_t> colliding_seqs(std::uint16_t client_id,
+                                                 std::uint32_t first,
+                                                 std::size_t count) {
+  const auto slot_of = [client_id](std::uint32_t seq) {
+    return core::NetCloneProgram::filter_hash(
+        core::NetCloneProgram::client_tuple_id(client_id, seq),
+        core::NetCloneProgram::kClonedReqSlots);
+  };
+  std::vector<std::uint32_t> seqs{first};
+  for (std::uint32_t seq = first + 1; seqs.size() < count; ++seq) {
+    if (slot_of(seq) == slot_of(first)) {
+      seqs.push_back(seq);
+    }
+  }
+  return seqs;
 }
 
 }  // namespace netclone::testing
