@@ -13,10 +13,16 @@
 # Every configure/build/test step reports which step failed and stops
 # there; nothing downstream runs on a broken build.
 #
+# The plain lane, with or without --fast, also builds the end-to-end
+# benchmark (benchmark/, into build-bench/ as benchmark/run.py does): it
+# compiles against the simulator's headers in a build of its own, so a
+# header change that breaks it fails here, not only in CI's
+# benchmark-smoke job.
+#
 # Usage: scripts/check.sh [--fast] [--tsan]
-#   --fast: plain build + the tier-1 test suite, then the full chaos
-#           sweep on the plain build (skips the sanitizer builds and the
-#           other slow-labelled tests)
+#   --fast: plain build + the tier-1 test suite and the benchmark build,
+#           then the full chaos sweep on the plain build (skips the
+#           sanitizer builds and the other slow-labelled tests)
 #   --tsan: ThreadSanitizer lane only: build with NETCLONE_SANITIZE=thread
 #           and run the tier-1 suite. This is the bar for merging changes
 #           to parallel_for (common/parallel.hpp) and what runs on it:
@@ -71,6 +77,12 @@ run_suite() {
     ${ctest_args[@]+"${ctest_args[@]}"}
 }
 
+build_benchmark() {
+  step "benchmark: configure" cmake -S benchmark -B build-bench
+  step "benchmark: build" \
+    cmake --build build-bench --target netclone_bench -j "${JOBS}"
+}
+
 if [[ "${TSAN}" == "1" ]]; then
   run_suite "tsan (tier1)" build-tsan tier1 -DNETCLONE_SANITIZE=thread
   echo "=== tsan checks passed ==="
@@ -79,13 +91,15 @@ fi
 
 if [[ "${FAST}" == "1" ]]; then
   run_suite "plain (tier1)" build tier1
+  build_benchmark
   step "plain: full chaos sweep" \
     ctest --test-dir build -j "${JOBS}" --output-on-failure -R ChaosSweepFull
-  echo "=== fast checks passed (tier1 + chaos sweep; run without --fast before merging) ==="
+  echo "=== fast checks passed (tier1 + benchmark build + chaos sweep; run without --fast before merging) ==="
   exit 0
 fi
 
 run_suite "plain" build ""
+build_benchmark
 run_suite "asan" build-asan "" -DNETCLONE_SANITIZE=address
 run_suite "ubsan" build-ubsan "" -DNETCLONE_SANITIZE=undefined
 

@@ -38,31 +38,6 @@ std::uint32_t crc32_u32(std::uint32_t value) {
   return crc32(buf);
 }
 
-std::uint32_t crc32_u64(std::uint64_t value) {
-  std::array<std::byte, 8> buf{};
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    buf[i] = static_cast<std::byte>((value >> (8 * i)) & 0xFFU);
-  }
-  return crc32(buf);
-}
-
-std::uint16_t crc16(std::span<const std::byte> data) {
-  std::uint16_t crc = 0xFFFFU;
-  for (const std::byte b : data) {
-    crc = static_cast<std::uint16_t>(crc ^
-                                     (static_cast<std::uint16_t>(b) << 8));
-    for (int bit = 0; bit < 8; ++bit) {
-      // Widened before the shift: `crc << 1` would be an int, and
-      // `^ 0x1021U` then a sign conversion.
-      const unsigned shifted = static_cast<unsigned>(crc) << 1;
-      crc = static_cast<std::uint16_t>((crc & 0x8000U) != 0
-                                           ? shifted ^ 0x1021U
-                                           : shifted);
-    }
-  }
-  return crc;
-}
-
 std::uint64_t fnv1a(std::span<const std::byte> data) {
   std::uint64_t h = kFnv1aOffsetBasis;
   for (const std::byte b : data) {

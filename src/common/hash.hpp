@@ -2,8 +2,8 @@
 //
 // The hardware exposes CRC-based hash units; the filter tables in the
 // NetClone data plane index with CRC32 over the request ID (§3.5). We
-// implement CRC32 (IEEE, reflected) and CRC16 (CCITT) plus FNV-1a for
-// host-side (non-ASIC) hashing such as the KV store.
+// implement CRC32 (IEEE, reflected) plus FNV-1a for host-side (non-ASIC)
+// hashing such as the KV store.
 #pragma once
 
 #include <cstddef>
@@ -16,11 +16,6 @@ namespace netclone {
 /// CRC32 (IEEE 802.3 polynomial, reflected, init 0xFFFFFFFF, final XOR).
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> data);
 [[nodiscard]] std::uint32_t crc32_u32(std::uint32_t value);
-[[nodiscard]] std::uint32_t crc32_u64(std::uint64_t value);
-
-/// CRC16/CCITT-FALSE (poly 0x1021, init 0xFFFF), the other hash profile
-/// commonly configured on switch hash units.
-[[nodiscard]] std::uint16_t crc16(std::span<const std::byte> data);
 
 /// FNV-1a 64-bit, for host-side hash tables.
 inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xCBF29CE484222325ULL;

@@ -49,9 +49,7 @@ void LatencyHistogram::record(SimTime latency) {
     max_ = std::max(max_, raw);
   }
   ++count_;
-  const auto d = static_cast<double>(raw);
-  sum_ += d;
-  sum_sq_ += d * d;
+  sum_ += static_cast<double>(raw);
 }
 
 SimTime LatencyHistogram::min() const {
@@ -60,16 +58,6 @@ SimTime LatencyHistogram::min() const {
 
 double LatencyHistogram::mean_ns() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double LatencyHistogram::stddev_ns() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  const double n = static_cast<double>(count_);
-  const double mean = sum_ / n;
-  const double var = std::max(0.0, sum_sq_ / n - mean * mean);
-  return std::sqrt(var);
 }
 
 SimTime LatencyHistogram::percentile(double q) const {
@@ -112,7 +100,6 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
 }
 
 void LatencyHistogram::reset() {
@@ -121,7 +108,6 @@ void LatencyHistogram::reset() {
   min_ = 0;
   max_ = 0;
   sum_ = 0.0;
-  sum_sq_ = 0.0;
 }
 
 }  // namespace netclone

@@ -30,7 +30,6 @@ class LatencyHistogram {
   [[nodiscard]] SimTime min() const;
   [[nodiscard]] SimTime max() const { return SimTime{max_}; }
   [[nodiscard]] double mean_ns() const;
-  [[nodiscard]] double stddev_ns() const;
 
   /// Value at quantile q in [0, 1]; q=0.99 is the paper's headline metric.
   /// Returns zero when the histogram is empty.
@@ -54,7 +53,6 @@ class LatencyHistogram {
   std::int64_t min_ = 0;
   std::int64_t max_ = 0;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
 };
 
 }  // namespace netclone

@@ -66,12 +66,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  const auto span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi >= lo by contract
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 bool Rng::bernoulli(double p) { return next_double() < p; }
 
 double Rng::exponential(double mean) {

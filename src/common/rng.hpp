@@ -32,9 +32,6 @@ class Rng {
   /// Uniform integer in [0, bound) with Lemire's unbiased method.
   [[nodiscard]] std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli trial with success probability p.
   [[nodiscard]] bool bernoulli(double p);
 

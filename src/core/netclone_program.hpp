@@ -65,12 +65,26 @@ enum class RequestIdMode {
   kClientTuple,
 };
 
-struct NetCloneConfig {
+/// What a caller chooses about the NetClone program. The harness
+/// templates hold only these; it fills in the rest of NetCloneConfig
+/// (table sizing, switch identity, and filtering, which
+/// Scheme::kNetCloneNoFilter turns off).
+struct NetCloneOptions {
   /// Filter tables; the prototype uses two (§4.1). Client IDX values must
   /// be < this.
   std::size_t num_filter_tables = 2;
   /// Hash slots per filter table (§4.1: 2^17).
   std::size_t filter_slots = std::size_t{1} << 17;
+  RequestIdMode id_mode = RequestIdMode::kSwitchSequence;
+  /// Multi-packet message support (§3.7): a cloned-request table makes
+  /// follow-up fragments of a cloned request clone regardless of the
+  /// current server states, and response fragments are filtered through
+  /// ordered filter tables. Requires id_mode == kClientTuple so that all
+  /// fragments share one REQ_ID.
+  bool enable_multipacket = false;
+};
+
+struct NetCloneConfig : NetCloneOptions {
   /// Maximum servers AddrT/StateT are sized for. GrpT holds every group
   /// that many servers can install, group_count(max_servers).
   std::size_t max_servers = 64;
@@ -79,13 +93,6 @@ struct NetCloneConfig {
   std::uint8_t switch_id = 1;
   /// Ablation toggle (Fig. 15 disables filtering).
   bool enable_filtering = true;
-  RequestIdMode id_mode = RequestIdMode::kSwitchSequence;
-  /// Multi-packet message support (§3.7): a cloned-request table makes
-  /// follow-up fragments of a cloned request clone regardless of the
-  /// current server states, and response fragments are filtered through
-  /// ordered filter tables. Requires id_mode == kClientTuple so that all
-  /// fragments share one REQ_ID.
-  bool enable_multipacket = false;
 };
 
 /// How the switch steers a fresh read request between its group's two

@@ -24,26 +24,19 @@ core::Steering steering_of(Scheme scheme) {
 }  // namespace
 
 Experiment::Experiment(ClusterConfig config)
-    : Testbed(Schedule{config.scheme, config.offered_rps, config.measure,
-                       config.warmup + config.measure + config.drain,
-                       config.seed}),
-      config_(std::move(config)) {
-  NETCLONE_CHECK(config_.factory != nullptr, "config needs a factory");
-  NETCLONE_CHECK(config_.service != nullptr, "config needs a service");
+    : Testbed(config, config.scheme), config_(std::move(config)) {
   NETCLONE_CHECK(config_.server_workers.size() >= 2,
                  "need at least two servers");
   NETCLONE_CHECK(config_.server_workers.size() < 150,
                  "server count exceeds the address plan");
-  NETCLONE_CHECK(config_.num_clients >= 1, "need at least one client");
   // Responses pass a filter under NetClone and the RackSched integration
   // (the ToR's filter tables) and under LAEDGE (the coordinator relays
   // one response per request); RackSched clones nothing, so it filters
   // nothing. The program rejects multi-packet tables under both
   // shorter-queue policies when it is built.
   if (config_.scheme == Scheme::kLaedge ||
-      ((config_.scheme == Scheme::kNetClone ||
-        config_.scheme == Scheme::kNetCloneRackSched) &&
-       config_.netclone.enable_filtering)) {
+      config_.scheme == Scheme::kNetClone ||
+      config_.scheme == Scheme::kNetCloneRackSched) {
     check_response_fragments(config_.server_template.response_fragments,
                              config_.scheme == Scheme::kNetClone &&
                                  config_.netclone.enable_multipacket,
@@ -67,13 +60,10 @@ void Experiment::build() {
 
   // Load the scheme's data-plane program: the NetClone program where the
   // switch steers requests, a router with a /32 route per host where the
-  // hosts do. The program's tables must hold the whole rack regardless of
-  // the caller's defaults.
-  core::NetCloneConfig nc_cfg = config_.netclone;
+  // hosts do. The program's tables must hold the whole rack.
+  core::NetCloneConfig nc_cfg{config_.netclone};
   nc_cfg.max_servers = std::max(nc_cfg.max_servers, num_servers);
-  nc_cfg.enable_filtering =
-      config_.scheme != Scheme::kNetCloneNoFilter &&
-      nc_cfg.enable_filtering;
+  nc_cfg.enable_filtering = config_.scheme != Scheme::kNetCloneNoFilter;
   switch (config_.scheme) {
     case Scheme::kNetClone:
     case Scheme::kNetCloneNoFilter:
@@ -109,11 +99,11 @@ void Experiment::build() {
   std::vector<baselines::LaedgeWorkerInfo> laedge_workers;
   for (std::size_t i = 0; i < num_servers; ++i) {
     const auto sid = static_cast<ServerId>(static_cast<std::uint8_t>(i));
-    host::ServerParams sp = config_.server_template;
-    sp.sid = sid;
-    sp.workers = config_.server_workers[i];
     auto& server = topology().add_node<host::Server>(
-        sim, sp, config_.service, root_rng().fork());
+        sim,
+        host::ServerParams{config_.server_template, sid,
+                           config_.server_workers[i]},
+        config_.service, root_rng().fork());
     const auto ports = topology().connect(server, *switch_);
     record_link(indexed_name("s", i), "sw0", ports);
     const wire::Ipv4Address ip = host::server_ip(sid);
@@ -140,19 +130,11 @@ void Experiment::build() {
   }
 
   // Clients.
-  const SimTime stop_at = config_.warmup + config_.measure;
   for (std::size_t c = 0; c < config_.num_clients; ++c) {
-    host::ClientParams cp = config_.client_template;
-    cp.client_id = static_cast<std::uint16_t>(c);
-    cp.rate_rps =
-        config_.offered_rps / static_cast<double>(config_.num_clients);
+    host::ClientParams cp = client_params(config_, c);
     cp.num_groups =
         static_cast<std::uint16_t>(core::group_count(num_servers));
-    cp.num_filter_tables =
-        static_cast<std::uint8_t>(config_.netclone.num_filter_tables);
     cp.server_ips = server_ips;
-    cp.warmup_until = config_.warmup;
-    cp.stop_at = stop_at;
     switch (config_.scheme) {
       case Scheme::kBaseline:
         cp.mode = host::SendMode::kDirectRandom;

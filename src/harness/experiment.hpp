@@ -24,31 +24,16 @@
 
 namespace netclone::harness {
 
-struct ClusterConfig {
+/// One ToR rack: the shared run settings plus the scheme and the servers.
+/// Warm-up, measurement and drain default to 10, 60 and 30 ms.
+struct ClusterConfig : RunConfig {
+  ClusterConfig()
+      : RunConfig(SimTime::milliseconds(10), SimTime::milliseconds(60),
+                  SimTime::milliseconds(30)) {}
+
   Scheme scheme = Scheme::kNetClone;
-  std::size_t num_clients = 2;
   /// Worker threads per server; the vector length is the server count.
   std::vector<std::uint32_t> server_workers = {16, 16, 16, 16, 16, 16};
-  /// Total offered load across all clients, requests per second.
-  double offered_rps = 1e6;
-  SimTime warmup = SimTime::milliseconds(10);
-  SimTime measure = SimTime::milliseconds(60);
-  /// Extra simulated time after senders stop, letting tails drain.
-  SimTime drain = SimTime::milliseconds(30);
-  std::uint64_t seed = 1;
-
-  /// Workload (shared by all clients) and service (shared by all servers).
-  std::shared_ptr<host::RequestFactory> factory;
-  std::shared_ptr<host::ServiceModel> service;
-
-  core::NetCloneConfig netclone{};
-
-  host::ClientParams client_template{};
-  host::ServerParams server_template{};
-
-  /// Timed faults installed at build time and fired as engine events
-  /// (deterministic relative to every other event).
-  FaultPlan faults{};
 };
 
 /// One ToR rack (§5): the scheme's program on the switch, and the LÆDGE

@@ -16,25 +16,17 @@ constexpr std::uint8_t kAggTierSwitchId = 200;
 }  // namespace
 
 MultiRackExperiment::MultiRackExperiment(MultiRackConfig config)
-    : Testbed(Schedule{Scheme::kNetClone, config.offered_rps, config.measure,
-                       config.warmup + config.measure + config.drain,
-                       config.seed}),
-      config_(std::move(config)) {
-  NETCLONE_CHECK(config_.factory != nullptr, "config needs a factory");
-  NETCLONE_CHECK(config_.service != nullptr, "config needs a service");
+    : Testbed(config, Scheme::kNetClone), config_(std::move(config)) {
   NETCLONE_CHECK(config_.server_racks >= 1, "need at least one server rack");
   NETCLONE_CHECK(config_.server_racks * config_.servers_per_rack >= 2,
                  "NetClone needs at least two servers");
   NETCLONE_CHECK(config_.num_aggs >= 1, "need at least one agg switch");
-  NETCLONE_CHECK(config_.num_clients >= 1, "need at least one client");
   // The oblivious pod filters responses at the client ToR; the replicated
   // pod's chain replicas filter without multi-packet tables.
-  if (config_.netclone.enable_filtering) {
-    check_response_fragments(config_.server_template.response_fragments,
-                             config_.agg_mode == AggMode::kOblivious &&
-                                 config_.netclone.enable_multipacket,
-                             config_.netclone.num_filter_tables);
-  }
+  check_response_fragments(config_.server_template.response_fragments,
+                           config_.agg_mode == AggMode::kOblivious &&
+                               config_.netclone.enable_multipacket,
+                           config_.netclone.num_filter_tables);
   build();
 }
 
@@ -85,8 +77,8 @@ void MultiRackExperiment::build() {
 
   sim::Simulator& sim = simulator();
 
-  // Tables must hold the whole pod regardless of the caller's defaults.
-  core::NetCloneConfig nc = config_.netclone;
+  // Tables must hold the whole pod.
+  core::NetCloneConfig nc{config_.netclone};
   nc.max_servers = std::max(nc.max_servers, num_servers);
 
   const bool replicated = config_.agg_mode == AggMode::kReplicated;
@@ -241,11 +233,11 @@ void MultiRackExperiment::build() {
     rack_uplink_ports_.push_back(std::move(uplink_ports));
 
     for (std::size_t i = 0; i < config_.servers_per_rack; ++i, ++sid) {
-      host::ServerParams sp = config_.server_template;
-      sp.sid = ServerId{sid};
-      sp.workers = config_.workers;
       auto& server = topology().add_node<host::Server>(
-          sim, sp, config_.service, root_rng().fork());
+          sim,
+          host::ServerParams{config_.server_template, ServerId{sid},
+                             config_.workers},
+          config_.service, root_rng().fork());
       const phys::DuplexPorts ports =
           connect_nodes(server, tor, kHostLink);
       record_link(indexed_name("s", sid), tor_name, ports);
@@ -277,19 +269,11 @@ void MultiRackExperiment::build() {
   }
 
   // -- clients ------------------------------------------------------------
-  const SimTime stop_at = config_.warmup + config_.measure;
   for (std::size_t c = 0; c < config_.num_clients; ++c) {
-    host::ClientParams cp = config_.client_template;
-    cp.client_id = static_cast<std::uint16_t>(c);
+    host::ClientParams cp = client_params(config_, c);
     cp.mode = host::SendMode::kViaSwitch;
     cp.target = host::service_vip();
-    cp.rate_rps =
-        config_.offered_rps / static_cast<double>(config_.num_clients);
     cp.num_groups = controllers_.front().group_count();
-    cp.num_filter_tables =
-        static_cast<std::uint8_t>(config_.netclone.num_filter_tables);
-    cp.warmup_until = config_.warmup;
-    cp.stop_at = stop_at;
     auto& client = topology().add_node<host::Client>(
         sim, cp, config_.factory, root_rng().fork());
     const phys::DuplexPorts ports =

@@ -48,30 +48,23 @@ enum class AggMode {
   kReplicated,  // NetClone-aware aggs with chain-replicated soft state
 };
 
-struct MultiRackConfig {
+/// One fat-tree pod: the shared run settings plus the pod's shape. The
+/// scheme is NetClone. Warm-up, measurement and drain default to 5, 25
+/// and 15 ms. Fault targets resolve against fat-tree names: switches
+/// `tor1`/`tor2`../`agg0`.., links `tor1-agg0`/`agg0-agg1`/`tor2-s0`,
+/// servers `s<N>` (global id), racks `rack<N>`, and the managed chain
+/// pair `agg_fail`/`agg_rejoin` (kReplicated mode only).
+struct MultiRackConfig : RunConfig {
+  MultiRackConfig()
+      : RunConfig(SimTime::milliseconds(5), SimTime::milliseconds(25),
+                  SimTime::milliseconds(15)) {}
+
   std::size_t server_racks = 2;
   std::size_t servers_per_rack = 3;
   /// Parallel aggregation switches (the fat-tree spine of this pod).
   std::size_t num_aggs = 1;
   AggMode agg_mode = AggMode::kOblivious;
   std::uint32_t workers = 16;
-  std::size_t num_clients = 2;
-  double offered_rps = 1e6;
-  SimTime warmup = SimTime::milliseconds(5);
-  SimTime measure = SimTime::milliseconds(25);
-  SimTime drain = SimTime::milliseconds(15);
-  std::uint64_t seed = 1;
-  std::shared_ptr<host::RequestFactory> factory;
-  std::shared_ptr<host::ServiceModel> service;
-  core::NetCloneConfig netclone{};
-  host::ClientParams client_template{};
-  host::ServerParams server_template{};
-  /// Timed fault plan. Targets resolve against fat-tree names: switches
-  /// `tor1`/`tor2`../`agg0`.., links `tor1-agg0`/`agg0-agg1`/`tor2-s0`,
-  /// servers `s<N>` (global id), racks `rack<N>`, and the managed chain
-  /// pair `agg_fail`/`agg_rejoin` (kReplicated mode only). Installed at
-  /// build time so fault firing shares the deterministic event order.
-  FaultPlan faults{};
 };
 
 /// One built-and-runnable fat-tree pod; see Testbed for the lifecycle.

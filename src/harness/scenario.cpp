@@ -90,6 +90,13 @@ kv::KvCostProfile kv_profile(const Scenario& s) {
                                : kv::memcached_profile();
 }
 
+kv::KvMix kv_mix(const Scenario& s) {
+  kv::KvMix mix;
+  mix.get_fraction = s.get_fraction;
+  mix.num_keys = s.kv_objects;
+  return mix;
+}
+
 host::JitterModel jitter_of(const Scenario& s) {
   return host::JitterModel{s.jitter_p, s.jitter_multiplier, s.noise};
 }
@@ -106,10 +113,7 @@ std::shared_ptr<host::RequestFactory> make_factory(const Scenario& s) {
   if (s.workload == "fixed") {
     return std::make_shared<host::FixedWorkload>(s.mean_us);
   }
-  kv::KvMix mix;
-  mix.get_fraction = s.get_fraction;
-  mix.num_keys = s.kv_objects;
-  return std::make_shared<kv::KvRequestFactory>(mix, kv_profile(s));
+  return std::make_shared<kv::KvRequestFactory>(kv_mix(s), kv_profile(s));
 }
 
 /// The scenario's server model; a KV workload's populates its store.
@@ -126,7 +130,7 @@ std::shared_ptr<host::ServiceModel> make_service(const Scenario& s) {
 /// profile for the temporal shape, group weights for the spatial one.
 /// `steady` + zero skew + no hotspot leaves the template untouched, so
 /// legacy scenarios draw the exact same random sequences as before.
-void apply_traffic_shape(const Scenario& s, host::ClientParams& tmpl) {
+void apply_traffic_shape(const Scenario& s, host::ClientOptions& tmpl) {
   if (s.shape == "flash") {
     tmpl.rate_profile = flash_crowd_profile(
         SimTime::milliseconds(s.flash_at_ms),
@@ -151,6 +155,18 @@ void apply_traffic_shape(const Scenario& s, host::ClientParams& tmpl) {
     }
     tmpl.group_weights = std::move(weights);
   }
+}
+
+/// The part of a run config both harnesses share.
+void fill_run_config(const Scenario& s, RunConfig& cfg) {
+  cfg.num_clients = s.clients;
+  cfg.warmup = SimTime::milliseconds(s.warmup_ms);
+  cfg.measure = SimTime::milliseconds(s.measure_ms);
+  cfg.seed = s.seed;
+  cfg.faults = s.faults;
+  cfg.factory = make_factory(s);
+  cfg.service = make_service(s);
+  apply_traffic_shape(s, cfg.client_template);
 }
 
 }  // namespace
@@ -400,15 +416,8 @@ std::size_t Scenario::total_servers() const {
 ClusterConfig Scenario::build_config() const {
   ClusterConfig cfg;
   cfg.scheme = scheme;
-  cfg.num_clients = clients;
   cfg.server_workers.assign(servers, workers);
-  cfg.warmup = SimTime::milliseconds(warmup_ms);
-  cfg.measure = SimTime::milliseconds(measure_ms);
-  cfg.seed = seed;
-  cfg.faults = faults;
-  cfg.factory = make_factory(*this);
-  cfg.service = make_service(*this);
-  apply_traffic_shape(*this, cfg.client_template);
+  fill_run_config(*this, cfg);
   return cfg;
 }
 
@@ -423,23 +432,21 @@ MultiRackConfig Scenario::build_multirack_config() const {
   cfg.agg_mode = agg_mode == "replicated" ? AggMode::kReplicated
                                           : AggMode::kOblivious;
   cfg.workers = workers;
-  cfg.num_clients = clients;
-  cfg.warmup = SimTime::milliseconds(warmup_ms);
-  cfg.measure = SimTime::milliseconds(measure_ms);
-  cfg.seed = seed;
-  cfg.faults = faults;
-  cfg.factory = make_factory(*this);
-  cfg.service = make_service(*this);
-  apply_traffic_shape(*this, cfg.client_template);
+  fill_run_config(*this, cfg);
   return cfg;
 }
 
 double Scenario::capacity_rps() const {
   const std::vector<std::uint32_t> worker_counts(total_servers(), workers);
+  // A KV factory sums its Zipf normaliser over every key; the mix mean
+  // needs none of it.
+  const double intrinsic_us =
+      is_kv(*this)
+          ? kv::KvRequestFactory::mean_intrinsic_us(kv_mix(*this),
+                                                    kv_profile(*this))
+          : make_factory(*this)->mean_intrinsic_us();
   return cluster_capacity_rps(
-      worker_counts,
-      make_factory(*this)->mean_intrinsic_us() *
-          jitter_of(*this).mean_inflation());
+      worker_counts, intrinsic_us * jitter_of(*this).mean_inflation());
 }
 
 std::vector<SweepPoint> Scenario::run() const {

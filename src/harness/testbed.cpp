@@ -36,10 +36,15 @@ double cluster_capacity_rps(const std::vector<std::uint32_t>& server_workers,
   return static_cast<double>(workers) * 1e6 / mean_service_us;
 }
 
-Testbed::Testbed(const Schedule& schedule)
-    : schedule_(schedule),
+Testbed::Testbed(const RunConfig& config, Scheme scheme)
+    : schedule_{scheme, config.offered_rps, config.measure,
+                config.warmup + config.measure + config.drain, config.seed},
       topology_(sim_, pool_),
-      root_rng_(schedule.seed) {}
+      root_rng_(config.seed) {
+  NETCLONE_CHECK(config.factory != nullptr, "config needs a factory");
+  NETCLONE_CHECK(config.service != nullptr, "config needs a service");
+  NETCLONE_CHECK(config.num_clients >= 1, "need at least one client");
+}
 
 Testbed::~Testbed() = default;
 
@@ -49,6 +54,18 @@ std::uint64_t Testbed::executed_events() const {
 
 std::vector<wire::FramePool::Stats> Testbed::frame_pool_stats() const {
   return {pool_.stats()};
+}
+
+host::ClientParams Testbed::client_params(const RunConfig& config,
+                                          std::size_t c) {
+  host::ClientParams cp{config.client_template};
+  cp.client_id = static_cast<std::uint16_t>(c);
+  cp.rate_rps = config.offered_rps / static_cast<double>(config.num_clients);
+  cp.num_filter_tables =
+      static_cast<std::uint8_t>(config.netclone.num_filter_tables);
+  cp.warmup_until = config.warmup;
+  cp.stop_at = config.warmup + config.measure;
+  return cp;
 }
 
 // -- registries ------------------------------------------------------------

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -70,6 +71,42 @@ struct ExperimentResult {
 [[nodiscard]] double cluster_capacity_rps(
     const std::vector<std::uint32_t>& server_workers,
     double mean_service_us);
+
+/// What a caller chooses about a run, whatever topology it builds: the
+/// clients and the load they offer, the schedule, the workload and the
+/// service, the options of the NetClone program and the hosts, and the
+/// timed faults. ClusterConfig (one rack) and MultiRackConfig (a fat-tree
+/// pod) derive from it, add their topology and choose the window
+/// defaults; the harness fills in every per-node parameter the wiring
+/// decides (host ids, addresses, send modes, rate shares, table sizes).
+struct RunConfig {
+  std::size_t num_clients = 2;
+  /// Total offered load across all clients, requests per second.
+  double offered_rps = 1e6;
+  SimTime warmup{};
+  SimTime measure{};
+  /// Extra simulated time after senders stop, letting tails drain.
+  SimTime drain{};
+  std::uint64_t seed = 1;
+
+  /// Workload (shared by all clients) and service (shared by all servers).
+  std::shared_ptr<host::RequestFactory> factory;
+  std::shared_ptr<host::ServiceModel> service;
+
+  core::NetCloneOptions netclone{};
+  host::ClientOptions client_template{};
+  host::ServerOptions server_template{};
+
+  /// Timed faults installed at build time and fired as engine events
+  /// (deterministic relative to every other event). Targets resolve
+  /// against the harness's names (Testbed::apply_fault).
+  FaultPlan faults{};
+
+ protected:
+  RunConfig(SimTime warmup_window, SimTime measure_window,
+            SimTime drain_window)
+      : warmup(warmup_window), measure(measure_window), drain(drain_window) {}
+};
 
 /// One built-and-runnable cluster. The derived harness's constructor
 /// wires the topology; run() executes warmup + measurement and returns
@@ -142,16 +179,10 @@ class Testbed {
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
 
  protected:
-  /// What the shared lifecycle reads from a harness's config.
-  struct Schedule {
-    Scheme scheme{};           // labels the result
-    double offered_rps = 0.0;  // labels the result
-    SimTime measure{};         // the window completions count in
-    SimTime end{};             // warmup + measure + drain
-    std::uint64_t seed = 1;    // root RNG and link impairment streams
-  };
-
-  explicit Testbed(const Schedule& schedule);
+  /// Checks what every run needs (a workload, a service and a client) and
+  /// takes the run's schedule from `config`; `scheme` labels the result.
+  /// Throws CheckFailure when something is missing.
+  Testbed(const RunConfig& config, Scheme scheme);
 
   // -- building ------------------------------------------------------------
 
@@ -173,6 +204,12 @@ class Testbed {
   }
   void record_server(host::Server& server) { servers_.push_back(&server); }
   void record_client(host::Client& client) { clients_.push_back(&client); }
+
+  /// Client `c`'s parameters: the config's template, plus the client's id,
+  /// its share of the offered load, the filter-table count and the
+  /// sending window. The topology adds the send mode, target and groups.
+  [[nodiscard]] static host::ClientParams client_params(
+      const RunConfig& config, std::size_t c);
 
   /// `<prefix><N>`, the harness name of an indexed node (`s3`, `agg1`,
   /// `tor2`).
@@ -216,6 +253,15 @@ class Testbed {
   virtual void add_switch_counters(ExperimentResult& result) const = 0;
 
  private:
+  /// What the shared lifecycle reads from the run's config.
+  struct Schedule {
+    Scheme scheme{};           // labels the result
+    double offered_rps = 0.0;  // labels the result
+    SimTime measure{};         // the window completions count in
+    SimTime end{};             // warmup + measure + drain
+    std::uint64_t seed = 1;    // root RNG and link impairment streams
+  };
+
   void start_clients();
   [[nodiscard]] ExperimentResult collect() const;
   [[nodiscard]] pisa::SwitchDevice& target_switch(

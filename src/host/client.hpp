@@ -73,11 +73,10 @@ struct RateSegment {
   double multiplier = 1.0;
 };
 
-struct ClientParams {
-  std::uint16_t client_id = 0;
-  SendMode mode = SendMode::kViaSwitch;
-  /// Offered load in requests per second (long-run mean for kBursty).
-  double rate_rps = 100000.0;
+/// What a caller chooses about a client's traffic and transport. The
+/// harness templates hold only these; it fills in the rest of
+/// ClientParams (identity, send mode, rate share, groups, window).
+struct ClientOptions {
   ArrivalProcess arrival = ArrivalProcess::kPoisson;
   /// Production traffic shapes (flash crowds, diurnal curves — see
   /// harness/traffic_shapes): a piecewise-constant multiplier on rate_rps
@@ -91,21 +90,9 @@ struct ClientParams {
   /// weight vector (size must equal num_groups) instead of uniformly.
   /// Weights are relative, non-negative, with a positive sum.
   std::vector<double> group_weights{};
-  /// Number of candidate-server groups installed in GrpT (2·C(n,2)).
-  std::uint16_t num_groups = 1;
-  /// Number of filter tables in the switch (the IDX field range).
-  std::uint8_t num_filter_tables = 2;
-  /// Worker addresses, needed by kDirectRandom / kCClone.
-  std::vector<wire::Ipv4Address> server_ips{};
-  /// Destination for kViaSwitch / kToCoordinator.
-  wire::Ipv4Address target{};
   /// Receiver-thread CPU time per received frame (a corrupted or foreign
   /// one included).
   SimTime rx_cost = SimTime::nanoseconds(300);
-  /// End of the sending window, which opens when start() is called.
-  SimTime stop_at = SimTime::max();
-  /// Samples sent before this instant are excluded from the histogram.
-  SimTime warmup_until = SimTime::zero();
   /// Multi-packet requests (§3.7): each request is sent as this many
   /// fragments (at most 64) sharing one CLIENT_SEQ and group id. The
   /// switch needs enable_multipacket + client-tuple request ids for > 1.
@@ -124,6 +111,25 @@ struct ClientParams {
   /// duplicate. The paper cites evidence this buys little —
   /// bench_ablation_cancel measures it.
   bool cclone_cancel = false;
+};
+
+struct ClientParams : ClientOptions {
+  std::uint16_t client_id = 0;
+  SendMode mode = SendMode::kViaSwitch;
+  /// Offered load in requests per second (long-run mean for kBursty).
+  double rate_rps = 100000.0;
+  /// Number of candidate-server groups installed in GrpT (2·C(n,2)).
+  std::uint16_t num_groups = 1;
+  /// Number of filter tables in the switch (the IDX field range).
+  std::uint8_t num_filter_tables = 2;
+  /// Worker addresses, needed by kDirectRandom / kCClone.
+  std::vector<wire::Ipv4Address> server_ips{};
+  /// Destination for kViaSwitch / kToCoordinator.
+  wire::Ipv4Address target{};
+  /// End of the sending window, which opens when start() is called.
+  SimTime stop_at = SimTime::max();
+  /// Samples sent before this instant are excluded from the histogram.
+  SimTime warmup_until = SimTime::zero();
 };
 
 struct ClientStats {

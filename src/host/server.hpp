@@ -51,15 +51,10 @@ enum class CloneAdmission {
   kWorkerFree,
 };
 
-struct ServerParams {
-  ServerId sid{};
-  /// Parallel worker threads (paper: 16 per server for synthetic runs,
-  /// 8 for the KV experiments, 15 vs 8 in the heterogeneous Fig. 10 setup).
-  std::uint32_t workers = 16;
-  /// Dispatcher CPU time per received packet (VMA userspace path). Every
-  /// frame the ingress link hands over pays it, a corrupted or foreign
-  /// one included.
-  SimTime dispatch_cost = SimTime::nanoseconds(300);
+/// What a caller chooses about a server's NetClone behaviour. The harness
+/// templates hold only these; it fills in the rest of ServerParams
+/// (identity and worker count).
+struct ServerOptions {
   /// NetClone server-side mechanism: which busy state makes the server
   /// drop a CLO=2 request (only switch-cloned copies are ever dropped).
   CloneAdmission clone_admission = CloneAdmission::kQueueEmpty;
@@ -68,6 +63,17 @@ struct ServerParams {
   /// filter tables, so a filtering switch needs multi-packet support and
   /// at least this many tables (the harnesses check).
   std::uint8_t response_fragments = 1;
+};
+
+struct ServerParams : ServerOptions {
+  ServerId sid{};
+  /// Parallel worker threads (paper: 16 per server for synthetic runs,
+  /// 8 for the KV experiments, 15 vs 8 in the heterogeneous Fig. 10 setup).
+  std::uint32_t workers = 16;
+  /// Dispatcher CPU time per received packet (VMA userspace path). Every
+  /// frame the ingress link hands over pays it, a corrupted or foreign
+  /// one included.
+  SimTime dispatch_cost = SimTime::nanoseconds(300);
 };
 
 struct ServerStats {

@@ -135,21 +135,29 @@ wire::RpcRequest KvRequestFactory::make(Rng& rng) {
 }
 
 double KvRequestFactory::mean_intrinsic_us() const {
+  return mean_intrinsic_us(mix_, profile_);
+}
+
+double KvRequestFactory::mean_intrinsic_us(const KvMix& mix,
+                                           const KvCostProfile& profile) {
   const double scan_us =
-      profile_.get_base_us +
-      profile_.per_object_us * static_cast<double>(mix_.scan_count);
-  const double scan_fraction =
-      1.0 - mix_.get_fraction - mix_.set_fraction;
-  return mix_.get_fraction * profile_.get_base_us +
-         mix_.set_fraction * profile_.set_base_us +
-         scan_fraction * scan_us;
+      profile.get_base_us +
+      profile.per_object_us * static_cast<double>(mix.scan_count);
+  const double scan_fraction = 1.0 - mix.get_fraction - mix.set_fraction;
+  return mix.get_fraction * profile.get_base_us +
+         mix.set_fraction * profile.set_base_us + scan_fraction * scan_us;
 }
 
 std::string KvRequestFactory::label() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %.0f%%-GET,%.0f%%-SCAN",
-                profile_.name.c_str(), mix_.get_fraction * 100.0,
-                (1.0 - mix_.get_fraction) * 100.0);
+  char set_share[32] = "";
+  if (mix_.set_fraction > 0.0) {
+    std::snprintf(set_share, sizeof(set_share), "%.0f%%-SET,",
+                  mix_.set_fraction * 100.0);
+  }
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "%s %.0f%%-GET,%s%.0f%%-SCAN",
+                profile_.name.c_str(), mix_.get_fraction * 100.0, set_share,
+                (1.0 - mix_.get_fraction - mix_.set_fraction) * 100.0);
   return buf;
 }
 

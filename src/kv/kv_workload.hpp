@@ -70,6 +70,12 @@ class KvRequestFactory final : public host::RequestFactory {
 
   [[nodiscard]] wire::RpcRequest make(Rng& rng) override;
   [[nodiscard]] double mean_intrinsic_us() const override;
+  /// The mean intrinsic service time of `mix` under `profile`, without
+  /// building a factory (whose Zipf generator sums over every key).
+  [[nodiscard]] static double mean_intrinsic_us(const KvMix& mix,
+                                                const KvCostProfile& profile);
+  /// "<application> G%-GET,S%-SCAN", with the SET share between them
+  /// when the mix has writes.
   [[nodiscard]] std::string label() const override;
 
  private:

@@ -20,18 +20,6 @@ void ByteWriter::bytes(std::span<const std::byte> data) {
   len_ += data.size();
 }
 
-void ByteWriter::zeros(std::size_t n) {
-  if (vec_ != nullptr) {
-    vec_->insert(vec_->end(), n, std::byte{0});
-    return;
-  }
-  if (cap_ - len_ < n) {
-    throw_writer_overflow();
-  }
-  std::fill_n(fixed_ + len_, n, std::byte{0});
-  len_ += n;
-}
-
 void ByteReader::bytes(std::span<std::byte> out) {
   require(out.size());
   std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset_),

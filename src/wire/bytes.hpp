@@ -88,9 +88,7 @@ class ByteWriter {
     store_u32(p, 0, static_cast<std::uint32_t>(v >> 32));
     store_u32(p, 4, static_cast<std::uint32_t>(v & 0xFFFFFFFFU));
   }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void bytes(std::span<const std::byte> data);
-  void zeros(std::size_t n);
 
   /// Reserves `n` contiguous output bytes — one bounds check (fixed mode)
   /// or one resize (vector mode) — and returns a pointer to write them
@@ -139,9 +137,6 @@ class ByteReader {
   [[nodiscard]] std::uint64_t u64() {
     const std::byte* p = raw(8);
     return static_cast<std::uint64_t>(load_u32(p, 0)) << 32 | load_u32(p, 4);
-  }
-  [[nodiscard]] std::int64_t i64() {
-    return static_cast<std::int64_t>(u64());
   }
   void bytes(std::span<std::byte> out);
   void skip(std::size_t n) {

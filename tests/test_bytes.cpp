@@ -27,14 +27,12 @@ TEST(ByteCodec, RoundTripAllWidths) {
   w.u16(0xCDEF);
   w.u32(0x01234567);
   w.u64(0x89ABCDEF01234567ULL);
-  w.i64(-42);
 
   ByteReader r{f};
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u16(), 0xCDEF);
   EXPECT_EQ(r.u32(), 0x01234567U);
   EXPECT_EQ(r.u64(), 0x89ABCDEF01234567ULL);
-  EXPECT_EQ(r.i64(), -42);
   EXPECT_EQ(r.remaining(), 0U);
 }
 
@@ -87,7 +85,7 @@ TEST(ByteReader, RestReturnsUnread) {
 TEST(ByteWriter, ZerosAndBytes) {
   Frame f;
   ByteWriter w{f};
-  w.zeros(3);
+  w.bytes(std::array<std::byte, 3>{});
   const std::array<std::byte, 2> src{std::byte{9}, std::byte{8}};
   w.bytes(src);
   ASSERT_EQ(f.size(), 5U);
@@ -105,7 +103,8 @@ TEST(ByteCodec, FixedBoundThrowsBeforeMoving) {
     const std::size_t start = buf.size() - (width - 1);
 
     ByteWriter w{std::span<std::byte>{buf}};
-    w.zeros(start);
+    const std::array<std::byte, 16> zeros{};
+    w.bytes(std::span{zeros}.first(start));
     EXPECT_THROW(
         {
           switch (width) {

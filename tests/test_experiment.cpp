@@ -46,6 +46,41 @@ TEST(SchemeNames, AllDistinct) {
   }
 }
 
+// A harness fills in every per-node parameter its wiring decides, so a
+// run config's templates hold only what a caller chooses: naming any of
+// these fields through them must not compile.
+template <typename Config>
+constexpr bool reaches_a_harness_field =
+    requires(Config c) { c.client_template.client_id; } ||
+    requires(Config c) { c.client_template.mode; } ||
+    requires(Config c) { c.client_template.rate_rps; } ||
+    requires(Config c) { c.client_template.num_groups; } ||
+    requires(Config c) { c.client_template.num_filter_tables; } ||
+    requires(Config c) { c.client_template.server_ips; } ||
+    requires(Config c) { c.client_template.target; } ||
+    requires(Config c) { c.client_template.stop_at; } ||
+    requires(Config c) { c.client_template.warmup_until; } ||
+    requires(Config c) { c.server_template.sid; } ||
+    requires(Config c) { c.server_template.workers; } ||
+    requires(Config c) { c.server_template.dispatch_cost; } ||
+    requires(Config c) { c.netclone.max_servers; } ||
+    requires(Config c) { c.netclone.switch_id; } ||
+    requires(Config c) { c.netclone.enable_filtering; };
+
+template <typename Config>
+constexpr bool reaches_the_options = requires(Config c) {
+  c.client_template.rx_cost;
+  c.server_template.response_fragments;
+  c.netclone.num_filter_tables;
+};
+
+TEST(RunConfig, TemplatesHoldOnlyWhatACallerChooses) {
+  static_assert(!reaches_a_harness_field<ClusterConfig>);
+  static_assert(!reaches_a_harness_field<MultiRackConfig>);
+  static_assert(reaches_the_options<ClusterConfig>);
+  static_assert(reaches_the_options<MultiRackConfig>);
+}
+
 TEST(Experiment, ConfigValidation) {
   ClusterConfig cfg = small_cluster(Scheme::kNetClone, 0.3);
   cfg.factory = nullptr;

@@ -19,7 +19,6 @@ TEST(Histogram, EmptyBehaviour) {
   EXPECT_EQ(h.min().ns(), 0);
   EXPECT_EQ(h.max().ns(), 0);
   EXPECT_DOUBLE_EQ(h.mean_ns(), 0.0);
-  EXPECT_DOUBLE_EQ(h.stddev_ns(), 0.0);
 }
 
 TEST(Histogram, SingleSample) {
@@ -120,7 +119,6 @@ TEST(Histogram, MeanAndStddevMatchDirectComputation) {
     direct.add(std::floor(v));
   }
   EXPECT_NEAR(h.mean_ns(), direct.mean(), 1.0);
-  EXPECT_NEAR(h.stddev_ns(), direct.stddev(), direct.stddev() * 0.01);
 }
 
 // Property sweep: quantiles of the log-bucketed histogram stay within the

@@ -44,6 +44,8 @@ TEST(KvRequestFactory, MeanIntrinsicMatchesMix) {
   const double scan_us = profile.get_base_us + 100.0 * profile.per_object_us;
   EXPECT_DOUBLE_EQ(factory.mean_intrinsic_us(),
                    0.99 * profile.get_base_us + 0.01 * scan_us);
+  EXPECT_EQ(KvRequestFactory::mean_intrinsic_us(mix, profile),
+            factory.mean_intrinsic_us());
 }
 
 TEST(KvRequestFactory, LabelNamesApplicationAndMix) {
@@ -54,6 +56,10 @@ TEST(KvRequestFactory, LabelNamesApplicationAndMix) {
             "Redis 99%-GET,1%-SCAN");
   EXPECT_EQ(KvRequestFactory(mix, memcached_profile()).label(),
             "Memcached 99%-GET,1%-SCAN");
+  mix.get_fraction = 0.90;
+  mix.set_fraction = 0.05;
+  EXPECT_EQ(KvRequestFactory(mix, redis_profile()).label(),
+            "Redis 90%-GET,5%-SET,5%-SCAN");
 }
 
 TEST(KvRequestFactory, KeysAreZipfSkewed) {

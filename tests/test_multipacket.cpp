@@ -250,9 +250,6 @@ TEST(MultiPacketEndToEnd, AcceptsUnfilteredAndSingleFragmentResponses) {
   EXPECT_EQ(completed, result.requests_sent);
 
   cfg.scheme = Scheme::kNetClone;
-  cfg.netclone.enable_filtering = false;
-  EXPECT_NO_THROW(Experiment{cfg});
-  cfg.netclone.enable_filtering = true;
   cfg.server_template.response_fragments = 1;
   EXPECT_NO_THROW(Experiment{cfg});
 }

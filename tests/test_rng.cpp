@@ -68,21 +68,6 @@ TEST(Rng, NextBelowCoversAllValues) {
   EXPECT_EQ(seen.size(), 6U);
 }
 
-TEST(Rng, UniformIntInclusiveRange) {
-  Rng rng{9};
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const std::int64_t v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo = saw_lo || v == -3;
-    saw_hi = saw_hi || v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, BernoulliEdgeCases) {
   Rng rng{13};
   for (int i = 0; i < 100; ++i) {
